@@ -48,13 +48,15 @@ fn main() {
         })
         .report();
 
-    // Batched path: same packets through the scratch-reusing API.
+    // Batched path: same packets through the scratch-reusing API the
+    // engine's workers run.
+    let mut ctx = pipeline.new_shard_ctx();
     let mut out = camus_pipeline::DecisionBuf::default();
     bench
         .run("linerate/pipeline_process_batch_1k_packets", n, || {
             out.clear();
             pipeline
-                .process_batch(packets.iter().map(|p| (*p, 0u64)), &mut out)
+                .process_batch_shared(&mut ctx, packets.iter().map(|p| (*p, 0u64)), &mut out)
                 .unwrap();
             out.len()
         })

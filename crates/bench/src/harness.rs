@@ -102,16 +102,6 @@ impl Bench {
         }
     }
 
-    /// The configured warmup window.
-    pub fn warmup_window(&self) -> Duration {
-        self.warmup
-    }
-
-    /// The configured measurement window.
-    pub fn measure_window(&self) -> Duration {
-        self.measure
-    }
-
     /// Times `f`, first warming up, then iterating for the configured
     /// measurement window. The closure's return value goes through
     /// [`black_box`] so the optimizer cannot delete the work.

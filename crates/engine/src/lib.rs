@@ -22,11 +22,10 @@
 //! both directions is two padded atomic words — no locks, no syscalls
 //! (see [`ring`] for the memory layout and hangup protocol).
 //!
-//! Two optional hot-path accelerators ride on top: per-worker [decision
+//! One optional hot-path accelerator rides on top: per-worker [decision
 //! caching](camus_pipeline::DecisionCache) keyed on the sharding field
 //! ([`EngineConfig::decision_cache`] — hits skip the match chain
-//! entirely, RCU generation bumps invalidate for free), and
-//! best-effort core pinning ([`EngineConfig::pin_workers`]). Cache and
+//! entirely, RCU generation bumps invalidate for free). Cache and
 //! ring counters surface in [`EngineReport::hotpath`] and, when
 //! telemetry is on, in the merged [`TelemetrySnapshot`].
 //!
@@ -255,11 +254,6 @@ pub struct EngineConfig {
     /// merged [`TelemetrySnapshot`] to the report. Off by default: the
     /// uninstrumented hot path has zero clock reads.
     pub telemetry: bool,
-    /// Pin worker `i` to CPU core `i % cores` (Linux
-    /// `sched_setaffinity`, best effort — a failed or unsupported pin
-    /// leaves the thread floating, and on a single-core host every
-    /// worker lands on core 0, which is a no-op). Off by default.
-    pub pin_workers: bool,
     /// Arm a per-worker [decision cache](camus_pipeline::DecisionCache)
     /// keyed on the named PHV field — use the same field the shard
     /// function keys on (e.g. `"add_order.stock"`). A cache hit skips
@@ -286,18 +280,7 @@ impl Default for EngineConfig {
             admission: Some(AsicModel::tofino32()),
             faults: FaultInjection::default(),
             telemetry: false,
-            pin_workers: false,
             decision_cache: None,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// Config with an explicit worker count.
-    pub fn with_workers(workers: usize) -> Self {
-        EngineConfig {
-            workers,
-            ..Default::default()
         }
     }
 }
@@ -576,30 +559,6 @@ pub struct Engine {
     stall_signal: Arc<AtomicU64>,
 }
 
-/// Pins the calling thread to one CPU core, best effort. Raw
-/// `sched_setaffinity` so the crate stays std-only; a failure (cgroup
-/// cpuset restrictions, exotic kernels) just leaves the thread
-/// floating, which is always correct.
-#[cfg(target_os = "linux")]
-fn pin_to_core(core: usize) {
-    // 16 × 64 bits = room for CPU ids 0..1023, glibc's cpu_set_t size.
-    const MASK_WORDS: usize = 16;
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    let mut mask = [0u64; MASK_WORDS];
-    let cpu = core % (MASK_WORDS * 64);
-    mask[cpu / 64] |= 1 << (cpu % 64);
-    // SAFETY: the mask outlives the call and the length matches; pid 0
-    // targets the calling thread.
-    unsafe {
-        let _ = sched_setaffinity(0, MASK_WORDS * 8, mask.as_ptr());
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pin_to_core(_core: usize) {}
-
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     index: usize,
@@ -779,7 +738,7 @@ impl Engine {
         // Telemetry is per-worker (attached in `spawn_worker`); the
         // template and the published slot never carry a record, so a
         // seed pipeline's own telemetry doesn't leak into workers.
-        template.set_telemetry(None);
+        template.exec.set_telemetry(None);
         // Arm the decision cache on the template when configured and
         // provably sound for this program; workers clone the (empty)
         // armed cache into their ShardCtx. Unknown field or an
@@ -864,18 +823,9 @@ impl Engine {
         let worker_published = Arc::clone(&self.published);
         let worker_killed = Arc::clone(&self.killed);
         let worker_stall = Arc::clone(&self.stall_signal);
-        let pin = self.cfg.pin_workers.then(|| {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            wi % cores
-        });
         let handle = std::thread::Builder::new()
             .name(format!("camus-engine-{wi}"))
             .spawn(move || {
-                if let Some(core) = pin {
-                    pin_to_core(core);
-                }
                 worker_loop(
                     wi,
                     program,
@@ -1151,7 +1101,7 @@ impl Engine {
         let timer = SpanTimer::start();
         let mut candidate = pipeline.clone();
         candidate.exec.stats.reset();
-        candidate.set_telemetry(None);
+        candidate.exec.set_telemetry(None);
         candidate.prepare();
         self.admit(&candidate)?;
         self.template = candidate;
@@ -1175,7 +1125,7 @@ impl Engine {
         }
         let mut candidate = pipeline.clone();
         candidate.exec.stats.reset();
-        candidate.set_telemetry(None);
+        candidate.exec.set_telemetry(None);
         candidate.prepare();
         self.admit(&candidate)?;
         self.staged = Some(candidate);
@@ -1252,11 +1202,6 @@ impl Engine {
         self.killed.load(Ordering::Acquire)
     }
 
-    /// Whether a candidate is currently staged (between epoch phases).
-    pub fn has_staged(&self) -> bool {
-        self.staged.is_some()
-    }
-
     /// The currently installed (control-plane master) tables —
     /// exactly what every publish clones into the worker-visible
     /// slot. Lets a fabric driver assert bit-identical pre-state
@@ -1305,12 +1250,6 @@ impl Engine {
     /// endpoint serves between updates.
     pub fn control_spans(&self) -> SpanSet {
         self.spans.clone()
-    }
-
-    /// Updates refused by admission control so far (the live
-    /// counterpart of [`FaultStats::updates_rejected`]).
-    pub fn updates_rejected(&self) -> u64 {
-        self.updates_rejected
     }
 
     /// SIGTERM-clean shutdown: quiesce — draining every in-flight
@@ -1763,7 +1702,10 @@ mod tests {
         let pipeline = byte_pipeline();
         let report = run_trace(
             &pipeline,
-            &EngineConfig::with_workers(3),
+            &EngineConfig {
+                workers: 3,
+                ..Default::default()
+            },
             first_byte_shard(),
             std::iter::empty(),
         );
@@ -2041,31 +1983,6 @@ mod tests {
         // Both generations were cached: ≥2 misses, plenty of hits.
         assert!(report.hotpath.cache_misses >= 2, "{:?}", report.hotpath);
         assert!(report.hotpath.cache_hits >= 30, "{:?}", report.hotpath);
-    }
-
-    #[test]
-    fn pinned_workers_degrade_gracefully() {
-        // Pinning is best-effort: on any host (1 core, restricted
-        // cpusets, non-Linux) the engine must still forward correctly.
-        let pipeline = byte_pipeline();
-        let cfg = EngineConfig {
-            workers: 4,
-            batch_packets: 8,
-            record_decisions: true,
-            pin_workers: true,
-            ..Default::default()
-        };
-        let packets: Vec<Vec<u8>> = (0..200u32).map(|i| vec![(i % 7) as u8]).collect();
-        let report = run_trace(
-            &pipeline,
-            &cfg,
-            first_byte_shard(),
-            packets.iter().map(|p| (p.as_slice(), 0u64)),
-        );
-        assert!(report.error.is_none());
-        assert_eq!(report.stats.packets, 200);
-        assert_eq!(report.decisions.len(), 200);
-        assert_eq!(report.faults, FaultStats::default());
     }
 
     #[test]

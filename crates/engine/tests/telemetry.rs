@@ -100,7 +100,9 @@ fn snapshot_reports_stages_tables_and_control_spans() {
         &snap.data.batch_ns,
         &snap.data.parse_ns,
         &snap.data.match_ns,
+        &snap.data.mcast_ns,
     ] {
+        assert!(h.count() > 0, "every stage sampled");
         let (p50, p99, p999) = (h.percentile(50.0), h.percentile(99.0), h.percentile(99.9));
         assert!(p50 <= p99 && p99 <= p999, "percentiles monotone");
         assert!(p999 <= h.max());

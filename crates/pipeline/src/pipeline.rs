@@ -154,9 +154,9 @@ impl<'a> IntoIterator for &'a DecisionBuf {
 }
 
 /// Execution counters accumulated by the executor (never consulted by
-/// it). Message-level counters also accumulate through
-/// [`Pipeline::evaluate_message`]; packet-level ones only through
-/// [`Pipeline::process`] / [`Pipeline::process_batch`].
+/// it), through [`Pipeline::process`] on the pipeline's own
+/// [`ExecState`] and through [`Pipeline::process_batch_shared`] on the
+/// caller's [`ShardCtx`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Packets processed.
@@ -308,11 +308,6 @@ impl ExecState {
         self.telemetry = t;
     }
 
-    /// The decision cache, if armed.
-    pub fn decision_cache(&self) -> Option<&DecisionCache> {
-        self.cache.as_deref()
-    }
-
     /// The decision-cache counters, if a cache is armed.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_deref().map(|c| c.stats)
@@ -422,7 +417,7 @@ fn eval_tables(
 /// The per-packet hot path over split borrows: the immutable compiled
 /// program (`layout` … `init_fields`) on one side, the mutable
 /// per-shard execution state (`registers`, `exec`) on the other. Free
-/// function so [`Pipeline::process_batch`] (owning both) and
+/// function so [`Pipeline::process`] (owning both) and
 /// [`Pipeline::process_batch_shared`] (program behind an `Arc`, state
 /// in a [`ShardCtx`]) run byte-identical code.
 #[allow(clippy::too_many_arguments)]
@@ -798,37 +793,6 @@ impl Pipeline {
         }
     }
 
-    /// The decision cache, if armed.
-    pub fn decision_cache(&self) -> Option<&DecisionCache> {
-        self.exec.decision_cache()
-    }
-
-    /// Enables data-plane telemetry on this pipeline instance, sampling
-    /// every `2^sample_shift`-th packet for per-stage timing. The one
-    /// `Box` allocation happens here, not on the packet path. Resets
-    /// any previously collected telemetry.
-    pub fn enable_telemetry(&mut self, sample_shift: u32) {
-        self.exec.enable_telemetry(sample_shift);
-    }
-
-    /// The telemetry collected so far, if enabled.
-    pub fn telemetry(&self) -> Option<&DataPlaneTelemetry> {
-        self.exec.telemetry()
-    }
-
-    /// Detaches the telemetry record (disabling further collection).
-    /// The engine uses this to carry telemetry across RCU pipeline
-    /// swaps and to harvest it at worker exit.
-    pub fn take_telemetry(&mut self) -> Option<Box<DataPlaneTelemetry>> {
-        self.exec.take_telemetry()
-    }
-
-    /// Re-attaches a telemetry record (the inverse of
-    /// [`Pipeline::take_telemetry`]).
-    pub fn set_telemetry(&mut self, t: Option<Box<DataPlaneTelemetry>>) {
-        self.exec.set_telemetry(t);
-    }
-
     /// Builds a fresh per-worker execution context for running *this*
     /// program via [`Pipeline::process_batch_shared`]. The pipeline
     /// must be prepared (this method prepares it); the context clones
@@ -843,13 +807,25 @@ impl Pipeline {
         }
     }
 
-    /// The shared-program batch path: identical to
-    /// [`Pipeline::process_batch`], but the compiled program is only
-    /// read (`&self`, typically through an `Arc`) and all mutable state
-    /// lives in `ctx`. Requires a prepared pipeline (`ctx` came from
-    /// [`Pipeline::new_shard_ctx`], which prepares) — the engine
-    /// prepares before every publish, so workers never observe an
-    /// unprepared program.
+    /// Processes a batch of `(packet, now_us)` pairs, appending one
+    /// decision per packet to `out` (in order; the caller clears `out`).
+    /// The compiled program is only read (`&self`, typically through an
+    /// `Arc`) and all mutable state lives in `ctx`. Requires a prepared
+    /// pipeline (`ctx` came from [`Pipeline::new_shard_ctx`], which
+    /// prepares) — the engine prepares before every publish, so workers
+    /// never observe an unprepared program.
+    ///
+    /// This is the allocation-free hot path: parsing reuses the
+    /// context's PHV pool, lookups borrow table entries instead of
+    /// cloning action lists, and `out` recycles its decisions' port
+    /// vectors. After a warmup batch has sized every buffer,
+    /// steady-state processing performs zero heap allocations per
+    /// packet. Decisions are identical to calling [`Pipeline::process`]
+    /// per packet.
+    ///
+    /// On error, decisions for the packets preceding the failing one
+    /// remain in `out` (the failing packet's slot holds a partial
+    /// decision).
     pub fn process_batch_shared<'a, I>(
         &self,
         ctx: &mut ShardCtx,
@@ -859,6 +835,9 @@ impl Pipeline {
     where
         I: IntoIterator<Item = (&'a [u8], u64)>,
     {
+        // Whole-batch latency costs two clock reads per batch (amortized
+        // over the batch's packets); per-stage timing is sampled inside
+        // `process_packet`.
         let batch_start = ctx.exec.telemetry.as_ref().map(|_| Instant::now());
         for (bytes, now_us) in packets {
             let slot = out.next_slot();
@@ -891,54 +870,6 @@ impl Pipeline {
     ) -> Result<ForwardDecision, PipelineError> {
         self.prepare();
         let mut decision = ForwardDecision::default();
-        self.process_one(packet, now_us, &mut decision)?;
-        Ok(decision)
-    }
-
-    /// Processes a batch of `(packet, now_us)` pairs, appending one
-    /// decision per packet to `out` (in order; the caller clears `out`).
-    ///
-    /// This is the allocation-free hot path: parsing reuses the
-    /// pipeline's PHV pool, lookups borrow table entries instead of
-    /// cloning action lists, and `out` recycles its decisions' port
-    /// vectors. After a warmup batch has sized every buffer,
-    /// steady-state processing performs zero heap allocations per
-    /// packet. Decisions are identical to calling [`Pipeline::process`]
-    /// per packet.
-    ///
-    /// On error, decisions for the packets preceding the failing one
-    /// remain in `out` (the failing packet's slot holds a partial
-    /// decision).
-    pub fn process_batch<'a, I>(
-        &mut self,
-        packets: I,
-        out: &mut DecisionBuf,
-    ) -> Result<(), PipelineError>
-    where
-        I: IntoIterator<Item = (&'a [u8], u64)>,
-    {
-        self.prepare();
-        // Whole-batch latency costs two clock reads per batch (amortized
-        // over `batch_packets` packets); per-stage timing is sampled
-        // inside `process_one`.
-        let batch_start = self.exec.telemetry.as_ref().map(|_| Instant::now());
-        for (bytes, now_us) in packets {
-            let slot = out.next_slot();
-            self.process_one(bytes, now_us, slot)?;
-        }
-        if let (Some(start), Some(t)) = (batch_start, self.exec.telemetry.as_deref_mut()) {
-            t.record_batch(elapsed_ns(start));
-        }
-        Ok(())
-    }
-
-    /// Core per-packet path; assumes [`Pipeline::prepare`] has run.
-    fn process_one(
-        &mut self,
-        packet: &[u8],
-        now_us: u64,
-        decision: &mut ForwardDecision,
-    ) -> Result<(), PipelineError> {
         process_packet(
             &self.layout,
             &self.parser,
@@ -950,52 +881,9 @@ impl Pipeline {
             &mut self.exec,
             packet,
             now_us,
-            decision,
-        )
-    }
-
-    /// Runs the match-action chain on a single message PHV.
-    pub fn evaluate_message(
-        &mut self,
-        phv: &mut Phv,
-        now_us: u64,
-    ) -> Result<Vec<PortId>, PipelineError> {
-        self.prepare();
-        let Pipeline {
-            tables,
-            mcast,
-            registers,
-            state_bindings,
-            init_fields,
-            exec,
-            ..
-        } = self;
-        for &(f, v) in init_fields.iter() {
-            phv.set(f, v);
-        }
-        // Materialize stateful aggregates into their pseudo-fields.
-        for b in state_bindings.iter() {
-            let v = registers
-                .read(b.slot, b.agg, now_us)
-                .map_err(PipelineError::RegisterOutOfRange)?;
-            phv.set(b.dst, v);
-        }
-        let mut ports: Vec<PortId> = Vec::new();
-        let (dropped, _mask) = eval_tables(
-            tables,
-            mcast,
-            registers,
-            phv,
-            now_us,
-            &mut ports,
-            &mut exec.stats,
+            &mut decision,
         )?;
-        if dropped && ports.is_empty() {
-            return Ok(Vec::new());
-        }
-        ports.sort_unstable();
-        ports.dedup();
-        Ok(ports)
+        Ok(decision)
     }
 }
 
@@ -1203,9 +1091,10 @@ mod tests {
     #[test]
     fn malformed_packet_does_not_poison_a_batch() {
         let mut p = tiny_pipeline();
+        let mut ctx = p.new_shard_ctx();
         let packets: Vec<(&[u8], u64)> = vec![(&[1][..], 0), (&[][..], 1), (&[2][..], 2)];
         let mut out = DecisionBuf::default();
-        p.process_batch(packets, &mut out).unwrap();
+        p.process_batch_shared(&mut ctx, packets, &mut out).unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(out.as_slice()[0].ports, vec![PortId(1)]);
         assert_eq!(out.as_slice()[1].drop_reason, Some(ParseDrop::Underflow));
@@ -1213,18 +1102,19 @@ mod tests {
         // A recycled slot must not leak a stale drop reason.
         out.clear();
         let packets: Vec<(&[u8], u64)> = vec![(&[1][..], 3), (&[1][..], 4), (&[1][..], 5)];
-        p.process_batch(packets, &mut out).unwrap();
+        p.process_batch_shared(&mut ctx, packets, &mut out).unwrap();
         assert!(out.iter().all(|d| d.drop_reason.is_none()));
     }
 
     #[test]
     fn telemetry_records_batches_stages_and_parse_drops() {
         let mut p = tiny_pipeline();
-        p.enable_telemetry(0); // sample every packet
+        let mut ctx = p.new_shard_ctx();
+        ctx.exec.enable_telemetry(0); // sample every packet
         let packets: Vec<(&[u8], u64)> = vec![(&[1][..], 0), (&[][..], 1), (&[2][..], 2)];
         let mut out = DecisionBuf::default();
-        p.process_batch(packets, &mut out).unwrap();
-        let t = p.telemetry().unwrap();
+        p.process_batch_shared(&mut ctx, packets, &mut out).unwrap();
+        let t = ctx.exec.telemetry().unwrap();
         assert_eq!(t.batches, 1);
         assert_eq!(t.sampled_packets, 3);
         assert_eq!(t.batch_ns.count(), 1);
@@ -1236,10 +1126,10 @@ mod tests {
         assert_eq!(out.as_slice()[0].ports, vec![PortId(1)]);
         assert_eq!(out.as_slice()[2].ports, vec![PortId(2), PortId(3)]);
         // take/set round-trips the record for RCU adoption.
-        let boxed = p.take_telemetry();
-        assert!(p.telemetry().is_none());
-        p.set_telemetry(boxed);
-        assert_eq!(p.telemetry().unwrap().sampled_packets, 3);
+        let boxed = ctx.exec.take_telemetry();
+        assert!(ctx.exec.telemetry().is_none());
+        ctx.exec.set_telemetry(boxed);
+        assert_eq!(ctx.exec.telemetry().unwrap().sampled_packets, 3);
     }
 
     /// Like `tiny_pipeline` but with no register ops, so the chain is a
@@ -1298,7 +1188,7 @@ mod tests {
         let mut p = tiny_pipeline();
         let sym = p.layout.get("sym").unwrap();
         assert!(!p.enable_decision_cache(sym, 4));
-        assert!(p.decision_cache().is_none());
+        assert!(p.exec.cache_stats().is_none());
         // Decisions still correct, just uncached.
         assert_eq!(p.process(&[1], 0).unwrap().ports, vec![PortId(1)]);
     }
@@ -1376,7 +1266,7 @@ mod tests {
         // sym==9 misses: the cache memoizes the empty decision.
         assert!(p.process(&[9], 0).unwrap().dropped());
         assert!(p.process(&[9], 1).unwrap().dropped());
-        assert_eq!(p.decision_cache().unwrap().stats.hits, 1);
+        assert_eq!(p.exec.cache_stats().unwrap().hits, 1);
         // Mutate the table: sym==9 now forwards to port 7. The
         // dirty-table prepare() must invalidate the memoized miss.
         p.tables[0]
@@ -1390,7 +1280,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_batch_path_matches_owned_batch_path() {
+    fn shared_batch_path_matches_sequential_process() {
         let mut owned = cacheable_pipeline();
         let mut shared = cacheable_pipeline();
         let sym = shared.layout.get("sym").unwrap();
@@ -1403,13 +1293,15 @@ mod tests {
             (&[2, 9][..], 2),
             (&[1][..], 3),
         ];
-        let mut out_a = DecisionBuf::default();
-        let mut out_b = DecisionBuf::default();
-        owned.process_batch(packets.clone(), &mut out_a).unwrap();
+        let sequential: Vec<ForwardDecision> = packets
+            .iter()
+            .map(|&(p, t)| owned.process(p, t).unwrap())
+            .collect();
+        let mut out = DecisionBuf::default();
         shared
-            .process_batch_shared(&mut ctx, packets, &mut out_b)
+            .process_batch_shared(&mut ctx, packets, &mut out)
             .unwrap();
-        assert_eq!(out_a.as_slice(), out_b.as_slice());
+        assert_eq!(sequential.as_slice(), out.as_slice());
         assert_eq!(owned.exec.stats, ctx.exec.stats);
         // The pipeline's own exec state is untouched by the shared path.
         assert_eq!(shared.exec.stats.packets, 0);

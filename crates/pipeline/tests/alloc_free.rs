@@ -4,7 +4,7 @@
 //! two warm-up batches (which grow every scratch buffer to its
 //! high-water mark), a third pass over the same trace must perform
 //! **zero** allocations — the ISSUE's acceptance criterion for
-//! `process_batch`.
+//! `process_batch_shared`, the path engine workers run.
 //!
 //! This file holds exactly one `#[test]`: the libtest harness runs
 //! tests on separate threads but the allocation counter is global, so a
@@ -183,6 +183,7 @@ fn trace(packets: usize) -> Vec<(Vec<u8>, u64)> {
 #[test]
 fn steady_state_batch_makes_zero_allocations() {
     let mut pipeline = stateful_pipeline();
+    let mut ctx = pipeline.new_shard_ctx();
     let packets = trace(1_000);
     let mut out = DecisionBuf::default();
 
@@ -191,7 +192,11 @@ fn steady_state_batch_makes_zero_allocations() {
     for _ in 0..2 {
         out.clear();
         pipeline
-            .process_batch(packets.iter().map(|(p, t)| (p.as_slice(), *t)), &mut out)
+            .process_batch_shared(
+                &mut ctx,
+                packets.iter().map(|(p, t)| (p.as_slice(), *t)),
+                &mut out,
+            )
             .unwrap();
     }
     let warm_len = out.len();
@@ -199,7 +204,11 @@ fn steady_state_batch_makes_zero_allocations() {
     let before = ALLOC_CALLS.load(Ordering::SeqCst);
     out.clear();
     pipeline
-        .process_batch(packets.iter().map(|(p, t)| (p.as_slice(), *t)), &mut out)
+        .process_batch_shared(
+            &mut ctx,
+            packets.iter().map(|(p, t)| (p.as_slice(), *t)),
+            &mut out,
+        )
         .unwrap();
     let after = ALLOC_CALLS.load(Ordering::SeqCst);
 

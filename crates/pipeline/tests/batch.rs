@@ -1,7 +1,7 @@
-//! `Pipeline::process_batch` must be decision-identical to calling
-//! `Pipeline::process` per packet — including stateful programs where
-//! register bindings feed match keys and table actions update the
-//! registers back (the `@query_counter` shape).
+//! `Pipeline::process_batch_shared` must be decision-identical to
+//! calling `Pipeline::process` per packet — including stateful programs
+//! where register bindings feed match keys and table actions update
+//! the registers back (the `@query_counter` shape).
 
 use camus_pipeline::parser::{Extract, ParseState, ParserSpec, StateId, Transition};
 use camus_pipeline::pipeline::StateBinding;
@@ -9,7 +9,7 @@ use camus_pipeline::register::{AggKind, RegisterFile};
 use camus_pipeline::table::RegOp;
 use camus_pipeline::{
     ActionOp, DecisionBuf, Entry, ExecState, Key, MatchKind, MatchValue, MulticastTable, ParseDrop,
-    Phv, PhvLayout, Pipeline, PortId, Table,
+    PhvLayout, Pipeline, PortId, Table,
 };
 
 /// A multi-message, stateful pipeline built by hand:
@@ -182,16 +182,21 @@ fn batch_equals_per_packet_processing() {
     );
 
     let mut batched = pipeline.clone();
+    let mut ctx = batched.new_shard_ctx();
     let mut out = DecisionBuf::default();
     batched
-        .process_batch(packets.iter().map(|(p, t)| (p.as_slice(), *t)), &mut out)
+        .process_batch_shared(
+            &mut ctx,
+            packets.iter().map(|(p, t)| (p.as_slice(), *t)),
+            &mut out,
+        )
         .unwrap();
 
     assert_eq!(out.len(), expected.len());
     for (i, (got, want)) in out.iter().zip(&expected).enumerate() {
         assert_eq!(got, want, "packet {i}");
     }
-    assert_eq!(seq.exec.stats, batched.exec.stats);
+    assert_eq!(seq.exec.stats, ctx.exec.stats);
 }
 
 #[test]
@@ -208,12 +213,17 @@ fn batch_equals_per_packet_across_chunked_batches() {
         .collect();
 
     let mut batched = pipeline.clone();
+    let mut ctx = batched.new_shard_ctx();
     let mut out = DecisionBuf::default();
     let mut got = Vec::new();
     for chunk in packets.chunks(17) {
         out.clear();
         batched
-            .process_batch(chunk.iter().map(|(p, t)| (p.as_slice(), *t)), &mut out)
+            .process_batch_shared(
+                &mut ctx,
+                chunk.iter().map(|(p, t)| (p.as_slice(), *t)),
+                &mut out,
+            )
             .unwrap();
         got.extend(out.iter().cloned());
     }
@@ -224,6 +234,7 @@ fn batch_equals_per_packet_across_chunked_batches() {
 fn malformed_packet_mid_batch_is_a_typed_drop() {
     let pipeline = stateful_pipeline();
     let mut batched = pipeline.clone();
+    let mut ctx = batched.new_shard_ctx();
     let mut out = DecisionBuf::default();
     // Second packet is empty: the parser's first extract underflows.
     // The parse path is total — the batch completes with a typed drop
@@ -231,7 +242,11 @@ fn malformed_packet_mid_batch_is_a_typed_drop() {
     // it are unaffected.
     let packets: Vec<(Vec<u8>, u64)> = vec![(vec![1, 1], 10), (vec![], 20), (vec![1, 2], 30)];
     batched
-        .process_batch(packets.iter().map(|(p, t)| (p.as_slice(), *t)), &mut out)
+        .process_batch_shared(
+            &mut ctx,
+            packets.iter().map(|(p, t)| (p.as_slice(), *t)),
+            &mut out,
+        )
         .unwrap();
     assert_eq!(out.len(), 3);
     let slots = out.as_slice();
@@ -239,26 +254,8 @@ fn malformed_packet_mid_batch_is_a_typed_drop() {
     assert_eq!(slots[1].drop_reason, Some(ParseDrop::Underflow));
     assert!(slots[1].dropped());
     assert!(slots[2].drop_reason.is_none());
-    let s = &batched.exec.stats;
+    let s = &ctx.exec.stats;
     assert_eq!(s.packets, 3);
     assert_eq!(s.drop_underflow, 1);
     assert_eq!(s.packets, s.forwarded_packets + s.dropped_packets);
-}
-
-#[test]
-fn evaluate_message_compat_path_agrees() {
-    // The legacy single-message entry point must agree with process()
-    // on single-message packets (stateless prefix of the trace).
-    let pipeline = stateful_pipeline();
-    let mut a = pipeline.clone();
-    let mut b = pipeline.clone();
-    for (i, byte) in [0u8, 1, 2, 5, 3].into_iter().enumerate() {
-        let now = i as u64;
-        let d = a.process(&[1, byte], now).unwrap();
-        let phvs: Vec<Phv> = b.parser.parse(&b.layout, &[1, byte]).unwrap();
-        assert_eq!(phvs.len(), 1);
-        let mut phv = phvs.into_iter().next().unwrap();
-        let ports = b.evaluate_message(&mut phv, now).unwrap();
-        assert_eq!(d.ports, ports, "byte {byte}");
-    }
 }

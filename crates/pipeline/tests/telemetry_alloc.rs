@@ -1,7 +1,7 @@
 //! Proof that telemetry keeps the batch hot path allocation-free.
 //!
 //! Same counting-`#[global_allocator]` harness as `alloc_free.rs`, but
-//! with `Pipeline::enable_telemetry` switched on (sampling every
+//! with `ExecState::enable_telemetry` switched on (sampling every
 //! packet, the worst case): after warm-up, a steady-state batch with
 //! histogram recording active must still perform **zero** allocations —
 //! the telemetry record is one `Box` at enable time and fixed-array
@@ -138,9 +138,10 @@ fn trace(packets: usize) -> Vec<(Vec<u8>, u64)> {
 #[test]
 fn steady_state_batch_with_telemetry_makes_zero_allocations() {
     let mut pipeline = simple_pipeline();
+    let mut ctx = pipeline.new_shard_ctx();
     // Worst case: sample every packet, so all four histograms record on
     // the hot path every iteration.
-    pipeline.enable_telemetry(0);
+    ctx.exec.enable_telemetry(0);
     let packets = trace(1_000);
     let mut out = DecisionBuf::default();
 
@@ -148,7 +149,11 @@ fn steady_state_batch_with_telemetry_makes_zero_allocations() {
     for _ in 0..2 {
         out.clear();
         pipeline
-            .process_batch(packets.iter().map(|(p, t)| (p.as_slice(), *t)), &mut out)
+            .process_batch_shared(
+                &mut ctx,
+                packets.iter().map(|(p, t)| (p.as_slice(), *t)),
+                &mut out,
+            )
             .unwrap();
     }
     let warm_len = out.len();
@@ -156,12 +161,16 @@ fn steady_state_batch_with_telemetry_makes_zero_allocations() {
     let before = ALLOC_CALLS.load(Ordering::SeqCst);
     out.clear();
     pipeline
-        .process_batch(packets.iter().map(|(p, t)| (p.as_slice(), *t)), &mut out)
+        .process_batch_shared(
+            &mut ctx,
+            packets.iter().map(|(p, t)| (p.as_slice(), *t)),
+            &mut out,
+        )
         .unwrap();
     let after = ALLOC_CALLS.load(Ordering::SeqCst);
 
     assert_eq!(out.len(), warm_len);
-    let t = pipeline.telemetry().expect("telemetry enabled");
+    let t = ctx.exec.telemetry().expect("telemetry enabled");
     assert_eq!(t.batches, 3, "three batches recorded");
     assert!(t.sampled_packets >= 3_000, "every packet sampled");
     assert_eq!(

@@ -34,8 +34,8 @@
 //! * [`span`] — scoped control-plane span timers ([`SpanKind`]:
 //!   compile phases, `apply_update`, `quiesce`, worker respawn);
 //! * [`snapshot`] — [`DataPlaneTelemetry`] (the per-shard record) and
-//!   [`TelemetrySnapshot`] (the merged, versioned export the benches
-//!   serialize to `results/TELEMETRY_engine.json`);
+//!   [`TelemetrySnapshot`] (the merged, versioned export the engine
+//!   attaches to its report);
 //! * [`prom`] — a Prometheus text-format renderer for future scrape
 //!   endpoints.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

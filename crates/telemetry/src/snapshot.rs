@@ -14,15 +14,13 @@
 //! counters, by contrast, are exact and trace-deterministic.
 //!
 //! [`TelemetrySnapshot`] is the merged cross-shard view the engine
-//! attaches to `EngineReport` and the benches serialize to
-//! `results/TELEMETRY_engine.json` (schema version [`SNAPSHOT_VERSION`]).
+//! attaches to `EngineReport` (schema version [`SNAPSHOT_VERSION`]).
 
 use crate::hist::Histogram;
 use crate::span::SpanSet;
 
-/// Schema version stamped into every exported snapshot. Bump on any
-/// breaking change to the JSON layout so `ci/validate_bench.py` can
-/// reject stale readers.
+/// Schema version stamped into every snapshot. Bump on any breaking
+/// change to the layout so readers can reject a stale one.
 pub const SNAPSHOT_VERSION: u64 = 1;
 
 /// Unit shift for the batch histogram: batches take µs–ms, so bucket
@@ -38,7 +36,7 @@ pub struct DataPlaneTelemetry {
     /// Monotone per-shard packet sequence (drives sampling only; the
     /// authoritative packet count lives in `ExecStats`).
     seq: u64,
-    /// Batches processed through `process_batch`.
+    /// Batches processed through `process_batch_shared`.
     pub batches: u64,
     /// Packets that received per-stage timing.
     pub sampled_packets: u64,

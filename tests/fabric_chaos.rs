@@ -117,6 +117,7 @@ fn run_chaos_soak(seed: u64, leaves: usize, workers: usize) {
     );
     for f in fabric.failovers() {
         assert!(f.mttr_ns > 0, "repair time is measured");
+        assert!(f.detect_ns <= f.mttr_ns, "detection precedes repair");
     }
 
     // Post-failover round: every packet must be decided, bit-identical
