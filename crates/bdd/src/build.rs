@@ -52,6 +52,15 @@ impl fmt::Display for BddError {
 
 impl std::error::Error for BddError {}
 
+/// The three things [`Bdd::apply`] can do with a rule chain: union it
+/// in (`ADD`), subtract it (`STRIP`), or union it in while cleaning up
+/// after a subtraction (`REASSERT`). A const parameter, so insertion —
+/// the cold compiler's hot loop — compiles to what it was before
+/// removal existed.
+pub(crate) const ADD: u8 = 0;
+const STRIP: u8 = 1;
+const REASSERT: u8 = 2;
+
 /// Sentinel context id meaning "no same-field constraints yet".
 pub(crate) const CTX_NONE: u32 = 0;
 
@@ -210,6 +219,66 @@ impl Bdd {
         literals: &[(Pred, bool)],
         actions: &[ActionId],
     ) -> Result<bool, BddError> {
+        self.graft::<ADD>(literals, actions)
+    }
+
+    /// The mirror of [`Bdd::add_rule`]: removes `actions` from the
+    /// terminal of every path satisfying the conjunction (set
+    /// difference where insertion takes the union). Same return value.
+    ///
+    /// Terminals are action *sets*, so this also deletes the actions
+    /// where *another* rule contributed them inside the conjunction's
+    /// region; the caller puts those back with [`Bdd::reassert_rule`].
+    /// Stripping a rule that was never inserted changes no evaluation.
+    pub fn strip_rule(
+        &mut self,
+        literals: &[(Pred, bool)],
+        actions: &[ActionId],
+    ) -> Result<bool, BddError> {
+        self.graft::<STRIP>(literals, actions)
+    }
+
+    /// Re-inserts a rule that is already in the diagram, after a
+    /// [`Bdd::strip_rule`] whose region overlapped it. The same
+    /// idempotent union as [`Bdd::add_rule`] — so re-asserting a rule
+    /// the strip did not touch is harmless — plus the removal path's
+    /// context-aware reduction: where the strip split a subtree and
+    /// this union makes the halves the same function again, the test
+    /// between them goes instead of staying behind as residue.
+    pub fn reassert_rule(
+        &mut self,
+        literals: &[(Pred, bool)],
+        actions: &[ActionId],
+    ) -> Result<bool, BddError> {
+        self.graft::<REASSERT>(literals, actions)
+    }
+
+    /// Builds the rule's chain and folds it into the root with `OP`.
+    fn graft<const OP: u8>(
+        &mut self,
+        literals: &[(Pred, bool)],
+        actions: &[ActionId],
+    ) -> Result<bool, BddError> {
+        let Some(chain) = self.rule_chain(literals, actions)? else {
+            return Ok(false);
+        };
+        if chain == NodeRef::Term(EMPTY_ACTIONS) {
+            return Ok(true); // no actions: matching it changes nothing
+        }
+        self.memo.clear();
+        self.root = self.apply::<OP>(self.root, chain, CTX_NONE);
+        self.memo.clear();
+        Ok(true)
+    }
+
+    /// Turns a conjunction into a linear chain diagram ending in the
+    /// action set (the empty terminal everywhere else). `None` when the
+    /// conjunction is unsatisfiable.
+    fn rule_chain(
+        &mut self,
+        literals: &[(Pred, bool)],
+        actions: &[ActionId],
+    ) -> Result<Option<NodeRef>, BddError> {
         // Map to variables and sort into the global order.
         let mut lits: Vec<(VarId, Pred, bool)> = Vec::with_capacity(literals.len());
         for &(p, pol) in literals {
@@ -224,7 +293,7 @@ impl Bdd {
             match deduped.last() {
                 Some(&(pv, _, ppol)) if pv == l.0 => {
                     if ppol != l.2 {
-                        return Ok(false); // p ∧ ¬p
+                        return Ok(None); // p ∧ ¬p
                     }
                 }
                 _ => deduped.push(l),
@@ -243,7 +312,7 @@ impl Bdd {
             match ctx.implies(&p) {
                 Some(forced) => {
                     if forced != pol {
-                        return Ok(false);
+                        return Ok(None);
                     }
                     cur = Some(ctx); // redundant literal: drop it
                 }
@@ -256,11 +325,11 @@ impl Bdd {
 
         // Build the rule chain bottom-up.
         let term = self.store.intern_actions(actions);
+        let empty = NodeRef::Term(EMPTY_ACTIONS);
         if term == EMPTY_ACTIONS {
-            return Ok(true); // no actions: matching it changes nothing
+            return Ok(Some(empty));
         }
         let mut acc = NodeRef::Term(term);
-        let empty = NodeRef::Term(EMPTY_ACTIONS);
         for &(v, _, pol) in chainlits.iter().rev() {
             acc = if pol {
                 self.store.make_node(v, empty, acc)
@@ -268,12 +337,7 @@ impl Bdd {
                 self.store.make_node(v, acc, empty)
             };
         }
-
-        // Union into the accumulated BDD.
-        self.memo.clear();
-        self.root = self.apply(self.root, acc, CTX_NONE);
-        self.memo.clear();
-        Ok(true)
+        Ok(Some(acc))
     }
 
     fn intern_ctx(&mut self, c: FieldCtx) -> u32 {
@@ -312,31 +376,44 @@ impl Bdd {
     }
 
     /// Memoized union of two diagrams under a same-field constraint
-    /// context.
-    pub(crate) fn apply(&mut self, a: NodeRef, b: NodeRef, ctx_id: u32) -> NodeRef {
-        if a == b {
+    /// context — or, for `STRIP`, the difference `a \ b`: the terminal
+    /// cases swap (`a \ a = ∅`, `∅ \ b = ∅`, `a \ ∅ = a`, set
+    /// difference on terminal pairs) and the memo key is ordered. The
+    /// recursion is the same. Both removal operations additionally let
+    /// [`Bdd::split`] drop tests that stopped deciding anything.
+    pub(crate) fn apply<const OP: u8>(&mut self, a: NodeRef, b: NodeRef, ctx_id: u32) -> NodeRef {
+        let empty = NodeRef::Term(EMPTY_ACTIONS);
+        if OP == STRIP {
+            if a == b || a == empty {
+                return empty; // a \ a = ∅ \ b = ∅
+            }
+        } else if a == b {
             // Idempotent union — but the shared subtree may still hold
             // predicates forced by the context (same argument as the
             // empty-terminal case below).
             return self.prune(a, ctx_id);
         }
-        // Union with the empty terminal is the identity — except that
-        // the surviving side may contain predicates forced by the
-        // context (the other side's ancestors contributed same-field
-        // constraints it was not built under), so it is pruned before
-        // grafting. Pruning memoizes persistently on (node, context)
-        // and exits as soon as the subtree leaves the constrained
-        // field's block (field-major ordering guarantees no deeper node
-        // tests it), so the amortized cost stays linear in the nodes
-        // actually affected.
-        if b == NodeRef::Term(EMPTY_ACTIONS) {
+        // Union with (difference by) the empty terminal is the identity
+        // — except that the surviving side may contain predicates
+        // forced by the context (the other side's ancestors contributed
+        // same-field constraints it was not built under), so it is
+        // pruned before grafting. Pruning memoizes persistently on
+        // (node, context) and exits as soon as the subtree leaves the
+        // constrained field's block (field-major ordering guarantees no
+        // deeper node tests it), so the amortized cost stays linear in
+        // the nodes actually affected.
+        if b == empty {
             return self.prune(a, ctx_id);
         }
-        if a == NodeRef::Term(EMPTY_ACTIONS) {
+        if OP != STRIP && a == empty {
             return self.prune(b, ctx_id);
         }
         if let (NodeRef::Term(sa), NodeRef::Term(sb)) = (a, b) {
-            return NodeRef::Term(self.store.union_actions(sa, sb));
+            return NodeRef::Term(if OP == STRIP {
+                self.store.diff_actions(sa, sb)
+            } else {
+                self.store.union_actions(sa, sb)
+            });
         }
 
         // Split on the smallest variable present.
@@ -359,7 +436,12 @@ impl Bdd {
         };
         let cid = self.intern_ctx(cur.clone());
 
-        let key = memo_key(a, b, cid);
+        let key = if OP == STRIP {
+            // Difference is not symmetric: keep the operand order.
+            ((u64::from(a.pack()) << 32) | u64::from(b.pack()), cid)
+        } else {
+            memo_key(a, b, cid)
+        };
         if let Some(&r) = self.memo.get(&key) {
             self.memo_hits += 1;
             return r;
@@ -372,19 +454,26 @@ impl Bdd {
                 Some(val) => {
                     let ra = self.restrict(a, v, val);
                     let rb = self.restrict(b, v, val);
-                    self.apply(ra, rb, cid)
+                    self.apply::<OP>(ra, rb, cid)
                 }
-                None => self.split(a, b, v, &cur, cid),
+                None => self.split::<OP>(a, b, v, &cur, cid),
             }
         } else {
-            self.split(a, b, v, &cur, cid)
+            self.split::<OP>(a, b, v, &cur, cid)
         };
 
         self.memo.insert(key, result);
         result
     }
 
-    fn split(&mut self, a: NodeRef, b: NodeRef, v: VarId, cur: &FieldCtx, cid: u32) -> NodeRef {
+    fn split<const OP: u8>(
+        &mut self,
+        a: NodeRef,
+        b: NodeRef,
+        v: VarId,
+        cur: &FieldCtx,
+        cid: u32,
+    ) -> NodeRef {
         let pred = self.vars[v.0 as usize];
         let (hi_ctx, lo_ctx) = if self.semantic_pruning {
             (
@@ -396,10 +485,38 @@ impl Bdd {
         };
         let ah = self.restrict(a, v, true);
         let bh = self.restrict(b, v, true);
-        let hi = self.apply(ah, bh, hi_ctx);
+        let hi = self.apply::<OP>(ah, bh, hi_ctx);
         let al = self.restrict(a, v, false);
         let bl = self.restrict(b, v, false);
-        let lo = self.apply(al, bl, lo_ctx);
+        let lo = self.apply::<OP>(al, bl, lo_ctx);
+        if OP != ADD && self.semantic_pruning && hi != lo {
+            // Reduction (ii) *under the context*: a removal can leave a
+            // test whose branches are different diagrams but the same
+            // function inside their contexts (`x<10 ? {b} : (x<20 ?
+            // {b} : ∅)` after stripping `x<10 : a`). If one branch,
+            // restricted to the other's context, is the other branch,
+            // the test decides nothing: keep that one branch. Confined
+            // to removal (strip and re-assert) so insertion — and with
+            // it every cold compile — builds exactly the diagrams it
+            // always has.
+            //
+            // Dropping a branch costs a walk of its sibling's field
+            // block, so each direction is tried only where the rule
+            // could be what the test was there for: at the rule's own
+            // literals, and where its region reaches the branch that
+            // would go. (A branch the rule cannot reach is what it was
+            // before the rule came, when the test did decide; without
+            // this, every level of a 200-way `==` chain above the
+            // rule's symbol would walk the rest of the chain.)
+            let empty = NodeRef::Term(EMPTY_ACTIONS);
+            let own = self.var_of(b) == Some(v);
+            if (own || self.prune(bh, hi_ctx) != empty) && self.prune(lo, hi_ctx) == hi {
+                return self.prune(lo, cid);
+            }
+            if (own || self.prune(bl, lo_ctx) != empty) && self.prune(hi, lo_ctx) == lo {
+                return self.prune(hi, cid);
+            }
+        }
         self.store.make_node(v, lo, hi)
     }
 
@@ -610,6 +727,91 @@ mod tests {
         assert_eq!(eval(50, MSFT), Vec::<ActionId>::new());
         // unknown stock → nothing.
         assert_eq!(eval(150, 9), Vec::<ActionId>::new());
+    }
+
+    #[test]
+    fn strip_rule_mirrors_add_rule() {
+        let mut bdd = two_field_bdd();
+        let (shares, stock) = (FieldId(0), FieldId(1));
+        let r1 = [(Pred::lt(shares, 60), true), (Pred::eq(stock, 1), true)];
+        let r2 = [(Pred::eq(stock, 1), true)];
+        bdd.add_rule(&r1, &[ActionId(1)]).unwrap();
+        bdd.add_rule(&r2, &[ActionId(2)]).unwrap();
+        let eval = |bdd: &Bdd, sh: u64, st: u64| {
+            bdd.eval(move |f| if f == shares { sh } else { st })
+                .to_vec()
+        };
+        // Stripping a rule that was never inserted changes nothing.
+        let before = bdd.root();
+        assert!(bdd
+            .strip_rule(&[(Pred::eq(stock, 2), true)], &[ActionId(3)])
+            .unwrap());
+        assert_eq!(bdd.root(), before);
+        assert!(!bdd
+            .strip_rule(
+                &[(Pred::eq(stock, 1), true), (Pred::eq(stock, 1), false)],
+                &[ActionId(1)]
+            )
+            .unwrap());
+        assert_eq!(bdd.root(), before);
+
+        assert!(bdd.strip_rule(&r1, &[ActionId(1)]).unwrap());
+        assert_eq!(eval(&bdd, 50, 1), vec![ActionId(2)]);
+        assert_eq!(eval(&bdd, 80, 1), vec![ActionId(2)]);
+        // The shares test decides nothing any more: one node is left.
+        assert_eq!(bdd.stats().reachable_nodes, 1);
+        bdd.validate().unwrap();
+
+        assert!(bdd.strip_rule(&r2, &[ActionId(2)]).unwrap());
+        assert_eq!(bdd.root(), NodeRef::Term(EMPTY_ACTIONS));
+    }
+
+    #[test]
+    fn strip_drops_tests_that_stopped_deciding_inside_their_context() {
+        // x<10 : a and x<20 : b build `x<10 ? {a,b} : (x<20 ? {b} : ∅)`.
+        // Without the a-rule the x<10 test has two different children
+        // that are the same function where each applies.
+        let f = FieldId(0);
+        let fields = vec![FieldInfo::range("x", 16)];
+        let preds = [Pred::lt(f, 10), Pred::lt(f, 20)];
+        let mut bdd = Bdd::new(fields.clone(), preds).unwrap();
+        bdd.add_rule(&[(Pred::lt(f, 10), true)], &[ActionId(0)])
+            .unwrap();
+        bdd.add_rule(&[(Pred::lt(f, 20), true)], &[ActionId(1)])
+            .unwrap();
+        bdd.strip_rule(&[(Pred::lt(f, 10), true)], &[ActionId(0)])
+            .unwrap();
+
+        let mut fresh = Bdd::new(fields, preds).unwrap();
+        fresh
+            .add_rule(&[(Pred::lt(f, 20), true)], &[ActionId(1)])
+            .unwrap();
+        assert_eq!(bdd.stats().reachable_nodes, 1);
+        assert_eq!(bdd.node(bdd.root()).var, fresh.node(fresh.root()).var);
+        for x in [0u64, 9, 10, 19, 20, 500] {
+            assert_eq!(bdd.eval(|_| x), fresh.eval(|_| x), "x={x}");
+        }
+        bdd.validate().unwrap();
+    }
+
+    #[test]
+    fn strip_takes_shared_actions_with_it_until_reasserted() {
+        // Two overlapping rules share action 7. Stripping one deletes 7
+        // inside its region even where the other still matches — the
+        // documented contract — and re-adding the survivor restores it.
+        let mut bdd = two_field_bdd();
+        let (shares, stock) = (FieldId(0), FieldId(1));
+        let narrow = [(Pred::lt(shares, 60), true), (Pred::eq(stock, 1), true)];
+        let wide = [(Pred::eq(stock, 1), true)];
+        bdd.add_rule(&narrow, &[ActionId(7)]).unwrap();
+        bdd.add_rule(&wide, &[ActionId(7)]).unwrap();
+        bdd.strip_rule(&narrow, &[ActionId(7)]).unwrap();
+        let at = |bdd: &Bdd, sh: u64| bdd.eval(move |f| if f == shares { sh } else { 1 }).to_vec();
+        assert_eq!(at(&bdd, 50), Vec::<ActionId>::new());
+        assert_eq!(at(&bdd, 80), vec![ActionId(7)]);
+        bdd.reassert_rule(&wide, &[ActionId(7)]).unwrap();
+        assert_eq!(at(&bdd, 50), vec![ActionId(7)]);
+        assert_eq!(bdd.stats().reachable_nodes, 1);
     }
 
     #[test]

@@ -23,9 +23,21 @@
 
 use fxhash::FxHashMap;
 
-use crate::build::CTX_NONE;
+use crate::build::{ADD, CTX_NONE};
 use crate::store::{NodeRef, Store, EMPTY_ACTIONS};
 use crate::Bdd;
+
+/// Old → new vertex references of one [`Bdd::compact`].
+#[derive(Debug)]
+pub struct Remap(FxHashMap<u32, NodeRef>);
+
+impl Remap {
+    /// Where a vertex reachable before the compaction is now (`None`
+    /// for one that was not reachable and is gone).
+    pub fn get(&self, old: NodeRef) -> Option<NodeRef> {
+        self.0.get(&old.pack()).copied()
+    }
+}
 
 impl Bdd {
     /// Unions another BDD (over the same field table and variable
@@ -49,7 +61,7 @@ impl Bdd {
         );
         let imported = self.import(other, other.root);
         self.memo.clear();
-        self.root = self.apply(self.root, imported, CTX_NONE);
+        self.root = self.apply::<ADD>(self.root, imported, CTX_NONE);
         self.memo.clear();
         self.memo_hits += other.memo_hits;
         self.memo_misses += other.memo_misses;
@@ -106,12 +118,27 @@ impl Bdd {
     /// of construction history.
     #[must_use]
     pub fn canonical_copy(&self) -> Bdd {
+        self.canonical_copy_mapped().0
+    }
+
+    /// Replaces this BDD by its [`Bdd::canonical_copy`] — dropping
+    /// unreachable nodes and action sets, the prune memo and the
+    /// interned contexts, all of which only grow otherwise — and
+    /// returns where every reachable vertex went, so a long-lived
+    /// session can re-key what it holds per vertex.
+    pub fn compact(&mut self) -> Remap {
+        let (copy, map) = self.canonical_copy_mapped();
+        *self = copy;
+        map
+    }
+
+    fn canonical_copy_mapped(&self) -> (Bdd, Remap) {
         let mut copy = Bdd::like(self);
         copy.memo_hits = self.memo_hits;
         copy.memo_misses = self.memo_misses;
         let mut map: FxHashMap<u32, NodeRef> = FxHashMap::default();
         copy.root = copy.canon_rec(self, self.root, &mut map);
-        copy
+        (copy, Remap(map))
     }
 
     /// An empty BDD sharing this one's field table, predicate alphabet
@@ -278,6 +305,34 @@ mod tests {
         assert_eq!(stats.allocated_nodes, stats.reachable_nodes);
         assert!(canon.node_count() <= bdd.node_count());
         canon.validate().unwrap();
+    }
+
+    #[test]
+    fn compact_maps_every_reachable_vertex_to_its_twin() {
+        let mut bdd = build(&rules());
+        let old = build(&rules());
+        let allocated = bdd.node_count();
+        let map = bdd.compact();
+        assert!(bdd.node_count() < allocated, "garbage dropped");
+        assert_eq!(map.get(old.root()), Some(bdd.root()));
+        for r in old.reachable() {
+            let (was, now) = (old.node(r), bdd.node(map.get(r).unwrap()));
+            assert_eq!(was.var, now.var);
+            assert_eq!(map.get(was.lo), Some(now.lo));
+            assert_eq!(map.get(was.hi), Some(now.hi));
+            for child in [was.lo, was.hi] {
+                if let NodeRef::Term(set) = child {
+                    let NodeRef::Term(new_set) = map.get(child).unwrap() else {
+                        panic!("terminal mapped to a node");
+                    };
+                    assert_eq!(old.actions(set), bdd.actions(new_set));
+                }
+            }
+        }
+        // The compacted diagram keeps working.
+        bdd.add_rule(&[(Pred::eq(FieldId(1), 2), true)], &[ActionId(5)])
+            .unwrap();
+        bdd.validate().unwrap();
     }
 
     #[test]

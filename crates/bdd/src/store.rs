@@ -204,6 +204,31 @@ impl Store {
         id
     }
 
+    /// Set difference `a \ b` of two interned action sets. Not
+    /// memoized: only rule removal uses it, once per touched terminal.
+    pub fn diff_actions(&mut self, a: ActionSetId, b: ActionSetId) -> ActionSetId {
+        if a == b || a == EMPTY_ACTIONS {
+            return EMPTY_ACTIONS;
+        }
+        if b == EMPTY_ACTIONS {
+            return a;
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        {
+            // Both spans are sorted, so membership is a binary search.
+            let sb = self.actions(b);
+            scratch.extend(
+                self.actions(a)
+                    .iter()
+                    .filter(|x| sb.binary_search(x).is_err()),
+            );
+        }
+        let id = self.intern_sorted(&scratch);
+        self.scratch = scratch;
+        id
+    }
+
     /// The actions in an interned set (sorted).
     pub fn actions(&self, id: ActionSetId) -> &[ActionId] {
         let (off, len) = self.spans[id.0 as usize];
@@ -290,6 +315,21 @@ mod tests {
         assert_eq!(s.union_actions(a, EMPTY_ACTIONS), a);
         assert_eq!(s.union_actions(EMPTY_ACTIONS, b), b);
         assert_eq!(s.union_actions(u, u), u);
+    }
+
+    #[test]
+    fn diff_is_set_difference() {
+        let mut s = Store::new();
+        let a = s.intern_actions(&[aid(1), aid(2), aid(3)]);
+        let b = s.intern_actions(&[aid(2), aid(9)]);
+        let d = s.diff_actions(a, b);
+        assert_eq!(s.actions(d), &[aid(1), aid(3)]);
+        assert_eq!(s.diff_actions(a, a), EMPTY_ACTIONS);
+        assert_eq!(s.diff_actions(a, EMPTY_ACTIONS), a);
+        assert_eq!(s.diff_actions(EMPTY_ACTIONS, b), EMPTY_ACTIONS);
+        // A difference that empties the set is the canonical id 0.
+        let c = s.intern_actions(&[aid(2)]);
+        assert_eq!(s.diff_actions(c, b), EMPTY_ACTIONS);
     }
 
     #[test]

@@ -54,7 +54,8 @@ fn naive_eval(rules: &[RuleSpec], packet: &[u64; NFIELDS]) -> Vec<ActionId> {
     out
 }
 
-fn build_bdd(rules: &[RuleSpec], pruning: bool) -> Bdd {
+/// An empty diagram whose alphabet is every predicate of `rules`.
+fn empty_bdd(rules: &[RuleSpec]) -> Bdd {
     let fields: Vec<FieldInfo> = (0..NFIELDS)
         .map(|i| FieldInfo::range(format!("f{i}"), BITS))
         .collect();
@@ -62,7 +63,11 @@ fn build_bdd(rules: &[RuleSpec], pruning: bool) -> Bdd {
         .iter()
         .flat_map(|(l, _)| l.iter().map(|(p, _)| *p))
         .collect();
-    let mut bdd = Bdd::new(fields, preds).unwrap();
+    Bdd::new(fields, preds).unwrap()
+}
+
+fn build_bdd(rules: &[RuleSpec], pruning: bool) -> Bdd {
+    let mut bdd = empty_bdd(rules);
     bdd.set_semantic_pruning(pruning);
     for (lits, act) in rules {
         bdd.add_rule(lits, &[ActionId(*act)]).unwrap();
@@ -188,6 +193,50 @@ proptest! {
                 want.as_slice(),
                 "packet {:?}", p
             );
+        }
+    }
+
+    /// Removal on the live diagram: `strip_rule` on a random victim,
+    /// then re-asserting the survivors (any superset of the overlapping
+    /// ones is sound — `reassert_rule` is an idempotent union), evaluates
+    /// like a diagram built without the victim, and keeps the ordering
+    /// and irredundancy invariants. Stripping a rule that is not in the
+    /// diagram changes no evaluation.
+    #[test]
+    fn strip_and_reassert_equals_building_without_the_victim(
+        rules in arb_rules(),
+        victim_frac in 0.0f64..1.0,
+        absent in (prop::collection::vec(arb_literal(), 0..4), 8..12u32),
+        packets in prop::collection::vec([0u64..=MAXV, 0u64..=MAXV, 0u64..=MAXV], 1..20),
+    ) {
+        let victim = ((rules.len() as f64) * victim_frac) as usize;
+        let mut survivors = rules.clone();
+        let (lits, act) = survivors.remove(victim);
+
+        // Same alphabet for both (plus the absent rule's predicates).
+        let mut alphabet = rules.clone();
+        alphabet.push(absent.clone());
+        let mut live = empty_bdd(&alphabet);
+        for (l, a) in &rules {
+            live.add_rule(l, &[ActionId(*a)]).unwrap();
+        }
+
+        // The absent rule's action (8..12) is outside the rules' 0..8.
+        let before: Vec<Vec<ActionId>> =
+            packets.iter().map(|p| live.eval(|f| p[f.0 as usize]).to_vec()).collect();
+        live.strip_rule(&absent.0, &[ActionId(absent.1)]).unwrap();
+        for (p, want) in packets.iter().zip(&before) {
+            prop_assert_eq!(live.eval(|f| p[f.0 as usize]), want.as_slice(), "absent strip, packet {:?}", p);
+        }
+
+        live.strip_rule(&lits, &[ActionId(act)]).unwrap();
+        for (l, a) in survivors.iter().filter(|(_, a)| *a == act) {
+            live.reassert_rule(l, &[ActionId(*a)]).unwrap();
+        }
+        prop_assert!(live.validate().is_ok(), "{:?}", live.validate());
+        for p in &packets {
+            let got = live.eval(|f| p[f.0 as usize]).to_vec();
+            prop_assert_eq!(got, naive_eval(&survivors, p), "packet {:?}", p);
         }
     }
 

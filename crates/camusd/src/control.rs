@@ -58,6 +58,12 @@ pub(crate) struct ControlState {
     /// `None` after an unrecoverable resync failure — mutations are
     /// then rejected `Internal` but the data path keeps forwarding.
     session: Option<IncrementalCompiler>,
+    /// The session was rebuilt by `resync` and has not published since:
+    /// its state numbering is a fresh compile's, not the one the
+    /// engine's tables were spliced into, so the next update goes out
+    /// as a whole pipeline instead of a delta against tables the
+    /// engine does not hold.
+    resynced: bool,
     /// The rule set the engine is actually running (the session can
     /// run ahead of it transiently inside a failed update; `resync`
     /// restores it from here).
@@ -92,6 +98,7 @@ impl ControlState {
         ControlState {
             engine,
             session: Some(session),
+            resynced: false,
             committed,
             base_pool,
             spec,
@@ -419,8 +426,16 @@ impl ControlState {
                 return Err((RejectKind::Compile, e.to_string()));
             }
         };
-        match self.engine.apply_update(&report) {
-            Ok(()) => Ok(self.engine.generation()),
+        let applied = if self.resynced {
+            self.engine.install_pipeline(&report.pipeline)
+        } else {
+            self.engine.apply_update(&report)
+        };
+        match applied {
+            Ok(()) => {
+                self.resynced = false;
+                Ok(self.engine.generation())
+            }
             Err(fault) => {
                 let kind = match &fault {
                     EngineFault::Admission(_) => RejectKind::Admission,
@@ -434,12 +449,13 @@ impl ControlState {
     }
 
     /// Rebuilds the compiler session from the committed rule set. The
-    /// repo's churn differential proves a fresh session's emission is
-    /// bit-identical to the incremental path, so the rebuilt session's
-    /// view matches the engine's installed template and future deltas
-    /// splice cleanly.
+    /// fresh session forwards exactly like the engine's installed
+    /// program but numbers its states from scratch, so its first
+    /// update is published as a full swap (`resynced`); deltas splice
+    /// cleanly again from there.
     fn resync(&mut self) {
         self.session = None;
+        self.resynced = true;
         let mut alphabet = self.base_pool.clone();
         for rule in &self.committed {
             if !alphabet.contains(rule) {

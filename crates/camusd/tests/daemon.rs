@@ -188,6 +188,84 @@ fn admission_rejection_is_typed_and_leaves_the_pipeline_running() {
     assert_eq!(report.engine.faults.updates_rejected, 1);
 }
 
+/// A rejected update makes the daemon rebuild its compiler session,
+/// and a rebuilt session numbers pipeline states from scratch. Updates
+/// after it must still land on the engine's tables correctly — adds and
+/// removals alike — which the probe checks against a cold compile of
+/// the surviving rules.
+#[test]
+fn updates_after_a_rejection_forward_like_a_fresh_compile() {
+    let mut cfg = DaemonConfig::itch(4, 16).unwrap();
+    cfg.engine.admission = Some(AsicModel {
+        sram_entries_per_stage: 4096,
+        tcam_entries_per_stage: 48,
+        ..AsicModel::tofino32()
+    });
+    cfg.engine.record_decisions = true;
+    let (spec, options, pool) = (cfg.spec.clone(), cfg.options.clone(), cfg.pool.clone());
+    let daemon = Daemon::start(cfg).expect("daemon starts");
+    let mut client = BusClient::connect(&daemon.bus_addrs()[0]).expect("connect");
+    let mut mutate = |subscribe: bool, rules: Vec<String>| {
+        let req = if subscribe {
+            BusRequest::Subscribe { rules }
+        } else {
+            BusRequest::Unsubscribe { rules }
+        };
+        client.request(&req).expect("rpc")
+    };
+
+    // Two spliced adds: the engine's tables now carry the numbering of
+    // a session that has lived through deltas.
+    for rule in &pool[4..6] {
+        let reply = mutate(true, vec![rule.to_string()]);
+        assert!(matches!(reply, BusReply::Ack { .. }), "{reply:?}");
+    }
+    let bomb: Vec<String> = (0..200)
+        .map(|i| format!("stock == SYM{i:03} and price > {} : fwd(1)", 10 + i))
+        .collect();
+    let reply = mutate(true, bomb);
+    assert!(matches!(reply, BusReply::Rejected { .. }), "{reply:?}");
+    // One add and one removal on the rebuilt session.
+    let reply = mutate(true, vec![pool[6].to_string()]);
+    assert!(
+        matches!(reply, BusReply::Ack { generation: 3, .. }),
+        "{reply:?}"
+    );
+    let reply = mutate(false, vec![pool[4].to_string()]);
+    assert!(
+        matches!(reply, BusReply::Ack { generation: 4, .. }),
+        "{reply:?}"
+    );
+
+    let probe: Vec<(Vec<u8>, u64)> = camus_workload::bench_feed(2_000)
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (p.bytes.clone(), 25 * (i as u64 + 1)))
+        .collect();
+    daemon.inject(probe.clone()).expect("inject probe");
+    let report = daemon.join();
+    assert!(report.zero_loss());
+    // The swap that re-based the engine on the rebuilt session, and the
+    // spliced removal after it.
+    assert_eq!(report.engine.updates.full_swaps, 1);
+    assert_eq!(report.engine.updates.delta_updates, 3);
+
+    let mut surviving = pool[..4].to_vec();
+    surviving.extend_from_slice(&pool[5..7]);
+    let mut fresh = camus_core::Compiler::new(spec, options)
+        .expect("compiler")
+        .compile(&surviving)
+        .expect("fresh compile")
+        .pipeline;
+    let mut matched = 0usize;
+    for (i, ((bytes, now_us), got)) in probe.iter().zip(&report.engine.decisions).enumerate() {
+        let want = fresh.process(bytes, *now_us).expect("probe parses");
+        matched += usize::from(!want.ports.is_empty());
+        assert_eq!(got, &want, "probe packet {i}");
+    }
+    assert!(matched > 0, "the probe never hit a rule");
+}
+
 /// Minimal HTTP GET, std-only.
 fn scrape(addr: &str) -> String {
     let mut conn = std::net::TcpStream::connect(addr).expect("connect metrics");

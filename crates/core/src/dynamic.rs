@@ -168,12 +168,25 @@ impl EmissionState {
         id
     }
 
-    fn state(&mut self, r: NodeRef) -> u64 {
+    /// The state id of a vertex reached by the current emission: the
+    /// one it `carried` over from the previous emission, else a new one.
+    fn state(&mut self, r: NodeRef, carried: &HashMap<NodeRef, u64>) -> u64 {
         *self.state_of.entry(r).or_insert_with(|| {
-            let s = self.next_state;
-            self.next_state += 1;
-            s
+            carried.get(&r).copied().unwrap_or_else(|| {
+                let s = self.next_state;
+                self.next_state += 1;
+                s
+            })
         })
+    }
+
+    /// Re-keys the per-vertex state after a [`Bdd::compact`], so state
+    /// ids — and therefore installed table entries — do not move.
+    pub(crate) fn rekey(&mut self, map: &camus_bdd::merge::Remap) {
+        self.state_of = std::mem::take(&mut self.state_of)
+            .into_iter()
+            .filter_map(|(r, s)| Some((map.get(r)?, s)))
+            .collect();
     }
 }
 
@@ -239,7 +252,7 @@ fn field_table(
 /// Runs Algorithm 1 against the current BDD: slices it into per-field
 /// components and emits the table chain plus the leaf table. Returns
 /// the tables, the pipeline's initial state (the root's id), and the
-/// number of multicast groups allocated so far.
+/// number of reachable BDD nodes.
 ///
 /// `threads` bounds the worker count for phase 2 (path → entry
 /// translation); the output is identical at any value.
@@ -248,21 +261,25 @@ pub(crate) fn emit_tables(
     statics: &StaticPipeline,
     es: &mut EmissionState,
     threads: usize,
-) -> Result<(Vec<Table>, u64), CompileError> {
+) -> Result<(Vec<Table>, u64, usize), CompileError> {
     // Phase 1 (sequential): assign pipeline states — entry nodes and
-    // terminals in deterministic traversal order (stable across
-    // incremental runs because the node store is append-only and
-    // `state_of` persists).
+    // terminals in deterministic traversal order. A vertex that had a
+    // state in the previous emission keeps it (so its entries are
+    // reused); `state_of` is rebuilt from the vertices *this* emission
+    // reaches, so a long-lived session neither carries dead vertices
+    // nor emits leaf rows for terminals nothing leads to any more.
+    let carried = std::mem::take(&mut es.state_of);
     let comps = slice(bdd);
-    let initial_state = es.state(bdd.root());
+    let reachable_nodes = comps.iter().map(|c| c.nodes.len()).sum();
+    let initial_state = es.state(bdd.root(), &carried);
     let mut comp_paths = Vec::with_capacity(comps.len());
     for comp in &comps {
         for &n in &comp.in_nodes {
-            es.state(n);
+            es.state(n, &carried);
         }
         let paths = component_paths(bdd, comp);
         for p in &paths {
-            es.state(p.exit);
+            es.state(p.exit, &carried);
         }
         comp_paths.push(paths);
     }
@@ -398,12 +415,12 @@ pub(crate) fn emit_tables(
         })?;
     }
     tables.push(leaf);
-    Ok((tables, initial_state))
+    Ok((tables, initial_state, reachable_nodes))
 }
 
 /// Resolves a worker-thread request: 0 means one worker per available
 /// core; never more workers than rules, never fewer than one.
-fn resolve_shards(requested: usize, rules: usize) -> usize {
+pub(crate) fn resolve_shards(requested: usize, rules: usize) -> usize {
     let k = if requested == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -459,7 +476,7 @@ type BuiltShard = (Bdd, usize);
 /// identical at any `threads`; workers merely execute DAG nodes.
 /// [`Bdd::canonical_copy`] then drops garbage from intermediate merges
 /// and renumbers vertices deterministically.
-fn build_sharded(
+pub(crate) fn build_sharded(
     proto: Bdd,
     rules: &[crate::resolve::ResolvedConj],
     rule_actions: &[Vec<ActionId>],
@@ -627,7 +644,7 @@ pub fn compile_dynamic(
         build_sharded(proto, &resolved.rules, &rule_actions, shards, &mut spans)?;
 
     let emit_timer = SpanTimer::start();
-    let (tables, initial_state) = emit_tables(&bdd, statics, &mut es, shards)?;
+    let (tables, initial_state, _) = emit_tables(&bdd, statics, &mut es, shards)?;
     emit_timer.stop_into(&mut spans, SpanKind::EmitTables);
     debug_assert_eq!(initial_state, 0, "fresh emission numbers the root first");
 

@@ -7,22 +7,38 @@
 //! > internal data structure — can leverage memoization, and state
 //! > updates can benefit from table entry re-use."
 //!
-//! An [`IncrementalCompiler`] keeps the BDD (whose node store and
-//! prune memo are append-only), the pipeline-state numbering and the
-//! multicast-group allocation alive across updates. Installing new
-//! rules therefore:
+//! An [`IncrementalCompiler`] keeps the BDD, the pipeline-state
+//! numbering and the multicast-group allocation alive across updates.
+//! Both directions of a mutation are local rewrites of that one live
+//! diagram:
 //!
-//! * inserts only the new conjunctions into the existing diagram
+//! * **adding** a rule unions its conjunctions into the diagram
 //!   (memoized `apply` — no rebuild from scratch);
-//! * keeps the state ids of unchanged BDD nodes and the group ids of
-//!   unchanged port sets, so the regenerated tables share most entries
-//!   with the installed ones;
-//! * reports a per-table **entry diff** (adds/removes/kept) — exactly
-//!   what a control plane would push to the switch. The diff is
+//! * **removing** a rule *strips* its conjunctions — the same `apply`
+//!   with set difference at the terminals ([`Bdd::strip_rule`]) — and
+//!   then *re-asserts* the surviving conjunctions that could have
+//!   shared an action with it. Terminals are action **sets**: stripping
+//!   `fwd(1)` under the removed rule's region also deletes it where
+//!   another rule forwards to port 1, and re-adding that rule (an
+//!   idempotent union, [`Bdd::reassert_rule`]) puts it back. The
+//!   session keeps every active rule's resolved conjunctions for
+//!   exactly this;
+//! * either way unchanged BDD vertices keep their state ids and
+//!   unchanged port sets their group ids, so the regenerated tables
+//!   share most entries with the installed ones, and the update is
+//!   reported as a per-table **entry diff** (adds/removes/kept) —
+//!   exactly what a control plane would push to the switch. The diff is
 //!   directly executable: [`apply_delta`] splices it into a running
 //!   [`Pipeline`] without reallocating the match engines, and
 //!   [`UpdateReport::apply_to`] is the one-call version the engine's
 //!   update plane uses.
+//!
+//! The first install into an *empty* session is the one exception to
+//! rule-by-rule insertion: it runs the cold compiler's sharded build,
+//! so starting a session over N rules costs what compiling N rules
+//! costs. After an update the session compacts its diagram whenever
+//! dead nodes outnumber live ones (`COMPACT_RATIO`); state ids are
+//! re-keyed through the compaction, so no table entry moves.
 //!
 //! The predicate alphabet and the field table are fixed when the
 //! session is created (they determine the static pipeline). A bare
@@ -30,26 +46,31 @@
 //! or new state slots fails *atomically* with
 //! [`CompileError::NeedsFullRecompile`] — the session is left exactly
 //! as it was. [`IncrementalCompiler::update`] goes one step further
-//! and round-trips that fallback through the same channel: rule
-//! removals and out-of-alphabet additions trigger an internal full
-//! recompile over the cumulative rule set (with a widened alphabet),
-//! and the resulting [`UpdateReport`] is flagged `full_rebuild` so
-//! consumers swap the whole pipeline instead of splicing entries.
+//! and round-trips that fallback through the same channel: an
+//! out-of-alphabet addition triggers an internal full recompile over
+//! the cumulative rule set (with a widened alphabet), and the resulting
+//! [`UpdateReport`] is flagged `full_rebuild` so consumers swap the
+//! whole pipeline instead of splicing entries. Nothing else does.
 
 use std::collections::HashMap;
 
-use camus_bdd::pred::{ActionId, Pred};
+use camus_bdd::pred::{ActionId, Pred, PredOp};
 use camus_bdd::Bdd;
 use camus_lang::ast::Rule;
 use camus_lang::spec::Spec;
 use camus_pipeline::pipeline::Pipeline;
 use camus_pipeline::table::{ActionOp, Entry, Key, Table};
+use camus_telemetry::SpanSet;
 
 use crate::compile::CompilerOptions;
-use crate::dynamic::{emit_tables, EmissionState};
+use crate::dynamic::{build_sharded, emit_tables, resolve_shards, EmissionState};
 use crate::error::CompileError;
-use crate::resolve::{resolve, resolve_incremental, FieldTable, ResolveOptions};
+use crate::resolve::{resolve, resolve_incremental, FieldTable, ResolveOptions, ResolvedConj};
 use crate::statics::{build_static, StaticPipeline};
+
+/// The session compacts its diagram after an update that leaves more
+/// than this many allocated nodes per reachable node.
+const COMPACT_RATIO: usize = 2;
 
 /// Per-table entry delta of one update.
 ///
@@ -94,7 +115,8 @@ impl TableDelta {
 pub struct UpdateReport {
     /// Rules installed by this update.
     pub rules_added: usize,
-    /// Rules removed by this update (always via full rebuild).
+    /// Rules removed by this update (stripped from the live diagram;
+    /// removing a rule that is not active counts nothing).
     pub rules_removed: usize,
     /// Conjunctions rejected as unsatisfiable.
     pub unsat_conjunctions: usize,
@@ -110,9 +132,9 @@ pub struct UpdateReport {
     pub entries_kept: usize,
     /// Cumulative BDD apply-memo (hits, misses).
     pub memo: (u64, u64),
-    /// The update required a full recompile (rule removal or a widened
-    /// alphabet): the statics may have moved, so consumers must swap
-    /// `pipeline` wholesale instead of splicing `deltas`.
+    /// The update required a full recompile (a widened alphabet or a
+    /// new state slot): the statics may have moved, so consumers must
+    /// swap `pipeline` wholesale instead of splicing `deltas`.
     pub full_rebuild: bool,
     /// A fresh executable pipeline reflecting the updated program.
     pub pipeline: Pipeline,
@@ -185,6 +207,32 @@ pub fn apply_delta(pipeline: &mut Pipeline, deltas: &[TableDelta]) -> Result<(),
     Ok(())
 }
 
+/// One resolved conjunction as the BDD takes it: literals and the
+/// interned ids of the actions they guard.
+type Conj = (Vec<(Pred, bool)>, Vec<ActionId>);
+
+/// Whether re-adding `other` could restore something that stripping
+/// `stripped` deleted: they share an action, and no literal pair proves
+/// their regions disjoint. A `true` too many only costs an idempotent
+/// union; the disjointness test is what keeps a removal from
+/// re-adding every rule that forwards to the same port.
+fn may_share_terminals(stripped: &Conj, other: &Conj) -> bool {
+    let disjoint = |&(p, pol): &(Pred, bool), &(q, qpol): &(Pred, bool)| {
+        (p == q && pol != qpol)
+            || (pol
+                && qpol
+                && p.field == q.field
+                && p.op == PredOp::Eq
+                && q.op == PredOp::Eq
+                && p.value != q.value)
+    };
+    stripped.1.iter().any(|a| other.1.contains(a))
+        && !stripped
+            .0
+            .iter()
+            .any(|l| other.0.iter().any(|m| disjoint(l, m)))
+}
+
 /// A long-lived compilation session supporting rule updates.
 #[derive(Debug)]
 pub struct IncrementalCompiler {
@@ -200,6 +248,9 @@ pub struct IncrementalCompiler {
     alphabet: Vec<Rule>,
     /// The cumulative active rule set, in installation order.
     active: Vec<Rule>,
+    /// `conjs[i]`: what `active[i]` put into the diagram — what removing
+    /// it must strip, and what a neighbour's removal may re-assert.
+    conjs: Vec<Vec<Conj>>,
     rules_installed: usize,
 }
 
@@ -237,6 +288,7 @@ impl IncrementalCompiler {
             installed: HashMap::new(),
             alphabet: alphabet_rules.to_vec(),
             active: Vec::new(),
+            conjs: Vec::new(),
             rules_installed: 0,
         })
     }
@@ -265,11 +317,35 @@ impl IncrementalCompiler {
     /// untouched. Use [`IncrementalCompiler::update`] to fall back to
     /// a rebuild automatically.
     pub fn install(&mut self, rules: &[Rule]) -> Result<UpdateReport, CompileError> {
-        let conjs = resolve_incremental(&self.spec, &self.fields, rules)?;
-        // Validate the whole batch against the alphabet before any
-        // mutation so a rejected install cannot leave the BDD (or the
-        // action intern table) half-updated.
-        for conj in &conjs {
+        let resolved = self.resolve_in_alphabet(rules)?;
+        self.rewrite(rules, resolved, &[])
+    }
+
+    /// Applies a combined add/remove update, reporting through the
+    /// same delta channel whichever path it takes.
+    ///
+    /// Additions and removals within the alphabet rewrite the live
+    /// diagram (removals first) and come back as one entry diff.
+    /// Additions needing new predicates or state slots fall back to an
+    /// internal full recompile of the cumulative rule set (widening the
+    /// alphabet with the new rules); the report then carries
+    /// [`UpdateReport::full_rebuild`] so consumers swap the pipeline
+    /// wholesale. Removing a rule that is not active is a no-op.
+    pub fn update(&mut self, add: &[Rule], remove: &[Rule]) -> Result<UpdateReport, CompileError> {
+        match self.resolve_in_alphabet(add) {
+            Ok(resolved) => self.rewrite(add, resolved, remove),
+            Err(CompileError::NeedsFullRecompile(_)) => self.rebuild(add, remove),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Resolves a batch against the frozen field table and checks every
+    /// predicate against the alphabet. Mutates nothing, so a rejected
+    /// batch cannot leave the BDD (or the action intern table)
+    /// half-updated.
+    fn resolve_in_alphabet(&self, rules: &[Rule]) -> Result<Vec<ResolvedConj>, CompileError> {
+        let resolved = resolve_incremental(&self.spec, &self.fields, rules)?;
+        for conj in &resolved {
             for (p, _) in &conj.literals {
                 if !self.bdd.has_pred(p) {
                     return Err(CompileError::NeedsFullRecompile(format!(
@@ -278,32 +354,76 @@ impl IncrementalCompiler {
                 }
             }
         }
-        let mut unsat = 0usize;
-        for conj in &conjs {
-            let ids: Vec<ActionId> = conj
-                .actions
-                .iter()
-                .map(|a| self.es.intern_action(a))
-                .collect();
-            let inserted = self
-                .bdd
-                .add_rule(&conj.literals, &ids)
-                .map_err(|e| match e {
-                    camus_bdd::BddError::UndeclaredPred(p) => CompileError::NeedsFullRecompile(
-                        format!("predicate {p} is outside the session's alphabet"),
-                    ),
-                    other => CompileError::Bdd(other),
-                })?;
-            if !inserted {
-                unsat += 1;
+        Ok(resolved)
+    }
+
+    /// Rewrites the live diagram — strips `remove`, re-asserts what the
+    /// strip may have taken from surviving rules, inserts `add` (already
+    /// `resolved`) — and reports the resulting entry diff.
+    fn rewrite(
+        &mut self,
+        add: &[Rule],
+        resolved: Vec<ResolvedConj>,
+        remove: &[Rule],
+    ) -> Result<UpdateReport, CompileError> {
+        let mut stripped: Vec<Conj> = Vec::new();
+        let mut rules_removed = 0usize;
+        for r in remove {
+            if let Some(i) = self.active.iter().position(|t| t == r) {
+                self.active.remove(i);
+                stripped.extend(self.conjs.remove(i));
+                rules_removed += 1;
             }
         }
-        self.rules_installed += rules.len();
-        self.active.extend_from_slice(rules);
+        for (literals, ids) in &stripped {
+            self.bdd.strip_rule(literals, ids)?;
+        }
+        for conj in self.conjs.iter().flatten() {
+            if stripped.iter().any(|s| may_share_terminals(s, conj)) {
+                self.bdd.reassert_rule(&conj.0, &conj.1)?;
+            }
+        }
+
+        let ids: Vec<Vec<ActionId>> = resolved
+            .iter()
+            .map(|c| c.actions.iter().map(|a| self.es.intern_action(a)).collect())
+            .collect();
+        let unsat = if self.active.is_empty() && !resolved.is_empty() {
+            // Nothing installed: build like the cold compiler does
+            // (sharded, merged, canonical) instead of rule by rule.
+            let threads = resolve_shards(self.options.compile_shards, resolved.len());
+            let (built, unsat, _) = build_sharded(
+                self.bdd.clone_empty(),
+                &resolved,
+                &ids,
+                threads,
+                &mut SpanSet::new(),
+            )?;
+            self.bdd = built;
+            // State ids are keyed by vertices of the diagram just dropped.
+            self.es.state_of.clear();
+            unsat
+        } else {
+            let mut unsat = 0usize;
+            for (conj, ids) in resolved.iter().zip(&ids) {
+                if !self.bdd.add_rule(&conj.literals, ids)? {
+                    unsat += 1;
+                }
+            }
+            unsat
+        };
+        let first = self.conjs.len();
+        self.conjs.resize_with(first + add.len(), Vec::new);
+        for (conj, ids) in resolved.into_iter().zip(ids) {
+            self.conjs[first + conj.source_rule].push((conj.literals, ids));
+        }
+        self.active.extend_from_slice(add);
+        self.rules_installed += add.len();
 
         // Deltas are small; single-threaded translation avoids spawning
         // workers on every update.
-        let (tables, initial_state) = emit_tables(&self.bdd, &self.statics, &mut self.es, 1)?;
+        let (tables, initial_state, reachable) =
+            emit_tables(&self.bdd, &self.statics, &mut self.es, 1)?;
         let (deltas, added, removed, kept) = diff_tables(&tables, &mut self.installed);
         self.installed = tables
             .iter()
@@ -315,6 +435,9 @@ impl IncrementalCompiler {
                 (t.name.clone(), multiset)
             })
             .collect();
+        if self.bdd.node_count() > COMPACT_RATIO * reachable {
+            self.compact();
+        }
 
         let total_entries = tables.iter().map(Table::len).sum();
         let pipeline = Pipeline {
@@ -328,8 +451,8 @@ impl IncrementalCompiler {
             exec: Default::default(),
         };
         Ok(UpdateReport {
-            rules_added: rules.len(),
-            rules_removed: 0,
+            rules_added: add.len(),
+            rules_removed,
             unsat_conjunctions: unsat,
             deltas,
             total_entries,
@@ -342,25 +465,12 @@ impl IncrementalCompiler {
         })
     }
 
-    /// Applies a combined add/remove update, reporting through the
-    /// same delta channel whichever path it takes.
-    ///
-    /// Pure additions within the alphabet go through the incremental
-    /// [`IncrementalCompiler::install`] path. Removals — the BDD's
-    /// node store is append-only — and additions needing new
-    /// predicates or state slots fall back to an internal full
-    /// recompile of the cumulative rule set (widening the alphabet
-    /// with the new rules); the report then carries
-    /// [`UpdateReport::full_rebuild`] so consumers swap the pipeline
-    /// wholesale. Removing a rule that is not active is a no-op.
-    pub fn update(&mut self, add: &[Rule], remove: &[Rule]) -> Result<UpdateReport, CompileError> {
-        if remove.is_empty() {
-            match self.install(add) {
-                Err(CompileError::NeedsFullRecompile(_)) => {}
-                r => return r,
-            }
-        }
-        self.rebuild(add, remove)
+    /// Drops everything the diagram no longer reaches — dead nodes and
+    /// action sets, the prune memo, the interned contexts — keeping
+    /// every live vertex's state id.
+    fn compact(&mut self) {
+        let map = self.bdd.compact();
+        self.es.rekey(&map);
     }
 
     /// Full-recompile fallback: rebuilds a fresh session over the
@@ -680,19 +790,69 @@ mod tests {
         }
     }
 
+    /// Drives `steps` of `(add, remove)` program text through one
+    /// session, replaying every report onto a mirror pipeline, and after
+    /// each step checks the mirror against a cold compile of `expect`
+    /// on the probe packets. Every step must stay on the delta path.
+    fn check_delta_steps(alphabet: &str, steps: &[(&str, &str, &str)], probes: &[Vec<u8>]) {
+        let mut s = session(alphabet);
+        let mut mirror = s.install(&[]).unwrap().pipeline;
+        let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
+        let cold = crate::Compiler::new(spec, CompilerOptions::raw()).unwrap();
+        for (k, (add, remove, expect)) in steps.iter().enumerate() {
+            let r = s
+                .update(
+                    &parse_program(add).unwrap(),
+                    &parse_program(remove).unwrap(),
+                )
+                .unwrap();
+            assert!(!r.full_rebuild, "step {k} left the delta path");
+            r.apply_to(&mut mirror).unwrap();
+            let expect = parse_program(expect).unwrap();
+            assert_eq!(s.active_rules().len(), expect.len(), "step {k}");
+            let mut want = cold.compile(&expect).unwrap().pipeline;
+            let mut fresh = r.pipeline;
+            for (i, pkt) in probes.iter().enumerate() {
+                // The third run shares the first two's register history.
+                let w = want.process(pkt, 0).unwrap().ports;
+                assert_eq!(
+                    mirror.process(pkt, 0).unwrap().ports,
+                    w,
+                    "step {k} probe {i}"
+                );
+                assert_eq!(
+                    fresh.process(pkt, 0).unwrap().ports,
+                    w,
+                    "step {k} probe {i}"
+                );
+            }
+        }
+    }
+
+    fn probes() -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        for sym in ["GOOGL", "MSFT", "ORCL"] {
+            for price in [0u32, 100, 101, 5000] {
+                out.push(packet(sym, 10, price));
+            }
+        }
+        out
+    }
+
     #[test]
-    fn update_removal_round_trips_as_full_rebuild() {
+    fn update_removal_is_a_delta() {
         let mut s = session(ALPHABET);
         let rules = parse_program("stock == GOOGL : fwd(1)\nstock == MSFT : fwd(2)").unwrap();
         let r0 = s.update(&rules, &[]).unwrap();
         assert!(!r0.full_rebuild);
         let mut mirror = r0.pipeline.clone();
 
-        // Remove the GOOGL rule: append-only BDD forces a rebuild.
+        // Remove the GOOGL rule: a handful of entry removals, spliced.
         let remove = parse_program("stock == GOOGL : fwd(1)").unwrap();
         let r = s.update(&[], &remove).unwrap();
-        assert!(r.full_rebuild);
+        assert!(!r.full_rebuild);
         assert_eq!(r.rules_removed, 1);
+        assert!(r.entries_removed > 0 && r.entries_kept > 0, "{r:?}");
         assert_eq!(s.active_rules().len(), 1);
         r.apply_to(&mut mirror).unwrap();
         assert!(mirror.process(&packet("GOOGL", 1, 1), 0).unwrap().dropped());
@@ -700,10 +860,335 @@ mod tests {
             mirror.process(&packet("MSFT", 1, 1), 0).unwrap().ports,
             vec![PortId(2)]
         );
-        // Removing an inactive rule is a no-op.
+        // Removing an inactive rule is a no-op delta.
         let r = s.update(&[], &remove).unwrap();
+        assert!(!r.full_rebuild);
         assert_eq!(r.rules_removed, 0);
+        assert_eq!((r.entries_added, r.entries_removed), (0, 0));
         assert_eq!(s.active_rules().len(), 1);
+    }
+
+    #[test]
+    fn removing_one_of_two_overlapping_rules_keeps_the_shared_action() {
+        // Both rules forward to port 7 and overlap on GOOGL above 100.
+        // Whichever goes, port 7 must survive where the other matches.
+        let (narrow, wide) = (
+            "stock == GOOGL and price > 100 : fwd(7)",
+            "stock == GOOGL : fwd(7)",
+        );
+        let both = format!("{narrow}\n{wide}");
+        check_delta_steps(
+            ALPHABET,
+            &[(&both, "", &both), ("", narrow, wide)],
+            &probes(),
+        );
+        check_delta_steps(
+            ALPHABET,
+            &[(&both, "", &both), ("", wide, narrow)],
+            &probes(),
+        );
+    }
+
+    #[test]
+    fn a_rule_installed_twice_survives_one_removal() {
+        let rule = "stock == GOOGL : fwd(1)";
+        let twice = format!("{rule}\n{rule}");
+        check_delta_steps(
+            ALPHABET,
+            &[(&twice, "", &twice), ("", rule, rule), ("", rule, "")],
+            &probes(),
+        );
+    }
+
+    #[test]
+    fn removing_a_disjunctive_rule_strips_every_conjunction() {
+        let or_rule = "stock == GOOGL or price > 100 : fwd(5)";
+        let other = "stock == MSFT : fwd(5)";
+        let both = format!("{or_rule}\n{other}");
+        check_delta_steps(
+            ALPHABET,
+            &[
+                (&both, "", &both),
+                ("", or_rule, other),
+                (or_rule, other, or_rule),
+            ],
+            &probes(),
+        );
+    }
+
+    #[test]
+    fn removing_an_aggregate_rule_removes_its_observe_conjunction() {
+        let alphabet = "stock == GOOGL and avg(price) > 50 : fwd(1)\n\
+                        stock == MSFT and avg(price) > 50 : fwd(2)";
+        let googl = "stock == GOOGL and avg(price) > 50 : fwd(1)";
+        let msft = "stock == MSFT and avg(price) > 50 : fwd(2)";
+        let mut s = session(alphabet);
+        let both = parse_program(alphabet).unwrap();
+        let r0 = s.update(&both, &[]).unwrap();
+        let observes = |p: &Pipeline| {
+            p.tables
+                .last()
+                .unwrap()
+                .entries()
+                .filter(|e| {
+                    e.ops
+                        .iter()
+                        .any(|op| matches!(op, ActionOp::Register { .. }))
+                })
+                .count()
+        };
+        // {observe}, {observe, fwd(1)} and {observe, fwd(2)}.
+        assert_eq!(observes(&r0.pipeline), 3);
+        let r = s.update(&[], &parse_program(googl).unwrap()).unwrap();
+        assert!(!r.full_rebuild);
+        assert_eq!(observes(&r.pipeline), 2, "{{observe, fwd(1)}} is gone");
+        // MSFT still observes and fires; GOOGL no longer does either.
+        let mut p = r.pipeline;
+        assert!(p.process(&packet("MSFT", 1, 100), 0).unwrap().dropped());
+        assert_eq!(
+            p.process(&packet("MSFT", 1, 100), 0).unwrap().ports,
+            vec![PortId(2)]
+        );
+        assert!(p.process(&packet("GOOGL", 1, 100), 0).unwrap().dropped());
+        assert!(p.process(&packet("GOOGL", 1, 100), 0).unwrap().dropped());
+        let r = s.update(&[], &parse_program(msft).unwrap()).unwrap();
+        assert_eq!(r.total_entries, 0);
+    }
+
+    #[test]
+    fn removing_the_last_rule_of_a_symbol_drops_its_entries() {
+        let mut s = session(ALPHABET);
+        let base = parse_program("stock == GOOGL : fwd(1)").unwrap();
+        let before = s.install(&base).unwrap().total_entries;
+        let msft = parse_program("stock == MSFT : fwd(2)").unwrap();
+        assert!(s.update(&msft, &[]).unwrap().total_entries > before);
+        let r = s.update(&[], &msft).unwrap();
+        assert_eq!(r.total_entries, before);
+        let mut p = r.pipeline;
+        assert!(p.process(&packet("MSFT", 1, 1), 0).unwrap().dropped());
+        assert_eq!(
+            p.process(&packet("GOOGL", 1, 1), 0).unwrap().ports,
+            vec![PortId(1)]
+        );
+    }
+
+    #[test]
+    fn remove_and_add_in_one_update() {
+        let (a, b, c) = (
+            "stock == GOOGL : fwd(1)",
+            "stock == MSFT : fwd(2)",
+            "price > 100 : fwd(1)",
+        );
+        check_delta_steps(
+            ALPHABET,
+            &[
+                (&format!("{a}\n{b}"), "", &format!("{a}\n{b}")),
+                // `c` shares fwd(1) with the rule leaving in the same step.
+                (c, a, &format!("{b}\n{c}")),
+                (a, &format!("{b}\n{c}"), a),
+            ],
+            &probes(),
+        );
+    }
+
+    fn itch_pool(n: usize) -> Vec<Rule> {
+        camus_workload::generate_itch_subscriptions(&camus_workload::ItchSubsConfig {
+            subscriptions: n,
+            ..Default::default()
+        })
+    }
+
+    fn table_sizes(p: &Pipeline) -> Vec<(String, usize)> {
+        p.tables.iter().map(|t| (t.name.clone(), t.len())).collect()
+    }
+
+    /// Reachable non-empty terminals of the session's diagram.
+    fn live_terminals(bdd: &Bdd) -> usize {
+        use camus_bdd::NodeRef;
+        let mut seen = std::collections::HashSet::new();
+        let mut note = |r: NodeRef| {
+            if let NodeRef::Term(set) = r {
+                if set != camus_bdd::store::EMPTY_ACTIONS {
+                    seen.insert(set);
+                }
+            }
+        };
+        note(bdd.root());
+        for r in bdd.reachable() {
+            let n = bdd.node(r);
+            note(n.lo);
+            note(n.hi);
+        }
+        seen.len()
+    }
+
+    #[test]
+    fn first_install_builds_like_a_cold_compile() {
+        let pool = itch_pool(1000);
+        let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
+        let cold = crate::Compiler::new(spec.clone(), CompilerOptions::raw())
+            .unwrap()
+            .compile(&pool)
+            .unwrap();
+        let mut s = IncrementalCompiler::new(spec, &CompilerOptions::raw(), &pool).unwrap();
+        let r = s.install(&pool).unwrap();
+        assert_eq!(table_sizes(&r.pipeline), cold.stats.table_entries);
+        assert_eq!(r.total_entries, cold.stats.total_entries);
+        // ... and later installs take the rule-by-rule path on top of it.
+        let r = s.update(&[], &pool[..1]).unwrap();
+        assert!(!r.full_rebuild);
+        assert!(r.entries_kept > r.entries_removed);
+    }
+
+    #[test]
+    fn add_then_remove_cycles_never_outgrow_a_fresh_session() {
+        let pool = itch_pool(300 + 32);
+        let (base, churn) = pool.split_at(300);
+        let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
+        let opts = CompilerOptions::raw();
+        let mut s = IncrementalCompiler::new(spec.clone(), &opts, &pool).unwrap();
+        let fresh = s.install(base).unwrap();
+        let mut last = None;
+        for _cycle in 0..3 {
+            for rule in churn {
+                s.update(std::slice::from_ref(rule), &[]).unwrap();
+                let r = s.update(&[], std::slice::from_ref(rule)).unwrap();
+                assert!(!r.full_rebuild);
+                // The leaf table holds exactly the terminals in use.
+                let leaf = r.pipeline.tables.last().unwrap();
+                assert_eq!(leaf.len(), live_terminals(&s.bdd));
+                last = Some(r);
+            }
+        }
+        let last = last.unwrap();
+        for ((name, cycled), (_, cold)) in table_sizes(&last.pipeline)
+            .into_iter()
+            .zip(table_sizes(&fresh.pipeline))
+        {
+            assert!(
+                cycled <= cold,
+                "{name}: {cycled} entries after cycling, {cold} fresh"
+            );
+        }
+        let mut cycled = last.pipeline;
+        let mut cold = fresh.pipeline;
+        for sym in 0..100 {
+            for price in [0u32, 250, 500, 999] {
+                let pkt = packet(&camus_workload::itch_subs::stock_symbol(sym), 1, price);
+                assert_eq!(
+                    cycled.process(&pkt, 0).unwrap().ports,
+                    cold.process(&pkt, 0).unwrap().ports
+                );
+            }
+        }
+    }
+
+    /// `rounds` add/remove rounds over `churn` rules on top of `base`,
+    /// in two sessions: one compacting when the rule says so, one
+    /// compacted by force after every update. Compaction must be
+    /// invisible (equal reports, no entry moves) and must keep the
+    /// diagram within `COMPACT_RATIO` of its live size.
+    fn churn_with_and_without_forced_compaction(base: usize, churn: usize, rounds: usize) {
+        let pool = itch_pool(base + churn);
+        let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
+        let opts = CompilerOptions::raw();
+        let mut natural = IncrementalCompiler::new(spec.clone(), &opts, &pool).unwrap();
+        let mut forced = IncrementalCompiler::new(spec, &opts, &pool).unwrap();
+        natural.install(&pool[..base]).unwrap();
+        forced.install(&pool[..base]).unwrap();
+        let mut compactions = 0usize;
+        let mut allocated = natural.bdd.node_count();
+        for round in 0..rounds {
+            let rule = std::slice::from_ref(&pool[base + round % churn]);
+            for (add, remove) in [(rule, &[][..]), (&[][..], rule)] {
+                let a = natural.update(add, remove).unwrap();
+                let b = forced.update(add, remove).unwrap();
+                assert_eq!(
+                    (
+                        a.entries_added,
+                        a.entries_removed,
+                        a.entries_kept,
+                        a.total_entries
+                    ),
+                    (
+                        b.entries_added,
+                        b.entries_removed,
+                        b.entries_kept,
+                        b.total_entries
+                    ),
+                    "round {round}"
+                );
+                forced.compact();
+                let still = forced.install(&[]).unwrap();
+                assert_eq!((still.entries_added, still.entries_removed), (0, 0));
+
+                let now = natural.bdd.node_count();
+                compactions += usize::from(now < allocated);
+                allocated = now;
+                let reachable = natural.bdd.stats().reachable_nodes;
+                assert!(
+                    now <= COMPACT_RATIO * reachable,
+                    "round {round}: {now} nodes allocated, {reachable} reachable"
+                );
+            }
+        }
+        assert!(compactions > 0, "the run never compacted");
+        let (mut a, mut b) = (
+            natural.install(&[]).unwrap().pipeline,
+            forced.install(&[]).unwrap().pipeline,
+        );
+        assert_eq!(table_sizes(&a), table_sizes(&b));
+        for sym in 0..100 {
+            let pkt = packet(&camus_workload::itch_subs::stock_symbol(sym), 1, 500);
+            assert_eq!(
+                a.process(&pkt, 0).unwrap().ports,
+                b.process(&pkt, 0).unwrap().ports
+            );
+        }
+    }
+
+    #[test]
+    fn compaction_bounds_the_diagram_and_moves_no_entry() {
+        churn_with_and_without_forced_compaction(200, 16, 60);
+    }
+
+    /// The nightly soak of the above: the benchmark's 64-rule churn pool
+    /// over its 1 000-rule program (`cargo test --release -- --ignored`).
+    #[test]
+    #[ignore = "nightly: 2 000 rounds, release build"]
+    fn session_memory_stays_bounded_over_2000_rounds() {
+        churn_with_and_without_forced_compaction(1000, 64, 2000);
+    }
+
+    /// A session must never be slower to start than a cold compile of
+    /// the same rules (rule by rule it was 7× slower at this size).
+    #[test]
+    #[ignore = "nightly: timing, release build"]
+    fn installing_20000_rules_costs_what_a_cold_compile_costs() {
+        let pool = itch_pool(20_000);
+        let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
+        let opts = CompilerOptions::default();
+        let best_of_three = |f: &dyn Fn()| {
+            (0..3)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    f();
+                    t.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let cold = best_of_three(&|| {
+            let c = crate::Compiler::new(spec.clone(), opts.clone()).unwrap();
+            c.compile(&pool).unwrap();
+        });
+        let session = best_of_three(&|| {
+            let mut s = IncrementalCompiler::new(spec.clone(), &opts, &pool).unwrap();
+            s.install(&pool).unwrap();
+        });
+        assert!(
+            session <= 1.5 * cold,
+            "session install {session:.2} s vs cold compile {cold:.2} s"
+        );
     }
 
     #[test]
@@ -741,8 +1226,12 @@ mod tests {
             .sum();
         assert!(total_before > 0);
         let r = s
-            .update(&[], &parse_program("stock == MSFT : fwd(2)").unwrap())
+            .update(
+                &parse_program("price > 999 : fwd(4)").unwrap(),
+                &parse_program("stock == MSFT : fwd(2)").unwrap(),
+            )
             .unwrap();
+        assert!(r.full_rebuild);
         // The delta channel reports the transition, not a from-scratch
         // install: some entries survive the rebuild unchanged.
         assert!(r.entries_kept > 0, "{r:?}");

@@ -207,14 +207,15 @@ proptest! {
 // ------------------------------------------------------- live churn
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(400))]
 
     /// Live churn: random update sequences driven through
     /// `IncrementalCompiler::update` and replayed onto a running
     /// pipeline with `UpdateReport::apply_to` must forward identically
     /// to a fresh full compile of the cumulative rule set after every
-    /// step (and both must match the naive interpreter). Covers the
-    /// delta path, removal rebuilds and out-of-alphabet fallbacks.
+    /// step (and both must match the naive interpreter). Covers delta
+    /// adds, delta removals (strip + re-assert) and the out-of-alphabet
+    /// fallback — the only step allowed to be a full rebuild.
     #[test]
     fn incremental_churn_matches_full_recompile(
         seed in 0u64..100_000,
@@ -253,6 +254,7 @@ proptest! {
         for (k, step) in plan.schedule.steps.iter().enumerate() {
             let report = session.update(&step.add, &step.remove).unwrap();
             report.apply_to(&mut mirror).unwrap();
+            prop_assert!(out_of_alphabet > 0 || !report.full_rebuild, "step {}", k);
 
             let active = plan.schedule.rules_after(k + 1);
             prop_assert_eq!(session.active_rules(), active.as_slice());
@@ -266,6 +268,75 @@ proptest! {
                 prop_assert_eq!(&inc, &fresh, "step {}, event {:x?}", k, ev);
                 prop_assert_eq!(&inc, &oracle, "step {}, event {:x?}", k, ev);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Adding rules and removing them again returns the program to
+    /// where it was: the spliced pipeline forwards every sampled event
+    /// as it did before the add, the leaf table has exactly the rows it
+    /// had, and — once the session's diagram is its own product rather
+    /// than the cold compiler's (one warm-up round; removal does not
+    /// replay the sharded build's merge order, so the first round may
+    /// settle a few match entries above or below the cold count) — no
+    /// table ends up with more entries than before the add. Removal
+    /// leaves no residue that a second round would add to.
+    #[test]
+    fn add_then_remove_restores_the_program(
+        seed in 0u64..100_000,
+        extra in 1usize..4,
+    ) {
+        use camus_core::IncrementalCompiler;
+        use camus_workload::SienaConfig;
+
+        let siena = SienaConfig {
+            subscriptions: 8 + extra,
+            int_attributes: 2,
+            symbol_attributes: 1,
+            symbol_alphabet: 8,
+            int_range: 60,
+            predicates_per_subscription: 2,
+            seed,
+            ..Default::default()
+        };
+        let wl = siena.generate();
+        let (base, added) = wl.rules.split_at(8);
+        let mut session =
+            IncrementalCompiler::new(wl.spec.clone(), &CompilerOptions::raw(), &wl.rules).unwrap();
+        let cold = session.install(base).unwrap();
+        let mut mirror = cold.pipeline.clone();
+        let mut reference = cold.pipeline;
+        let events = siena.generate_events(&wl, 20);
+        let sizes = |p: &camus_pipeline::pipeline::Pipeline| -> Vec<(String, usize)> {
+            p.tables.iter().map(|t| (t.name.clone(), t.len())).collect()
+        };
+
+        let mut before_add = sizes(&reference);
+        for round in 0..2 {
+            session.update(added, &[]).unwrap().apply_to(&mut mirror).unwrap();
+            let back = session.update(&[], added).unwrap();
+            prop_assert!(!back.full_rebuild);
+            back.apply_to(&mut mirror).unwrap();
+
+            let after = sizes(&mirror);
+            prop_assert_eq!(after.last(), before_add.last(), "leaf rows, round {}", round);
+            if round > 0 {
+                for (name, n) in &after {
+                    let was = before_add.iter().find(|(t, _)| t == name).map_or(0, |(_, n)| *n);
+                    prop_assert!(*n <= was, "{}: {} entries, {} before the add", name, n, was);
+                }
+            }
+            for ev in &events {
+                prop_assert_eq!(
+                    mirror.process(ev, 0).unwrap().ports,
+                    reference.process(ev, 0).unwrap().ports,
+                    "round {}, event {:x?}", round, ev
+                );
+            }
+            before_add = after;
         }
     }
 }

@@ -265,12 +265,12 @@ fn unquiesced_churn_never_shows_a_half_applied_rule_set() {
     }
 }
 
-/// `@query_counter` state survives updates: a delta update and then a
-/// full-rebuild update are applied mid-stream, and the engine's
-/// decisions stay bit-identical to a sequential executor whose
-/// pipeline is updated through the same `UpdateReport`s at the same
-/// packet boundaries. A reset counter would visibly diverge (the
-/// threshold rule would stop firing).
+/// `@query_counter` state survives updates: a delta add, a delta
+/// removal and then a full-rebuild update (an out-of-alphabet add) are
+/// applied mid-stream, and the engine's decisions stay bit-identical to
+/// a sequential executor whose pipeline is updated through the same
+/// `UpdateReport`s at the same packet boundaries. A reset counter would
+/// visibly diverge (the threshold rule would stop firing).
 #[test]
 fn query_counter_state_survives_delta_and_full_rebuild_updates() {
     let spec = itch_spec();
@@ -278,8 +278,7 @@ fn query_counter_state_survives_delta_and_full_rebuild_updates() {
     let alphabet = parse_program(
         "stock == GOOGL : fwd(1); my_counter <- incr()\n\
          stock == GOOGL and my_counter > 3 : fwd(100)\n\
-         stock == MSFT : fwd(2)\n\
-         stock == AAPL : fwd(4)",
+         stock == MSFT : fwd(2)",
     )
     .unwrap();
     let mut session = IncrementalCompiler::new(spec, &opts, &alphabet).unwrap();
@@ -302,41 +301,56 @@ fn query_counter_state_survives_delta_and_full_rebuild_updates() {
             out.push(seq.process(p, 0).unwrap());
         }
     };
+    let mixed = |n: usize, other: &str| -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|i| packet(if i % 2 == 0 { "GOOGL" } else { other }, 1, 10))
+            .collect()
+    };
     let googl: Vec<Vec<u8>> = (0..3).map(|_| packet("GOOGL", 1, 10)).collect();
     feed(&mut engine, &mut sequential, &mut seq_decisions, &googl);
 
     // Delta update (in-alphabet add): counter must keep its value 3.
     engine.quiesce().unwrap();
-    let delta: UpdateReport = session
-        .update(&parse_program("stock == MSFT : fwd(2)").unwrap(), &[])
-        .unwrap();
+    let msft = parse_program("stock == MSFT : fwd(2)").unwrap();
+    let delta: UpdateReport = session.update(&msft, &[]).unwrap();
     assert!(!delta.full_rebuild, "in-alphabet add should splice");
     delta.apply_to(&mut sequential).unwrap();
     engine.apply_update(&delta).unwrap();
-    let phase2: Vec<Vec<u8>> = (0..4)
-        .map(|i| {
-            if i % 2 == 0 {
-                packet("GOOGL", 1, 10)
-            } else {
-                packet("MSFT", 1, 10)
-            }
-        })
-        .collect();
-    feed(&mut engine, &mut sequential, &mut seq_decisions, &phase2);
+    feed(
+        &mut engine,
+        &mut sequential,
+        &mut seq_decisions,
+        &mixed(4, "MSFT"),
+    );
 
-    // Full rebuild (removal): counter must survive the wholesale swap.
+    // Delta removal: spliced as well, and the window survives it.
+    engine.quiesce().unwrap();
+    let removal = session.update(&[], &msft).unwrap();
+    assert!(!removal.full_rebuild, "in-alphabet removal should splice");
+    removal.apply_to(&mut sequential).unwrap();
+    engine.apply_update(&removal).unwrap();
+    feed(
+        &mut engine,
+        &mut sequential,
+        &mut seq_decisions,
+        &mixed(2, "MSFT"),
+    );
+
+    // Full rebuild (AAPL is outside the alphabet): the counter must
+    // survive the wholesale swap (`Registers::carry_from`).
     engine.quiesce().unwrap();
     let rebuild = session
-        .update(
-            &parse_program("stock == AAPL : fwd(4)").unwrap(),
-            &parse_program("stock == MSFT : fwd(2)").unwrap(),
-        )
+        .update(&parse_program("stock == AAPL : fwd(4)").unwrap(), &[])
         .unwrap();
-    assert!(rebuild.full_rebuild, "removal forces a rebuild");
+    assert!(rebuild.full_rebuild, "a new predicate forces a rebuild");
     rebuild.apply_to(&mut sequential).unwrap();
     engine.apply_update(&rebuild).unwrap();
-    let phase3: Vec<Vec<u8>> = (0..3).map(|_| packet("GOOGL", 1, 10)).collect();
-    feed(&mut engine, &mut sequential, &mut seq_decisions, &phase3);
+    feed(
+        &mut engine,
+        &mut sequential,
+        &mut seq_decisions,
+        &mixed(3, "AAPL"),
+    );
 
     let report = engine.finish();
     assert!(report.error.is_none(), "{:?}", report.error);
@@ -344,7 +358,7 @@ fn query_counter_state_survives_delta_and_full_rebuild_updates() {
     for (i, (got, want)) in report.decisions.iter().zip(&seq_decisions).enumerate() {
         assert_eq!(got, want, "packet {i}");
     }
-    assert_eq!(report.updates.delta_updates, 1);
+    assert_eq!(report.updates.delta_updates, 2);
     assert_eq!(report.updates.full_swaps, 1);
 
     // The threshold rule did fire after the updates — i.e. the counter

@@ -166,6 +166,9 @@ fn concurrent_churn_matches_fresh_recompile_of_survivors() {
     assert_eq!(report_d.bus.mutations_rejected, 0);
     assert_eq!(report_d.bus.epochs, report.max_generation);
     assert_eq!(report_d.engine.updates.published, report.max_generation);
+    // Every mutation stayed inside the pool's alphabet, so subscribes
+    // and unsubscribes alike were spliced: no wholesale pipeline swap.
+    assert_eq!(report_d.engine.updates.full_swaps, 0);
     if coalesced_epochs > 0 {
         assert!(
             report_d.bus.requests_coalesced > 0,

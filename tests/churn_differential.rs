@@ -6,9 +6,11 @@
 //! agree with the naive AST interpreter in `camus::workload`, the
 //! same oracle the Siena differential tests use.
 //!
-//! Sequences mix the delta path (pure adds inside the alphabet), the
-//! full-rebuild path (removals), and the `NeedsFullRecompile` fallback
-//! (out-of-alphabet adds), so every update plane route is covered.
+//! Sequences mix both directions of the delta path (adds and removals
+//! inside the alphabet — a removal strips the rule from the live
+//! diagram and re-asserts its neighbours) with the `NeedsFullRecompile`
+//! fallback (out-of-alphabet adds, the one remaining full rebuild), so
+//! every update plane route is covered.
 
 use camus::compiler::{Compiler, CompilerOptions, IncrementalCompiler};
 use camus::workload::{naive_ports_for_event, siena_churn, ChurnConfig, SienaConfig};
@@ -56,12 +58,14 @@ fn run_churn_sequence(seed: u64, removes_per_step: usize, out_of_alphabet: usize
 
     let full_compiler = Compiler::new(spec.clone(), opts).expect("spec compiles");
     let events = siena.generate_events(&plan.base, 15);
+    let mut full_rebuilds = 0usize;
 
     for (k, step) in plan.schedule.steps.iter().enumerate() {
         let report = session
             .update(&step.add, &step.remove)
             .expect("update compiles");
         report.apply_to(&mut mirror).expect("update applies");
+        full_rebuilds += usize::from(report.full_rebuild);
 
         let active = plan.schedule.rules_after(k + 1);
         assert_eq!(
@@ -69,10 +73,12 @@ fn run_churn_sequence(seed: u64, removes_per_step: usize, out_of_alphabet: usize
             active.as_slice(),
             "seed {seed} step {k}: session active set drifted from the replay"
         );
-        if !step.remove.is_empty() {
+        if out_of_alphabet == 0 {
             assert!(
-                report.full_rebuild,
-                "seed {seed} step {k}: removal must force a full rebuild"
+                !report.full_rebuild,
+                "seed {seed} step {k}: an in-alphabet step ({} adds, {} removes) must be a delta",
+                step.add.len(),
+                step.remove.len()
             );
         }
 
@@ -94,12 +100,18 @@ fn run_churn_sequence(seed: u64, removes_per_step: usize, out_of_alphabet: usize
             );
         }
     }
+    if out_of_alphabet > 0 {
+        assert!(
+            full_rebuilds > 0,
+            "seed {seed}: out-of-alphabet adds must go through a full rebuild"
+        );
+    }
 }
 
 #[test]
 fn fifty_random_update_sequences_match_full_recompile() {
-    // ≥ 50 sequences; removal pressure cycles so pure-delta, mixed and
-    // heavy-rebuild sequences all appear.
+    // ≥ 50 sequences; removal pressure cycles so add-only, mixed and
+    // removal-heavy sequences all appear.
     for seed in 0..50u64 {
         run_churn_sequence(seed, (seed % 3) as usize, 0);
     }
