@@ -1,6 +1,7 @@
 //! The control thread: owns the engine and the compiler session,
 //! pumps the internal feed, and drains bus RPCs — coalescing pending
-//! mutations into batched `apply_update` epochs.
+//! mutations into batched epochs, each the batch's *net* rule delta
+//! published by the daemon's one install call, `Engine::apply_update`.
 //!
 //! Ordering contract: each connection sends one request at a time and
 //! blocks on its reply, so per-client FIFO holds trivially; across
@@ -48,6 +49,21 @@ struct PendingMutation {
     reply: mpsc::Sender<BusReply>,
 }
 
+/// Folds one request's `rules` into its epoch's net delta: a rule an
+/// earlier request in the batch put in `cancels` (a pending add met by
+/// this removal, or the mirror case) is taken back out of it; anything
+/// else joins `into`.
+fn fold_net(rules: &[Rule], into: &mut Vec<Rule>, cancels: &mut Vec<Rule>) {
+    for rule in rules {
+        match cancels.iter().position(|r| r == rule) {
+            Some(i) => {
+                cancels.remove(i);
+            }
+            None => into.push(rule.clone()),
+        }
+    }
+}
+
 /// Packets submitted per control-loop tick while feeding. Small
 /// enough that a pending RPC waits at most one burst (~10 µs of
 /// submit work), large enough to amortize the channel poll.
@@ -60,9 +76,9 @@ pub(crate) struct ControlState {
     session: Option<IncrementalCompiler>,
     /// The session was rebuilt by `resync` and has not published since:
     /// its state numbering is a fresh compile's, not the one the
-    /// engine's tables were spliced into, so the next update goes out
-    /// as a whole pipeline instead of a delta against tables the
-    /// engine does not hold.
+    /// engine's tables were spliced into, so the next report is marked
+    /// `full_rebuild` — swapped in whole instead of spliced as a delta
+    /// against tables the engine does not hold.
     resynced: bool,
     /// The rule set the engine is actually running (the session can
     /// run ahead of it transiently inside a failed update; `resync`
@@ -183,25 +199,10 @@ impl ControlState {
         rx: &mpsc::Receiver<Ctl>,
     ) -> bool {
         match req {
-            BusRequest::Ping => {
-                let _ = reply.send(BusReply::Pong);
-                false
-            }
-            BusRequest::Snapshot => {
-                let _ = reply.send(self.snapshot_reply());
-                false
-            }
-            BusRequest::Stats => {
-                let _ = reply.send(BusReply::Stats(self.stats_frame()));
-                false
-            }
-            BusRequest::Shutdown => {
-                let _ = reply.send(BusReply::ShuttingDown);
-                true
-            }
             BusRequest::Subscribe { .. } | BusRequest::Unsubscribe { .. } => {
                 self.coalesce_and_apply(req, reply, rx)
             }
+            _ => self.handle_simple(req, reply),
         }
     }
 
@@ -259,8 +260,9 @@ impl ControlState {
         shutdown
     }
 
-    /// Non-mutation subset of `handle_rpc`, usable mid-drain. Returns
-    /// `true` for `Shutdown`.
+    /// Answers a non-mutation RPC — the one place, whether it arrived
+    /// on its own or was drained mid-batch. Returns `true` for
+    /// `Shutdown`.
     fn handle_simple(&mut self, req: BusRequest, reply: mpsc::Sender<BusReply>) -> bool {
         match req {
             BusRequest::Ping => {
@@ -356,30 +358,23 @@ impl ControlState {
         }
     }
 
-    /// Compiles and publishes one epoch for the whole batch. On a
-    /// batched failure, falls back to applying each request serially
-    /// so one poisonous request cannot reject its epoch-mates.
+    /// Compiles and publishes one epoch for the whole batch: its *net*
+    /// delta (`view − committed` and the mirror), folded in arrival
+    /// order, so a subscribe and an unsubscribe of the same rule inside
+    /// one batch cancel out instead of reaching the compiler, which
+    /// strips before it inserts. On a batched failure, falls back to
+    /// applying each request serially so one poisonous request cannot
+    /// reject its epoch-mates.
     fn apply_epoch(&mut self, batch: Vec<PendingMutation>, view: Vec<Rule>) {
-        let adds: Vec<Rule> = batch.iter().flat_map(|m| m.add.iter().cloned()).collect();
-        let removes: Vec<Rule> = batch
-            .iter()
-            .flat_map(|m| m.remove.iter().cloned())
-            .collect();
+        let (mut adds, mut removes) = (Vec::new(), Vec::new());
+        for m in &batch {
+            fold_net(&m.add, &mut adds, &mut removes);
+            fold_net(&m.remove, &mut removes, &mut adds);
+        }
         match self.try_update(&adds, &removes) {
             Ok(generation) => {
                 self.committed = view;
-                self.bus.epochs += 1;
-                self.bus.mutations_applied += (adds.len() + removes.len()) as u64;
-                if batch.len() > 1 {
-                    self.bus.requests_coalesced += batch.len() as u64;
-                }
-                let coalesced_with = batch.len() as u32;
-                for m in batch {
-                    let _ = m.reply.send(BusReply::Ack {
-                        generation,
-                        coalesced_with,
-                    });
-                }
+                self.ack_epoch(batch, generation);
             }
             Err((kind, message)) if batch.len() == 1 => {
                 if let Some(m) = batch.into_iter().next() {
@@ -394,17 +389,29 @@ impl ControlState {
                         Ok(generation) => {
                             self.committed.retain(|r| !m.remove.contains(r));
                             self.committed.extend(m.add.iter().cloned());
-                            self.bus.epochs += 1;
-                            self.bus.mutations_applied += (m.add.len() + m.remove.len()) as u64;
-                            let _ = m.reply.send(BusReply::Ack {
-                                generation,
-                                coalesced_with: 1,
-                            });
+                            self.ack_epoch(vec![m], generation);
                         }
                         Err((kind, message)) => self.reject(&m.reply, kind, &message),
                     }
                 }
             }
+        }
+    }
+
+    /// Success bookkeeping for one published epoch: counts it and acks
+    /// every request it carried with the shared generation.
+    fn ack_epoch(&mut self, batch: Vec<PendingMutation>, generation: u64) {
+        self.bus.epochs += 1;
+        if batch.len() > 1 {
+            self.bus.requests_coalesced += batch.len() as u64;
+        }
+        let coalesced_with = batch.len() as u32;
+        for m in batch {
+            self.bus.mutations_applied += (m.add.len() + m.remove.len()) as u64;
+            let _ = m.reply.send(BusReply::Ack {
+                generation,
+                coalesced_with,
+            });
         }
     }
 
@@ -419,19 +426,15 @@ impl ControlState {
                 "compiler session unavailable (resync failed)".into(),
             ));
         };
-        let report = match session.update(adds, removes) {
+        let mut report = match session.update(adds, removes) {
             Ok(report) => report,
             Err(e) => {
                 self.resync();
                 return Err((RejectKind::Compile, e.to_string()));
             }
         };
-        let applied = if self.resynced {
-            self.engine.install_pipeline(&report.pipeline)
-        } else {
-            self.engine.apply_update(&report)
-        };
-        match applied {
+        report.full_rebuild |= self.resynced;
+        match self.engine.apply_update(&report) {
             Ok(()) => {
                 self.resynced = false;
                 Ok(self.engine.generation())
@@ -612,5 +615,134 @@ fn handle_connection(mut conn: camus_bus::BusStream, tx: mpsc::Sender<Ctl>, shar
         if write_frame(&mut conn, &reply.encode()).is_err() {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{DaemonConfig, OpsView};
+    use camus_engine::shard;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::Mutex;
+
+    /// `Subscribe R` then `Unsubscribe R` of a not-yet-active rule,
+    /// the second queued before the first is handled, ride one epoch and
+    /// cancel out: `R` never forwards, the snapshot agrees, and the
+    /// same pair in separate epochs afterwards still leaves `R` silent.
+    #[test]
+    fn a_coalesced_subscribe_then_unsubscribe_leaves_the_rule_silent() {
+        let mut cfg = DaemonConfig::itch(4, 16).unwrap();
+        cfg.engine.record_decisions = true;
+        let initial = cfg.pool[..4].to_vec();
+        let rule = cfg.pool[4].to_string();
+        let mut session =
+            IncrementalCompiler::new(cfg.spec.clone(), &cfg.options, &cfg.pool).expect("session");
+        let seed = session.install(&initial).expect("install").pipeline;
+        let engine = Engine::start(&seed, &cfg.engine, shard::itch_symbol_shard());
+        let shared = Arc::new(Shared {
+            running: AtomicBool::new(true),
+            clients: AtomicU64::new(0),
+            rpcs: AtomicU64::new(0),
+            started: std::time::Instant::now(),
+            ops: Mutex::new(OpsView::default()),
+        });
+        let mut state = ControlState::new(
+            engine,
+            session,
+            initial.clone(),
+            cfg.pool.clone(),
+            cfg.spec.clone(),
+            cfg.options.clone(),
+            cfg.coalesce_max,
+            Vec::new(),
+            false,
+            shared,
+        );
+
+        // The loop body, driven from this thread so the interleaving is
+        // exact: whatever sits in `rx` when a mutation is handled is
+        // what its coalescing window drains.
+        let (tx, rx) = mpsc::channel();
+        let rpc = |state: &mut ControlState, req: BusRequest| {
+            let (reply, got) = mpsc::channel();
+            state.handle_rpc(req, reply, &rx);
+            got.recv().expect("reply")
+        };
+        let subscribe = || BusRequest::Subscribe {
+            rules: vec![rule.clone()],
+        };
+        let unsubscribe = || BusRequest::Unsubscribe {
+            rules: vec![rule.clone()],
+        };
+        let probe: Vec<(Vec<u8>, u64)> = camus_workload::bench_feed(2_000)
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.bytes.clone(), 25 * (i as u64 + 1)))
+            .collect();
+        let run_probe = |state: &mut ControlState| {
+            for (bytes, now_us) in &probe {
+                state.engine.submit(bytes, *now_us);
+            }
+            state.engine.quiesce().expect("quiesce");
+        };
+
+        // The unsubscribe is already queued when the subscribe opens
+        // its window: one epoch carries both.
+        let (reply, queued) = mpsc::channel();
+        tx.send(Ctl::Rpc {
+            req: unsubscribe(),
+            reply,
+        })
+        .expect("control queue");
+        let ack = BusReply::Ack {
+            generation: 1,
+            coalesced_with: 2,
+        };
+        assert_eq!(rpc(&mut state, subscribe()), ack);
+        assert_eq!(queued.recv().expect("reply"), ack);
+        let BusReply::Snapshot { rules, .. } = rpc(&mut state, BusRequest::Snapshot) else {
+            panic!("expected a snapshot");
+        };
+        assert_eq!(rules.len(), 4);
+        assert!(!rules.contains(&rule), "{rules:?}");
+        run_probe(&mut state);
+        // The same pair, one epoch each.
+        for (req, generation) in [(subscribe(), 2), (unsubscribe(), 3)] {
+            let ack = BusReply::Ack {
+                generation,
+                coalesced_with: 1,
+            };
+            assert_eq!(rpc(&mut state, req), ack);
+        }
+        run_probe(&mut state);
+        let report = state.shutdown(&rx);
+        assert!(report.zero_loss());
+        assert_eq!(report.active_rules.len(), 4);
+
+        // Every probe packet, both times, forwards like a cold compile
+        // of the four initial rules — and the probe can tell: with `R`
+        // installed at least one packet would have gone elsewhere.
+        let compile = |rules: &[Rule]| {
+            camus_core::Compiler::new(cfg.spec.clone(), cfg.options.clone())
+                .expect("compiler")
+                .compile(rules)
+                .expect("compile")
+                .pipeline
+        };
+        let mut without = compile(&initial);
+        let mut with = compile(&cfg.pool[..5]);
+        let mut told_apart = false;
+        let decisions = report.engine.decisions.chunks(probe.len());
+        assert_eq!(decisions.len(), 2);
+        for pass in decisions {
+            for ((bytes, now_us), got) in probe.iter().zip(pass) {
+                let want = without.process(bytes, *now_us).expect("probe parses");
+                assert_eq!(got.ports, want.ports);
+                told_apart |=
+                    with.process(bytes, *now_us).expect("probe parses").ports != want.ports;
+            }
+        }
+        assert!(told_apart, "the probe never matched the rule under test");
     }
 }

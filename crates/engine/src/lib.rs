@@ -31,33 +31,36 @@
 //!
 //! ## Update plane
 //!
-//! The engine doubles as the consumer of the incremental compiler's
-//! delta channel (§3's "highly dynamic queries"): feed an
-//! [`UpdateReport`](camus_core::UpdateReport) to
-//! [`Engine::apply_update`] and the next-generation tables are built
-//! *off* the packet hot path — spliced into a master template via
-//! [`camus_core::apply_delta`] (or swapped wholesale on a
-//! `full_rebuild`), then published RCU-style behind an atomic
-//! generation counter. Workers poll the counter once per batch and
-//! adopt the published pipeline at the batch boundary, carrying their
-//! `@query_counter` register state and execution counters over — so
-//! every packet is processed by exactly one complete rule-set
-//! generation, none is dropped during an update, and stateful windows
-//! never reset. [`Engine::quiesce`] drains every in-flight batch,
-//! after which forwarding is bit-identical to a fresh full compile of
-//! the cumulative rule set (the differential churn tests enforce
-//! this).
+//! A program reaches the workers one way: [`Engine::stage`] normalises
+//! a candidate and charges it against the admission model *off* the
+//! packet hot path, then [`Engine::commit`] moves it into the `Arc`
+//! the workers share — the engine's only copy of the installed program
+//! — and bumps an atomic generation counter, RCU-style
+//! ([`Engine::abort`] drops it instead). [`Engine::apply_update`] is
+//! that pair in one call for the incremental compiler's delta channel
+//! (§3's "highly dynamic queries"): an
+//! [`UpdateReport`](camus_core::UpdateReport) is spliced into a clone
+//! of the installed program via [`camus_core::apply_delta`] (or
+//! swapped wholesale on a `full_rebuild`). Workers poll the counter
+//! once per batch and adopt the published pipeline at the batch
+//! boundary, carrying their `@query_counter` register state and
+//! execution counters over — so every packet is processed by exactly
+//! one complete rule-set generation, none is dropped during an update,
+//! and stateful windows never reset. [`Engine::quiesce`] drains every
+//! in-flight batch, after which forwarding is bit-identical to a fresh
+//! full compile of the cumulative rule set (the differential churn
+//! tests enforce this).
 //!
 //! ## Fault tolerance
 //!
 //! The paper's feasibility argument (§4) is that compiled subscription
 //! tables *fit in switch memory*; this engine makes that a runtime
-//! invariant rather than an offline observation. Every
-//! [`Engine::apply_update`] / [`Engine::install_pipeline`] is charged
-//! against the configured [`AsicModel`] (the same
-//! [`place_chain`](camus_pipeline::place_chain) arithmetic the offline
-//! compiler reports) *before* publication: an over-committing update
-//! is rejected with a typed [`EngineFault::Admission`] and **zero
+//! invariant rather than an offline observation. Every candidate
+//! [`Engine::stage`] takes — and so every [`Engine::apply_update`] —
+//! is charged against the configured [`AsicModel`] ([`admit`]: the
+//! same [`place_chain`](camus_pipeline::place_chain) arithmetic the
+//! offline compiler reports) *before* publication: an over-committing
+//! update is rejected with a typed [`EngineFault::Admission`] and **zero
 //! observable state change** — no generation bump, no half-spliced
 //! tables, entry-for-entry identical state before and after.
 //!
@@ -66,15 +69,13 @@
 //! no decisions; counters roll back to the batch boundary) and the
 //! worker keeps serving its shard. A worker thread that dies outright
 //! is detected at the next send, its unprocessed batches are counted
-//! as quarantined, and a replacement is respawned from the published
-//! pipeline with [`RegisterFile::carry_from`]-seeded register state.
+//! as quarantined, and a replacement is respawned from the installed
+//! program (its initial register state, its armed decision cache).
 //! [`Engine::quiesce`] waits on a bounded watchdog and returns a typed
 //! [`EngineFault::QuiesceTimeout`] instead of spinning forever on a
 //! wedged worker. All of it surfaces in the report as [`FaultStats`]
 //! plus the exact quarantined sequence numbers, so zero-loss
 //! accounting (`submitted == decided + quarantined`) is checkable.
-//!
-//! [`RegisterFile::carry_from`]: camus_pipeline::register::RegisterFile::carry_from
 //!
 //! ```no_run
 //! use camus_engine::{shard, Engine, EngineConfig};
@@ -104,7 +105,7 @@ use camus_core::{CompileError, UpdateReport};
 use camus_pipeline::resources::place_chain;
 use camus_pipeline::{
     AdmissionError, AsicModel, DecisionBuf, ExecStats, ForwardDecision, Pipeline, PipelineError,
-    ShardCtx, DEFAULT_CACHE_SHIFT,
+    ShardCtx, Table, DEFAULT_CACHE_SHIFT,
 };
 use camus_telemetry::{DataPlaneTelemetry, SpanKind, SpanSet, SpanTimer, TableCounters};
 
@@ -121,7 +122,7 @@ pub const TELEMETRY_SAMPLE_SHIFT: u32 = 6;
 /// The RCU-style publication slot shared between the control plane
 /// and the workers: a monotonically increasing generation counter and
 /// the pipeline it corresponds to. The `Release` bump in
-/// [`Engine::publish`] paired with the `Acquire` load at each batch
+/// `Engine::publish_staged` paired with the `Acquire` load at each batch
 /// boundary guarantees a worker that observes generation `g` also
 /// observes the pipeline published with it; batches submitted after
 /// `apply_update` returns are always processed at generation ≥ `g`.
@@ -144,10 +145,12 @@ impl Published {
 pub struct UpdateStats {
     /// Pipeline generations published (delta updates + full swaps).
     pub published: u64,
-    /// Updates applied by splicing table deltas into the template.
+    /// Updates applied by splicing table deltas into the installed
+    /// program.
     pub delta_updates: u64,
-    /// Updates applied as full pipeline swaps (the
-    /// `NeedsFullRecompile` fallback, or [`Engine::install_pipeline`]).
+    /// Whole programs swapped in: an [`Engine::apply_update`] whose
+    /// report says `full_rebuild`, or an [`Engine::commit`] of a
+    /// staged candidate.
     pub full_swaps: u64,
     /// Generation adoptions performed by workers at batch boundaries
     /// (summed across workers).
@@ -211,13 +214,6 @@ pub struct FaultInjection {
     pub stall_seqs: Arc<HashSet<u64>>,
     /// Stall duration for `stall_seqs`, milliseconds.
     pub stall_ms: u64,
-}
-
-impl FaultInjection {
-    /// Whether any hook is armed.
-    pub fn is_armed(&self) -> bool {
-        !self.panic_seqs.is_empty() || !self.die_seqs.is_empty() || !self.stall_seqs.is_empty()
-    }
 }
 
 /// Engine tuning knobs.
@@ -520,11 +516,11 @@ pub struct Engine {
     shard: ShardFn,
     cfg: EngineConfig,
     next_seq: u64,
-    /// Master copy the control plane mutates off the hot path; every
-    /// publish clones it into the shared slot.
-    template: Pipeline,
-    /// A candidate prepared (admission-checked) but not yet published:
-    /// the fabric's two-phase epoch holds the new program here across
+    /// The installed program — the allocation the published slot and
+    /// the workers share, held here to be read without the slot's lock.
+    installed: Arc<Pipeline>,
+    /// A candidate [`Engine::stage`] accepted but not yet published: a
+    /// fabric's two-phase epoch holds the new program here across
     /// every leaf before committing any of them.
     staged: Option<Pipeline>,
     published: Arc<Published>,
@@ -723,34 +719,21 @@ fn worker_loop(
 }
 
 impl Engine {
-    /// Spawns the worker threads, each owning a clone of `pipeline`
-    /// (tables prepared once up front, counters zeroed). Register
-    /// *contents* are cloned as-is, so start from a freshly compiled
-    /// pipeline for reproducible runs. The seed pipeline is trusted —
-    /// admission control applies to *updates* ([`Engine::apply_update`],
-    /// [`Engine::install_pipeline`]), where rejecting late would leave
-    /// a live engine half-updated.
+    /// Spawns the worker threads over one shared copy of `pipeline`,
+    /// normalised exactly like a [staged](Engine::stage) candidate.
+    /// Register *contents* are cloned as-is, so start from a freshly
+    /// compiled pipeline for reproducible runs. The seed is trusted —
+    /// admission control applies to *installs* ([`Engine::stage`]),
+    /// where rejecting late would leave a live engine half-updated; a
+    /// fabric charges its seed slices with [`admit`] before starting.
     pub fn start(pipeline: &Pipeline, cfg: &EngineConfig, shard: ShardFn) -> Engine {
         let n = cfg.workers.max(1);
-        let mut template = pipeline.clone();
-        template.prepare();
-        template.exec.stats.reset();
-        // Telemetry is per-worker (attached in `spawn_worker`); the
-        // template and the published slot never carry a record, so a
-        // seed pipeline's own telemetry doesn't leak into workers.
-        template.exec.set_telemetry(None);
-        // Arm the decision cache on the template when configured and
-        // provably sound for this program; workers clone the (empty)
-        // armed cache into their ShardCtx. Unknown field or an
-        // uncacheable program quietly runs without one.
-        if let Some(name) = &cfg.decision_cache {
-            if let Some(field) = template.layout.get(name) {
-                let _ = template.enable_decision_cache(field, DEFAULT_CACHE_SHIFT);
-            }
-        }
+        let mut seed = pipeline.clone();
+        normalise(cfg, &mut seed);
+        let installed = Arc::new(seed);
         let published = Arc::new(Published {
             generation: AtomicU64::new(0),
-            slot: Mutex::new(Arc::new(template.clone())),
+            slot: Mutex::new(Arc::clone(&installed)),
         });
         let mut engine = Engine {
             workers: Vec::with_capacity(n),
@@ -762,7 +745,7 @@ impl Engine {
                 ..cfg.clone()
             },
             next_seq: 0,
-            template,
+            installed,
             staged: None,
             published,
             delta_updates: 0,
@@ -786,27 +769,21 @@ impl Engine {
         engine
     }
 
-    /// Spawns one worker thread seeded from the currently published
-    /// pipeline, with register state carried over positionally from
-    /// the template ([`RegisterFile::carry_from`] — a respawned
-    /// worker restarts its stateful windows from the installed
-    /// program's initial state, since the dead worker's live counters
-    /// are unrecoverable).
-    ///
-    /// [`RegisterFile::carry_from`]: camus_pipeline::register::RegisterFile::carry_from
+    /// Spawns one worker thread seeded from the installed program. A
+    /// respawned worker restarts its stateful windows from that
+    /// program's initial register state, since the dead worker's live
+    /// counters are unrecoverable.
     fn spawn_worker(&self, wi: usize) -> WorkerHandle {
         let start_gen = self.published.generation.load(Ordering::Acquire);
-        let program = self.published.snapshot();
+        let program = Arc::clone(&self.installed);
         // The compiled program is shared read-only behind the Arc; the
         // worker's mutable state (registers, counters, hoist scratch,
         // decision cache) lives in its own ShardCtx, cloned from the
-        // prepared template — no pipeline clone per worker.
+        // installed program — no pipeline clone per worker.
         let mut ctx = ShardCtx {
             registers: program.registers.clone(),
             exec: program.exec.clone(),
         };
-        ctx.registers.carry_from(&self.template.registers);
-        ctx.exec.stats.reset();
         if self.cfg.telemetry {
             ctx.exec.enable_telemetry(TELEMETRY_SAMPLE_SHIFT);
         }
@@ -1046,19 +1023,64 @@ impl Engine {
         Ok(())
     }
 
+    /// Phase one of the engine's one install primitive, the two-phase
+    /// epoch: normalise `candidate` (counters zeroed, telemetry record
+    /// dropped, [`EngineConfig::decision_cache`] re-armed when the
+    /// program allows it, tables prepared), charge it against the
+    /// admission model and hold it without publishing — nothing a
+    /// worker can observe changes. [`Engine::commit`] makes
+    /// the staged program live; [`Engine::abort`] discards it. Staging
+    /// again replaces the previous candidate; a rejected one
+    /// ([`EngineFault::Admission`], counted in
+    /// [`FaultStats::updates_rejected`]) replaces nothing.
+    pub fn stage(&mut self, mut candidate: Pipeline) -> Result<(), EngineFault> {
+        if self.is_killed() {
+            return Err(EngineFault::Killed);
+        }
+        normalise(&self.cfg, &mut candidate);
+        if let Err(fault) = admit(self.cfg.admission.as_ref(), &candidate.tables) {
+            self.updates_rejected += 1;
+            return Err(fault);
+        }
+        self.staged = Some(candidate);
+        Ok(())
+    }
+
+    /// Phase two: publish the staged candidate as a full swap (a
+    /// fabric re-slices the whole program per epoch). Workers adopt it
+    /// at their next batch boundary, carrying register state over
+    /// positionally. Returns `false` — and changes nothing — when no
+    /// candidate is staged. Infallible by construction: admission
+    /// already passed in [`Engine::stage`], so once every node in a
+    /// fabric has staged, every commit succeeds.
+    pub fn commit(&mut self) -> bool {
+        let timer = SpanTimer::start();
+        if !self.publish_staged() {
+            return false;
+        }
+        self.full_swaps += 1;
+        timer.stop_into(&mut self.spans, SpanKind::InstallPipeline);
+        true
+    }
+
+    /// Discards a staged candidate (epoch abort). Returns whether one
+    /// was staged. Never touches the published program.
+    pub fn abort(&mut self) -> bool {
+        self.staged.take().is_some()
+    }
+
     /// Applies an incremental-compiler update to the running engine,
-    /// transactionally.
+    /// transactionally: [`stage`](Engine::stage) then publish, in one
+    /// call.
     ///
-    /// The next-generation pipeline is built off the packet hot path
-    /// on a *candidate* clone: delta reports splice their per-table
-    /// entry diffs into it, `full_rebuild` reports replace it
-    /// wholesale. The candidate is then charged against the admission
-    /// model. Only if both steps succeed does the engine commit the
-    /// candidate as its template and publish it with an atomic
-    /// generation bump — on any error ([`EngineFault::Update`] or
+    /// The next-generation program is built off the packet hot path
+    /// on a clone of the installed one: delta reports splice their
+    /// per-table entry diffs into it, `full_rebuild` reports replace
+    /// it wholesale. On any error ([`EngineFault::Update`] or
     /// [`EngineFault::Admission`]) the installed state is untouched:
     /// no generation bump, no half-spliced tables, entry-for-entry
-    /// identical before and after.
+    /// identical before and after. A candidate that was already staged
+    /// is replaced — a successful update leaves nothing staged.
     ///
     /// Workers adopt a published generation at their next batch
     /// boundary, carrying register state and counters over. Packets
@@ -1067,93 +1089,20 @@ impl Engine {
     /// finish under the generation their batch started with — never a
     /// half-applied rule set.
     pub fn apply_update(&mut self, report: &UpdateReport) -> Result<(), EngineFault> {
-        if self.is_killed() {
-            return Err(EngineFault::Killed);
-        }
         let timer = SpanTimer::start();
-        let mut candidate = self.template.clone();
+        let mut candidate = Pipeline::clone(&self.installed);
         report
             .apply_to(&mut candidate)
             .map_err(EngineFault::Update)?;
-        candidate.prepare();
-        self.admit(&candidate)?;
-        self.template = candidate;
+        self.stage(candidate)?;
+        self.publish_staged();
         if report.full_rebuild {
             self.full_swaps += 1;
         } else {
             self.delta_updates += 1;
         }
-        self.publish();
         timer.stop_into(&mut self.spans, SpanKind::ApplyUpdate);
         Ok(())
-    }
-
-    /// Full-swap fallback with an arbitrary pipeline (e.g. from a
-    /// from-scratch [`Compiler::compile`](camus_core::Compiler) when no
-    /// incremental session exists): admission-checks the candidate,
-    /// then replaces the template wholesale and publishes it. Workers
-    /// still carry their register state over positionally on adoption.
-    /// On rejection the installed state is untouched.
-    pub fn install_pipeline(&mut self, pipeline: &Pipeline) -> Result<(), EngineFault> {
-        if self.is_killed() {
-            return Err(EngineFault::Killed);
-        }
-        let timer = SpanTimer::start();
-        let mut candidate = pipeline.clone();
-        candidate.exec.stats.reset();
-        candidate.exec.set_telemetry(None);
-        candidate.prepare();
-        self.admit(&candidate)?;
-        self.template = candidate;
-        self.full_swaps += 1;
-        self.publish();
-        timer.stop_into(&mut self.spans, SpanKind::InstallPipeline);
-        Ok(())
-    }
-
-    /// Phase one of a two-phase (fabric) epoch: admission-check a
-    /// candidate pipeline and stage it without publishing. Nothing a
-    /// worker can observe changes — no generation bump, no template
-    /// swap. A subsequent [`Engine::commit_staged`] makes the staged
-    /// program live; [`Engine::abort_staged`] discards it with zero
-    /// observable state change (rejections still count in
-    /// [`FaultStats::updates_rejected`]). Staging again replaces any
-    /// previously staged candidate.
-    pub fn prepare_pipeline(&mut self, pipeline: &Pipeline) -> Result<(), EngineFault> {
-        if self.is_killed() {
-            return Err(EngineFault::Killed);
-        }
-        let mut candidate = pipeline.clone();
-        candidate.exec.stats.reset();
-        candidate.exec.set_telemetry(None);
-        candidate.prepare();
-        self.admit(&candidate)?;
-        self.staged = Some(candidate);
-        Ok(())
-    }
-
-    /// Phase two of a two-phase epoch: publish the staged candidate.
-    /// Counts as a full swap (the fabric re-slices the whole program
-    /// per epoch). Returns `false` — and changes nothing — when no
-    /// candidate is staged. Infallible by construction: admission
-    /// already passed in [`Engine::prepare_pipeline`], so once every
-    /// node in a fabric has staged, every commit succeeds.
-    pub fn commit_staged(&mut self) -> bool {
-        let timer = SpanTimer::start();
-        let Some(candidate) = self.staged.take() else {
-            return false;
-        };
-        self.template = candidate;
-        self.full_swaps += 1;
-        self.publish();
-        timer.stop_into(&mut self.spans, SpanKind::InstallPipeline);
-        true
-    }
-
-    /// Discards a staged candidate (epoch abort). Returns whether one
-    /// was staged. Never touches the published program.
-    pub fn abort_staged(&mut self) -> bool {
-        self.staged.take().is_some()
     }
 
     /// Simulates an abrupt node crash (the chaos harness's leaf-kill
@@ -1202,34 +1151,17 @@ impl Engine {
         self.killed.load(Ordering::Acquire)
     }
 
-    /// The currently installed (control-plane master) tables —
-    /// exactly what every publish clones into the worker-visible
-    /// slot. Lets a fabric driver assert bit-identical pre-state
-    /// after an aborted epoch.
-    pub fn installed_tables(&self) -> &[camus_pipeline::Table] {
-        &self.template.tables
+    /// The currently installed tables — exactly what the workers run
+    /// once they adopt the published generation. Lets a fabric driver
+    /// assert bit-identical pre-state after an aborted epoch.
+    pub fn installed_tables(&self) -> &[Table] {
+        &self.installed.tables
     }
 
     /// The published RCU generation (bumps once per successful
     /// publish; never on a rejected or aborted update).
     pub fn generation(&self) -> u64 {
         self.published.generation.load(Ordering::Acquire)
-    }
-
-    /// Charges a candidate against the admission model using the same
-    /// leveling/placement arithmetic as the offline compiler
-    /// ([`place_chain`]) — the runtime enforcement of the paper's
-    /// fits-in-switch-memory claim.
-    fn admit(&mut self, candidate: &Pipeline) -> Result<(), EngineFault> {
-        let Some(model) = &self.cfg.admission else {
-            return Ok(());
-        };
-        let placement = place_chain(&candidate.tables, model);
-        if let Some(err) = placement.failure {
-            self.updates_rejected += 1;
-            return Err(EngineFault::Admission(err));
-        }
-        Ok(())
     }
 
     /// Update-plane counters accumulated so far (worker adoption
@@ -1262,17 +1194,23 @@ impl Engine {
         (self.finish(), drained)
     }
 
-    fn publish(&mut self) {
-        self.template.prepare();
-        let next = Arc::new(self.template.clone());
+    /// Moves the staged candidate into the shared slot and bumps the
+    /// generation — the one place a program becomes visible to
+    /// workers. `false` when nothing is staged.
+    fn publish_staged(&mut self) -> bool {
+        let Some(candidate) = self.staged.take() else {
+            return false;
+        };
+        self.installed = Arc::new(candidate);
         *self
             .published
             .slot
             .lock()
-            .unwrap_or_else(|e| e.into_inner()) = next;
+            .unwrap_or_else(|e| e.into_inner()) = Arc::clone(&self.installed);
         // Release pairs with the workers' Acquire load: a worker that
         // sees the new generation sees the new pipeline.
         self.published.generation.fetch_add(1, Ordering::Release);
+        true
     }
 
     /// Flushes remaining packets, joins every worker and aggregates
@@ -1382,7 +1320,7 @@ impl Engine {
             // table names (the aggregated ExecStats vectors are indexed
             // in pipeline table order).
             snap.tables = self
-                .template
+                .installed
                 .tables
                 .iter()
                 .enumerate()
@@ -1408,6 +1346,36 @@ impl Engine {
             hotpath,
             final_registers,
         }
+    }
+}
+
+/// Brings a program into the form the engine installs: counters
+/// zeroed, no telemetry record (that is per-worker, attached in
+/// `spawn_worker` — a caller's own must not leak into workers), tables
+/// prepared, and [`EngineConfig::decision_cache`] armed when the field
+/// exists and the program is provably cacheable on it (workers clone
+/// the empty cache; otherwise the program quietly runs without one).
+fn normalise(cfg: &EngineConfig, program: &mut Pipeline) {
+    program.exec.stats.reset();
+    program.exec.set_telemetry(None);
+    program.prepare();
+    if let Some(field) = cfg
+        .decision_cache
+        .as_deref()
+        .and_then(|name| program.layout.get(name))
+    {
+        program.enable_decision_cache(field, DEFAULT_CACHE_SHIFT);
+    }
+}
+
+/// Charges a table chain against an admission model using the same
+/// leveling/placement arithmetic as the offline compiler
+/// ([`place_chain`]) — the runtime enforcement of the paper's
+/// fits-in-switch-memory claim. `None` admits everything.
+pub fn admit(model: Option<&AsicModel>, tables: &[Table]) -> Result<(), EngineFault> {
+    match model.and_then(|m| place_chain(tables, m).failure) {
+        Some(err) => Err(EngineFault::Admission(err)),
+        None => Ok(()),
     }
 }
 
@@ -1491,6 +1459,13 @@ mod tests {
 
     fn first_byte_shard() -> ShardFn {
         Arc::new(|p: &[u8]| u64::from(p.first().copied().unwrap_or(0)))
+    }
+
+    /// One whole epoch on a lone engine: stage, then commit.
+    fn install(engine: &mut Engine, program: &Pipeline) -> Result<(), EngineFault> {
+        engine.stage(program.clone())?;
+        assert!(engine.commit(), "a staged candidate commits");
+        Ok(())
     }
 
     #[test]
@@ -1584,7 +1559,7 @@ mod tests {
     }
 
     #[test]
-    fn install_pipeline_swaps_rules_at_a_quiescence_point() {
+    fn stage_then_commit_swaps_rules_at_a_quiescence_point() {
         let pipeline = byte_pipeline();
         // Alternate generation: byte 1 forwards to port 9 instead of 1,
         // spliced in via the same table API the delta path uses.
@@ -1609,7 +1584,26 @@ mod tests {
             engine.submit(&[1], 0);
         }
         engine.quiesce().unwrap();
-        engine.install_pipeline(&alt).unwrap();
+        // With nothing staged, neither phase-two call does anything.
+        assert!(!engine.commit());
+        assert!(!engine.abort());
+        assert_eq!(engine.generation(), 0);
+        // Staging publishes nothing, and a second stage replaces the
+        // first: the one commit installs `alt`, not the seed again.
+        engine.stage(pipeline.clone()).unwrap();
+        engine.stage(alt.clone()).unwrap();
+        assert_eq!(engine.generation(), 0);
+        let installs =
+            |e: &Engine, port| e.installed_tables()[0].entries().any(|x| *x == entry(port));
+        assert!(installs(&engine, 1) && !installs(&engine, 9));
+        assert!(engine.commit());
+        assert_eq!(engine.generation(), 1);
+        assert!(installs(&engine, 9) && !installs(&engine, 1));
+        assert!(!engine.commit(), "the commit consumed the candidate");
+        // An aborted candidate leaves no trace either.
+        engine.stage(pipeline.clone()).unwrap();
+        assert!(engine.abort());
+        assert_eq!(engine.generation(), 1);
         for _ in 0..40 {
             engine.submit(&[1], 0);
         }
@@ -1679,9 +1673,9 @@ mod tests {
         engine.quiesce().unwrap();
         // Three generations published back-to-back while the worker has
         // no traffic: it adopts only the last one.
-        engine.install_pipeline(&alt).unwrap();
-        engine.install_pipeline(&pipeline).unwrap();
-        engine.install_pipeline(&alt).unwrap();
+        install(&mut engine, &alt).unwrap();
+        install(&mut engine, &pipeline).unwrap();
+        install(&mut engine, &alt).unwrap();
         for _ in 0..8 {
             engine.submit(&[1], 0);
         }
@@ -1745,8 +1739,8 @@ mod tests {
         for _ in 0..8 {
             engine.submit(&[1], 0);
         }
-        let before_tables = engine.template.tables.clone();
-        let err = engine.install_pipeline(&big).unwrap_err();
+        let before_tables = engine.installed_tables().to_vec();
+        let err = install(&mut engine, &big).unwrap_err();
         let EngineFault::Admission(adm) = &err else {
             panic!("expected Admission, got {err}");
         };
@@ -1754,13 +1748,13 @@ mod tests {
         assert_eq!(adm.available, 5);
         // Zero observable state change: entry-for-entry identical
         // tables, no generation bump.
-        let after_tables: Vec<_> = engine.template.tables.clone();
-        for (a, b) in before_tables.iter().zip(after_tables.iter()) {
+        assert!(!engine.commit(), "a rejected candidate is not staged");
+        for (a, b) in before_tables.iter().zip(engine.installed_tables()) {
             let ea: Vec<_> = a.entries().collect();
             let eb: Vec<_> = b.entries().collect();
             assert_eq!(ea, eb);
         }
-        assert_eq!(engine.published.generation.load(Ordering::Acquire), 0);
+        assert_eq!(engine.generation(), 0);
         for _ in 0..8 {
             engine.submit(&[1], 0);
         }
@@ -1968,7 +1962,7 @@ mod tests {
             engine.submit(&[1], 0);
         }
         engine.quiesce().unwrap();
-        engine.install_pipeline(&alt).unwrap();
+        install(&mut engine, &alt).unwrap();
         for _ in 0..20 {
             engine.submit(&[1], 0);
         }
@@ -1980,7 +1974,9 @@ mod tests {
         for d in &report.decisions[20..] {
             assert_eq!(d.ports, vec![PortId(9)]);
         }
-        // Both generations were cached: ≥2 misses, plenty of hits.
+        // Both generations were cached: ≥2 misses, plenty of hits —
+        // more than the first 20 packets could give, though `alt`
+        // arrived with no cache of its own: `stage` arms it.
         assert!(report.hotpath.cache_misses >= 2, "{:?}", report.hotpath);
         assert!(report.hotpath.cache_hits >= 30, "{:?}", report.hotpath);
     }
@@ -2058,13 +2054,10 @@ mod tests {
         assert!(!engine.is_alive());
         assert!(matches!(engine.quiesce(), Err(EngineFault::Killed)));
         assert!(matches!(
-            engine.install_pipeline(&pipeline),
+            engine.stage(pipeline.clone()),
             Err(EngineFault::Killed)
         ));
-        assert!(matches!(
-            engine.prepare_pipeline(&pipeline),
-            Err(EngineFault::Killed)
-        ));
+        assert!(!engine.commit(), "a dead node stages nothing to commit");
 
         // Packets delivered to the dead node are never processed and
         // never silently dropped: all 50 land in quarantine, while the

@@ -408,7 +408,12 @@ fn out_of_alphabet_update_full_swaps_through_the_engine() {
     let report = session.update(&update, &[]).unwrap();
     assert!(report.full_rebuild, "new predicates require a rebuild");
     assert_eq!(report.rules_added, 2);
+    // A candidate left staged by someone else does not survive an
+    // update: the update is what gets published, nothing stays staged.
+    engine.stage(initial.pipeline.clone()).unwrap();
     engine.apply_update(&report).unwrap();
+    assert_eq!(engine.generation(), 1);
+    assert!(!engine.commit(), "the update consumed the staged slot");
 
     for _ in 0..3 {
         engine.submit(&packet("MSFT", 1, 10), 0);

@@ -20,9 +20,9 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use camus_core::{Compiler, CompilerOptions};
+use camus_core::{Compiler, CompilerOptions, IncrementalCompiler};
 use camus_engine::{shard, Engine, EngineConfig, EngineFault, FaultInjection, ShardFn};
-use camus_lang::parse_spec;
+use camus_lang::{parse_program, parse_spec};
 use camus_pipeline::resources::place_chain;
 use camus_pipeline::{AsicModel, Pipeline};
 use camus_workload::itch_subs::stock_symbol;
@@ -275,11 +275,13 @@ fn capacity_bomb_is_rejected_with_zero_observable_state_change() {
     }
     engine.quiesce().unwrap();
 
-    let err = engine.install_pipeline(&bomb_pipeline).unwrap_err();
+    let err = engine.stage(bomb_pipeline).unwrap_err();
     let EngineFault::Admission(adm) = &err else {
         panic!("expected Admission rejection, got {err}");
     };
     assert!(adm.needed > adm.available, "{adm:?}");
+    assert!(!engine.commit(), "a rejected candidate is not staged");
+    assert_eq!(engine.generation(), 0);
 
     for p in &trace[100..] {
         engine.submit(p, 0);
@@ -298,6 +300,61 @@ fn capacity_bomb_is_rejected_with_zero_observable_state_change() {
         let want = oracle_pipe.process(p, 0).unwrap();
         assert_eq!(report.decisions[i], want, "packet {i}");
     }
+}
+
+/// A worker that dies after a full swap comes back with the configured
+/// decision cache: the replacement is seeded from the installed
+/// program, and every program the engine installs — full swaps
+/// included — is normalised with the cache armed.
+#[test]
+fn respawned_worker_keeps_the_decision_cache_after_a_full_swap() {
+    let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
+    let opts = CompilerOptions::raw();
+    let alphabet = parse_program("stock == GOOGL : fwd(1)").unwrap();
+    let mut session = IncrementalCompiler::new(spec, &opts, &alphabet).unwrap();
+    let seed = session.install(&alphabet).unwrap().pipeline;
+
+    let cfg = EngineConfig {
+        workers: 1,
+        batch_packets: 8,
+        decision_cache: Some("add_order.stock".into()),
+        faults: FaultInjection {
+            // The first batch submitted after the swap.
+            die_seqs: Arc::new([200u64].into_iter().collect()),
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut engine = Engine::start(&seed, &cfg, total_stock_shard());
+    let hot = packet("GOOGL", 1, 10);
+    for _ in 0..200 {
+        engine.submit(&hot, 0);
+    }
+    engine.quiesce().unwrap();
+
+    // `stock == MSFT` is outside the session's alphabet: a full swap.
+    let update = parse_program("stock == MSFT : fwd(2)").unwrap();
+    let report = session.update(&update, &[]).unwrap();
+    assert!(report.full_rebuild, "out-of-alphabet add must rebuild");
+    engine.apply_update(&report).unwrap();
+
+    // Batch {200..207} kills the worker; the drain respawns it.
+    for _ in 0..8 {
+        engine.submit(&hot, 0);
+    }
+    engine.quiesce().unwrap();
+    for _ in 0..200 {
+        engine.submit(&hot, 0);
+    }
+    let out = engine.finish();
+    assert!(out.error.is_none(), "{:?}", out.error);
+    assert_eq!(out.updates.full_swaps, 1);
+    assert_eq!(out.faults.respawns, 1);
+    assert_eq!(out.quarantined.len(), 8);
+    assert_eq!(out.stats.packets, 400);
+    // One miss per incarnation warms the single hot key; an unarmed
+    // replacement would stop at the first 199.
+    assert!(out.hotpath.cache_hits >= 380, "{:?}", out.hotpath);
 }
 
 /// The supervisor and the parser's total path compose: a trace that is

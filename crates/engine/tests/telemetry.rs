@@ -78,7 +78,8 @@ fn snapshot_reports_stages_tables_and_control_spans() {
     }
     // A full-swap install plus a drain in mid-trace, so both control
     // spans have something to record.
-    engine.install_pipeline(&prog.pipeline).unwrap();
+    engine.stage(prog.pipeline.clone()).unwrap();
+    assert!(engine.commit());
     engine.quiesce().unwrap();
     for p in back {
         engine.submit(p, 0);

@@ -13,8 +13,7 @@
 //!   Because multicast decisions are computed *on the owning leaf*
 //!   from its full action tables and group table (groups are
 //!   replicated, entries are not), a cross-engine multicast is one
-//!   decision on one leaf fanned out by the topology layer
-//!   (`camus_netsim::topology`), never a partial union of per-leaf
+//!   decision on one leaf, never a partial union of per-leaf
 //!   decisions.
 //! * **Fabric epochs** — [`Fabric::apply_update`] generalizes the
 //!   engine's RCU generation swap into a two-phase commit across all
@@ -55,8 +54,8 @@ use std::time::{Duration, Instant};
 
 use camus_core::partition::{owner_in_subset, PartitionPlan};
 use camus_core::{CompileError, UpdateReport};
-use camus_engine::{Engine, EngineConfig, EngineFault, EngineReport, ShardFn};
-use camus_pipeline::{place_chain, ForwardDecision, Pipeline, Table};
+use camus_engine::{admit, Engine, EngineConfig, EngineFault, EngineReport, ShardFn};
+use camus_pipeline::{ForwardDecision, Pipeline, Table};
 use camus_telemetry::{render_prometheus_fabric, RobustnessCounters, TelemetrySnapshot};
 use camus_workload::{ChaosPlan, NodeEvent, NodeEventKind};
 
@@ -346,18 +345,11 @@ impl Fabric {
             PartitionPlan::compute(master, &cfg.shard_field, leaves).map_err(FabricFault::Plan)?;
         let slices = plan.slices(master);
         // `Engine::start` trusts its seed pipeline (admission guards
-        // *updates*), so the fabric applies the per-leaf budget check
+        // *installs*), so the fabric applies the per-leaf budget check
         // up front, before any thread spawns.
         for (leaf, (slice, ecfg)) in slices.iter().zip(&cfg.leaf_engines).enumerate() {
-            if let Some(model) = &ecfg.admission {
-                let placement = place_chain(&slice.tables, model);
-                if let Some(err) = placement.failure {
-                    return Err(FabricFault::Prepare {
-                        leaf,
-                        fault: EngineFault::Admission(err),
-                    });
-                }
-            }
+            admit(ecfg.admission.as_ref(), &slice.tables)
+                .map_err(|fault| FabricFault::Prepare { leaf, fault })?;
         }
         let record_routes = cfg.leaf_engines.iter().all(|e| e.record_decisions);
         let engines: Vec<Engine> = slices
@@ -688,14 +680,13 @@ impl Fabric {
         let plan =
             PartitionPlan::compute_subset(master, &self.shard_field, self.engines.len(), live)
                 .map_err(FabricFault::Plan)?;
-        let slices = plan.slices(master);
-
-        // Phase 1: prepare (stage) on every live leaf.
-        for (leaf, slice) in slices.iter().enumerate() {
+        // Phase 1: prepare (stage) on every live leaf; each takes its
+        // slice by value.
+        for (leaf, slice) in plan.slices(master).into_iter().enumerate() {
             if live & (1 << leaf.min(63)) == 0 {
                 continue;
             }
-            if let Err(fault) = self.engines[leaf].prepare_pipeline(slice) {
+            if let Err(fault) = self.engines[leaf].stage(slice) {
                 self.abort_all();
                 self.epochs_rejected += 1;
                 return Err(FabricFault::Prepare { leaf, fault });
@@ -719,7 +710,7 @@ impl Fabric {
             if live & (1 << leaf.min(63)) == 0 {
                 continue;
             }
-            let committed = e.commit_staged();
+            let committed = e.commit();
             debug_assert!(committed, "every live leaf staged in phase one");
         }
         Ok(plan)
@@ -729,7 +720,7 @@ impl Fabric {
     /// that never staged (dead ones included).
     fn abort_all(&mut self) {
         for e in &mut self.engines {
-            e.abort_staged();
+            e.abort();
         }
     }
 

@@ -25,10 +25,8 @@
 pub mod experiment;
 pub mod model;
 pub mod sim;
-pub mod topology;
 
 pub use experiment::{
     run_experiment, ExperimentConfig, ExperimentResult, FilterMode, LatencyStats,
 };
 pub use model::{HostModel, LinkModel, SwitchModel};
-pub use topology::{FabricQueues, FabricTopology};

@@ -312,11 +312,6 @@ impl ExecState {
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_deref().map(|c| c.stats)
     }
-
-    /// Disarms the decision cache.
-    pub fn disable_decision_cache(&mut self) {
-        self.cache = None;
-    }
 }
 
 /// Descriptor binding a PHV pseudo-field to a register aggregate, so

@@ -226,11 +226,6 @@ impl RobustnessCounters {
         self.orphaned_packets += other.orphaned_packets;
         self.state_loss_entries += other.state_loss_entries;
     }
-
-    /// Whether every counter is zero (healthy node).
-    pub fn is_zero(&self) -> bool {
-        *self == RobustnessCounters::default()
-    }
 }
 
 /// The merged, versioned cross-shard view. Built by `Engine::finish`

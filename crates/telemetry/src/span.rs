@@ -24,7 +24,8 @@ pub enum SpanKind {
     EmitTables,
     /// `Engine::apply_update`: candidate build + admission + publish.
     ApplyUpdate,
-    /// `Engine::install_pipeline`: full-swap publication.
+    /// `Engine::commit`: full-swap publication of a staged candidate
+    /// (label `install_pipeline`, kept for dashboards).
     InstallPipeline,
     /// `Engine::quiesce`: draining every in-flight batch.
     Quiesce,
