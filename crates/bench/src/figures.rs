@@ -408,6 +408,8 @@ pub struct IncrementalRow {
     pub entries_removed: usize,
     /// Entries reused in place.
     pub entries_kept: usize,
+    /// Entries installed after this batch.
+    pub entries_total: usize,
 }
 
 impl_to_json!(IncrementalRow {
@@ -418,6 +420,7 @@ impl_to_json!(IncrementalRow {
     entries_added,
     entries_removed,
     entries_kept,
+    entries_total,
 });
 
 /// The §3 future-work experiment: install ITCH subscriptions in
@@ -462,6 +465,7 @@ pub fn incremental(fast: bool) -> Vec<IncrementalRow> {
             entries_added: report.entries_added,
             entries_removed: report.entries_removed,
             entries_kept: report.entries_kept,
+            entries_total: report.total_entries,
         });
     }
     rows
@@ -699,8 +703,15 @@ mod tests {
             last.incremental_ms,
             last.full_ms
         );
-        // Most installed entries are reused in place.
-        assert!(last.entries_kept > last.entries_added, "{last:?}");
+        // The entry ledger: what was installed before a batch is kept or
+        // removed, what is installed after it is kept or added. How
+        // *much* is kept is EXPERIMENTS.md's number (ROADMAP 2(a)).
+        let mut before = 0usize;
+        for r in &rows {
+            assert_eq!(r.entries_kept + r.entries_added, r.entries_total, "{r:?}");
+            assert_eq!(r.entries_kept + r.entries_removed, before, "{r:?}");
+            before = r.entries_total;
+        }
     }
 
     #[test]

@@ -3,6 +3,12 @@
 //! mutations into batched epochs, each the batch's *net* rule delta
 //! published by the daemon's one install call, `Engine::apply_update`.
 //!
+//! The session is the single owner of the rule set (validation,
+//! `Snapshot`, `Stats` and `/metrics` read its `active_rules`), and the
+//! engine installs the program each report carries, so the two can only
+//! disagree inside `try_update` — where an engine rejection is undone
+//! by the inverse delta before anything else runs.
+//!
 //! Ordering contract: each connection sends one request at a time and
 //! blocks on its reply, so per-client FIFO holds trivially; across
 //! clients the only guarantee is that an `Ack { generation }` means
@@ -17,9 +23,9 @@ use std::time::Duration;
 use camus_bus::{
     read_frame, write_frame, BusListener, BusReply, BusRequest, RejectKind, WireError,
 };
-use camus_core::{CompilerOptions, IncrementalCompiler};
+use camus_core::IncrementalCompiler;
 use camus_engine::{Engine, EngineFault};
-use camus_lang::{ast::Rule, parse_rule, Spec};
+use camus_lang::{ast::Rule, parse_rule};
 use camus_telemetry::SpanKind;
 
 use crate::{BusCounters, DaemonReport, Shared};
@@ -71,22 +77,13 @@ const FEED_BURST: usize = 256;
 
 pub(crate) struct ControlState {
     engine: Engine,
-    /// `None` after an unrecoverable resync failure — mutations are
-    /// then rejected `Internal` but the data path keeps forwarding.
+    /// The rule set the engine runs, and the compiler state that
+    /// produced its program. `None` only after a rollback itself
+    /// failed (an internal compiler error): mutations are rejected
+    /// `Internal`, the data path keeps forwarding, and `Snapshot`/
+    /// `Stats` keep reporting what it forwards for — `orphaned`.
     session: Option<IncrementalCompiler>,
-    /// The session was rebuilt by `resync` and has not published since:
-    /// its state numbering is a fresh compile's, not the one the
-    /// engine's tables were spliced into, so the next report is marked
-    /// `full_rebuild` — swapped in whole instead of spliced as a delta
-    /// against tables the engine does not hold.
-    resynced: bool,
-    /// The rule set the engine is actually running (the session can
-    /// run ahead of it transiently inside a failed update; `resync`
-    /// restores it from here).
-    committed: Vec<Rule>,
-    base_pool: Vec<Rule>,
-    spec: Spec,
-    options: CompilerOptions,
+    orphaned: Vec<Rule>,
     coalesce_max: usize,
     feed: Vec<Vec<u8>>,
     feed_loop: bool,
@@ -97,15 +94,11 @@ pub(crate) struct ControlState {
     bus: BusCounters,
 }
 
-#[allow(clippy::too_many_arguments)] // one-shot constructor, called once
 impl ControlState {
+    /// `session` must be the one whose last report `engine` installed.
     pub(crate) fn new(
         engine: Engine,
         session: IncrementalCompiler,
-        committed: Vec<Rule>,
-        base_pool: Vec<Rule>,
-        spec: Spec,
-        options: CompilerOptions,
         coalesce_max: usize,
         feed: Vec<Vec<u8>>,
         feed_loop: bool,
@@ -114,11 +107,7 @@ impl ControlState {
         ControlState {
             engine,
             session: Some(session),
-            resynced: false,
-            committed,
-            base_pool,
-            spec,
-            options,
+            orphaned: Vec::new(),
             coalesce_max,
             feed,
             feed_loop,
@@ -128,6 +117,13 @@ impl ControlState {
             shared,
             bus: BusCounters::default(),
         }
+    }
+
+    /// The installed rule set, in the session's installation order.
+    fn rules(&self) -> &[Rule] {
+        self.session
+            .as_ref()
+            .map_or(&self.orphaned, |s| s.active_rules())
     }
 
     /// The control loop. Returns the final report after shutdown.
@@ -217,10 +213,10 @@ impl ControlState {
         first_reply: mpsc::Sender<BusReply>,
         rx: &mpsc::Receiver<Ctl>,
     ) -> bool {
-        // Validation view: committed ∪ pending batch, so intra-batch
+        // Validation view: installed ∪ pending batch, so intra-batch
         // conflicts (double-subscribe of one rule) reject up front
         // instead of poisoning the whole epoch.
-        let mut view = self.committed.clone();
+        let mut view = self.rules().to_vec();
         let mut batch: Vec<PendingMutation> = Vec::new();
         let mut shutdown = false;
 
@@ -255,7 +251,7 @@ impl ControlState {
         }
 
         if !batch.is_empty() {
-            self.apply_epoch(batch, view);
+            self.apply_epoch(batch);
         }
         shutdown
     }
@@ -270,7 +266,8 @@ impl ControlState {
                 false
             }
             BusRequest::Snapshot => {
-                let _ = reply.send(self.snapshot_reply());
+                let (generation, rules) = (self.engine.generation(), self.printed_rules());
+                let _ = reply.send(BusReply::Snapshot { generation, rules });
                 false
             }
             BusRequest::Stats => {
@@ -321,61 +318,37 @@ impl ControlState {
                 }
             }
         }
-        if is_add {
-            for rule in &parsed {
-                if view.contains(rule) {
-                    self.reject(
-                        &reply,
-                        RejectKind::Compile,
-                        &format!("already subscribed: {rule}"),
-                    );
-                    return None;
-                }
-            }
-            view.extend(parsed.iter().cloned());
-            Some(PendingMutation {
-                add: parsed,
-                remove: Vec::new(),
-                reply,
-            })
-        } else {
-            for rule in &parsed {
-                if !view.contains(rule) {
-                    self.reject(
-                        &reply,
-                        RejectKind::Compile,
-                        &format!("not subscribed: {rule}"),
-                    );
-                    return None;
-                }
-            }
-            view.retain(|r| !parsed.contains(r));
-            Some(PendingMutation {
-                add: Vec::new(),
-                remove: parsed,
-                reply,
-            })
+        if let Some(rule) = parsed.iter().find(|r| view.contains(r) == is_add) {
+            let what = if is_add { "already" } else { "not" };
+            let message = format!("{what} subscribed: {rule}");
+            self.reject(&reply, RejectKind::Compile, &message);
+            return None;
         }
+        let (mut add, mut remove) = (Vec::new(), Vec::new());
+        if is_add {
+            view.extend(parsed.iter().cloned());
+            add = parsed;
+        } else {
+            view.retain(|r| !parsed.contains(r));
+            remove = parsed;
+        }
+        Some(PendingMutation { add, remove, reply })
     }
 
     /// Compiles and publishes one epoch for the whole batch: its *net*
-    /// delta (`view − committed` and the mirror), folded in arrival
-    /// order, so a subscribe and an unsubscribe of the same rule inside
-    /// one batch cancel out instead of reaching the compiler, which
-    /// strips before it inserts. On a batched failure, falls back to
-    /// applying each request serially so one poisonous request cannot
-    /// reject its epoch-mates.
-    fn apply_epoch(&mut self, batch: Vec<PendingMutation>, view: Vec<Rule>) {
+    /// delta, folded in arrival order, so a subscribe and an
+    /// unsubscribe of the same rule inside one batch cancel out instead
+    /// of reaching the compiler, which strips before it inserts. On a
+    /// batched failure, falls back to applying each request serially so
+    /// one poisonous request cannot reject its epoch-mates.
+    fn apply_epoch(&mut self, batch: Vec<PendingMutation>) {
         let (mut adds, mut removes) = (Vec::new(), Vec::new());
         for m in &batch {
             fold_net(&m.add, &mut adds, &mut removes);
             fold_net(&m.remove, &mut removes, &mut adds);
         }
         match self.try_update(&adds, &removes) {
-            Ok(generation) => {
-                self.committed = view;
-                self.ack_epoch(batch, generation);
-            }
+            Ok(generation) => self.ack_epoch(batch, generation),
             Err((kind, message)) if batch.len() == 1 => {
                 if let Some(m) = batch.into_iter().next() {
                     self.reject(&m.reply, kind, &message);
@@ -383,14 +356,10 @@ impl ControlState {
             }
             Err(_) => {
                 // Serial fallback: per-request epochs against the
-                // restored committed state.
+                // rolled-back rule set.
                 for m in batch {
                     match self.try_update(&m.add, &m.remove) {
-                        Ok(generation) => {
-                            self.committed.retain(|r| !m.remove.contains(r));
-                            self.committed.extend(m.add.iter().cloned());
-                            self.ack_epoch(vec![m], generation);
-                        }
+                        Ok(generation) => self.ack_epoch(vec![m], generation),
                         Err((kind, message)) => self.reject(&m.reply, kind, &message),
                     }
                 }
@@ -415,61 +384,38 @@ impl ControlState {
         }
     }
 
-    /// One compile + `apply_update` round trip. Any failure restores
-    /// the session to the committed rule set before returning, because
-    /// `IncrementalCompiler::update` advances the session *before* the
-    /// engine's admission verdict.
+    /// One compile + `apply_update` round trip. The session advances
+    /// *before* the engine's admission verdict, so an engine rejection
+    /// is rolled back with the inverse delta — one more rewrite, its
+    /// report discarded; the engine installs whole programs, so the
+    /// state numbering the detour leaves behind does not matter. A
+    /// compile `Err` needs none: `update` left the session untouched.
     fn try_update(&mut self, adds: &[Rule], removes: &[Rule]) -> Result<u64, (RejectKind, String)> {
         let Some(session) = self.session.as_mut() else {
             return Err((
                 RejectKind::Internal,
-                "compiler session unavailable (resync failed)".into(),
+                "compiler session unavailable (rollback failed)".into(),
             ));
         };
-        let mut report = match session.update(adds, removes) {
-            Ok(report) => report,
-            Err(e) => {
-                self.resync();
-                return Err((RejectKind::Compile, e.to_string()));
-            }
-        };
-        report.full_rebuild |= self.resynced;
+        let report = session
+            .update(adds, removes)
+            .map_err(|e| (RejectKind::Compile, e.to_string()))?;
         match self.engine.apply_update(&report) {
-            Ok(()) => {
-                self.resynced = false;
-                Ok(self.engine.generation())
-            }
+            Ok(()) => Ok(self.engine.generation()),
             Err(fault) => {
+                if session.update(removes, adds).is_err() {
+                    // Stuck one update ahead of the engine: undo it on
+                    // the list alone.
+                    let ahead = session.active_rules().iter();
+                    let kept = ahead.filter(|r| !adds.contains(r)).chain(removes);
+                    self.orphaned = kept.cloned().collect();
+                    self.session = None;
+                }
                 let kind = match &fault {
                     EngineFault::Admission(_) => RejectKind::Admission,
                     _ => RejectKind::Update,
                 };
-                let message = fault.to_string();
-                self.resync();
-                Err((kind, message))
-            }
-        }
-    }
-
-    /// Rebuilds the compiler session from the committed rule set. The
-    /// fresh session forwards exactly like the engine's installed
-    /// program but numbers its states from scratch, so its first
-    /// update is published as a full swap (`resynced`); deltas splice
-    /// cleanly again from there.
-    fn resync(&mut self) {
-        self.session = None;
-        self.resynced = true;
-        let mut alphabet = self.base_pool.clone();
-        for rule in &self.committed {
-            if !alphabet.contains(rule) {
-                alphabet.push(rule.clone());
-            }
-        }
-        if let Ok(mut session) =
-            IncrementalCompiler::new(self.spec.clone(), &self.options, &alphabet)
-        {
-            if session.install(&self.committed).is_ok() {
-                self.session = Some(session);
+                Err((kind, fault.to_string()))
             }
         }
     }
@@ -482,13 +428,11 @@ impl ControlState {
         });
     }
 
-    fn snapshot_reply(&self) -> BusReply {
-        let mut rules: Vec<String> = self.committed.iter().map(|r| r.to_string()).collect();
+    /// The installed rule set, printed form, sorted.
+    fn printed_rules(&self) -> Vec<String> {
+        let mut rules: Vec<String> = self.rules().iter().map(|r| r.to_string()).collect();
         rules.sort();
-        BusReply::Snapshot {
-            generation: self.engine.generation(),
-            rules,
-        }
+        rules
     }
 
     fn stats_frame(&self) -> camus_bus::StatsFrame {
@@ -496,7 +440,7 @@ impl ControlState {
         let apply = spans.get(SpanKind::ApplyUpdate);
         camus_bus::StatsFrame {
             generation: self.engine.generation(),
-            active_rules: self.committed.len() as u64,
+            active_rules: self.rules().len() as u64,
             workers: self.shared.ops.lock().map(|o| o.workers).unwrap_or(0),
             packets: self.engine.submitted(),
             epochs: self.bus.epochs,
@@ -517,7 +461,7 @@ impl ControlState {
         if let Ok(mut ops) = self.shared.ops.lock() {
             ops.generation = self.engine.generation();
             ops.packets = self.engine.submitted();
-            ops.active_rules = self.committed.len() as u64;
+            ops.active_rules = self.rules().len() as u64;
             ops.epochs = self.bus.epochs;
             ops.mutations_applied = self.bus.mutations_applied;
             ops.mutations_rejected = self.bus.mutations_rejected;
@@ -540,9 +484,8 @@ impl ControlState {
         }
         self.bus.rpcs = self.shared.rpcs.load(Ordering::Relaxed);
         let submitted = self.engine.submitted();
+        let active_rules = self.printed_rules();
         let (engine, drained) = self.engine.shutdown();
-        let mut active_rules: Vec<String> = self.committed.iter().map(|r| r.to_string()).collect();
-        active_rules.sort();
         DaemonReport {
             engine,
             clean_quiesce: drained.is_ok(),
@@ -623,8 +566,50 @@ mod tests {
     use super::*;
     use crate::{DaemonConfig, OpsView};
     use camus_engine::shard;
+    use camus_pipeline::AsicModel;
     use std::sync::atomic::{AtomicBool, AtomicU64};
     use std::sync::Mutex;
+
+    /// A control state over `cfg` with its initial pool rules
+    /// installed and no feed, for driving the loop body from the test
+    /// thread: whatever sits in the control queue when a mutation is
+    /// handled is exactly what its coalescing window drains.
+    fn control_state(cfg: &DaemonConfig) -> ControlState {
+        let mut session =
+            IncrementalCompiler::new(cfg.spec.clone(), &cfg.options, &cfg.pool).expect("session");
+        let seed = session.install(&cfg.pool[..cfg.initial]).expect("install");
+        let engine = Engine::start(&seed.pipeline, &cfg.engine, shard::itch_symbol_shard());
+        let shared = Arc::new(Shared {
+            running: AtomicBool::new(true),
+            clients: AtomicU64::new(0),
+            rpcs: AtomicU64::new(0),
+            started: std::time::Instant::now(),
+            ops: Mutex::new(OpsView::default()),
+        });
+        ControlState::new(engine, session, cfg.coalesce_max, Vec::new(), false, shared)
+    }
+
+    /// Handles `req` on this thread and returns its reply.
+    fn rpc(state: &mut ControlState, rx: &mpsc::Receiver<Ctl>, req: BusRequest) -> BusReply {
+        let (reply, got) = mpsc::channel();
+        state.handle_rpc(req, reply, rx);
+        got.recv().expect("reply")
+    }
+
+    /// Queues `req` behind whatever is handled next; the reply arrives
+    /// on the returned channel.
+    fn enqueue(tx: &mpsc::Sender<Ctl>, req: BusRequest) -> mpsc::Receiver<BusReply> {
+        let (reply, queued) = mpsc::channel();
+        tx.send(Ctl::Rpc { req, reply }).expect("control queue");
+        queued
+    }
+
+    fn ack(generation: u64, coalesced_with: u32) -> BusReply {
+        BusReply::Ack {
+            generation,
+            coalesced_with,
+        }
+    }
 
     /// `Subscribe R` then `Unsubscribe R` of a not-yet-active rule,
     /// the second queued before the first is handled, ride one epoch and
@@ -636,39 +621,8 @@ mod tests {
         cfg.engine.record_decisions = true;
         let initial = cfg.pool[..4].to_vec();
         let rule = cfg.pool[4].to_string();
-        let mut session =
-            IncrementalCompiler::new(cfg.spec.clone(), &cfg.options, &cfg.pool).expect("session");
-        let seed = session.install(&initial).expect("install").pipeline;
-        let engine = Engine::start(&seed, &cfg.engine, shard::itch_symbol_shard());
-        let shared = Arc::new(Shared {
-            running: AtomicBool::new(true),
-            clients: AtomicU64::new(0),
-            rpcs: AtomicU64::new(0),
-            started: std::time::Instant::now(),
-            ops: Mutex::new(OpsView::default()),
-        });
-        let mut state = ControlState::new(
-            engine,
-            session,
-            initial.clone(),
-            cfg.pool.clone(),
-            cfg.spec.clone(),
-            cfg.options.clone(),
-            cfg.coalesce_max,
-            Vec::new(),
-            false,
-            shared,
-        );
-
-        // The loop body, driven from this thread so the interleaving is
-        // exact: whatever sits in `rx` when a mutation is handled is
-        // what its coalescing window drains.
+        let mut state = control_state(&cfg);
         let (tx, rx) = mpsc::channel();
-        let rpc = |state: &mut ControlState, req: BusRequest| {
-            let (reply, got) = mpsc::channel();
-            state.handle_rpc(req, reply, &rx);
-            got.recv().expect("reply")
-        };
         let subscribe = || BusRequest::Subscribe {
             rules: vec![rule.clone()],
         };
@@ -689,19 +643,10 @@ mod tests {
 
         // The unsubscribe is already queued when the subscribe opens
         // its window: one epoch carries both.
-        let (reply, queued) = mpsc::channel();
-        tx.send(Ctl::Rpc {
-            req: unsubscribe(),
-            reply,
-        })
-        .expect("control queue");
-        let ack = BusReply::Ack {
-            generation: 1,
-            coalesced_with: 2,
-        };
-        assert_eq!(rpc(&mut state, subscribe()), ack);
-        assert_eq!(queued.recv().expect("reply"), ack);
-        let BusReply::Snapshot { rules, .. } = rpc(&mut state, BusRequest::Snapshot) else {
+        let queued = enqueue(&tx, unsubscribe());
+        assert_eq!(rpc(&mut state, &rx, subscribe()), ack(1, 2));
+        assert_eq!(queued.recv().expect("reply"), ack(1, 2));
+        let BusReply::Snapshot { rules, .. } = rpc(&mut state, &rx, BusRequest::Snapshot) else {
             panic!("expected a snapshot");
         };
         assert_eq!(rules.len(), 4);
@@ -709,11 +654,7 @@ mod tests {
         run_probe(&mut state);
         // The same pair, one epoch each.
         for (req, generation) in [(subscribe(), 2), (unsubscribe(), 3)] {
-            let ack = BusReply::Ack {
-                generation,
-                coalesced_with: 1,
-            };
-            assert_eq!(rpc(&mut state, req), ack);
+            assert_eq!(rpc(&mut state, &rx, req), ack(generation, 1));
         }
         run_probe(&mut state);
         let report = state.shutdown(&rx);
@@ -744,5 +685,45 @@ mod tests {
             }
         }
         assert!(told_apart, "the probe never matched the rule under test");
+    }
+
+    /// A pool subscribe and a capacity bomb ride one window: the engine
+    /// rejects the batch, the session takes the whole delta back out,
+    /// and the serial fallback lands the good request and rejects only
+    /// the bomb. What happens next, over the wire, is `tests/daemon.rs`.
+    #[test]
+    fn a_bomb_in_the_batch_rejects_alone_and_the_session_rolls_back() {
+        let mut cfg = DaemonConfig::itch(4, 16).unwrap();
+        // Almost no TCAM: a handful of range rules fit, 200 do not.
+        cfg.engine.admission = Some(AsicModel {
+            tcam_entries_per_stage: 48,
+            ..AsicModel::tofino32()
+        });
+        let mut state = control_state(&cfg);
+        let (tx, rx) = mpsc::channel();
+
+        let bomb = (0..200).map(|i| format!("stock == SYM{i:03} and price > {i} : fwd(1)"));
+        let rules = bomb.collect();
+        let queued = enqueue(&tx, BusRequest::Subscribe { rules });
+        let rules = vec![cfg.pool[4].to_string()];
+        let first = rpc(&mut state, &rx, BusRequest::Subscribe { rules });
+        assert_eq!(first, ack(1, 1));
+        let rejected = queued.recv().expect("reply");
+        let kind = RejectKind::Admission;
+        assert!(
+            matches!(&rejected, BusReply::Rejected { kind: k, .. } if *k == kind),
+            "{rejected:?}"
+        );
+
+        let mut rules: Vec<String> = cfg.pool[..5].iter().map(|r| r.to_string()).collect();
+        rules.sort();
+        let generation = 1;
+        let snapshot = rpc(&mut state, &rx, BusRequest::Snapshot);
+        assert_eq!(snapshot, BusReply::Snapshot { generation, rules });
+        let rules = vec![cfg.pool[0].to_string()];
+        let unsubscribed = rpc(&mut state, &rx, BusRequest::Unsubscribe { rules });
+        assert_eq!(unsubscribed, ack(2, 1));
+        // The batch, then the bomb on its own.
+        assert_eq!(state.shutdown(&rx).engine.faults.updates_rejected, 2);
     }
 }

@@ -217,11 +217,11 @@ impl Daemon {
         }
 
         // Compile the initial program.
-        let mut session = IncrementalCompiler::new(cfg.spec.clone(), &cfg.options, &cfg.pool)
+        let mut session = IncrementalCompiler::new(cfg.spec, &cfg.options, &cfg.pool)
             .map_err(|e| DaemonError::Compile(e.to_string()))?;
-        let initial: Vec<Rule> = cfg.pool.iter().take(cfg.initial).cloned().collect();
+        let initial = &cfg.pool[..cfg.initial.min(cfg.pool.len())];
         let install = session
-            .install(&initial)
+            .install(initial)
             .map_err(|e| DaemonError::Compile(e.to_string()))?;
 
         // Bind all listeners before starting the engine, so a bad
@@ -296,10 +296,6 @@ impl Daemon {
         let ctl = control::ControlState::new(
             engine,
             session,
-            initial,
-            cfg.pool,
-            cfg.spec,
-            cfg.options,
             cfg.coalesce_max.max(1),
             feed,
             cfg.feed_loop,

@@ -144,25 +144,32 @@ fn rpc_surface_end_to_end() {
     assert_eq!(report.bus.epochs, 2);
 }
 
-#[test]
-fn admission_rejection_is_typed_and_leaves_the_pipeline_running() {
+/// The standard setup under a model with almost no TCAM: the initial 4
+/// rules fit, [`bomb`] does not.
+fn tight_tcam_config() -> DaemonConfig {
     let mut cfg = DaemonConfig::itch(4, 16).unwrap();
-    // A model with almost no TCAM: the initial 4 rules fit, a bigger
-    // batch does not.
     cfg.engine.admission = Some(AsicModel {
         sram_entries_per_stage: 4096,
         tcam_entries_per_stage: 48,
         ..AsicModel::tofino32()
     });
-    let daemon = Daemon::start(cfg).expect("daemon starts");
+    cfg
+}
+
+/// A pile of range rules, every constant new to the session.
+fn bomb() -> Vec<String> {
+    (0..200)
+        .map(|i| format!("stock == SYM{i:03} and price > {} : fwd(1)", 10 + i))
+        .collect()
+}
+
+#[test]
+fn admission_rejection_is_typed_and_leaves_the_pipeline_running() {
+    let daemon = Daemon::start(tight_tcam_config()).expect("daemon starts");
     let mut client = BusClient::connect(&daemon.bus_addrs()[0]).expect("connect");
 
-    // A pile of range rules blows the TCAM budget.
-    let bomb: Vec<String> = (0..200)
-        .map(|i| format!("stock == SYM{i:03} and price > {} : fwd(1)", 10 + i))
-        .collect();
     let reply = client
-        .request(&BusRequest::Subscribe { rules: bomb })
+        .request(&BusRequest::Subscribe { rules: bomb() })
         .expect("bomb rpc");
     let BusReply::Rejected { kind, message } = reply else {
         panic!("expected admission rejection, got {reply:?}");
@@ -188,19 +195,15 @@ fn admission_rejection_is_typed_and_leaves_the_pipeline_running() {
     assert_eq!(report.engine.faults.updates_rejected, 1);
 }
 
-/// A rejected update makes the daemon rebuild its compiler session,
-/// and a rebuilt session numbers pipeline states from scratch. Updates
-/// after it must still land on the engine's tables correctly — adds and
-/// removals alike — which the probe checks against a cold compile of
-/// the surviving rules.
+/// A rejected update is rolled back inside the compiler session by
+/// its inverse delta — here across an out-of-alphabet rebuild, which
+/// renumbers every pipeline state. Updates after it must still forward
+/// correctly — adds and removals alike — which the probe checks against
+/// a cold compile of the surviving rules, and must stay deltas: the
+/// rejection costs no full swap.
 #[test]
 fn updates_after_a_rejection_forward_like_a_fresh_compile() {
-    let mut cfg = DaemonConfig::itch(4, 16).unwrap();
-    cfg.engine.admission = Some(AsicModel {
-        sram_entries_per_stage: 4096,
-        tcam_entries_per_stage: 48,
-        ..AsicModel::tofino32()
-    });
+    let mut cfg = tight_tcam_config();
     cfg.engine.record_decisions = true;
     let (spec, options, pool) = (cfg.spec.clone(), cfg.options.clone(), cfg.pool.clone());
     let daemon = Daemon::start(cfg).expect("daemon starts");
@@ -214,18 +217,15 @@ fn updates_after_a_rejection_forward_like_a_fresh_compile() {
         client.request(&req).expect("rpc")
     };
 
-    // Two spliced adds: the engine's tables now carry the numbering of
+    // Two delta adds: the engine's tables now carry the numbering of
     // a session that has lived through deltas.
     for rule in &pool[4..6] {
         let reply = mutate(true, vec![rule.to_string()]);
         assert!(matches!(reply, BusReply::Ack { .. }), "{reply:?}");
     }
-    let bomb: Vec<String> = (0..200)
-        .map(|i| format!("stock == SYM{i:03} and price > {} : fwd(1)", 10 + i))
-        .collect();
-    let reply = mutate(true, bomb);
+    let reply = mutate(true, bomb());
     assert!(matches!(reply, BusReply::Rejected { .. }), "{reply:?}");
-    // One add and one removal on the rebuilt session.
+    // One add and one removal on the rolled-back session.
     let reply = mutate(true, vec![pool[6].to_string()]);
     assert!(
         matches!(reply, BusReply::Ack { generation: 3, .. }),
@@ -245,10 +245,8 @@ fn updates_after_a_rejection_forward_like_a_fresh_compile() {
     daemon.inject(probe.clone()).expect("inject probe");
     let report = daemon.join();
     assert!(report.zero_loss());
-    // The swap that re-based the engine on the rebuilt session, and the
-    // spliced removal after it.
-    assert_eq!(report.engine.updates.full_swaps, 1);
-    assert_eq!(report.engine.updates.delta_updates, 3);
+    assert_eq!(report.engine.updates.full_swaps, 0);
+    assert_eq!(report.engine.updates.delta_updates, 4);
 
     let mut surviving = pool[..4].to_vec();
     surviving.extend_from_slice(&pool[5..7]);

@@ -32,10 +32,9 @@ pub struct CompilerOptions {
     /// Window for aggregate macros without a matching `@query_counter`,
     /// µs.
     pub default_window_us: u64,
-    /// Resource model placed against.
+    /// Resource model placed against. An oversized program still
+    /// compiles; read [`CompiledProgram::placement`]'s `failure`.
     pub asic: AsicModel,
-    /// Fail compilation when the program does not fit the ASIC.
-    pub enforce_placement: bool,
     /// Low-resolution domain mapping (§3.2's third optimization): remap
     /// a range field onto a compact domain when its predicates cut the
     /// field into at most `2^bits` elementary intervals. `None` = off.
@@ -60,7 +59,6 @@ impl Default for CompilerOptions {
             heuristic: OrderHeuristic::ExactFirst,
             default_window_us: 100,
             asic: AsicModel::tofino32(),
-            enforce_placement: false,
             compress_bits: None,
             semantic_pruning: true,
             compile_shards: 0,
@@ -162,11 +160,6 @@ impl Compiler {
         // tables at level 0, main tables chained behind them. That
         // keeps offline `fits()` and runtime admission byte-identical.
         let placement = place_chain(&dynp.tables, &self.options.asic);
-        if self.options.enforce_placement {
-            if let Some(err) = &placement.failure {
-                return Err(CompileError::Admission(err.clone()));
-            }
-        }
 
         let p4_source = crate::p4gen::render_p4(&self.spec, &statics, &dynp, &layout);
         let p4_16_source = crate::p4gen::render_p4_16(&self.spec, &statics, &dynp, &layout);
@@ -429,30 +422,6 @@ mod tests {
         // The compacted main table's slices shrink; total TCAM charge
         // (incl. the compression table) must not explode.
         assert!(compressed.placement.tcam_slices <= plain.placement.tcam_slices * 2);
-    }
-
-    #[test]
-    fn enforce_placement_rejects_oversized_programs() {
-        let tiny = AsicModel {
-            stages: 2,
-            sram_entries_per_stage: 4,
-            tcam_entries_per_stage: 2,
-            ..AsicModel::tofino32()
-        };
-        let c = itch_compiler(CompilerOptions {
-            asic: tiny,
-            enforce_placement: true,
-            ..CompilerOptions::raw()
-        });
-        let src: String = (0..64)
-            .map(|i| format!("stock == S{i} and price > {i} : fwd({})\n", i % 8 + 1))
-            .collect();
-        let rules = parse_program(&src).unwrap();
-        let err = c.compile(&rules).unwrap_err();
-        let CompileError::Admission(adm) = err else {
-            panic!("expected Admission error, got {err}");
-        };
-        assert!(adm.needed > adm.available);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fmt;
 use camus_bdd::BddError;
 use camus_lang::ast::FieldRef;
 use camus_lang::dnf::DnfOverflow;
-use camus_pipeline::{AdmissionError, PipelineError};
+use camus_pipeline::PipelineError;
 
 /// Errors from static or dynamic compilation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,9 +35,6 @@ pub enum CompileError {
     Bdd(BddError),
     /// The generated program failed to configure the pipeline.
     Pipeline(PipelineError),
-    /// The compiled program does not fit the ASIC resource model
-    /// (enforced placement / live admission control).
-    Admission(AdmissionError),
     /// The spec cannot be compiled with the chosen encapsulation.
     BadSpec(String),
     /// An incremental update needs resources the installed program
@@ -71,7 +68,6 @@ impl fmt::Display for CompileError {
             CompileError::Dnf(e) => write!(f, "{e}"),
             CompileError::Bdd(e) => write!(f, "BDD construction: {e}"),
             CompileError::Pipeline(e) => write!(f, "pipeline configuration: {e}"),
-            CompileError::Admission(e) => write!(f, "resource admission: {e}"),
             CompileError::BadSpec(msg) => write!(f, "bad spec: {msg}"),
             CompileError::NeedsFullRecompile(msg) => {
                 write!(f, "incremental update not possible: {msg}")
@@ -97,12 +93,6 @@ impl From<BddError> for CompileError {
 impl From<PipelineError> for CompileError {
     fn from(e: PipelineError) -> Self {
         CompileError::Pipeline(e)
-    }
-}
-
-impl From<AdmissionError> for CompileError {
-    fn from(e: AdmissionError) -> Self {
-        CompileError::Admission(e)
     }
 }
 

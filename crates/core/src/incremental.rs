@@ -30,8 +30,11 @@
 //!   exactly what a control plane would push to the switch. The diff is
 //!   directly executable: [`apply_delta`] splices it into a running
 //!   [`Pipeline`] without reallocating the match engines, and
-//!   [`UpdateReport::apply_to`] is the one-call version the engine's
-//!   update plane uses.
+//!   [`UpdateReport::apply_to`] is the one-call version — the
+//!   hardware-facing meaning of a report, which the differential suites
+//!   hold a spliced mirror to. A data plane that swaps whole programs
+//!   anyway (`camus-engine`'s RCU workers, a fabric re-slicing its
+//!   master) installs [`UpdateReport::pipeline`] and never splices.
 //!
 //! The first install into an *empty* session is the one exception to
 //! rule-by-rule insertion: it runs the cold compiler's sharded build,
@@ -48,9 +51,22 @@
 //! as it was. [`IncrementalCompiler::update`] goes one step further
 //! and round-trips that fallback through the same channel: an
 //! out-of-alphabet addition triggers an internal full recompile over
-//! the cumulative rule set (with a widened alphabet), and the resulting
-//! [`UpdateReport`] is flagged `full_rebuild` so consumers swap the
-//! whole pipeline instead of splicing entries. Nothing else does.
+//! the cumulative rule set (alphabet: the session's pool plus whatever
+//! installed rule lies outside it), and the resulting [`UpdateReport`]
+//! is flagged `full_rebuild` so consumers swap the whole pipeline
+//! instead of splicing entries. Nothing else does.
+//!
+//! Both calls are **atomic on error**: everything that can reject a
+//! batch — resolving it against spec and alphabet, compiling the fresh
+//! session of a rebuild — runs before the first mutation, so an `Err`
+//! leaves the rule set, the diagram and the baseline the next update
+//! diffs against as they were. To take back an update that *succeeded*
+//! (`camusd`, when admission rejects the program) apply the inverse,
+//! `update(remove, add)`: the removed rules are still inside the
+//! alphabet, so it is a rewrite, never a rebuild, and restores the rule
+//! set as a set and every packet's forwarding — not the state ids,
+//! which only a consumer of `deltas` would notice. What a taken-back
+//! rebuild added to the alphabet goes at the next rebuild.
 
 use std::collections::HashMap;
 
@@ -148,12 +164,13 @@ impl UpdateReport {
     /// groups and initial-state assignment. Full rebuilds replace the
     /// whole pipeline, carrying register state over positionally so
     /// `@query_counter` windows survive the swap. Either way the
-    /// pipeline comes back prepared.
+    /// pipeline comes back prepared, its tables holding exactly the
+    /// entries of [`UpdateReport::pipeline`]'s, table by table.
     ///
-    /// On a delta-application error (possible only if `pipeline` has
-    /// diverged from the session's lineage) the pipeline may be left
-    /// partially updated; callers should fall back to a full swap of
-    /// [`UpdateReport::pipeline`].
+    /// A delta only applies to the lineage it was diffed against: an
+    /// error means `pipeline` was not maintained from this session's
+    /// reports (an entry the delta removes is missing), and may leave
+    /// it partially updated.
     pub fn apply_to(&self, pipeline: &mut Pipeline) -> Result<(), CompileError> {
         if self.full_rebuild {
             let old_registers = std::mem::take(&mut pipeline.registers);
@@ -244,14 +261,15 @@ pub struct IncrementalCompiler {
     es: EmissionState,
     /// Entry multisets of the currently installed tables.
     installed: HashMap<String, HashMap<Entry, usize>>,
-    /// The rules that fixed the predicate alphabet (grows on rebuild).
+    /// The rules that fix the predicate alphabet: the `pool` the
+    /// session was created over, then what rebuilds have added since.
     alphabet: Vec<Rule>,
+    pool: usize,
     /// The cumulative active rule set, in installation order.
     active: Vec<Rule>,
     /// `conjs[i]`: what `active[i]` put into the diagram — what removing
     /// it must strip, and what a neighbour's removal may re-assert.
     conjs: Vec<Vec<Conj>>,
-    rules_installed: usize,
 }
 
 impl IncrementalCompiler {
@@ -287,20 +305,10 @@ impl IncrementalCompiler {
             es: EmissionState::new(),
             installed: HashMap::new(),
             alphabet: alphabet_rules.to_vec(),
+            pool: alphabet_rules.len(),
             active: Vec::new(),
             conjs: Vec::new(),
-            rules_installed: 0,
         })
-    }
-
-    /// Number of rules installed so far.
-    pub fn rules_installed(&self) -> usize {
-        self.rules_installed
-    }
-
-    /// The session's field table (frozen between rebuilds).
-    pub fn fields(&self) -> &FieldTable {
-        &self.fields
     }
 
     /// The cumulative active rule set, in installation order.
@@ -330,7 +338,8 @@ impl IncrementalCompiler {
     /// internal full recompile of the cumulative rule set (widening the
     /// alphabet with the new rules); the report then carries
     /// [`UpdateReport::full_rebuild`] so consumers swap the pipeline
-    /// wholesale. Removing a rule that is not active is a no-op.
+    /// wholesale. Removing a rule that is not active is a no-op. An
+    /// `Err` leaves the session untouched (module docs).
     pub fn update(&mut self, add: &[Rule], remove: &[Rule]) -> Result<UpdateReport, CompileError> {
         match self.resolve_in_alphabet(add) {
             Ok(resolved) => self.rewrite(add, resolved, remove),
@@ -418,7 +427,6 @@ impl IncrementalCompiler {
             self.conjs[first + conj.source_rule].push((conj.literals, ids));
         }
         self.active.extend_from_slice(add);
-        self.rules_installed += add.len();
 
         // Deltas are small; single-threaded translation avoids spawning
         // workers on every update.
@@ -486,10 +494,14 @@ impl IncrementalCompiler {
             }
         }
         target.extend_from_slice(add);
-        let mut alphabet = self.alphabet.clone();
-        alphabet.extend_from_slice(add);
+        // Beyond the pool the alphabet keeps only what is installed: a
+        // batch a caller took back (or unsubscribed) stops widening it.
+        let mut alphabet = self.alphabet[..self.pool].to_vec();
+        let grown = self.alphabet[self.pool..].iter().chain(add);
+        alphabet.extend(grown.filter(|r| target.contains(r)).cloned());
 
         let mut fresh = IncrementalCompiler::new(self.spec.clone(), &self.options, &alphabet)?;
+        fresh.pool = self.pool;
         let mut report = fresh.install(&target)?;
 
         // The fresh session diffed against nothing; recompute the
@@ -584,6 +596,7 @@ mod tests {
     use super::*;
     use camus_lang::{parse_program, parse_spec};
     use camus_pipeline::PortId;
+    use camus_workload::entry_multisets;
 
     fn session(alphabet: &str) -> IncrementalCompiler {
         let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
@@ -635,7 +648,7 @@ mod tests {
             p2.process(&packet("MSFT", 1, 1), 0).unwrap().ports,
             vec![PortId(2)]
         );
-        assert_eq!(s.rules_installed(), 2);
+        assert_eq!(s.active_rules().len(), 2);
     }
 
     #[test]
@@ -703,28 +716,6 @@ mod tests {
     }
 
     #[test]
-    fn rejected_install_leaves_the_session_untouched() {
-        let mut s = session(ALPHABET);
-        s.install(&parse_program("stock == GOOGL : fwd(1)").unwrap())
-            .unwrap();
-        // A batch mixing an in-alphabet rule with an out-of-alphabet
-        // one must be rejected atomically: neither rule lands.
-        let err = s
-            .install(&parse_program("stock == MSFT : fwd(2)\nprice > 999 : fwd(4)").unwrap())
-            .unwrap_err();
-        assert!(matches!(err, CompileError::NeedsFullRecompile(_)), "{err}");
-        assert_eq!(s.rules_installed(), 1);
-        assert_eq!(s.active_rules().len(), 1);
-        // An empty install after the rejection reports a clean no-op —
-        // the BDD and tables were not half-mutated.
-        let r = s.install(&[]).unwrap();
-        assert_eq!(r.entries_added, 0);
-        assert_eq!(r.entries_removed, 0);
-        let mut p = r.pipeline;
-        assert!(p.process(&packet("MSFT", 1, 1), 0).unwrap().dropped());
-    }
-
-    #[test]
     fn same_action_alphabet_ports_are_fine() {
         // Actions are not part of the alphabet: any fwd() target works.
         let mut s = session(ALPHABET);
@@ -760,59 +751,30 @@ mod tests {
         assert!(r.entries_kept > 0);
     }
 
-    #[test]
-    fn deltas_replay_onto_a_running_pipeline() {
-        // Maintain a mirror pipeline purely by applying deltas and
-        // check it tracks the session's fresh pipelines exactly.
+    /// Drives `steps` of `(add, remove, expect)` program text through
+    /// one session, replaying every report onto a mirror pipeline, and
+    /// after each step checks mirror and report against a cold compile
+    /// of `expect` on the probe packets. Every step must stay on the
+    /// delta path except those listed in `rebuilds`. (The add-only
+    /// prefix of `remove_and_add_in_one_update` is the replay the
+    /// retired `deltas_replay_onto_a_running_pipeline` checked.)
+    fn check_delta_steps(steps: &[(&str, &str, &str)], rebuilds: &[usize]) {
         let mut s = session(ALPHABET);
-        let r0 = s.install(&[]).unwrap();
-        let mut mirror = r0.pipeline.clone();
-        let steps = [
-            "stock == GOOGL : fwd(1)",
-            "price > 100 : fwd(3)",
-            "stock == MSFT : fwd(2)",
-        ];
-        for step in steps {
-            let r = s.install(&parse_program(step).unwrap()).unwrap();
-            assert!(!r.full_rebuild);
-            r.apply_to(&mut mirror).unwrap();
-            let mut fresh = r.pipeline;
-            for sym in ["GOOGL", "MSFT", "ORCL"] {
-                for price in [0u32, 101] {
-                    let pkt = packet(sym, 10, price);
-                    assert_eq!(
-                        mirror.process(&pkt, 0).unwrap().ports,
-                        fresh.process(&pkt, 0).unwrap().ports,
-                        "{sym} @ {price} after `{step}`"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Drives `steps` of `(add, remove)` program text through one
-    /// session, replaying every report onto a mirror pipeline, and after
-    /// each step checks the mirror against a cold compile of `expect`
-    /// on the probe packets. Every step must stay on the delta path.
-    fn check_delta_steps(alphabet: &str, steps: &[(&str, &str, &str)], probes: &[Vec<u8>]) {
-        let mut s = session(alphabet);
         let mut mirror = s.install(&[]).unwrap().pipeline;
         let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
         let cold = crate::Compiler::new(spec, CompilerOptions::raw()).unwrap();
         for (k, (add, remove, expect)) in steps.iter().enumerate() {
-            let r = s
-                .update(
-                    &parse_program(add).unwrap(),
-                    &parse_program(remove).unwrap(),
-                )
-                .unwrap();
-            assert!(!r.full_rebuild, "step {k} left the delta path");
+            let (add, remove) = (parse_program(add).unwrap(), parse_program(remove).unwrap());
+            let r = s.update(&add, &remove).unwrap();
+            assert_eq!(r.full_rebuild, rebuilds.contains(&k), "step {k}");
             r.apply_to(&mut mirror).unwrap();
+            assert_eq!(entry_multisets(&mirror), entry_multisets(&r.pipeline));
             let expect = parse_program(expect).unwrap();
             assert_eq!(s.active_rules().len(), expect.len(), "step {k}");
+            assert!(expect.iter().all(|r| s.active_rules().contains(r)));
             let mut want = cold.compile(&expect).unwrap().pipeline;
             let mut fresh = r.pipeline;
-            for (i, pkt) in probes.iter().enumerate() {
+            for (i, pkt) in probes().iter().enumerate() {
                 // The third run shares the first two's register history.
                 let w = want.process(pkt, 0).unwrap().ports;
                 assert_eq!(
@@ -877,16 +839,8 @@ mod tests {
             "stock == GOOGL : fwd(7)",
         );
         let both = format!("{narrow}\n{wide}");
-        check_delta_steps(
-            ALPHABET,
-            &[(&both, "", &both), ("", narrow, wide)],
-            &probes(),
-        );
-        check_delta_steps(
-            ALPHABET,
-            &[(&both, "", &both), ("", wide, narrow)],
-            &probes(),
-        );
+        check_delta_steps(&[(&both, "", &both), ("", narrow, wide)], &[]);
+        check_delta_steps(&[(&both, "", &both), ("", wide, narrow)], &[]);
     }
 
     #[test]
@@ -894,9 +848,8 @@ mod tests {
         let rule = "stock == GOOGL : fwd(1)";
         let twice = format!("{rule}\n{rule}");
         check_delta_steps(
-            ALPHABET,
             &[(&twice, "", &twice), ("", rule, rule), ("", rule, "")],
-            &probes(),
+            &[],
         );
     }
 
@@ -906,13 +859,12 @@ mod tests {
         let other = "stock == MSFT : fwd(5)";
         let both = format!("{or_rule}\n{other}");
         check_delta_steps(
-            ALPHABET,
             &[
                 (&both, "", &both),
                 ("", or_rule, other),
                 (or_rule, other, or_rule),
             ],
-            &probes(),
+            &[],
         );
     }
 
@@ -974,21 +926,81 @@ mod tests {
 
     #[test]
     fn remove_and_add_in_one_update() {
-        let (a, b, c) = (
+        let (a, b, c, novel) = (
             "stock == GOOGL : fwd(1)",
             "stock == MSFT : fwd(2)",
             "price > 100 : fwd(1)",
+            "price > 999 : fwd(4)",
         );
         check_delta_steps(
-            ALPHABET,
             &[
                 (&format!("{a}\n{b}"), "", &format!("{a}\n{b}")),
                 // `c` shares fwd(1) with the rule leaving in the same step.
                 (c, a, &format!("{b}\n{c}")),
-                (a, &format!("{b}\n{c}"), a),
+                // The inverse batch — how `camusd` takes back an update
+                // its engine rejected — restores the rule set, also
+                // from the session a never-seen constant's rebuild left.
+                (a, c, &format!("{a}\n{b}")),
+                (&format!("{c}\n{novel}"), a, &format!("{b}\n{c}\n{novel}")),
+                (a, &format!("{c}\n{novel}"), &format!("{a}\n{b}")),
+                (a, &format!("{a}\n{b}"), a),
             ],
-            &probes(),
+            &[3],
         );
+    }
+
+    /// The contract `camusd` relies on: an `Err` — from resolving the
+    /// batch, or from inside the rebuild an out-of-alphabet add forces —
+    /// leaves the session as if the call had never been made.
+    #[test]
+    fn a_failed_install_or_update_leaves_the_session_untouched() {
+        let base = parse_program("stock == GOOGL : fwd(1)\nstock == MSFT : fwd(2)").unwrap();
+        let removal = &base[..1];
+        // `volume` is no query field. The aggregate needs a state slot
+        // the session lacks, which fails a bare `install` of the second
+        // batch (in-alphabet rule and all) and sends its `update` to
+        // `rebuild` before the bad rule is looked at.
+        let unresolvable = parse_program("volume > 5 : fwd(9)").unwrap();
+        let mixed = "price > 100 : fwd(3)\navg(price) > 10 : fwd(4)\nvolume > 5 : fwd(9)";
+        let via_rebuild = parse_program(mixed).unwrap();
+
+        let (mut s, mut untouched) = (session(ALPHABET), session(ALPHABET));
+        s.update(&base, &[]).unwrap();
+        untouched.update(&base, &[]).unwrap();
+        let needs_rebuild = s.install(&via_rebuild).unwrap_err();
+        assert!(matches!(needs_rebuild, CompileError::NeedsFullRecompile(_)));
+        for bad in [&unresolvable, &via_rebuild] {
+            let err = s.update(bad, removal).unwrap_err();
+            assert!(matches!(err, CompileError::UnresolvedField(_)), "{err}");
+            assert_eq!(s.active_rules(), &base[..]);
+        }
+
+        let next = parse_program("price > 100 : fwd(3)").unwrap();
+        let got = s.update(&next, removal).unwrap();
+        let want = untouched.update(&next, removal).unwrap();
+        assert_eq!(s.active_rules(), untouched.active_rules());
+        assert_eq!(
+            (got.full_rebuild, got.entries_added, got.entries_removed),
+            (false, want.entries_added, want.entries_removed)
+        );
+        assert_eq!(
+            entry_multisets(&got.pipeline),
+            entry_multisets(&want.pipeline)
+        );
+    }
+
+    /// Novel batches that are taken back — `camusd` under a client
+    /// whose subscribes keep failing admission — do not pile up in the
+    /// alphabet: each rebuild drops what the last one's inverse removed.
+    #[test]
+    fn taken_back_rebuilds_do_not_accumulate_in_the_alphabet() {
+        let mut s = session(ALPHABET);
+        for i in 0..4 {
+            let bomb = parse_program(&format!("price > {} : fwd(4)", 900 + i)).unwrap();
+            assert!(s.update(&bomb, &[]).unwrap().full_rebuild);
+            assert!(!s.update(&[], &bomb).unwrap().full_rebuild);
+            assert_eq!((s.alphabet.len(), s.bdd.vars().len()), (s.pool + 1, 4));
+        }
     }
 
     fn itch_pool(n: usize) -> Vec<Rule> {

@@ -213,9 +213,11 @@ proptest! {
     /// `IncrementalCompiler::update` and replayed onto a running
     /// pipeline with `UpdateReport::apply_to` must forward identically
     /// to a fresh full compile of the cumulative rule set after every
-    /// step (and both must match the naive interpreter). Covers delta
-    /// adds, delta removals (strip + re-assert) and the out-of-alphabet
-    /// fallback — the only step allowed to be a full rebuild.
+    /// step (and both must match the naive interpreter), its tables
+    /// holding exactly the entries of the program the report carries.
+    /// Covers delta adds, delta removals (strip + re-assert) and the
+    /// out-of-alphabet fallback — the only step allowed to be a full
+    /// rebuild.
     #[test]
     fn incremental_churn_matches_full_recompile(
         seed in 0u64..100_000,
@@ -223,7 +225,9 @@ proptest! {
         out_of_alphabet in 0usize..2,
     ) {
         use camus_core::IncrementalCompiler;
-        use camus_workload::{naive_ports_for_event, siena_churn, ChurnConfig, SienaConfig};
+        use camus_workload::{
+            entry_multisets, naive_ports_for_event, siena_churn, ChurnConfig, SienaConfig,
+        };
 
         let siena = SienaConfig {
             int_attributes: 2,
@@ -255,6 +259,8 @@ proptest! {
             let report = session.update(&step.add, &step.remove).unwrap();
             report.apply_to(&mut mirror).unwrap();
             prop_assert!(out_of_alphabet > 0 || !report.full_rebuild, "step {}", k);
+            let carried = entry_multisets(&report.pipeline);
+            prop_assert_eq!(entry_multisets(&mirror), carried, "step {}", k);
 
             let active = plan.schedule.rules_after(k + 1);
             prop_assert_eq!(session.active_rules(), active.as_slice());
@@ -284,13 +290,18 @@ proptest! {
     /// settle a few match entries above or below the cold count) — no
     /// table ends up with more entries than before the add. Removal
     /// leaves no residue that a second round would add to.
+    ///
+    /// Two more rounds take a mixed `(adds, removes)` batch back with
+    /// its inverse — `camusd`'s rollback — the second across the rebuild
+    /// a rule from outside the alphabet forces: rule set (as a set) and
+    /// forwarding return, and match the naive oracle.
     #[test]
     fn add_then_remove_restores_the_program(
         seed in 0u64..100_000,
         extra in 1usize..4,
     ) {
         use camus_core::IncrementalCompiler;
-        use camus_workload::SienaConfig;
+        use camus_workload::{entry_multisets, naive_ports_for_event, SienaConfig};
 
         let siena = SienaConfig {
             subscriptions: 8 + extra,
@@ -314,27 +325,40 @@ proptest! {
             p.tables.iter().map(|t| (t.name.clone(), t.len())).collect()
         };
 
+        let novel = SienaConfig { subscriptions: 1, seed: seed ^ 0x00B, ..siena.clone() }
+            .generate()
+            .rules;
+        let batches = [
+            (added.to_vec(), &base[..0]),
+            (added.to_vec(), &base[..0]),
+            (added.to_vec(), &base[..extra]),
+            ([added, &novel].concat(), &base[extra..2 * extra]),
+        ];
         let mut before_add = sizes(&reference);
-        for round in 0..2 {
-            session.update(added, &[]).unwrap().apply_to(&mut mirror).unwrap();
-            let back = session.update(&[], added).unwrap();
-            prop_assert!(!back.full_rebuild);
+        for (round, (adds, removes)) in batches.iter().enumerate() {
+            session.update(adds, removes).unwrap().apply_to(&mut mirror).unwrap();
+            let back = session.update(removes, adds).unwrap();
+            prop_assert!(!back.full_rebuild, "the inverse is always a rewrite");
             back.apply_to(&mut mirror).unwrap();
+            prop_assert_eq!(entry_multisets(&mirror), entry_multisets(&back.pipeline));
+            let active = session.active_rules();
+            prop_assert!(active.len() == base.len() && base.iter().all(|r| active.contains(r)));
 
             let after = sizes(&mirror);
             prop_assert_eq!(after.last(), before_add.last(), "leaf rows, round {}", round);
-            if round > 0 {
+            if round == 1 {
                 for (name, n) in &after {
                     let was = before_add.iter().find(|(t, _)| t == name).map_or(0, |(_, n)| *n);
                     prop_assert!(*n <= was, "{}: {} entries, {} before the add", name, n, was);
                 }
             }
             for ev in &events {
-                prop_assert_eq!(
-                    mirror.process(ev, 0).unwrap().ports,
-                    reference.process(ev, 0).unwrap().ports,
-                    "round {}, event {:x?}", round, ev
-                );
+                let got: Vec<u16> =
+                    mirror.process(ev, 0).unwrap().ports.iter().map(|p| p.0).collect();
+                let cold: Vec<u16> =
+                    reference.process(ev, 0).unwrap().ports.iter().map(|p| p.0).collect();
+                prop_assert_eq!(&got, &cold, "round {}, event {:x?}", round, ev);
+                prop_assert_eq!(&got, &naive_ports_for_event(&wl.spec, base, ev));
             }
             before_add = after;
         }

@@ -37,13 +37,15 @@
 //! the workers share — the engine's only copy of the installed program
 //! — and bumps an atomic generation counter, RCU-style
 //! ([`Engine::abort`] drops it instead). [`Engine::apply_update`] is
-//! that pair in one call for the incremental compiler's delta channel
-//! (§3's "highly dynamic queries"): an
-//! [`UpdateReport`](camus_core::UpdateReport) is spliced into a clone
-//! of the installed program via [`camus_core::apply_delta`] (or
-//! swapped wholesale on a `full_rebuild`). Workers poll the counter
-//! once per batch and adopt the published pipeline at the batch
-//! boundary, carrying their `@query_counter` register state and
+//! that pair in one call for the incremental compiler (§3's "highly
+//! dynamic queries"): the program an
+//! [`UpdateReport`](camus_core::UpdateReport) carries *is* the next
+//! generation. Workers only ever adopt a whole `Arc<Pipeline>`, so the
+//! report's per-table entry deltas — what a hardware control plane
+//! would push — are not replayed here; the engine installs what the
+//! session emitted and keeps no second derivation of it. Workers poll
+//! the counter once per batch and adopt the published pipeline at the
+//! batch boundary, carrying their `@query_counter` register state and
 //! execution counters over — so every packet is processed by exactly
 //! one complete rule-set generation, none is dropped during an update,
 //! and stateful windows never reset. [`Engine::quiesce`] drains every
@@ -61,8 +63,8 @@
 //! same [`place_chain`](camus_pipeline::place_chain) arithmetic the
 //! offline compiler reports) *before* publication: an over-committing
 //! update is rejected with a typed [`EngineFault::Admission`] and **zero
-//! observable state change** — no generation bump, no half-spliced
-//! tables, entry-for-entry identical state before and after.
+//! observable state change** — no generation bump, entry-for-entry
+//! identical tables before and after.
 //!
 //! On the data plane, workers are supervised: each batch runs under
 //! `catch_unwind`, a panicking batch is quarantined (its packets get
@@ -101,7 +103,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use camus_core::{CompileError, UpdateReport};
+use camus_core::UpdateReport;
 use camus_pipeline::resources::place_chain;
 use camus_pipeline::{
     AdmissionError, AsicModel, DecisionBuf, ExecStats, ForwardDecision, Pipeline, PipelineError,
@@ -145,8 +147,8 @@ impl Published {
 pub struct UpdateStats {
     /// Pipeline generations published (delta updates + full swaps).
     pub published: u64,
-    /// Updates applied by splicing table deltas into the installed
-    /// program.
+    /// [`Engine::apply_update`]s whose report stayed on the compiler's
+    /// delta path (`full_rebuild` unset).
     pub delta_updates: u64,
     /// Whole programs swapped in: an [`Engine::apply_update`] whose
     /// report says `full_rebuild`, or an [`Engine::commit`] of a
@@ -357,9 +359,6 @@ pub enum EngineFault {
     /// The candidate rule set does not fit the configured ASIC model;
     /// nothing was published and the installed state is unchanged.
     Admission(AdmissionError),
-    /// Building the candidate pipeline failed (delta splice mismatch,
-    /// recompile error); nothing was published.
-    Update(CompileError),
     /// A worker failed to return an in-flight batch within the
     /// watchdog window; the engine state is unchanged and the call
     /// can be retried.
@@ -382,7 +381,6 @@ impl std::fmt::Display for EngineFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EngineFault::Admission(e) => write!(f, "update rejected by admission control: {e}"),
-            EngineFault::Update(e) => write!(f, "update could not be built: {e}"),
             EngineFault::QuiesceTimeout {
                 worker,
                 outstanding,
@@ -1073,14 +1071,16 @@ impl Engine {
     /// transactionally: [`stage`](Engine::stage) then publish, in one
     /// call.
     ///
-    /// The next-generation program is built off the packet hot path
-    /// on a clone of the installed one: delta reports splice their
-    /// per-table entry diffs into it, `full_rebuild` reports replace
-    /// it wholesale. On any error ([`EngineFault::Update`] or
-    /// [`EngineFault::Admission`]) the installed state is untouched:
-    /// no generation bump, no half-spliced tables, entry-for-entry
-    /// identical before and after. A candidate that was already staged
-    /// is replaced — a successful update leaves nothing staged.
+    /// The next-generation program is the one the session emitted,
+    /// [`UpdateReport::pipeline`], for delta and `full_rebuild` reports
+    /// alike (the flag only picks the counter), with the installed
+    /// register file carried over so a respawned worker starts from the
+    /// same `@query_counter` state as before. Nothing is re-derived
+    /// from the report's entry deltas, so an update can only fail the
+    /// way [`Engine::stage`] does: on [`EngineFault::Admission`] the
+    /// installed state is untouched — no generation bump,
+    /// entry-for-entry identical tables. A candidate that was already
+    /// staged is replaced — a successful update leaves nothing staged.
     ///
     /// Workers adopt a published generation at their next batch
     /// boundary, carrying register state and counters over. Packets
@@ -1090,10 +1090,8 @@ impl Engine {
     /// half-applied rule set.
     pub fn apply_update(&mut self, report: &UpdateReport) -> Result<(), EngineFault> {
         let timer = SpanTimer::start();
-        let mut candidate = Pipeline::clone(&self.installed);
-        report
-            .apply_to(&mut candidate)
-            .map_err(EngineFault::Update)?;
+        let mut candidate = report.pipeline.clone();
+        candidate.registers.carry_from(&self.installed.registers);
         self.stage(candidate)?;
         self.publish_staged();
         if report.full_rebuild {

@@ -69,8 +69,6 @@ pub enum FabricFault {
     /// Partition planning failed (unknown shard field, bad leaf count,
     /// or — fatally — no surviving leaf to plan over).
     Plan(CompileError),
-    /// Applying an incremental update to the master program failed.
-    Update(CompileError),
     /// Phase one failed on one leaf: its slice was rejected (admission)
     /// or could not be built. No leaf committed anything.
     Prepare {
@@ -112,7 +110,6 @@ impl std::fmt::Display for FabricFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FabricFault::Plan(e) => write!(f, "fabric partition plan failed: {e}"),
-            FabricFault::Update(e) => write!(f, "fabric master update failed: {e}"),
             FabricFault::Prepare { leaf, fault } => {
                 write!(
                     f,
@@ -619,13 +616,11 @@ impl Fabric {
     }
 
     /// Applies an incremental-compiler update as one fabric epoch: the
-    /// report is applied to the *master* program, the master is
-    /// re-sliced, and the slices commit atomically across all leaves
-    /// (see [`Fabric::install_master`] for the phase structure).
+    /// program the report carries becomes the *master*, is re-sliced,
+    /// and the slices commit atomically across all leaves (see
+    /// [`Fabric::install_master`] for the phase structure).
     pub fn apply_update(&mut self, report: &UpdateReport) -> Result<(), FabricFault> {
-        let mut master = self.master.clone();
-        report.apply_to(&mut master).map_err(FabricFault::Update)?;
-        self.install_master(master)
+        self.install_master(report.pipeline.clone())
     }
 
     /// Installs a new master program as one two-phase fabric epoch

@@ -75,6 +75,18 @@ pub fn naive_ports_for_event(spec: &Spec, rules: &[Rule], event: &[u8]) -> Vec<u
     naive_ports(rules, &field_at, &bits_of)
 }
 
+/// Every table's entries as a sorted multiset, in table order — how the
+/// differential tests hold a pipeline maintained by splicing deltas to
+/// the program the same report carries.
+pub fn entry_multisets(pipeline: &camus_pipeline::Pipeline) -> Vec<(String, Vec<String>)> {
+    let rows = |t: &camus_pipeline::Table| {
+        let mut rows: Vec<String> = t.entries().map(|e| format!("{e:?}")).collect();
+        rows.sort();
+        (t.name.clone(), rows)
+    };
+    pipeline.tables.iter().map(rows).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -45,7 +45,7 @@ pub use faults::{
     capacity_bomb, ChaosConfig, ChaosPlan, FaultPlan, FaultPlanConfig, Mutation, NodeEvent,
     NodeEventKind,
 };
-pub use interp::{eval_cond, naive_ports, naive_ports_for_event};
+pub use interp::{entry_multisets, eval_cond, naive_ports, naive_ports_for_event};
 pub use itch_subs::{generate_itch_subscriptions, ItchSubsConfig};
 pub use siena::{SienaConfig, SienaWorkload};
 pub use soak::soak_seeds;

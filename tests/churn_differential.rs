@@ -4,7 +4,9 @@
 //! step the updated pipeline must forward identically to a fresh full
 //! `Compiler::compile` of the cumulative rule set — and both must
 //! agree with the naive AST interpreter in `camus::workload`, the
-//! same oracle the Siena differential tests use.
+//! same oracle the Siena differential tests use. The spliced tables
+//! must also hold exactly the entries of the program the report
+//! carries, which is what the engine and the fabric install.
 //!
 //! Sequences mix both directions of the delta path (adds and removals
 //! inside the alphabet — a removal strips the rule from the live
@@ -13,7 +15,9 @@
 //! every update plane route is covered.
 
 use camus::compiler::{Compiler, CompilerOptions, IncrementalCompiler};
-use camus::workload::{naive_ports_for_event, siena_churn, ChurnConfig, SienaConfig};
+use camus::workload::{
+    entry_multisets, naive_ports_for_event, siena_churn, ChurnConfig, SienaConfig,
+};
 
 fn decision_ports(pipe: &mut camus::pipeline::Pipeline, ev: &[u8]) -> Vec<u16> {
     pipe.process(ev, 0)
@@ -66,6 +70,8 @@ fn run_churn_sequence(seed: u64, removes_per_step: usize, out_of_alphabet: usize
             .expect("update compiles");
         report.apply_to(&mut mirror).expect("update applies");
         full_rebuilds += usize::from(report.full_rebuild);
+        let carried = entry_multisets(&report.pipeline);
+        assert_eq!(entry_multisets(&mirror), carried, "seed {seed} step {k}");
 
         let active = plan.schedule.rules_after(k + 1);
         assert_eq!(
