@@ -635,6 +635,14 @@ mod tests {
                 < (last.subscriptions as f64 / first.subscriptions as f64),
             "{rows:?}"
         );
+        // Compile time stays within 2× of linear from 5 K to 25 K
+        // subscriptions: both points come from this run, so the host's
+        // speed cancels.
+        let per_sub = |n: usize| {
+            let r = rows.iter().find(|r| r.subscriptions == n).unwrap();
+            r.compile_ms / n as f64
+        };
+        assert!(per_sub(25_000) <= 2.0 * per_sub(5_000), "{rows:?}");
     }
 
     #[test]
@@ -729,5 +737,14 @@ mod tests {
             .find(|r| r.config == "prefix-expansion")
             .unwrap();
         assert!(pfx.tcam_slices > dirt.tcam_slices, "{pfx:?} vs {dirt:?}");
+        // The compiler's default field order is the smallest program.
+        let orders: Vec<&AblationRow> = rows
+            .iter()
+            .filter(|r| r.experiment == "field-order")
+            .collect();
+        let default = CompilerOptions::default().heuristic.name();
+        let chosen = orders.iter().find(|r| r.config == default).unwrap();
+        let fewest = orders.iter().map(|r| r.table_entries).min().unwrap();
+        assert_eq!(chosen.table_entries, fewest, "{orders:?}");
     }
 }

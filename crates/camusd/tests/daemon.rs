@@ -7,6 +7,7 @@ use std::io::{Read, Write};
 
 use camus_bus::{BusClient, BusReply, BusRequest, RejectKind};
 use camus_pipeline::AsicModel;
+use camus_workload::{Delivery, EpochOracle};
 use camusd::{Daemon, DaemonConfig};
 
 fn start_daemon(mut cfg: DaemonConfig) -> Daemon {
@@ -199,8 +200,8 @@ fn admission_rejection_is_typed_and_leaves_the_pipeline_running() {
 /// its inverse delta — here across an out-of-alphabet rebuild, which
 /// renumbers every pipeline state. Updates after it must still forward
 /// correctly — adds and removals alike — which the probe checks against
-/// a cold compile of the surviving rules, and must stay deltas: the
-/// rejection costs no full swap.
+/// a cold compile of the surviving rules and the AST interpreter, and
+/// must stay deltas: the rejection costs no full swap.
 #[test]
 fn updates_after_a_rejection_forward_like_a_fresh_compile() {
     let mut cfg = tight_tcam_config();
@@ -237,31 +238,27 @@ fn updates_after_a_rejection_forward_like_a_fresh_compile() {
         "{reply:?}"
     );
 
+    let compiler = camus_core::Compiler::new(spec.clone(), options).expect("compiler");
+    let mut oracle = EpochOracle::new(&spec, |r| compiler.compile(r).expect("compiles").pipeline);
+    oracle.publish(&[&pool[..4], &pool[5..7]].concat());
     let probe: Vec<(Vec<u8>, u64)> = camus_workload::bench_feed(2_000)
         .iter()
         .enumerate()
         .map(|(i, p)| (p.bytes.clone(), 25 * (i as u64 + 1)))
         .collect();
-    daemon.inject(probe.clone()).expect("inject probe");
+    for (bytes, now_us) in &probe {
+        oracle.submit(bytes, *now_us);
+    }
+    daemon.inject(probe).expect("inject probe");
     let report = daemon.join();
     assert!(report.zero_loss());
     assert_eq!(report.engine.updates.full_swaps, 0);
     assert_eq!(report.engine.updates.delta_updates, 4);
 
-    let mut surviving = pool[..4].to_vec();
-    surviving.extend_from_slice(&pool[5..7]);
-    let mut fresh = camus_core::Compiler::new(spec, options)
-        .expect("compiler")
-        .compile(&surviving)
-        .expect("fresh compile")
-        .pipeline;
-    let mut matched = 0usize;
-    for (i, ((bytes, now_us), got)) in probe.iter().zip(&report.engine.decisions).enumerate() {
-        let want = fresh.process(bytes, *now_us).expect("probe parses");
-        matched += usize::from(!want.ports.is_empty());
-        assert_eq!(got, &want, "probe packet {i}");
-    }
-    assert!(matched > 0, "the probe never hit a rule");
+    let decisions = report.engine.decisions_in_submit_order();
+    assert_eq!(oracle.check(&decisions, Delivery::Exact), 0);
+    let forwarded = decisions.iter().flatten().filter(|d| !d.dropped());
+    assert!(forwarded.count() > 0, "the probe never hit a rule");
 }
 
 /// Minimal HTTP GET, std-only.

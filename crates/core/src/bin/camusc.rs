@@ -54,7 +54,7 @@ fn parse_args() -> Args {
     let mut rules = None;
     let mut encap_kind = "mold".to_string();
     let mut select: Option<(String, u64)> = None;
-    let mut order = OrderHeuristic::ExactFirst;
+    let mut order = CompilerOptions::default().heuristic;
     let mut compress = None;
     let mut asic = AsicModel::tofino32();
     let mut out = PathBuf::from("camus-out");

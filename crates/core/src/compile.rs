@@ -16,7 +16,7 @@ use camus_telemetry::{SpanKind, SpanSet, SpanTimer};
 
 use crate::dynamic::{compile_dynamic, CompileStats, DynamicProgram};
 use crate::error::CompileError;
-use crate::resolve::{resolve, ResolveOptions};
+use crate::resolve::resolve;
 use crate::statics::build_static;
 
 pub use crate::statics::Encap;
@@ -27,11 +27,9 @@ pub struct CompilerOptions {
     /// Packet encapsulation of the application messages.
     pub encap: Encap,
     /// Field-ordering heuristic (§3.2: "simple heuristics often work
-    /// well in practice").
+    /// well in practice"). Defaults to `ExactFirst`, the field-order
+    /// ablation's smallest program (`figures ablations`).
     pub heuristic: OrderHeuristic,
-    /// Window for aggregate macros without a matching `@query_counter`,
-    /// µs.
-    pub default_window_us: u64,
     /// Resource model placed against. An oversized program still
     /// compiles; read [`CompiledProgram::placement`]'s `failure`.
     pub asic: AsicModel,
@@ -57,7 +55,6 @@ impl Default for CompilerOptions {
                 message_select: Some(("msg_type".to_string(), u64::from(b'A'))),
             },
             heuristic: OrderHeuristic::ExactFirst,
-            default_window_us: 100,
             asic: AsicModel::tofino32(),
             compress_bits: None,
             semantic_pruning: true,
@@ -136,11 +133,7 @@ impl Compiler {
     /// Compiles a rule set end to end.
     pub fn compile(&self, rules: &[Rule]) -> Result<CompiledProgram, CompileError> {
         let compile_timer = SpanTimer::start();
-        let ropts = ResolveOptions {
-            heuristic: self.options.heuristic,
-            default_window_us: self.options.default_window_us,
-        };
-        let resolved = resolve(&self.spec, rules, &ropts)?;
+        let resolved = resolve(&self.spec, rules, self.options.heuristic)?;
         let statics = build_static(&self.spec, &resolved.fields, &self.options.encap)?;
         let mut dynp = compile_dynamic(
             &resolved,
@@ -325,27 +318,14 @@ fn compress_domains(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use camus_itch::{build_feed_packet, AddOrder, FeedConfig, ItchMessage, Side};
     use camus_lang::{parse_program, parse_spec};
     use camus_pipeline::PortId;
+    use camus_workload::{ports, raw_add_order};
 
     fn itch_compiler(options: CompilerOptions) -> Compiler {
         let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
         Compiler::new(spec, options).unwrap()
-    }
-
-    fn raw_itch_packet(symbol: &str, shares: u32, price: u32) -> Vec<u8> {
-        let mut m = vec![b'A'];
-        m.extend_from_slice(&[0; 10]);
-        m.extend_from_slice(&[0; 8]);
-        m.push(b'B');
-        m.extend_from_slice(&shares.to_be_bytes());
-        let mut stock = [b' '; 8];
-        for (i, c) in symbol.bytes().take(8).enumerate() {
-            stock[i] = c;
-        }
-        m.extend_from_slice(&stock);
-        m.extend_from_slice(&price.to_be_bytes());
-        m
     }
 
     #[test]
@@ -360,17 +340,18 @@ mod tests {
         let prog = c.compile(&rules).unwrap();
         let mut pipe = prog.pipeline;
 
-        let d = pipe.process(&raw_itch_packet("GOOGL", 50, 10), 0).unwrap();
-        assert_eq!(d.ports, vec![PortId(1)]);
-        let d = pipe.process(&raw_itch_packet("MSFT", 50, 2000), 0).unwrap();
-        assert_eq!(d.ports, vec![PortId(2), PortId(3)]);
-        let d = pipe.process(&raw_itch_packet("MSFT", 50, 500), 0).unwrap();
-        assert!(d.dropped());
-        let d = pipe.process(&raw_itch_packet("ORCL", 500, 10), 0).unwrap();
-        assert_eq!(d.ports, vec![PortId(4)]);
-        // Overlap: GOOGL with matching shares hits both rules.
-        let d = pipe.process(&raw_itch_packet("GOOGL", 500, 10), 0).unwrap();
-        assert_eq!(d.ports, vec![PortId(1), PortId(4)]);
+        // The last row overlaps: GOOGL with matching shares hits both.
+        let cases: [(&str, u32, u32, &[u16]); 5] = [
+            ("GOOGL", 50, 10, &[1]),
+            ("MSFT", 50, 2000, &[2, 3]),
+            ("MSFT", 50, 500, &[]),
+            ("ORCL", 500, 10, &[4]),
+            ("GOOGL", 500, 10, &[1, 4]),
+        ];
+        for (sym, shares, price, want) in cases {
+            let d = pipe.process(&raw_add_order(sym, Side::Buy, shares, price), 0);
+            assert_eq!(ports(&d.unwrap()), want, "{sym} {shares}@{price}");
+        }
     }
 
     #[test]
@@ -398,7 +379,7 @@ mod tests {
         let mut p2 = compressed.pipeline;
         for price in [0u32, 100, 101, 149, 150, 151, 175, 199, 200, 5000] {
             for shares in [0u32, 59, 60, 1000] {
-                let pkt = raw_itch_packet("X", shares, price);
+                let pkt = raw_add_order("X", Side::Buy, shares, price);
                 let d1 = p1.process(&pkt, 0).unwrap();
                 let d2 = p2.process(&pkt, 0).unwrap();
                 assert_eq!(d1.ports, d2.ports, "price={price} shares={shares}");
@@ -450,33 +431,11 @@ mod tests {
         let prog = c.compile(&rules).unwrap();
         let mut pipe = prog.pipeline;
 
-        let msg = raw_itch_packet("GOOGL", 10, 10);
-        let other = raw_itch_packet("AAPL", 10, 10);
-        let pkt = feed_packet(&[&other, &msg]);
+        let order = |sym| ItchMessage::AddOrder(AddOrder::new(sym, Side::Buy, 10, 10));
+        let pkt = build_feed_packet(&FeedConfig::default(), 1, &[order("AAPL"), order("GOOGL")]);
         let d = pipe.process(&pkt, 0).unwrap();
         assert_eq!(d.ports, vec![PortId(7)]);
         assert_eq!(d.messages, 2);
         assert_eq!(d.matched_messages, 1);
-    }
-
-    fn feed_packet(msgs: &[&[u8]]) -> Vec<u8> {
-        let mut mold = vec![0u8; 10];
-        mold.extend_from_slice(&1u64.to_be_bytes());
-        mold.extend_from_slice(&(msgs.len() as u16).to_be_bytes());
-        for m in msgs {
-            mold.extend_from_slice(&(m.len() as u16).to_be_bytes());
-            mold.extend_from_slice(m);
-        }
-        let mut udp = vec![0u8; 8];
-        udp[4..6].copy_from_slice(&((8 + mold.len()) as u16).to_be_bytes());
-        udp.extend_from_slice(&mold);
-        let mut ip = vec![0x45u8, 0, 0, 0, 0, 0, 0, 0, 16, 17, 0, 0];
-        ip[2..4].copy_from_slice(&((20 + udp.len()) as u16).to_be_bytes());
-        ip.extend_from_slice(&[0; 8]);
-        ip.extend_from_slice(&udp);
-        let mut eth = vec![0u8; 12];
-        eth.extend_from_slice(&0x0800u16.to_be_bytes());
-        eth.extend_from_slice(&ip);
-        eth
     }
 }

@@ -680,7 +680,7 @@ pub fn compile_dynamic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resolve::{resolve, ResolveOptions};
+    use crate::resolve::resolve;
     use crate::statics::{build_static, Encap};
     use camus_bdd::order::OrderHeuristic;
     use camus_lang::{parse_program, parse_spec};
@@ -688,11 +688,7 @@ mod tests {
     fn compile(src: &str) -> (DynamicProgram, StaticPipeline) {
         let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
         let rules = parse_program(src).unwrap();
-        let opts = ResolveOptions {
-            heuristic: OrderHeuristic::SpecOrder,
-            ..Default::default()
-        };
-        let resolved = resolve(&spec, &rules, &opts).unwrap();
+        let resolved = resolve(&spec, &rules, OrderHeuristic::SpecOrder).unwrap();
         let statics = build_static(&spec, &resolved.fields, &Encap::Raw).unwrap();
         let dynp = compile_dynamic(&resolved, &statics, rules.len(), true, 0).unwrap();
         (dynp, statics)

@@ -81,7 +81,7 @@ use camus_telemetry::SpanSet;
 use crate::compile::CompilerOptions;
 use crate::dynamic::{build_sharded, emit_tables, resolve_shards, EmissionState};
 use crate::error::CompileError;
-use crate::resolve::{resolve, resolve_incremental, FieldTable, ResolveOptions, ResolvedConj};
+use crate::resolve::{resolve, resolve_incremental, FieldTable, ResolvedConj};
 use crate::statics::{build_static, StaticPipeline};
 
 /// The session compacts its diagram after an update that leaves more
@@ -283,11 +283,7 @@ impl IncrementalCompiler {
         options: &CompilerOptions,
         alphabet_rules: &[Rule],
     ) -> Result<Self, CompileError> {
-        let ropts = ResolveOptions {
-            heuristic: options.heuristic,
-            default_window_us: options.default_window_us,
-        };
-        let resolved = resolve(&spec, alphabet_rules, &ropts)?;
+        let resolved = resolve(&spec, alphabet_rules, options.heuristic)?;
         let statics = build_static(&spec, &resolved.fields, &options.encap)?;
         let alphabet: Vec<Pred> = resolved
             .rules
@@ -594,29 +590,20 @@ fn diff_tables(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use camus_itch::Side;
     use camus_lang::{parse_program, parse_spec};
     use camus_pipeline::PortId;
-    use camus_workload::entry_multisets;
+    use camus_workload::{entry_multisets, raw_add_order, EpochOracle};
+
+    /// A one-share buy of `symbol` at `price`, as a raw add-order.
+    fn order(symbol: &str, price: u32) -> Vec<u8> {
+        raw_add_order(symbol, Side::Buy, 1, price)
+    }
 
     fn session(alphabet: &str) -> IncrementalCompiler {
         let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
         let options = CompilerOptions::raw();
         IncrementalCompiler::new(spec, &options, &parse_program(alphabet).unwrap()).unwrap()
-    }
-
-    fn packet(symbol: &str, shares: u32, price: u32) -> Vec<u8> {
-        let mut m = vec![b'A'];
-        m.extend_from_slice(&[0; 10]);
-        m.extend_from_slice(&[0; 8]);
-        m.push(b'B');
-        m.extend_from_slice(&shares.to_be_bytes());
-        let mut stock = [b' '; 8];
-        for (i, c) in symbol.bytes().take(8).enumerate() {
-            stock[i] = c;
-        }
-        m.extend_from_slice(&stock);
-        m.extend_from_slice(&price.to_be_bytes());
-        m
     }
 
     const ALPHABET: &str = "stock == GOOGL : fwd(1)\n\
@@ -631,21 +618,21 @@ mod tests {
             .unwrap();
         let mut p1 = r1.pipeline;
         assert_eq!(
-            p1.process(&packet("GOOGL", 1, 1), 0).unwrap().ports,
+            p1.process(&order("GOOGL", 1), 0).unwrap().ports,
             vec![PortId(1)]
         );
-        assert!(p1.process(&packet("MSFT", 1, 1), 0).unwrap().dropped());
+        assert!(p1.process(&order("MSFT", 1), 0).unwrap().dropped());
 
         let r2 = s
             .install(&parse_program("stock == MSFT : fwd(2)").unwrap())
             .unwrap();
         let mut p2 = r2.pipeline;
         assert_eq!(
-            p2.process(&packet("GOOGL", 1, 1), 0).unwrap().ports,
+            p2.process(&order("GOOGL", 1), 0).unwrap().ports,
             vec![PortId(1)]
         );
         assert_eq!(
-            p2.process(&packet("MSFT", 1, 1), 0).unwrap().ports,
+            p2.process(&order("MSFT", 1), 0).unwrap().ports,
             vec![PortId(2)]
         );
         assert_eq!(s.active_rules().len(), 2);
@@ -691,7 +678,7 @@ mod tests {
 
         for sym in ["GOOGL", "MSFT", "ORCL"] {
             for price in [0u32, 100, 101, 5000] {
-                let pkt = packet(sym, 10, price);
+                let pkt = order(sym, price);
                 assert_eq!(
                     inc_pipe.process(&pkt, 0).unwrap().ports,
                     full_pipe.process(&pkt, 0).unwrap().ports,
@@ -724,7 +711,7 @@ mod tests {
             .unwrap();
         let mut p = r.pipeline;
         assert_eq!(
-            p.process(&packet("GOOGL", 1, 1), 0).unwrap().ports,
+            p.process(&order("GOOGL", 1), 0).unwrap().ports,
             vec![PortId(77)]
         );
     }
@@ -753,52 +740,35 @@ mod tests {
 
     /// Drives `steps` of `(add, remove, expect)` program text through
     /// one session, replaying every report onto a mirror pipeline, and
-    /// after each step checks mirror and report against a cold compile
-    /// of `expect` on the probe packets. Every step must stay on the
-    /// delta path except those listed in `rebuilds`. (The add-only
-    /// prefix of `remove_and_add_in_one_update` is the replay the
-    /// retired `deltas_replay_onto_a_running_pipeline` checked.)
+    /// after each step holds mirror and report to a cold compile of
+    /// `expect` and the interpreter on the probe packets. Every step
+    /// must stay on the delta path except those listed in `rebuilds`.
+    /// (The add-only prefix of `remove_and_add_in_one_update` is the
+    /// replay the retired `deltas_replay_onto_a_running_pipeline`
+    /// checked.)
     fn check_delta_steps(steps: &[(&str, &str, &str)], rebuilds: &[usize]) {
         let mut s = session(ALPHABET);
         let mut mirror = s.install(&[]).unwrap().pipeline;
         let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
-        let cold = crate::Compiler::new(spec, CompilerOptions::raw()).unwrap();
+        let cold = crate::Compiler::new(spec.clone(), CompilerOptions::raw()).unwrap();
+        let mut oracle = EpochOracle::new(&spec, |rules| cold.compile(rules).unwrap().pipeline);
+        let probes: Vec<Vec<u8>> = ["GOOGL", "MSFT", "ORCL"]
+            .iter()
+            .flat_map(|sym| [0u32, 100, 101, 5000].map(|p| order(sym, p)))
+            .collect();
         for (k, (add, remove, expect)) in steps.iter().enumerate() {
             let (add, remove) = (parse_program(add).unwrap(), parse_program(remove).unwrap());
-            let r = s.update(&add, &remove).unwrap();
+            let mut r = s.update(&add, &remove).unwrap();
             assert_eq!(r.full_rebuild, rebuilds.contains(&k), "step {k}");
             r.apply_to(&mut mirror).unwrap();
             assert_eq!(entry_multisets(&mirror), entry_multisets(&r.pipeline));
             let expect = parse_program(expect).unwrap();
             assert_eq!(s.active_rules().len(), expect.len(), "step {k}");
             assert!(expect.iter().all(|r| s.active_rules().contains(r)));
-            let mut want = cold.compile(&expect).unwrap().pipeline;
-            let mut fresh = r.pipeline;
-            for (i, pkt) in probes().iter().enumerate() {
-                // The third run shares the first two's register history.
-                let w = want.process(pkt, 0).unwrap().ports;
-                assert_eq!(
-                    mirror.process(pkt, 0).unwrap().ports,
-                    w,
-                    "step {k} probe {i}"
-                );
-                assert_eq!(
-                    fresh.process(pkt, 0).unwrap().ports,
-                    w,
-                    "step {k} probe {i}"
-                );
-            }
+            oracle.publish(&expect);
+            oracle.check_pipeline(&mut mirror, &probes);
+            oracle.check_pipeline(&mut r.pipeline, &probes);
         }
-    }
-
-    fn probes() -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        for sym in ["GOOGL", "MSFT", "ORCL"] {
-            for price in [0u32, 100, 101, 5000] {
-                out.push(packet(sym, 10, price));
-            }
-        }
-        out
     }
 
     #[test]
@@ -817,9 +787,9 @@ mod tests {
         assert!(r.entries_removed > 0 && r.entries_kept > 0, "{r:?}");
         assert_eq!(s.active_rules().len(), 1);
         r.apply_to(&mut mirror).unwrap();
-        assert!(mirror.process(&packet("GOOGL", 1, 1), 0).unwrap().dropped());
+        assert!(mirror.process(&order("GOOGL", 1), 0).unwrap().dropped());
         assert_eq!(
-            mirror.process(&packet("MSFT", 1, 1), 0).unwrap().ports,
+            mirror.process(&order("MSFT", 1), 0).unwrap().ports,
             vec![PortId(2)]
         );
         // Removing an inactive rule is a no-op delta.
@@ -896,13 +866,13 @@ mod tests {
         assert_eq!(observes(&r.pipeline), 2, "{{observe, fwd(1)}} is gone");
         // MSFT still observes and fires; GOOGL no longer does either.
         let mut p = r.pipeline;
-        assert!(p.process(&packet("MSFT", 1, 100), 0).unwrap().dropped());
+        assert!(p.process(&order("MSFT", 100), 0).unwrap().dropped());
         assert_eq!(
-            p.process(&packet("MSFT", 1, 100), 0).unwrap().ports,
+            p.process(&order("MSFT", 100), 0).unwrap().ports,
             vec![PortId(2)]
         );
-        assert!(p.process(&packet("GOOGL", 1, 100), 0).unwrap().dropped());
-        assert!(p.process(&packet("GOOGL", 1, 100), 0).unwrap().dropped());
+        assert!(p.process(&order("GOOGL", 100), 0).unwrap().dropped());
+        assert!(p.process(&order("GOOGL", 100), 0).unwrap().dropped());
         let r = s.update(&[], &parse_program(msft).unwrap()).unwrap();
         assert_eq!(r.total_entries, 0);
     }
@@ -917,9 +887,9 @@ mod tests {
         let r = s.update(&[], &msft).unwrap();
         assert_eq!(r.total_entries, before);
         let mut p = r.pipeline;
-        assert!(p.process(&packet("MSFT", 1, 1), 0).unwrap().dropped());
+        assert!(p.process(&order("MSFT", 1), 0).unwrap().dropped());
         assert_eq!(
-            p.process(&packet("GOOGL", 1, 1), 0).unwrap().ports,
+            p.process(&order("GOOGL", 1), 0).unwrap().ports,
             vec![PortId(1)]
         );
     }
@@ -1086,7 +1056,7 @@ mod tests {
         let mut cold = fresh.pipeline;
         for sym in 0..100 {
             for price in [0u32, 250, 500, 999] {
-                let pkt = packet(&camus_workload::itch_subs::stock_symbol(sym), 1, price);
+                let pkt = order(&camus_workload::itch_subs::stock_symbol(sym), price);
                 assert_eq!(
                     cycled.process(&pkt, 0).unwrap().ports,
                     cold.process(&pkt, 0).unwrap().ports
@@ -1151,7 +1121,7 @@ mod tests {
         );
         assert_eq!(table_sizes(&a), table_sizes(&b));
         for sym in 0..100 {
-            let pkt = packet(&camus_workload::itch_subs::stock_symbol(sym), 1, 500);
+            let pkt = order(&camus_workload::itch_subs::stock_symbol(sym), 500);
             assert_eq!(
                 a.process(&pkt, 0).unwrap().ports,
                 b.process(&pkt, 0).unwrap().ports
@@ -1215,7 +1185,7 @@ mod tests {
         assert!(r.full_rebuild);
         let mut p = r.pipeline;
         assert_eq!(
-            p.process(&packet("ORCL", 1, 5000), 0).unwrap().ports,
+            p.process(&order("ORCL", 5000), 0).unwrap().ports,
             vec![PortId(4)]
         );
         // The widened alphabet persists: the same predicate now

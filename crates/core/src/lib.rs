@@ -37,42 +37,13 @@
 //! assert!(program.stats.total_entries > 0);
 //!
 //! // The compiled program is directly executable on the pipeline
-//! // substrate:
+//! // substrate: here, a GOOGL add-order inside Ethernet/IPv4/UDP/MoldUDP64.
+//! use camus_itch::{build_feed_packet, AddOrder, FeedConfig, ItchMessage, Side};
+//! let order = AddOrder::new("GOOGL", Side::Buy, 500, 1_000_000);
+//! let pkt = build_feed_packet(&FeedConfig::default(), 1, &[ItchMessage::AddOrder(order)]);
 //! let mut pipeline = program.pipeline;
-//! let pkt = camus_itch_example_packet();
 //! let decision = pipeline.process(&pkt, 0).unwrap();
 //! assert_eq!(decision.ports, vec![camus_pipeline::PortId(1)]);
-//!
-//! fn camus_itch_example_packet() -> Vec<u8> {
-//!     // A GOOGL add-order inside Ethernet/IPv4/UDP/MoldUDP64. Built by
-//!     // hand here to keep this crate free of a camus-itch dependency.
-//!     let msg = {
-//!         let mut m = vec![b'A'];
-//!         m.extend_from_slice(&[0; 10]); // locate, tracking, timestamp
-//!         m.extend_from_slice(&[0; 8]); // order ref
-//!         m.push(b'B');
-//!         m.extend_from_slice(&500u32.to_be_bytes());
-//!         m.extend_from_slice(b"GOOGL   ");
-//!         m.extend_from_slice(&1_000_000u32.to_be_bytes());
-//!         m
-//!     };
-//!     let mut mold = vec![0u8; 10]; // session
-//!     mold.extend_from_slice(&1u64.to_be_bytes()); // sequence
-//!     mold.extend_from_slice(&1u16.to_be_bytes()); // count
-//!     mold.extend_from_slice(&(msg.len() as u16).to_be_bytes());
-//!     mold.extend_from_slice(&msg);
-//!     let mut udp = vec![0u8; 8];
-//!     udp[4..6].copy_from_slice(&((8 + mold.len()) as u16).to_be_bytes());
-//!     udp.extend_from_slice(&mold);
-//!     let mut ip = vec![0x45u8, 0, 0, 0, 0, 0, 0, 0, 16, 17, 0, 0];
-//!     ip[2..4].copy_from_slice(&((20 + udp.len()) as u16).to_be_bytes());
-//!     ip.extend_from_slice(&[0; 8]); // src/dst
-//!     ip.extend_from_slice(&udp);
-//!     let mut eth = vec![0u8; 12];
-//!     eth.extend_from_slice(&0x0800u16.to_be_bytes());
-//!     eth.extend_from_slice(&ip);
-//!     eth
-//! }
 //! ```
 
 pub mod compile;

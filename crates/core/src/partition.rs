@@ -428,29 +428,12 @@ mod tests {
     use super::*;
     use crate::compile::{Compiler, CompilerOptions};
     use camus_lang::{parse_program, parse_spec};
-    use camus_pipeline::PortId;
-
-    const SPEC: &str = "header_type ev_t { fields { sym: 64; val: 32; } }\n\
-                        header ev_t ev;\n\
-                        @query_field_exact(ev.sym)\n\
-                        @query_field(ev.val)\n";
+    use camus_workload::{event, EVENT_SPEC};
 
     fn compile(rules: &str) -> Pipeline {
-        let spec = parse_spec(SPEC).unwrap();
+        let spec = parse_spec(EVENT_SPEC).unwrap();
         let c = Compiler::new(spec, CompilerOptions::raw()).unwrap();
         c.compile(&parse_program(rules).unwrap()).unwrap().pipeline
-    }
-
-    fn event(sym: &str, val: u32) -> Vec<u8> {
-        let mut b = camus_lang::symbol::encode_symbol(sym, 64)
-            .to_be_bytes()
-            .to_vec();
-        b.extend_from_slice(&val.to_be_bytes());
-        b
-    }
-
-    fn ports(pipe: &mut Pipeline, ev: &[u8]) -> Vec<PortId> {
-        pipe.process(ev, 0).unwrap().ports
     }
 
     const RULES: &str = "sym == AA : fwd(1)\n\
@@ -511,8 +494,8 @@ mod tests {
                     let key = camus_lang::symbol::encode_symbol(sym, 64);
                     let leaf = owner_of(key, leaves);
                     assert_eq!(
-                        ports(&mut slices[leaf], &ev),
-                        ports(&mut big, &ev),
+                        slices[leaf].process(&ev, 0).unwrap(),
+                        big.process(&ev, 0).unwrap(),
                         "leaves={leaves} sym={sym} val={val}"
                     );
                 }
@@ -575,8 +558,8 @@ mod tests {
                 let key = camus_lang::symbol::encode_symbol(sym, 64);
                 let leaf = owner_in_subset(key, leaves, live_mask);
                 assert_eq!(
-                    ports(&mut slices[leaf], &ev),
-                    ports(&mut big, &ev),
+                    slices[leaf].process(&ev, 0).unwrap(),
+                    big.process(&ev, 0).unwrap(),
                     "sym={sym} val={val}"
                 );
             }

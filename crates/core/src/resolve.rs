@@ -144,24 +144,9 @@ pub struct Resolved {
     pub rules: Vec<ResolvedConj>,
 }
 
-/// Resolver configuration.
-#[derive(Debug, Clone)]
-pub struct ResolveOptions {
-    /// Field-ordering heuristic.
-    pub heuristic: OrderHeuristic,
-    /// Window for aggregate macros that have no matching
-    /// `@query_counter` declaration, µs.
-    pub default_window_us: u64,
-}
-
-impl Default for ResolveOptions {
-    fn default() -> Self {
-        ResolveOptions {
-            heuristic: OrderHeuristic::default(),
-            default_window_us: 100,
-        }
-    }
-}
+/// Window for aggregate macros that have no matching `@query_counter`
+/// declaration, µs.
+const DEFAULT_WINDOW_US: u64 = 100;
 
 /// Resolves rules against a *frozen* field table (incremental mode):
 /// no reordering, no new aggregate slots. Rules that would need a new
@@ -171,8 +156,7 @@ pub fn resolve_incremental(
     fields: &FieldTable,
     rules: &[Rule],
 ) -> Result<Vec<ResolvedConj>, CompileError> {
-    let opts = ResolveOptions::default();
-    let mut builder = Builder::from_table(spec, &opts, fields);
+    let mut builder = Builder::from_table(spec, fields);
     for rule in rules {
         builder.scan_rule(rule)?;
     }
@@ -183,13 +167,14 @@ pub fn resolve_incremental(
     Ok(out)
 }
 
-/// Resolves and normalizes a rule set against a spec.
+/// Resolves and normalizes a rule set against a spec, ordering fields
+/// by `heuristic`.
 pub fn resolve(
     spec: &Spec,
     rules: &[Rule],
-    opts: &ResolveOptions,
+    heuristic: OrderHeuristic,
 ) -> Result<Resolved, CompileError> {
-    let mut builder = Builder::new(spec, opts);
+    let mut builder = Builder::new(spec);
     // Pass 1: allocate slots in a deterministic (spec, first-use) order.
     for rule in rules {
         builder.scan_rule(rule)?;
@@ -203,7 +188,7 @@ pub fn resolve(
         fields: builder.finish(),
         rules: out,
     };
-    reorder(&mut resolved, opts.heuristic);
+    reorder(&mut resolved, heuristic);
     Ok(resolved)
 }
 
@@ -261,7 +246,6 @@ fn reorder(resolved: &mut Resolved, heuristic: OrderHeuristic) {
 
 struct Builder<'a> {
     spec: &'a Spec,
-    opts: &'a ResolveOptions,
     infos: Vec<FieldInfo>,
     kinds: Vec<SlotKind>,
     /// Slot lookup by canonical operand key.
@@ -271,10 +255,9 @@ struct Builder<'a> {
 }
 
 impl<'a> Builder<'a> {
-    fn new(spec: &'a Spec, opts: &'a ResolveOptions) -> Self {
+    fn new(spec: &'a Spec) -> Self {
         let mut b = Builder {
             spec,
-            opts,
             infos: Vec::new(),
             kinds: Vec::new(),
             index: HashMap::new(),
@@ -307,14 +290,13 @@ impl<'a> Builder<'a> {
 
     /// Rebuilds a builder over an existing (post-reorder) field table,
     /// in frozen mode.
-    fn from_table(spec: &'a Spec, opts: &'a ResolveOptions, fields: &FieldTable) -> Self {
+    fn from_table(spec: &'a Spec, fields: &FieldTable) -> Self {
         let mut index = HashMap::new();
         for (i, kind) in fields.kinds.iter().enumerate() {
             index.insert(slot_key(kind), FieldId(i as u32));
         }
         Builder {
             spec,
-            opts,
             infos: fields.infos.clone(),
             kinds: fields.kinds.clone(),
             index,
@@ -394,7 +376,7 @@ impl<'a> Builder<'a> {
             SlotKind::Agg {
                 agg,
                 src,
-                window_us: self.opts.default_window_us,
+                window_us: DEFAULT_WINDOW_US,
             },
         ))
     }
@@ -636,7 +618,7 @@ mod tests {
 
     fn resolve_src(src: &str) -> Result<Resolved, CompileError> {
         let rules = parse_program(src).unwrap();
-        resolve(&itch(), &rules, &ResolveOptions::default())
+        resolve(&itch(), &rules, OrderHeuristic::ExactFirst)
     }
 
     #[test]
@@ -739,7 +721,7 @@ mod tests {
     fn nullary_agg_other_than_count_errors() {
         let rules = vec![parse_rule("avg() > 3 : fwd(1)").unwrap()];
         assert!(matches!(
-            resolve(&itch(), &rules, &ResolveOptions::default()),
+            resolve(&itch(), &rules, OrderHeuristic::ExactFirst),
             Err(CompileError::AggNeedsField("avg"))
         ));
     }
@@ -767,11 +749,7 @@ mod tests {
     fn heuristic_reorders_fields() {
         let src = "stock == GOOGL : fwd(1)\nstock == MSFT : fwd(2)\nshares > 10 : fwd(3)";
         let rules = parse_program(src).unwrap();
-        let opts = ResolveOptions {
-            heuristic: OrderHeuristic::FrequencyDescending,
-            ..Default::default()
-        };
-        let r = resolve(&itch(), &rules, &opts).unwrap();
+        let r = resolve(&itch(), &rules, OrderHeuristic::FrequencyDescending).unwrap();
         // `stock` (2 refs) must come before `shares` (1 ref).
         let stock_pos = r
             .fields
@@ -801,11 +779,7 @@ mod tests {
     #[test]
     fn spec_order_heuristic_preserves_annotation_order() {
         let rules = parse_program("stock == GOOGL : fwd(1)").unwrap();
-        let opts = ResolveOptions {
-            heuristic: OrderHeuristic::SpecOrder,
-            ..Default::default()
-        };
-        let r = resolve(&itch(), &rules, &opts).unwrap();
+        let r = resolve(&itch(), &rules, OrderHeuristic::SpecOrder).unwrap();
         let names: Vec<&str> = r.fields.infos.iter().map(|i| i.name.as_str()).collect();
         assert_eq!(
             names,

@@ -372,21 +372,31 @@ fn build_mold_parser(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resolve::{resolve, ResolveOptions};
+    use crate::resolve::resolve;
+    use camus_bdd::order::OrderHeuristic;
+    use camus_itch::{build_feed_packet, AddOrder, FeedConfig, ItchMessage, Side};
     use camus_lang::{parse_program, parse_spec};
+
+    /// GOOGL, 500 shares, price 1 000 000.
+    fn googl() -> ItchMessage {
+        ItchMessage::AddOrder(AddOrder::new("GOOGL", Side::Buy, 500, 1_000_000))
+    }
+
+    fn feed(msgs: &[ItchMessage]) -> Vec<u8> {
+        build_feed_packet(&FeedConfig::default(), 1, msgs)
+    }
 
     fn itch_static(src: &str, encap: Encap) -> StaticPipeline {
         let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
         let rules = parse_program(src).unwrap();
-        let resolved = resolve(&spec, &rules, &ResolveOptions::default()).unwrap();
+        let resolved = resolve(&spec, &rules, OrderHeuristic::ExactFirst).unwrap();
         build_static(&spec, &resolved.fields, &encap).unwrap()
     }
 
     #[test]
     fn raw_parser_extracts_spec_fields() {
         let sp = itch_static("stock == GOOGL : fwd(1)", Encap::Raw);
-        let msg = camus_itch_wire();
-        let phvs = sp.parser.parse(&sp.layout, &msg).unwrap();
+        let phvs = sp.parser.parse(&sp.layout, &googl().encode()).unwrap();
         assert_eq!(phvs.len(), 1);
         let stock = sp.layout.get("add_order.stock").unwrap();
         assert_eq!(phvs[0].get(stock), Some(u64::from_be_bytes(*b"GOOGL   ")));
@@ -403,13 +413,7 @@ mod tests {
             },
         );
         // Feed with one add-order and one delete (type 'D', skipped).
-        let add = camus_itch_wire();
-        let del = {
-            let mut d = vec![b'D'];
-            d.extend_from_slice(&[0u8; 18]);
-            d
-        };
-        let pkt = feed_packet(&[&add, &del]);
+        let pkt = feed(&[googl(), ItchMessage::OrderDelete { order_ref: 0 }]);
         let phvs = sp.parser.parse(&sp.layout, &pkt).unwrap();
         assert_eq!(phvs.len(), 1);
         let price = sp.layout.get("add_order.price").unwrap();
@@ -424,8 +428,7 @@ mod tests {
                 message_select: Some(("msg_type".into(), u64::from(b'A'))),
             },
         );
-        let add = camus_itch_wire();
-        let pkt = feed_packet(&[&add, &add, &add]);
+        let pkt = feed(&[googl(), googl(), googl()]);
         let phvs = sp.parser.parse(&sp.layout, &pkt).unwrap();
         assert_eq!(phvs.len(), 3);
     }
@@ -438,7 +441,7 @@ mod tests {
                 message_select: None,
             },
         );
-        let mut pkt = feed_packet(&[]);
+        let mut pkt = feed(&[]);
         pkt[23] = 6; // TCP
         assert!(sp.parser.parse(&sp.layout, &pkt).is_err());
     }
@@ -462,7 +465,7 @@ mod tests {
         )
         .unwrap();
         let rules = parse_program("a.x > 1 : fwd(1)").unwrap();
-        let resolved = resolve(&spec, &rules, &ResolveOptions::default()).unwrap();
+        let resolved = resolve(&spec, &rules, OrderHeuristic::ExactFirst).unwrap();
         let err = build_static(
             &spec,
             &resolved.fields,
@@ -482,39 +485,5 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CompileError::BadSpec(_)));
-    }
-
-    /// A 36-byte ITCH add-order: GOOGL, 500 shares, price 1_000_000.
-    fn camus_itch_wire() -> Vec<u8> {
-        let mut m = vec![b'A'];
-        m.extend_from_slice(&[0; 10]);
-        m.extend_from_slice(&[0; 8]);
-        m.push(b'B');
-        m.extend_from_slice(&500u32.to_be_bytes());
-        m.extend_from_slice(b"GOOGL   ");
-        m.extend_from_slice(&1_000_000u32.to_be_bytes());
-        m
-    }
-
-    /// Minimal Ethernet/IPv4/UDP/MoldUDP64 wrapper.
-    fn feed_packet(msgs: &[&[u8]]) -> Vec<u8> {
-        let mut mold = vec![0u8; 10];
-        mold.extend_from_slice(&1u64.to_be_bytes());
-        mold.extend_from_slice(&(msgs.len() as u16).to_be_bytes());
-        for m in msgs {
-            mold.extend_from_slice(&(m.len() as u16).to_be_bytes());
-            mold.extend_from_slice(m);
-        }
-        let mut udp = vec![0u8; 8];
-        udp[4..6].copy_from_slice(&((8 + mold.len()) as u16).to_be_bytes());
-        udp.extend_from_slice(&mold);
-        let mut ip = vec![0x45u8, 0, 0, 0, 0, 0, 0, 0, 16, 17, 0, 0];
-        ip[2..4].copy_from_slice(&((20 + udp.len()) as u16).to_be_bytes());
-        ip.extend_from_slice(&[0; 8]);
-        ip.extend_from_slice(&udp);
-        let mut eth = vec![0u8; 12];
-        eth.extend_from_slice(&0x0800u16.to_be_bytes());
-        eth.extend_from_slice(&ip);
-        eth
     }
 }

@@ -11,8 +11,10 @@
 
 use camus_bdd::order::OrderHeuristic;
 use camus_core::{Compiler, CompilerOptions};
+use camus_itch::Side;
 use camus_lang::ast::{Action, Atom, Cond, FieldRef, Operand, RelOp, Rule, Value};
 use camus_lang::parse_spec;
+use camus_workload::{ports, raw_add_order};
 use proptest::prelude::*;
 
 const SYMBOLS: [&str; 5] = ["GOOGL", "MSFT", "AAPL", "ORCL", "AMZN"];
@@ -111,21 +113,6 @@ fn naive_ports(gen: &[GenRule], shares: u32, price: u32, sym: usize, buy: bool) 
     out
 }
 
-fn raw_itch_packet(symbol: &str, buy: bool, shares: u32, price: u32) -> Vec<u8> {
-    let mut m = vec![b'A'];
-    m.extend_from_slice(&[0; 10]);
-    m.extend_from_slice(&[0; 8]);
-    m.push(if buy { b'B' } else { b'S' });
-    m.extend_from_slice(&shares.to_be_bytes());
-    let mut stock = [b' '; 8];
-    for (i, c) in symbol.bytes().take(8).enumerate() {
-        stock[i] = c;
-    }
-    m.extend_from_slice(&stock);
-    m.extend_from_slice(&price.to_be_bytes());
-    m
-}
-
 type Packet = (u32, u32, usize, bool);
 
 fn arb_packets() -> impl Strategy<Value = Vec<Packet>> {
@@ -146,9 +133,10 @@ fn run_config(
     let prog = compiler.compile(rules).unwrap();
     let mut pipe = prog.pipeline;
     for &(shares, price, sym, buy) in packets {
-        let pkt = raw_itch_packet(SYMBOLS[sym], buy, shares, price);
+        let side = if buy { Side::Buy } else { Side::Sell };
+        let pkt = raw_add_order(SYMBOLS[sym], side, shares, price);
         let d = pipe.process(&pkt, 0).unwrap();
-        let got: Vec<u16> = d.ports.iter().map(|p| p.0).collect();
+        let got = ports(&d);
         let want = naive_ports(gen, shares, price, sym, buy);
         prop_assert_eq!(
             got,
@@ -225,9 +213,7 @@ proptest! {
         out_of_alphabet in 0usize..2,
     ) {
         use camus_core::IncrementalCompiler;
-        use camus_workload::{
-            entry_multisets, naive_ports_for_event, siena_churn, ChurnConfig, SienaConfig,
-        };
+        use camus_workload::{entry_multisets, siena_churn, ChurnConfig, EpochOracle, SienaConfig};
 
         let siena = SienaConfig {
             int_attributes: 2,
@@ -253,6 +239,7 @@ proptest! {
         let mut session = IncrementalCompiler::new(spec.clone(), &opts, &plan.base.rules).unwrap();
         let mut mirror = session.install(&plan.schedule.initial).unwrap().pipeline;
         let full_compiler = Compiler::new(spec.clone(), opts).unwrap();
+        let mut oracle = EpochOracle::new(&spec, |r| full_compiler.compile(r).unwrap().pipeline);
         let events = siena.generate_events(&plan.base, 10);
 
         for (k, step) in plan.schedule.steps.iter().enumerate() {
@@ -264,16 +251,8 @@ proptest! {
 
             let active = plan.schedule.rules_after(k + 1);
             prop_assert_eq!(session.active_rules(), active.as_slice());
-            let mut full = full_compiler.compile(&active).unwrap().pipeline;
-            for ev in &events {
-                let inc: Vec<u16> =
-                    mirror.process(ev, 0).unwrap().ports.iter().map(|p| p.0).collect();
-                let fresh: Vec<u16> =
-                    full.process(ev, 0).unwrap().ports.iter().map(|p| p.0).collect();
-                let oracle = naive_ports_for_event(&spec, &active, ev);
-                prop_assert_eq!(&inc, &fresh, "step {}, event {:x?}", k, ev);
-                prop_assert_eq!(&inc, &oracle, "step {}, event {:x?}", k, ev);
-            }
+            oracle.publish(&active);
+            oracle.check_pipeline(&mut mirror, &events);
         }
     }
 }
@@ -301,7 +280,7 @@ proptest! {
         extra in 1usize..4,
     ) {
         use camus_core::IncrementalCompiler;
-        use camus_workload::{entry_multisets, naive_ports_for_event, SienaConfig};
+        use camus_workload::{entry_multisets, EpochOracle, SienaConfig};
 
         let siena = SienaConfig {
             subscriptions: 8 + extra,
@@ -319,7 +298,9 @@ proptest! {
             IncrementalCompiler::new(wl.spec.clone(), &CompilerOptions::raw(), &wl.rules).unwrap();
         let cold = session.install(base).unwrap();
         let mut mirror = cold.pipeline.clone();
-        let mut reference = cold.pipeline;
+        let compiler = Compiler::new(wl.spec.clone(), CompilerOptions::raw()).unwrap();
+        let mut oracle = EpochOracle::new(&wl.spec, |r| compiler.compile(r).unwrap().pipeline);
+        oracle.publish(base);
         let events = siena.generate_events(&wl, 20);
         let sizes = |p: &camus_pipeline::pipeline::Pipeline| -> Vec<(String, usize)> {
             p.tables.iter().map(|t| (t.name.clone(), t.len())).collect()
@@ -334,7 +315,7 @@ proptest! {
             (added.to_vec(), &base[..extra]),
             ([added, &novel].concat(), &base[extra..2 * extra]),
         ];
-        let mut before_add = sizes(&reference);
+        let mut before_add = sizes(&cold.pipeline);
         for (round, (adds, removes)) in batches.iter().enumerate() {
             session.update(adds, removes).unwrap().apply_to(&mut mirror).unwrap();
             let back = session.update(removes, adds).unwrap();
@@ -352,14 +333,7 @@ proptest! {
                     prop_assert!(*n <= was, "{}: {} entries, {} before the add", name, n, was);
                 }
             }
-            for ev in &events {
-                let got: Vec<u16> =
-                    mirror.process(ev, 0).unwrap().ports.iter().map(|p| p.0).collect();
-                let cold: Vec<u16> =
-                    reference.process(ev, 0).unwrap().ports.iter().map(|p| p.0).collect();
-                prop_assert_eq!(&got, &cold, "round {}, event {:x?}", round, ev);
-                prop_assert_eq!(&got, &naive_ports_for_event(&wl.spec, base, ev));
-            }
+            oracle.check_pipeline(&mut mirror, &events);
             before_add = after;
         }
     }

@@ -492,6 +492,22 @@ pub struct EngineReport {
     pub hotpath: HotPathStats,
 }
 
+impl EngineReport {
+    /// One slot per submitted packet, in submission order: its decision,
+    /// or `None` if it was quarantined (or decisions went unrecorded).
+    pub fn decisions_in_submit_order(&self) -> Vec<Option<&ForwardDecision>> {
+        let submitted = self.stats.packets + self.quarantined.len() as u64;
+        let mut decisions = self.decisions.iter();
+        let mut quarantined = self.quarantined.iter().peekable();
+        (0..submitted)
+            .map(|seq| match quarantined.next_if_eq(&&seq) {
+                Some(_) => None,
+                None => decisions.next(),
+            })
+            .collect()
+    }
+}
+
 /// A running multi-core engine. Create with [`Engine::start`], feed it
 /// with [`Engine::submit`], then call [`Engine::finish`] to join the
 /// workers and collect the [`EngineReport`].

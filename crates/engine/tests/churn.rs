@@ -8,8 +8,8 @@
 //!   and the engine has quiesced, decisions are bit-identical to a
 //!   sequential executor running the same cumulative rule set;
 //! * **no half-applied rule sets** — even without quiescing, every
-//!   mid-churn decision matches *some* published generation, never a
-//!   mixture;
+//!   mid-churn decision matches the generation its packet was submitted
+//!   under or a later one, never a mixture and never an older one;
 //! * **state carry-over** — `@query_counter` registers survive both
 //!   delta updates and full-rebuild swaps.
 
@@ -17,30 +17,18 @@ use std::sync::Arc;
 
 use camus_core::{Compiler, CompilerOptions, IncrementalCompiler, UpdateReport};
 use camus_engine::{shard, Engine, EngineConfig, ShardFn};
+use camus_itch::Side;
 use camus_lang::ast::Rule;
 use camus_lang::{parse_program, parse_spec};
 use camus_pipeline::Pipeline;
-use camus_workload::itch_subs::stock_symbol;
-use camus_workload::{itch_churn, ChurnConfig, ItchSubsConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use camus_workload::{
+    itch_churn, ports, random_add_orders, raw_add_order, ChurnConfig, Delivery, EpochOracle,
+    ItchSubsConfig,
+};
 
-/// A raw ITCH add-order message (the `Raw` encapsulation the
-/// incremental-compiler tests use): msg_type, locate/tracking/
-/// timestamp, order_ref, side, shares, stock, price.
-fn packet(symbol: &str, shares: u32, price: u32) -> Vec<u8> {
-    let mut m = vec![b'A'];
-    m.extend_from_slice(&[0; 10]);
-    m.extend_from_slice(&[0; 8]);
-    m.push(b'B');
-    m.extend_from_slice(&shares.to_be_bytes());
-    let mut stock = [b' '; 8];
-    for (i, c) in symbol.bytes().take(8).enumerate() {
-        stock[i] = c;
-    }
-    m.extend_from_slice(&stock);
-    m.extend_from_slice(&price.to_be_bytes());
-    m
+/// A raw add-order for `symbol` at `price` (one share, a buy).
+fn order(symbol: &str, price: u32) -> Vec<u8> {
+    raw_add_order(symbol, Side::Buy, 1, price)
 }
 
 /// Shards raw add-order packets by the stock field (bytes 24..32), the
@@ -51,26 +39,6 @@ fn raw_stock_shard() -> ShardFn {
 
 fn itch_spec() -> camus_lang::spec::Spec {
     parse_spec(camus_lang::spec::ITCH_SPEC).unwrap()
-}
-
-fn ports_of(pipe: &mut Pipeline, pkt: &[u8]) -> Vec<u16> {
-    pipe.process(pkt, 0)
-        .expect("packet parses")
-        .ports
-        .iter()
-        .map(|p| p.0)
-        .collect()
-}
-
-/// Random packets over the churn workload's symbol/price universe.
-fn random_packets(n: usize, seed: u64) -> Vec<Vec<u8>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let sym = stock_symbol(rng.gen_range(0..8));
-            packet(&sym, 1, rng.gen_range(0..600) as u32)
-        })
-        .collect()
 }
 
 /// The shared churn workload: an ITCH pool (doubling as the session
@@ -95,8 +63,8 @@ fn workload() -> (Vec<Rule>, camus_workload::ChurnSchedule) {
 
 /// Phased churn with quiescence between generations: after each
 /// `quiesce` + `apply_update`, the engine's decisions must be
-/// bit-identical (as port sets) to a fresh full compile of the
-/// cumulative rule set — for 1, 2 and 8 workers.
+/// bit-identical to a fresh full compile of the cumulative rule set
+/// (`Delivery::Exact`) — for 1, 2 and 8 workers.
 #[test]
 fn churn_decisions_match_sequential_per_phase_for_any_worker_count() {
     let (pool, schedule) = workload();
@@ -106,26 +74,14 @@ fn churn_decisions_match_sequential_per_phase_for_any_worker_count() {
 
     // One packet phase per generation (initial + one per step).
     let phases: Vec<Vec<Vec<u8>>> = (0..=schedule.steps.len())
-        .map(|k| random_packets(48, 0xFACE + k as u64))
-        .collect();
-
-    // Oracle: a fresh full compile per generation (rules are
-    // stateless, so each phase is independent).
-    let oracle: Vec<Vec<Vec<u16>>> = phases
-        .iter()
-        .enumerate()
-        .map(|(k, pkts)| {
-            let mut pipe = full_compiler
-                .compile(&schedule.rules_after(k))
-                .unwrap()
-                .pipeline;
-            pkts.iter().map(|p| ports_of(&mut pipe, p)).collect()
-        })
+        .map(|k| random_add_orders(48, 8, 600, 0xFACE + k as u64))
         .collect();
 
     for workers in [1usize, 2, 8] {
+        let mut oracle = EpochOracle::new(&spec, |r| full_compiler.compile(r).unwrap().pipeline);
         let mut session = IncrementalCompiler::new(spec.clone(), &opts, &pool).unwrap();
         let initial = session.install(&schedule.initial).unwrap();
+        oracle.publish(&schedule.initial);
         let cfg = EngineConfig {
             workers,
             batch_packets: 8,
@@ -141,9 +97,11 @@ fn churn_decisions_match_sequential_per_phase_for_any_worker_count() {
                 engine.quiesce().unwrap();
                 let report = session.update(&step.add, &step.remove).unwrap();
                 engine.apply_update(&report).unwrap();
+                oracle.publish(&schedule.rules_after(k));
             }
             for p in pkts {
                 now += 1;
+                oracle.submit(p, now);
                 engine.submit(p, now);
             }
         }
@@ -162,26 +120,16 @@ fn churn_decisions_match_sequential_per_phase_for_any_worker_count() {
             "workers={workers}"
         );
         assert_eq!(report.updates.published, schedule.steps.len() as u64);
-
-        let mut i = 0;
-        for (k, pkts) in phases.iter().enumerate() {
-            for (j, _) in pkts.iter().enumerate() {
-                let got: Vec<u16> = report.decisions[i].ports.iter().map(|p| p.0).collect();
-                assert_eq!(
-                    got, oracle[k][j],
-                    "workers={workers}, phase {k}, packet {j}"
-                );
-                i += 1;
-            }
-        }
+        let decisions = report.decisions_in_submit_order();
+        assert_eq!(oracle.check(&decisions, Delivery::Exact), 0);
     }
 }
 
 /// Updates injected mid-trace with **no** quiescing: nothing is
-/// dropped, and every decision matches one of the published
-/// generations — no packet is ever routed by a half-applied rule set.
-/// After the final quiesce, decisions match the final rule set
-/// exactly.
+/// dropped, and every decision matches the generation its packet was
+/// submitted under or a later one (`Delivery::AtOrAfter`) — no packet
+/// is ever routed by a half-applied or an older rule set. After the
+/// final quiesce, decisions match the final rule set exactly.
 #[test]
 fn unquiesced_churn_never_shows_a_half_applied_rule_set() {
     let (pool, schedule) = workload();
@@ -191,6 +139,8 @@ fn unquiesced_churn_never_shows_a_half_applied_rule_set() {
 
     let mut session = IncrementalCompiler::new(spec.clone(), &opts, &pool).unwrap();
     let initial = session.install(&schedule.initial).unwrap();
+    let mut oracle = EpochOracle::new(&spec, |r| full_compiler.compile(r).unwrap().pipeline);
+    oracle.publish(&schedule.initial);
     let cfg = EngineConfig {
         workers: 4,
         batch_packets: 4,
@@ -199,70 +149,44 @@ fn unquiesced_churn_never_shows_a_half_applied_rule_set() {
     };
     let mut engine = Engine::start(&initial.pipeline, &cfg, raw_stock_shard());
 
-    let churn_pkts = random_packets(160, 0xBEEF);
-    let tail_pkts = random_packets(64, 0xCAFE);
+    let churn_pkts = random_add_orders(160, 8, 600, 0xBEEF);
+    let tail_pkts = random_add_orders(64, 8, 600, 0xCAFE);
+    let mut now = 0u64;
+    let mut submit = |engine: &mut Engine, oracle: &mut EpochOracle, pkts: &[Vec<u8>]| {
+        for p in pkts {
+            now += 1;
+            oracle.submit(p, now);
+            engine.submit(p, now);
+        }
+    };
 
     // Interleave: a burst of packets, then an update, with no
     // quiescence anywhere in between.
     let burst = churn_pkts.len() / (schedule.steps.len() + 1);
-    let mut now = 0u64;
-    let mut fed = 0;
-    for step in &schedule.steps {
-        for p in &churn_pkts[fed..fed + burst] {
-            now += 1;
-            engine.submit(p, now);
-        }
-        fed += burst;
+    for (k, step) in schedule.steps.iter().enumerate() {
+        submit(
+            &mut engine,
+            &mut oracle,
+            &churn_pkts[k * burst..(k + 1) * burst],
+        );
         let report = session.update(&step.add, &step.remove).unwrap();
         engine.apply_update(&report).unwrap();
+        oracle.publish(&schedule.rules_after(k + 1));
     }
-    for p in &churn_pkts[fed..] {
-        now += 1;
-        engine.submit(p, now);
-    }
+    let fed = schedule.steps.len() * burst;
+    submit(&mut engine, &mut oracle, &churn_pkts[fed..]);
 
     // Quiesce: every packet above is decided, and all workers have
-    // seen the final generation by their next batch. The tail must
-    // then follow the final rules exactly.
+    // seen the final generation by their next batch. The tail, at the
+    // newest generation, must then follow the final rules exactly.
     engine.quiesce().unwrap();
-    for p in &tail_pkts {
-        now += 1;
-        engine.submit(p, now);
-    }
+    submit(&mut engine, &mut oracle, &tail_pkts);
     let submitted = engine.submitted();
     let report = engine.finish();
     assert!(report.error.is_none(), "{:?}", report.error);
     assert_eq!(report.decisions.len() as u64, submitted);
-
-    // Per-generation oracles for the churn segment.
-    let mut generations: Vec<Pipeline> = (0..=schedule.steps.len())
-        .map(|k| {
-            full_compiler
-                .compile(&schedule.rules_after(k))
-                .unwrap()
-                .pipeline
-        })
-        .collect();
-    for (i, p) in churn_pkts.iter().enumerate() {
-        let got: Vec<u16> = report.decisions[i].ports.iter().map(|p| p.0).collect();
-        let candidates: Vec<Vec<u16>> = generations
-            .iter_mut()
-            .map(|pipe| ports_of(pipe, p))
-            .collect();
-        assert!(
-            candidates.contains(&got),
-            "packet {i}: decision {got:?} matches no published generation {candidates:?}"
-        );
-    }
-    let final_oracle = generations.last_mut().unwrap();
-    for (j, p) in tail_pkts.iter().enumerate() {
-        let got: Vec<u16> = report.decisions[churn_pkts.len() + j]
-            .ports
-            .iter()
-            .map(|p| p.0)
-            .collect();
-        assert_eq!(ports_of(final_oracle, p), got, "tail packet {j}");
-    }
+    let decisions = report.decisions_in_submit_order();
+    assert_eq!(oracle.check(&decisions, Delivery::AtOrAfter), 0);
 }
 
 /// `@query_counter` state survives updates: a delta add, a delta
@@ -303,10 +227,10 @@ fn query_counter_state_survives_delta_and_full_rebuild_updates() {
     };
     let mixed = |n: usize, other: &str| -> Vec<Vec<u8>> {
         (0..n)
-            .map(|i| packet(if i % 2 == 0 { "GOOGL" } else { other }, 1, 10))
+            .map(|i| order(if i % 2 == 0 { "GOOGL" } else { other }, 10))
             .collect()
     };
-    let googl: Vec<Vec<u8>> = (0..3).map(|_| packet("GOOGL", 1, 10)).collect();
+    let googl: Vec<Vec<u8>> = (0..3).map(|_| order("GOOGL", 10)).collect();
     feed(&mut engine, &mut sequential, &mut seq_decisions, &googl);
 
     // Delta update (in-alphabet add): counter must keep its value 3.
@@ -393,8 +317,8 @@ fn out_of_alphabet_update_full_swaps_through_the_engine() {
         ..Default::default()
     };
     let mut engine = Engine::start(&initial.pipeline, &cfg, raw_stock_shard());
-    engine.submit(&packet("GOOGL", 1, 10), 0);
-    engine.submit(&packet("MSFT", 1, 10), 0);
+    engine.submit(&order("GOOGL", 10), 0);
+    engine.submit(&order("MSFT", 10), 0);
     engine.quiesce().unwrap();
 
     // `stock == MSFT` is a new predicate and `my_counter` a new state
@@ -416,19 +340,15 @@ fn out_of_alphabet_update_full_swaps_through_the_engine() {
     assert!(!engine.commit(), "the update consumed the staged slot");
 
     for _ in 0..3 {
-        engine.submit(&packet("MSFT", 1, 10), 0);
+        engine.submit(&order("MSFT", 10), 0);
     }
-    engine.submit(&packet("GOOGL", 1, 10), 0);
+    engine.submit(&order("GOOGL", 10), 0);
     let out = engine.finish();
     assert!(out.error.is_none(), "{:?}", out.error);
     assert_eq!(out.updates.full_swaps, 1);
     assert_eq!(out.updates.delta_updates, 0);
 
-    let ports: Vec<Vec<u16>> = out
-        .decisions
-        .iter()
-        .map(|d| d.ports.iter().map(|p| p.0).collect())
-        .collect();
+    let ports: Vec<Vec<u16>> = out.decisions.iter().map(ports).collect();
     // Before: only the GOOGL rule exists. After: MSFT forwards, the
     // second MSFT packet onward trips the new counter threshold, and
     // GOOGL still works.

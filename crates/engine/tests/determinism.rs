@@ -11,7 +11,7 @@
 
 use camus_core::{Compiler, CompilerOptions};
 use camus_engine::{run_trace, shard, EngineConfig};
-use camus_itch::{build_feed_packet, AddOrder, FeedConfig, ItchMessage, PacketArena, Side};
+use camus_itch::{build_feed_packet, AddOrder, FeedConfig, ItchMessage, Side};
 use camus_lang::{parse_rule, parse_spec};
 use camus_pipeline::ForwardDecision;
 use camus_workload::itch_subs::stock_symbol;
@@ -66,10 +66,10 @@ fn rules() -> Vec<camus_lang::ast::Rule> {
     out
 }
 
-/// ≥10k single-symbol feed packets, 1–3 add-orders each, strictly
-/// increasing timestamps. Inline LCG so the trace is reproducible
-/// byte-for-byte across runs.
-fn build_trace(packets: usize) -> PacketArena {
+/// ≥10k single-symbol feed packets, 1–3 add-orders each, with their
+/// strictly increasing timestamps. Inline LCG so the trace is
+/// reproducible byte-for-byte across runs.
+fn build_trace(packets: usize) -> Vec<(Vec<u8>, u64)> {
     let cfg = FeedConfig::default();
     let mut rng: u64 = 0x243f6a8885a308d3;
     let mut step = move || {
@@ -78,7 +78,7 @@ fn build_trace(packets: usize) -> PacketArena {
             .wrapping_add(1442695040888963407);
         rng >> 33
     };
-    let mut arena = PacketArena::with_capacity(packets, 160);
+    let mut trace = Vec::with_capacity(packets);
     let mut now_us = 0u64;
     for seq in 0..packets {
         let sym = stock_symbol((step() % SYMBOLS as u64) as usize);
@@ -96,9 +96,13 @@ fn build_trace(packets: usize) -> PacketArena {
             })
             .collect();
         now_us += 23 + step() % 40; // windows (700 µs) roll every ~16 pkts
-        arena.push(&build_feed_packet(&cfg, seq as u64 + 1, &msgs), now_us);
+        trace.push((build_feed_packet(&cfg, seq as u64 + 1, &msgs), now_us));
     }
-    arena
+    trace
+}
+
+fn replay(trace: &[(Vec<u8>, u64)]) -> impl Iterator<Item = (&[u8], u64)> {
+    trace.iter().map(|(p, t)| (p.as_slice(), *t))
 }
 
 #[test]
@@ -110,8 +114,7 @@ fn engine_decisions_identical_to_sequential_for_any_worker_count() {
     let trace = build_trace(10_000);
 
     let mut sequential = prog.pipeline.clone();
-    let expected: Vec<ForwardDecision> = trace
-        .iter()
+    let expected: Vec<ForwardDecision> = replay(&trace)
         .map(|(p, t)| sequential.process(p, t).unwrap())
         .collect();
 
@@ -137,7 +140,7 @@ fn engine_decisions_identical_to_sequential_for_any_worker_count() {
             &prog.pipeline,
             &cfg,
             shard::itch_symbol_shard(),
-            trace.iter(),
+            replay(&trace),
         );
         assert!(
             report.error.is_none(),
@@ -175,7 +178,7 @@ fn sharding_spreads_symbols_across_workers() {
         &prog.pipeline,
         &cfg,
         shard::itch_symbol_shard(),
-        trace.iter(),
+        replay(&trace),
     );
     let busy = report.per_worker.iter().filter(|s| s.packets > 0).count();
     assert!(busy >= 4, "only {busy}/8 workers saw traffic");

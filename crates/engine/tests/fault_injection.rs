@@ -6,9 +6,10 @@
 //! * **zero loss, zero duplication** — every submitted packet is either
 //!   decided exactly once or listed (exactly once) in the quarantine;
 //! * **oracle identity** — every non-quarantined decision is
-//!   bit-identical to a sequential executor run over the *same mutated
-//!   trace* (rules are stateless, so per-packet decisions are
-//!   independent and quarantine holes don't shift the oracle);
+//!   bit-identical to a fresh compile run over the *same mutated
+//!   trace*, and to the AST interpreter wherever the corruption left a
+//!   decodable message (rules are stateless, so per-packet decisions
+//!   are independent and quarantine holes don't shift the oracle);
 //! * **typed corruption** — wire corruption surfaces as per-reason drop
 //!   counters, never as an error or a dead worker;
 //! * **transactional rejection** — the capacity bomb is refused by
@@ -22,30 +23,14 @@ use std::sync::Arc;
 
 use camus_core::{Compiler, CompilerOptions, IncrementalCompiler};
 use camus_engine::{shard, Engine, EngineConfig, EngineFault, FaultInjection, ShardFn};
-use camus_lang::{parse_program, parse_spec};
+use camus_itch::Side;
+use camus_lang::{parse_program, parse_spec, Rule};
 use camus_pipeline::resources::place_chain;
 use camus_pipeline::{AsicModel, Pipeline};
-use camus_workload::itch_subs::stock_symbol;
-use camus_workload::{capacity_bomb, FaultPlan, FaultPlanConfig, ItchSubsConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// A raw ITCH add-order message (the `Raw` encapsulation): msg_type,
-/// locate/tracking/timestamp, order_ref, side, shares, stock, price.
-fn packet(symbol: &str, shares: u32, price: u32) -> Vec<u8> {
-    let mut m = vec![b'A'];
-    m.extend_from_slice(&[0; 10]);
-    m.extend_from_slice(&[0; 8]);
-    m.push(b'B');
-    m.extend_from_slice(&shares.to_be_bytes());
-    let mut stock = [b' '; 8];
-    for (i, c) in symbol.bytes().take(8).enumerate() {
-        stock[i] = c;
-    }
-    m.extend_from_slice(&stock);
-    m.extend_from_slice(&price.to_be_bytes());
-    m
-}
+use camus_workload::{
+    capacity_bomb, random_add_orders, raw_add_order, Delivery, EpochOracle, FaultPlan,
+    FaultPlanConfig, ItchSubsConfig,
+};
 
 /// Shards by the stock field — *totally*: a frame truncated before the
 /// stock field still gets a (constant) shard instead of a panic, since
@@ -64,22 +49,20 @@ fn itch_cfg() -> ItchSubsConfig {
     }
 }
 
-fn compiled_pipeline(cfg: &ItchSubsConfig) -> Pipeline {
+fn compile(rules: &[Rule]) -> Pipeline {
     let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
     let compiler = Compiler::new(spec, CompilerOptions::raw()).unwrap();
-    let rules = camus_workload::generate_itch_subscriptions(cfg);
-    compiler.compile(&rules).unwrap().pipeline
+    compiler.compile(rules).unwrap().pipeline
 }
 
-/// Random packets over the workload's symbol/price universe.
-fn random_packets(n: usize, seed: u64) -> Vec<Vec<u8>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let sym = stock_symbol(rng.gen_range(0..8));
-            packet(&sym, 1, rng.gen_range(0..600) as u32)
-        })
-        .collect()
+/// The workload's rules, installed, and the big switch that judges
+/// every packet submitted under them.
+fn installed(cfg: &ItchSubsConfig) -> (Pipeline, EpochOracle<'static>) {
+    let rules = camus_workload::generate_itch_subscriptions(cfg);
+    let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
+    let mut oracle = EpochOracle::new(&spec, compile);
+    oracle.publish(&rules);
+    (compile(&rules), oracle)
 }
 
 /// The soak proper: corrupted wire + scripted panics + a scripted
@@ -96,10 +79,10 @@ fn fault_soak_recovers_and_matches_oracle() {
 }
 
 fn run_fault_soak(seed: u64) {
-    let pipeline = compiled_pipeline(&itch_cfg());
+    let (pipeline, mut oracle) = installed(&itch_cfg());
     // The trace seed is derived so the default plan seed (0x50AC)
     // reproduces the historical 0xFA11 trace exactly.
-    let clean = random_packets(600, 0xFA11 ^ seed ^ 0x50AC);
+    let clean = random_add_orders(600, 8, 600, 0xFA11 ^ seed ^ 0x50AC);
     let plan = FaultPlan::generate(
         &clean,
         &FaultPlanConfig {
@@ -112,19 +95,9 @@ fn run_fault_soak(seed: u64) {
     );
     assert!(!plan.mutations.is_empty(), "plan must corrupt something");
 
-    // Oracle: the sequential executor over the same mutated trace.
-    // Stateless rules make each packet's decision independent, so the
-    // oracle stays exact for non-quarantined packets.
-    let mut oracle_pipe = pipeline.clone();
-    let oracle: Vec<_> = plan
-        .packets
-        .iter()
-        .map(|p| {
-            oracle_pipe
-                .process(p, 0)
-                .expect("corruption is a typed drop, not an error")
-        })
-        .collect();
+    for p in &plan.packets {
+        oracle.submit(p, 0);
+    }
 
     for workers in [1usize, 2, 8] {
         let cfg = EngineConfig {
@@ -187,31 +160,20 @@ fn run_fault_soak(seed: u64) {
         assert!(report.faults.respawns <= report.faults.worker_deaths);
         assert_eq!(report.faults.packets_quarantined, quarantined.len() as u64);
 
-        // Oracle identity for every surviving packet. Decisions are in
-        // submission order with quarantined seqs absent — a merge walk
-        // re-aligns them.
-        let mut di = 0usize;
-        let mut malformed_expected = 0u64;
-        for (seq, want) in oracle.iter().enumerate() {
-            if quarantined.contains(&(seq as u64)) {
-                continue;
-            }
-            assert_eq!(
-                &report.decisions[di], want,
-                "workers={workers}: packet {seq} diverged from the oracle"
-            );
-            if want.drop_reason.is_some() {
-                malformed_expected += 1;
-            }
-            di += 1;
-        }
-        assert_eq!(di, report.decisions.len());
+        // Oracle identity for every surviving packet.
+        let decisions = report.decisions_in_submit_order();
+        assert_eq!(
+            oracle.check(&decisions, Delivery::Exact),
+            quarantined.len(),
+            "workers={workers}"
+        );
 
         // Counters reconcile exactly.
         let s = &report.stats;
         assert_eq!(s.packets, submitted - quarantined.len() as u64);
         assert_eq!(s.packets, s.forwarded_packets + s.dropped_packets);
-        assert_eq!(s.malformed_packets(), malformed_expected);
+        let malformed = decisions.iter().flatten().filter(|d| d.malformed());
+        assert_eq!(s.malformed_packets(), malformed.count() as u64);
         assert!(
             s.malformed_packets() > 0,
             "workers={workers}: corruption never reached the parser"
@@ -228,7 +190,7 @@ fn run_fault_soak(seed: u64) {
 #[test]
 fn capacity_bomb_is_rejected_with_zero_observable_state_change() {
     let cfg = itch_cfg();
-    let pipeline = compiled_pipeline(&cfg);
+    let (pipeline, mut oracle) = installed(&cfg);
 
     // Size the admission model around the seed program: the smallest
     // power-of-two per-stage budget that fits it. The bomb then has to
@@ -251,15 +213,16 @@ fn capacity_bomb_is_rejected_with_zero_observable_state_change() {
 
     // The bomb: enough subscriptions to exceed the whole budget.
     let bomb = capacity_bomb(&cfg, budget, 0xB0B);
-    let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
-    let compiler = Compiler::new(spec, CompilerOptions::raw()).unwrap();
-    let bomb_pipeline = compiler.compile(&bomb).unwrap().pipeline;
+    let bomb_pipeline = compile(&bomb);
     assert!(
         place_chain(&bomb_pipeline.tables, &model).failure.is_some(),
         "bomb unexpectedly fits the admission model"
     );
 
-    let trace = random_packets(200, 0xB0B2);
+    let trace = random_add_orders(200, 8, 600, 0xB0B2);
+    for p in &trace {
+        oracle.submit(p, 0);
+    }
     let engine_cfg = EngineConfig {
         workers: 2,
         batch_packets: 8,
@@ -292,12 +255,8 @@ fn capacity_bomb_is_rejected_with_zero_observable_state_change() {
 
     // Forwarding throughout — including after the rejection — is
     // bit-identical to the original rules.
-    let mut oracle_pipe = pipeline.clone();
-    assert_eq!(report.decisions.len(), trace.len());
-    for (i, p) in trace.iter().enumerate() {
-        let want = oracle_pipe.process(p, 0).unwrap();
-        assert_eq!(report.decisions[i], want, "packet {i}");
-    }
+    let decisions = report.decisions_in_submit_order();
+    assert_eq!(oracle.check(&decisions, Delivery::Exact), 0);
 }
 
 /// A worker that dies after a full swap comes back with the configured
@@ -324,7 +283,7 @@ fn respawned_worker_keeps_the_decision_cache_after_a_full_swap() {
         ..Default::default()
     };
     let mut engine = Engine::start(&seed, &cfg, total_stock_shard());
-    let hot = packet("GOOGL", 1, 10);
+    let hot = raw_add_order("GOOGL", Side::Buy, 1, 10);
     for _ in 0..200 {
         engine.submit(&hot, 0);
     }
@@ -360,8 +319,8 @@ fn respawned_worker_keeps_the_decision_cache_after_a_full_swap() {
 /// still yields a fully reconciled report at every worker count.
 #[test]
 fn garbage_heavy_trace_reconciles_at_every_worker_count() {
-    let pipeline = compiled_pipeline(&itch_cfg());
-    let clean = random_packets(300, 0x6A12);
+    let pipeline = compile(&camus_workload::generate_itch_subscriptions(&itch_cfg()));
+    let clean = random_add_orders(300, 8, 600, 0x6A12);
     let plan = FaultPlan::generate(
         &clean,
         &FaultPlanConfig {

@@ -3,7 +3,8 @@
 //! prepare and commit, and back-to-back epochs with no explicit drain.
 //! Every scenario must keep the zero-loss ledger exact
 //! (`submitted == decided + quarantined` per leaf) and leave the
-//! fabric forwarding bit-identically to the big switch.
+//! fabric forwarding bit-identically to the big switch — and the AST
+//! interpreter — at each packet's submission epoch.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -11,14 +12,9 @@ use std::sync::Arc;
 use camus_core::{Compiler, CompilerOptions};
 use camus_engine::{EngineConfig, EngineFault, FaultInjection, ShardFn};
 use camus_fabric::{tables_identical, EpochOptions, Fabric, FabricConfig, FabricFault};
-use camus_lang::{parse_program, parse_spec};
-use camus_pipeline::{Pipeline, PortId};
-use camus_workload::raw_field_extractor;
-
-const SPEC: &str = "header_type ev_t { fields { sym: 64; val: 32; } }\n\
-                    header ev_t ev;\n\
-                    @query_field_exact(ev.sym)\n\
-                    @query_field(ev.val)\n";
+use camus_lang::{parse_program, parse_spec, Rule};
+use camus_pipeline::Pipeline;
+use camus_workload::{event, raw_field_extractor, Delivery, EpochOracle, EVENT_SPEC};
 
 const OLD_RULES: &str = "sym == AA : fwd(1)\n\
                          sym == BB : fwd(2)\n\
@@ -28,22 +24,25 @@ const NEW_RULES: &str = "sym == AA : fwd(4)\n\
                          sym == CC and val > 5 : fwd(5)\n\
                          val > 50 : fwd(9)";
 
-fn compile(rules: &str) -> Pipeline {
-    let spec = parse_spec(SPEC).unwrap();
+fn compile_rules(rules: &[Rule]) -> Pipeline {
+    let spec = parse_spec(EVENT_SPEC).unwrap();
     let c = Compiler::new(spec, CompilerOptions::raw()).unwrap();
-    c.compile(&parse_program(rules).unwrap()).unwrap().pipeline
+    c.compile(rules).unwrap().pipeline
+}
+
+fn compile(rules: &str) -> Pipeline {
+    compile_rules(&parse_program(rules).unwrap())
+}
+
+/// The big switch, first running `rules`.
+fn big_switch(rules: &str) -> EpochOracle<'static> {
+    let mut oracle = EpochOracle::new(&parse_spec(EVENT_SPEC).unwrap(), compile_rules);
+    oracle.publish(&parse_program(rules).unwrap());
+    oracle
 }
 
 fn extractor() -> ShardFn {
-    raw_field_extractor(&parse_spec(SPEC).unwrap(), "sym").unwrap()
-}
-
-fn event(sym: &str, val: u32) -> Vec<u8> {
-    let mut b = camus_lang::symbol::encode_symbol(sym, 64)
-        .to_be_bytes()
-        .to_vec();
-    b.extend_from_slice(&val.to_be_bytes());
-    b
+    raw_field_extractor(&parse_spec(EVENT_SPEC).unwrap(), "sym").unwrap()
 }
 
 /// Two-letter symbols that a `leaves`-wide fabric routes to `leaf`.
@@ -62,10 +61,6 @@ fn symbols_owned_by(leaf: usize, leaves: usize, want: usize) -> Vec<String> {
         }
     }
     out
-}
-
-fn ports(pipe: &mut Pipeline, ev: &[u8]) -> Vec<PortId> {
-    pipe.process(ev, 0).unwrap().ports
 }
 
 #[test]
@@ -93,26 +88,25 @@ fn worker_death_during_epoch_prepare_reconciles_and_commits() {
     };
     let fcfg = FabricConfig::new("ev.sym", extractor(), vec![cfg_leaf0, cfg_leaf1]);
     let mut fabric = Fabric::start(&compile(OLD_RULES), &fcfg).unwrap();
+    let mut oracle = big_switch(OLD_RULES);
 
     // Fill leaf 1's first batch so it dispatches (and dies) while the
     // epoch is being prepared.
     for v in &victims {
-        fabric.submit(&event(v, 60), 0);
-        fabric.submit(&event(v, 70), 0);
+        for val in [60, 70] {
+            oracle.submit(&event(v, val), 0);
+            fabric.submit(&event(v, val), 0);
+        }
     }
     fabric.install_master(compile(NEW_RULES)).unwrap();
+    oracle.publish(&parse_program(NEW_RULES).unwrap());
     assert_eq!(fabric.epoch(), 1);
 
     // Post-epoch traffic forwards under the new rules everywhere.
-    let mut new_big = compile(NEW_RULES);
-    let post: Vec<Vec<u8>> = [("AA", 1u32), ("CC", 9), ("BB", 3)]
-        .iter()
-        .map(|&(s, v)| event(s, v))
-        .collect();
-    let expected: Vec<_> = post.iter().map(|e| ports(&mut new_big, e)).collect();
     let mark = fabric.submitted() as usize;
-    for e in &post {
-        fabric.submit(e, 0);
+    for (s, v) in [("AA", 1u32), ("CC", 9), ("BB", 3)] {
+        oracle.submit(&event(s, v), 0);
+        fabric.submit(&event(s, v), 0);
     }
     let report = fabric.finish();
     assert!(report.reconciles(), "zero-loss ledger must reconcile");
@@ -124,10 +118,14 @@ fn worker_death_during_epoch_prepare_reconciles_and_commits() {
     assert!(faults.worker_deaths >= 1);
     assert!(faults.respawns >= 1);
     let decisions = report.decisions_in_submit_order();
-    for (i, e) in expected.iter().enumerate() {
-        let d = decisions[mark + i].expect("post-epoch packets are never quarantined");
-        assert_eq!(&d.ports, e);
-    }
+    assert_eq!(
+        oracle.check(&decisions, Delivery::Exact),
+        report.total_quarantined()
+    );
+    assert!(
+        decisions[mark..].iter().all(Option::is_some),
+        "post-epoch packets are never quarantined"
+    );
 }
 
 #[test]
@@ -149,6 +147,7 @@ fn quiesce_timeout_mid_commit_aborts_everywhere_then_retries_clean() {
     // to a configured backoff policy instead of a hand-rolled loop.
     let fcfg = FabricConfig::uniform(2, "ev.sym", extractor(), cfg);
     let mut fabric = Fabric::start(&compile(OLD_RULES), &fcfg).unwrap();
+    let mut oracle = big_switch(OLD_RULES);
     // Armed before the first submit: leaf 0's one worker stalls on its
     // first batch, which is that packet alone.
     fabric.stall_leaf(0, 400);
@@ -156,6 +155,7 @@ fn quiesce_timeout_mid_commit_aborts_everywhere_then_retries_clean() {
         (0..2).map(|l| fabric.leaf_tables(l).to_vec()).collect();
     let gens: Vec<u64> = (0..2).map(|l| fabric.leaf_generation(l)).collect();
 
+    oracle.submit(&event(&stall_sym, 60), 0);
     fabric.submit(&event(&stall_sym, 60), 0); // dispatches immediately, stalls 400 ms
 
     let err = fabric.install_master(compile(NEW_RULES));
@@ -193,6 +193,7 @@ fn quiesce_timeout_mid_commit_aborts_everywhere_then_retries_clean() {
     fabric
         .install_master(compile(NEW_RULES))
         .expect("epoch must commit once the stall drains");
+    oracle.publish(&parse_program(NEW_RULES).unwrap());
     assert_eq!(fabric.epoch(), 1);
     assert!(
         fabric.robustness().epoch_retries > 0,
@@ -201,22 +202,13 @@ fn quiesce_timeout_mid_commit_aborts_everywhere_then_retries_clean() {
 
     // The stalled packet was *processed* (stall ≠ death): nothing lost,
     // and it saw the old epoch (it was in flight before the commit).
+    oracle.submit(&event("AA", 1), 0);
     fabric.submit(&event("AA", 1), 0);
     let report = fabric.finish();
     assert!(report.reconciles());
     assert_eq!(report.total_quarantined(), 0);
     let decisions = report.decisions_in_submit_order();
-    let mut old_big = compile(OLD_RULES);
-    let mut new_big = compile(NEW_RULES);
-    assert_eq!(
-        decisions[0].unwrap().ports,
-        ports(&mut old_big, &event(&stall_sym, 60)),
-        "in-flight packet completes under its submission epoch"
-    );
-    assert_eq!(
-        decisions[1].unwrap().ports,
-        ports(&mut new_big, &event("AA", 1))
-    );
+    assert_eq!(oracle.check(&decisions, Delivery::Exact), 0);
 }
 
 #[test]
@@ -234,20 +226,20 @@ fn back_to_back_epochs_without_drain_keep_packets_in_their_epoch() {
     };
     let fcfg = FabricConfig::uniform(2, "ev.sym", extractor(), cfg);
     let mut fabric = Fabric::start(&compile(generations[0]), &fcfg).unwrap();
+    let mut oracle = big_switch(generations[0]);
 
     let evs: Vec<Vec<u8>> = ["AA", "BB", "CC", "DD", "EE"]
         .iter()
         .flat_map(|s| [3u32, 60].map(|v| event(s, v)))
         .collect();
-    let mut expected: Vec<Vec<PortId>> = Vec::new();
     for (gen_idx, rules) in generations.iter().enumerate() {
         if gen_idx > 0 {
             // No quiesce, no drain: partial batches are in flight here.
             fabric.install_master(compile(rules)).unwrap();
+            oracle.publish(&parse_program(rules).unwrap());
         }
-        let mut oracle = compile(rules);
         for e in &evs {
-            expected.push(ports(&mut oracle, e));
+            oracle.submit(e, 0);
             fabric.submit(e, 0);
         }
     }
@@ -255,9 +247,7 @@ fn back_to_back_epochs_without_drain_keep_packets_in_their_epoch() {
     let report = fabric.finish();
     assert!(report.reconciles());
     assert_eq!(report.total_quarantined(), 0);
-    assert_eq!(report.submitted(), expected.len() as u64);
+    assert_eq!(report.submitted(), (generations.len() * evs.len()) as u64);
     let decisions = report.decisions_in_submit_order();
-    for (i, e) in expected.iter().enumerate() {
-        assert_eq!(&decisions[i].unwrap().ports, e, "packet {i}");
-    }
+    assert_eq!(oracle.check(&decisions, Delivery::Exact), 0);
 }

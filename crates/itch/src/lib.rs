@@ -21,9 +21,7 @@
 //!   order-delete and trade;
 //! * [`feed`] — end-to-end feed packet building and parsing;
 //! * [`pcap`] — capture-file writing/reading for tcpdump/Wireshark
-//!   interoperability and trace replay;
-//! * [`arena`] — a flat packet arena (contiguous bytes + offsets) for
-//!   allocation-cheap trace storage and replay.
+//!   interoperability and trace replay.
 //!
 //! Robustness contract: decoding raw bytes never panics. Every view is
 //! gated by `new_checked`, fixed-width reads go through total helpers,
@@ -32,7 +30,6 @@
 //! zero-filled reads through a misused view), never as worker crashes.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod arena;
 pub mod bytes;
 pub mod ether;
 pub mod feed;
@@ -42,7 +39,6 @@ pub mod moldudp;
 pub mod pcap;
 pub mod udp;
 
-pub use arena::PacketArena;
 pub use feed::{build_feed_packet, parse_feed_packet, FeedConfig};
 pub use itch::{AddOrder, ItchMessage, Side};
 

@@ -329,14 +329,6 @@ pub fn place_chain(tables: &[Table], model: &AsicModel) -> PlacementReport {
     place_leveled(&level_chain(tables), model)
 }
 
-/// Greedy in-order placement of a pure dependency chain: every table
-/// depends on its predecessor. See [`place_leveled`] for programs with
-/// independent tables.
-pub fn place(tables: &[&Table], model: &AsicModel) -> PlacementReport {
-    let leveled: Vec<(&Table, usize)> = tables.iter().enumerate().map(|(i, t)| (*t, i)).collect();
-    place_leveled(&leveled, model)
-}
-
 /// Greedy placement with explicit dependency levels.
 ///
 /// Tables at the same level are independent and may share a stage;
@@ -569,9 +561,8 @@ mod tests {
             .unwrap();
             t
         };
-        let (a, b, c) = (mk("a"), mk("b"), mk("c"));
         let model = AsicModel::tofino32();
-        let rep = place(&[&a, &b, &c], &model);
+        let rep = place_chain(&[mk("a"), mk("b"), mk("c")], &model);
         assert!(rep.fits());
         assert_eq!(rep.stages_used, 3);
         let stages: Vec<usize> = rep.placements.iter().map(|p| p.first_stage).collect();
@@ -590,7 +581,7 @@ mod tests {
             })
             .unwrap();
         }
-        let rep = place(&[&t], &model);
+        let rep = place_leveled(&[(&t, 0)], &model);
         assert!(rep.fits());
         assert_eq!(rep.placements[0].first_stage, 0);
         assert_eq!(rep.placements[0].last_stage, 1);
@@ -601,8 +592,7 @@ mod tests {
         let tables: Vec<Table> = (0..20)
             .map(|i| mk_table(&format!("t{i}"), &[(MatchKind::Exact, 8)]))
             .collect();
-        let refs: Vec<&Table> = tables.iter().collect();
-        let rep = place(&refs, &AsicModel::tofino32());
+        let rep = place_chain(&tables, &AsicModel::tofino32());
         assert!(!rep.fits());
         let err = rep.failure.as_ref().unwrap();
         assert_eq!(err.table, "t12");
@@ -627,7 +617,7 @@ mod tests {
             })
             .unwrap();
         }
-        let rep = place(&[&t], &model);
+        let rep = place_leveled(&[(&t, 0)], &model);
         assert!(!rep.fits());
         let err = rep.failure.as_ref().unwrap();
         assert_eq!(err.table, "huge");

@@ -46,7 +46,7 @@ pub mod snapshot;
 pub mod span;
 
 pub use hist::{Histogram, BUCKETS};
-pub use prom::{render_prometheus, render_prometheus_fabric, render_prometheus_node};
+pub use prom::{render_prometheus, render_prometheus_fabric};
 pub use snapshot::{
     DataPlaneTelemetry, RobustnessCounters, TableCounters, TelemetrySnapshot, SNAPSHOT_VERSION,
 };

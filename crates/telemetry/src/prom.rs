@@ -4,12 +4,10 @@
 //! the exposition format a future scrape endpoint would serve. Not
 //! called on the packet path, so it allocates freely.
 //!
-//! Three entry points share one family renderer:
+//! Two entry points share one family renderer:
 //!
 //! * [`render_prometheus`] — a single unlabeled snapshot (the
 //!   single-switch deployment);
-//! * [`render_prometheus_node`] — one snapshot tagged with a
-//!   `node="…"` label (one fabric leaf);
 //! * [`render_prometheus_fabric`] — several per-node snapshots in one
 //!   exposition, each metric family emitted once with one labeled
 //!   series per node (valid exposition needs exactly one `# HELP`/
@@ -30,14 +28,9 @@ pub fn render_prometheus(snap: &TelemetrySnapshot) -> String {
     render_nodes(&[("", snap)])
 }
 
-/// Renders one fabric node's snapshot with a `node` label on every
-/// series (e.g. `camus_packets_total{node="leaf0"} 123`).
-pub fn render_prometheus_node(snap: &TelemetrySnapshot, node: &str) -> String {
-    render_nodes(&[(node, snap)])
-}
-
 /// Renders a whole fabric — one labeled series per node inside each
-/// metric family. Node names must be distinct.
+/// metric family (e.g. `camus_packets_total{node="leaf0"} 123`). Node
+/// names must be distinct.
 pub fn render_prometheus_fabric(nodes: &[(&str, &TelemetrySnapshot)]) -> String {
     render_nodes(nodes)
 }
@@ -429,7 +422,7 @@ mod tests {
     #[test]
     fn node_label_tags_every_series() {
         let snap = sample_snapshot();
-        let text = render_prometheus_node(&snap, "leaf0");
+        let text = render_prometheus_fabric(&[("leaf0", &snap)]);
         assert!(text.contains("camus_packets_total{node=\"leaf0\"} 1000"));
         assert!(text.contains("camus_parse_duration_ns_count{node=\"leaf0\"} 2"));
         assert!(text.contains("camus_parse_duration_ns_bucket{node=\"leaf0\",le=\"+Inf\"} 2"));

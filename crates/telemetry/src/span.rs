@@ -160,19 +160,11 @@ impl SpanSet {
             .map(|&k| (k, self.get(k)))
             .filter(|(_, s)| s.count > 0)
     }
-
-    /// Times `f` and records its duration under `kind`.
-    pub fn time<R>(&mut self, kind: SpanKind, f: impl FnOnce() -> R) -> R {
-        let timer = SpanTimer::start();
-        let r = f();
-        timer.stop_into(self, kind);
-        r
-    }
 }
 
-/// A started span. The borrow-free half of the scoped-timer pattern:
-/// start before the work, `stop_into` a [`SpanSet`] after — usable
-/// even when the set lives inside the struct the work mutates.
+/// A started span: start before the work, `stop_into` a [`SpanSet`]
+/// after — borrow-free, so usable even when the set lives inside the
+/// struct the work mutates.
 #[derive(Debug)]
 pub struct SpanTimer {
     start: Instant,
@@ -234,13 +226,5 @@ mod tests {
         let snapshot = a.clone();
         a.merge(&SpanSet::new());
         assert_eq!(a, snapshot);
-    }
-
-    #[test]
-    fn scoped_time_records_once() {
-        let mut s = SpanSet::new();
-        let out = s.time(SpanKind::EmitTables, || 42);
-        assert_eq!(out, 42);
-        assert_eq!(s.get(SpanKind::EmitTables).count, 1);
     }
 }

@@ -4,8 +4,8 @@
 //! A fabric routes each raw event to the leaf that owns its sharding
 //! symbol, so both the spine and the differential tests need to pull
 //! the symbol straight out of the wire bytes — the same spec-driven
-//! extraction [`naive_ports_for_event`](crate::naive_ports_for_event)
-//! uses, packaged as a reusable shard function.
+//! extraction the oracle's raw-event interpreter uses, packaged as a
+//! reusable shard function.
 
 use std::sync::Arc;
 

@@ -1,16 +1,15 @@
 //! Naive AST interpreter for stateless subscription rules.
 //!
-//! This is the differential-testing *oracle*: it evaluates each rule's
-//! condition directly on a decoded event, with none of the BDD
-//! machinery the compiler uses. The Siena differential tests and the
-//! churn (live-update) differential tests both check the compiled
-//! pipeline against this interpreter, so it lives here where every
-//! test crate can share one copy.
+//! This is the ground truth of the differential oracle: it evaluates
+//! each rule's condition directly on a decoded event, with none of the
+//! BDD machinery the compiler uses. [`crate::oracle`] holds every
+//! system under test to it.
 //!
 //! Scope: stateless rules only (field-vs-constant atoms combined with
 //! and/or/not). State references panic — the oracle for stateful
 //! programs is the sequential executor, not this interpreter.
 
+use camus_itch::{parse_feed_packet, ItchMessage};
 use camus_lang::ast::{Action, Atom, Cond, Operand, Rule, Value};
 use camus_lang::spec::Spec;
 
@@ -63,16 +62,35 @@ pub fn naive_ports(
 
 /// [`naive_ports`] over a raw event: decodes each field by walking the
 /// spec's first header type (fields concatenated in declaration order
-/// — the `Raw` encapsulation the generators emit).
-pub fn naive_ports_for_event(spec: &Spec, rules: &[Rule], event: &[u8]) -> Vec<u16> {
+/// — the `Raw` encapsulation the generators emit). `None` when the
+/// event is shorter than the header.
+pub(crate) fn naive_ports_for_event(spec: &Spec, rules: &[Rule], event: &[u8]) -> Option<Vec<u16>> {
     let ht = &spec.header_types[0];
+    let covered = event.len() as u64 * 8 >= u64::from(ht.total_bits());
     let field_at = |name: &str| -> u64 {
         let f = ht.field(name).expect("field exists in spec");
         camus_pipeline::bits::extract_bits(event, u64::from(f.bit_offset), f.bits)
             .expect("event covers the header")
     };
     let bits_of = |name: &str| ht.field(name).expect("field exists in spec").bits;
-    naive_ports(rules, &field_at, &bits_of)
+    covered.then(|| naive_ports(rules, &field_at, &bits_of))
+}
+
+/// [`naive_ports`] over a framed ITCH feed packet (Ethernet / IPv4 /
+/// UDP / MoldUDP64, decoded by [`parse_feed_packet`]): the union over
+/// its add-order messages, each read as a raw event of the spec's
+/// header. `None` when any layer fails to decode.
+pub(crate) fn naive_ports_for_feed(spec: &Spec, rules: &[Rule], packet: &[u8]) -> Option<Vec<u16>> {
+    let (_, messages) = parse_feed_packet(packet).ok()?;
+    let mut out = Vec::new();
+    for m in messages {
+        if let ItchMessage::AddOrder(order) = m {
+            out.extend(naive_ports_for_event(spec, rules, &order.encode())?);
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
+    Some(out)
 }
 
 /// Every table's entries as a sorted multiset, in table order — how the
@@ -147,8 +165,9 @@ mod tests {
         let mut ev = Vec::new();
         ev.extend_from_slice(&1u32.to_be_bytes());
         ev.extend_from_slice(&9u32.to_be_bytes());
-        assert_eq!(naive_ports_for_event(&spec, &rules, &ev), vec![4]);
+        assert_eq!(naive_ports_for_event(&spec, &rules, &ev), Some(vec![4]));
         ev[7] = 8;
-        assert!(naive_ports_for_event(&spec, &rules, &ev).is_empty());
+        assert_eq!(naive_ports_for_event(&spec, &rules, &ev), Some(vec![]));
+        assert_eq!(naive_ports_for_event(&spec, &rules, &ev[..7]), None);
     }
 }

@@ -14,13 +14,15 @@
 //!   popularity, 0.5 % GOOGL) and a uniform synthetic feed (5 % GOOGL);
 //! * [`zipf`] — the Zipf sampler behind symbol popularity.
 //!
-//! Two additions serve the update-plane (live churn) work:
+//! The rest serve the update-plane, differential and robustness suites:
 //!
 //! * [`churn`] — timed add/remove schedules over Siena and ITCH rule
 //!   sets, driving the incremental compiler and the engine's update
 //!   plane;
-//! * [`interp`] — the naive AST interpreter the differential tests use
-//!   as their ground-truth oracle;
+//! * [`interp`] — the naive AST interpreter, the differential tests'
+//!   ground truth;
+//! * [`oracle`] — the one submission-epoch oracle every differential
+//!   test judges an engine, fabric, daemon or pipeline with;
 //! * [`faults`] — deterministic fault-injection plans (wire corruption,
 //!   scripted worker panics/deaths, capacity bombs) for the robustness
 //!   soak tests.
@@ -33,6 +35,7 @@ pub mod fabric;
 pub mod faults;
 pub mod interp;
 pub mod itch_subs;
+pub mod oracle;
 pub mod siena;
 pub mod soak;
 pub mod trace;
@@ -45,8 +48,11 @@ pub use faults::{
     capacity_bomb, ChaosConfig, ChaosPlan, FaultPlan, FaultPlanConfig, Mutation, NodeEvent,
     NodeEventKind,
 };
-pub use interp::{entry_multisets, eval_cond, naive_ports, naive_ports_for_event};
+pub use interp::{entry_multisets, eval_cond, naive_ports};
 pub use itch_subs::{generate_itch_subscriptions, ItchSubsConfig};
+pub use oracle::{
+    event, ports, random_add_orders, raw_add_order, Delivery, EpochOracle, EVENT_SPEC,
+};
 pub use siena::{SienaConfig, SienaWorkload};
 pub use soak::soak_seeds;
 pub use trace::{bench_feed, synthesize_feed, TimedPacket, TraceConfig, TraceKind};

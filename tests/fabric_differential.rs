@@ -19,9 +19,9 @@ use camus::compiler::partition::PartitionPlan;
 use camus::compiler::{Compiler, CompilerOptions, IncrementalCompiler};
 use camus::engine::{EngineConfig, EngineFault, FaultInjection};
 use camus::fabric::{tables_identical, Fabric, FabricConfig, FabricFault};
-use camus::pipeline::{place_chain, AsicModel, ForwardDecision, Pipeline};
+use camus::pipeline::{place_chain, AsicModel};
 use camus::workload::{
-    naive_ports_for_event, raw_field_extractor, siena_churn, ChurnConfig, SienaConfig,
+    raw_field_extractor, siena_churn, ChurnConfig, Delivery, EpochOracle, SienaConfig,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -38,26 +38,22 @@ fn siena_cfg(seed: u64) -> SienaConfig {
     }
 }
 
-fn ports_of(d: &ForwardDecision) -> Vec<u16> {
-    d.ports.iter().map(|p| p.0).collect()
-}
-
-fn decision_ports(pipe: &mut Pipeline, ev: &[u8]) -> Vec<u16> {
-    pipe.process(ev, 0)
-        .expect("event parses")
-        .ports
-        .iter()
-        .map(|p| p.0)
-        .collect()
+/// Submits `events` to the fabric and to its oracle alike.
+fn submit(fabric: &mut Fabric, oracle: &mut EpochOracle, events: &[Vec<u8>]) {
+    for ev in events {
+        oracle.submit(ev, 0);
+        fabric.submit(ev, 0);
+    }
 }
 
 /// One random churn sequence on a `leaves`-wide fabric with `workers`
 /// workers per leaf. Traffic flows continuously; each update commits
-/// as a fabric epoch with partial batches in flight. At the end, the
-/// recorded per-packet fabric decisions must equal the oracle decision
-/// of the rule set that was live *when each packet was submitted* —
-/// which is exactly the no-mixed-epoch guarantee. Each epoch is also
-/// triple-checked: fresh big-switch full recompile ≡ naive oracle.
+/// as a fabric epoch with partial batches in flight. At the end, every
+/// recorded fabric decision must equal the fresh big-switch recompile
+/// — and the naive oracle — of the rule set that was live *when its
+/// packet was submitted*, which is exactly the no-mixed-epoch
+/// guarantee. Every epoch sees every event after its commit, so fresh
+/// ≡ naive is checked at each one too.
 fn run_fabric_churn(seed: u64, leaves: usize, workers: usize) {
     let siena = siena_cfg(seed);
     let churn = ChurnConfig {
@@ -78,6 +74,8 @@ fn run_fabric_churn(seed: u64, leaves: usize, workers: usize) {
         .install(&plan.schedule.initial)
         .expect("initial install");
     let full_compiler = Compiler::new(spec.clone(), opts).expect("spec compiles");
+    let mut oracle = EpochOracle::new(&spec, |r| full_compiler.compile(r).unwrap().pipeline);
+    oracle.publish(&plan.schedule.initial);
 
     let extract = raw_field_extractor(&spec, "sym0").expect("shard field exists");
     let ecfg = EngineConfig {
@@ -90,46 +88,20 @@ fn run_fabric_churn(seed: u64, leaves: usize, workers: usize) {
     let mut fabric = Fabric::start(&install.pipeline, &fcfg).expect("fabric starts");
 
     let events = siena.generate_events(&plan.base, 12);
-    let mut active = plan.schedule.initial.clone();
-    let mut expected: Vec<Vec<u16>> = Vec::new();
-    let submit_all = |fabric: &mut Fabric,
-                      active: &[camus::lang::Rule],
-                      expected: &mut Vec<Vec<u16>>,
-                      count: usize| {
-        for ev in events.iter().take(count) {
-            expected.push(naive_ports_for_event(&spec, active, ev));
-            fabric.submit(ev, 0);
-        }
-    };
-
-    submit_all(&mut fabric, &active, &mut expected, events.len());
+    submit(&mut fabric, &mut oracle, &events);
     for (k, step) in plan.schedule.steps.iter().enumerate() {
         // Mid-update traffic: these packets are (partially) in flight
         // when the epoch commits, and must complete under OLD rules.
-        submit_all(&mut fabric, &active, &mut expected, 5);
+        submit(&mut fabric, &mut oracle, &events[..5]);
 
         let report = session
             .update(&step.add, &step.remove)
             .expect("update compiles");
         fabric.apply_update(&report).expect("epoch commits");
-        active = plan.schedule.rules_after(k + 1);
-
-        // The other two sides of the triangle at this epoch: a fresh
-        // big-switch compile of the cumulative set ≡ the AST oracle.
-        let mut full = full_compiler
-            .compile(&active)
-            .expect("cumulative set compiles")
-            .pipeline;
-        for ev in &events {
-            assert_eq!(
-                decision_ports(&mut full, ev),
-                naive_ports_for_event(&spec, &active, ev),
-                "seed {seed} step {k}: full compile vs oracle, event {ev:x?}"
-            );
-        }
+        oracle.publish(&plan.schedule.rules_after(k + 1));
 
         // Post-epoch traffic must see the NEW rules.
-        submit_all(&mut fabric, &active, &mut expected, events.len());
+        submit(&mut fabric, &mut oracle, &events);
     }
 
     assert_eq!(fabric.epoch(), plan.schedule.steps.len() as u64);
@@ -140,15 +112,11 @@ fn run_fabric_churn(seed: u64, leaves: usize, workers: usize) {
     );
     assert_eq!(report.total_quarantined(), 0, "clean run never quarantines");
     let decisions = report.decisions_in_submit_order();
-    assert_eq!(decisions.len(), expected.len());
-    for (i, want) in expected.iter().enumerate() {
-        let got = ports_of(decisions[i].expect("clean run records every decision"));
-        assert_eq!(
-            &got, want,
-            "seed {seed} leaves {leaves} workers {workers} packet {i}: \
-             fabric vs submission-epoch oracle"
-        );
-    }
+    assert_eq!(
+        oracle.check(&decisions, Delivery::Exact),
+        0,
+        "seed {seed} leaves {leaves} workers {workers}: clean run records every decision"
+    );
 }
 
 #[test]
@@ -173,8 +141,10 @@ fn admission_rejected_epoch_is_all_or_nothing_across_the_fabric() {
     let siena = siena_cfg(5);
     let wl = siena.generate();
     let compiler = Compiler::new(wl.spec.clone(), CompilerOptions::raw()).unwrap();
-    let initial: Vec<camus::lang::Rule> = wl.rules.iter().take(6).cloned().collect();
+    let initial = wl.rules[..6].to_vec();
     let master = compiler.compile(&initial).unwrap().pipeline;
+    let mut oracle = EpochOracle::new(&wl.spec, |r| compiler.compile(r).unwrap().pipeline);
+    oracle.publish(&initial);
 
     // Size leaf 1's admission model around its seed slice: the
     // smallest power-of-two per-stage budget that fits it. The bomb
@@ -235,9 +205,7 @@ fn admission_rejected_epoch_is_all_or_nothing_across_the_fabric() {
     let mut fabric = Fabric::start(&master, &fcfg).unwrap();
 
     let events = siena.generate_events(&wl, 20);
-    for ev in &events[..10] {
-        fabric.submit(ev, 0);
-    }
+    submit(&mut fabric, &mut oracle, &events[..10]);
 
     let before: Vec<Vec<camus::pipeline::Table>> =
         (0..2).map(|l| fabric.leaf_tables(l).to_vec()).collect();
@@ -267,24 +235,15 @@ fn admission_rejected_epoch_is_all_or_nothing_across_the_fabric() {
 
     // Forwarding throughout — including after the rejection — is
     // bit-identical to the original program on the big switch.
-    for ev in &events[10..] {
-        fabric.submit(ev, 0);
-    }
+    submit(&mut fabric, &mut oracle, &events[10..]);
     let report = fabric.finish();
     assert!(report.reconciles());
     for r in &report.leaves {
         assert_eq!(r.updates.published, 0, "a leaf published the dead epoch");
     }
     assert_eq!(report.leaves[1].faults.updates_rejected, 1);
-    let mut oracle = master.clone();
     let decisions = report.decisions_in_submit_order();
-    for (i, ev) in events.iter().enumerate() {
-        assert_eq!(
-            ports_of(decisions[i].unwrap()),
-            decision_ports(&mut oracle, ev),
-            "packet {i} diverged from the pre-epoch program"
-        );
-    }
+    assert_eq!(oracle.check(&decisions, Delivery::Exact), 0);
 }
 
 #[test]
@@ -309,6 +268,9 @@ fn leaf_worker_death_reconciles_with_zero_loss() {
     let opts = CompilerOptions::raw();
     let mut session = IncrementalCompiler::new(spec.clone(), &opts, &plan.base.rules).unwrap();
     let install = session.install(&plan.schedule.initial).unwrap();
+    let full_compiler = Compiler::new(spec.clone(), opts).unwrap();
+    let mut oracle = EpochOracle::new(&spec, |r| full_compiler.compile(r).unwrap().pipeline);
+    oracle.publish(&plan.schedule.initial);
 
     let extract = raw_field_extractor(&spec, "sym0").unwrap();
     let base = EngineConfig {
@@ -336,12 +298,7 @@ fn leaf_worker_death_reconciles_with_zero_loss() {
     let mut fabric = Fabric::start(&install.pipeline, &fcfg).unwrap();
 
     let events = siena.generate_events(&plan.base, 24);
-    let mut active = plan.schedule.initial.clone();
-    let mut expected: Vec<Vec<u16>> = Vec::new();
-    for ev in &events {
-        expected.push(naive_ports_for_event(&spec, &active, ev));
-        fabric.submit(ev, 0);
-    }
+    submit(&mut fabric, &mut oracle, &events);
     assert!(
         fabric.submitted() > 0 && fabric.route(&events[0]) < 2,
         "sanity"
@@ -354,11 +311,8 @@ fn leaf_worker_death_reconciles_with_zero_loss() {
     fabric
         .apply_update(&report)
         .expect("epoch commits despite the death");
-    active = plan.schedule.rules_after(1);
-    for ev in &events {
-        expected.push(naive_ports_for_event(&spec, &active, ev));
-        fabric.submit(ev, 0);
-    }
+    oracle.publish(&plan.schedule.rules_after(1));
+    submit(&mut fabric, &mut oracle, &events);
 
     let report = fabric.finish();
     assert!(report.reconciles(), "zero-loss ledger must reconcile");
@@ -371,19 +325,10 @@ fn leaf_worker_death_reconciles_with_zero_loss() {
     assert_eq!(report.epoch, 1);
 
     let decisions = report.decisions_in_submit_order();
-    assert_eq!(decisions.len(), expected.len());
-    let mut quarantined_seen = 0usize;
-    for (i, want) in expected.iter().enumerate() {
-        match decisions[i] {
-            Some(d) => assert_eq!(
-                &ports_of(d),
-                want,
-                "packet {i} diverged from its submission-epoch oracle"
-            ),
-            None => quarantined_seen += 1,
-        }
-    }
-    assert_eq!(quarantined_seen, report.total_quarantined());
+    assert_eq!(
+        oracle.check(&decisions, Delivery::Exact),
+        report.total_quarantined()
+    );
     // Post-epoch packets are never quarantined (death healed earlier).
     for d in &decisions[events.len()..] {
         assert!(d.is_some());

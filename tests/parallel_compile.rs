@@ -6,15 +6,13 @@
 //! renumbering erases allocation history): every table entry, multicast
 //! group and statistic of a K-worker compile is compared against the
 //! sequential (K=1) compile, and the K>1 output is additionally checked
-//! against the naive AST interpreter.
+//! against the naive AST interpreter (`camus::workload::EpochOracle`).
 
 use camus::compiler::{Compiler, CompilerOptions};
 use camus::lang::ast::Rule;
 use camus::lang::spec::Spec;
 use camus::pipeline::multicast::GroupId;
-use camus::workload::{
-    generate_itch_subscriptions, naive_ports_for_event, ItchSubsConfig, SienaConfig,
-};
+use camus::workload::{generate_itch_subscriptions, EpochOracle, ItchSubsConfig, SienaConfig};
 
 fn compile_with_shards(
     spec: &Spec,
@@ -129,15 +127,13 @@ fn sharded_compile_agrees_with_naive_interpreter() {
         ..Default::default()
     };
     let w = cfg.generate();
-    let prog = compile_with_shards(&w.spec, &w.rules, 8, None);
+    let mut prog = compile_with_shards(&w.spec, &w.rules, 8, None);
     assert!(prog.bdd.validate().is_ok());
-    let mut pipe = prog.pipeline;
-    for ev in cfg.generate_events(&w, 250) {
-        let d = pipe.process(&ev, 0).expect("event parses");
-        let got: Vec<u16> = d.ports.iter().map(|p| p.0).collect();
-        let want = naive_ports_for_event(&w.spec, &w.rules, &ev);
-        assert_eq!(got, want, "event {ev:x?}");
-    }
+    let mut oracle = EpochOracle::new(&w.spec, |r| {
+        compile_with_shards(&w.spec, r, 1, None).pipeline
+    });
+    oracle.publish(&w.rules);
+    oracle.check_pipeline(&mut prog.pipeline, &cfg.generate_events(&w, 250));
 }
 
 #[test]

@@ -1,27 +1,22 @@
 //! Differential testing over generated workloads: for Siena-style
 //! subscription sets, the compiled pipeline must forward each event to
 //! exactly the union of the ports of the matching subscriptions —
-//! checked against the direct AST interpreter in `camus::workload`
-//! (shared with the churn differential tests), across seeds and
-//! predicate counts.
+//! checked against the direct AST interpreter by
+//! `camus::workload::EpochOracle` (shared with every differential
+//! suite), across seeds and predicate counts.
 
 use camus::compiler::{Compiler, CompilerOptions};
-use camus::workload::{naive_ports_for_event, SienaConfig};
+use camus::workload::{EpochOracle, SienaConfig};
 
 fn run_differential(cfg: SienaConfig, events: usize) {
     let w = cfg.generate();
     let compiler =
         Compiler::new(w.spec.clone(), CompilerOptions::raw()).expect("siena spec compiles");
-    let prog = compiler.compile(&w.rules).expect("siena rules compile");
+    let mut prog = compiler.compile(&w.rules).expect("siena rules compile");
     assert!(prog.bdd.validate().is_ok());
-    let mut pipe = prog.pipeline;
-
-    for ev in cfg.generate_events(&w, events) {
-        let d = pipe.process(&ev, 0).expect("event parses");
-        let got: Vec<u16> = d.ports.iter().map(|p| p.0).collect();
-        let want = naive_ports_for_event(&w.spec, &w.rules, &ev);
-        assert_eq!(got, want, "event {ev:x?}");
-    }
+    let mut oracle = EpochOracle::new(&w.spec, |r| compiler.compile(r).unwrap().pipeline);
+    oracle.publish(&w.rules);
+    oracle.check_pipeline(&mut prog.pipeline, &cfg.generate_events(&w, events));
 }
 
 #[test]
