@@ -405,6 +405,45 @@ mod tests {
         assert!(compressed.placement.tcam_slices <= plain.placement.tcam_slices * 2);
     }
 
+    /// Every table the compiler emits lowers to the interval index; a
+    /// change that emitted a scan-only shape would quietly halve the
+    /// packet rate instead of failing here.
+    #[test]
+    fn every_emitted_table_has_a_lowered_key_shape() {
+        let itch = camus_workload::generate_itch_subscriptions(&Default::default());
+        let siena = camus_workload::SienaConfig::default().generate();
+        let programs = [
+            (
+                "itch",
+                itch_compiler(CompilerOptions::default()).compile(&itch),
+            ),
+            (
+                "itch compressed",
+                // Wide enough for the ≈1 000 price cuts, so the
+                // compression tables are emitted.
+                itch_compiler(CompilerOptions {
+                    compress_bits: Some(12),
+                    ..CompilerOptions::default()
+                })
+                .compile(&itch),
+            ),
+            (
+                "siena",
+                Compiler::new(siena.spec, CompilerOptions::raw())
+                    .unwrap()
+                    .compile(&siena.rules),
+            ),
+        ];
+        for (name, program) in programs {
+            let tables = program.unwrap().pipeline.tables;
+            let compressed = tables.iter().any(|t| t.name.starts_with("t_cmp_"));
+            assert_eq!(compressed, name.ends_with("compressed"), "{name}");
+            for t in &tables {
+                assert!(t.lowers(), "{name}: `{}` would scan: {:?}", t.name, t.keys);
+            }
+        }
+    }
+
     #[test]
     fn compiler_rejects_queryless_specs() {
         let spec = parse_spec("header_type t { fields { x: 8; } }\nheader t h;").unwrap();

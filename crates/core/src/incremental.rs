@@ -159,8 +159,8 @@ pub struct UpdateReport {
 impl UpdateReport {
     /// Applies this update to a running pipeline in place.
     ///
-    /// Delta updates splice the per-table entry diffs (reusing the
-    /// existing match-engine allocations) and refresh the multicast
+    /// Delta updates splice the per-table entry diffs (only the
+    /// spliced tables are lowered again) and refresh the multicast
     /// groups and initial-state assignment. Full rebuilds replace the
     /// whole pipeline, carrying register state over positionally so
     /// `@query_counter` windows survive the swap. Either way the

@@ -38,11 +38,11 @@
 //! ([`invalidate_all`](DecisionCache::invalidate_all) keeps the slot
 //! storage and counters, so adoption stays allocation-light), and the
 //! sequential path's [`Pipeline::prepare`] clears the cache whenever a
-//! table was mutated (`splice_entries` / `add_entry` mark it dirty).
+//! table was mutated (`splice_entries` / `add_entry` drop its prepared
+//! form).
 //!
 //! [`Pipeline::prepare`]: crate::pipeline::Pipeline::prepare
 //! [`Pipeline::cacheable_on`]: crate::pipeline::Pipeline::cacheable_on
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::multicast::PortId;
 use crate::phv::PhvField;

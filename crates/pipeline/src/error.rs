@@ -48,6 +48,12 @@ pub enum PipelineError {
         /// Table name.
         table: String,
     },
+    /// A table was looked up after an entry change without a
+    /// `prepare()` — the executor never falls back to a scan.
+    TableNotPrepared {
+        /// Table name.
+        table: String,
+    },
     /// An action referenced a multicast group that was never configured.
     UnknownGroup(u32),
     /// An action referenced a register slot out of range.
@@ -94,6 +100,9 @@ impl fmt::Display for PipelineError {
             }
             PipelineError::EntryNotFound { table } => {
                 write!(f, "table `{table}`: entry to remove is not installed")
+            }
+            PipelineError::TableNotPrepared { table } => {
+                write!(f, "table `{table}`: looked up before prepare()")
             }
             PipelineError::UnknownGroup(g) => write!(f, "unknown multicast group {g}"),
             PipelineError::RegisterOutOfRange(i) => write!(f, "register slot {i} out of range"),

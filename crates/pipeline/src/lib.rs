@@ -19,7 +19,7 @@
 //!   fields from raw bytes into the PHV (one PHV per application
 //!   message, so multi-message MoldUDP packets evaluate per message);
 //! * [`table`] — match-action tables with exact, ternary, range and
-//!   LPM match kinds, priority semantics and per-state indexing;
+//!   LPM match kinds, priority semantics and a per-state interval index;
 //! * [`register`] — stateful register arrays with tumbling-window
 //!   aggregates (the `@query_counter` substrate);
 //! * [`multicast`] — the multicast group engine (packet replication);
@@ -27,6 +27,7 @@
 //!   greedy stage placement against a Tofino-like resource model;
 //! * [`pipeline`] — the executor tying it together: parse → per-field
 //!   tables → leaf table → forward.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bits;
 pub mod cache;

@@ -372,7 +372,7 @@ fn eval_tables(
     let mut dropped = false;
     let mut hit_mask = 0u64;
     for (ti, t) in tables.iter().enumerate() {
-        let ops: &[ActionOp] = match t.lookup_prepared(phv) {
+        let ops: &[ActionOp] = match t.lookup(phv)? {
             Some(e) => {
                 stats.table_hits[ti] += 1;
                 if ti < 64 {
@@ -652,12 +652,12 @@ fn ns_between(start: Instant, end: Instant) -> u64 {
 }
 
 impl Pipeline {
-    /// Prepares the pipeline for (batched) execution: builds every
-    /// table's lookup index, sizes the per-table counters, and computes
-    /// which state bindings can be hoisted out of the per-message loop
-    /// (those whose register slot no table action writes). Idempotent
-    /// and cheap when nothing changed; called automatically by the
-    /// processing entry points.
+    /// Prepares the pipeline for (batched) execution: lowers every
+    /// changed table to its prepared form ([`Table::prepare`]), sizes
+    /// the per-table counters, and computes which state bindings can be
+    /// hoisted out of the per-message loop (those whose register slot
+    /// no table action writes). Idempotent and cheap when nothing
+    /// changed; called automatically by the processing entry points.
     pub fn prepare(&mut self) {
         let up_to_date = self.tables.iter().all(|t| t.is_prepared())
             && self.exec.hoist.len() == self.state_bindings.len()
@@ -808,7 +808,9 @@ impl Pipeline {
     /// `Arc`) and all mutable state lives in `ctx`. Requires a prepared
     /// pipeline (`ctx` came from [`Pipeline::new_shard_ctx`], which
     /// prepares) — the engine prepares before every publish, so workers
-    /// never observe an unprepared program.
+    /// never observe an unprepared program. A table changed since the
+    /// last prepare fails the packet with
+    /// [`PipelineError::TableNotPrepared`].
     ///
     /// This is the allocation-free hot path: parsing reuses the
     /// context's PHV pool, lookups borrow table entries instead of

@@ -6,11 +6,16 @@
 //! matching entry, mirroring TCAM semantics; ties break by insertion
 //! order.
 //!
-//! Compiled Camus tables have the shape `(state: exact, field: …)`;
-//! lookup is indexed on the first exact key so that per-packet matching
-//! stays O(entries-per-state) instead of O(table).
+//! Compiled Camus tables have the shape `(state: exact, field:
+//! exact|range)`. [`Table::prepare`] lowers them to a per-state interval
+//! index with each interval's winner resolved ahead of time, so a
+//! lookup is one hash probe plus one binary search — O(log run) instead
+//! of a scan of the state's entries. Other key shapes keep a scan.
 
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
+
+use fxhash::FxHashMap;
 
 use crate::error::PipelineError;
 use crate::multicast::{GroupId, PortId};
@@ -158,16 +163,212 @@ pub struct Entry {
     pub ops: Vec<ActionOp>,
 }
 
+/// Winner slot of an interval no entry covers. Never a valid entry
+/// index: a table with this many entries keeps the scan.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// An entry as the interval index sees it: the inclusive value interval
+/// it covers and its TCAM rank `(priority, insertion index)`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    lo: u64,
+    hi: u64,
+    priority: u32,
+    index: u32,
+}
+
+/// What [`Table::prepare`] lowers a table to: the only thing a lookup
+/// reads.
 #[derive(Debug, Clone)]
-enum Index {
-    /// Scan all entries (no exact leading key).
-    Linear,
-    /// Bucket by the first key's exact value; `wild` holds entries whose
-    /// first match is `Any`.
-    ByFirstExact {
-        map: HashMap<u64, Vec<usize>>,
-        wild: Vec<usize>,
-    },
+enum PreparedTable {
+    /// `[]`, `[Exact]`, `[Range]` and `[Exact, Exact|Range]` — every
+    /// shape the compiler emits.
+    Intervals(IntervalIndex),
+    /// Any other key list (a Ternary or LPM key, a leading Range key,
+    /// more than two keys): a scan of every entry.
+    Scan,
+}
+
+/// A per-state interval index. The probe key (the BDD state) selects a
+/// run: the sorted starts of the elementary intervals the run's entries
+/// cut the value key's domain into, each paired with the entry that
+/// wins there. A run holds a state's own rows plus the wildcard-state
+/// rows; every run starts at 0 and no two adjacent intervals share a
+/// winner.
+#[derive(Debug, Clone)]
+struct IntervalIndex {
+    /// Field probed through `runs`; `None` makes every row a
+    /// wildcard-state row.
+    probe: Option<PhvField>,
+    /// Field searched within a run; `None` reads as 0, which every row
+    /// covers.
+    value: Option<PhvField>,
+    /// Probe value → `(offset, len)` of its run in `starts`/`winners`.
+    runs: FxHashMap<u64, (u32, u32)>,
+    /// The run of the wildcard-state rows alone, taken by every probe
+    /// value without rows of its own.
+    wild: (u32, u32),
+    starts: Vec<u64>,
+    /// Entry index winning from the parallel start on, or [`NO_ENTRY`].
+    winners: Vec<u32>,
+}
+
+impl PreparedTable {
+    fn build(keys: &[Key], entries: &[Entry]) -> PreparedTable {
+        match lowered_keys(keys) {
+            Some((probe, value)) if entries.len() < NO_ENTRY as usize => {
+                PreparedTable::Intervals(IntervalIndex::build(keys, entries, probe, value))
+            }
+            _ => PreparedTable::Scan,
+        }
+    }
+}
+
+/// The positions of the probe and value keys of a key list the interval
+/// index can hold, or `None`.
+fn lowered_keys(keys: &[Key]) -> Option<(Option<usize>, Option<usize>)> {
+    use MatchKind::{Exact, Range};
+    match keys {
+        [] => Some((None, None)),
+        [k] if k.kind == Exact => Some((Some(0), None)),
+        [k] if k.kind == Range => Some((None, Some(0))),
+        [s, v] if s.kind == Exact && matches!(v.kind, Exact | Range) => Some((Some(0), Some(1))),
+        _ => None,
+    }
+}
+
+impl IntervalIndex {
+    fn build(
+        keys: &[Key],
+        entries: &[Entry],
+        probe: Option<usize>,
+        value: Option<usize>,
+    ) -> IntervalIndex {
+        // One sort of the (state, entry) rows; the wildcard-state rows
+        // join every run. Order within a run is free: the sweep ranks
+        // by `(priority, index)`.
+        let mut rows: Vec<(u64, Span)> = Vec::new();
+        let mut wild: Vec<Span> = Vec::new();
+        for (i, e) in entries.iter().enumerate() {
+            // Validated kinds: the probe key holds Exact or Any, the
+            // value key Exact, Range or Any.
+            let state = match probe.and_then(|k| e.matches.get(k)) {
+                Some(&MatchValue::Exact(s)) => Some(s),
+                _ => None,
+            };
+            let (lo, hi) = match value.and_then(|k| e.matches.get(k)) {
+                Some(&MatchValue::Exact(v)) => (v, v),
+                Some(&MatchValue::Range { lo, hi }) => (lo, hi),
+                _ => (0, u64::MAX),
+            };
+            if lo > hi {
+                continue; // an empty range never matches
+            }
+            let span = Span {
+                lo,
+                hi,
+                priority: e.priority,
+                index: i as u32,
+            };
+            match state {
+                Some(s) => rows.push((s, span)),
+                None => wild.push(span),
+            }
+        }
+        rows.sort_unstable_by_key(|&(s, _)| s);
+
+        let mut sweep = Sweep::default();
+        sweep.spans.extend_from_slice(&wild);
+        let wild_run = sweep.run();
+        let mut runs = FxHashMap::default();
+        for group in rows.chunk_by(|a, b| a.0 == b.0) {
+            sweep.spans.clear();
+            sweep.spans.extend(group.iter().map(|&(_, span)| span));
+            sweep.spans.extend_from_slice(&wild);
+            runs.insert(group[0].0, sweep.run());
+        }
+        let field = |k: Option<usize>| k.map(|k| keys[k].field);
+        IntervalIndex {
+            probe: field(probe),
+            value: field(value),
+            runs,
+            wild: wild_run,
+            starts: sweep.starts,
+            winners: sweep.winners,
+        }
+    }
+
+    /// The winning entry index for `phv`, or [`NO_ENTRY`]: one probe,
+    /// one binary search, one read.
+    #[inline]
+    fn winner(&self, phv: &Phv) -> u32 {
+        let (offset, len) = match self.probe {
+            Some(f) => self
+                .runs
+                .get(&phv.get_or_zero(f))
+                .copied()
+                .unwrap_or(self.wild),
+            None => self.wild,
+        };
+        let (offset, len) = (offset as usize, len as usize);
+        let v = self.value.map_or(0, |f| phv.get_or_zero(f));
+        let run = &self.starts[offset..offset + len];
+        // Every run starts at 0 <= v, so the partition point is at
+        // least 1.
+        self.winners[offset + run.partition_point(|&s| s <= v) - 1]
+    }
+}
+
+/// The per-run sweep's reused scratch and its output, so building a
+/// table allocates per table, never per state.
+#[derive(Default)]
+struct Sweep {
+    /// The run's entries (input; reordered by the sweep).
+    spans: Vec<Span>,
+    /// Entries covering the current point, lowest rank on top; entries
+    /// that ended before it are popped lazily.
+    live: BinaryHeap<Reverse<(u32, u32, u64)>>,
+    starts: Vec<u64>,
+    winners: Vec<u32>,
+}
+
+impl Sweep {
+    /// Appends the run of `spans` to `starts`/`winners` and returns its
+    /// `(offset, len)`. Walks the domain up from 0 with the covering
+    /// entries in a min-heap on rank. The winner can only change where
+    /// an entry starts or where the current winner ends, so those are
+    /// the only points visited.
+    fn run(&mut self) -> (u32, u32) {
+        let offset = self.starts.len();
+        self.spans.sort_unstable_by_key(|s| s.lo);
+        self.live.clear();
+        let mut next = 0;
+        let mut at = 0;
+        loop {
+            while let Some(s) = self.spans.get(next).filter(|s| s.lo <= at) {
+                self.live.push(Reverse((s.priority, s.index, s.hi)));
+                next += 1;
+            }
+            while self.live.peek().is_some_and(|Reverse((_, _, hi))| *hi < at) {
+                self.live.pop();
+            }
+            let top = self.live.peek().map(|&Reverse(top)| top);
+            let w = top.map_or(NO_ENTRY, |(_, i, _)| i);
+            if self.starts.len() == offset || self.winners.last() != Some(&w) {
+                self.starts.push(at);
+                self.winners.push(w);
+            }
+            let start = self.spans.get(next).map(|s| s.lo);
+            let end = top.and_then(|(_, _, hi)| hi.checked_add(1));
+            at = match (start, end) {
+                (Some(a), Some(b)) => a.min(b),
+                (Some(a), None) | (None, Some(a)) => a,
+                (None, None) => break,
+            };
+        }
+        // A table's starts stay far below 2^32.
+        (offset as u32, (self.starts.len() - offset) as u32)
+    }
 }
 
 /// A match-action table.
@@ -180,8 +381,8 @@ pub struct Table {
     entries: Vec<Entry>,
     /// Actions applied when no entry matches.
     pub default_ops: Vec<ActionOp>,
-    index: Index,
-    dirty: bool,
+    /// Built by [`Table::prepare`], dropped by every entry change.
+    prepared: Option<PreparedTable>,
 }
 
 impl Table {
@@ -192,8 +393,7 @@ impl Table {
             keys,
             entries: Vec::new(),
             default_ops,
-            index: Index::Linear,
-            dirty: true,
+            prepared: None,
         }
     }
 
@@ -220,7 +420,7 @@ impl Table {
     pub fn add_entry(&mut self, entry: Entry) -> Result<(), PipelineError> {
         self.validate_entry(&entry)?;
         self.entries.push(entry);
-        self.dirty = true;
+        self.prepared = None;
         Ok(())
     }
 
@@ -232,8 +432,8 @@ impl Table {
 
     /// Applies a batched entry diff: removes one occurrence per entry
     /// in `removes` (multiset semantics), then appends every entry in
-    /// `adds` — all-or-nothing, validated up front, with a single index
-    /// refresh deferred to the next `prepare`. Kept entries preserve
+    /// `adds` — all-or-nothing, validated up front; the table is
+    /// lowered again at the next `prepare`. Kept entries preserve
     /// their relative insertion order, so equal-priority tie-breaks
     /// stay stable across a splice.
     pub fn splice_entries(
@@ -272,7 +472,7 @@ impl Table {
             });
         }
         self.entries.extend(adds.iter().cloned());
-        self.dirty = true;
+        self.prepared = None;
         Ok(())
     }
 
@@ -291,113 +491,56 @@ impl Table {
         self.entries.iter()
     }
 
-    /// Rebuilds the lookup index. Called lazily by `lookup`; exposed so
-    /// construction cost can be paid eagerly in benchmarks.
-    ///
-    /// Reuses the previous index's map and bucket allocations so that
-    /// update-plane refreshes recycle the match engine instead of
-    /// reallocating it. Buckets for first-key values that no longer
-    /// have entries are kept (empty) — lookups on them simply fall
-    /// through to the wildcard list.
-    pub fn build_index(&mut self) {
-        if self.keys.first().map(|k| k.kind) == Some(MatchKind::Exact) {
-            let (mut map, mut wild) = match std::mem::replace(&mut self.index, Index::Linear) {
-                Index::ByFirstExact { mut map, mut wild } => {
-                    for bucket in map.values_mut() {
-                        bucket.clear();
-                    }
-                    wild.clear();
-                    (map, wild)
-                }
-                Index::Linear => (HashMap::new(), Vec::new()),
-            };
-            for (i, e) in self.entries.iter().enumerate() {
-                match e.matches[0] {
-                    MatchValue::Exact(v) => map.entry(v).or_default().push(i),
-                    MatchValue::Any => wild.push(i),
-                    _ => unreachable!("validated exact-compatible"),
-                }
-            }
-            self.index = Index::ByFirstExact { map, wild };
-        } else {
-            self.index = Index::Linear;
-        }
-        self.dirty = false;
+    /// Whether [`Table::prepare`] lowers this table's key shape to the
+    /// interval index (`[]`, `[Exact]`, `[Range]`, `[Exact,
+    /// Exact|Range]`) rather than keeping a scan.
+    pub fn lowers(&self) -> bool {
+        lowered_keys(&self.keys).is_some()
     }
 
-    fn entry_matches(&self, e: &Entry, phv: &Phv, skip_first: bool) -> bool {
-        let start = usize::from(skip_first);
-        e.matches[start..]
-            .iter()
-            .zip(&self.keys[start..])
-            .all(|(m, k)| m.matches(phv.get_or_zero(k.field), k.bits))
-    }
-
-    /// Rebuilds the index if entries changed since the last build.
-    /// Idempotent and cheap when already prepared.
+    /// Lowers the table to its prepared form if an entry changed since
+    /// the last call. Idempotent and free when already prepared.
     pub fn prepare(&mut self) {
-        if self.dirty {
-            self.build_index();
+        if self.prepared.is_none() {
+            self.prepared = Some(PreparedTable::build(&self.keys, &self.entries));
         }
     }
 
-    /// Whether the index reflects the current entries.
+    /// Whether the table is prepared for [`Table::lookup`].
     pub fn is_prepared(&self) -> bool {
-        !self.dirty
+        self.prepared.is_some()
     }
 
     /// Finds the winning entry for a PHV: the matching entry with the
-    /// smallest `(priority, insertion index)`.
-    pub fn lookup(&mut self, phv: &Phv) -> Option<&Entry> {
-        self.prepare();
-        self.lookup_prepared(phv)
-    }
-
-    /// Immutable lookup for the batch hot path: the caller must have
-    /// called [`Table::prepare`] after the last entry change. If the
-    /// table is dirty anyway, falls back to a full (correct, slower)
-    /// linear scan rather than consulting the stale index.
-    pub fn lookup_prepared(&self, phv: &Phv) -> Option<&Entry> {
-        debug_assert!(
-            !self.dirty,
-            "lookup_prepared on un-prepared table `{}`",
-            self.name
-        );
-        let best: Option<usize> = match (&self.index, self.dirty) {
-            (Index::Linear, _) | (_, true) => {
-                let mut best: Option<usize> = None;
-                for (i, e) in self.entries.iter().enumerate() {
-                    if self.entry_matches(e, phv, false)
-                        && best.is_none_or(|b| e.priority < self.entries[b].priority)
-                    {
-                        best = Some(i);
-                    }
-                }
-                best
-            }
-            (Index::ByFirstExact { map, wild }, false) => {
-                let v = phv.get_or_zero(self.keys[0].field);
-                let mut best: Option<usize> = None;
-                let consider = |idxs: &[usize], best: &mut Option<usize>, skip_first: bool| {
-                    for &i in idxs {
-                        let e = &self.entries[i];
-                        if self.entry_matches(e, phv, skip_first)
-                            && best
-                                .map(|b| (e.priority, i) < (self.entries[b].priority, b))
-                                .unwrap_or(true)
-                        {
-                            *best = Some(i);
-                        }
-                    }
-                };
-                if let Some(idxs) = map.get(&v) {
-                    consider(idxs, &mut best, true);
-                }
-                consider(wild, &mut best, false);
-                best
+    /// smallest `(priority, insertion index)`. A table changed since
+    /// its last [`Table::prepare`] is a program error,
+    /// [`PipelineError::TableNotPrepared`].
+    pub fn lookup(&self, phv: &Phv) -> Result<Option<&Entry>, PipelineError> {
+        let winner = match &self.prepared {
+            Some(PreparedTable::Intervals(index)) => index.winner(phv) as usize,
+            Some(PreparedTable::Scan) => self.scan(phv),
+            None => {
+                return Err(PipelineError::TableNotPrepared {
+                    table: self.name.clone(),
+                })
             }
         };
-        best.map(|i| &self.entries[i])
+        Ok(self.entries.get(winner))
+    }
+
+    /// The scan variant: every entry is tested.
+    fn scan(&self, phv: &Phv) -> usize {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| {
+                e.matches
+                    .iter()
+                    .zip(&self.keys)
+                    .all(|(m, k)| m.matches(phv.get_or_zero(k.field), k.bits))
+            })
+            .min_by_key(|&(i, e)| (e.priority, i))
+            .map_or(NO_ENTRY as usize, |(i, _)| i)
     }
 }
 
@@ -411,6 +554,12 @@ mod tests {
         let state = l.add("state", 16);
         let stock = l.add("stock", 64);
         (l, state, stock)
+    }
+
+    /// Prepares `t`, then looks `phv` up: the winner's ops.
+    fn hit(t: &mut Table, phv: &Phv) -> Option<Vec<ActionOp>> {
+        t.prepare();
+        t.lookup(phv).unwrap().map(|e| e.ops.clone())
     }
 
     fn phv_with(l: &PhvLayout, state: PhvField, stock: PhvField, s: u64, v: u64) -> Phv {
@@ -460,7 +609,7 @@ mod tests {
 
         let mut got = |s, v| {
             let phv = phv_with(&l, state, stock, s, v);
-            t.lookup(&phv).map(|e| e.ops.clone())
+            hit(&mut t, &phv)
         };
         assert_eq!(got(1, AAPL), Some(vec![ActionOp::SetField(state, 3)]));
         assert_eq!(got(1, MSFT), Some(vec![ActionOp::SetField(state, 6)]));
@@ -496,7 +645,7 @@ mod tests {
         .unwrap();
         for (v, hits) in [(0u64, true), (59, true), (60, false)] {
             let phv = phv_with(&l, state, shares, 0, v);
-            assert_eq!(t.lookup(&phv).is_some(), hits, "v={v}");
+            assert_eq!(hit(&mut t, &phv).is_some(), hits, "v={v}");
         }
     }
 
@@ -523,9 +672,9 @@ mod tests {
         .unwrap();
         let mut phv = l.instantiate();
         phv.set(f, 0x1a);
-        assert!(t.lookup(&phv).is_some());
+        assert!(hit(&mut t, &phv).is_some());
         phv.set(f, 0x2a);
-        assert!(t.lookup(&phv).is_none());
+        assert!(hit(&mut t, &phv).is_none());
 
         let mut t = Table::new(
             "lpm",
@@ -546,9 +695,9 @@ mod tests {
         })
         .unwrap();
         phv.set(f, 0xc0a8_1234);
-        assert!(t.lookup(&phv).is_some());
+        assert!(hit(&mut t, &phv).is_some());
         phv.set(f, 0xc0a9_1234);
-        assert!(t.lookup(&phv).is_none());
+        assert!(hit(&mut t, &phv).is_none());
     }
 
     #[test]
@@ -578,12 +727,12 @@ mod tests {
         let mut phv = l.instantiate();
         phv.set(f, 55);
         assert_eq!(
-            t.lookup(&phv).unwrap().ops,
+            hit(&mut t, &phv).unwrap(),
             vec![ActionOp::Forward(PortId(2))]
         );
         phv.set(f, 10);
         assert_eq!(
-            t.lookup(&phv).unwrap().ops,
+            hit(&mut t, &phv).unwrap(),
             vec![ActionOp::Forward(PortId(1))]
         );
     }
@@ -615,7 +764,7 @@ mod tests {
         let mut phv = l.instantiate();
         phv.set(f, 7);
         assert_eq!(
-            t.lookup(&phv).unwrap().ops,
+            hit(&mut t, &phv).unwrap(),
             vec![ActionOp::Forward(PortId(1))]
         );
     }
@@ -658,7 +807,7 @@ mod tests {
     }
 
     #[test]
-    fn lookup_after_incremental_adds_rebuilds_index() {
+    fn lookup_on_a_changed_table_is_a_typed_error_until_prepare() {
         let (l, state, stock) = layout2();
         let mut t = Table::new(
             "t",
@@ -672,14 +821,22 @@ mod tests {
         let mut phv = l.instantiate();
         phv.set(state, 1);
         phv.set(stock, 0);
-        assert!(t.lookup(&phv).is_none());
+        let unprepared = Err(PipelineError::TableNotPrepared { table: "t".into() });
+        assert_eq!(t.lookup(&phv), unprepared);
+        // An empty table misses.
+        assert!(hit(&mut t, &phv).is_none());
         t.add_entry(Entry {
             priority: 0,
             matches: vec![MatchValue::Exact(1)],
             ops: vec![ActionOp::Drop],
         })
         .unwrap();
-        assert!(t.lookup(&phv).is_some());
+        // The add dropped the prepared form; no silent scan.
+        assert!(!t.is_prepared());
+        assert_eq!(t.lookup(&phv), unprepared);
+        assert!(hit(&mut t, &phv).is_some());
+        t.splice_entries(&[], &[]).unwrap();
+        assert_eq!(t.lookup(&phv), unprepared);
     }
 
     #[test]
@@ -707,7 +864,7 @@ mod tests {
         let mut got = |v: u64| {
             let mut phv = l.instantiate();
             phv.set(f, v);
-            t.lookup(&phv).map(|e| e.ops.clone())
+            hit(&mut t, &phv)
         };
         assert_eq!(got(1), Some(vec![ActionOp::Forward(PortId(10))]));
         // One duplicate removed, one kept.
@@ -750,7 +907,7 @@ mod tests {
         assert_eq!(t.len(), 1);
         let mut phv = l.instantiate();
         phv.set(f, 1);
-        assert!(t.lookup(&phv).is_some());
+        assert!(hit(&mut t, &phv).is_some());
     }
 
     #[test]
@@ -810,13 +967,13 @@ mod tests {
         assert!(t.remove_entry(&e(5)).is_err());
         let mut phv = l.instantiate();
         phv.set(f, 5);
-        assert!(t.lookup(&phv).is_none());
+        assert!(hit(&mut t, &phv).is_none());
     }
 
     #[test]
-    fn index_rebuild_after_splice_stays_correct() {
-        // Exercise the allocation-reusing rebuild: a value whose
-        // bucket empties must miss, not hit stale indices.
+    fn prepared_form_after_splice_stays_correct() {
+        // A state whose only row is spliced out must miss, not hit a
+        // stale run.
         let (l, state, stock) = layout2();
         let mut t = Table::new(
             "t",
@@ -846,8 +1003,178 @@ mod tests {
         t.prepare();
         for (s, v, hit) in [(1u64, 10u64, false), (2, 20, true), (3, 30, true)] {
             let phv = phv_with(&l, state, stock, s, v);
-            assert_eq!(t.lookup_prepared(&phv).is_some(), hit, "state={s}");
+            assert_eq!(t.lookup(&phv).unwrap().is_some(), hit, "state={s}");
         }
+    }
+
+    /// `(state: exact, value: range)` — the compiled-table shape.
+    fn state_range_table(state: PhvField, value: PhvField) -> Table {
+        Table::new(
+            "t",
+            vec![
+                Key {
+                    field: state,
+                    kind: MatchKind::Exact,
+                    bits: 16,
+                },
+                Key {
+                    field: value,
+                    kind: MatchKind::Range,
+                    bits: 64,
+                },
+            ],
+            vec![],
+        )
+    }
+
+    fn tagged(priority: u32, state: MatchValue, value: MatchValue, tag: u64) -> Entry {
+        Entry {
+            priority,
+            matches: vec![state, value],
+            ops: vec![ActionOp::SetField(PhvField(0), tag)],
+        }
+    }
+
+    /// The winner's tag (see [`tagged`]).
+    fn tag(t: &mut Table, phv: &Phv) -> Option<u64> {
+        hit(t, phv).map(|ops| match ops[..] {
+            [ActionOp::SetField(_, tag)] => tag,
+            _ => unreachable!("tagged entries only"),
+        })
+    }
+
+    #[test]
+    fn value_below_the_first_row_and_outside_every_row_misses() {
+        let (l, state, value) = layout2();
+        let at = |s, v| phv_with(&l, state, value, s, v);
+        let mut t = state_range_table(state, value);
+        let r = |lo, hi| MatchValue::Range { lo, hi };
+        t.add_entry(tagged(0, MatchValue::Exact(1), r(10, 20), 1))
+            .unwrap();
+        t.add_entry(tagged(0, MatchValue::Exact(1), r(30, 40), 2))
+            .unwrap();
+        for (v, want) in [
+            (0, None),
+            (9, None),
+            (10, Some(1)),
+            (20, Some(1)),
+            (21, None),
+            (29, None),
+            (30, Some(2)),
+            (40, Some(2)),
+            (41, None),
+            (u64::MAX, None),
+        ] {
+            assert_eq!(tag(&mut t, &at(1, v)), want, "v={v}");
+        }
+        // An empty table misses everywhere.
+        let mut empty = state_range_table(state, value);
+        assert_eq!(tag(&mut empty, &at(1, 10)), None);
+    }
+
+    #[test]
+    fn ranges_reaching_u64_max_match_at_the_top() {
+        let (l, state, value) = layout2();
+        let at = |s, v| phv_with(&l, state, value, s, v);
+        let mut t = state_range_table(state, value);
+        t.add_entry(tagged(
+            1,
+            MatchValue::Exact(0),
+            MatchValue::Range {
+                lo: 100,
+                hi: u64::MAX,
+            },
+            1,
+        ))
+        .unwrap();
+        t.add_entry(tagged(
+            0,
+            MatchValue::Exact(0),
+            MatchValue::Exact(u64::MAX),
+            2,
+        ))
+        .unwrap();
+        assert_eq!(tag(&mut t, &at(0, 99)), None);
+        assert_eq!(tag(&mut t, &at(0, 100)), Some(1));
+        assert_eq!(tag(&mut t, &at(0, u64::MAX - 1)), Some(1));
+        assert_eq!(tag(&mut t, &at(0, u64::MAX)), Some(2));
+    }
+
+    #[test]
+    fn a_state_without_rows_sees_the_wildcard_state_rows() {
+        let (l, state, value) = layout2();
+        let at = |s, v| phv_with(&l, state, value, s, v);
+        let mut t = state_range_table(state, value);
+        let r = |lo, hi| MatchValue::Range { lo, hi };
+        t.add_entry(tagged(0, MatchValue::Exact(1), r(0, 9), 1))
+            .unwrap();
+        t.add_entry(tagged(1, MatchValue::Any, r(5, 50), 2))
+            .unwrap();
+        // State 1: its own row outranks the wildcard where both cover.
+        assert_eq!(tag(&mut t, &at(1, 7)), Some(1));
+        assert_eq!(tag(&mut t, &at(1, 20)), Some(2));
+        assert_eq!(tag(&mut t, &at(1, 51)), None);
+        // State 7 has no rows of its own.
+        assert_eq!(tag(&mut t, &at(7, 3)), None);
+        assert_eq!(tag(&mut t, &at(7, 7)), Some(2));
+        assert_eq!(tag(&mut t, &at(7, 50)), Some(2));
+    }
+
+    #[test]
+    fn identical_duplicates_tie_break_by_insertion() {
+        let (l, state, value) = layout2();
+        let at = |s, v| phv_with(&l, state, value, s, v);
+        let mut t = state_range_table(state, value);
+        let dup = tagged(3, MatchValue::Exact(1), MatchValue::Any, 1);
+        t.add_entry(dup.clone()).unwrap();
+        t.add_entry(dup.clone()).unwrap();
+        t.add_entry(tagged(3, MatchValue::Exact(1), MatchValue::Any, 2))
+            .unwrap();
+        t.prepare();
+        let phv = phv_with(&l, state, value, 1, 42);
+        let first = t.entries().next();
+        assert!(std::ptr::eq(
+            t.lookup(&phv).unwrap().unwrap(),
+            first.unwrap()
+        ));
+        // Removing one copy leaves the other, still ahead of tag 2.
+        t.remove_entry(&dup).unwrap();
+        assert_eq!(tag(&mut t, &at(1, 42)), Some(1));
+        t.remove_entry(&dup).unwrap();
+        assert_eq!(tag(&mut t, &at(1, 42)), Some(2));
+    }
+
+    #[test]
+    fn compiled_shapes_lower_and_others_scan() {
+        let (_, state, value) = layout2();
+        let key = |field, kind| Key {
+            field,
+            kind,
+            bits: 16,
+        };
+        let lowers = |keys: Vec<Key>| Table::new("t", keys, vec![]).lowers();
+        assert!(lowers(vec![]));
+        assert!(lowers(vec![key(state, MatchKind::Exact)]));
+        assert!(lowers(vec![key(value, MatchKind::Range)]));
+        assert!(lowers(vec![
+            key(state, MatchKind::Exact),
+            key(value, MatchKind::Exact)
+        ]));
+        assert!(lowers(vec![
+            key(state, MatchKind::Exact),
+            key(value, MatchKind::Range)
+        ]));
+        assert!(!lowers(vec![key(value, MatchKind::Ternary)]));
+        assert!(!lowers(vec![key(value, MatchKind::Lpm)]));
+        assert!(!lowers(vec![
+            key(value, MatchKind::Range),
+            key(state, MatchKind::Exact)
+        ]));
+        assert!(!lowers(vec![
+            key(state, MatchKind::Exact),
+            key(value, MatchKind::Exact),
+            key(value, MatchKind::Exact)
+        ]));
     }
 
     #[test]

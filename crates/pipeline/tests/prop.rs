@@ -9,7 +9,7 @@
 use camus_pipeline::bits::{extract_bits, insert_bits};
 use camus_pipeline::phv::PhvLayout;
 use camus_pipeline::resources::range_to_prefixes;
-use camus_pipeline::table::{Entry, Key, MatchKind, MatchValue, Table};
+use camus_pipeline::table::{ActionOp, Entry, Key, MatchKind, MatchValue, Table};
 use proptest::prelude::*;
 
 // ----------------------------------------------------------- bits
@@ -80,8 +80,9 @@ proptest! {
 #[derive(Debug, Clone)]
 struct GenEntry {
     priority: u32,
-    m0: MatchValue,
-    m1: MatchValue,
+    state: MatchValue,
+    /// Value-key kind (0 exact, 1 range, 2 any) and two raw points.
+    value: (u8, (u8, u64), (u8, u64)),
 }
 
 fn arb_match(kind: MatchKind, max: u64) -> BoxedStrategy<MatchValue> {
@@ -89,15 +90,6 @@ fn arb_match(kind: MatchKind, max: u64) -> BoxedStrategy<MatchValue> {
         MatchKind::Exact => {
             prop_oneof![(0..=max).prop_map(MatchValue::Exact), Just(MatchValue::Any),].boxed()
         }
-        MatchKind::Range => prop_oneof![
-            (0..=max).prop_map(MatchValue::Exact),
-            (0..=max, 0..=max).prop_map(|(a, b)| {
-                let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                MatchValue::Range { lo, hi }
-            }),
-            Just(MatchValue::Any),
-        ]
-        .boxed(),
         MatchKind::Ternary => prop_oneof![
             (0..=max, 0..=max).prop_map(|(v, m)| MatchValue::Ternary {
                 value: v & m,
@@ -106,7 +98,7 @@ fn arb_match(kind: MatchKind, max: u64) -> BoxedStrategy<MatchValue> {
             Just(MatchValue::Any),
         ]
         .boxed(),
-        MatchKind::Lpm => unreachable!("not generated"),
+        MatchKind::Range | MatchKind::Lpm => unreachable!("not generated"),
     }
 }
 
@@ -120,62 +112,127 @@ fn matches_ref(m: &MatchValue, v: u64) -> bool {
     }
 }
 
+/// Maps a raw draw onto the value domain: a 6-bit field, or a 64-bit
+/// one whose draws crowd both ends (0 and `u64::MAX`).
+fn point(wide: bool, (sel, r): (u8, u64)) -> u64 {
+    if !wide {
+        return r % 64;
+    }
+    match sel {
+        0 => 0,
+        1 => u64::MAX,
+        2 => u64::MAX - r % 4,
+        3 => r % 4,
+        4 => r,
+        _ => r % 64,
+    }
+}
+
+/// The key shapes the interval index lowers, by `shape` number.
+const SHAPES: [&str; 4] = ["[Exact, Range]", "[Exact, Exact]", "[Exact]", "[Range]"];
+
 proptest! {
-    /// Indexed table lookup agrees with a naive highest-priority
-    /// linear scan, for random entries over (exact state, range value)
-    /// keys — the compiled-table shape.
+    /// The lowered lookup agrees with a naive min-`(priority, index)`
+    /// filter on every shape the compiler emits — exact and range value
+    /// keys, wildcard states, runs up to 200 entries long (few states,
+    /// like the root table), bounds at 0 and `u64::MAX` — probed at
+    /// random points and on both sides of every entry's bounds.
     #[test]
     fn lookup_matches_linear_reference(
+        shape in 0usize..4,
+        wide: bool,
         entries in prop::collection::vec(
-            (0u32..8, arb_match(MatchKind::Exact, 15), arb_match(MatchKind::Range, 63))
-                .prop_map(|(priority, m0, m1)| GenEntry { priority, m0, m1 }),
-            0..24,
+            (
+                0u32..8,
+                prop_oneof![(0u64..=3).prop_map(MatchValue::Exact), Just(MatchValue::Any)],
+                (0u8..3, (0u8..6, any::<u64>()), (0u8..6, any::<u64>())),
+            )
+                .prop_map(|(priority, state, value)| GenEntry { priority, state, value }),
+            0..200,
         ),
-        probes in prop::collection::vec((0u64..=15, 0u64..=63), 1..32),
+        probes in prop::collection::vec((0u64..=5, (0u8..6, any::<u64>())), 1..32),
     ) {
+        let bits = if wide { 64 } else { 6 };
         let mut layout = PhvLayout::new();
         let state = layout.add("state", 8);
-        let value = layout.add("value", 8);
-        let mut table = Table::new(
-            "t",
-            vec![
-                Key { field: state, kind: MatchKind::Exact, bits: 8 },
-                Key { field: value, kind: MatchKind::Range, bits: 8 },
-            ],
-            vec![],
-        );
-        for (i, e) in entries.iter().enumerate() {
+        let value = layout.add("value", bits);
+        let tag = layout.add("tag", 32);
+        let state_key = Key { field: state, kind: MatchKind::Exact, bits: 8 };
+        let value_key = |kind| Key { field: value, kind, bits };
+        let keys = match shape {
+            0 => vec![state_key, value_key(MatchKind::Range)],
+            1 => vec![state_key, value_key(MatchKind::Exact)],
+            2 => vec![state_key],
+            _ => vec![value_key(MatchKind::Range)],
+        };
+        let rows: Vec<(u32, Vec<MatchValue>)> = entries
+            .iter()
+            .map(|e| {
+                let (kind, a, b) = e.value;
+                let (a, b) = (point(wide, a), point(wide, b));
+                let v = match (kind, shape) {
+                    (0, _) | (1, 1) => MatchValue::Exact(a),
+                    (1, _) => MatchValue::Range { lo: a.min(b), hi: a.max(b) },
+                    _ => MatchValue::Any,
+                };
+                let matches = match shape {
+                    0 | 1 => vec![e.state, v],
+                    2 => vec![e.state],
+                    _ => vec![v],
+                };
+                (e.priority, matches)
+            })
+            .collect();
+        let mut table = Table::new("t", keys.clone(), vec![]);
+        for (i, (priority, matches)) in rows.iter().enumerate() {
             table
                 .add_entry(Entry {
-                    priority: e.priority,
-                    matches: vec![e.m0, e.m1],
-                    ops: vec![camus_pipeline::table::ActionOp::SetField(
-                        state,
-                        i as u64, // unique tag to identify the winner
-                    )],
+                    priority: *priority,
+                    matches: matches.clone(),
+                    // Unique tag to identify the winner.
+                    ops: vec![ActionOp::SetField(tag, i as u64)],
                 })
                 .unwrap();
         }
-        for &(s, v) in &probes {
+        prop_assert!(table.lowers(), "{} must lower", SHAPES[shape]);
+        table.prepare();
+
+        let mut points: Vec<(u64, u64)> =
+            probes.iter().map(|&(s, p)| (s, point(wide, p))).collect();
+        for (i, (_, matches)) in rows.iter().enumerate() {
+            let s = i as u64 % 6;
+            for m in matches {
+                let (lo, hi) = match *m {
+                    MatchValue::Exact(v) => (v, v),
+                    MatchValue::Range { lo, hi } => (lo, hi),
+                    _ => continue,
+                };
+                for v in [lo.wrapping_sub(1), lo, hi, hi.wrapping_add(1)] {
+                    points.push((s, v));
+                }
+            }
+        }
+        for &(s, v) in &points {
             let mut phv = layout.instantiate();
             phv.set(state, s);
             phv.set(value, v);
-            let got = table.lookup(&phv).map(|e| e.ops.clone());
+            let got = table.lookup(&phv).unwrap().map(|e| e.ops.clone());
             // Reference: min (priority, index) among matching entries.
-            let want = entries
+            let want = rows
                 .iter()
                 .enumerate()
-                .filter(|(_, e)| matches_ref(&e.m0, s) && matches_ref(&e.m1, v))
-                .min_by_key(|(i, e)| (e.priority, *i))
-                .map(|(i, _)| {
-                    vec![camus_pipeline::table::ActionOp::SetField(state, i as u64)]
-                });
-            prop_assert_eq!(got, want, "state={} value={}", s, v);
+                .filter(|(_, (_, matches))| {
+                    matches.iter().zip(&keys).all(|(m, k)| {
+                        matches_ref(m, if k.field == state { s } else { v })
+                    })
+                })
+                .min_by_key(|(i, (priority, _))| (*priority, *i))
+                .map(|(i, _)| vec![ActionOp::SetField(tag, i as u64)]);
+            prop_assert_eq!(got, want, "{} state={} value={}", SHAPES[shape], s, v);
         }
     }
 
-    /// Ternary tables behave identically under the linear index (no
-    /// exact leading key).
+    /// Ternary tables keep the scan, with the same winner rule.
     #[test]
     fn ternary_lookup_matches_reference(
         entries in prop::collection::vec(
@@ -197,20 +254,22 @@ proptest! {
                 .add_entry(Entry {
                     priority: *prio,
                     matches: vec![*m],
-                    ops: vec![camus_pipeline::table::ActionOp::SetField(marker, i as u64)],
+                    ops: vec![ActionOp::SetField(marker, i as u64)],
                 })
                 .unwrap();
         }
+        prop_assert!(!table.lowers());
+        table.prepare();
         for &v in &probes {
             let mut phv = layout.instantiate();
             phv.set(f, v);
-            let got = table.lookup(&phv).map(|e| e.ops.clone());
+            let got = table.lookup(&phv).unwrap().map(|e| e.ops.clone());
             let want = entries
                 .iter()
                 .enumerate()
                 .filter(|(_, (_, m))| matches_ref(m, v))
                 .min_by_key(|(i, (p, _))| (*p, *i))
-                .map(|(i, _)| vec![camus_pipeline::table::ActionOp::SetField(marker, i as u64)]);
+                .map(|(i, _)| vec![ActionOp::SetField(marker, i as u64)]);
             prop_assert_eq!(got, want, "v={}", v);
         }
     }
