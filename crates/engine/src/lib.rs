@@ -115,11 +115,12 @@ pub use camus_telemetry::TelemetrySnapshot;
 pub use shard::ShardFn;
 
 /// Stage-timing sample cadence when [`EngineConfig::telemetry`] is on:
-/// every 64th packet gets per-stage clock reads. Chosen so the
+/// every 128th packet gets per-stage clock reads. Chosen so the
 /// measured instrumentation overhead stays under the 5 % throughput
-/// budget even on single-core hosts, where clock reads are the
-/// dominant cost (the linerate bench's A/B row proves it).
-pub const TELEMETRY_SAMPLE_SHIFT: u32 = 6;
+/// budget: the cheaper a packet, the larger the share its clock reads
+/// take, and at 1 in 64 the traced `feed_match` median of three seeds
+/// read above 5 % once parse and match got cheaper.
+pub const TELEMETRY_SAMPLE_SHIFT: u32 = 7;
 
 /// The RCU-style publication slot shared between the control plane
 /// and the workers: a monotonically increasing generation counter and

@@ -18,18 +18,21 @@ pub fn extract_bits(buf: &[u8], bit_offset: u64, bits: u32) -> Option<u64> {
     if end > (buf.len() as u64) * 8 {
         return None;
     }
-    // SWAR fast path: byte-aligned, whole-byte extracts (the common
-    // case — every header field the compiler emits is byte-aligned)
-    // become one bounds-checked copy + byte-swap instead of the
-    // bit-at-a-time walk. The bounds checks above already guarantee
-    // the slice is in range.
-    if bit_offset & 7 == 0 && bits & 7 == 0 {
-        let off = (bit_offset / 8) as usize;
-        let n = (bits / 8) as usize;
-        let mut w = [0u8; 8];
-        w[8 - n..].copy_from_slice(&buf[off..off + n]);
-        return Some(u64::from_be_bytes(w));
+    // One-load path: read the 8-byte big-endian window anchored at the
+    // field's first byte — or, when fewer than 8 bytes follow it, the
+    // buffer's last 8 bytes, which still hold the whole field — then
+    // shift the field's top bit to bit 63 and its bottom bit to bit 0.
+    // Any bit offset works as long as the span fits the window. The
+    // bounds check above keeps `first` inside the buffer.
+    let first = (bit_offset / 8) as usize;
+    let start = first.min(buf.len().saturating_sub(8));
+    if let Some(window) = buf[start..].first_chunk::<8>() {
+        let lead = bit_offset - 8 * start as u64;
+        if lead + u64::from(bits) <= 64 {
+            return Some((u64::from_be_bytes(*window) << lead) >> (64 - bits));
+        }
     }
+    // Bit walk: buffers shorter than 8 bytes and spans over 64 bits.
     let mut v: u64 = 0;
     let mut taken = 0u32;
     let mut pos = bit_offset;
@@ -118,7 +121,7 @@ mod tests {
     }
 
     /// Generic bit-walk reference, kept deliberately naive so the
-    /// aligned fast path has an independent oracle.
+    /// one-load path has an independent oracle.
     fn extract_bits_reference(buf: &[u8], bit_offset: u64, bits: u32) -> Option<u64> {
         if bits == 0 || bits > 64 {
             return None;
@@ -138,24 +141,27 @@ mod tests {
 
     #[test]
     fn aligned_fast_path_agrees_with_bit_walk() {
-        let mut buf = [0u8; 24];
+        let mut bytes = [0u8; 24];
         let mut x: u32 = 0x1234_5678;
-        for b in &mut buf {
+        for b in &mut bytes {
             x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
             *b = (x >> 24) as u8;
         }
-        // Every byte-aligned (offset, width) pair in range, plus the
-        // unaligned neighbours to make sure the fast path only fires
-        // where it should.
-        for byte_off in 0..buf.len() as u64 {
-            for extra_bits in 0..3u64 {
-                let off = byte_off * 8 + extra_bits;
-                for bits in 1..=64u32 {
-                    assert_eq!(
-                        extract_bits(&buf, off, bits),
-                        extract_bits_reference(&buf, off, bits),
-                        "off={off} bits={bits}"
-                    );
+        // Every buffer length 1–24 (so fields land in the last 8 bytes,
+        // and in buffers too short for the window), every byte, every
+        // in-byte bit offset 0–7 and every width 1–64 — in range or not.
+        for len in 1..=bytes.len() {
+            let buf = &bytes[..len];
+            for byte_off in 0..len as u64 {
+                for extra_bits in 0..8u64 {
+                    let off = byte_off * 8 + extra_bits;
+                    for bits in 1..=64u32 {
+                        assert_eq!(
+                            extract_bits(buf, off, bits),
+                            extract_bits_reference(buf, off, bits),
+                            "len={len} off={off} bits={bits}"
+                        );
+                    }
                 }
             }
         }

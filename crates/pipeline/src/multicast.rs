@@ -5,8 +5,6 @@
 //! maps a group id (set by a match-action action) to a set of egress
 //! ports.
 
-use std::collections::HashMap;
-
 /// A switch port number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PortId(pub u16);
@@ -15,11 +13,15 @@ pub struct PortId(pub u16);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupId(pub u32);
 
-/// The multicast group table.
+/// The multicast group table. Ids come only from
+/// [`MulticastTable::allocate`], so they are dense from 0 and a group
+/// is found by indexing, not hashing: `groups[id]` is the group's
+/// `(start, len)` run in one flat `ports` vector. A clone is two
+/// allocations whatever the group count.
 #[derive(Debug, Clone, Default)]
 pub struct MulticastTable {
-    groups: HashMap<GroupId, Vec<PortId>>,
-    next_id: u32,
+    groups: Vec<(u32, u32)>,
+    ports: Vec<PortId>,
 }
 
 impl MulticastTable {
@@ -28,35 +30,35 @@ impl MulticastTable {
         Self::default()
     }
 
-    /// Installs a group with an explicit id (ports are sorted and
-    /// deduplicated). Overwrites any previous definition.
-    pub fn install(&mut self, id: GroupId, ports: Vec<PortId>) {
+    /// Allocates the next group id for a port set (ports are sorted and
+    /// deduplicated). Always creates a new group; the compiler
+    /// deduplicates port sets before calling this.
+    pub fn allocate(&mut self, ports: Vec<PortId>) -> GroupId {
         let mut ports = ports;
         ports.sort_unstable();
         ports.dedup();
-        self.next_id = self.next_id.max(id.0 + 1);
-        self.groups.insert(id, ports);
-    }
-
-    /// Allocates a fresh group id for a port set (always creates a new
-    /// group; the compiler deduplicates port sets before calling this).
-    pub fn allocate(&mut self, ports: Vec<PortId>) -> GroupId {
-        let id = GroupId(self.next_id);
-        self.install(id, ports);
+        // A program's groups and their ports stay far below 2^32.
+        let id = GroupId(self.groups.len() as u32);
+        self.groups
+            .push((self.ports.len() as u32, ports.len() as u32));
+        self.ports.extend_from_slice(&ports);
         id
     }
 
-    /// Resolves a group to its ports.
+    /// Resolves a group to its ports; `None` for an id never allocated.
+    #[inline]
     pub fn ports(&self, id: GroupId) -> Option<&[PortId]> {
-        self.groups.get(&id).map(|v| v.as_slice())
+        let &(start, len) = self.groups.get(id.0 as usize)?;
+        self.ports
+            .get(start as usize..start as usize + len as usize)
     }
 
-    /// Number of installed groups.
+    /// Number of allocated groups.
     pub fn len(&self) -> usize {
         self.groups.len()
     }
 
-    /// Whether no groups are installed.
+    /// Whether no groups are allocated.
     pub fn is_empty(&self) -> bool {
         self.groups.is_empty()
     }
@@ -67,31 +69,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn install_sorts_and_dedups() {
+    fn allocate_sorts_and_dedups() {
         let mut t = MulticastTable::new();
-        t.install(GroupId(5), vec![PortId(3), PortId(1), PortId(3)]);
-        assert_eq!(t.ports(GroupId(5)), Some(&[PortId(1), PortId(3)][..]));
+        let g = t.allocate(vec![PortId(3), PortId(1), PortId(3)]);
+        assert_eq!(t.ports(g), Some(&[PortId(1), PortId(3)][..]));
+    }
+
+    #[test]
+    fn allocate_ids_are_dense_from_zero() {
+        let mut t = MulticastTable::new();
+        assert!(t.is_empty());
+        let sets = [vec![PortId(2)], vec![], vec![PortId(4), PortId(1)]];
+        for (i, ports) in sets.iter().enumerate() {
+            assert_eq!(t.allocate(ports.clone()), GroupId(i as u32));
+            assert_eq!(t.len(), i + 1);
+        }
+        assert!(!t.is_empty());
+        assert_eq!(t.ports(GroupId(0)), Some(&[PortId(2)][..]));
+        assert_eq!(t.ports(GroupId(1)), Some(&[][..]));
+        assert_eq!(t.ports(GroupId(2)), Some(&[PortId(1), PortId(4)][..]));
+        // Equal port sets still get fresh ids.
+        assert_eq!(t.allocate(vec![PortId(2)]), GroupId(3));
+        assert_eq!(t.len(), 4);
+    }
+
+    #[test]
+    fn unknown_id_is_none() {
+        let mut t = MulticastTable::new();
         assert_eq!(t.ports(GroupId(0)), None);
-    }
-
-    #[test]
-    fn allocate_yields_fresh_ids() {
-        let mut t = MulticastTable::new();
-        t.install(GroupId(10), vec![PortId(1)]);
-        let g = t.allocate(vec![PortId(2)]);
-        assert!(g.0 >= 11);
-        assert_eq!(t.ports(g), Some(&[PortId(2)][..]));
-        let g2 = t.allocate(vec![PortId(3)]);
-        assert_ne!(g, g2);
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn reinstall_overwrites() {
-        let mut t = MulticastTable::new();
-        t.install(GroupId(1), vec![PortId(1)]);
-        t.install(GroupId(1), vec![PortId(2)]);
-        assert_eq!(t.ports(GroupId(1)), Some(&[PortId(2)][..]));
-        assert_eq!(t.len(), 1);
+        t.allocate(vec![PortId(1)]);
+        assert_eq!(t.ports(GroupId(1)), None);
+        assert_eq!(t.ports(GroupId(u32::MAX)), None);
     }
 }

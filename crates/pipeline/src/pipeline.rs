@@ -373,12 +373,12 @@ fn eval_tables(
     let mut hit_mask = 0u64;
     for (ti, t) in tables.iter().enumerate() {
         let ops: &[ActionOp] = match t.lookup(phv)? {
-            Some(e) => {
+            Some(ops) => {
                 stats.table_hits[ti] += 1;
                 if ti < 64 {
                     hit_mask |= 1 << ti;
                 }
-                &e.ops
+                ops
             }
             None => {
                 stats.table_misses[ti] += 1;
@@ -942,7 +942,7 @@ mod tests {
             })
             .unwrap();
         let mut mcast = MulticastTable::new();
-        mcast.install(GroupId(0), vec![PortId(2), PortId(3)]);
+        assert_eq!(mcast.allocate(vec![PortId(2), PortId(3)]), GroupId(0));
         let mut registers = RegisterFile::new();
         registers.allocate(0);
         Pipeline {

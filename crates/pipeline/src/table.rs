@@ -10,7 +10,9 @@
 //! exact|range)`. [`Table::prepare`] lowers them to a per-state interval
 //! index with each interval's winner resolved ahead of time, so a
 //! lookup is one hash probe plus one binary search — O(log run) instead
-//! of a scan of the state's entries. Other key shapes keep a scan.
+//! of a scan of the state's entries — and reads the winner's actions
+//! from one flat op vector, never from the entry itself. Other key
+//! shapes keep a scan.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -163,9 +165,26 @@ pub struct Entry {
     pub ops: Vec<ActionOp>,
 }
 
-/// Winner slot of an interval no entry covers. Never a valid entry
-/// index: a table with this many entries keeps the scan.
+/// The sweep's winner for an interval no entry covers. Never a valid
+/// entry index: a table with this many entries keeps the scan.
 const NO_ENTRY: u32 = u32::MAX;
+
+/// A winner slot of the interval index: the winning entry's `(start,
+/// len)` run in the index's flat `ops`, or [`OpRun::MISS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OpRun {
+    start: u32,
+    len: u32,
+}
+
+impl OpRun {
+    /// The slot of an interval no entry covers. Its start lies past any
+    /// table's flat `ops`, so reading its run finds nothing.
+    const MISS: OpRun = OpRun {
+        start: u32::MAX,
+        len: 0,
+    };
+}
 
 /// An entry as the interval index sees it: the inclusive value interval
 /// it covers and its TCAM rank `(priority, insertion index)`.
@@ -191,10 +210,10 @@ enum PreparedTable {
 
 /// A per-state interval index. The probe key (the BDD state) selects a
 /// run: the sorted starts of the elementary intervals the run's entries
-/// cut the value key's domain into, each paired with the entry that
-/// wins there. A run holds a state's own rows plus the wildcard-state
-/// rows; every run starts at 0 and no two adjacent intervals share a
-/// winner.
+/// cut the value key's domain into, each paired with the actions of the
+/// entry that wins there. A run holds a state's own rows plus the
+/// wildcard-state rows; every run starts at 0 and no two adjacent
+/// intervals share a winner.
 #[derive(Debug, Clone)]
 struct IntervalIndex {
     /// Field probed through `runs`; `None` makes every row a
@@ -209,8 +228,10 @@ struct IntervalIndex {
     /// value without rows of its own.
     wild: (u32, u32),
     starts: Vec<u64>,
-    /// Entry index winning from the parallel start on, or [`NO_ENTRY`].
-    winners: Vec<u32>,
+    /// The winner's op run from the parallel start on.
+    winners: Vec<OpRun>,
+    /// Every winning entry's ops, once each, in first-win order.
+    ops: Vec<ActionOp>,
 }
 
 impl PreparedTable {
@@ -287,6 +308,30 @@ impl IntervalIndex {
             sweep.spans.extend_from_slice(&wild);
             runs.insert(group[0].0, sweep.run());
         }
+        // Winner entry indices become op runs: a hit then reads its
+        // actions without touching the entry's own `Vec`.
+        let mut run_of = vec![OpRun::MISS; entries.len()];
+        let mut ops = Vec::new();
+        let winners = sweep
+            .winners
+            .iter()
+            .map(|&w| {
+                if w == NO_ENTRY {
+                    return OpRun::MISS;
+                }
+                let e = &entries[w as usize];
+                let run = &mut run_of[w as usize];
+                if *run == OpRun::MISS {
+                    // A table's ops stay far below 2^32.
+                    *run = OpRun {
+                        start: ops.len() as u32,
+                        len: e.ops.len() as u32,
+                    };
+                    ops.extend_from_slice(&e.ops);
+                }
+                *run
+            })
+            .collect();
         let field = |k: Option<usize>| k.map(|k| keys[k].field);
         IntervalIndex {
             probe: field(probe),
@@ -294,14 +339,15 @@ impl IntervalIndex {
             runs,
             wild: wild_run,
             starts: sweep.starts,
-            winners: sweep.winners,
+            winners,
+            ops,
         }
     }
 
-    /// The winning entry index for `phv`, or [`NO_ENTRY`]: one probe,
-    /// one binary search, one read.
+    /// The winner's actions for `phv`, or `None` on a miss: one probe,
+    /// one binary search, one read of a contiguous op run.
     #[inline]
-    fn winner(&self, phv: &Phv) -> u32 {
+    fn lookup(&self, phv: &Phv) -> Option<&[ActionOp]> {
         let (offset, len) = match self.probe {
             Some(f) => self
                 .runs
@@ -315,7 +361,9 @@ impl IntervalIndex {
         let run = &self.starts[offset..offset + len];
         // Every run starts at 0 <= v, so the partition point is at
         // least 1.
-        self.winners[offset + run.partition_point(|&s| s <= v) - 1]
+        let OpRun { start, len } = self.winners[offset + run.partition_point(|&s| s <= v) - 1];
+        let start = start as usize;
+        self.ops.get(start..start + len as usize)
     }
 }
 
@@ -511,25 +559,22 @@ impl Table {
         self.prepared.is_some()
     }
 
-    /// Finds the winning entry for a PHV: the matching entry with the
-    /// smallest `(priority, insertion index)`. A table changed since
-    /// its last [`Table::prepare`] is a program error,
-    /// [`PipelineError::TableNotPrepared`].
-    pub fn lookup(&self, phv: &Phv) -> Result<Option<&Entry>, PipelineError> {
-        let winner = match &self.prepared {
-            Some(PreparedTable::Intervals(index)) => index.winner(phv) as usize,
-            Some(PreparedTable::Scan) => self.scan(phv),
-            None => {
-                return Err(PipelineError::TableNotPrepared {
-                    table: self.name.clone(),
-                })
-            }
-        };
-        Ok(self.entries.get(winner))
+    /// Finds the actions of the winning entry for a PHV: the matching
+    /// entry with the smallest `(priority, insertion index)`; `None` on
+    /// a miss. A table changed since its last [`Table::prepare`] is a
+    /// program error, [`PipelineError::TableNotPrepared`].
+    pub fn lookup(&self, phv: &Phv) -> Result<Option<&[ActionOp]>, PipelineError> {
+        match &self.prepared {
+            Some(PreparedTable::Intervals(index)) => Ok(index.lookup(phv)),
+            Some(PreparedTable::Scan) => Ok(self.scan(phv).map(|e| e.ops.as_slice())),
+            None => Err(PipelineError::TableNotPrepared {
+                table: self.name.clone(),
+            }),
+        }
     }
 
     /// The scan variant: every entry is tested.
-    fn scan(&self, phv: &Phv) -> usize {
+    fn scan(&self, phv: &Phv) -> Option<&Entry> {
         self.entries
             .iter()
             .enumerate()
@@ -540,7 +585,7 @@ impl Table {
                     .all(|(m, k)| m.matches(phv.get_or_zero(k.field), k.bits))
             })
             .min_by_key(|&(i, e)| (e.priority, i))
-            .map_or(NO_ENTRY as usize, |(i, _)| i)
+            .map(|(_, e)| e)
     }
 }
 
@@ -559,7 +604,7 @@ mod tests {
     /// Prepares `t`, then looks `phv` up: the winner's ops.
     fn hit(t: &mut Table, phv: &Phv) -> Option<Vec<ActionOp>> {
         t.prepare();
-        t.lookup(phv).unwrap().map(|e| e.ops.clone())
+        t.lookup(phv).unwrap().map(<[ActionOp]>::to_vec)
     }
 
     fn phv_with(l: &PhvLayout, state: PhvField, stock: PhvField, s: u64, v: u64) -> Phv {
@@ -1130,18 +1175,50 @@ mod tests {
         t.add_entry(dup.clone()).unwrap();
         t.add_entry(tagged(3, MatchValue::Exact(1), MatchValue::Any, 2))
             .unwrap();
-        t.prepare();
-        let phv = phv_with(&l, state, value, 1, 42);
-        let first = t.entries().next();
-        assert!(std::ptr::eq(
-            t.lookup(&phv).unwrap().unwrap(),
-            first.unwrap()
-        ));
+        assert_eq!(tag(&mut t, &at(1, 42)), Some(1));
         // Removing one copy leaves the other, still ahead of tag 2.
         t.remove_entry(&dup).unwrap();
         assert_eq!(tag(&mut t, &at(1, 42)), Some(1));
         t.remove_entry(&dup).unwrap();
         assert_eq!(tag(&mut t, &at(1, 42)), Some(2));
+    }
+
+    #[test]
+    fn op_runs_keep_each_winners_actions_whole() {
+        // Winners with zero, one and three ops, one of them shared by
+        // every state: an op-less winner is still a hit, and no run
+        // reads into a neighbour's ops.
+        let (l, state, value) = layout2();
+        let at = |s, v| phv_with(&l, state, value, s, v);
+        let mut t = state_range_table(state, value);
+        let r = |lo, hi| MatchValue::Range { lo, hi };
+        let entry = |priority, s, v, ops| Entry {
+            priority,
+            matches: vec![s, v],
+            ops,
+        };
+        let three = vec![
+            ActionOp::Forward(PortId(1)),
+            ActionOp::Drop,
+            ActionOp::SetField(state, 9),
+        ];
+        let wide = vec![ActionOp::Forward(PortId(2))];
+        t.add_entry(entry(0, MatchValue::Exact(1), r(0, 9), vec![]))
+            .unwrap();
+        t.add_entry(entry(0, MatchValue::Exact(1), r(10, 19), three.clone()))
+            .unwrap();
+        t.add_entry(entry(1, MatchValue::Any, r(0, 29), wide.clone()))
+            .unwrap();
+        for (s, v, want) in [
+            (1, 5, Some(vec![])),
+            (1, 15, Some(three.clone())),
+            (1, 25, Some(wide.clone())),
+            (1, 30, None),
+            (2, 5, Some(wide.clone())),
+            (2, 30, None),
+        ] {
+            assert_eq!(hit(&mut t, &at(s, v)), want, "state={s} v={v}");
+        }
     }
 
     #[test]

@@ -216,7 +216,7 @@ proptest! {
             let mut phv = layout.instantiate();
             phv.set(state, s);
             phv.set(value, v);
-            let got = table.lookup(&phv).unwrap().map(|e| e.ops.clone());
+            let got = table.lookup(&phv).unwrap().map(|ops| ops.to_vec());
             // Reference: min (priority, index) among matching entries.
             let want = rows
                 .iter()
@@ -263,7 +263,7 @@ proptest! {
         for &v in &probes {
             let mut phv = layout.instantiate();
             phv.set(f, v);
-            let got = table.lookup(&phv).unwrap().map(|e| e.ops.clone());
+            let got = table.lookup(&phv).unwrap().map(|ops| ops.to_vec());
             let want = entries
                 .iter()
                 .enumerate()
