@@ -201,12 +201,13 @@ fn compress_domains(
     let mut out: Vec<Table> = Vec::with_capacity(dynp.tables.len() * 2);
     let tables = std::mem::take(&mut dynp.tables);
     for mut table in tables {
-        let is_range_value_table = table.keys.len() == 2 && table.keys[1].kind == MatchKind::Range;
+        let is_range_value_table =
+            table.keys().len() == 2 && table.keys()[1].kind == MatchKind::Range;
         if !is_range_value_table || table.is_empty() {
             out.push(table);
             continue;
         }
-        let raw_key = table.keys[1];
+        let raw_key = table.keys()[1];
         let max = if raw_key.bits >= 64 {
             u64::MAX
         } else {
@@ -254,7 +255,7 @@ fn compress_domains(
             format!("t_cmp_{}", table.name.trim_start_matches("t_")),
             vec![raw_key],
             vec![],
-        );
+        )?;
         let mut lo = 0u64;
         for (i, &cut) in cuts.iter().enumerate() {
             cmp_table.add_entry(Entry {
@@ -274,7 +275,7 @@ fn compress_domains(
         let mut rewritten = Table::new(
             table.name.clone(),
             vec![
-                table.keys[0],
+                table.keys()[0],
                 Key {
                     field: compact,
                     kind: MatchKind::Range,
@@ -282,7 +283,7 @@ fn compress_domains(
                 },
             ],
             table.default_ops.clone(),
-        );
+        )?;
         for e in table.entries() {
             let m = match e.matches[1] {
                 MatchValue::Range { lo, hi } => {
@@ -405,9 +406,9 @@ mod tests {
         assert!(compressed.placement.tcam_slices <= plain.placement.tcam_slices * 2);
     }
 
-    /// Every table the compiler emits lowers to the interval index; a
-    /// change that emitted a scan-only shape would quietly halve the
-    /// packet rate instead of failing here.
+    /// Every table the compiler emits lowers to the interval index:
+    /// `Table::new` admits no other key shape, so a change that emitted
+    /// one fails the compile with `UnsupportedKeys` here.
     #[test]
     fn every_emitted_table_has_a_lowered_key_shape() {
         let itch = camus_workload::generate_itch_subscriptions(&Default::default());
@@ -438,8 +439,12 @@ mod tests {
             let tables = program.unwrap().pipeline.tables;
             let compressed = tables.iter().any(|t| t.name.starts_with("t_cmp_"));
             assert_eq!(compressed, name.ends_with("compressed"), "{name}");
-            for t in &tables {
-                assert!(t.lowers(), "{name}: `{}` would scan: {:?}", t.name, t.keys);
+            // A cold compile numbers each component's states
+            // consecutively, so every state probe indexes a `Vec`.
+            for mut t in tables {
+                t.prepare();
+                let hashed = t.probe_split().map_or(0, |(_, hashed)| hashed);
+                assert_eq!(hashed, 0, "{name}: `{}`", t.name);
             }
         }
     }

@@ -105,16 +105,10 @@ impl DynamicProgram {
         for t in &self.tables {
             for e in t.entries() {
                 let _ = write!(s, "table_add {} prio={}", t.name, e.priority);
-                for (k, m) in t.keys.iter().zip(&e.matches) {
+                for (k, m) in t.keys().iter().zip(&e.matches) {
                     let _ = match m {
                         MatchValue::Exact(v) => write!(s, " k{}={v}", k.field.0),
                         MatchValue::Range { lo, hi } => write!(s, " k{}={lo}..{hi}", k.field.0),
-                        MatchValue::Ternary { value, mask } => {
-                            write!(s, " k{}={value:#x}&&&{mask:#x}", k.field.0)
-                        }
-                        MatchValue::Lpm { value, prefix_len } => {
-                            write!(s, " k{}={value:#x}/{prefix_len}", k.field.0)
-                        }
                         MatchValue::Any => write!(s, " k{}=*", k.field.0),
                     };
                 }
@@ -222,7 +216,7 @@ fn field_table(
             },
         ],
         vec![], // miss: keep state (pass-through for skipped components)
-    );
+    )?;
     let field_max = info.max_value();
     for p in paths {
         let m = if let Some(v) = p.pinned() {
@@ -340,7 +334,7 @@ pub(crate) fn emit_tables(
             bits: 32,
         }],
         vec![],
-    );
+    )?;
     let mut terminals: Vec<(NodeRef, u64)> = es
         .state_of
         .iter()

@@ -214,8 +214,10 @@ pub fn apply_delta(pipeline: &mut Pipeline, deltas: &[TableDelta]) -> Result<(),
             take(&mut old, &d.table);
             continue;
         }
-        let mut t = take(&mut old, &d.table)
-            .unwrap_or_else(|| Table::new(d.table.clone(), d.keys.clone(), d.default_ops.clone()));
+        let mut t = match take(&mut old, &d.table) {
+            Some(t) => t,
+            None => Table::new(d.table.clone(), d.keys.clone(), d.default_ops.clone())?,
+        };
         t.splice_entries(&d.removes, &d.adds)?;
         tables.push(t);
     }
@@ -554,7 +556,7 @@ fn diff_tables(
         kept += kept_here;
         deltas.push(TableDelta {
             table: t.name.clone(),
-            keys: t.keys.clone(),
+            keys: t.keys().to_vec(),
             default_ops: t.default_ops.clone(),
             adds,
             removes,
@@ -1070,7 +1072,12 @@ mod tests {
     /// compacted by force after every update. Compaction must be
     /// invisible (equal reports, no entry moves) and must keep the
     /// diagram within `COMPACT_RATIO` of its live size.
-    fn churn_with_and_without_forced_compaction(base: usize, churn: usize, rounds: usize) {
+    /// Returns the naturally compacting session's final program.
+    fn churn_with_and_without_forced_compaction(
+        base: usize,
+        churn: usize,
+        rounds: usize,
+    ) -> Pipeline {
         let pool = itch_pool(base + churn);
         let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
         let opts = CompilerOptions::raw();
@@ -1127,6 +1134,7 @@ mod tests {
                 b.process(&pkt, 0).unwrap().ports
             );
         }
+        a
     }
 
     #[test]
@@ -1136,10 +1144,36 @@ mod tests {
 
     /// The nightly soak of the above: the benchmark's 64-rule churn pool
     /// over its 1 000-rule program (`cargo test --release -- --ignored`).
+    /// Also reports, per table, how far the state ids a session hands
+    /// out have drifted apart: the ids a table's rows name, the span
+    /// they cover, and how many states its prepared probe still finds by
+    /// indexing a `Vec` (the densest window spanning at most `4 ×
+    /// states + 64` ids) rather than by hashing.
     #[test]
     #[ignore = "nightly: 2 000 rounds, release build"]
     fn session_memory_stays_bounded_over_2000_rounds() {
-        churn_with_and_without_forced_compaction(1000, 64, 2000);
+        let program = churn_with_and_without_forced_compaction(1000, 64, 2000);
+        for t in &program.tables {
+            let states: std::collections::BTreeSet<u64> = t
+                .entries()
+                .filter_map(|e| match e.matches.first() {
+                    Some(&camus_pipeline::MatchValue::Exact(s)) => Some(s),
+                    _ => None,
+                })
+                .collect();
+            let span = match (states.first(), states.last()) {
+                (Some(lo), Some(hi)) => hi - lo + 1,
+                _ => 0,
+            };
+            eprintln!(
+                "state span after 2 000 rounds: {} entries={} states={} span={} (indexed, hashed)={:?}",
+                t.name,
+                t.len(),
+                states.len(),
+                span,
+                t.probe_split()
+            );
+        }
     }
 
     /// A session must never be slower to start than a cold compile of

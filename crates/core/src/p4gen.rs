@@ -163,12 +163,10 @@ pub fn render_p4(
     for t in &dynp.tables {
         let _ = writeln!(s, "table {} {{", t.name);
         let _ = writeln!(s, "    reads {{");
-        for k in &t.keys {
+        for k in t.keys() {
             let kind = match k.kind {
                 MatchKind::Exact => "exact",
-                MatchKind::Ternary => "ternary",
                 MatchKind::Range => "range",
-                MatchKind::Lpm => "lpm",
             };
             let _ = writeln!(
                 s,
@@ -336,12 +334,10 @@ pub fn render_p4_16(
     for t in &dynp.tables {
         let _ = writeln!(s, "\n    table {} {{", t.name);
         let _ = writeln!(s, "        key = {{");
-        for k in &t.keys {
+        for k in t.keys() {
             let kind = match k.kind {
                 MatchKind::Exact => "exact",
-                MatchKind::Ternary => "ternary",
                 MatchKind::Range => "range",
-                MatchKind::Lpm => "lpm",
             };
             let _ = writeln!(
                 s,

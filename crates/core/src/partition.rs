@@ -204,13 +204,13 @@ impl PartitionPlan {
 
         for table in &pipeline.tables {
             let state_keyed = table
-                .keys
+                .keys()
                 .first()
                 .map(|k| k.field == state_meta)
                 .unwrap_or(false);
             let shard_table = state_keyed
                 && table
-                    .keys
+                    .keys()
                     .get(1)
                     .map(|k| k.field == shard_phv)
                     .unwrap_or(false);
@@ -314,7 +314,8 @@ impl PartitionPlan {
             .iter()
             .zip(&self.assignment)
             .map(|(t, a)| {
-                let mut out = Table::new(t.name.clone(), t.keys.clone(), t.default_ops.clone());
+                let mut out = Table::new(t.name.clone(), t.keys().to_vec(), t.default_ops.clone())
+                    .expect("keys came from a built table");
                 for (e, &mask) in t.entries().zip(&a.masks) {
                     if mask & bit != 0 {
                         out.add_entry(e.clone())
@@ -465,7 +466,11 @@ mod tests {
         let plan = PartitionPlan::compute(&pipeline, "ev.sym", leaves).unwrap();
         let shard_phv = pipeline.layout.get("ev.sym").unwrap();
         for (t, a) in pipeline.tables.iter().zip(&plan.assignment) {
-            let is_shard = t.keys.get(1).map(|k| k.field == shard_phv).unwrap_or(false);
+            let is_shard = t
+                .keys()
+                .get(1)
+                .map(|k| k.field == shard_phv)
+                .unwrap_or(false);
             if !is_shard {
                 continue;
             }

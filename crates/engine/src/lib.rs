@@ -1,7 +1,7 @@
 //! # camus-engine — a multi-core sharded forwarding engine
 //!
-//! Wraps the sequential [`Pipeline`](camus_pipeline::Pipeline) executor
-//! with N worker threads (std-only: `std::thread` plus lock-free
+//! Wraps the [`Pipeline`](camus_pipeline::Pipeline) executor with N
+//! worker threads (std-only: `std::thread` plus lock-free
 //! bounded [SPSC rings](ring)), and shards packets RSS-style on a flow
 //! key — by default the ITCH stock symbol
 //! ([`shard::itch_symbol_shard`]).
@@ -9,8 +9,10 @@
 //! Camus's stateful rules (`@query_counter`) are keyed on the stock
 //! symbol, so symbol sharding keeps every register slot's updates on
 //! exactly one worker and the engine's forwarding decisions are
-//! **bit-identical** to running the sequential executor over the same
-//! trace (verified by the determinism test). Workers share one
+//! **bit-identical** to deciding the same trace one packet at a time —
+//! a batch of one through the same executor, which is what
+//! [`Pipeline::process`](camus_pipeline::Pipeline::process) runs
+//! (verified by the determinism test). Workers share one
 //! immutable compiled program behind an `Arc` and keep their mutable
 //! state (registers, counters, decision cache) in a per-worker
 //! [`ShardCtx`](camus_pipeline::ShardCtx); each processes its packets
@@ -113,14 +115,6 @@ use camus_telemetry::{DataPlaneTelemetry, SpanKind, SpanSet, SpanTimer, TableCou
 
 pub use camus_telemetry::TelemetrySnapshot;
 pub use shard::ShardFn;
-
-/// Stage-timing sample cadence when [`EngineConfig::telemetry`] is on:
-/// every 128th packet gets per-stage clock reads. Chosen so the
-/// measured instrumentation overhead stays under the 5 % throughput
-/// budget: the cheaper a packet, the larger the share its clock reads
-/// take, and at 1 in 64 the traced `feed_match` median of three seeds
-/// read above 5 % once parse and match got cheaper.
-pub const TELEMETRY_SAMPLE_SHIFT: u32 = 7;
 
 /// The RCU-style publication slot shared between the control plane
 /// and the workers: a monotonically increasing generation counter and
@@ -244,7 +238,7 @@ pub struct EngineConfig {
     /// Deterministic fault-injection hooks (empty by default).
     pub faults: FaultInjection,
     /// Collect data-plane telemetry (per-shard counters + latency
-    /// histograms, sampled at [`TELEMETRY_SAMPLE_SHIFT`]) and attach a
+    /// histograms, one stage sample per batch) and attach a
     /// merged [`TelemetrySnapshot`] to the report. Off by default: the
     /// uninstrumented hot path has zero clock reads.
     pub telemetry: bool,
@@ -772,7 +766,7 @@ impl Engine {
         let start_gen = self.published.generation.load(Ordering::Acquire);
         let program = Arc::clone(&self.installed);
         // The compiled program is shared read-only behind the Arc; the
-        // worker's mutable state (registers, counters, hoist scratch,
+        // worker's mutable state (registers, counters, wave scratch,
         // decision cache) lives in its own ShardCtx, cloned from the
         // installed program — no pipeline clone per worker.
         let mut ctx = ShardCtx {
@@ -780,7 +774,7 @@ impl Engine {
             exec: program.exec.clone(),
         };
         if self.cfg.telemetry {
-            ctx.exec.enable_telemetry(TELEMETRY_SAMPLE_SHIFT);
+            ctx.exec.enable_telemetry();
         }
         // Input ring depth ≈ queue_batches (rounded to a power of
         // two). The recycle ring gets headroom: at most queue+2
@@ -1425,7 +1419,8 @@ mod tests {
                 bits: 8,
             }],
             vec![],
-        );
+        )
+        .unwrap();
         for b in 1u64..=4 {
             table
                 .add_entry(Entry {
@@ -1516,6 +1511,37 @@ mod tests {
         // Per-stage counters survive aggregation.
         assert_eq!(report.stats.table_hits.iter().sum::<u64>(), 128);
         assert_eq!(report.stats.table_misses.iter().sum::<u64>(), 128);
+    }
+
+    #[test]
+    fn config_error_names_the_failing_packet() {
+        // Byte 7 multicasts to a group never allocated. The worker runs
+        // one wave over the whole batch; the packet it fails on is the
+        // third submitted, whatever its position in the table-major
+        // order, and the worker stops there.
+        let mut pipeline = byte_pipeline();
+        pipeline.tables[0]
+            .add_entry(Entry {
+                priority: 0,
+                matches: vec![MatchValue::Exact(7)],
+                ops: vec![ActionOp::Multicast(camus_pipeline::GroupId(99))],
+            })
+            .unwrap();
+        let packets: Vec<Vec<u8>> = vec![vec![1], vec![], vec![7], vec![2], vec![7]];
+        let cfg = EngineConfig {
+            workers: 1,
+            batch_packets: 16,
+            ..Default::default()
+        };
+        let report = run_trace(
+            &pipeline,
+            &cfg,
+            first_byte_shard(),
+            packets.iter().map(|p| (p.as_slice(), 0u64)),
+        );
+        let error = report.error.expect("unknown group is a config error");
+        assert_eq!(error.packet_seq, 2);
+        assert_eq!(error.error, PipelineError::UnknownGroup(99));
     }
 
     #[test]

@@ -102,7 +102,8 @@ fn cacheable_pipeline() -> Pipeline {
             bits: 8,
         }],
         vec![],
-    );
+    )
+    .unwrap();
     for b in 1u64..=4 {
         filter
             .add_entry(Entry {
@@ -120,7 +121,8 @@ fn cacheable_pipeline() -> Pipeline {
             bits: 8,
         }],
         vec![],
-    );
+    )
+    .unwrap();
     mirror
         .add_entry(Entry {
             priority: 0,

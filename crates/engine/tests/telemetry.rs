@@ -11,7 +11,7 @@
 //!   compile spans still ride on the compiled program.
 
 use camus_core::{Compiler, CompilerOptions};
-use camus_engine::{shard, Engine, EngineConfig, TELEMETRY_SAMPLE_SHIFT};
+use camus_engine::{shard, Engine, EngineConfig};
 use camus_lang::{parse_program, parse_spec};
 use camus_telemetry::{SpanKind, SNAPSHOT_VERSION};
 use camus_workload::bench_feed;
@@ -90,12 +90,11 @@ fn snapshot_reports_stages_tables_and_control_spans() {
     assert_eq!(snap.version, SNAPSHOT_VERSION);
     assert_eq!(snap.workers, 2);
     assert_eq!(snap.packets, packets.len() as u64);
-    assert_eq!(snap.data.sample_interval(), 1 << TELEMETRY_SAMPLE_SHIFT);
 
-    // Stage histograms: batches always timed, stages sampled.
+    // Stage histograms: every batch timed, one stage sample per batch.
     assert!(snap.data.batches > 0);
     assert_eq!(snap.data.batch_ns.count(), snap.data.batches);
-    assert!(snap.data.sampled_packets > 0);
+    assert_eq!(snap.data.sampled_packets, snap.data.batches);
     assert_eq!(snap.data.parse_ns.count(), snap.data.sampled_packets);
     for h in [
         &snap.data.batch_ns,

@@ -882,7 +882,7 @@ pub fn tables_identical(a: &[Table], b: &[Table]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| {
             x.name == y.name
-                && x.keys == y.keys
+                && x.keys() == y.keys()
                 && x.default_ops == y.default_ops
                 && x.len() == y.len()
                 && x.entries().eq(y.entries())

@@ -48,6 +48,12 @@ pub enum PipelineError {
         /// Table name.
         table: String,
     },
+    /// A table's key list is not one the interval index holds (`[]`,
+    /// `[Exact]`, `[Range]`, `[Exact, Exact|Range]`).
+    UnsupportedKeys {
+        /// Table name.
+        table: String,
+    },
     /// A table was looked up after an entry change without a
     /// `prepare()` — the executor never falls back to a scan.
     TableNotPrepared {
@@ -100,6 +106,9 @@ impl fmt::Display for PipelineError {
             }
             PipelineError::EntryNotFound { table } => {
                 write!(f, "table `{table}`: entry to remove is not installed")
+            }
+            PipelineError::UnsupportedKeys { table } => {
+                write!(f, "table `{table}`: key list cannot be lowered")
             }
             PipelineError::TableNotPrepared { table } => {
                 write!(f, "table `{table}`: looked up before prepare()")

@@ -134,7 +134,6 @@ impl ParserSpec {
             work.reset();
         }
         let phv = work;
-        let has_emitters = self.states.iter().any(|s| s.emit);
         let total_bits = (bytes.len() as u64) * 8;
         let start_len = out.len();
         let mut cursor: u64 = 0;
@@ -170,12 +169,7 @@ impl ParserSpec {
                 out.push_copy(phv);
             }
             match &state.next {
-                Transition::Accept => {
-                    if out.len() == start_len && !has_emitters {
-                        out.push_copy(phv);
-                    }
-                    return Ok(());
-                }
+                Transition::Accept => break,
                 Transition::Always(next) => state_id = *next,
                 Transition::Select {
                     field,
@@ -196,17 +190,17 @@ impl ParserSpec {
                         },
                     }
                 }
-                Transition::SelectRemaining { more } => {
-                    if cursor >= total_bits {
-                        if out.len() == start_len && !has_emitters {
-                            out.push_copy(phv);
-                        }
-                        return Ok(());
-                    }
-                    state_id = *more;
-                }
+                Transition::SelectRemaining { .. } if cursor >= total_bits => break,
+                Transition::SelectRemaining { more } => state_id = *more,
             }
         }
+        // Whether any state emits is a walk over every state, so it is
+        // asked only of a packet that emitted nothing — the one case the
+        // answer decides.
+        if out.len() == start_len && !self.states.iter().any(|s| s.emit) {
+            out.push_copy(phv);
+        }
+        Ok(())
     }
 }
 

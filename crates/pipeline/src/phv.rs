@@ -188,14 +188,14 @@ impl PhvBuf {
         self.len += 1;
     }
 
-    /// Mutable access to a live message.
-    pub fn get_mut(&mut self, i: usize) -> &mut Phv {
-        assert!(
-            i < self.len,
-            "PhvBuf index {i} out of bounds ({})",
-            self.len
-        );
-        &mut self.slots[i]
+    /// Drops the messages from `len` on, keeping their storage.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.len = self.len.min(len);
+    }
+
+    /// The live messages, mutably.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [Phv] {
+        &mut self.slots[..self.len]
     }
 
     /// Iterates the live messages.
@@ -295,7 +295,7 @@ mod tests {
         phv.set(f, 9);
         buf.push_copy(&phv);
         assert_eq!(buf.len(), 1);
-        assert_eq!(buf.get_mut(0).get(f), Some(9));
+        assert_eq!(buf.as_mut_slice()[0].get(f), Some(9));
         assert_eq!(buf.into_vec().len(), 1);
     }
 }

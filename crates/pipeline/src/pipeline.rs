@@ -2,11 +2,24 @@
 //!
 //! A [`Pipeline`] bundles everything the Camus compiler emits for one
 //! application: the PHV layout, the parser program, the ordered table
-//! chain, the multicast groups and the register file. [`Pipeline::process`]
-//! runs one packet through it and returns the forwarding decision —
-//! the union, over all application messages in the packet, of each
-//! message's matched ports (§2: the switch executes the actions of all
-//! matching rules).
+//! chain, the multicast groups and the register file. Its one executor,
+//! [`Pipeline::process_batch_shared`], decides each packet as the union,
+//! over all application messages in the packet, of each message's
+//! matched ports (§2: the switch executes the actions of all matching
+//! rules). It runs a batch as a *wave*, the way an RMT pipeline keeps
+//! every stage busy with a different packet:
+//!
+//! 1. **parse** every packet of the batch into one pool of message PHVs;
+//! 2. **chain**: apply table 0 to every message, then table 1 to every
+//!    message, and so on, so one table's lookups for many messages are
+//!    in flight together;
+//! 3. **union** each packet's ports and count the packet.
+//!
+//! Where message order is observable — some table action writes a
+//! register, or the decision cache is armed — phase 2 is a *wave of
+//! one*: the chain runs message by message in arrival order, so
+//! register state and cache hits are exactly those of deciding one
+//! packet after another. [`Pipeline::process`] is a batch of one.
 
 use std::fmt;
 use std::time::Instant;
@@ -258,23 +271,29 @@ impl ExecStats {
     }
 }
 
-/// Reusable per-pipeline execution state: scratch buffers for the
-/// allocation-free hot path, counters, and the prepared hoisting plan.
-/// Cloned with the pipeline (each engine worker gets its own).
+/// Reusable per-pipeline execution state: the wave's scratch buffers
+/// for the allocation-free hot path, counters, and the prepared
+/// wave-of-one rule. Cloned with the pipeline (each engine worker gets
+/// its own).
 #[derive(Debug, Clone, Default)]
 pub struct ExecState {
     /// Execution counters.
     pub stats: ExecStats,
-    /// Parsed-message pool (reused across packets).
+    /// The batch's parsed messages, in arrival order (reused across
+    /// batches).
     msgs: PhvBuf,
+    /// Per message: the batch index of its packet.
+    owner: Vec<u32>,
+    /// Per message: whether it added a port.
+    matched: Vec<bool>,
+    /// Per packet: its arrival time.
+    now: Vec<u64>,
     /// The parser's working PHV.
     work: Phv,
-    /// Per-binding flag: true when the register slot is never written
-    /// by any table action, so its value is message-invariant within a
-    /// packet and the read can be hoisted out of the per-message loop.
-    hoist: Vec<bool>,
-    /// Per-packet cache of hoisted aggregate values.
-    hoist_vals: Vec<u64>,
+    /// Whether some table action writes a register, making message
+    /// order observable: the chain then runs a wave of one. Derived by
+    /// [`Pipeline::prepare`], copied by [`ShardCtx::adopt`].
+    serial: bool,
     /// Optional per-shard telemetry (counters + latency histograms).
     /// Boxed so the disabled case costs one pointer; `None` (the
     /// default) keeps the hot path free of clock reads entirely.
@@ -287,10 +306,11 @@ pub struct ExecState {
 }
 
 impl ExecState {
-    /// Enables telemetry, sampling every `2^sample_shift`-th packet.
-    /// The one `Box` allocation happens here, not on the packet path.
-    pub fn enable_telemetry(&mut self, sample_shift: u32) {
-        self.telemetry = Some(Box::new(DataPlaneTelemetry::new(sample_shift)));
+    /// Enables telemetry: batch latency plus one per-packet stage
+    /// sample per batch. The one `Box` allocation happens here, not on
+    /// the packet path.
+    pub fn enable_telemetry(&mut self) {
+        self.telemetry = Some(Box::new(DataPlaneTelemetry::new()));
     }
 
     /// The telemetry collected so far, if enabled.
@@ -311,6 +331,27 @@ impl ExecState {
     /// The decision-cache counters, if a cache is armed.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_deref().map(|c| c.stats)
+    }
+
+    /// Whether message order is observable, so the chain runs one
+    /// message at a time: some table action writes a register, or the
+    /// decision cache is armed.
+    fn wave_of_one(&self) -> bool {
+        self.serial || self.cache.is_some()
+    }
+
+    /// Drops every memoized decision, or the whole cache when `program`
+    /// is no longer a pure function of the key field (e.g. a splice or
+    /// a new generation added a stateful rule): caching it would be
+    /// unsound.
+    fn revalidate_cache(&mut self, program: &Pipeline) {
+        if let Some(c) = self.cache.as_deref_mut() {
+            if program.cacheable_on(c.key_field()) {
+                c.invalidate_all();
+            } else {
+                self.cache = None;
+            }
+        }
     }
 }
 
@@ -347,241 +388,8 @@ pub struct Pipeline {
     /// table chain (e.g. the BDD entry state, which is nonzero after
     /// incremental recompilations).
     pub init_fields: Vec<(crate::phv::PhvField, u64)>,
-    /// Scratch buffers, counters and the prepared hoisting plan.
+    /// Scratch buffers, counters and the prepared wave-of-one rule.
     pub exec: ExecState,
-}
-
-/// Runs the prepared table chain on one message PHV, appending matched
-/// ports to `ports`. Free function so the caller can hold disjoint
-/// borrows of the pipeline's fields: `ops` stays a borrow of `tables`
-/// (no per-table clone) while `phv` and `registers` are mutated.
-///
-/// Returns `(dropped, hit_mask)`: whether any matching rule dropped,
-/// and a bitmask with bit `i` set when table `i` hit a non-default
-/// entry (tables ≥ 64 are not recorded — the decision cache, the only
-/// mask consumer, refuses such chains).
-fn eval_tables(
-    tables: &[Table],
-    mcast: &MulticastTable,
-    registers: &mut RegisterFile,
-    phv: &mut Phv,
-    now_us: u64,
-    ports: &mut Vec<PortId>,
-    stats: &mut ExecStats,
-) -> Result<(bool, u64), PipelineError> {
-    let mut dropped = false;
-    let mut hit_mask = 0u64;
-    for (ti, t) in tables.iter().enumerate() {
-        let ops: &[ActionOp] = match t.lookup(phv)? {
-            Some(ops) => {
-                stats.table_hits[ti] += 1;
-                if ti < 64 {
-                    hit_mask |= 1 << ti;
-                }
-                ops
-            }
-            None => {
-                stats.table_misses[ti] += 1;
-                &t.default_ops
-            }
-        };
-        for &op in ops {
-            match op {
-                ActionOp::SetField(f, v) => phv.set(f, v),
-                ActionOp::Forward(p) => ports.push(p),
-                ActionOp::Multicast(g) => {
-                    let members = mcast.ports(g).ok_or(PipelineError::UnknownGroup(g.0))?;
-                    ports.extend_from_slice(members);
-                }
-                ActionOp::Drop => dropped = true,
-                ActionOp::Register { slot, op } => {
-                    let res = match op {
-                        RegOp::Increment => registers.increment(slot, now_us),
-                        RegOp::Observe(f) => registers.observe(slot, phv.get_or_zero(f), now_us),
-                        RegOp::SetConst(v) => registers.set(slot, v, now_us),
-                        RegOp::SetField(f) => registers.set(slot, phv.get_or_zero(f), now_us),
-                    };
-                    res.map_err(PipelineError::RegisterOutOfRange)?;
-                }
-            }
-        }
-    }
-    Ok((dropped, hit_mask))
-}
-
-/// The per-packet hot path over split borrows: the immutable compiled
-/// program (`layout` … `init_fields`) on one side, the mutable
-/// per-shard execution state (`registers`, `exec`) on the other. Free
-/// function so [`Pipeline::process`] (owning both) and
-/// [`Pipeline::process_batch_shared`] (program behind an `Arc`, state
-/// in a [`ShardCtx`]) run byte-identical code.
-#[allow(clippy::too_many_arguments)]
-fn process_packet(
-    layout: &PhvLayout,
-    parser: &ParserSpec,
-    tables: &[Table],
-    mcast: &MulticastTable,
-    state_bindings: &[StateBinding],
-    init_fields: &[(PhvField, u64)],
-    registers: &mut RegisterFile,
-    exec: &mut ExecState,
-    packet: &[u8],
-    now_us: u64,
-    decision: &mut ForwardDecision,
-) -> Result<(), PipelineError> {
-    let ExecState {
-        stats,
-        msgs,
-        work,
-        hoist,
-        hoist_vals,
-        telemetry,
-        cache,
-    } = exec;
-
-    // Sampled stage timing: `tick()` advances the per-shard packet
-    // sequence and selects every `2^sample_shift`-th packet. Only
-    // sampled packets pay the per-stage `Instant` reads; with
-    // telemetry disabled this is a single `None` branch.
-    let sampled = match telemetry.as_deref_mut() {
-        Some(t) => t.tick(),
-        None => false,
-    };
-    let t_start = if sampled { Some(Instant::now()) } else { None };
-
-    msgs.clear();
-    if let Err(e) = parser.parse_into(layout, packet, work, msgs) {
-        // Parse-class failures are properties of the *packet*, not
-        // the program: total behavior is a typed drop decision, so
-        // one garbage frame can never abort a batch or wedge a
-        // worker. Config-class errors still propagate.
-        let Some(reason) = ParseDrop::classify(&e) else {
-            return Err(e);
-        };
-        decision.messages = 0;
-        decision.drop_reason = Some(reason);
-        stats.packets += 1;
-        stats.dropped_packets += 1;
-        stats.count_parse_drop(reason);
-        if let (Some(start), Some(t)) = (t_start, telemetry.as_deref_mut()) {
-            t.record_parse_only(elapsed_ns(start));
-        }
-        return Ok(());
-    }
-    let t_parsed = t_start.map(|_| Instant::now());
-    decision.messages = msgs.len();
-
-    // Message-invariant aggregates: read once per packet. Register
-    // reads are idempotent at a fixed `now_us` (the window roll is
-    // aligned to the timestamp), so this is decision-identical to
-    // re-reading per message as long as no table action writes the
-    // slot — exactly the condition `hoist` encodes.
-    hoist_vals.clear();
-    for (b, &h) in state_bindings.iter().zip(hoist.iter()) {
-        let v = if h {
-            registers
-                .read(b.slot, b.agg, now_us)
-                .map_err(PipelineError::RegisterOutOfRange)?
-        } else {
-            0
-        };
-        hoist_vals.push(v);
-    }
-
-    for mi in 0..msgs.len() {
-        let phv = msgs.get_mut(mi);
-        for &(f, v) in init_fields.iter() {
-            phv.set(f, v);
-        }
-        for (i, b) in state_bindings.iter().enumerate() {
-            let v = if hoist[i] {
-                hoist_vals[i]
-            } else {
-                registers
-                    .read(b.slot, b.agg, now_us)
-                    .map_err(PipelineError::RegisterOutOfRange)?
-            };
-            phv.set(b.dst, v);
-        }
-        let before = decision.ports.len();
-        // An explicit drop() wins only if nothing forwards: per §2
-        // all matching rules' actions execute, and forwarding to
-        // *some* subscriber must not be vetoed by an unrelated drop
-        // rule. A drop-only message simply contributes no ports.
-        match cache.as_deref_mut() {
-            Some(c) => {
-                // The key is read before the chain runs: a mid-chain
-                // `SetField` may overwrite the key field, but the
-                // memoized decision is keyed on the *initial* value.
-                let key = phv.get_or_zero(c.key_field());
-                if let Some(mask) = c.lookup(key, &mut decision.ports) {
-                    // Replay the per-table hit/miss counters so the
-                    // cached path is counter-identical to evaluation.
-                    for ti in 0..tables.len() {
-                        if (mask >> ti) & 1 == 1 {
-                            stats.table_hits[ti] += 1;
-                        } else {
-                            stats.table_misses[ti] += 1;
-                        }
-                    }
-                } else {
-                    let (_dropped, mask) = eval_tables(
-                        tables,
-                        mcast,
-                        registers,
-                        phv,
-                        now_us,
-                        &mut decision.ports,
-                        stats,
-                    )?;
-                    c.insert(key, &decision.ports[before..], mask);
-                }
-            }
-            None => {
-                let _ = eval_tables(
-                    tables,
-                    mcast,
-                    registers,
-                    phv,
-                    now_us,
-                    &mut decision.ports,
-                    stats,
-                )?;
-            }
-        }
-        if decision.ports.len() > before {
-            decision.matched_messages += 1;
-        }
-    }
-    let t_matched = t_start.map(|_| Instant::now());
-    // One packet-level sort+dedup subsumes the per-message merge the
-    // executor used to do (the union of per-message port sets is
-    // insensitive to inner ordering/duplication).
-    decision.ports.sort_unstable();
-    decision.ports.dedup();
-    if let (Some(start), Some(parsed), Some(matched), Some(t)) =
-        (t_start, t_parsed, t_matched, telemetry.as_deref_mut())
-    {
-        // parse = wire bytes → message PHVs; match = hoisted register
-        // reads + table evaluation over every message (including
-        // multicast group expansion); mcast = the final port-set
-        // union (sort + dedup) resolving replication.
-        t.record_stages(
-            ns_between(start, parsed),
-            ns_between(parsed, matched),
-            elapsed_ns(matched),
-        );
-    }
-
-    stats.packets += 1;
-    stats.messages += decision.messages as u64;
-    stats.matched_messages += decision.matched_messages as u64;
-    if decision.ports.is_empty() {
-        stats.dropped_packets += 1;
-    } else {
-        stats.forwarded_packets += 1;
-    }
-    Ok(())
 }
 
 /// Per-worker mutable execution state for running a *shared* compiled
@@ -602,7 +410,7 @@ impl ShardCtx {
     /// Re-targets this context at a newly published program generation
     /// (the RCU adoption path): registers are re-shaped to the new
     /// program's layout with windowed state carried over, the per-table
-    /// counter vectors are resized, the hoisting plan is copied, and
+    /// counter vectors are resized, the wave-of-one rule is copied, and
     /// every memoized decision is invalidated — the generation bump is
     /// the cache's invalidation signal. Telemetry and cumulative
     /// counters (including cache hit/miss totals) survive adoption, and
@@ -617,32 +425,9 @@ impl ShardCtx {
         let n = program.tables.len();
         self.exec.stats.table_hits.resize(n, 0);
         self.exec.stats.table_misses.resize(n, 0);
-        self.exec.hoist.clear();
-        self.exec.hoist.extend_from_slice(&program.exec.hoist);
-        let keep = self
-            .exec
-            .cache
-            .as_deref()
-            .map(|c| program.cacheable_on(c.key_field()));
-        match keep {
-            Some(true) => {
-                if let Some(c) = self.exec.cache.as_deref_mut() {
-                    c.invalidate_all();
-                }
-            }
-            // The new generation is not a pure function of the key
-            // field any more (e.g. a stateful rule appeared): caching
-            // it would be unsound, so the cache is dropped.
-            Some(false) => self.exec.cache = None,
-            None => {}
-        }
+        self.exec.serial = program.exec.serial;
+        self.exec.revalidate_cache(program);
     }
-}
-
-/// Nanoseconds since `start`, saturating at `u64::MAX`.
-#[inline]
-fn elapsed_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Nanoseconds from `start` to `end` (0 if the clock stepped back).
@@ -651,16 +436,26 @@ fn ns_between(start: Instant, end: Instant) -> u64 {
     u64::try_from(end.saturating_duration_since(start).as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// Whether any table action — an entry's or a default — writes a
+/// register.
+fn writes_registers(tables: &[Table]) -> bool {
+    tables.iter().any(|t| {
+        t.entries()
+            .map(|e| &e.ops)
+            .chain(std::iter::once(&t.default_ops))
+            .flatten()
+            .any(|op| matches!(op, ActionOp::Register { .. }))
+    })
+}
+
 impl Pipeline {
-    /// Prepares the pipeline for (batched) execution: lowers every
-    /// changed table to its prepared form ([`Table::prepare`]), sizes
-    /// the per-table counters, and computes which state bindings can be
-    /// hoisted out of the per-message loop (those whose register slot
-    /// no table action writes). Idempotent and cheap when nothing
-    /// changed; called automatically by the processing entry points.
+    /// Prepares the pipeline for execution: lowers every changed table
+    /// to its prepared form ([`Table::prepare`]), sizes the per-table
+    /// counters, and derives the wave-of-one rule (some table action
+    /// writes a register). Idempotent and cheap when nothing changed;
+    /// called automatically by [`Pipeline::process`].
     pub fn prepare(&mut self) {
-        let up_to_date = self.tables.iter().all(|t| t.is_prepared())
-            && self.exec.hoist.len() == self.state_bindings.len()
+        let up_to_date = self.tables.iter().all(Table::is_prepared)
             && self.exec.stats.table_hits.len() == self.tables.len();
         if up_to_date {
             return;
@@ -668,46 +463,15 @@ impl Pipeline {
         for t in &mut self.tables {
             t.prepare();
         }
-        let mut written: std::collections::HashSet<usize> = std::collections::HashSet::new();
-        for t in &self.tables {
-            for ops in t
-                .entries()
-                .map(|e| &e.ops)
-                .chain(std::iter::once(&t.default_ops))
-            {
-                for op in ops {
-                    if let ActionOp::Register { slot, .. } = op {
-                        written.insert(*slot);
-                    }
-                }
-            }
-        }
-        self.exec.hoist = self
-            .state_bindings
-            .iter()
-            .map(|b| !written.contains(&b.slot))
-            .collect();
+        self.exec.serial = writes_registers(&self.tables);
         let n = self.tables.len();
         self.exec.stats.table_hits.resize(n, 0);
         self.exec.stats.table_misses.resize(n, 0);
         // Something changed (a table was mutated, or the chain was
-        // re-shaped): memoized decisions are stale. Re-prove
-        // cacheability against the new program — splices can introduce
-        // ops that make the chain key-impure.
-        let keep = self
-            .exec
-            .cache
-            .as_deref()
-            .map(|c| self.cacheable_on(c.key_field()));
-        match keep {
-            Some(true) => {
-                if let Some(c) = self.exec.cache.as_deref_mut() {
-                    c.invalidate_all();
-                }
-            }
-            Some(false) => self.exec.cache = None,
-            None => {}
-        }
+        // re-shaped): memoized decisions are stale.
+        let mut exec = std::mem::take(&mut self.exec);
+        exec.revalidate_cache(self);
+        self.exec = exec;
     }
 
     /// Whether the table chain's per-message decision is a pure
@@ -728,19 +492,8 @@ impl Pipeline {
     /// is exactly the un-keyed-binding case, so pure fan-out programs
     /// stay cacheable.
     pub fn cacheable_on(&self, key_field: PhvField) -> bool {
-        if self.tables.len() > 64 {
+        if self.tables.len() > 64 || writes_registers(&self.tables) {
             return false;
-        }
-        for t in &self.tables {
-            for ops in t
-                .entries()
-                .map(|e| &e.ops)
-                .chain(std::iter::once(&t.default_ops))
-            {
-                if ops.iter().any(|op| matches!(op, ActionOp::Register { .. })) {
-                    return false;
-                }
-            }
         }
         let binding_dsts: std::collections::HashSet<u32> =
             self.state_bindings.iter().map(|b| b.dst.0).collect();
@@ -759,7 +512,7 @@ impl Pipeline {
         let inits: std::collections::HashSet<u32> =
             self.init_fields.iter().map(|&(f, _)| f.0).collect();
         self.tables.iter().all(|t| {
-            t.keys.iter().all(|k| {
+            t.keys().iter().all(|k| {
                 if binding_dsts.contains(&k.field.0) {
                     // Bindings run after init_fields, so a keyed
                     // binding is state-dependent no matter what.
@@ -791,9 +544,9 @@ impl Pipeline {
     /// Builds a fresh per-worker execution context for running *this*
     /// program via [`Pipeline::process_batch_shared`]. The pipeline
     /// must be prepared (this method prepares it); the context clones
-    /// the register file, the sized counter vectors, the hoisting plan
-    /// and — when armed — an empty decision cache, so the first batch
-    /// through the context already runs the allocation-free path.
+    /// the register file, the sized counter vectors, the wave-of-one
+    /// rule and — when armed — an empty decision cache, so the first
+    /// batch through the context already runs the allocation-free path.
     pub fn new_shard_ctx(&mut self) -> ShardCtx {
         self.prepare();
         ShardCtx {
@@ -809,20 +562,20 @@ impl Pipeline {
     /// pipeline (`ctx` came from [`Pipeline::new_shard_ctx`], which
     /// prepares) — the engine prepares before every publish, so workers
     /// never observe an unprepared program. A table changed since the
-    /// last prepare fails the packet with
+    /// last prepare fails the batch with
     /// [`PipelineError::TableNotPrepared`].
     ///
-    /// This is the allocation-free hot path: parsing reuses the
-    /// context's PHV pool, lookups borrow table entries instead of
-    /// cloning action lists, and `out` recycles its decisions' port
-    /// vectors. After a warmup batch has sized every buffer,
-    /// steady-state processing performs zero heap allocations per
-    /// packet. Decisions are identical to calling [`Pipeline::process`]
-    /// per packet.
+    /// The batch runs as one wave (module docs). Decisions, counters,
+    /// register state and cache counters equal those of deciding the
+    /// packets one batch of one at a time. It is the allocation-free hot
+    /// path: after a warmup batch has sized the context's message pool
+    /// and `out`'s port vectors, it performs zero heap allocations.
     ///
-    /// On error, decisions for the packets preceding the failing one
-    /// remain in `out` (the failing packet's slot holds a partial
-    /// decision).
+    /// On a config-class error (`TableNotPrepared`, `UnknownGroup`,
+    /// `RegisterOutOfRange`), `out` ends at the failing packet's slot,
+    /// so the last decision claimed names the packet the wave failed
+    /// on. Every slot of the batch may then hold a partial decision,
+    /// and the batch's packets are not counted.
     pub fn process_batch_shared<'a, I>(
         &self,
         ctx: &mut ShardCtx,
@@ -832,55 +585,300 @@ impl Pipeline {
     where
         I: IntoIterator<Item = (&'a [u8], u64)>,
     {
-        // Whole-batch latency costs two clock reads per batch (amortized
-        // over the batch's packets); per-stage timing is sampled inside
-        // `process_packet`.
-        let batch_start = ctx.exec.telemetry.as_ref().map(|_| Instant::now());
-        for (bytes, now_us) in packets {
-            let slot = out.next_slot();
-            process_packet(
-                &self.layout,
-                &self.parser,
-                &self.tables,
-                &self.mcast,
-                &self.state_bindings,
-                &self.init_fields,
-                &mut ctx.registers,
-                &mut ctx.exec,
-                bytes,
-                now_us,
-                slot,
-            )?;
+        let ShardCtx { registers, exec } = ctx;
+        // Four clock reads per batch, one stage sample of per-packet
+        // phase means: a wave has no per-packet match time.
+        let t_start = exec.telemetry.as_ref().map(|_| Instant::now());
+        let base = out.len();
+        self.parse_wave(registers, exec, packets, out)?;
+        let t_parsed = t_start.map(|_| Instant::now());
+        let batch = &mut out.slots[base..out.len];
+        if let Err((packet, e)) = self.chain_wave(registers, exec, batch) {
+            out.len = base + packet + 1;
+            return Err(e);
         }
-        if let (Some(start), Some(t)) = (batch_start, ctx.exec.telemetry.as_deref_mut()) {
-            t.record_batch(elapsed_ns(start));
+        let t_matched = t_start.map(|_| Instant::now());
+        union_wave(exec, batch);
+        if let (Some(start), Some(parsed), Some(matched), Some(t)) =
+            (t_start, t_parsed, t_matched, exec.telemetry.as_deref_mut())
+        {
+            let end = Instant::now();
+            if let Some(n) = std::num::NonZeroU64::new(batch.len() as u64) {
+                let (parse, chain) = (ns_between(start, parsed), ns_between(parsed, matched));
+                t.record_stages(parse / n, chain / n, ns_between(matched, end) / n);
+            }
+            t.record_batch(ns_between(start, end));
+        }
+        Ok(())
+    }
+
+    /// Phase 1: parses every packet into the message pool, claiming its
+    /// decision slot. A parse-class failure is the packet's typed drop
+    /// decision, never an `Err`: one garbage frame cannot abort a batch
+    /// or wedge a worker. `init_fields` are written into every message;
+    /// outside a wave of one, so are the state bindings, read once per
+    /// packet — no table writes a register then, and reads are
+    /// idempotent at a fixed `now_us` (the window roll is aligned to
+    /// the timestamp).
+    fn parse_wave<'a, I>(
+        &self,
+        registers: &mut RegisterFile,
+        exec: &mut ExecState,
+        packets: I,
+        out: &mut DecisionBuf,
+    ) -> Result<(), PipelineError>
+    where
+        I: IntoIterator<Item = (&'a [u8], u64)>,
+    {
+        let bindings_now = !exec.wave_of_one();
+        let ExecState {
+            msgs,
+            owner,
+            now,
+            work,
+            ..
+        } = exec;
+        msgs.clear();
+        owner.clear();
+        now.clear();
+        for (bytes, now_us) in packets {
+            // A batch stays far below 2^32 packets.
+            let packet = now.len() as u32;
+            now.push(now_us);
+            let decision = out.next_slot();
+            let first = msgs.len();
+            if let Err(e) = self.parser.parse_into(&self.layout, bytes, work, msgs) {
+                decision.drop_reason = Some(ParseDrop::classify(&e).ok_or(e)?);
+                msgs.truncate(first);
+                continue;
+            }
+            decision.messages = msgs.len() - first;
+            owner.resize(msgs.len(), packet);
+            let fresh = &mut msgs.as_mut_slice()[first..];
+            for phv in fresh.iter_mut() {
+                for &(f, v) in &self.init_fields {
+                    phv.set(f, v);
+                }
+            }
+            if bindings_now {
+                for b in &self.state_bindings {
+                    let v = registers
+                        .read(b.slot, b.agg, now_us)
+                        .map_err(PipelineError::RegisterOutOfRange)?;
+                    for phv in fresh.iter_mut() {
+                        phv.set(b.dst, v);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Phase 2: the table chain over every message — as one wave, or
+    /// message by message in a wave of one (bindings, then the cache
+    /// lookup or the chain and the insert, exactly as deciding each
+    /// message alone). `Err` names the batch index of the packet the
+    /// wave failed on.
+    fn chain_wave(
+        &self,
+        registers: &mut RegisterFile,
+        exec: &mut ExecState,
+        batch: &mut [ForwardDecision],
+    ) -> Result<(), (usize, PipelineError)> {
+        let wave_of_one = exec.wave_of_one();
+        let ExecState {
+            stats,
+            msgs,
+            owner,
+            matched,
+            now,
+            cache,
+            ..
+        } = exec;
+        let msgs = msgs.as_mut_slice();
+        matched.clear();
+        matched.resize(msgs.len(), false);
+        if !wave_of_one {
+            let wave = (msgs, &owner[..], &mut matched[..]);
+            return self.tables(registers, stats, wave, now, batch).map(drop);
+        }
+        for mi in 0..msgs.len() {
+            let packet = owner[mi] as usize;
+            let phv = &mut msgs[mi];
+            for b in &self.state_bindings {
+                let v = registers
+                    .read(b.slot, b.agg, now[packet])
+                    .map_err(|s| (packet, PipelineError::RegisterOutOfRange(s)))?;
+                phv.set(b.dst, v);
+            }
+            let one = (&mut msgs[mi..=mi], &owner[mi..=mi], &mut matched[mi..=mi]);
+            let Some(c) = cache.as_deref_mut() else {
+                self.tables(registers, stats, one, now, batch)?;
+                continue;
+            };
+            // The key is read before the chain runs: a mid-chain
+            // `SetField` may overwrite the key field, but the memoized
+            // decision is keyed on the *initial* value.
+            let key = one.0[0].get_or_zero(c.key_field());
+            let before = batch[packet].ports.len();
+            match c.lookup(key, &mut batch[packet].ports) {
+                // Replay the per-table hit/miss counters so the cached
+                // path is counter-identical to evaluation.
+                Some(mask) => {
+                    let counters = stats.table_hits.iter_mut().zip(&mut stats.table_misses);
+                    for (ti, (hits, misses)) in counters.enumerate() {
+                        *if (mask >> ti) & 1 == 1 { hits } else { misses } += 1;
+                    }
+                    one.2[0] = batch[packet].ports.len() > before;
+                }
+                None => {
+                    let mask = self.tables(registers, stats, one, now, batch)?;
+                    c.insert(key, &batch[packet].ports[before..], mask);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies table 0 to every message of `wave` — `(messages, their
+    /// packets' batch indices, whether each added a port)` — then table
+    /// 1, and so on, with each table's prepared index fetched once and
+    /// its hit/miss counters added once. Returns a mask with bit `i` set
+    /// when every message hit table `i` (a one-message wave's hit mask;
+    /// tables ≥ 64 are not recorded — the decision cache, the only mask
+    /// consumer, refuses such chains).
+    fn tables(
+        &self,
+        registers: &mut RegisterFile,
+        stats: &mut ExecStats,
+        (msgs, owner, matched): (&mut [Phv], &[u32], &mut [bool]),
+        now: &[u64],
+        batch: &mut [ForwardDecision],
+    ) -> Result<u64, (usize, PipelineError)> {
+        let Some(&first) = owner.first() else {
+            return Ok(0);
+        };
+        let mut all_hit = 0u64;
+        for (ti, t) in self.tables.iter().enumerate() {
+            let index = t.index().map_err(|e| (first as usize, e))?;
+            let mut hits = 0u64;
+            for ((phv, &packet), matched) in msgs.iter_mut().zip(owner).zip(matched.iter_mut()) {
+                let hit = index.lookup(phv);
+                hits += u64::from(hit.is_some());
+                let ops = hit.unwrap_or(&t.default_ops);
+                let packet = packet as usize;
+                let ports = &mut batch[packet].ports;
+                let before = ports.len();
+                self.apply(ops, registers, phv, now[packet], ports)
+                    .map_err(|e| (packet, e))?;
+                *matched |= ports.len() > before;
+            }
+            stats.table_hits[ti] += hits;
+            stats.table_misses[ti] += msgs.len() as u64 - hits;
+            if ti < 64 && hits == msgs.len() as u64 {
+                all_hit |= 1 << ti;
+            }
+        }
+        Ok(all_hit)
+    }
+
+    /// Runs one table's winning (or default) actions on a message.
+    #[inline]
+    fn apply(
+        &self,
+        ops: &[ActionOp],
+        registers: &mut RegisterFile,
+        phv: &mut Phv,
+        now_us: u64,
+        ports: &mut Vec<PortId>,
+    ) -> Result<(), PipelineError> {
+        for &op in ops {
+            match op {
+                ActionOp::SetField(f, v) => phv.set(f, v),
+                ActionOp::Forward(p) => ports.push(p),
+                ActionOp::Multicast(g) => {
+                    let members = self
+                        .mcast
+                        .ports(g)
+                        .ok_or(PipelineError::UnknownGroup(g.0))?;
+                    ports.extend_from_slice(members);
+                }
+                // An explicit drop() wins only if nothing forwards: per
+                // §2 all matching rules' actions execute, and forwarding
+                // to *some* subscriber must not be vetoed by an
+                // unrelated drop rule. A drop-only message simply
+                // contributes no ports.
+                ActionOp::Drop => {}
+                ActionOp::Register { slot, op } => {
+                    let res = match op {
+                        RegOp::Increment => registers.increment(slot, now_us),
+                        RegOp::Observe(f) => registers.observe(slot, phv.get_or_zero(f), now_us),
+                        RegOp::SetConst(v) => registers.set(slot, v, now_us),
+                        RegOp::SetField(f) => registers.set(slot, phv.get_or_zero(f), now_us),
+                    };
+                    res.map_err(PipelineError::RegisterOutOfRange)?;
+                }
+            }
         }
         Ok(())
     }
 
     /// Processes one packet arriving at `now_us`, returning its
-    /// forwarding decision.
+    /// forwarding decision: a batch of one through
+    /// [`Pipeline::process_batch_shared`], on the pipeline's own
+    /// registers and [`ExecState`].
     pub fn process(
         &mut self,
         packet: &[u8],
         now_us: u64,
     ) -> Result<ForwardDecision, PipelineError> {
         self.prepare();
-        let mut decision = ForwardDecision::default();
-        process_packet(
-            &self.layout,
-            &self.parser,
-            &self.tables,
-            &self.mcast,
-            &self.state_bindings,
-            &self.init_fields,
-            &mut self.registers,
-            &mut self.exec,
-            packet,
-            now_us,
-            &mut decision,
-        )?;
-        Ok(decision)
+        let mut ctx = ShardCtx {
+            registers: std::mem::take(&mut self.registers),
+            exec: std::mem::take(&mut self.exec),
+        };
+        let mut out = DecisionBuf::default();
+        let result = self.process_batch_shared(&mut ctx, [(packet, now_us)], &mut out);
+        self.registers = ctx.registers;
+        self.exec = ctx.exec;
+        result?;
+        Ok(out.slots.pop().unwrap_or_default())
+    }
+}
+
+/// Phase 3: counts each message that added a port, then forms each
+/// packet's port union and counts the packet.
+fn union_wave(exec: &mut ExecState, batch: &mut [ForwardDecision]) {
+    let ExecState {
+        stats,
+        owner,
+        matched,
+        ..
+    } = exec;
+    for (&packet, _) in owner.iter().zip(matched.iter()).filter(|(_, &m)| m) {
+        batch[packet as usize].matched_messages += 1;
+    }
+    for d in batch {
+        stats.packets += 1;
+        if let Some(reason) = d.drop_reason {
+            stats.dropped_packets += 1;
+            stats.count_parse_drop(reason);
+            continue;
+        }
+        // One sort + dedup per packet is the union of its messages'
+        // port sets. A multicast group's ports are sorted and unique
+        // already, so the common one-group packet skips it.
+        if !d.ports.windows(2).all(|w| w[0] < w[1]) {
+            d.ports.sort_unstable();
+            d.ports.dedup();
+        }
+        stats.messages += d.messages as u64;
+        stats.matched_messages += d.matched_messages as u64;
+        if d.ports.is_empty() {
+            stats.dropped_packets += 1;
+        } else {
+            stats.forwarded_packets += 1;
+        }
     }
 }
 
@@ -920,7 +918,8 @@ mod tests {
                 bits: 8,
             }],
             vec![],
-        );
+        )
+        .unwrap();
         table
             .add_entry(Entry {
                 priority: 0,
@@ -1013,7 +1012,8 @@ mod tests {
                 bits: 64,
             }],
             vec![],
-        );
+        )
+        .unwrap();
         t.add_entry(Entry {
             priority: 0,
             matches: vec![MatchValue::Range {
@@ -1107,26 +1107,37 @@ mod tests {
     fn telemetry_records_batches_stages_and_parse_drops() {
         let mut p = tiny_pipeline();
         let mut ctx = p.new_shard_ctx();
-        ctx.exec.enable_telemetry(0); // sample every packet
+        ctx.exec.enable_telemetry();
         let packets: Vec<(&[u8], u64)> = vec![(&[1][..], 0), (&[][..], 1), (&[2][..], 2)];
         let mut out = DecisionBuf::default();
         p.process_batch_shared(&mut ctx, packets, &mut out).unwrap();
         let t = ctx.exec.telemetry().unwrap();
+        // One batch: one batch latency and one stage sample, the
+        // per-packet means of its three phases (the parse drop counts
+        // in the parse phase and in the mean's denominator).
         assert_eq!(t.batches, 1);
-        assert_eq!(t.sampled_packets, 3);
+        assert_eq!(t.sampled_packets, 1);
         assert_eq!(t.batch_ns.count(), 1);
-        // All three packets parse (the empty one records parse-only).
-        assert_eq!(t.parse_ns.count(), 3);
-        assert_eq!(t.match_ns.count(), 2);
-        assert_eq!(t.mcast_ns.count(), 2);
+        assert_eq!(t.parse_ns.count(), 1);
+        assert_eq!(t.match_ns.count(), 1);
+        assert_eq!(t.mcast_ns.count(), 1);
+        // An empty batch is timed but adds no stage sample.
+        out.clear();
+        p.process_batch_shared(&mut ctx, Vec::new(), &mut out)
+            .unwrap();
+        let t = ctx.exec.telemetry().unwrap();
+        assert_eq!((t.batches, t.sampled_packets), (2, 1));
         // Decisions are unchanged by instrumentation.
+        out.clear();
+        let packets: Vec<(&[u8], u64)> = vec![(&[1][..], 3), (&[2][..], 4)];
+        p.process_batch_shared(&mut ctx, packets, &mut out).unwrap();
         assert_eq!(out.as_slice()[0].ports, vec![PortId(1)]);
-        assert_eq!(out.as_slice()[2].ports, vec![PortId(2), PortId(3)]);
+        assert_eq!(out.as_slice()[1].ports, vec![PortId(2), PortId(3)]);
         // take/set round-trips the record for RCU adoption.
         let boxed = ctx.exec.take_telemetry();
         assert!(ctx.exec.telemetry().is_none());
         ctx.exec.set_telemetry(boxed);
-        assert_eq!(ctx.exec.telemetry().unwrap().sampled_packets, 3);
+        assert_eq!(ctx.exec.telemetry().unwrap().sampled_packets, 2);
     }
 
     /// Like `tiny_pipeline` but with no register ops, so the chain is a
@@ -1161,7 +1172,8 @@ mod tests {
                 bits: 8,
             }],
             vec![],
-        );
+        )
+        .unwrap();
         t.add_entry(Entry {
             priority: 0,
             matches: vec![MatchValue::Exact(1)],
@@ -1211,11 +1223,12 @@ mod tests {
         assert!(p.enable_decision_cache(sym, 4));
 
         // Key a table on the binding's destination: refused.
-        p.tables[0].keys.push(Key {
-            field: agg,
+        let keyed = |field| Key {
+            field,
             kind: MatchKind::Exact,
             bits: 64,
-        });
+        };
+        p.tables[0] = Table::new("leaf", vec![keyed(sym), keyed(agg)], vec![]).unwrap();
         assert!(!p.cacheable_on(sym));
 
         // A binding that overwrites the cache key itself: refused.
@@ -1276,32 +1289,77 @@ mod tests {
         assert_eq!(p.process(&[9], 2).unwrap().ports, vec![PortId(7)]);
     }
 
-    #[test]
-    fn shared_batch_path_matches_sequential_process() {
-        let mut owned = cacheable_pipeline();
-        let mut shared = cacheable_pipeline();
-        let sym = shared.layout.get("sym").unwrap();
-        assert!(shared.enable_decision_cache(sym, 4));
-        let mut ctx = shared.new_shard_ctx();
-
-        let packets: Vec<(&[u8], u64)> = vec![
-            (&[1, 2][..], 0),
-            (&[][..], 1),
-            (&[2, 9][..], 2),
-            (&[1][..], 3),
-        ];
-        let sequential: Vec<ForwardDecision> = packets
-            .iter()
-            .map(|&(p, t)| owned.process(p, t).unwrap())
-            .collect();
+    /// Runs `packets` as one batch; the error, if any, and the
+    /// decisions left in `out`.
+    fn run_batch(
+        p: &mut Pipeline,
+        packets: &[&[u8]],
+    ) -> (Result<(), PipelineError>, Vec<ForwardDecision>) {
+        let mut ctx = p.new_shard_ctx();
         let mut out = DecisionBuf::default();
-        shared
-            .process_batch_shared(&mut ctx, packets, &mut out)
+        let batch = packets.iter().enumerate().map(|(i, b)| (*b, i as u64));
+        let r = p.process_batch_shared(&mut ctx, batch, &mut out);
+        (r, out.as_slice().to_vec())
+    }
+
+    #[test]
+    fn config_error_ends_the_batch_at_the_failing_packet() {
+        // `tiny_pipeline` writes a register (a wave of one);
+        // `cacheable_pipeline` runs the whole-batch wave. In both, the
+        // third packet hits an unallocated group: `out` ends at its slot.
+        for serial in [true, false] {
+            let mut p = if serial {
+                tiny_pipeline()
+            } else {
+                cacheable_pipeline()
+            };
+            p.tables[0]
+                .add_entry(Entry {
+                    priority: 0,
+                    matches: vec![MatchValue::Exact(7)],
+                    ops: vec![ActionOp::Multicast(GroupId(99))],
+                })
+                .unwrap();
+            let (r, out) = run_batch(&mut p, &[&[1], &[], &[7], &[2]]);
+            assert_eq!(r, Err(PipelineError::UnknownGroup(99)), "serial={serial}");
+            assert_eq!(out.len(), 3, "serial={serial}");
+            assert_eq!(out[1].drop_reason, Some(ParseDrop::Underflow));
+        }
+        // An unprepared table fails at the first packet with a message;
+        // a batch of parse drops never looks a table up.
+        let mut p = cacheable_pipeline();
+        let mut ctx = p.new_shard_ctx();
+        p.tables[0].splice_entries(&[], &[]).unwrap();
+        let mut out = DecisionBuf::default();
+        let batch: Vec<(&[u8], u64)> = vec![(&[][..], 0), (&[1][..], 1), (&[2][..], 2)];
+        assert!(matches!(
+            p.process_batch_shared(&mut ctx, batch, &mut out),
+            Err(PipelineError::TableNotPrepared { .. })
+        ));
+        assert_eq!(out.len(), 2);
+        out.clear();
+        p.process_batch_shared(&mut ctx, vec![(&[][..], 3)], &mut out)
             .unwrap();
-        assert_eq!(sequential.as_slice(), out.as_slice());
-        assert_eq!(owned.exec.stats, ctx.exec.stats);
-        // The pipeline's own exec state is untouched by the shared path.
-        assert_eq!(shared.exec.stats.packets, 0);
+        assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn whole_batch_wave_equals_batches_of_one() {
+        // No register op and no cache: one table-major wave over every
+        // message of the batch, against the same packets one at a time.
+        let packets: Vec<&[u8]> = vec![&[1, 2], &[], &[2, 9, 1], &[9], &[2], &[1, 1]];
+        let mut wave = cacheable_pipeline();
+        let (r, got) = run_batch(&mut wave, &packets);
+        r.unwrap();
+        let mut one = cacheable_pipeline();
+        let want: Vec<ForwardDecision> = packets
+            .iter()
+            .enumerate()
+            .map(|(i, b)| one.process(b, i as u64).unwrap())
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(got[2].ports, vec![PortId(1), PortId(2), PortId(3)]);
+        assert_eq!((got[2].messages, got[2].matched_messages), (3, 2));
     }
 
     #[test]
@@ -1327,7 +1385,8 @@ mod tests {
                 bits: 8,
             }],
             vec![],
-        );
+        )
+        .unwrap();
         extra
             .add_entry(Entry {
                 priority: 0,

@@ -96,7 +96,7 @@ impl Slot {
 }
 
 /// A block of register slots, indexed by the compiler's allocation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegisterFile {
     slots: Vec<Slot>,
 }

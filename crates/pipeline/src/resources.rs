@@ -164,7 +164,7 @@ impl TableCost {
 
 /// Computes the cost of a table under a model.
 pub fn table_cost(table: &Table, model: &AsicModel) -> TableCost {
-    let memory = if table.keys.iter().all(|k| k.kind == MatchKind::Exact) {
+    let memory = if table.keys().iter().all(|k| k.kind == MatchKind::Exact) {
         Memory::Sram
     } else {
         Memory::Tcam
@@ -173,7 +173,7 @@ pub fn table_cost(table: &Table, model: &AsicModel) -> TableCost {
     // 16-bit one-hot); prefix expansion keeps the raw width but
     // multiplies entries instead.
     let key_bits: u32 = table
-        .keys
+        .keys()
         .iter()
         .map(|k| {
             if k.kind == MatchKind::Range && model.range_mode == RangeMode::DirtCam {
@@ -191,7 +191,7 @@ pub fn table_cost(table: &Table, model: &AsicModel) -> TableCost {
     let mut logical = 0usize;
     for e in table.entries() {
         logical += 1;
-        physical += entry_expansion(&table.keys, &e.matches, memory, model.range_mode);
+        physical += entry_expansion(table.keys(), &e.matches, memory, model.range_mode);
     }
     TableCost {
         name: table.name.clone(),
@@ -500,7 +500,7 @@ mod tests {
                 bits,
             })
             .collect();
-        Table::new(name, keys, vec![])
+        Table::new(name, keys, vec![]).unwrap()
     }
 
     #[test]

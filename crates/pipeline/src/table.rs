@@ -7,12 +7,13 @@
 //! order.
 //!
 //! Compiled Camus tables have the shape `(state: exact, field:
-//! exact|range)`. [`Table::prepare`] lowers them to a per-state interval
-//! index with each interval's winner resolved ahead of time, so a
-//! lookup is one hash probe plus one binary search — O(log run) instead
-//! of a scan of the state's entries — and reads the winner's actions
-//! from one flat op vector, never from the entry itself. Other key
-//! shapes keep a scan.
+//! exact|range)` (§3.2), and a table holds no other shape:
+//! [`Table::new`] rejects a key list the interval index cannot hold.
+//! [`Table::prepare`] lowers a table to a per-state interval index with
+//! each interval's winner resolved ahead of time, so a lookup is one
+//! state probe — a `Vec` index when the table's states are dense, a hash
+//! otherwise — plus one binary search, and reads the winner's actions
+//! from one flat op vector, never from the entry itself.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -28,13 +29,9 @@ use crate::phv::{Phv, PhvField};
 pub enum MatchKind {
     /// Exact value (SRAM hash table).
     Exact,
-    /// Value/mask (TCAM).
-    Ternary,
     /// Inclusive range (TCAM via range expansion, or dedicated range
     /// match units).
     Range,
-    /// Longest-prefix match (TCAM/algorithmic).
-    Lpm,
 }
 
 /// A table key.
@@ -44,8 +41,7 @@ pub struct Key {
     pub field: PhvField,
     /// Match kind.
     pub kind: MatchKind,
-    /// Field width in bits (needed for LPM masks and resource
-    /// accounting).
+    /// Field width in bits (for resource accounting).
     pub bits: u32,
 }
 
@@ -54,13 +50,6 @@ pub struct Key {
 pub enum MatchValue {
     /// Match exactly this value.
     Exact(u64),
-    /// TCAM value/mask: matches when `phv & mask == value`.
-    Ternary {
-        /// Target bits.
-        value: u64,
-        /// Care mask.
-        mask: u64,
-    },
     /// Inclusive range.
     Range {
         /// Lower bound.
@@ -68,54 +57,18 @@ pub enum MatchValue {
         /// Upper bound.
         hi: u64,
     },
-    /// Prefix match on the top `prefix_len` bits.
-    Lpm {
-        /// Prefix value (already shifted into field position).
-        value: u64,
-        /// Prefix length.
-        prefix_len: u32,
-    },
     /// Wildcard.
     Any,
 }
 
 impl MatchValue {
-    fn matches(&self, v: u64, bits: u32) -> bool {
-        match *self {
-            MatchValue::Exact(e) => v == e,
-            MatchValue::Ternary { value, mask } => v & mask == value,
-            MatchValue::Range { lo, hi } => v >= lo && v <= hi,
-            MatchValue::Lpm { value, prefix_len } => {
-                let mask = lpm_mask(bits, prefix_len);
-                v & mask == value & mask
-            }
-            MatchValue::Any => true,
-        }
-    }
-
     fn compatible(&self, kind: MatchKind) -> bool {
         matches!(
             (self, kind),
             (MatchValue::Any, _)
                 | (MatchValue::Exact(_), _)
-                | (MatchValue::Ternary { .. }, MatchKind::Ternary)
                 | (MatchValue::Range { .. }, MatchKind::Range)
-                | (MatchValue::Range { .. }, MatchKind::Ternary)
-                | (MatchValue::Lpm { .. }, MatchKind::Lpm)
-                | (MatchValue::Lpm { .. }, MatchKind::Ternary)
         )
-    }
-}
-
-/// Mask selecting the top `prefix_len` bits of a `bits`-wide field.
-pub fn lpm_mask(bits: u32, prefix_len: u32) -> u64 {
-    let bits = bits.min(64);
-    let p = prefix_len.min(bits);
-    if p == 0 {
-        0
-    } else {
-        let ones = if p == 64 { u64::MAX } else { (1u64 << p) - 1 };
-        ones << (bits - p)
     }
 }
 
@@ -166,7 +119,7 @@ pub struct Entry {
 }
 
 /// The sweep's winner for an interval no entry covers. Never a valid
-/// entry index: a table with this many entries keeps the scan.
+/// entry index: a table's entries stay far below 2^32.
 const NO_ENTRY: u32 = u32::MAX;
 
 /// A winner slot of the interval index: the winning entry's `(start,
@@ -196,37 +149,84 @@ struct Span {
     index: u32,
 }
 
-/// What [`Table::prepare`] lowers a table to: the only thing a lookup
-/// reads.
-#[derive(Debug, Clone)]
-enum PreparedTable {
-    /// `[]`, `[Exact]`, `[Range]` and `[Exact, Exact|Range]` — every
-    /// shape the compiler emits.
-    Intervals(IntervalIndex),
-    /// Any other key list (a Ternary or LPM key, a leading Range key,
-    /// more than two keys): a scan of every entry.
-    Scan,
+/// A run `(offset, len)` in an index's `starts`/`winners`.
+type Run = (u32, u32);
+
+/// Probe value → run. State ids come from a session counter, so most
+/// of a table's states are nearly contiguous: the densest window of
+/// them, spanning at most `4 × count + 64` ids, indexes a `Vec`; states
+/// outside it (ids handed out by later updates, or a wide, sparse set)
+/// keep a hash.
+#[derive(Debug, Clone, Default)]
+struct StateRuns {
+    /// `dense[state − base]`; a hole holds the wildcard-state run.
+    base: u64,
+    dense: Vec<Run>,
+    outliers: FxHashMap<u64, Run>,
 }
 
-/// A per-state interval index. The probe key (the BDD state) selects a
-/// run: the sorted starts of the elementary intervals the run's entries
-/// cut the value key's domain into, each paired with the actions of the
-/// entry that wins there. A run holds a state's own rows plus the
-/// wildcard-state rows; every run starts at 0 and no two adjacent
-/// intervals share a winner.
+impl StateRuns {
+    /// Indexes `(state, run)` pairs sorted by state.
+    fn build(by_state: &[(u64, Run)], wild: Run) -> StateRuns {
+        let fits = |l: usize, r: usize| by_state[r].0 - by_state[l].0 < 4 * (r - l + 1) as u64 + 64;
+        // The window holding the most states: for each right end, the
+        // left end moves up until the window fits.
+        let (mut window, mut l) = (0..0, 0);
+        for r in 0..by_state.len() {
+            while !fits(l, r) {
+                l += 1;
+            }
+            if r + 1 - l > window.len() {
+                window = l..r + 1;
+            }
+        }
+        let Some(&(base, _)) = by_state.get(window.start) else {
+            return StateRuns::default();
+        };
+        let span = by_state[window.end - 1].0 - base + 1;
+        let mut dense = vec![wild; span as usize];
+        for &(s, run) in &by_state[window.clone()] {
+            dense[(s - base) as usize] = run;
+        }
+        let outside = by_state[..window.start]
+            .iter()
+            .chain(&by_state[window.end..]);
+        StateRuns {
+            base,
+            dense,
+            outliers: outside.copied().collect(),
+        }
+    }
+
+    #[inline]
+    fn get(&self, state: u64) -> Option<Run> {
+        let slot = usize::try_from(state.wrapping_sub(self.base)).ok();
+        match slot.and_then(|i| self.dense.get(i)) {
+            Some(&run) => Some(run),
+            None => self.outliers.get(&state).copied(),
+        }
+    }
+}
+
+/// A per-state interval index — what [`Table::prepare`] lowers a table
+/// to, and the only thing a lookup reads. The probe key (the BDD state)
+/// selects a run: the sorted starts of the elementary intervals the
+/// run's entries cut the value key's domain into, each paired with the
+/// actions of the entry that wins there. A run holds a state's own rows
+/// plus the wildcard-state rows; every run starts at 0 and no two
+/// adjacent intervals share a winner.
 #[derive(Debug, Clone)]
-struct IntervalIndex {
+pub(crate) struct IntervalIndex {
     /// Field probed through `runs`; `None` makes every row a
     /// wildcard-state row.
     probe: Option<PhvField>,
     /// Field searched within a run; `None` reads as 0, which every row
     /// covers.
     value: Option<PhvField>,
-    /// Probe value → `(offset, len)` of its run in `starts`/`winners`.
-    runs: FxHashMap<u64, (u32, u32)>,
+    runs: StateRuns,
     /// The run of the wildcard-state rows alone, taken by every probe
     /// value without rows of its own.
-    wild: (u32, u32),
+    wild: Run,
     starts: Vec<u64>,
     /// The winner's op run from the parallel start on.
     winners: Vec<OpRun>,
@@ -234,37 +234,24 @@ struct IntervalIndex {
     ops: Vec<ActionOp>,
 }
 
-impl PreparedTable {
-    fn build(keys: &[Key], entries: &[Entry]) -> PreparedTable {
-        match lowered_keys(keys) {
-            Some((probe, value)) if entries.len() < NO_ENTRY as usize => {
-                PreparedTable::Intervals(IntervalIndex::build(keys, entries, probe, value))
-            }
-            _ => PreparedTable::Scan,
-        }
-    }
-}
-
 /// The positions of the probe and value keys of a key list the interval
-/// index can hold, or `None`.
+/// index can hold — `[]`, `[Exact]`, `[Range]` and `[Exact,
+/// Exact|Range]`, every shape the compiler emits — or `None`.
 fn lowered_keys(keys: &[Key]) -> Option<(Option<usize>, Option<usize>)> {
     use MatchKind::{Exact, Range};
     match keys {
         [] => Some((None, None)),
         [k] if k.kind == Exact => Some((Some(0), None)),
         [k] if k.kind == Range => Some((None, Some(0))),
-        [s, v] if s.kind == Exact && matches!(v.kind, Exact | Range) => Some((Some(0), Some(1))),
+        [s, _] if s.kind == Exact => Some((Some(0), Some(1))),
         _ => None,
     }
 }
 
 impl IntervalIndex {
-    fn build(
-        keys: &[Key],
-        entries: &[Entry],
-        probe: Option<usize>,
-        value: Option<usize>,
-    ) -> IntervalIndex {
+    fn build(keys: &[Key], entries: &[Entry]) -> IntervalIndex {
+        // `Table::new` admits only lowerable key lists.
+        let (probe, value) = lowered_keys(keys).unwrap_or((None, None));
         // One sort of the (state, entry) rows; the wildcard-state rows
         // join every run. Order within a run is free: the sweep ranks
         // by `(priority, index)`.
@@ -301,12 +288,12 @@ impl IntervalIndex {
         let mut sweep = Sweep::default();
         sweep.spans.extend_from_slice(&wild);
         let wild_run = sweep.run();
-        let mut runs = FxHashMap::default();
+        let mut by_state = Vec::new();
         for group in rows.chunk_by(|a, b| a.0 == b.0) {
             sweep.spans.clear();
             sweep.spans.extend(group.iter().map(|&(_, span)| span));
             sweep.spans.extend_from_slice(&wild);
-            runs.insert(group[0].0, sweep.run());
+            by_state.push((group[0].0, sweep.run()));
         }
         // Winner entry indices become op runs: a hit then reads its
         // actions without touching the entry's own `Vec`.
@@ -336,7 +323,7 @@ impl IntervalIndex {
         IntervalIndex {
             probe: field(probe),
             value: field(value),
-            runs,
+            runs: StateRuns::build(&by_state, wild_run),
             wild: wild_run,
             starts: sweep.starts,
             winners,
@@ -344,16 +331,12 @@ impl IntervalIndex {
         }
     }
 
-    /// The winner's actions for `phv`, or `None` on a miss: one probe,
-    /// one binary search, one read of a contiguous op run.
+    /// The winner's actions for `phv`, or `None` on a miss: one state
+    /// probe, one binary search, one read of a contiguous op run.
     #[inline]
-    fn lookup(&self, phv: &Phv) -> Option<&[ActionOp]> {
+    pub(crate) fn lookup(&self, phv: &Phv) -> Option<&[ActionOp]> {
         let (offset, len) = match self.probe {
-            Some(f) => self
-                .runs
-                .get(&phv.get_or_zero(f))
-                .copied()
-                .unwrap_or(self.wild),
+            Some(f) => self.runs.get(phv.get_or_zero(f)).unwrap_or(self.wild),
             None => self.wild,
         };
         let (offset, len) = (offset as usize, len as usize);
@@ -424,25 +407,39 @@ impl Sweep {
 pub struct Table {
     /// Diagnostic name (also used in P4 output and placement reports).
     pub name: String,
-    /// Keys, in match order.
-    pub keys: Vec<Key>,
+    keys: Vec<Key>,
     entries: Vec<Entry>,
     /// Actions applied when no entry matches.
     pub default_ops: Vec<ActionOp>,
     /// Built by [`Table::prepare`], dropped by every entry change.
-    prepared: Option<PreparedTable>,
+    prepared: Option<IntervalIndex>,
 }
 
 impl Table {
-    /// Creates an empty table.
-    pub fn new(name: impl Into<String>, keys: Vec<Key>, default_ops: Vec<ActionOp>) -> Self {
-        Table {
-            name: name.into(),
+    /// Creates an empty table over `keys`: `[]`, `[Exact]`, `[Range]` or
+    /// `[Exact, Exact|Range]`, the shapes the interval index holds. Any
+    /// other key list is [`PipelineError::UnsupportedKeys`].
+    pub fn new(
+        name: impl Into<String>,
+        keys: Vec<Key>,
+        default_ops: Vec<ActionOp>,
+    ) -> Result<Self, PipelineError> {
+        let name = name.into();
+        if lowered_keys(&keys).is_none() {
+            return Err(PipelineError::UnsupportedKeys { table: name });
+        }
+        Ok(Table {
+            name,
             keys,
             entries: Vec::new(),
             default_ops,
             prepared: None,
-        }
+        })
+    }
+
+    /// Keys, in match order.
+    pub fn keys(&self) -> &[Key] {
+        &self.keys
     }
 
     fn validate_entry(&self, entry: &Entry) -> Result<(), PipelineError> {
@@ -539,18 +536,11 @@ impl Table {
         self.entries.iter()
     }
 
-    /// Whether [`Table::prepare`] lowers this table's key shape to the
-    /// interval index (`[]`, `[Exact]`, `[Range]`, `[Exact,
-    /// Exact|Range]`) rather than keeping a scan.
-    pub fn lowers(&self) -> bool {
-        lowered_keys(&self.keys).is_some()
-    }
-
     /// Lowers the table to its prepared form if an entry changed since
     /// the last call. Idempotent and free when already prepared.
     pub fn prepare(&mut self) {
         if self.prepared.is_none() {
-            self.prepared = Some(PreparedTable::build(&self.keys, &self.entries));
+            self.prepared = Some(IntervalIndex::build(&self.keys, &self.entries));
         }
     }
 
@@ -559,33 +549,34 @@ impl Table {
         self.prepared.is_some()
     }
 
+    /// How the prepared probe finds the table's states: `(by indexing a
+    /// Vec, by hashing)`; `None` when unprepared or when the table has
+    /// no state key.
+    pub fn probe_split(&self) -> Option<(usize, usize)> {
+        let index = self.prepared.as_ref()?;
+        let runs = &index.runs;
+        let indexed = runs.dense.iter().filter(|&&run| run != index.wild).count();
+        index.probe.map(|_| (indexed, runs.outliers.len()))
+    }
+
+    /// The prepared form, fetched once per table by a wave; a table
+    /// changed since its last [`Table::prepare`] is a program error,
+    /// [`PipelineError::TableNotPrepared`].
+    #[inline]
+    pub(crate) fn index(&self) -> Result<&IntervalIndex, PipelineError> {
+        self.prepared
+            .as_ref()
+            .ok_or_else(|| PipelineError::TableNotPrepared {
+                table: self.name.clone(),
+            })
+    }
+
     /// Finds the actions of the winning entry for a PHV: the matching
     /// entry with the smallest `(priority, insertion index)`; `None` on
     /// a miss. A table changed since its last [`Table::prepare`] is a
     /// program error, [`PipelineError::TableNotPrepared`].
     pub fn lookup(&self, phv: &Phv) -> Result<Option<&[ActionOp]>, PipelineError> {
-        match &self.prepared {
-            Some(PreparedTable::Intervals(index)) => Ok(index.lookup(phv)),
-            Some(PreparedTable::Scan) => Ok(self.scan(phv).map(|e| e.ops.as_slice())),
-            None => Err(PipelineError::TableNotPrepared {
-                table: self.name.clone(),
-            }),
-        }
-    }
-
-    /// The scan variant: every entry is tested.
-    fn scan(&self, phv: &Phv) -> Option<&Entry> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| {
-                e.matches
-                    .iter()
-                    .zip(&self.keys)
-                    .all(|(m, k)| m.matches(phv.get_or_zero(k.field), k.bits))
-            })
-            .min_by_key(|&(i, e)| (e.priority, i))
-            .map(|(_, e)| e)
+        Ok(self.index()?.lookup(phv))
     }
 }
 
@@ -635,7 +626,8 @@ mod tests {
                 },
             ],
             vec![],
-        );
+        )
+        .unwrap();
         let e = |prio, m0, m1, s| Entry {
             priority: prio,
             matches: vec![m0, m1],
@@ -681,7 +673,8 @@ mod tests {
                 },
             ],
             vec![],
-        );
+        )
+        .unwrap();
         t.add_entry(Entry {
             priority: 0,
             matches: vec![MatchValue::Exact(0), MatchValue::Range { lo: 0, hi: 59 }],
@@ -695,57 +688,6 @@ mod tests {
     }
 
     #[test]
-    fn ternary_and_lpm_match() {
-        let (l, _state, f) = layout2();
-        let mut t = Table::new(
-            "tern",
-            vec![Key {
-                field: f,
-                kind: MatchKind::Ternary,
-                bits: 64,
-            }],
-            vec![],
-        );
-        t.add_entry(Entry {
-            priority: 0,
-            matches: vec![MatchValue::Ternary {
-                value: 0x10,
-                mask: 0xf0,
-            }],
-            ops: vec![ActionOp::Drop],
-        })
-        .unwrap();
-        let mut phv = l.instantiate();
-        phv.set(f, 0x1a);
-        assert!(hit(&mut t, &phv).is_some());
-        phv.set(f, 0x2a);
-        assert!(hit(&mut t, &phv).is_none());
-
-        let mut t = Table::new(
-            "lpm",
-            vec![Key {
-                field: f,
-                kind: MatchKind::Lpm,
-                bits: 32,
-            }],
-            vec![],
-        );
-        t.add_entry(Entry {
-            priority: 0,
-            matches: vec![MatchValue::Lpm {
-                value: 0xc0a8_0000,
-                prefix_len: 16,
-            }],
-            ops: vec![ActionOp::Drop],
-        })
-        .unwrap();
-        phv.set(f, 0xc0a8_1234);
-        assert!(hit(&mut t, &phv).is_some());
-        phv.set(f, 0xc0a9_1234);
-        assert!(hit(&mut t, &phv).is_none());
-    }
-
-    #[test]
     fn priority_orders_overlapping_entries() {
         let (l, _s, f) = layout2();
         let mut t = Table::new(
@@ -756,7 +698,8 @@ mod tests {
                 bits: 64,
             }],
             vec![],
-        );
+        )
+        .unwrap();
         t.add_entry(Entry {
             priority: 5,
             matches: vec![MatchValue::Range { lo: 0, hi: 100 }],
@@ -793,7 +736,8 @@ mod tests {
                 bits: 64,
             }],
             vec![],
-        );
+        )
+        .unwrap();
         t.add_entry(Entry {
             priority: 0,
             matches: vec![MatchValue::Exact(7)],
@@ -832,7 +776,8 @@ mod tests {
                 },
             ],
             vec![],
-        );
+        )
+        .unwrap();
         assert!(matches!(
             t.add_entry(Entry {
                 priority: 0,
@@ -862,7 +807,8 @@ mod tests {
                 bits: 16,
             }],
             vec![],
-        );
+        )
+        .unwrap();
         let mut phv = l.instantiate();
         phv.set(state, 1);
         phv.set(stock, 0);
@@ -895,7 +841,8 @@ mod tests {
                 bits: 64,
             }],
             vec![],
-        );
+        )
+        .unwrap();
         let e = |v, port| Entry {
             priority: 0,
             matches: vec![MatchValue::Exact(v)],
@@ -928,7 +875,8 @@ mod tests {
                 bits: 64,
             }],
             vec![],
-        );
+        )
+        .unwrap();
         let e = |v| Entry {
             priority: 0,
             matches: vec![MatchValue::Exact(v)],
@@ -966,7 +914,8 @@ mod tests {
                 bits: 64,
             }],
             vec![],
-        );
+        )
+        .unwrap();
         let e = |v| Entry {
             priority: 0,
             matches: vec![MatchValue::Exact(v)],
@@ -997,7 +946,8 @@ mod tests {
                 bits: 64,
             }],
             vec![],
-        );
+        )
+        .unwrap();
         let e = |v| Entry {
             priority: 0,
             matches: vec![MatchValue::Exact(v)],
@@ -1035,7 +985,8 @@ mod tests {
                 },
             ],
             vec![],
-        );
+        )
+        .unwrap();
         let e = |s, v| Entry {
             priority: 0,
             matches: vec![MatchValue::Exact(s), MatchValue::Exact(v)],
@@ -1070,6 +1021,7 @@ mod tests {
             ],
             vec![],
         )
+        .unwrap()
     }
 
     fn tagged(priority: u32, state: MatchValue, value: MatchValue, tag: u64) -> Entry {
@@ -1222,44 +1174,98 @@ mod tests {
     }
 
     #[test]
-    fn compiled_shapes_lower_and_others_scan() {
+    fn unlowerable_key_lists_are_rejected_at_construction() {
         let (_, state, value) = layout2();
         let key = |field, kind| Key {
             field,
             kind,
             bits: 16,
         };
-        let lowers = |keys: Vec<Key>| Table::new("t", keys, vec![]).lowers();
-        assert!(lowers(vec![]));
-        assert!(lowers(vec![key(state, MatchKind::Exact)]));
-        assert!(lowers(vec![key(value, MatchKind::Range)]));
-        assert!(lowers(vec![
-            key(state, MatchKind::Exact),
-            key(value, MatchKind::Exact)
-        ]));
-        assert!(lowers(vec![
-            key(state, MatchKind::Exact),
-            key(value, MatchKind::Range)
-        ]));
-        assert!(!lowers(vec![key(value, MatchKind::Ternary)]));
-        assert!(!lowers(vec![key(value, MatchKind::Lpm)]));
-        assert!(!lowers(vec![
-            key(value, MatchKind::Range),
-            key(state, MatchKind::Exact)
-        ]));
-        assert!(!lowers(vec![
-            key(state, MatchKind::Exact),
-            key(value, MatchKind::Exact),
-            key(value, MatchKind::Exact)
-        ]));
+        let new = |keys: Vec<Key>| Table::new("t", keys, vec![]).map(|_| ());
+        for keys in [
+            vec![],
+            vec![key(state, MatchKind::Exact)],
+            vec![key(value, MatchKind::Range)],
+            vec![key(state, MatchKind::Exact), key(value, MatchKind::Exact)],
+            vec![key(state, MatchKind::Exact), key(value, MatchKind::Range)],
+        ] {
+            assert_eq!(new(keys.clone()), Ok(()), "{keys:?}");
+        }
+        let rejected = Err(PipelineError::UnsupportedKeys { table: "t".into() });
+        for keys in [
+            vec![key(value, MatchKind::Range), key(state, MatchKind::Exact)],
+            vec![key(value, MatchKind::Range), key(state, MatchKind::Range)],
+            vec![
+                key(state, MatchKind::Exact),
+                key(value, MatchKind::Exact),
+                key(value, MatchKind::Exact),
+            ],
+        ] {
+            assert_eq!(new(keys.clone()), rejected, "{keys:?}");
+        }
     }
 
     #[test]
-    fn lpm_mask_edges() {
-        assert_eq!(lpm_mask(32, 0), 0);
-        assert_eq!(lpm_mask(32, 32), 0xffff_ffff);
-        assert_eq!(lpm_mask(32, 16), 0xffff_0000);
-        assert_eq!(lpm_mask(64, 64), u64::MAX);
-        assert_eq!(lpm_mask(64, 1), 1 << 63);
+    fn sparse_states_keep_the_hash_and_the_same_winners() {
+        // States 0 and 10^6 span far more ids than `4 × 2 + 64`: one
+        // indexes the `Vec`, the other is hashed. States 0 and 1 both
+        // index the `Vec`. Both forms pick the same winners, and a probe
+        // between or beyond the states reads the wildcard rows.
+        let (l, state, value) = layout2();
+        let at = |s, v| phv_with(&l, state, value, s, v);
+        let r = |lo, hi| MatchValue::Range { lo, hi };
+        let build = |far: u64| {
+            let mut t = state_range_table(state, value);
+            t.add_entry(tagged(0, MatchValue::Exact(0), r(0, 9), 1))
+                .unwrap();
+            t.add_entry(tagged(0, MatchValue::Exact(far), r(5, 20), 2))
+                .unwrap();
+            t.add_entry(tagged(1, MatchValue::Any, r(0, 50), 3))
+                .unwrap();
+            t.prepare();
+            t
+        };
+        let mut sparse = build(1_000_000);
+        let mut dense = build(1);
+        assert_eq!(sparse.probe_split(), Some((1, 1)));
+        assert_eq!(dense.probe_split(), Some((2, 0)));
+        for (s, v, want) in [
+            (0, 3, Some(1)),
+            (0, 30, Some(3)),
+            (0, 60, None),
+            (1, 7, Some(2)),
+            (1, 30, Some(3)),
+            (500_000, 7, Some(3)),
+            (u64::MAX, 7, Some(3)),
+        ] {
+            let far = if s == 1 { 1_000_000 } else { s };
+            assert_eq!(tag(&mut dense, &at(s, v)), want, "dense state={s} v={v}");
+            assert_eq!(
+                tag(&mut sparse, &at(far, v)),
+                want,
+                "sparse state={far} v={v}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_densest_window_of_states_indexes_the_vec() {
+        // Ids 10..=40 (31 states) plus late ids 5 000 and 9 000: the
+        // window holds the 31, the two late ids are hashed.
+        let (l, state, value) = layout2();
+        let mut t = state_range_table(state, value);
+        let ids: Vec<u64> = (10..=40).chain([5_000, 9_000]).collect();
+        for &s in &ids {
+            t.add_entry(tagged(0, MatchValue::Exact(s), MatchValue::Any, s))
+                .unwrap();
+        }
+        t.prepare();
+        assert_eq!(t.probe_split(), Some((31, 2)));
+        for s in ids {
+            assert_eq!(tag(&mut t, &phv_with(&l, state, value, s, 0)), Some(s));
+        }
+        for s in [0, 9, 41, 4_999, 9_001] {
+            assert_eq!(tag(&mut t, &phv_with(&l, state, value, s, 0)), None);
+        }
     }
 }

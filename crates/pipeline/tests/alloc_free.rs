@@ -95,7 +95,8 @@ fn stateful_pipeline() -> Pipeline {
             bits: 8,
         }],
         vec![],
-    );
+    )
+    .unwrap();
     for b in 1u64..=4 {
         filter
             .add_entry(Entry {
@@ -127,7 +128,8 @@ fn stateful_pipeline() -> Pipeline {
             },
         ],
         vec![],
-    );
+    )
+    .unwrap();
     thresh
         .add_entry(Entry {
             priority: 0,

@@ -71,7 +71,8 @@ fn stateful_pipeline() -> Pipeline {
             bits: 8,
         }],
         vec![],
-    );
+    )
+    .unwrap();
     for b in 1u64..=4 {
         filter
             .add_entry(Entry {
@@ -103,7 +104,8 @@ fn stateful_pipeline() -> Pipeline {
             },
         ],
         vec![],
-    );
+    )
+    .unwrap();
     thresh
         .add_entry(Entry {
             priority: 0,

@@ -1,5 +1,7 @@
 //! Property tests for the pipeline substrate: table lookup against a
-//! reference matcher, TCAM range expansion, and bit-level codecs.
+//! reference matcher, the wave executor against batches of one and a
+//! message-at-a-time reference, TCAM range expansion, and bit-level
+//! codecs.
 
 // Gated off by default: `proptest` is an external crate the offline
 // build environment cannot fetch. Vendor proptest into the workspace
@@ -7,9 +9,15 @@
 #![cfg(feature = "proptest")]
 
 use camus_pipeline::bits::{extract_bits, insert_bits};
+use camus_pipeline::parser::{Extract, ParseState, ParserSpec, StateId, Transition};
 use camus_pipeline::phv::PhvLayout;
+use camus_pipeline::pipeline::StateBinding;
+use camus_pipeline::register::{AggKind, RegisterFile};
 use camus_pipeline::resources::range_to_prefixes;
-use camus_pipeline::table::{ActionOp, Entry, Key, MatchKind, MatchValue, Table};
+use camus_pipeline::table::{ActionOp, Entry, Key, MatchKind, MatchValue, RegOp, Table};
+use camus_pipeline::{
+    DecisionBuf, ExecState, ForwardDecision, GroupId, MulticastTable, ParseDrop, Pipeline, PortId,
+};
 use proptest::prelude::*;
 
 // ----------------------------------------------------------- bits
@@ -85,29 +93,10 @@ struct GenEntry {
     value: (u8, (u8, u64), (u8, u64)),
 }
 
-fn arb_match(kind: MatchKind, max: u64) -> BoxedStrategy<MatchValue> {
-    match kind {
-        MatchKind::Exact => {
-            prop_oneof![(0..=max).prop_map(MatchValue::Exact), Just(MatchValue::Any),].boxed()
-        }
-        MatchKind::Ternary => prop_oneof![
-            (0..=max, 0..=max).prop_map(|(v, m)| MatchValue::Ternary {
-                value: v & m,
-                mask: m
-            }),
-            Just(MatchValue::Any),
-        ]
-        .boxed(),
-        MatchKind::Range | MatchKind::Lpm => unreachable!("not generated"),
-    }
-}
-
 fn matches_ref(m: &MatchValue, v: u64) -> bool {
     match *m {
         MatchValue::Exact(e) => v == e,
         MatchValue::Range { lo, hi } => v >= lo && v <= hi,
-        MatchValue::Ternary { value, mask } => v & mask == value,
-        MatchValue::Lpm { .. } => unreachable!(),
         MatchValue::Any => true,
     }
 }
@@ -135,12 +124,14 @@ proptest! {
     /// The lowered lookup agrees with a naive min-`(priority, index)`
     /// filter on every shape the compiler emits — exact and range value
     /// keys, wildcard states, runs up to 200 entries long (few states,
-    /// like the root table), bounds at 0 and `u64::MAX` — probed at
+    /// like the root table), bounds at 0 and `u64::MAX`, states dense
+    /// (a `Vec` probe) or a million ids apart (the hash) — probed at
     /// random points and on both sides of every entry's bounds.
     #[test]
     fn lookup_matches_linear_reference(
         shape in 0usize..4,
         wide: bool,
+        sparse: bool,
         entries in prop::collection::vec(
             (
                 0u32..8,
@@ -153,6 +144,11 @@ proptest! {
         probes in prop::collection::vec((0u64..=5, (0u8..6, any::<u64>())), 1..32),
     ) {
         let bits = if wide { 64 } else { 6 };
+        let stride = if sparse { 1_000_003 } else { 1 };
+        let spread = |m: MatchValue| match m {
+            MatchValue::Exact(s) => MatchValue::Exact(s * stride),
+            other => other,
+        };
         let mut layout = PhvLayout::new();
         let state = layout.add("state", 8);
         let value = layout.add("value", bits);
@@ -176,14 +172,14 @@ proptest! {
                     _ => MatchValue::Any,
                 };
                 let matches = match shape {
-                    0 | 1 => vec![e.state, v],
-                    2 => vec![e.state],
+                    0 | 1 => vec![spread(e.state), v],
+                    2 => vec![spread(e.state)],
                     _ => vec![v],
                 };
                 (e.priority, matches)
             })
             .collect();
-        let mut table = Table::new("t", keys.clone(), vec![]);
+        let mut table = Table::new("t", keys.clone(), vec![]).unwrap();
         for (i, (priority, matches)) in rows.iter().enumerate() {
             table
                 .add_entry(Entry {
@@ -194,13 +190,12 @@ proptest! {
                 })
                 .unwrap();
         }
-        prop_assert!(table.lowers(), "{} must lower", SHAPES[shape]);
         table.prepare();
 
         let mut points: Vec<(u64, u64)> =
-            probes.iter().map(|&(s, p)| (s, point(wide, p))).collect();
+            probes.iter().map(|&(s, p)| (s * stride, point(wide, p))).collect();
         for (i, (_, matches)) in rows.iter().enumerate() {
-            let s = i as u64 % 6;
+            let s = i as u64 % 6 * stride;
             for m in matches {
                 let (lo, hi) = match *m {
                     MatchValue::Exact(v) => (v, v),
@@ -231,46 +226,301 @@ proptest! {
             prop_assert_eq!(got, want, "{} state={} value={}", SHAPES[shape], s, v);
         }
     }
+}
 
-    /// Ternary tables keep the scan, with the same winner rule.
-    #[test]
-    fn ternary_lookup_matches_reference(
-        entries in prop::collection::vec(
-            (0u32..4, arb_match(MatchKind::Ternary, 255)),
-            0..16,
-        ),
-        probes in prop::collection::vec(0u64..=255, 1..16),
-    ) {
-        let mut layout = PhvLayout::new();
-        let f = layout.add("f", 8);
-        let marker = layout.add("m", 32);
-        let mut table = Table::new(
-            "t",
-            vec![Key { field: f, kind: MatchKind::Ternary, bits: 8 }],
-            vec![],
-        );
-        for (i, (prio, m)) in entries.iter().enumerate() {
-            table
-                .add_entry(Entry {
-                    priority: *prio,
-                    matches: vec![*m],
-                    ops: vec![ActionOp::SetField(marker, i as u64)],
-                })
-                .unwrap();
+// ------------------------------------------------------------ wave
+
+/// SplitMix64: the wave property draws a whole program and its traffic
+/// from one seed.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn chance(&mut self, percent: u64) -> bool {
+        self.below(100) < percent
+    }
+}
+
+/// A random hand-built program over `[count, sym, sym…]` frames (a
+/// count of 1–4, then one-byte messages): one to three tables keyed on
+/// the BDD-style `state` plus `sym` or a state-binding field `cnt`,
+/// `SetField`/`Forward`/`Multicast`/`Drop` actions, and — when
+/// `stateful` — `Register` ops writing the slot `cnt` reads, so the
+/// binding cannot be hoisted out of the message loop.
+fn random_program(d: &mut Draw, stateful: bool) -> Pipeline {
+    let mut layout = PhvLayout::new();
+    let count = layout.add("count", 8);
+    let sym = layout.add("sym", 8);
+    let state = layout.add("state", 16);
+    let cnt = layout.add("cnt", 32);
+    let idle = layout.add("idle", 32);
+    let msg = StateId(1);
+    let parser = ParserSpec::new(
+        vec![
+            ParseState {
+                name: "hdr".into(),
+                extracts: vec![Extract {
+                    dst: count,
+                    bit_offset: 0,
+                    bits: 8,
+                }],
+                advance_bits: 8,
+                advance_bytes_from: None,
+                emit: false,
+                next: Transition::Select {
+                    field: count,
+                    cases: (1..=4).map(|c| (c, msg)).collect(),
+                    default: None,
+                },
+            },
+            ParseState {
+                name: "msg".into(),
+                extracts: vec![Extract {
+                    dst: sym,
+                    bit_offset: 0,
+                    bits: 8,
+                }],
+                advance_bits: 8,
+                advance_bytes_from: None,
+                emit: true,
+                next: Transition::SelectRemaining { more: msg },
+            },
+        ],
+        StateId(0),
+    );
+    let mut registers = RegisterFile::new();
+    for _ in 0..2 {
+        registers.allocate([0, 100, 400][d.below(3) as usize]);
+    }
+    let aggs = [AggKind::Count, AggKind::Sum, AggKind::Max, AggKind::Last];
+    let mut state_bindings = vec![StateBinding {
+        dst: cnt,
+        slot: 0,
+        agg: aggs[d.below(4) as usize],
+    }];
+    if d.chance(50) {
+        state_bindings.push(StateBinding {
+            dst: idle,
+            slot: 1,
+            agg: aggs[d.below(4) as usize],
+        });
+    }
+    let mut mcast = MulticastTable::new();
+    let groups = 1 + d.below(3);
+    for _ in 0..groups {
+        let ports = (0..d.below(4))
+            .map(|_| PortId(1 + d.below(8) as u16))
+            .collect();
+        mcast.allocate(ports);
+    }
+    let key = |field, kind| Key {
+        field,
+        kind,
+        bits: 16,
+    };
+    let mut tables = Vec::new();
+    for ti in 0..1 + d.below(3) {
+        let (value, kind) = match d.below(4) {
+            0 => (cnt, MatchKind::Range),
+            1 => (sym, MatchKind::Exact),
+            _ => (sym, MatchKind::Range),
+        };
+        let default_ops = if d.chance(20) {
+            vec![ActionOp::Forward(PortId(9))]
+        } else {
+            vec![]
+        };
+        let mut t = Table::new(
+            format!("t{ti}"),
+            vec![key(state, MatchKind::Exact), key(value, kind)],
+            default_ops,
+        )
+        .unwrap();
+        for _ in 0..d.below(12) {
+            let probe = if d.chance(25) {
+                MatchValue::Any
+            } else {
+                MatchValue::Exact(d.below(4))
+            };
+            let (a, b) = (d.below(8), d.below(8));
+            let v = match (kind, d.below(3)) {
+                (_, 0) => MatchValue::Any,
+                (MatchKind::Exact, _) => MatchValue::Exact(a),
+                (MatchKind::Range, _) => MatchValue::Range {
+                    lo: a.min(b),
+                    hi: a.max(b),
+                },
+            };
+            let mut ops = Vec::new();
+            for _ in 0..1 + d.below(3) {
+                ops.push(match d.below(if stateful { 6 } else { 5 }) {
+                    0 => ActionOp::SetField(state, d.below(4)),
+                    1 => ActionOp::Forward(PortId(1 + d.below(8) as u16)),
+                    2 => ActionOp::Multicast(GroupId(d.below(groups) as u32)),
+                    3 => ActionOp::Drop,
+                    4 => ActionOp::SetField(state, d.below(4)),
+                    _ => ActionOp::Register {
+                        slot: d.below(2) as usize,
+                        op: [RegOp::Increment, RegOp::Observe(sym), RegOp::SetField(sym)]
+                            [d.below(3) as usize],
+                    },
+                });
+            }
+            t.add_entry(Entry {
+                priority: d.below(4) as u32,
+                matches: vec![probe, v],
+                ops,
+            })
+            .unwrap();
         }
-        prop_assert!(!table.lowers());
-        table.prepare();
-        for &v in &probes {
-            let mut phv = layout.instantiate();
+        tables.push(t);
+    }
+    Pipeline {
+        layout,
+        parser,
+        tables,
+        mcast,
+        registers,
+        state_bindings,
+        init_fields: vec![(state, d.below(2))],
+        exec: ExecState::default(),
+    }
+}
+
+/// 1–40 frames of 1–4 messages at non-decreasing times, with frames
+/// that fail to parse mixed in: empty (underflow), a count of 0 or 9
+/// (no transition), a count and no message (underflow).
+fn random_frames(d: &mut Draw) -> Vec<(Vec<u8>, u64)> {
+    let mut now_us = 0;
+    (0..1 + d.below(40))
+        .map(|_| {
+            now_us += d.below(120);
+            let frame = match d.below(10) {
+                0 => vec![],
+                1 => vec![[0, 9][d.below(2) as usize], 1],
+                2 => vec![1],
+                _ => {
+                    let n = 1 + d.below(4);
+                    std::iter::once(n as u8)
+                        .chain((0..n).map(|_| d.below(8) as u8))
+                        .collect()
+                }
+            };
+            (frame, now_us)
+        })
+        .collect()
+}
+
+/// Deciding one message at a time, every table in turn, as a switch
+/// with one message in flight would: the semantics the wave must keep.
+fn message_at_a_time(p: &mut Pipeline, frame: &[u8], now_us: u64) -> ForwardDecision {
+    let msgs = match p.parser.parse(&p.layout, frame) {
+        Ok(msgs) => msgs,
+        Err(e) => {
+            return ForwardDecision {
+                drop_reason: ParseDrop::classify(&e),
+                ..ForwardDecision::default()
+            }
+        }
+    };
+    let mut d = ForwardDecision {
+        messages: msgs.len(),
+        ..ForwardDecision::default()
+    };
+    for mut phv in msgs {
+        for &(f, v) in &p.init_fields {
             phv.set(f, v);
-            let got = table.lookup(&phv).unwrap().map(|ops| ops.to_vec());
-            let want = entries
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, m))| matches_ref(m, v))
-                .min_by_key(|(i, (p, _))| (*p, *i))
-                .map(|(i, _)| vec![ActionOp::SetField(marker, i as u64)]);
-            prop_assert_eq!(got, want, "v={}", v);
         }
+        for b in &p.state_bindings {
+            phv.set(b.dst, p.registers.read(b.slot, b.agg, now_us).unwrap());
+        }
+        let before = d.ports.len();
+        for t in &p.tables {
+            let ops = match t.lookup(&phv).unwrap() {
+                Some(ops) => ops.to_vec(),
+                None => t.default_ops.clone(),
+            };
+            for op in ops {
+                match op {
+                    ActionOp::SetField(f, v) => phv.set(f, v),
+                    ActionOp::Forward(port) => d.ports.push(port),
+                    ActionOp::Multicast(g) => d.ports.extend_from_slice(p.mcast.ports(g).unwrap()),
+                    ActionOp::Drop => {}
+                    ActionOp::Register { slot, op } => {
+                        let regs = &mut p.registers;
+                        match op {
+                            RegOp::Increment => regs.increment(slot, now_us),
+                            RegOp::Observe(f) => regs.observe(slot, phv.get_or_zero(f), now_us),
+                            RegOp::SetConst(v) => regs.set(slot, v, now_us),
+                            RegOp::SetField(f) => regs.set(slot, phv.get_or_zero(f), now_us),
+                        }
+                        .unwrap();
+                    }
+                }
+            }
+        }
+        if d.ports.len() > before {
+            d.matched_messages += 1;
+        }
+    }
+    d.ports.sort_unstable();
+    d.ports.dedup();
+    d
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One batch of N frames equals N batches of one — decisions,
+    /// `ExecStats`, the register file after the batch and the cache
+    /// counters — and every decision and the final registers equal
+    /// deciding one message at a time. Programs with and without
+    /// register writes, with the decision cache armed where the program
+    /// allows it and not, so both the whole-batch wave and the wave of
+    /// one run.
+    #[test]
+    fn one_wave_equals_batches_of_one(seed: u64, stateful: bool, cache: bool) {
+        let mut d = Draw(seed);
+        let mut program = random_program(&mut d, stateful);
+        let frames = random_frames(&mut d);
+        if cache {
+            let sym = program.layout.get("sym").unwrap();
+            program.enable_decision_cache(sym, 2);
+        }
+        program.prepare();
+        let mut reference = program.clone();
+        let mut wave = program.new_shard_ctx();
+        let mut ones = program.new_shard_ctx();
+
+        let mut out = DecisionBuf::default();
+        program
+            .process_batch_shared(&mut wave, frames.iter().map(|(f, t)| (f.as_slice(), *t)), &mut out)
+            .unwrap();
+        let mut one = DecisionBuf::default();
+        for (i, (frame, now_us)) in frames.iter().enumerate() {
+            one.clear();
+            program
+                .process_batch_shared(&mut ones, [(frame.as_slice(), *now_us)], &mut one)
+                .unwrap();
+            let want = message_at_a_time(&mut reference, frame, *now_us);
+            prop_assert_eq!(&one.as_slice()[0], &out.as_slice()[i], "frame {} {:?}", i, frame);
+            prop_assert_eq!(&want, &out.as_slice()[i], "frame {} {:?}", i, frame);
+        }
+        prop_assert_eq!(out.len(), frames.len());
+        prop_assert_eq!(&wave.exec.stats, &ones.exec.stats);
+        prop_assert_eq!(&wave.registers, &ones.registers);
+        prop_assert_eq!(&wave.registers, &reference.registers);
+        prop_assert_eq!(wave.exec.cache_stats(), ones.exec.cache_stats());
     }
 }

@@ -74,7 +74,7 @@ fn render_nodes(nodes: &[(&str, &TelemetrySnapshot)]) -> String {
         &mut out,
         &labels,
         "camus_sampled_packets_total",
-        "Packets with per-stage timing samples",
+        "Stage-timing samples (one per batch)",
         &series(|s| s.data.sampled_packets),
     );
     counter_family(

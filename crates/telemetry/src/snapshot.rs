@@ -7,11 +7,13 @@
 //! and shards never contend — the engine merges at `finish()` exactly
 //! like it merges `ExecStats`.
 //!
-//! Stage timing is *sampled*: every `2^sample_shift`-th packet gets
-//! per-stage `Instant` reads (parse / match / mcast), while batch
-//! latency is always recorded (two clock reads per batch). Sampling is
-//! what keeps instrumentation under the 5 % throughput budget; the
-//! counters, by contrast, are exact and trace-deterministic.
+//! Stage timing is one sample per batch: the pipeline runs a batch as
+//! a wave (parse every packet, then each table across every message,
+//! then every port union), so a packet has no match time of its own.
+//! Four clock reads per batch give the batch latency and one sample of
+//! each phase's per-packet mean (parse / match / mcast). That is what
+//! keeps instrumentation under the 5 % throughput budget; the counters,
+//! by contrast, are exact and trace-deterministic.
 //!
 //! [`TelemetrySnapshot`] is the merged cross-shard view the engine
 //! attaches to `EngineReport` (schema version [`SNAPSHOT_VERSION`]).
@@ -31,22 +33,18 @@ const BATCH_UNIT_SHIFT: u32 = 5;
 /// allocation after construction.
 #[derive(Debug, Clone)]
 pub struct DataPlaneTelemetry {
-    /// `seq & sample_mask == 0` selects the sampled packets.
-    sample_mask: u64,
-    /// Monotone per-shard packet sequence (drives sampling only; the
-    /// authoritative packet count lives in `ExecStats`).
-    seq: u64,
     /// Batches processed through `process_batch_shared`.
     pub batches: u64,
-    /// Packets that received per-stage timing.
+    /// Stage samples recorded: one per non-empty batch.
     pub sampled_packets: u64,
-    /// Whole-batch latency (always recorded; 32 ns buckets).
+    /// Whole-batch latency (32 ns buckets).
     pub batch_ns: Histogram,
-    /// Sampled per-packet parse latency (1 ns buckets).
+    /// Per-batch mean parse time per packet (1 ns buckets).
     pub parse_ns: Histogram,
-    /// Sampled per-packet match/action latency (1 ns buckets).
+    /// Per-batch mean match/action time per packet (1 ns buckets).
     pub match_ns: Histogram,
-    /// Sampled per-packet multicast port-union latency (1 ns buckets).
+    /// Per-batch mean multicast port-union time per packet (1 ns
+    /// buckets).
     pub mcast_ns: Histogram,
     /// Decision-cache hits (messages answered without running the
     /// table chain). Folded in from the worker's cache at harvest
@@ -65,12 +63,9 @@ pub struct DataPlaneTelemetry {
 }
 
 impl DataPlaneTelemetry {
-    /// Creates an empty record that samples every `2^sample_shift`-th
-    /// packet for stage timing (`sample_shift = 0` samples every one).
-    pub fn new(sample_shift: u32) -> Self {
+    /// Creates an empty record.
+    pub fn new() -> Self {
         DataPlaneTelemetry {
-            sample_mask: (1u64 << sample_shift.min(63)) - 1,
-            seq: 0,
             batches: 0,
             sampled_packets: 0,
             batch_ns: Histogram::with_unit_shift(BATCH_UNIT_SHIFT),
@@ -103,20 +98,6 @@ impl DataPlaneTelemetry {
         self.ring_empty_spins += empty_spins;
     }
 
-    /// How many packets pass between stage samples.
-    pub fn sample_interval(&self) -> u64 {
-        self.sample_mask + 1
-    }
-
-    /// Advances the packet sequence; returns `true` when this packet
-    /// should get per-stage timing. Call exactly once per packet.
-    #[inline]
-    pub fn tick(&mut self) -> bool {
-        let sampled = self.seq & self.sample_mask == 0;
-        self.seq = self.seq.wrapping_add(1);
-        sampled
-    }
-
     /// Records one whole-batch duration.
     #[inline]
     pub fn record_batch(&mut self, ns: u64) {
@@ -124,10 +105,10 @@ impl DataPlaneTelemetry {
         self.batch_ns.record(ns);
     }
 
-    /// Records one sampled packet's stage durations. `match_ns` covers
-    /// table evaluation for every message in the packet (including
-    /// multicast group expansion); `mcast_ns` is the final port-set
-    /// union (sort + dedup) across those messages.
+    /// Records one batch's stage sample: the per-packet means of its
+    /// parse phase, its match phase (table evaluation for every
+    /// message, including multicast group expansion) and its union
+    /// phase (each packet's port-set sort + dedup).
     #[inline]
     pub fn record_stages(&mut self, parse_ns: u64, match_ns: u64, mcast_ns: u64) {
         self.sampled_packets += 1;
@@ -136,25 +117,10 @@ impl DataPlaneTelemetry {
         self.mcast_ns.record(mcast_ns);
     }
 
-    /// Records a sampled packet that failed to parse (no match/mcast
-    /// stages ran). Parse latency still lands in the parse histogram.
-    #[inline]
-    pub fn record_parse_only(&mut self, parse_ns: u64) {
-        self.sampled_packets += 1;
-        self.parse_ns.record(parse_ns);
-    }
-
     /// Folds another shard's record into this one. Counter addition and
     /// lossless histogram merges — associative and commutative, so the
-    /// engine can fold worker outputs in any order. An untouched
-    /// record (the snapshot's empty accumulator) adopts the other
-    /// side's sampling cadence, so the merged view reports the
-    /// interval the shards actually ran with.
+    /// engine can fold worker outputs in any order.
     pub fn merge(&mut self, other: &DataPlaneTelemetry) {
-        if self.seq == 0 && self.batches == 0 {
-            self.sample_mask = other.sample_mask;
-        }
-        self.seq = self.seq.wrapping_add(other.seq);
         self.batches += other.batches;
         self.sampled_packets += other.sampled_packets;
         self.batch_ns.merge(&other.batch_ns);
@@ -168,20 +134,16 @@ impl DataPlaneTelemetry {
         self.ring_empty_spins += other.ring_empty_spins;
     }
 
-    /// Resets all counters and histograms in place (sampling cadence
-    /// is retained). Used when a bench wants a fresh measurement phase
-    /// without reallocating.
+    /// Resets all counters and histograms in place. Used when a bench
+    /// wants a fresh measurement phase without reallocating.
     pub fn reset(&mut self) {
-        let shift = self.sample_mask.trailing_ones();
-        *self = DataPlaneTelemetry::new(shift);
+        *self = DataPlaneTelemetry::new();
     }
 }
 
 impl Default for DataPlaneTelemetry {
-    /// Defaults to sampling every 16th packet — the cadence the engine
-    /// uses to stay within the 5 % overhead budget.
     fn default() -> Self {
-        DataPlaneTelemetry::new(4)
+        DataPlaneTelemetry::new()
     }
 }
 
@@ -295,31 +257,16 @@ mod tests {
     use crate::span::SpanKind;
 
     #[test]
-    fn sampling_cadence_follows_shift() {
-        let mut t = DataPlaneTelemetry::new(2);
-        assert_eq!(t.sample_interval(), 4);
-        let picks: Vec<bool> = (0..8).map(|_| t.tick()).collect();
-        assert_eq!(
-            picks,
-            [true, false, false, false, true, false, false, false]
-        );
-
-        // shift 0 samples every packet.
-        let mut every = DataPlaneTelemetry::new(0);
-        assert!((0..4).all(|_| every.tick()));
-    }
-
-    #[test]
     fn stage_and_batch_records_land_in_histograms() {
-        let mut t = DataPlaneTelemetry::new(0);
+        let mut t = DataPlaneTelemetry::new();
         t.record_batch(64_000);
         t.record_stages(100, 900, 40);
-        t.record_parse_only(70);
+        t.record_stages(70, 800, 30);
         assert_eq!(t.batches, 1);
         assert_eq!(t.sampled_packets, 2);
         assert_eq!(t.parse_ns.count(), 2);
-        assert_eq!(t.match_ns.count(), 1);
-        assert_eq!(t.mcast_ns.count(), 1);
+        assert_eq!(t.match_ns.count(), 2);
+        assert_eq!(t.mcast_ns.count(), 2);
         assert_eq!(t.parse_ns.min(), 70);
         assert_eq!(t.parse_ns.max(), 100);
         // Batch histogram buckets in 32 ns units but reports raw ns.
@@ -328,9 +275,9 @@ mod tests {
 
     #[test]
     fn merge_equals_single_stream() {
-        let mut a = DataPlaneTelemetry::new(0);
-        let mut b = DataPlaneTelemetry::new(0);
-        let mut one = DataPlaneTelemetry::new(0);
+        let mut a = DataPlaneTelemetry::new();
+        let mut b = DataPlaneTelemetry::new();
+        let mut one = DataPlaneTelemetry::new();
         for v in [120u64, 450, 80] {
             a.record_stages(v, v * 2, v / 2);
             one.record_stages(v, v * 2, v / 2);
@@ -350,39 +297,22 @@ mod tests {
     }
 
     #[test]
-    fn empty_accumulator_adopts_merged_cadence() {
-        let mut worker = DataPlaneTelemetry::new(6);
-        worker.tick();
-        worker.record_batch(100);
-        let mut snap = TelemetrySnapshot::new(1);
-        snap.absorb_worker(&worker);
-        assert_eq!(snap.data.sample_interval(), 64);
-        // A record that has already ticked keeps its own cadence.
-        let mut busy = DataPlaneTelemetry::new(2);
-        busy.tick();
-        busy.merge(&worker);
-        assert_eq!(busy.sample_interval(), 4);
-    }
-
-    #[test]
-    fn reset_clears_but_keeps_cadence() {
-        let mut t = DataPlaneTelemetry::new(3);
-        for _ in 0..5 {
-            t.tick();
-        }
+    fn reset_clears_every_record() {
+        let mut t = DataPlaneTelemetry::new();
         t.record_batch(500);
+        t.record_stages(1, 2, 3);
         t.reset();
-        assert_eq!(t.sample_interval(), 8);
         assert_eq!(t.batches, 0);
+        assert_eq!(t.sampled_packets, 0);
         assert!(t.batch_ns.is_empty());
-        assert!(t.tick(), "sequence restarts at a sample point");
+        assert!(t.parse_ns.is_empty());
     }
 
     #[test]
     fn hotpath_counters_merge_and_reset() {
-        let mut a = DataPlaneTelemetry::new(0);
+        let mut a = DataPlaneTelemetry::new();
         a.add_hotpath(10, 4, 1, 100, 200);
-        let mut b = DataPlaneTelemetry::new(0);
+        let mut b = DataPlaneTelemetry::new();
         b.add_hotpath(5, 5, 0, 7, 9);
         a.merge(&b);
         assert_eq!(a.decision_cache_hits, 15);

@@ -233,7 +233,7 @@ mod tests {
         Pipeline {
             layout,
             parser: ParserSpec::new(vec![state], StateId(0)),
-            tables: vec![Table::new("t_all", vec![], forward)],
+            tables: vec![Table::new("t_all", vec![], forward).unwrap()],
             mcast: Default::default(),
             registers: Default::default(),
             state_bindings: vec![],

@@ -5,7 +5,10 @@ use camus::compiler::{Compiler, CompilerOptions};
 use camus::itch::itch::{AddOrder, ItchMessage, Side};
 use camus::itch::{build_feed_packet, FeedConfig};
 use camus::lang::{parse_program, parse_spec};
-use camus::pipeline::PortId;
+use camus::pipeline::{DecisionBuf, PortId};
+use camus::workload::{
+    generate_itch_subscriptions, itch_subs::stock_symbol, Delivery, EpochOracle, ItchSubsConfig,
+};
 
 fn compiled(rules: &str) -> camus::compiler::CompiledProgram {
     let spec = parse_spec(camus::lang::spec::ITCH_SPEC).unwrap();
@@ -284,5 +287,86 @@ fn netcache_example_routes_on_keys_and_actually_hits_the_decision_cache() {
             vec![10, 30],
             "gen2: pinned key mirrors to cache port"
         );
+    }
+}
+
+/// The batch path decides a whole batch in one wave — every table
+/// across every message before the next table. The oracle judges each
+/// decision against a fresh compile deciding the packet alone and
+/// against the naive AST interpreter: 1–4-message frames, noise
+/// messages, truncated and garbage frames, in batches of 64 — price
+/// subscriptions with the decision cache off (the whole-batch wave),
+/// symbol-only ones with it armed on `stock` (the wave of one).
+#[test]
+fn one_wave_over_a_batch_agrees_with_the_oracle() {
+    let spec = parse_spec(camus::lang::spec::ITCH_SPEC).unwrap();
+    let priced = generate_itch_subscriptions(&ItchSubsConfig {
+        subscriptions: 200,
+        symbols: 12,
+        hosts: 16,
+        ..ItchSubsConfig::default()
+    });
+    // Symbol-only subscriptions: the program the cache can arm on.
+    let by_symbol: String = (0..24)
+        .map(|i| format!("stock == {} : fwd({})\n", stock_symbol(i % 12), 1 + i % 5))
+        .collect();
+    let by_symbol = parse_program(&by_symbol).unwrap();
+    let compiler = Compiler::new(spec.clone(), CompilerOptions::default()).unwrap();
+    let mut rng = 0x2545_f491_4f6c_dd1du64;
+    let mut draw = |n: u64| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng % n
+    };
+    let frames: Vec<Vec<u8>> = (0..640)
+        .map(|i| {
+            let msgs: Vec<ItchMessage> = (0..1 + draw(4))
+                .map(|_| match draw(6) {
+                    0 => ItchMessage::OrderDelete { order_ref: 3 },
+                    _ => ItchMessage::AddOrder(AddOrder::new(
+                        &stock_symbol(draw(14) as usize),
+                        Side::Buy,
+                        1,
+                        draw(1000) as u32,
+                    )),
+                })
+                .collect();
+            let frame = feed(&msgs);
+            match i % 50 {
+                7 => frame[..30].to_vec(),
+                19 => vec![0xAB; 9],
+                _ => frame,
+            }
+        })
+        .collect();
+    for (rules, cache) in [(&priced, false), (&by_symbol, true)] {
+        let mut program = compiler.compile(rules).unwrap().pipeline;
+        if cache {
+            let stock = program.layout.get("add_order.stock").unwrap();
+            assert!(program.enable_decision_cache(stock, 6));
+        }
+        let mut ctx = program.new_shard_ctx();
+        let mut oracle = EpochOracle::new(&spec, |r| compiler.compile(r).unwrap().pipeline);
+        oracle.publish(rules);
+        let mut decisions = Vec::new();
+        let mut out = DecisionBuf::default();
+        for batch in frames.chunks(64) {
+            out.clear();
+            let packets = batch.iter().map(|f| (f.as_slice(), 0));
+            program
+                .process_batch_shared(&mut ctx, packets, &mut out)
+                .unwrap();
+            for f in batch {
+                oracle.submit(f, 0);
+            }
+            decisions.extend(out.iter().cloned());
+        }
+        assert!(decisions.iter().any(|d| d.malformed()));
+        assert!(decisions.iter().any(|d| d.ports.len() > 1));
+        let slots: Vec<_> = decisions.iter().map(Some).collect();
+        assert_eq!(oracle.check(&slots, Delivery::Exact), 0, "cache={cache}");
+        let cached = ctx.exec.cache_stats();
+        assert_eq!(cached.is_some_and(|c| c.hits > 0), cache);
     }
 }

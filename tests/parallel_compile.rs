@@ -39,7 +39,7 @@ fn assert_identical(a: &camus::compiler::CompiledProgram, b: &camus::compiler::C
     assert_eq!(a.pipeline.tables.len(), b.pipeline.tables.len());
     for (ta, tb) in a.pipeline.tables.iter().zip(&b.pipeline.tables) {
         assert_eq!(ta.name, tb.name);
-        assert_eq!(ta.keys, tb.keys, "keys of {}", ta.name);
+        assert_eq!(ta.keys(), tb.keys(), "keys of {}", ta.name);
         assert_eq!(ta.default_ops, tb.default_ops, "defaults of {}", ta.name);
         assert_eq!(ta.len(), tb.len(), "entry count of {}", ta.name);
         for (i, (ea, eb)) in ta.entries().zip(tb.entries()).enumerate() {
