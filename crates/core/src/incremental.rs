@@ -25,16 +25,12 @@
 //!   exactly this;
 //! * either way unchanged BDD vertices keep their state ids and
 //!   unchanged port sets their group ids, so the regenerated tables
-//!   share most entries with the installed ones, and the update is
-//!   reported as a per-table **entry diff** (adds/removes/kept) —
-//!   exactly what a control plane would push to the switch. The diff is
-//!   directly executable: [`apply_delta`] splices it into a running
-//!   [`Pipeline`] without reallocating the match engines, and
-//!   [`UpdateReport::apply_to`] is the one-call version — the
-//!   hardware-facing meaning of a report, which the differential suites
-//!   hold a spliced mirror to. A data plane that swaps whole programs
-//!   anyway (`camus-engine`'s RCU workers, a fabric re-slicing its
-//!   master) installs [`UpdateReport::pipeline`] and never splices.
+//!   share most entries with the installed ones. A report is the next
+//!   program ([`UpdateReport::pipeline`]) plus its entry counts
+//!   (added/removed/kept against the installed tables) — the number of
+//!   switch writes the update costs. Every data plane here (the
+//!   engine's RCU workers, a fabric re-slicing its master, `camusd`)
+//!   installs the program whole.
 //!
 //! The first install into an *empty* session is the one exception to
 //! rule-by-rule insertion: it runs the cold compiler's sharded build,
@@ -53,8 +49,8 @@
 //! out-of-alphabet addition triggers an internal full recompile over
 //! the cumulative rule set (alphabet: the session's pool plus whatever
 //! installed rule lies outside it), and the resulting [`UpdateReport`]
-//! is flagged `full_rebuild` so consumers swap the whole pipeline
-//! instead of splicing entries. Nothing else does.
+//! is flagged `full_rebuild`: the statics may have moved. Nothing
+//! else does.
 //!
 //! Both calls are **atomic on error**: everything that can reject a
 //! batch — resolving it against spec and alphabet, compiling the fresh
@@ -65,8 +61,8 @@
 //! `update(remove, add)`: the removed rules are still inside the
 //! alphabet, so it is a rewrite, never a rebuild, and restores the rule
 //! set as a set and every packet's forwarding — not the state ids,
-//! which only a consumer of `deltas` would notice. What a taken-back
-//! rebuild added to the alphabet goes at the next rebuild.
+//! which no packet observes. What a taken-back rebuild added to the
+//! alphabet goes at the next rebuild.
 
 use std::collections::HashMap;
 
@@ -75,7 +71,7 @@ use camus_bdd::Bdd;
 use camus_lang::ast::Rule;
 use camus_lang::spec::Spec;
 use camus_pipeline::pipeline::Pipeline;
-use camus_pipeline::table::{ActionOp, Entry, Key, Table};
+use camus_pipeline::table::{Entry, Table};
 use camus_telemetry::SpanSet;
 
 use crate::compile::CompilerOptions;
@@ -88,44 +84,6 @@ use crate::statics::{build_static, StaticPipeline};
 /// than this many allocated nodes per reachable node.
 const COMPACT_RATIO: usize = 2;
 
-/// Per-table entry delta of one update.
-///
-/// Carries everything a data plane needs to apply the update in place:
-/// the exact entries to pull and push (multiset semantics), plus the
-/// table's key/default shape so a table that first appears mid-session
-/// can be created on the fly. An update's deltas enumerate the *full*
-/// table list of the new program in execution order; tables that
-/// vanished entirely trail the list with `dropped` set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableDelta {
-    /// Table name.
-    pub table: String,
-    /// The table's keys (to create it if the data plane lacks it).
-    pub keys: Vec<Key>,
-    /// The table's miss action (ditto).
-    pub default_ops: Vec<ActionOp>,
-    /// Entries present now but not before.
-    pub adds: Vec<Entry>,
-    /// Entries present before but not now.
-    pub removes: Vec<Entry>,
-    /// Entries unchanged (reused on the switch).
-    pub kept: usize,
-    /// The table no longer exists in the new program.
-    pub dropped: bool,
-}
-
-impl TableDelta {
-    /// Number of entries added.
-    pub fn added(&self) -> usize {
-        self.adds.len()
-    }
-
-    /// Number of entries removed.
-    pub fn removed(&self) -> usize {
-        self.removes.len()
-    }
-}
-
 /// The result of one incremental installation.
 #[derive(Debug)]
 pub struct UpdateReport {
@@ -136,8 +94,6 @@ pub struct UpdateReport {
     pub rules_removed: usize,
     /// Conjunctions rejected as unsatisfiable.
     pub unsat_conjunctions: usize,
-    /// Per-table entry deltas vs. the previously installed tables.
-    pub deltas: Vec<TableDelta>,
     /// Total entries now installed.
     pub total_entries: usize,
     /// Entries the control plane would add.
@@ -146,84 +102,11 @@ pub struct UpdateReport {
     pub entries_removed: usize,
     /// Entries reused in place.
     pub entries_kept: usize,
-    /// Cumulative BDD apply-memo (hits, misses).
-    pub memo: (u64, u64),
     /// The update required a full recompile (a widened alphabet or a
-    /// new state slot): the statics may have moved, so consumers must
-    /// swap `pipeline` wholesale instead of splicing `deltas`.
+    /// new state slot): the statics may have moved.
     pub full_rebuild: bool,
     /// A fresh executable pipeline reflecting the updated program.
     pub pipeline: Pipeline,
-}
-
-impl UpdateReport {
-    /// Applies this update to a running pipeline in place.
-    ///
-    /// Delta updates splice the per-table entry diffs (only the
-    /// spliced tables are lowered again) and refresh the multicast
-    /// groups and initial-state assignment. Full rebuilds replace the
-    /// whole pipeline, carrying register state over positionally so
-    /// `@query_counter` windows survive the swap. Either way the
-    /// pipeline comes back prepared, its tables holding exactly the
-    /// entries of [`UpdateReport::pipeline`]'s, table by table.
-    ///
-    /// A delta only applies to the lineage it was diffed against: an
-    /// error means `pipeline` was not maintained from this session's
-    /// reports (an entry the delta removes is missing), and may leave
-    /// it partially updated.
-    pub fn apply_to(&self, pipeline: &mut Pipeline) -> Result<(), CompileError> {
-        if self.full_rebuild {
-            let old_registers = std::mem::take(&mut pipeline.registers);
-            *pipeline = self.pipeline.clone();
-            pipeline.registers.carry_from(&old_registers);
-        } else {
-            apply_delta(pipeline, &self.deltas)?;
-            pipeline.mcast = self.pipeline.mcast.clone();
-            pipeline.init_fields = self.pipeline.init_fields.clone();
-        }
-        pipeline.prepare();
-        Ok(())
-    }
-}
-
-/// Applies per-table entry deltas to a pipeline in place — the
-/// reusable core of the update plane.
-///
-/// The delta list is treated as the complete table enumeration of the
-/// new program (which is what [`IncrementalCompiler`] emits): tables
-/// are reordered to match it, tables appearing for the first time are
-/// created from the delta's carried keys, and `dropped` tables are
-/// removed. Entry removal uses multiset semantics; kept entries keep
-/// their relative order so equal-priority tie-breaks are stable. Any
-/// pre-existing table the deltas do not mention is kept untouched
-/// after the enumerated ones (this cannot happen for deltas from the
-/// owning session).
-pub fn apply_delta(pipeline: &mut Pipeline, deltas: &[TableDelta]) -> Result<(), CompileError> {
-    fn take(old: &mut [Option<Table>], name: &str) -> Option<Table> {
-        old.iter_mut()
-            .find(|t| t.as_ref().is_some_and(|t| t.name == name))
-            .and_then(Option::take)
-    }
-    let mut old: Vec<Option<Table>> = std::mem::take(&mut pipeline.tables)
-        .into_iter()
-        .map(Some)
-        .collect();
-    let mut tables = Vec::with_capacity(deltas.len());
-    for d in deltas {
-        if d.dropped {
-            take(&mut old, &d.table);
-            continue;
-        }
-        let mut t = match take(&mut old, &d.table) {
-            Some(t) => t,
-            None => Table::new(d.table.clone(), d.keys.clone(), d.default_ops.clone())?,
-        };
-        t.splice_entries(&d.removes, &d.adds)?;
-        tables.push(t);
-    }
-    tables.extend(old.into_iter().flatten());
-    pipeline.tables = tables;
-    Ok(())
 }
 
 /// One resolved conjunction as the BDD takes it: literals and the
@@ -327,8 +210,8 @@ impl IncrementalCompiler {
         self.rewrite(rules, resolved, &[])
     }
 
-    /// Applies a combined add/remove update, reporting through the
-    /// same delta channel whichever path it takes.
+    /// Applies a combined add/remove update, reporting the same counts
+    /// whichever path it takes.
     ///
     /// Additions and removals within the alphabet rewrite the live
     /// diagram (removals first) and come back as one entry diff.
@@ -430,7 +313,7 @@ impl IncrementalCompiler {
         // workers on every update.
         let (tables, initial_state, reachable) =
             emit_tables(&self.bdd, &self.statics, &mut self.es, 1)?;
-        let (deltas, added, removed, kept) = diff_tables(&tables, &mut self.installed);
+        let (added, removed, kept) = diff_tables(&tables, &mut self.installed);
         self.installed = tables
             .iter()
             .map(|t| {
@@ -460,12 +343,10 @@ impl IncrementalCompiler {
             rules_added: add.len(),
             rules_removed,
             unsat_conjunctions: unsat,
-            deltas,
             total_entries,
             entries_added: added,
             entries_removed: removed,
             entries_kept: kept,
-            memo: self.bdd.memo_stats(),
             full_rebuild: false,
             pipeline,
         })
@@ -502,15 +383,13 @@ impl IncrementalCompiler {
         fresh.pool = self.pool;
         let mut report = fresh.install(&target)?;
 
-        // The fresh session diffed against nothing; recompute the
-        // deltas against the tables this session had installed so the
-        // rebuild flows through the same reporting channel. (With a
-        // moved field layout entries may compare unequal even when
-        // behaviourally identical — the `full_rebuild` flag tells
-        // consumers to swap wholesale regardless.)
+        // The fresh session diffed against nothing; recount against
+        // the tables this session had installed, so a rebuild reports
+        // the transition like any update. (With a moved field layout
+        // entries may compare unequal even when behaviourally
+        // identical.)
         let mut old = std::mem::take(&mut self.installed);
-        let (deltas, added, removed, kept) = diff_tables(&report.pipeline.tables, &mut old);
-        report.deltas = deltas;
+        let (added, removed, kept) = diff_tables(&report.pipeline.tables, &mut old);
         report.entries_added = added;
         report.entries_removed = removed;
         report.entries_kept = kept;
@@ -522,71 +401,30 @@ impl IncrementalCompiler {
     }
 }
 
-/// Diffs freshly emitted tables against the previously installed
-/// multisets (consumed), returning the deltas — full table enumeration
-/// in execution order, dropped tables trailing — plus the aggregate
-/// (added, removed, kept) counts.
+/// Counts freshly emitted tables against the previously installed
+/// multisets (consumed): (added, removed, kept), multiset semantics. A
+/// table that disappeared entirely (a field's last predicate went away)
+/// counts all it held as removed.
 fn diff_tables(
     tables: &[Table],
     installed: &mut HashMap<String, HashMap<Entry, usize>>,
-) -> (Vec<TableDelta>, usize, usize, usize) {
-    let mut deltas = Vec::with_capacity(tables.len());
+) -> (usize, usize, usize) {
     let (mut added, mut removed, mut kept) = (0usize, 0usize, 0usize);
     for t in tables {
         let mut old = installed.remove(&t.name).unwrap_or_default();
-        let mut adds = Vec::new();
-        let mut kept_here = 0usize;
         for e in t.entries() {
             match old.get_mut(e) {
                 Some(c) if *c > 0 => {
                     *c -= 1;
-                    kept_here += 1;
+                    kept += 1;
                 }
-                _ => adds.push(e.clone()),
+                _ => added += 1,
             }
         }
-        let mut removes = Vec::new();
-        for (e, c) in &old {
-            for _ in 0..*c {
-                removes.push(e.clone());
-            }
-        }
-        added += adds.len();
-        removed += removes.len();
-        kept += kept_here;
-        deltas.push(TableDelta {
-            table: t.name.clone(),
-            keys: t.keys().to_vec(),
-            default_ops: t.default_ops.clone(),
-            adds,
-            removes,
-            kept: kept_here,
-            dropped: false,
-        });
+        removed += old.values().sum::<usize>();
     }
-    // Tables that disappeared entirely (a field's last predicate went
-    // away): everything they held is removed.
-    let mut dropped: Vec<(String, HashMap<Entry, usize>)> = installed.drain().collect();
-    dropped.sort_by(|a, b| a.0.cmp(&b.0));
-    for (name, old) in dropped {
-        let mut removes = Vec::new();
-        for (e, c) in &old {
-            for _ in 0..*c {
-                removes.push(e.clone());
-            }
-        }
-        removed += removes.len();
-        deltas.push(TableDelta {
-            table: name,
-            keys: Vec::new(),
-            default_ops: Vec::new(),
-            adds: Vec::new(),
-            removes,
-            kept: 0,
-            dropped: true,
-        });
-    }
-    (deltas, added, removed, kept)
+    removed += installed.values().flat_map(HashMap::values).sum::<usize>();
+    (added, removed, kept)
 }
 
 #[cfg(test)]
@@ -594,8 +432,9 @@ mod tests {
     use super::*;
     use camus_itch::Side;
     use camus_lang::{parse_program, parse_spec};
+    use camus_pipeline::table::ActionOp;
     use camus_pipeline::PortId;
-    use camus_workload::{entry_multisets, raw_add_order, EpochOracle};
+    use camus_workload::{entry_diff, entry_multisets, raw_add_order, EpochOracle};
 
     /// A one-share buy of `symbol` at `price`, as a raw add-order.
     fn order(symbol: &str, price: u32) -> Vec<u8> {
@@ -654,8 +493,9 @@ mod tests {
         assert!(r.entries_added > 0);
         assert!(
             r.entries_kept >= r.entries_removed,
-            "reuse should dominate churn: {:?}",
-            r.deltas
+            "reuse should dominate churn: {} kept, {} removed",
+            r.entries_kept,
+            r.entries_removed
         );
     }
 
@@ -719,17 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_accumulates_across_installs() {
-        let mut s = session(ALPHABET);
-        s.install(&parse_program("stock == GOOGL : fwd(1)").unwrap())
-            .unwrap();
-        let r = s
-            .install(&parse_program("stock == MSFT : fwd(2)").unwrap())
-            .unwrap();
-        assert!(r.memo.1 > 0, "misses counted");
-    }
-
-    #[test]
     fn empty_install_is_a_noop_diff() {
         let mut s = session(ALPHABET);
         s.install(&parse_program("stock == GOOGL : fwd(1)").unwrap())
@@ -741,16 +570,14 @@ mod tests {
     }
 
     /// Drives `steps` of `(add, remove, expect)` program text through
-    /// one session, replaying every report onto a mirror pipeline, and
-    /// after each step holds mirror and report to a cold compile of
-    /// `expect` and the interpreter on the probe packets. Every step
-    /// must stay on the delta path except those listed in `rebuilds`.
-    /// (The add-only prefix of `remove_and_add_in_one_update` is the
-    /// replay the retired `deltas_replay_onto_a_running_pipeline`
-    /// checked.)
+    /// one session and after each step holds the report's program to a
+    /// cold compile of `expect` and the interpreter on the probe
+    /// packets, and its counts to the entry diff from the previous
+    /// report's program. Every step must stay on the delta path except
+    /// those listed in `rebuilds`.
     fn check_delta_steps(steps: &[(&str, &str, &str)], rebuilds: &[usize]) {
         let mut s = session(ALPHABET);
-        let mut mirror = s.install(&[]).unwrap().pipeline;
+        let mut prev = s.install(&[]).unwrap().pipeline;
         let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
         let cold = crate::Compiler::new(spec.clone(), CompilerOptions::raw()).unwrap();
         let mut oracle = EpochOracle::new(&spec, |rules| cold.compile(rules).unwrap().pipeline);
@@ -762,14 +589,17 @@ mod tests {
             let (add, remove) = (parse_program(add).unwrap(), parse_program(remove).unwrap());
             let mut r = s.update(&add, &remove).unwrap();
             assert_eq!(r.full_rebuild, rebuilds.contains(&k), "step {k}");
-            r.apply_to(&mut mirror).unwrap();
-            assert_eq!(entry_multisets(&mirror), entry_multisets(&r.pipeline));
+            assert_eq!(
+                (r.entries_added, r.entries_removed, r.entries_kept),
+                entry_diff(&prev, &r.pipeline),
+                "step {k}"
+            );
             let expect = parse_program(expect).unwrap();
             assert_eq!(s.active_rules().len(), expect.len(), "step {k}");
             assert!(expect.iter().all(|r| s.active_rules().contains(r)));
             oracle.publish(&expect);
-            oracle.check_pipeline(&mut mirror, &probes);
             oracle.check_pipeline(&mut r.pipeline, &probes);
+            prev = r.pipeline;
         }
     }
 
@@ -779,19 +609,22 @@ mod tests {
         let rules = parse_program("stock == GOOGL : fwd(1)\nstock == MSFT : fwd(2)").unwrap();
         let r0 = s.update(&rules, &[]).unwrap();
         assert!(!r0.full_rebuild);
-        let mut mirror = r0.pipeline.clone();
 
-        // Remove the GOOGL rule: a handful of entry removals, spliced.
+        // Remove the GOOGL rule: a handful of entry removals.
         let remove = parse_program("stock == GOOGL : fwd(1)").unwrap();
         let r = s.update(&[], &remove).unwrap();
         assert!(!r.full_rebuild);
         assert_eq!(r.rules_removed, 1);
         assert!(r.entries_removed > 0 && r.entries_kept > 0, "{r:?}");
-        assert_eq!(s.active_rules().len(), 1);
-        r.apply_to(&mut mirror).unwrap();
-        assert!(mirror.process(&order("GOOGL", 1), 0).unwrap().dropped());
         assert_eq!(
-            mirror.process(&order("MSFT", 1), 0).unwrap().ports,
+            (r.entries_added, r.entries_removed, r.entries_kept),
+            entry_diff(&r0.pipeline, &r.pipeline)
+        );
+        assert_eq!(s.active_rules().len(), 1);
+        let mut p = r.pipeline;
+        assert!(p.process(&order("GOOGL", 1), 0).unwrap().dropped());
+        assert_eq!(
+            p.process(&order("MSFT", 1), 0).unwrap().ports,
             vec![PortId(2)]
         );
         // Removing an inactive rule is a no-op delta.
@@ -1248,7 +1081,7 @@ mod tests {
             )
             .unwrap();
         assert!(r.full_rebuild);
-        // The delta channel reports the transition, not a from-scratch
+        // The counts report the transition, not a from-scratch
         // install: some entries survive the rebuild unchanged.
         assert!(r.entries_kept > 0, "{r:?}");
         assert!(r.entries_removed > 0, "{r:?}");

@@ -58,7 +58,7 @@ pub mod statics;
 pub use compile::{CompiledProgram, Compiler, CompilerOptions, Encap};
 pub use dynamic::CompileStats;
 pub use error::CompileError;
-pub use incremental::{apply_delta, IncrementalCompiler, TableDelta, UpdateReport};
+pub use incremental::{IncrementalCompiler, UpdateReport};
 pub use partition::{
     full_mask, owner_in_subset, owner_of, rule_owners, PartitionPlan, TableAssignment,
 };

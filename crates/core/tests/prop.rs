@@ -197,15 +197,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
-    /// Live churn: random update sequences driven through
-    /// `IncrementalCompiler::update` and replayed onto a running
-    /// pipeline with `UpdateReport::apply_to` must forward identically
-    /// to a fresh full compile of the cumulative rule set after every
-    /// step (and both must match the naive interpreter), its tables
-    /// holding exactly the entries of the program the report carries.
-    /// Covers delta adds, delta removals (strip + re-assert) and the
-    /// out-of-alphabet fallback — the only step allowed to be a full
-    /// rebuild.
+    /// Live churn: after every step of a random update sequence
+    /// driven through `IncrementalCompiler::update`, the report's
+    /// program must forward identically to a fresh full compile of the
+    /// cumulative rule set (and both must match the naive interpreter),
+    /// and its entry counts must be the diff from the previous report's
+    /// program. Covers delta adds, delta removals (strip + re-assert)
+    /// and the out-of-alphabet fallback — the only step allowed to be a
+    /// full rebuild.
     #[test]
     fn incremental_churn_matches_full_recompile(
         seed in 0u64..100_000,
@@ -213,7 +212,7 @@ proptest! {
         out_of_alphabet in 0usize..2,
     ) {
         use camus_core::IncrementalCompiler;
-        use camus_workload::{entry_multisets, siena_churn, ChurnConfig, EpochOracle, SienaConfig};
+        use camus_workload::{entry_diff, siena_churn, ChurnConfig, EpochOracle, SienaConfig};
 
         let siena = SienaConfig {
             int_attributes: 2,
@@ -237,22 +236,22 @@ proptest! {
         let opts = CompilerOptions::raw();
 
         let mut session = IncrementalCompiler::new(spec.clone(), &opts, &plan.base.rules).unwrap();
-        let mut mirror = session.install(&plan.schedule.initial).unwrap().pipeline;
+        let mut prev = session.install(&plan.schedule.initial).unwrap().pipeline;
         let full_compiler = Compiler::new(spec.clone(), opts).unwrap();
         let mut oracle = EpochOracle::new(&spec, |r| full_compiler.compile(r).unwrap().pipeline);
         let events = siena.generate_events(&plan.base, 10);
 
         for (k, step) in plan.schedule.steps.iter().enumerate() {
-            let report = session.update(&step.add, &step.remove).unwrap();
-            report.apply_to(&mut mirror).unwrap();
+            let mut report = session.update(&step.add, &step.remove).unwrap();
             prop_assert!(out_of_alphabet > 0 || !report.full_rebuild, "step {}", k);
-            let carried = entry_multisets(&report.pipeline);
-            prop_assert_eq!(entry_multisets(&mirror), carried, "step {}", k);
+            let counts = (report.entries_added, report.entries_removed, report.entries_kept);
+            prop_assert_eq!(counts, entry_diff(&prev, &report.pipeline), "step {}", k);
 
             let active = plan.schedule.rules_after(k + 1);
             prop_assert_eq!(session.active_rules(), active.as_slice());
             oracle.publish(&active);
-            oracle.check_pipeline(&mut mirror, &events);
+            oracle.check_pipeline(&mut report.pipeline, &events);
+            prev = report.pipeline;
         }
     }
 }
@@ -261,7 +260,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     /// Adding rules and removing them again returns the program to
-    /// where it was: the spliced pipeline forwards every sampled event
+    /// where it was: the taken-back program forwards every sampled event
     /// as it did before the add, the leaf table has exactly the rows it
     /// had, and — once the session's diagram is its own product rather
     /// than the cold compiler's (one warm-up round; removal does not
@@ -280,7 +279,7 @@ proptest! {
         extra in 1usize..4,
     ) {
         use camus_core::IncrementalCompiler;
-        use camus_workload::{entry_multisets, EpochOracle, SienaConfig};
+        use camus_workload::{entry_diff, EpochOracle, SienaConfig};
 
         let siena = SienaConfig {
             subscriptions: 8 + extra,
@@ -297,7 +296,6 @@ proptest! {
         let mut session =
             IncrementalCompiler::new(wl.spec.clone(), &CompilerOptions::raw(), &wl.rules).unwrap();
         let cold = session.install(base).unwrap();
-        let mut mirror = cold.pipeline.clone();
         let compiler = Compiler::new(wl.spec.clone(), CompilerOptions::raw()).unwrap();
         let mut oracle = EpochOracle::new(&wl.spec, |r| compiler.compile(r).unwrap().pipeline);
         oracle.publish(base);
@@ -316,16 +314,19 @@ proptest! {
             ([added, &novel].concat(), &base[extra..2 * extra]),
         ];
         let mut before_add = sizes(&cold.pipeline);
+        let mut prev = cold.pipeline;
         for (round, (adds, removes)) in batches.iter().enumerate() {
-            session.update(adds, removes).unwrap().apply_to(&mut mirror).unwrap();
-            let back = session.update(removes, adds).unwrap();
+            let there = session.update(adds, removes).unwrap();
+            let mut back = session.update(removes, adds).unwrap();
             prop_assert!(!back.full_rebuild, "the inverse is always a rewrite");
-            back.apply_to(&mut mirror).unwrap();
-            prop_assert_eq!(entry_multisets(&mirror), entry_multisets(&back.pipeline));
+            for (from, r) in [(&prev, &there), (&there.pipeline, &back)] {
+                let counts = (r.entries_added, r.entries_removed, r.entries_kept);
+                prop_assert_eq!(counts, entry_diff(from, &r.pipeline), "round {}", round);
+            }
             let active = session.active_rules();
             prop_assert!(active.len() == base.len() && base.iter().all(|r| active.contains(r)));
 
-            let after = sizes(&mirror);
+            let after = sizes(&back.pipeline);
             prop_assert_eq!(after.last(), before_add.last(), "leaf rows, round {}", round);
             if round == 1 {
                 for (name, n) in &after {
@@ -333,8 +334,9 @@ proptest! {
                     prop_assert!(*n <= was, "{}: {} entries, {} before the add", name, n, was);
                 }
             }
-            oracle.check_pipeline(&mut mirror, &events);
+            oracle.check_pipeline(&mut back.pipeline, &events);
             before_add = after;
+            prev = back.pipeline;
         }
     }
 }

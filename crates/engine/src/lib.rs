@@ -42,18 +42,16 @@
 //! that pair in one call for the incremental compiler (§3's "highly
 //! dynamic queries"): the program an
 //! [`UpdateReport`](camus_core::UpdateReport) carries *is* the next
-//! generation. Workers only ever adopt a whole `Arc<Pipeline>`, so the
-//! report's per-table entry deltas — what a hardware control plane
-//! would push — are not replayed here; the engine installs what the
-//! session emitted and keeps no second derivation of it. Workers poll
-//! the counter once per batch and adopt the published pipeline at the
-//! batch boundary, carrying their `@query_counter` register state and
-//! execution counters over — so every packet is processed by exactly
-//! one complete rule-set generation, none is dropped during an update,
-//! and stateful windows never reset. [`Engine::quiesce`] drains every
-//! in-flight batch, after which forwarding is bit-identical to a fresh
-//! full compile of the cumulative rule set (the differential churn
-//! tests enforce this).
+//! generation. Workers only ever adopt a whole `Arc<Pipeline>`: the
+//! engine installs what the session emitted and keeps no second
+//! derivation of it. Workers poll the counter once per batch and adopt
+//! the published pipeline at the batch boundary, carrying their
+//! `@query_counter` register state and execution counters over — so
+//! every packet is processed by exactly one complete rule-set
+//! generation, none is dropped during an update, and stateful windows
+//! never reset. [`Engine::quiesce`] drains every in-flight batch, after
+//! which forwarding is bit-identical to a fresh full compile of the
+//! cumulative rule set (the differential churn tests enforce this).
 //!
 //! ## Fault tolerance
 //!
@@ -1067,8 +1065,8 @@ impl Engine {
     /// alike (the flag only picks the counter), with the installed
     /// register file carried over so a respawned worker starts from the
     /// same `@query_counter` state as before. Nothing is re-derived
-    /// from the report's entry deltas, so an update can only fail the
-    /// way [`Engine::stage`] does: on [`EngineFault::Admission`] the
+    /// from the report, so an update can only fail the way
+    /// [`Engine::stage`] does: on [`EngineFault::Admission`] the
     /// installed state is untouched — no generation bump,
     /// entry-for-entry identical tables. A candidate that was already
     /// staged is replaced — a successful update leaves nothing staged.
@@ -1394,6 +1392,11 @@ mod tests {
     /// One-byte-symbol pipeline: byte b forwards to port b for b in
     /// 1..=4; other bytes miss and drop.
     fn byte_pipeline() -> Pipeline {
+        byte_pipeline_sending_1_to(1)
+    }
+
+    /// [`byte_pipeline`], except that byte 1 forwards to `port`.
+    fn byte_pipeline_sending_1_to(port: u16) -> Pipeline {
         let mut layout = PhvLayout::new();
         let sym = layout.add("sym", 8);
         let parser = ParserSpec::new(
@@ -1422,11 +1425,12 @@ mod tests {
         )
         .unwrap();
         for b in 1u64..=4 {
+            let to = if b == 1 { port } else { b as u16 };
             table
                 .add_entry(Entry {
                     priority: 0,
                     matches: vec![MatchValue::Exact(b)],
-                    ops: vec![ActionOp::Forward(PortId(b as u16))],
+                    ops: vec![ActionOp::Forward(PortId(to))],
                 })
                 .unwrap();
         }
@@ -1577,17 +1581,8 @@ mod tests {
     #[test]
     fn stage_then_commit_swaps_rules_at_a_quiescence_point() {
         let pipeline = byte_pipeline();
-        // Alternate generation: byte 1 forwards to port 9 instead of 1,
-        // spliced in via the same table API the delta path uses.
-        let mut alt = byte_pipeline();
-        let entry = |port| Entry {
-            priority: 0,
-            matches: vec![MatchValue::Exact(1)],
-            ops: vec![ActionOp::Forward(PortId(port))],
-        };
-        alt.tables[0]
-            .splice_entries(&[entry(1)], &[entry(9)])
-            .unwrap();
+        // Alternate generation: byte 1 forwards to port 9 instead of 1.
+        let alt = byte_pipeline_sending_1_to(9);
 
         let cfg = EngineConfig {
             workers: 2,
@@ -1609,8 +1604,10 @@ mod tests {
         engine.stage(pipeline.clone()).unwrap();
         engine.stage(alt.clone()).unwrap();
         assert_eq!(engine.generation(), 0);
-        let installs =
-            |e: &Engine, port| e.installed_tables()[0].entries().any(|x| *x == entry(port));
+        let installs = |e: &Engine, port| {
+            let fwd = [ActionOp::Forward(PortId(port))];
+            e.installed_tables()[0].entries().any(|x| x.ops == fwd)
+        };
         assert!(installs(&engine, 1) && !installs(&engine, 9));
         assert!(engine.commit());
         assert_eq!(engine.generation(), 1);
@@ -1669,15 +1666,7 @@ mod tests {
     #[test]
     fn coalesced_generations_are_counted() {
         let pipeline = byte_pipeline();
-        let mut alt = byte_pipeline();
-        let entry = |port| Entry {
-            priority: 0,
-            matches: vec![MatchValue::Exact(1)],
-            ops: vec![ActionOp::Forward(PortId(port))],
-        };
-        alt.tables[0]
-            .splice_entries(&[entry(1)], &[entry(9)])
-            .unwrap();
+        let alt = byte_pipeline_sending_1_to(9);
         let cfg = EngineConfig {
             workers: 1,
             batch_packets: 8,
@@ -1955,15 +1944,7 @@ mod tests {
         // port 1 for byte 1, swap in a program that forwards byte 1 to
         // port 9, and check no stale hit leaks through.
         let pipeline = byte_pipeline();
-        let mut alt = byte_pipeline();
-        let entry = |port| Entry {
-            priority: 0,
-            matches: vec![MatchValue::Exact(1)],
-            ops: vec![ActionOp::Forward(PortId(port))],
-        };
-        alt.tables[0]
-            .splice_entries(&[entry(1)], &[entry(9)])
-            .unwrap();
+        let alt = byte_pipeline_sending_1_to(9);
         let cfg = EngineConfig {
             workers: 1,
             batch_packets: 4,

@@ -189,12 +189,21 @@ fn unquiesced_churn_never_shows_a_half_applied_rule_set() {
     assert_eq!(oracle.check(&decisions, Delivery::AtOrAfter), 0);
 }
 
+/// Installs `report`'s program on a sequential reference by hand: the
+/// new tables, the old register file carried over.
+fn install_on_reference(reference: &mut Pipeline, report: &UpdateReport) {
+    let old = std::mem::take(&mut reference.registers);
+    *reference = report.pipeline.clone();
+    reference.registers.carry_from(&old);
+    reference.prepare();
+}
+
 /// `@query_counter` state survives updates: a delta add, a delta
 /// removal and then a full-rebuild update (an out-of-alphabet add) are
 /// applied mid-stream, and the engine's decisions stay bit-identical to
-/// a sequential executor whose pipeline is updated through the same
-/// `UpdateReport`s at the same packet boundaries. A reset counter would
-/// visibly diverge (the threshold rule would stop firing).
+/// a sequential executor that installs the same `UpdateReport`s at the
+/// same packet boundaries. A reset counter would visibly diverge (the
+/// threshold rule would stop firing).
 #[test]
 fn query_counter_state_survives_delta_and_full_rebuild_updates() {
     let spec = itch_spec();
@@ -237,8 +246,8 @@ fn query_counter_state_survives_delta_and_full_rebuild_updates() {
     engine.quiesce().unwrap();
     let msft = parse_program("stock == MSFT : fwd(2)").unwrap();
     let delta: UpdateReport = session.update(&msft, &[]).unwrap();
-    assert!(!delta.full_rebuild, "in-alphabet add should splice");
-    delta.apply_to(&mut sequential).unwrap();
+    assert!(!delta.full_rebuild, "in-alphabet add should be a delta");
+    install_on_reference(&mut sequential, &delta);
     engine.apply_update(&delta).unwrap();
     feed(
         &mut engine,
@@ -247,11 +256,14 @@ fn query_counter_state_survives_delta_and_full_rebuild_updates() {
         &mixed(4, "MSFT"),
     );
 
-    // Delta removal: spliced as well, and the window survives it.
+    // Delta removal: the window survives it too.
     engine.quiesce().unwrap();
     let removal = session.update(&[], &msft).unwrap();
-    assert!(!removal.full_rebuild, "in-alphabet removal should splice");
-    removal.apply_to(&mut sequential).unwrap();
+    assert!(
+        !removal.full_rebuild,
+        "in-alphabet removal should be a delta"
+    );
+    install_on_reference(&mut sequential, &removal);
     engine.apply_update(&removal).unwrap();
     feed(
         &mut engine,
@@ -267,7 +279,7 @@ fn query_counter_state_survives_delta_and_full_rebuild_updates() {
         .update(&parse_program("stock == AAPL : fwd(4)").unwrap(), &[])
         .unwrap();
     assert!(rebuild.full_rebuild, "a new predicate forces a rebuild");
-    rebuild.apply_to(&mut sequential).unwrap();
+    install_on_reference(&mut sequential, &rebuild);
     engine.apply_update(&rebuild).unwrap();
     feed(
         &mut engine,

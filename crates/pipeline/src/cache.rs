@@ -38,8 +38,7 @@
 //! ([`invalidate_all`](DecisionCache::invalidate_all) keeps the slot
 //! storage and counters, so adoption stays allocation-light), and the
 //! sequential path's [`Pipeline::prepare`] clears the cache whenever a
-//! table was mutated (`splice_entries` / `add_entry` drop its prepared
-//! form).
+//! table was mutated (`add_entry` drops its prepared form).
 //!
 //! [`Pipeline::prepare`]: crate::pipeline::Pipeline::prepare
 //! [`Pipeline::cacheable_on`]: crate::pipeline::Pipeline::cacheable_on

@@ -42,12 +42,6 @@ pub enum PipelineError {
         /// Key position.
         key: usize,
     },
-    /// A delta asked to remove an entry the table does not hold —
-    /// the control plane and data plane have diverged.
-    EntryNotFound {
-        /// Table name.
-        table: String,
-    },
     /// A table's key list is not one the interval index holds (`[]`,
     /// `[Exact]`, `[Range]`, `[Exact, Exact|Range]`).
     UnsupportedKeys {
@@ -103,9 +97,6 @@ impl fmt::Display for PipelineError {
                     f,
                     "table `{table}`: match value incompatible with key {key}"
                 )
-            }
-            PipelineError::EntryNotFound { table } => {
-                write!(f, "table `{table}`: entry to remove is not installed")
             }
             PipelineError::UnsupportedKeys { table } => {
                 write!(f, "table `{table}`: key list cannot be lowered")

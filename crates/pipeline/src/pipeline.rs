@@ -341,9 +341,9 @@ impl ExecState {
     }
 
     /// Drops every memoized decision, or the whole cache when `program`
-    /// is no longer a pure function of the key field (e.g. a splice or
-    /// a new generation added a stateful rule): caching it would be
-    /// unsound.
+    /// is no longer a pure function of the key field (e.g. an added
+    /// entry or a new generation brought a stateful rule): caching it
+    /// would be unsound.
     fn revalidate_cache(&mut self, program: &Pipeline) {
         if let Some(c) = self.cache.as_deref_mut() {
             if program.cacheable_on(c.key_field()) {
@@ -1329,7 +1329,14 @@ mod tests {
         // a batch of parse drops never looks a table up.
         let mut p = cacheable_pipeline();
         let mut ctx = p.new_shard_ctx();
-        p.tables[0].splice_entries(&[], &[]).unwrap();
+        // A row no packet of the batch hits.
+        p.tables[0]
+            .add_entry(Entry {
+                priority: 0,
+                matches: vec![MatchValue::Exact(200)],
+                ops: vec![ActionOp::Drop],
+            })
+            .unwrap();
         let mut out = DecisionBuf::default();
         let batch: Vec<(&[u8], u64)> = vec![(&[][..], 0), (&[1][..], 1), (&[2][..], 2)];
         assert!(matches!(

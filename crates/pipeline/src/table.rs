@@ -16,7 +16,7 @@
 //! from one flat op vector, never from the entry itself.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::BinaryHeap;
 
 use fxhash::FxHashMap;
 
@@ -469,58 +469,6 @@ impl Table {
         Ok(())
     }
 
-    /// Removes one occurrence of `entry` (the first in insertion
-    /// order).
-    pub fn remove_entry(&mut self, entry: &Entry) -> Result<(), PipelineError> {
-        self.splice_entries(std::slice::from_ref(entry), &[])
-    }
-
-    /// Applies a batched entry diff: removes one occurrence per entry
-    /// in `removes` (multiset semantics), then appends every entry in
-    /// `adds` — all-or-nothing, validated up front; the table is
-    /// lowered again at the next `prepare`. Kept entries preserve
-    /// their relative insertion order, so equal-priority tie-breaks
-    /// stay stable across a splice.
-    pub fn splice_entries(
-        &mut self,
-        removes: &[Entry],
-        adds: &[Entry],
-    ) -> Result<(), PipelineError> {
-        for a in adds {
-            self.validate_entry(a)?;
-        }
-        let mut drop = vec![false; self.entries.len()];
-        if !removes.is_empty() {
-            // One index over the current entries, consumed front-first
-            // per removal — earliest-occurrence multiset semantics at
-            // O(n + r) instead of a scan per removal.
-            let mut occurrences: HashMap<&Entry, VecDeque<usize>> = HashMap::new();
-            for (i, e) in self.entries.iter().enumerate() {
-                occurrences.entry(e).or_default().push_back(i);
-            }
-            for r in removes {
-                let i = occurrences
-                    .get_mut(r)
-                    .and_then(|q| q.pop_front())
-                    .ok_or_else(|| PipelineError::EntryNotFound {
-                        table: self.name.clone(),
-                    })?;
-                drop[i] = true;
-            }
-        }
-        if !removes.is_empty() {
-            let mut i = 0;
-            self.entries.retain(|_| {
-                let keep = !drop[i];
-                i += 1;
-                keep
-            });
-        }
-        self.entries.extend(adds.iter().cloned());
-        self.prepared = None;
-        Ok(())
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -826,181 +774,6 @@ mod tests {
         assert!(!t.is_prepared());
         assert_eq!(t.lookup(&phv), unprepared);
         assert!(hit(&mut t, &phv).is_some());
-        t.splice_entries(&[], &[]).unwrap();
-        assert_eq!(t.lookup(&phv), unprepared);
-    }
-
-    #[test]
-    fn splice_removes_then_adds() {
-        let (l, _s, f) = layout2();
-        let mut t = Table::new(
-            "t",
-            vec![Key {
-                field: f,
-                kind: MatchKind::Exact,
-                bits: 64,
-            }],
-            vec![],
-        )
-        .unwrap();
-        let e = |v, port| Entry {
-            priority: 0,
-            matches: vec![MatchValue::Exact(v)],
-            ops: vec![ActionOp::Forward(PortId(port))],
-        };
-        t.add_entry(e(1, 10)).unwrap();
-        t.add_entry(e(2, 20)).unwrap();
-        t.add_entry(e(2, 20)).unwrap(); // duplicate: multiset semantics
-        t.splice_entries(&[e(2, 20)], &[e(3, 30)]).unwrap();
-        assert_eq!(t.len(), 3);
-        let mut got = |v: u64| {
-            let mut phv = l.instantiate();
-            phv.set(f, v);
-            hit(&mut t, &phv)
-        };
-        assert_eq!(got(1), Some(vec![ActionOp::Forward(PortId(10))]));
-        // One duplicate removed, one kept.
-        assert_eq!(got(2), Some(vec![ActionOp::Forward(PortId(20))]));
-        assert_eq!(got(3), Some(vec![ActionOp::Forward(PortId(30))]));
-    }
-
-    #[test]
-    fn splice_is_all_or_nothing() {
-        let (l, _s, f) = layout2();
-        let mut t = Table::new(
-            "t",
-            vec![Key {
-                field: f,
-                kind: MatchKind::Exact,
-                bits: 64,
-            }],
-            vec![],
-        )
-        .unwrap();
-        let e = |v| Entry {
-            priority: 0,
-            matches: vec![MatchValue::Exact(v)],
-            ops: vec![ActionOp::Drop],
-        };
-        t.add_entry(e(1)).unwrap();
-        // Removing a present entry and an absent one fails without
-        // touching the table.
-        assert!(matches!(
-            t.splice_entries(&[e(1), e(9)], &[]),
-            Err(PipelineError::EntryNotFound { .. })
-        ));
-        assert_eq!(t.len(), 1);
-        // A bad add is rejected before any remove is applied.
-        let bad = Entry {
-            priority: 0,
-            matches: vec![],
-            ops: vec![],
-        };
-        assert!(t.splice_entries(&[e(1)], &[bad]).is_err());
-        assert_eq!(t.len(), 1);
-        let mut phv = l.instantiate();
-        phv.set(f, 1);
-        assert!(hit(&mut t, &phv).is_some());
-    }
-
-    #[test]
-    fn splice_duplicate_removes_consume_distinct_occurrences() {
-        let (_l, _s, f) = layout2();
-        let mut t = Table::new(
-            "t",
-            vec![Key {
-                field: f,
-                kind: MatchKind::Exact,
-                bits: 64,
-            }],
-            vec![],
-        )
-        .unwrap();
-        let e = |v| Entry {
-            priority: 0,
-            matches: vec![MatchValue::Exact(v)],
-            ops: vec![ActionOp::Drop],
-        };
-        t.add_entry(e(1)).unwrap();
-        t.add_entry(e(1)).unwrap();
-        t.add_entry(e(2)).unwrap();
-        // Two removes of the same entry consume both copies.
-        t.splice_entries(&[e(1), e(1)], &[]).unwrap();
-        assert_eq!(t.len(), 1);
-        // A third remove has nothing left to consume.
-        assert!(matches!(
-            t.splice_entries(&[e(2), e(2)], &[]),
-            Err(PipelineError::EntryNotFound { .. })
-        ));
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn remove_entry_takes_first_occurrence() {
-        let (l, _s, f) = layout2();
-        let mut t = Table::new(
-            "t",
-            vec![Key {
-                field: f,
-                kind: MatchKind::Exact,
-                bits: 64,
-            }],
-            vec![],
-        )
-        .unwrap();
-        let e = |v| Entry {
-            priority: 0,
-            matches: vec![MatchValue::Exact(v)],
-            ops: vec![ActionOp::Drop],
-        };
-        t.add_entry(e(5)).unwrap();
-        t.add_entry(e(5)).unwrap();
-        t.remove_entry(&e(5)).unwrap();
-        assert_eq!(t.len(), 1);
-        t.remove_entry(&e(5)).unwrap();
-        assert!(t.is_empty());
-        assert!(t.remove_entry(&e(5)).is_err());
-        let mut phv = l.instantiate();
-        phv.set(f, 5);
-        assert!(hit(&mut t, &phv).is_none());
-    }
-
-    #[test]
-    fn prepared_form_after_splice_stays_correct() {
-        // A state whose only row is spliced out must miss, not hit a
-        // stale run.
-        let (l, state, stock) = layout2();
-        let mut t = Table::new(
-            "t",
-            vec![
-                Key {
-                    field: state,
-                    kind: MatchKind::Exact,
-                    bits: 16,
-                },
-                Key {
-                    field: stock,
-                    kind: MatchKind::Exact,
-                    bits: 64,
-                },
-            ],
-            vec![],
-        )
-        .unwrap();
-        let e = |s, v| Entry {
-            priority: 0,
-            matches: vec![MatchValue::Exact(s), MatchValue::Exact(v)],
-            ops: vec![ActionOp::Drop],
-        };
-        t.add_entry(e(1, 10)).unwrap();
-        t.add_entry(e(2, 20)).unwrap();
-        t.prepare();
-        t.splice_entries(&[e(1, 10)], &[e(3, 30)]).unwrap();
-        t.prepare();
-        for (s, v, hit) in [(1u64, 10u64, false), (2, 20, true), (3, 30, true)] {
-            let phv = phv_with(&l, state, stock, s, v);
-            assert_eq!(t.lookup(&phv).unwrap().is_some(), hit, "state={s}");
-        }
     }
 
     /// `(state: exact, value: range)` — the compiled-table shape.
@@ -1128,10 +901,11 @@ mod tests {
         t.add_entry(tagged(3, MatchValue::Exact(1), MatchValue::Any, 2))
             .unwrap();
         assert_eq!(tag(&mut t, &at(1, 42)), Some(1));
-        // Removing one copy leaves the other, still ahead of tag 2.
-        t.remove_entry(&dup).unwrap();
-        assert_eq!(tag(&mut t, &at(1, 42)), Some(1));
-        t.remove_entry(&dup).unwrap();
+        // Inserted the other way round, tag 2 wins.
+        let mut t = state_range_table(state, value);
+        t.add_entry(tagged(3, MatchValue::Exact(1), MatchValue::Any, 2))
+            .unwrap();
+        t.add_entry(dup).unwrap();
         assert_eq!(tag(&mut t, &at(1, 42)), Some(2));
     }
 

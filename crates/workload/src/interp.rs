@@ -94,8 +94,7 @@ pub(crate) fn naive_ports_for_feed(spec: &Spec, rules: &[Rule], packet: &[u8]) -
 }
 
 /// Every table's entries as a sorted multiset, in table order — how the
-/// differential tests hold a pipeline maintained by splicing deltas to
-/// the program the same report carries.
+/// differential tests compare two programs' tables.
 pub fn entry_multisets(pipeline: &camus_pipeline::Pipeline) -> Vec<(String, Vec<String>)> {
     let rows = |t: &camus_pipeline::Table| {
         let mut rows: Vec<String> = t.entries().map(|e| format!("{e:?}")).collect();
@@ -103,6 +102,34 @@ pub fn entry_multisets(pipeline: &camus_pipeline::Pipeline) -> Vec<(String, Vec<
         (t.name.clone(), rows)
     };
     pipeline.tables.iter().map(rows).collect()
+}
+
+/// `(added, removed, kept)` entries from `before` to `after`, table by
+/// table over [`entry_multisets`]: a row is kept as often as both
+/// programs' same-named table holds it. What an update report's
+/// `entries_*` counts must say.
+pub fn entry_diff(
+    before: &camus_pipeline::Pipeline,
+    after: &camus_pipeline::Pipeline,
+) -> (usize, usize, usize) {
+    let before = entry_multisets(before);
+    let after = entry_multisets(after);
+    let total = |m: &[(String, Vec<String>)]| m.iter().map(|(_, rows)| rows.len()).sum::<usize>();
+    let mut kept = 0;
+    for (name, new) in &after {
+        let Some((_, old)) = before.iter().find(|(n, _)| n == name) else {
+            continue;
+        };
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() && j < new.len() {
+            match old[i].cmp(&new[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => (i, j, kept) = (i + 1, j + 1, kept + 1),
+            }
+        }
+    }
+    (total(&after) - kept, total(&before) - kept, kept)
 }
 
 #[cfg(test)]

@@ -48,7 +48,7 @@ pub use faults::{
     capacity_bomb, ChaosConfig, ChaosPlan, FaultPlan, FaultPlanConfig, Mutation, NodeEvent,
     NodeEventKind,
 };
-pub use interp::{entry_multisets, eval_cond, naive_ports};
+pub use interp::{entry_diff, entry_multisets, eval_cond, naive_ports};
 pub use itch_subs::{generate_itch_subscriptions, ItchSubsConfig};
 pub use oracle::{
     event, ports, random_add_orders, raw_add_order, Delivery, EpochOracle, EVENT_SPEC,

@@ -1,5 +1,5 @@
 //! The differential oracle, written once: a system under test — a
-//! spliced session mirror, an engine, a fabric, the daemon — decides
+//! session's report, an engine, a fabric, the daemon — decides
 //! every packet like a *fresh* big-switch compile of the rule set live
 //! when the packet was submitted (SNAP's one-big-switch), and like the
 //! naive AST interpreter ([`crate::interp`]) wherever that can decode
@@ -143,10 +143,9 @@ impl<'a> EpochOracle<'a> {
         missing
     }
 
-    /// Checks a pipeline the caller maintains (a spliced mirror, a
-    /// session's report, a sharded compile) on `events` against the
-    /// current generation: the fresh program's decision, and the
-    /// interpreter.
+    /// Checks a pipeline the caller holds (a session's report, a
+    /// sharded compile) on `events` against the current generation: the
+    /// fresh program's decision, and the interpreter.
     pub fn check_pipeline(&mut self, pipeline: &mut Pipeline, events: &[Vec<u8>]) {
         let g = self.current();
         let fresh = &mut self.generations[g];

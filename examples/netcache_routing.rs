@@ -135,14 +135,8 @@ fn main() {
         "gen2 (hot keys pinned): +{} -{} entries, {} reused in place",
         r2.entries_added, r2.entries_removed, r2.entries_kept
     );
-    for d in &r2.deltas {
-        println!(
-            "  {:<18} +{} -{} ={}",
-            d.table,
-            d.added(),
-            d.removed(),
-            d.kept
-        );
+    for t in &r2.pipeline.tables {
+        println!("  {:<18} {} entries", t.name, t.len());
     }
     engine.apply_update(&r2).expect("gen2 swaps in");
     for pkt in &trace {

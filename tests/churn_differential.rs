@@ -1,12 +1,11 @@
 //! Differential testing of live subscription churn: random update
-//! sequences driven through [`IncrementalCompiler::update`], with the
-//! deltas replayed onto a running pipeline step by step. After every
-//! step the updated pipeline must forward identically to a fresh full
+//! sequences driven through [`IncrementalCompiler::update`]. After
+//! every step the report's program — what the engine and the fabric
+//! install — must forward identically to a fresh full
 //! `Compiler::compile` of the cumulative rule set and with the naive
 //! AST interpreter (`camus::workload::EpochOracle`, the oracle every
-//! differential suite shares). The spliced tables
-//! must also hold exactly the entries of the program the report
-//! carries, which is what the engine and the fabric install.
+//! differential suite shares), and the report's entry counts must be
+//! the diff from the previous step's program.
 //!
 //! Sequences mix both directions of the delta path (adds and removals
 //! inside the alphabet — a removal strips the rule from the live
@@ -15,7 +14,7 @@
 //! every update plane route is covered.
 
 use camus::compiler::{Compiler, CompilerOptions, IncrementalCompiler};
-use camus::workload::{entry_multisets, siena_churn, ChurnConfig, EpochOracle, SienaConfig};
+use camus::workload::{entry_diff, siena_churn, ChurnConfig, EpochOracle, SienaConfig};
 
 /// Dense Siena rules (plenty of overlap and matches) for `seed`.
 fn siena(seed: u64) -> SienaConfig {
@@ -42,8 +41,9 @@ fn churn(seed: u64, removes_per_step: usize) -> ChurnConfig {
     }
 }
 
-/// Runs one random update sequence and checks the pipeline after every
-/// step against a fresh full compile and the interpreter.
+/// Runs one random update sequence and checks each report after every
+/// step against a fresh full compile, the interpreter and the entry
+/// diff from the previous report's program.
 fn run_churn_sequence(siena: &SienaConfig, churn: &ChurnConfig, out_of_alphabet: usize) {
     let seed = siena.seed;
     let plan = siena_churn(siena, churn, out_of_alphabet);
@@ -52,11 +52,10 @@ fn run_churn_sequence(siena: &SienaConfig, churn: &ChurnConfig, out_of_alphabet:
 
     let mut session =
         IncrementalCompiler::new(spec.clone(), &opts, &plan.base.rules).expect("alphabet resolves");
-    let report = session
+    let mut prev = session
         .install(&plan.schedule.initial)
-        .expect("initial install");
-    // The running pipeline: only ever touched through `apply_to`.
-    let mut mirror = report.pipeline.clone();
+        .expect("initial install")
+        .pipeline;
 
     let full_compiler = Compiler::new(spec.clone(), opts).expect("spec compiles");
     let mut oracle = EpochOracle::new(&spec, |r| full_compiler.compile(r).unwrap().pipeline);
@@ -64,13 +63,19 @@ fn run_churn_sequence(siena: &SienaConfig, churn: &ChurnConfig, out_of_alphabet:
     let mut full_rebuilds = 0usize;
 
     for (k, step) in plan.schedule.steps.iter().enumerate() {
-        let report = session
+        let mut report = session
             .update(&step.add, &step.remove)
             .expect("update compiles");
-        report.apply_to(&mut mirror).expect("update applies");
         full_rebuilds += usize::from(report.full_rebuild);
-        let carried = entry_multisets(&report.pipeline);
-        assert_eq!(entry_multisets(&mirror), carried, "seed {seed} step {k}");
+        assert_eq!(
+            (
+                report.entries_added,
+                report.entries_removed,
+                report.entries_kept
+            ),
+            entry_diff(&prev, &report.pipeline),
+            "seed {seed} step {k}"
+        );
 
         let active = plan.schedule.rules_after(k + 1);
         assert_eq!(
@@ -88,7 +93,8 @@ fn run_churn_sequence(siena: &SienaConfig, churn: &ChurnConfig, out_of_alphabet:
         }
 
         oracle.publish(&active);
-        oracle.check_pipeline(&mut mirror, &events);
+        oracle.check_pipeline(&mut report.pipeline, &events);
+        prev = report.pipeline;
     }
     if out_of_alphabet > 0 {
         assert!(
@@ -109,7 +115,7 @@ fn fifty_random_update_sequences_match_full_recompile() {
 
 #[test]
 fn out_of_alphabet_adds_round_trip_through_full_recompile() {
-    // Adds spliced from outside the session alphabet force the
+    // Adds drawn from outside the session alphabet force the
     // `NeedsFullRecompile` fallback inside `update`; behaviour must
     // still track the full compile exactly.
     for seed in [3u64, 17, 29, 41, 53] {
@@ -120,7 +126,7 @@ fn out_of_alphabet_adds_round_trip_through_full_recompile() {
 #[test]
 fn pure_add_sequences_stay_on_the_delta_path() {
     // With no removals and no out-of-alphabet rules every update is a
-    // splice; check the reports actually say so.
+    // delta; check the reports actually say so.
     let siena = SienaConfig {
         symbol_alphabet: 6,
         int_range: 40,
