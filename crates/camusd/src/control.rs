@@ -11,10 +11,12 @@
 //!
 //! Ordering contract: each connection sends one request at a time and
 //! blocks on its reply, so per-client FIFO holds trivially; across
-//! clients the only guarantee is that an `Ack { generation }` means
-//! the mutation is visible to every packet submitted after the ack
-//! was sent (the engine publishes before the ack, and publish
-//! ordering is the RCU generation order).
+//! clients the only guarantee is that an `Ack { generation }` is an
+//! exact cut in the packet stream: every packet submitted before the
+//! publish is decided by the program live at its submission, and every
+//! packet submitted after the ack was sent by that generation or a
+//! later one. The engine publishes before the ack, and each engine
+//! batch carries the program live when its packets were submitted.
 
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};

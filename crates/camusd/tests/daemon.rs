@@ -7,7 +7,7 @@ use std::io::{Read, Write};
 
 use camus_bus::{BusClient, BusReply, BusRequest, RejectKind};
 use camus_pipeline::AsicModel;
-use camus_workload::{Delivery, EpochOracle};
+use camus_workload::EpochOracle;
 use camusd::{Daemon, DaemonConfig};
 
 fn start_daemon(mut cfg: DaemonConfig) -> Daemon {
@@ -256,7 +256,7 @@ fn updates_after_a_rejection_forward_like_a_fresh_compile() {
     assert_eq!(report.engine.updates.delta_updates, 4);
 
     let decisions = report.engine.decisions_in_submit_order();
-    assert_eq!(oracle.check(&decisions, Delivery::Exact), 0);
+    assert_eq!(oracle.check(&decisions), 0);
     let forwarded = decisions.iter().flatten().filter(|d| !d.dropped());
     assert!(forwarded.count() > 0, "the probe never hit a rule");
 }

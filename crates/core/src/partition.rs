@@ -39,7 +39,6 @@
 
 use std::collections::HashSet;
 
-use camus_lang::ast::{Atom, Cond, Operand, RelOp, Rule, Value};
 use camus_pipeline::phv::PhvField;
 use camus_pipeline::pipeline::Pipeline;
 use camus_pipeline::table::{ActionOp, MatchValue, Table};
@@ -367,63 +366,6 @@ pub fn full_mask(leaves: usize) -> u64 {
     }
 }
 
-/// Control-plane rule ownership: assigns every rule to exactly one
-/// leaf. A rule that pins the shard field to one or more symbols (a
-/// positive `field == SYM` atom) is owned by the owner of its smallest
-/// pinned value; symbol-free rules (their entries are replicated on
-/// every leaf) get a deterministic owner from their index, so the
-/// assignment is a pure function of `(rules, shard_field, leaves)` —
-/// in particular identical at any compile thread count.
-pub fn rule_owners(rules: &[Rule], shard_field: &str, bits: u32, leaves: usize) -> Vec<usize> {
-    rules
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let mut pinned: Vec<u64> = Vec::new();
-            collect_pinned(&r.condition, shard_field, bits, true, &mut pinned);
-            match pinned.iter().min() {
-                Some(&v) => owner_of(v, leaves),
-                None => owner_of(i as u64, leaves),
-            }
-        })
-        .collect()
-}
-
-/// Collects values `v` from positive-polarity `shard_field == v` atoms.
-/// Negated equalities don't pin a rule to a symbol (the rule matches
-/// every *other* symbol), so polarity flips under `Not`.
-fn collect_pinned(cond: &Cond, field: &str, bits: u32, positive: bool, out: &mut Vec<u64>) {
-    match cond {
-        Cond::And(a, b) | Cond::Or(a, b) => {
-            collect_pinned(a, field, bits, positive, out);
-            collect_pinned(b, field, bits, positive, out);
-        }
-        Cond::Not(a) => collect_pinned(a, field, bits, !positive, out),
-        Cond::Atom(Atom { operand, op, value }) => {
-            if !positive || *op != RelOp::Eq {
-                return;
-            }
-            let Operand::Field(fr) = operand else {
-                return;
-            };
-            // Rules may use the short field name (`sym0`) while the
-            // PHV layout qualifies it (`ev.sym0`); match either.
-            let name = fr.field.as_str();
-            let matches_field =
-                name == field || field.rsplit('.').next() == Some(name) || name.ends_with(field);
-            if !matches_field {
-                return;
-            }
-            let v = match value {
-                Value::Int(n) => *n,
-                Value::Symbol(_) => value.as_u64(bits),
-            };
-            out.push(v);
-        }
-        Cond::True => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,20 +448,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn rule_owners_pin_symbol_rules_and_spread_wildcards() {
-        let rules = parse_program(RULES).unwrap();
-        let owners = rule_owners(&rules, "ev.sym", 64, 4);
-        assert_eq!(owners.len(), rules.len());
-        assert!(owners.iter().all(|&o| o < 4));
-        // Both AA rules land on AA's owner.
-        let aa = owner_of(camus_lang::symbol::encode_symbol("AA", 64), 4);
-        assert_eq!(owners[0], aa);
-        assert_eq!(owners[4], aa);
-        // Deterministic recomputation.
-        assert_eq!(owners, rule_owners(&rules, "ev.sym", 64, 4));
     }
 
     #[test]

@@ -492,48 +492,6 @@ proptest! {
         }
     }
 
-    /// Rule-level sharding: every rule is owned by exactly one leaf in
-    /// range, ownership is deterministic, and a rule that pins the
-    /// shard symbol is owned by that symbol's leaf (the same mapping
-    /// the fabric's spine uses to route packets).
-    #[test]
-    fn every_rule_lands_on_exactly_one_in_range_leaf(
-        seed in 0u64..100_000,
-        leaves in 1usize..=5,
-    ) {
-        use camus_core::{owner_of, rule_owners};
-        use camus_workload::siena::symbol_name;
-        use camus_workload::SienaConfig;
-
-        let siena = SienaConfig {
-            int_attributes: 2,
-            symbol_attributes: 1,
-            symbol_alphabet: 8,
-            int_range: 60,
-            predicates_per_subscription: 2,
-            seed,
-            ..Default::default()
-        };
-        let wl = siena.generate();
-        let owners = rule_owners(&wl.rules, "sym0", 64, leaves);
-        prop_assert_eq!(owners.len(), wl.rules.len());
-        for (i, &o) in owners.iter().enumerate() {
-            prop_assert!(o < leaves, "rule {} owned by out-of-range leaf {}", i, o);
-        }
-        prop_assert_eq!(&owners, &rule_owners(&wl.rules, "sym0", 64, leaves));
-
-        // A symbol-pinned rule follows its symbol's packet route.
-        for i in 0..siena.symbol_alphabet {
-            let sym = symbol_name(i);
-            let rule = camus_lang::parse_program(&format!("sym0 == {sym} : fwd(1)")).unwrap();
-            let key = camus_lang::symbol::encode_symbol(&sym, 64);
-            prop_assert_eq!(
-                rule_owners(&rule, "sym0", 64, leaves)[0],
-                owner_of(key, leaves)
-            );
-        }
-    }
-
     /// The plan is a pure function of the compiled program — and the
     /// compiled program is bit-identical at any `compile_shards` — so
     /// partitioning must be deterministic across compile thread counts.

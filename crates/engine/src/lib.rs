@@ -35,23 +35,23 @@
 //!
 //! A program reaches the workers one way: [`Engine::stage`] normalises
 //! a candidate and charges it against the admission model *off* the
-//! packet hot path, then [`Engine::commit`] moves it into the `Arc`
-//! the workers share — the engine's only copy of the installed program
-//! — and bumps an atomic generation counter, RCU-style
-//! ([`Engine::abort`] drops it instead). [`Engine::apply_update`] is
-//! that pair in one call for the incremental compiler (§3's "highly
-//! dynamic queries"): the program an
+//! packet hot path, then [`Engine::commit`] makes it the installed
+//! `Arc<Pipeline>` and bumps the generation ([`Engine::abort`] drops it
+//! instead). [`Engine::apply_update`] is that pair in one call for the
+//! incremental compiler (§3's "highly dynamic queries"): the program an
 //! [`UpdateReport`](camus_core::UpdateReport) carries *is* the next
-//! generation. Workers only ever adopt a whole `Arc<Pipeline>`: the
-//! engine installs what the session emitted and keeps no second
-//! derivation of it. Workers poll the counter once per batch and adopt
-//! the published pipeline at the batch boundary, carrying their
-//! `@query_counter` register state and execution counters over — so
-//! every packet is processed by exactly one complete rule-set
-//! generation, none is dropped during an update, and stateful windows
-//! never reset. [`Engine::quiesce`] drains every in-flight batch, after
-//! which forwarding is bit-identical to a fresh full compile of the
-//! cumulative rule set (the differential churn tests enforce this).
+//! generation, installed as emitted with no second derivation of it.
+//!
+//! **A batch carries its program.** Every batch is stamped with the
+//! installed program and its generation when it is handed to a worker,
+//! and a publish first flushes every pending batch, so no batch ever
+//! holds packets from two generations. A worker runs each batch on the
+//! program it carries, adopting it at the batch boundary when the
+//! generation changes (carrying `@query_counter` registers and
+//! execution counters over). So every packet is decided by exactly the
+//! rule set live when it was submitted — with or without a
+//! [`Engine::quiesce`], none is dropped during an update, and stateful
+//! windows never reset (the differential churn tests enforce this).
 //!
 //! ## Fault tolerance
 //!
@@ -66,9 +66,9 @@
 //! observable state change** — no generation bump, entry-for-entry
 //! identical tables before and after.
 //!
-//! On the data plane, workers are supervised: each batch runs under
-//! `catch_unwind`, a panicking batch is quarantined (its packets get
-//! no decisions; counters roll back to the batch boundary) and the
+//! On the data plane, workers are always supervised: each batch runs
+//! under `catch_unwind`, a panicking batch is quarantined (its packets
+//! get no decisions; counters roll back to the batch boundary) and the
 //! worker keeps serving its shard. A worker thread that dies outright
 //! is detected at the next send, its unprocessed batches are counted
 //! as quarantined, and a replacement is respawned from the installed
@@ -99,7 +99,7 @@ pub mod shard;
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -113,27 +113,6 @@ use camus_telemetry::{DataPlaneTelemetry, SpanKind, SpanSet, SpanTimer, TableCou
 
 pub use camus_telemetry::TelemetrySnapshot;
 pub use shard::ShardFn;
-
-/// The RCU-style publication slot shared between the control plane
-/// and the workers: a monotonically increasing generation counter and
-/// the pipeline it corresponds to. The `Release` bump in
-/// `Engine::publish_staged` paired with the `Acquire` load at each batch
-/// boundary guarantees a worker that observes generation `g` also
-/// observes the pipeline published with it; batches submitted after
-/// `apply_update` returns are always processed at generation ≥ `g`.
-struct Published {
-    generation: AtomicU64,
-    slot: Mutex<Arc<Pipeline>>,
-}
-
-impl Published {
-    /// Clones the current slot, recovering from a poisoned lock (the
-    /// slot is only ever *replaced* under the lock, never left
-    /// half-written, so the value is valid even after a panic).
-    fn snapshot(&self) -> Arc<Pipeline> {
-        self.slot.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-}
 
 /// Update-plane counters, aggregated into the [`EngineReport`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -151,8 +130,8 @@ pub struct UpdateStats {
     /// (summed across workers).
     pub adoptions: u64,
     /// Generations a worker skipped over because several were
-    /// published between two of its batches — updates deferred to a
-    /// batch boundary and coalesced there (summed across workers).
+    /// published between two of its batches, none of which carried
+    /// packets to it (summed across workers).
     pub coalesced: u64,
 }
 
@@ -160,16 +139,16 @@ pub struct UpdateStats {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Worker panics caught by the per-batch supervisor, plus worker
-    /// threads that unwound entirely (unsupervised panics).
+    /// threads that unwound entirely (a panic outside the guard).
     pub panics_caught: u64,
-    /// Batches quarantined (panicked under supervision, scripted to
-    /// die, or lost inside a dead worker).
+    /// Batches quarantined (panicked, scripted to die, or lost inside
+    /// a dead worker).
     pub batches_quarantined: u64,
     /// Packets inside quarantined batches — these get no forwarding
     /// decision and are listed in [`EngineReport::quarantined`].
     pub packets_quarantined: u64,
     /// Worker threads that stopped serving their shard (scripted
-    /// deaths + unsupervised panics).
+    /// deaths + threads that unwound).
     pub worker_deaths: u64,
     /// Replacement workers spawned after a death was detected.
     pub respawns: u64,
@@ -195,10 +174,8 @@ impl FaultStats {
 /// not planned by seq: arm it at runtime with [`Engine::inject_stall`].
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjection {
-    /// A batch containing any of these seqs panics before processing.
-    /// Under supervision ([`EngineConfig::supervise`]) the batch is
-    /// quarantined and the worker survives; unsupervised, the worker
-    /// thread unwinds and dies.
+    /// A batch containing any of these seqs panics before processing:
+    /// the batch is quarantined and the worker survives.
     pub panic_seqs: Arc<HashSet<u64>>,
     /// A batch containing any of these seqs makes the worker exit
     /// cleanly without processing it (a scripted crash): the batch is
@@ -220,11 +197,6 @@ pub struct EngineConfig {
     /// (needed by the determinism test; costs an allocation per packet,
     /// so leave off when benchmarking throughput).
     pub record_decisions: bool,
-    /// Run each batch under `catch_unwind`: a panicking batch is
-    /// quarantined and the worker survives. On (the default) this
-    /// costs a counter snapshot per batch; off, a panic kills the
-    /// worker thread and the engine falls back to respawning it.
-    pub supervise: bool,
     /// Bounded wait (milliseconds) for one in-flight batch during
     /// [`Engine::quiesce`] before it gives up with
     /// [`EngineFault::QuiesceTimeout`].
@@ -261,7 +233,6 @@ impl Default for EngineConfig {
             batch_packets: 64,
             queue_batches: 8,
             record_decisions: false,
-            supervise: true,
             watchdog_ms: 2_000,
             admission: Some(AsicModel::tofino32()),
             faults: FaultInjection::default(),
@@ -273,16 +244,40 @@ impl Default for EngineConfig {
 
 /// A flattened batch of packets: one contiguous byte arena plus
 /// per-packet end offsets, so recycling a batch recycles every
-/// allocation in it at once.
-#[derive(Debug, Default)]
+/// allocation in it at once — and the program that decides them.
 struct Batch {
     seqs: Vec<u64>,
     times: Vec<u64>,
     ends: Vec<usize>,
     bytes: Vec<u8>,
+    /// The program installed when the batch was handed to a worker:
+    /// every packet in it was submitted while that program was live.
+    program: Arc<Pipeline>,
+    /// `program`'s generation; a worker adopts when it changes.
+    generation: u64,
 }
 
 impl Batch {
+    fn new(program: &Arc<Pipeline>, generation: u64) -> Batch {
+        Batch {
+            seqs: Vec::new(),
+            times: Vec::new(),
+            ends: Vec::new(),
+            bytes: Vec::new(),
+            program: Arc::clone(program),
+            generation,
+        }
+    }
+
+    /// Points the batch at `program`. A pointer compare in the steady
+    /// state: the `Arc` is cloned only when the program changed.
+    fn stamp(&mut self, program: &Arc<Pipeline>, generation: u64) {
+        if !Arc::ptr_eq(&self.program, program) {
+            self.program = Arc::clone(program);
+            self.generation = generation;
+        }
+    }
+
     fn clear(&mut self) {
         self.seqs.clear();
         self.times.clear();
@@ -474,8 +469,8 @@ pub struct EngineReport {
     pub faults: FaultStats,
     /// Submission seqs of every quarantined packet, sorted. Zero-loss
     /// invariant: `submitted == stats.packets + quarantined.len()`
-    /// (exact whenever no *unsupervised* panic destroyed a worker's
-    /// counters).
+    /// (exact unless a worker thread unwound outside the per-batch guard
+    /// and took its counters with it).
     pub quarantined: Vec<u64>,
     /// Merged cross-shard telemetry (histograms, spans, per-table
     /// counters); `Some` iff [`EngineConfig::telemetry`] was set.
@@ -509,14 +504,15 @@ pub struct Engine {
     shard: ShardFn,
     cfg: EngineConfig,
     next_seq: u64,
-    /// The installed program — the allocation the published slot and
-    /// the workers share, held here to be read without the slot's lock.
+    /// The installed program, stamped on every batch handed to a
+    /// worker.
     installed: Arc<Pipeline>,
+    /// `installed`'s generation: bumps once per publish.
+    generation: u64,
     /// A candidate [`Engine::stage`] accepted but not yet published: a
     /// fabric's two-phase epoch holds the new program here across
     /// every leaf before committing any of them.
     staged: Option<Pipeline>,
-    published: Arc<Published>,
     delta_updates: u64,
     full_swaps: u64,
     updates_rejected: u64,
@@ -542,22 +538,23 @@ pub struct Engine {
     /// One-shot runtime stall, milliseconds ([`Engine::inject_stall`]):
     /// the next worker to start a batch consumes it and sleeps,
     /// modelling a transient whole-node hiccup (GC pause, link flap)
-    /// that a quiesce barrier then times out on. It needs no seq
-    /// planned at startup, so a chaos harness can script it mid-run.
+    /// that [`Engine::quiesce`]'s watchdog then times out on. It needs
+    /// no seq planned at startup, so a chaos harness can script it
+    /// mid-run.
     stall_signal: Arc<AtomicU64>,
 }
 
+/// One worker's serving loop. `ctx` was cloned from the program of
+/// generation `seen_gen`; every batch brings its own program, adopted
+/// whenever its generation differs.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     index: usize,
-    mut program: Arc<Pipeline>,
     mut ctx: ShardCtx,
+    mut seen_gen: u64,
     mut rx: ring::Consumer<Batch>,
     mut recycle_tx: ring::Producer<Batch>,
     record: bool,
-    published: Arc<Published>,
-    start_gen: u64,
-    supervise: bool,
     injection: FaultInjection,
     killed: Arc<AtomicBool>,
     stall_signal: Arc<AtomicU64>,
@@ -565,7 +562,6 @@ fn worker_loop(
     let mut out = DecisionBuf::default();
     let mut decisions: Vec<(u64, ForwardDecision)> = Vec::new();
     let mut error: Option<EngineError> = None;
-    let mut seen_gen = start_gen;
     let mut adoptions = 0u64;
     let mut coalesced = 0u64;
     let mut faults = FaultStats::default();
@@ -587,26 +583,25 @@ fn worker_loop(
         }
         // Scripted runtime stall: one worker consumes the pending
         // signal and sleeps before touching the batch, so an armed
-        // quiesce barrier observes the hiccup deterministically.
+        // quiesce watchdog observes the hiccup deterministically.
         let stall_ms = stall_signal.swap(0, Ordering::AcqRel);
         if stall_ms > 0 {
             std::thread::sleep(Duration::from_millis(stall_ms));
         }
-        // Batch boundary: adopt the latest published generation, so
-        // every packet in this batch runs under one complete rule set.
-        // Adoption re-points the shared `Arc` — no pipeline clone on
-        // the worker; `ShardCtx::adopt` carries `@query_counter`
-        // windows and execution counters over (never reset) and
-        // invalidates the decision cache, which is what makes cached
-        // decisions always come from the live generation.
-        let generation = published.generation.load(Ordering::Acquire);
-        if generation != seen_gen {
-            let next = published.snapshot();
-            ctx.adopt(&next);
+        // Batch boundary: adopt the program the batch carries when its
+        // generation is not the one `ctx` is shaped for. No pipeline
+        // clone on the worker; `ShardCtx::adopt` carries
+        // `@query_counter` windows and execution counters over (never
+        // reset) and invalidates the decision cache, which is what
+        // makes cached decisions always come from the batch's program.
+        // A batch re-dispatched to a respawned worker may carry an
+        // older generation than the one it was cloned from: adopt it
+        // all the same, and count nothing as coalesced.
+        if batch.generation != seen_gen {
+            ctx.adopt(&batch.program);
             adoptions += 1;
-            coalesced += generation - seen_gen - 1;
-            seen_gen = generation;
-            program = next;
+            coalesced += batch.generation.saturating_sub(seen_gen + 1);
+            seen_gen = batch.generation;
         }
         if has_deaths && batch.seqs.iter().any(|s| injection.die_seqs.contains(s)) {
             // Scripted worker death: abandon the batch *without*
@@ -619,21 +614,16 @@ fn worker_loop(
             break;
         }
         if error.is_none() {
-            if supervise {
-                stats_backup.copy_from(&ctx.exec.stats);
-            }
+            stats_backup.copy_from(&ctx.exec.stats);
             out.clear();
-            let run = |ctx: &mut ShardCtx, out: &mut DecisionBuf| {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if has_panics && batch.seqs.iter().any(|s| injection.panic_seqs.contains(s)) {
                     panic!("injected worker panic (fault harness)");
                 }
-                program.process_batch_shared(ctx, batch.iter(), out)
-            };
-            let result = if supervise {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut ctx, &mut out)))
-            } else {
-                Ok(run(&mut ctx, &mut out))
-            };
+                batch
+                    .program
+                    .process_batch_shared(&mut ctx, batch.iter(), &mut out)
+            }));
             match result {
                 Ok(Ok(())) => {
                     if record {
@@ -717,11 +707,6 @@ impl Engine {
         let n = cfg.workers.max(1);
         let mut seed = pipeline.clone();
         normalise(cfg, &mut seed);
-        let installed = Arc::new(seed);
-        let published = Arc::new(Published {
-            generation: AtomicU64::new(0),
-            slot: Mutex::new(Arc::clone(&installed)),
-        });
         let mut engine = Engine {
             workers: Vec::with_capacity(n),
             shard,
@@ -732,9 +717,9 @@ impl Engine {
                 ..cfg.clone()
             },
             next_seq: 0,
-            installed,
+            installed: Arc::new(seed),
+            generation: 0,
             staged: None,
-            published,
             delta_updates: 0,
             full_swaps: 0,
             updates_rejected: 0,
@@ -761,16 +746,16 @@ impl Engine {
     /// program's initial register state, since the dead worker's live
     /// counters are unrecoverable.
     fn spawn_worker(&self, wi: usize) -> WorkerHandle {
-        let start_gen = self.published.generation.load(Ordering::Acquire);
-        let program = Arc::clone(&self.installed);
-        // The compiled program is shared read-only behind the Arc; the
-        // worker's mutable state (registers, counters, wave scratch,
-        // decision cache) lives in its own ShardCtx, cloned from the
-        // installed program — no pipeline clone per worker.
+        // The compiled program is shared read-only behind the Arc each
+        // batch carries; the worker's mutable state (registers,
+        // counters, wave scratch, decision cache) lives in its own
+        // ShardCtx, cloned from the installed program — no pipeline
+        // clone per worker.
         let mut ctx = ShardCtx {
-            registers: program.registers.clone(),
-            exec: program.exec.clone(),
+            registers: self.installed.registers.clone(),
+            exec: self.installed.exec.clone(),
         };
+        let generation = self.generation;
         if self.cfg.telemetry {
             ctx.exec.enable_telemetry();
         }
@@ -782,9 +767,7 @@ impl Engine {
         let (tx, rx) = ring::ring::<Batch>(self.cfg.queue_batches);
         let (recycle_tx, recycle_rx) = ring::ring::<Batch>(self.cfg.queue_batches + 4);
         let record = self.cfg.record_decisions;
-        let supervise = self.cfg.supervise;
         let injection = self.cfg.faults.clone();
-        let worker_published = Arc::clone(&self.published);
         let worker_killed = Arc::clone(&self.killed);
         let worker_stall = Arc::clone(&self.stall_signal);
         let handle = std::thread::Builder::new()
@@ -792,14 +775,11 @@ impl Engine {
             .spawn(move || {
                 worker_loop(
                     wi,
-                    program,
                     ctx,
+                    generation,
                     rx,
                     recycle_tx,
                     record,
-                    worker_published,
-                    start_gen,
-                    supervise,
                     injection,
                     worker_killed,
                     worker_stall,
@@ -809,7 +789,7 @@ impl Engine {
         WorkerHandle {
             tx,
             recycle_rx,
-            pending: Batch::default(),
+            pending: Batch::new(&self.installed, self.generation),
             outstanding: 0,
             in_flight: VecDeque::new(),
             seq_pool: Vec::new(),
@@ -838,34 +818,48 @@ impl Engine {
         self.next_seq
     }
 
-    /// Pops an in-flight record, returning its seq vector to the pool.
-    fn note_returned(w: &mut WorkerHandle) {
+    /// Takes back a batch the worker returned: pops its in-flight
+    /// record (the seq vector goes back to its pool) and pools the
+    /// batch, re-stamped so an idle batch never pins a retired program.
+    fn take_back(w: &mut WorkerHandle, mut batch: Batch, installed: &Arc<Pipeline>, gen: u64) {
         w.outstanding -= 1;
         if let Some(mut seqs) = w.in_flight.pop_front() {
             seqs.clear();
             w.seq_pool.push(seqs);
         }
+        batch.stamp(installed, gen);
+        w.pool.push(batch);
     }
 
+    /// Takes back everything the worker has returned so far. Draining
+    /// *fully* (not just one) is what bounds the number of batches ever
+    /// in existence to roughly the input-ring depth plus two — which in
+    /// turn guarantees the worker's recycle push never finds its ring
+    /// full.
+    fn reclaim(w: &mut WorkerHandle, installed: &Arc<Pipeline>, gen: u64) {
+        while let Some(b) = w.recycle_rx.try_pop() {
+            Self::take_back(w, b, installed, gen);
+        }
+    }
+
+    /// Hands the worker's pending batch over, stamped with the
+    /// installed program: every packet in it was submitted under that
+    /// program, since a publish flushes first.
     fn flush_worker(&mut self, wi: usize) {
         if self.workers[wi].pending.is_empty() {
             return;
         }
         let w = &mut self.workers[wi];
-        // Drain everything the worker has returned into the pool
-        // before dispatching. Draining *fully* (not just one) is what
-        // bounds the number of batches ever in existence to roughly
-        // the input-ring depth plus two — which in turn guarantees the
-        // worker's recycle push never finds its ring full.
-        while let Some(b) = w.recycle_rx.try_pop() {
-            Self::note_returned(w);
-            w.pool.push(b);
-        }
+        Self::reclaim(w, &self.installed, self.generation);
         // Reuse a drained batch if one is waiting; otherwise grow the
         // pool by one (start-up only — the steady state recycles).
-        let mut next = w.pool.pop().unwrap_or_default();
+        let mut next = w
+            .pool
+            .pop()
+            .unwrap_or_else(|| Batch::new(&self.installed, self.generation));
         next.clear();
-        let full = std::mem::replace(&mut w.pending, next);
+        let mut full = std::mem::replace(&mut w.pending, next);
+        full.stamp(&self.installed, self.generation);
         self.dispatch(wi, full, true);
     }
 
@@ -910,7 +904,7 @@ impl Engine {
     /// Replaces a dead worker: joins the old thread, harvests its
     /// output (stats, decisions, quarantined seqs), accounts any
     /// batches that went down with it, and spawns a replacement from
-    /// the published pipeline.
+    /// the installed program.
     fn respawn_worker(&mut self, wi: usize) {
         let timer = SpanTimer::start();
         let fresh = self.spawn_worker(wi);
@@ -941,11 +935,12 @@ impl Engine {
         }
         // Batches the dead worker finished before dying are recycled
         // and reusable; anything still in flight went down with it.
-        while let Some(b) = recycle_rx.try_pop() {
+        while let Some(mut b) = recycle_rx.try_pop() {
             if let Some(mut seqs) = in_flight.pop_front() {
                 seqs.clear();
                 seq_pool.push(seqs);
             }
+            b.stamp(&self.installed, self.generation);
             self.workers[wi].pool.push(b);
         }
         for seqs in in_flight.drain(..) {
@@ -961,9 +956,9 @@ impl Engine {
 
     /// Flushes every pending batch and blocks until all workers have
     /// fully processed everything submitted so far. On `Ok` the data
-    /// plane is quiescent: no packet is in flight, and the guarantee
-    /// that post-quiescence forwarding matches a fresh full compile of
-    /// the cumulative rule set is testable.
+    /// plane is quiescent: no packet is in flight. No update needs
+    /// this — a batch carries its program — but a clean shutdown, a
+    /// measurement or a test that reads counters mid-run does.
     ///
     /// Each in-flight batch is waited on for at most
     /// [`EngineConfig::watchdog_ms`]; a worker that fails to produce
@@ -986,8 +981,7 @@ impl Engine {
                 }
                 match w.recycle_rx.pop_deadline(watchdog) {
                     ring::PopDeadline::Item(b) => {
-                        Self::note_returned(w);
-                        w.pool.push(b);
+                        Self::take_back(w, b, &self.installed, self.generation);
                     }
                     ring::PopDeadline::Timeout => {
                         return Err(EngineFault::QuiesceTimeout {
@@ -1034,12 +1028,16 @@ impl Engine {
     }
 
     /// Phase two: publish the staged candidate as a full swap (a
-    /// fabric re-slices the whole program per epoch). Workers adopt it
-    /// at their next batch boundary, carrying register state over
+    /// fabric re-slices the whole program per epoch). Packets submitted
+    /// before the call are decided by the old program, packets
+    /// submitted after it by the new one; workers adopt it at the first
+    /// batch that carries it, carrying register state over
     /// positionally. Returns `false` — and changes nothing — when no
     /// candidate is staged. Infallible by construction: admission
     /// already passed in [`Engine::stage`], so once every node in a
-    /// fabric has staged, every commit succeeds.
+    /// fabric has staged, every commit succeeds. It blocks only the way
+    /// [`Engine::submit`] does, on ring backpressure, while it flushes
+    /// the pending batches.
     pub fn commit(&mut self) -> bool {
         let timer = SpanTimer::start();
         if !self.publish_staged() {
@@ -1071,12 +1069,10 @@ impl Engine {
     /// entry-for-entry identical tables. A candidate that was already
     /// staged is replaced — a successful update leaves nothing staged.
     ///
-    /// Workers adopt a published generation at their next batch
-    /// boundary, carrying register state and counters over. Packets
-    /// submitted after this returns are guaranteed to be processed by
-    /// the new generation (or a later one); packets already in flight
-    /// finish under the generation their batch started with — never a
-    /// half-applied rule set.
+    /// Every packet is decided by the generation live when it was
+    /// submitted: those submitted before this call by the old program,
+    /// those after it by the new one — never a half-applied rule set,
+    /// with no quiesce needed.
     pub fn apply_update(&mut self, report: &UpdateReport) -> Result<(), EngineFault> {
         let timer = SpanTimer::start();
         let mut candidate = report.pipeline.clone();
@@ -1111,16 +1107,16 @@ impl Engine {
         // A worker mid-batch sees the flag at its next pop instead; a
         // full ring means the worker has plenty to wake up on already.
         for w in &mut self.workers {
-            let _ = w.tx.try_push(Batch::default());
+            let _ = w.tx.try_push(Batch::new(&self.installed, self.generation));
         }
     }
 
     /// Arms a one-shot runtime stall (the chaos harness's leaf-stall
     /// event): the next worker to start a batch sleeps `ms`
     /// milliseconds first. The node stays alive — the fault is
-    /// transient, which is exactly what an epoch's quiesce-timeout
-    /// retry path exists for. Calling again before a worker consumed
-    /// the previous signal replaces it.
+    /// transient: updates still commit, and only [`Engine::quiesce`]
+    /// sees it, as a watchdog timeout. Calling again before a worker
+    /// consumed the previous signal replaces it.
     pub fn inject_stall(&mut self, ms: u64) {
         self.stall_signal.store(ms, Ordering::Release);
     }
@@ -1138,17 +1134,17 @@ impl Engine {
         self.killed.load(Ordering::Acquire)
     }
 
-    /// The currently installed tables — exactly what the workers run
-    /// once they adopt the published generation. Lets a fabric driver
-    /// assert bit-identical pre-state after an aborted epoch.
+    /// The currently installed tables — exactly what decides every
+    /// packet submitted from now on. Lets a fabric driver assert
+    /// bit-identical pre-state after an aborted epoch.
     pub fn installed_tables(&self) -> &[Table] {
         &self.installed.tables
     }
 
-    /// The published RCU generation (bumps once per successful
-    /// publish; never on a rejected or aborted update).
+    /// The installed generation (bumps once per successful publish;
+    /// never on a rejected or aborted update).
     pub fn generation(&self) -> u64 {
-        self.published.generation.load(Ordering::Acquire)
+        self.generation
     }
 
     /// Update-plane counters accumulated so far (worker adoption
@@ -1181,28 +1177,35 @@ impl Engine {
         (self.finish(), drained)
     }
 
-    /// Moves the staged candidate into the shared slot and bumps the
-    /// generation — the one place a program becomes visible to
-    /// workers. `false` when nothing is staged.
+    /// Installs the staged candidate and bumps the generation — the
+    /// one place the program that decides packets changes. It first
+    /// flushes every pending batch, so none spans the publish: the
+    /// packets submitted so far leave stamped with the old program.
+    /// `false` when nothing is staged.
     fn publish_staged(&mut self) -> bool {
         let Some(candidate) = self.staged.take() else {
             return false;
         };
+        for wi in 0..self.workers.len() {
+            self.flush_worker(wi);
+        }
         self.installed = Arc::new(candidate);
-        *self
-            .published
-            .slot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = Arc::clone(&self.installed);
-        // Release pairs with the workers' Acquire load: a worker that
-        // sees the new generation sees the new pipeline.
-        self.published.generation.fetch_add(1, Ordering::Release);
+        self.generation += 1;
+        // Re-stamp every idle batch: only batches carrying its packets
+        // keep the retired program alive.
+        for w in &mut self.workers {
+            Self::reclaim(w, &self.installed, self.generation);
+            w.pending.stamp(&self.installed, self.generation);
+            for b in &mut w.pool {
+                b.stamp(&self.installed, self.generation);
+            }
+        }
         true
     }
 
     /// Flushes remaining packets, joins every worker and aggregates
-    /// the report. Dead workers are harvested, not propagated: an
-    /// unsupervised panic shows up as [`FaultStats`] counts and
+    /// the report. Dead workers are harvested, not propagated: a
+    /// worker thread that unwound shows up as [`FaultStats`] counts and
     /// quarantined seqs rather than a panic out of `finish`.
     pub fn finish(mut self) -> EngineReport {
         for wi in 0..self.workers.len() {
@@ -1697,6 +1700,52 @@ mod tests {
     }
 
     #[test]
+    fn update_splits_a_partly_filled_batch_at_the_publish() {
+        // Batches of 8 on one worker: three packets sit in the pending
+        // batch when the update lands. They were submitted under the
+        // old program and are decided by it; the five after it by the
+        // new one, with no quiesce anywhere.
+        let cfg = EngineConfig {
+            workers: 1,
+            batch_packets: 8,
+            record_decisions: true,
+            ..Default::default()
+        };
+        let mut engine = Engine::start(&byte_pipeline(), &cfg, first_byte_shard());
+        let retired = Arc::clone(&engine.installed);
+        for _ in 0..3 {
+            engine.submit(&[1], 0);
+        }
+        let report = UpdateReport {
+            rules_added: 0,
+            rules_removed: 0,
+            unsat_conjunctions: 0,
+            total_entries: 4,
+            entries_added: 1,
+            entries_removed: 1,
+            entries_kept: 3,
+            full_rebuild: false,
+            pipeline: byte_pipeline_sending_1_to(9),
+        };
+        engine.apply_update(&report).unwrap();
+        assert_eq!(engine.generation(), 1);
+        for _ in 0..5 {
+            engine.submit(&[1], 0);
+        }
+        engine.quiesce().unwrap();
+        // Every batch is back and re-stamped: nothing but this test
+        // holds the retired program any more.
+        assert_eq!(Arc::strong_count(&retired), 1);
+        let report = engine.finish();
+        assert!(report.error.is_none(), "{:?}", report.error);
+        let ports: Vec<u16> = report.decisions.iter().map(|d| d.ports[0].0).collect();
+        assert_eq!(ports, [1, 1, 1, 9, 9, 9, 9, 9]);
+        assert_eq!(report.updates.delta_updates, 1);
+        assert_eq!(report.updates.adoptions, 1);
+        assert_eq!(report.updates.coalesced, 0);
+    }
+
+    #[test]
     fn empty_run_finishes_cleanly() {
         let pipeline = byte_pipeline();
         let report = run_trace(
@@ -1999,34 +2048,6 @@ mod tests {
         assert_eq!(snap.data.ring_full_spins, report.hotpath.ring_full_spins);
         assert_eq!(snap.data.ring_empty_spins, report.hotpath.ring_empty_spins);
         assert!(report.hotpath.cache_hits > 0);
-    }
-
-    #[test]
-    fn unsupervised_panic_kills_worker_but_finish_stays_total() {
-        let pipeline = byte_pipeline();
-        let cfg = EngineConfig {
-            workers: 1,
-            batch_packets: 2,
-            record_decisions: true,
-            supervise: false,
-            faults: FaultInjection {
-                panic_seqs: Arc::new([1u64].into_iter().collect()),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let mut engine = Engine::start(&pipeline, &cfg, first_byte_shard());
-        for _ in 0..4 {
-            engine.submit(&[1], 0);
-        }
-        // finish() must neither hang nor propagate the worker panic.
-        let report = engine.finish();
-        assert!(report.faults.worker_deaths >= 1);
-        assert!(report.faults.panics_caught >= 1);
-        // Every packet is either decided or quarantined (the panicking
-        // worker unwound, so its counters are gone — the quarantine
-        // list still accounts for the batches it took down).
-        assert_eq!(report.stats.packets + report.quarantined.len() as u64, 4u64);
     }
 
     #[test]

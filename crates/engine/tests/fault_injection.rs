@@ -28,8 +28,8 @@ use camus_lang::{parse_program, parse_spec, Rule};
 use camus_pipeline::resources::place_chain;
 use camus_pipeline::{AsicModel, Pipeline};
 use camus_workload::{
-    capacity_bomb, random_add_orders, raw_add_order, Delivery, EpochOracle, FaultPlan,
-    FaultPlanConfig, ItchSubsConfig,
+    capacity_bomb, random_add_orders, raw_add_order, EpochOracle, FaultPlan, FaultPlanConfig,
+    ItchSubsConfig,
 };
 
 /// Shards by the stock field — *totally*: a frame truncated before the
@@ -163,7 +163,7 @@ fn run_fault_soak(seed: u64) {
         // Oracle identity for every surviving packet.
         let decisions = report.decisions_in_submit_order();
         assert_eq!(
-            oracle.check(&decisions, Delivery::Exact),
+            oracle.check(&decisions),
             quarantined.len(),
             "workers={workers}"
         );
@@ -256,7 +256,7 @@ fn capacity_bomb_is_rejected_with_zero_observable_state_change() {
     // Forwarding throughout — including after the rejection — is
     // bit-identical to the original rules.
     let decisions = report.decisions_in_submit_order();
-    assert_eq!(oracle.check(&decisions, Delivery::Exact), 0);
+    assert_eq!(oracle.check(&decisions), 0);
 }
 
 /// A worker that dies after a full swap comes back with the configured

@@ -16,28 +16,28 @@
 //!   decision on one leaf, never a partial union of per-leaf
 //!   decisions.
 //! * **Fabric epochs** — [`Fabric::apply_update`] generalizes the
-//!   engine's RCU generation swap into a two-phase commit across all
+//!   engine's generation swap into a two-phase commit across all
 //!   leaves: *prepare* (admission-check + stage on every leaf; any
 //!   rejection aborts everywhere with zero observable state change),
-//!   *quiesce* (drain every in-flight batch, so no packet spans
-//!   epochs), *commit* (publish everywhere — infallible once every
-//!   node has staged). A packet therefore always sees either the old
-//!   fabric or the new fabric, never a mix.
+//!   then *commit* (publish everywhere — infallible once every node has
+//!   staged). No drain runs in between: each leaf's batches carry the
+//!   program live when their packets were submitted, so a packet is
+//!   decided by exactly the epoch it was submitted in, never a mix,
+//!   and a stalled leaf cannot fail an epoch.
 //! * **Survivability** — leaves fail (crash outright, or partition
 //!   from the spine) and the fabric carries on. A failure detector
 //!   (liveness probes every [`FabricConfig::probe_interval`]
-//!   submissions, plus the quiesce barrier itself) declares dead
-//!   leaves *fail-stop*; while a death is detected-but-not-repaired
-//!   the spine runs **degraded**, drop-counting packets whose shard
-//!   owner died ([`FabricReport::orphaned_per_leaf`]); repair is an
-//!   automatic **failover epoch** — the master is re-sliced over the
-//!   survivors ([`camus_core::PartitionPlan::compute_subset`], which
-//!   moves *only* the dead leaves' symbols) and committed through the
-//!   same two-phase protocol. Transient epoch failures (a quiesce
-//!   watchdog timeout on a stalled survivor) retry with bounded
-//!   exponential backoff ([`EpochOptions`]). `@query_counter` windows
-//!   that lived only on the dead leaf are lost — that is the contract,
-//!   and each leaf's death counts its register slots into
+//!   submissions, plus the epoch's own prepare phase, where a crashed
+//!   leaf refuses to stage) declares dead leaves *fail-stop*; while a
+//!   death is detected-but-not-repaired the spine runs **degraded**,
+//!   drop-counting packets whose shard owner died
+//!   ([`FabricReport::orphaned_per_leaf`]); repair is an automatic
+//!   **failover epoch** — the master is re-sliced over the survivors
+//!   ([`camus_core::PartitionPlan::compute_subset`], which moves *only*
+//!   the dead leaves' symbols) and committed through the same
+//!   two-phase protocol. `@query_counter` windows that lived only on
+//!   the dead leaf are lost — that is the contract, and each leaf's
+//!   death counts its register slots into
 //!   `camus_state_loss_entries_total`. The ledger stays exact
 //!   throughout: `submitted == decided + quarantined + orphaned`.
 //!
@@ -52,7 +52,7 @@
 //! fresh big-switch recompile over the surviving shards.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use camus_core::partition::{owner_in_subset, PartitionPlan};
 use camus_core::{CompileError, UpdateReport};
@@ -62,49 +62,30 @@ use camus_telemetry::{render_prometheus_fabric, RobustnessCounters, TelemetrySna
 
 /// Fabric-level control-plane faults. Every variant leaves the fabric
 /// in its pre-call state (the epoch protocol aborts all staged
-/// candidates before reporting), so all of them are retryable —
-/// though only [`FabricFault::is_transient`] ones are retried
-/// *automatically* by the epoch machinery.
+/// candidates before reporting).
 #[derive(Debug)]
 pub enum FabricFault {
     /// Partition planning failed (unknown shard field, bad leaf count,
     /// or — fatally — no surviving leaf to plan over).
     Plan(CompileError),
     /// Phase one failed on one leaf: its slice was rejected (admission)
-    /// or could not be built. No leaf committed anything.
+    /// or the leaf is dead. No leaf committed anything; a dead leaf is
+    /// failed over inside [`Fabric::install_master`] and never surfaces
+    /// here.
     Prepare {
         /// The leaf that rejected its slice.
         leaf: usize,
         /// The underlying engine fault.
         fault: EngineFault,
     },
-    /// The quiesce barrier between prepare and commit failed on one
-    /// leaf (watchdog timeout). All staged candidates were dropped;
-    /// retry once the slow worker drains.
+    /// [`Fabric::quiesce`] failed on one leaf (watchdog timeout); retry
+    /// once the slow worker drains.
     Quiesce {
         /// The leaf that failed to drain.
         leaf: usize,
         /// The underlying engine fault.
         fault: EngineFault,
     },
-}
-
-impl FabricFault {
-    /// Whether the epoch retry/backoff machinery should absorb this
-    /// fault on its own: only a quiesce watchdog timeout qualifies —
-    /// the barrier raced a slow worker and draining again can win.
-    /// Admission rejections are deterministic (retrying re-rejects),
-    /// plan/update failures are program bugs, and a dead node is
-    /// handled by failover, not by retrying the dead node.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            FabricFault::Quiesce {
-                fault: EngineFault::QuiesceTimeout { .. },
-                ..
-            }
-        )
-    }
 }
 
 impl std::fmt::Display for FabricFault {
@@ -118,7 +99,7 @@ impl std::fmt::Display for FabricFault {
                 )
             }
             FabricFault::Quiesce { leaf, fault } => {
-                write!(f, "fabric epoch barrier failed on leaf {leaf}: {fault}")
+                write!(f, "fabric drain failed on leaf {leaf}: {fault}")
             }
         }
     }
@@ -126,47 +107,12 @@ impl std::fmt::Display for FabricFault {
 
 impl std::error::Error for FabricFault {}
 
-/// Epoch retry policy: how many times, and with what backoff, a
-/// transient epoch failure (quiesce watchdog timeout) is retried
-/// before the fault surfaces to the caller. Every attempt runs the
-/// full abort-all-or-nothing protocol — a retried epoch is
-/// indistinguishable from a first attempt.
-#[derive(Debug, Clone)]
-pub struct EpochOptions {
-    /// Additional attempts after the first (0 = single-shot, the
-    /// pre-survivability behaviour).
-    pub retry_attempts: u32,
-    /// Backoff before retry `k` is `min(cap, base · 2^(k-1))` ms.
-    pub retry_base_ms: u64,
-    /// Backoff ceiling, milliseconds.
-    pub retry_cap_ms: u64,
-}
-
-impl Default for EpochOptions {
-    fn default() -> Self {
-        EpochOptions {
-            retry_attempts: 0,
-            retry_base_ms: 10,
-            retry_cap_ms: 250,
-        }
-    }
-}
-
-impl EpochOptions {
-    /// Backoff before the `attempt`-th retry (1-based), milliseconds.
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        let factor = 1u64 << attempt.saturating_sub(1).min(16);
-        self.retry_base_ms
-            .saturating_mul(factor)
-            .min(self.retry_cap_ms)
-    }
-}
-
 /// A leaf's place in the failure detector's state machine. Fail-stop:
-/// the only transitions are `Healthy → Dead` (declared by a probe or
-/// by the quiesce barrier) and `Dead → Evicted` (its shards failed
-/// over in a committed emergency epoch). There is no resurrection —
-/// the fabric replaces a node's shards, not the node.
+/// the only transitions are `Healthy → Dead` (declared by a probe, by
+/// an epoch's prepare phase or by [`Fabric::quiesce`]) and
+/// `Dead → Evicted` (its shards failed over in a committed emergency
+/// epoch). There is no resurrection — the fabric replaces a node's
+/// shards, not the node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeafHealth {
     /// Serving its shards.
@@ -214,26 +160,22 @@ pub struct FabricConfig {
     /// count). Per-leaf `admission` models let heterogeneous ASICs
     /// coexist in one fabric.
     pub leaf_engines: Vec<EngineConfig>,
-    /// Retry/backoff policy for transient epoch failures.
-    pub epoch: EpochOptions,
     /// Liveness-probe cadence, in submissions: every `probe_interval`
     /// packets the spine sweeps all healthy leaves (`is_alive` +
     /// reachability) and, if anything died, attempts a failover epoch.
-    /// 0 disables probing — detection then rides only the quiesce
-    /// barrier.
+    /// 0 disables probing — detection then rides only epochs and
+    /// [`Fabric::quiesce`].
     pub probe_interval: u64,
 }
 
 impl FabricConfig {
-    /// A fabric with explicit per-leaf engine configs and default
-    /// survivability options (probes every 64 packets, single-shot
-    /// epochs).
+    /// A fabric with explicit per-leaf engine configs, probing every
+    /// 64 packets.
     pub fn new(shard_field: &str, extract: ShardFn, leaf_engines: Vec<EngineConfig>) -> Self {
         FabricConfig {
             shard_field: shard_field.to_string(),
             extract,
             leaf_engines,
-            epoch: EpochOptions::default(),
             probe_interval: 64,
         }
     }
@@ -255,10 +197,8 @@ enum Route {
     /// Delivered to its owning leaf's engine.
     Delivered(usize),
     /// Dropped at the spine: the owner was dead (degraded mode) or
-    /// behind an undetected partition. The index is the owner it
-    /// *would* have gone to (kept for debugging; reassembly only
-    /// needs to know the packet never reached an engine).
-    Orphaned(#[allow(dead_code)] usize),
+    /// behind an undetected partition.
+    Orphaned,
 }
 
 /// A running fabric: one engine per leaf plus the spine's routing
@@ -277,7 +217,6 @@ pub struct Fabric {
     plan: PartitionPlan,
     epoch: u64,
     epochs_rejected: u64,
-    epoch_opts: EpochOptions,
     probe_interval: u64,
     /// Global submission counter — drives the probe ticks.
     next_seq: u64,
@@ -341,7 +280,6 @@ impl Fabric {
             plan,
             epoch: 0,
             epochs_rejected: 0,
-            epoch_opts: cfg.epoch.clone(),
             probe_interval: cfg.probe_interval,
             next_seq: 0,
             health: vec![LeafHealth::Healthy; leaves],
@@ -395,12 +333,6 @@ impl Fabric {
         &self.robustness
     }
 
-    /// Replaces the epoch retry/backoff policy at runtime (applies to
-    /// the next epoch attempt; nothing in flight is disturbed).
-    pub fn set_epoch_options(&mut self, opts: EpochOptions) {
-        self.epoch_opts = opts;
-    }
-
     /// Completed failovers so far.
     pub fn failovers(&self) -> &[FailoverRecord] {
         &self.failovers
@@ -442,7 +374,7 @@ impl Fabric {
     /// Crashes a leaf (the chaos harness's kill event, also callable
     /// directly by a driver): its engine abandons everything in
     /// flight and the fabric's detector will declare it dead at the
-    /// next probe tick or quiesce barrier.
+    /// next probe tick, epoch or [`Fabric::quiesce`].
     pub fn kill_leaf(&mut self, leaf: usize) {
         self.engines[leaf].simulate_crash();
         self.fault_at[leaf].get_or_insert_with(Instant::now);
@@ -457,8 +389,8 @@ impl Fabric {
     }
 
     /// Arms a transient whole-leaf stall (chaos stall event): the
-    /// leaf's next batch sleeps `ms` ms, which an epoch's quiesce
-    /// barrier will time out on — the retry/backoff path's food.
+    /// leaf's next batch sleeps `ms` ms. Epochs commit through it;
+    /// only [`Fabric::quiesce`] times out on it.
     pub fn stall_leaf(&mut self, leaf: usize, ms: u64) {
         self.engines[leaf].inject_stall(ms);
     }
@@ -489,7 +421,7 @@ impl Fabric {
                 // moment the detector catches up.
                 self.void_per_leaf[leaf] += 1;
                 if self.record_routes {
-                    self.route_log.push(Route::Orphaned(leaf));
+                    self.route_log.push(Route::Orphaned);
                 }
             }
             _ => {
@@ -499,7 +431,7 @@ impl Fabric {
                 self.orphaned_per_leaf[leaf] += 1;
                 self.robustness.orphaned_packets += 1;
                 if self.record_routes {
-                    self.route_log.push(Route::Orphaned(leaf));
+                    self.route_log.push(Route::Orphaned);
                 }
             }
         }
@@ -520,11 +452,11 @@ impl Fabric {
     }
 
     /// Probe tick: sweep, then — if anything is dead — attempt the
-    /// failover epoch. A transient failure (stalled survivor) leaves
-    /// the fabric degraded; the next tick retries. A permanent one
-    /// (a survivor that cannot admit its grown slice) leaves it
-    /// degraded for good: every affected packet is still counted, so
-    /// the operator sees exactly what graceful degradation cost.
+    /// failover epoch. A survivor that cannot admit its grown slice
+    /// leaves the fabric degraded and the next tick tries again, so a
+    /// permanent rejection leaves it degraded for good: every affected
+    /// packet is still counted, so the operator sees exactly what
+    /// graceful degradation cost.
     fn probe_and_repair(&mut self) {
         self.detect_failures();
         if self.degraded() {
@@ -577,89 +509,65 @@ impl Fabric {
     }
 
     /// Installs a new master program as one two-phase fabric epoch
-    /// over the *surviving* leaves, with bounded-backoff retry for
-    /// transient failures ([`EpochOptions`]).
+    /// over the *surviving* leaves.
     ///
     /// 1. **Prepare**: slice the master over the live mask; every live
     ///    leaf admission-checks and stages its slice. Any failure ⇒
     ///    abort everywhere; no generation bump, no table change, on
-    ///    any leaf.
-    /// 2. **Quiesce barrier**: drain every live leaf's in-flight
-    ///    batches. Packets submitted before this epoch thus complete
-    ///    entirely under the old program — no packet ever observes a
-    ///    mixed-epoch fabric. A watchdog timeout aborts and retries
-    ///    with backoff (up to `retry_attempts` times); a leaf found
-    ///    *dead* here is declared so and the epoch replans over the
-    ///    survivors — the barrier doubles as a failure detector.
-    /// 3. **Commit**: publish everywhere. Infallible by construction —
-    ///    every admission already passed in phase one. A commit that
-    ///    re-homes a dead leaf's shards is a *failover epoch*; the
-    ///    dead leaf is evicted and its repair is recorded.
+    ///    any leaf. A leaf that refuses because it crashed
+    ///    ([`EngineFault::Killed`]) is declared dead and the epoch
+    ///    replans over the survivors — prepare doubles as a failure
+    ///    detector.
+    /// 2. **Commit**: publish everywhere. Infallible by construction —
+    ///    every admission already passed in phase one. Packets
+    ///    submitted before the commit are decided by the old slices,
+    ///    packets after it by the new ones, on every leaf: each batch
+    ///    carries its program, so nothing is drained in between and a
+    ///    stalled leaf delays nothing. A commit that re-homes a dead
+    ///    leaf's shards is a *failover epoch*; the dead leaf is
+    ///    evicted and its repair is recorded.
     pub fn install_master(&mut self, master: Pipeline) -> Result<(), FabricFault> {
         self.detect_failures();
-        let mut attempt: u32 = 0;
         loop {
             match self.try_epoch(&master) {
                 Ok(plan) => {
                     self.commit_epoch(master, plan);
                     return Ok(());
                 }
-                Err(FabricFault::Quiesce {
+                Err(FabricFault::Prepare {
                     leaf,
                     fault: EngineFault::Killed,
-                }) => {
-                    // The barrier found a corpse. Fail the leaf over
-                    // within this same epoch: replan over survivors.
-                    self.declare_dead(leaf);
-                }
-                Err(fault) if fault.is_transient() && attempt < self.epoch_opts.retry_attempts => {
-                    attempt += 1;
-                    self.robustness.epoch_retries += 1;
-                    std::thread::sleep(Duration::from_millis(self.epoch_opts.backoff_ms(attempt)));
-                }
+                }) => self.declare_dead(leaf),
                 Err(fault) => return Err(fault),
             }
         }
     }
 
-    /// One all-or-nothing epoch attempt over the current live mask.
+    /// One all-or-nothing epoch attempt over the current live mask:
+    /// stage on every live leaf, then commit on every live leaf.
     fn try_epoch(&mut self, master: &Pipeline) -> Result<PartitionPlan, FabricFault> {
         let live = self.live_mask();
         let plan =
             PartitionPlan::compute_subset(master, &self.shard_field, self.engines.len(), live)
                 .map_err(FabricFault::Plan)?;
-        // Phase 1: prepare (stage) on every live leaf; each takes its
-        // slice by value.
+        let is_live = |leaf: usize| live & (1 << leaf.min(63)) != 0;
         for (leaf, slice) in plan.slices(master).into_iter().enumerate() {
-            if live & (1 << leaf.min(63)) == 0 {
+            if !is_live(leaf) {
                 continue;
             }
             if let Err(fault) = self.engines[leaf].stage(slice) {
                 self.abort_all();
-                self.epochs_rejected += 1;
+                if fault != EngineFault::Killed {
+                    self.epochs_rejected += 1;
+                }
                 return Err(FabricFault::Prepare { leaf, fault });
             }
         }
-
-        // Phase 2: the barrier. After this, nothing submitted before
-        // the epoch is still in flight on any live leaf.
-        for leaf in 0..self.engines.len() {
-            if live & (1 << leaf.min(63)) == 0 {
-                continue;
-            }
-            if let Err(fault) = self.engines[leaf].quiesce() {
-                self.abort_all();
-                return Err(FabricFault::Quiesce { leaf, fault });
-            }
-        }
-
-        // Phase 3: commit on every live leaf.
         for (leaf, e) in self.engines.iter_mut().enumerate() {
-            if live & (1 << leaf.min(63)) == 0 {
-                continue;
+            if is_live(leaf) {
+                let committed = e.commit();
+                debug_assert!(committed, "every live leaf staged in phase one");
             }
-            let committed = e.commit();
-            debug_assert!(committed, "every live leaf staged in phase one");
         }
         Ok(plan)
     }
@@ -706,7 +614,9 @@ impl Fabric {
     /// Drains every healthy leaf (no epoch change). Respawns dead
     /// workers as a side effect, like the underlying
     /// [`Engine::quiesce`]; a leaf found dead here is declared so
-    /// (repair waits for the next probe tick or install).
+    /// (repair waits for the next probe tick or install). No epoch
+    /// needs this; a stalled leaf fails it with
+    /// [`FabricFault::Quiesce`].
     pub fn quiesce(&mut self) -> Result<(), FabricFault> {
         self.detect_failures();
         for leaf in 0..self.engines.len() {
@@ -839,7 +749,7 @@ impl FabricReport {
                     cursors[leaf] += 1;
                     per_leaf[leaf].get(local).copied().flatten()
                 }
-                Route::Orphaned(_) => None,
+                Route::Orphaned => None,
             })
             .collect()
     }
@@ -894,7 +804,7 @@ mod tests {
     use super::*;
     use camus_core::{Compiler, CompilerOptions};
     use camus_lang::{parse_program, parse_spec, Rule};
-    use camus_workload::{event, raw_field_extractor, Delivery, EpochOracle, EVENT_SPEC};
+    use camus_workload::{event, raw_field_extractor, EpochOracle, EVENT_SPEC};
 
     fn compile_rules(rules: &[Rule]) -> Pipeline {
         let spec = parse_spec(EVENT_SPEC).unwrap();
@@ -943,7 +853,7 @@ mod tests {
         let report = fabric.finish();
         assert!(report.reconciles());
         let decisions = report.decisions_in_submit_order();
-        assert_eq!(oracle.check(&decisions, Delivery::Exact), 0);
+        assert_eq!(oracle.check(&decisions), 0);
     }
 
     #[test]
@@ -1068,7 +978,7 @@ mod tests {
         // Every decision that *was* made matches the big switch —
         // packets only go missing (None), never wrong.
         let got = report.decisions_in_submit_order();
-        assert!(oracle.check(&got, Delivery::Exact) < evs.len());
+        assert!(oracle.check(&got) < evs.len());
         // Post-failover traffic (after the last recorded event) all
         // went somewhere live: the tail of the run has no Nones.
         assert!(got.last().unwrap().is_some(), "tail routed to a survivor");
@@ -1107,79 +1017,5 @@ mod tests {
         // Post-failover, the victim symbol's packets reach leaf 0.
         let tail = report.decisions_in_submit_order();
         assert!(tail.last().unwrap().is_some());
-    }
-
-    #[test]
-    fn transient_stall_is_absorbed_by_epoch_retry_backoff() {
-        let master = compile(RULES);
-        let engine = EngineConfig {
-            watchdog_ms: 20,
-            ..cfg(1)
-        };
-        let mut fcfg = FabricConfig::uniform(2, "ev.sym", extractor(), engine);
-        fcfg.epoch = EpochOptions {
-            retry_attempts: 40,
-            retry_base_ms: 5,
-            retry_cap_ms: 40,
-        };
-        let mut fabric = Fabric::start(&master, &fcfg).unwrap();
-        fabric.stall_leaf(0, 150);
-        fabric.stall_leaf(1, 150);
-        for i in 0..8u32 {
-            fabric.submit(&event("AA", i), 0);
-            fabric.submit(&event("AB", i), 0);
-        }
-        fabric
-            .install_master(compile("sym == CC : fwd(7)"))
-            .unwrap();
-        assert_eq!(fabric.epoch(), 1);
-        assert!(
-            fabric.robustness().epoch_retries > 0,
-            "the stall forced at least one backoff retry"
-        );
-        assert!(!fabric.degraded(), "a stall is transient, not a death");
-        let report = fabric.finish();
-        assert!(report.reconciles());
-        assert_eq!(report.robustness.leaf_deaths, 0);
-    }
-
-    #[test]
-    fn exhausted_retries_surface_the_transient_fault() {
-        let master = compile(RULES);
-        let engine = EngineConfig {
-            watchdog_ms: 10,
-            ..cfg(1)
-        };
-        let mut fcfg = FabricConfig::uniform(2, "ev.sym", extractor(), engine);
-        fcfg.epoch = EpochOptions {
-            retry_attempts: 1,
-            retry_base_ms: 1,
-            retry_cap_ms: 1,
-        };
-        let mut fabric = Fabric::start(&master, &fcfg).unwrap();
-        fabric.stall_leaf(0, 400);
-        fabric.submit(&event("AA", 1), 0);
-        fabric.submit(&event("AB", 1), 0);
-        let err = fabric.install_master(compile("sym == CC : fwd(7)"));
-        assert!(
-            matches!(
-                err,
-                Err(FabricFault::Quiesce {
-                    fault: EngineFault::QuiesceTimeout { .. },
-                    ..
-                })
-            ),
-            "bounded retries exhausted: the transient fault surfaces"
-        );
-        assert_eq!(fabric.epoch(), 0, "all-or-nothing held on every attempt");
-        assert_eq!(fabric.robustness().epoch_retries, 1);
-        // The fabric recovers once the stall clears: a later attempt
-        // with fresh retries succeeds.
-        std::thread::sleep(Duration::from_millis(450));
-        fabric
-            .install_master(compile("sym == CC : fwd(7)"))
-            .unwrap();
-        assert_eq!(fabric.epoch(), 1);
-        fabric.finish();
     }
 }

@@ -129,13 +129,6 @@ fn render_nodes(nodes: &[(&str, &TelemetrySnapshot)]) -> String {
     counter_family(
         &mut out,
         &labels,
-        "camus_epoch_retries_total",
-        "Epoch attempts retried after a transient fault",
-        &series(|s| s.robustness.epoch_retries),
-    );
-    counter_family(
-        &mut out,
-        &labels,
         "camus_orphaned_packets_total",
         "Packets drop-counted for dead-owned shards during failover",
         &series(|s| s.robustness.orphaned_packets),
@@ -405,13 +398,11 @@ mod tests {
         let mut snap = sample_snapshot();
         snap.robustness.leaf_deaths = 1;
         snap.robustness.failover_epochs = 2;
-        snap.robustness.epoch_retries = 3;
         snap.robustness.orphaned_packets = 44;
         snap.robustness.state_loss_entries = 5;
         let flat = render_prometheus(&snap);
         assert!(flat.contains("camus_leaf_deaths_total 1"));
         assert!(flat.contains("camus_failover_epochs_total 2"));
-        assert!(flat.contains("camus_epoch_retries_total 3"));
         assert!(flat.contains("camus_orphaned_packets_total 44"));
         assert!(flat.contains("camus_state_loss_entries_total 5"));
         let labeled = render_prometheus_fabric(&[("spine", &snap)]);

@@ -159,8 +159,7 @@ pub struct TableCounters {
 }
 
 /// Fabric-survivability counters: leaf deaths, failover epochs, the
-/// retries and drops they caused, and the typed state loss they
-/// admitted. Zero on a healthy node; a fabric stamps per-leaf values
+/// drops they caused, and the typed state loss they admitted. Zero on a healthy node; a fabric stamps per-leaf values
 /// into each leaf's snapshot and fabric-global values into a synthetic
 /// `spine` node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -169,8 +168,6 @@ pub struct RobustnessCounters {
     pub leaf_deaths: u64,
     /// Emergency (failover) epochs committed.
     pub failover_epochs: u64,
-    /// Epoch attempts retried after a transient prepare/quiesce fault.
-    pub epoch_retries: u64,
     /// Packets drop-counted because their shard's owner was dead and
     /// failover had not yet committed (the degraded window).
     pub orphaned_packets: u64,
@@ -184,7 +181,6 @@ impl RobustnessCounters {
     pub fn merge(&mut self, other: &RobustnessCounters) {
         self.leaf_deaths += other.leaf_deaths;
         self.failover_epochs += other.failover_epochs;
-        self.epoch_retries += other.epoch_retries;
         self.orphaned_packets += other.orphaned_packets;
         self.state_loss_entries += other.state_loss_entries;
     }

@@ -143,8 +143,10 @@ pub enum NodeEventKind {
     /// The leaf crashes abruptly (`Engine::simulate_crash`): every
     /// in-flight batch dies with it and it never comes back.
     Kill,
-    /// Every worker on the leaf stalls for `ms` on its next batch — a
-    /// transient wedge the epoch retry/backoff machinery must absorb.
+    /// The leaf's next batch to start stalls its worker for `ms` — a
+    /// transient wedge. Epochs commit through it (a batch carries its
+    /// program); only a drain times out on it, and the detector must
+    /// not mistake it for a death.
     Stall {
         /// Stall duration, milliseconds.
         ms: u64,

@@ -50,9 +50,7 @@ pub use faults::{
 };
 pub use interp::{entry_diff, entry_multisets, eval_cond, naive_ports};
 pub use itch_subs::{generate_itch_subscriptions, ItchSubsConfig};
-pub use oracle::{
-    event, ports, random_add_orders, raw_add_order, Delivery, EpochOracle, EVENT_SPEC,
-};
+pub use oracle::{event, ports, random_add_orders, raw_add_order, EpochOracle, EVENT_SPEC};
 pub use siena::{SienaConfig, SienaWorkload};
 pub use soak::soak_seeds;
 pub use trace::{bench_feed, synthesize_feed, TimedPacket, TraceConfig, TraceKind};

@@ -6,6 +6,12 @@
 //! the packet: as the MoldUDP64 feed stack when the fresh program's
 //! parser emits one PHV per message, as one raw event otherwise.
 //!
+//! There is one delivery contract: a packet is decided by exactly the
+//! generation current when it was submitted, never an earlier or a
+//! later one. Engines hand each batch the program live when its
+//! packets were submitted, so this holds with or without a drain
+//! before an update.
+//!
 //! The first [`EpochOracle::publish`] opens generation 0, like an
 //! engine's initial program. The compile is the caller's closure: this
 //! crate sits below the compiler.
@@ -19,20 +25,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::interp::{naive_ports_for_event, naive_ports_for_feed};
 use crate::itch_subs::stock_symbol;
-
-/// Which generations may have decided a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delivery {
-    /// Exactly the generation current at submission: fabric epochs
-    /// (the two-phase barrier drains every leaf before it commits) and
-    /// engines quiesced before every publish.
-    Exact,
-    /// That generation or any later one, never an earlier one: the
-    /// engine's and the daemon's ack contract. Workers adopt a
-    /// publication at their next batch boundary, so a packet still
-    /// queued may meet a newer program; none meets an older one.
-    AtOrAfter,
-}
 
 /// One published rule set and its fresh big-switch compile.
 struct Generation {
@@ -111,12 +103,12 @@ impl<'a> EpochOracle<'a> {
 
     /// Judges a system's decisions, one slot per submitted packet in
     /// submission order (`None`: lost on purpose — quarantined or
-    /// orphaned). Each decided packet must equal the fresh program of a
-    /// generation `delivery` allows, and the interpreter there. Returns
-    /// the number of `None` slots for the caller's ledger asserts.
-    pub fn check(&mut self, decisions: &[Option<&ForwardDecision>], delivery: Delivery) -> usize {
+    /// orphaned). Each decided packet must equal the fresh program of
+    /// the generation current when it was submitted, and the
+    /// interpreter there. Returns the number of `None` slots for the
+    /// caller's ledger asserts.
+    pub fn check(&mut self, decisions: &[Option<&ForwardDecision>]) -> usize {
         assert_eq!(decisions.len(), self.submitted.len(), "one slot per packet");
-        let newest = self.generations.len().saturating_sub(1);
         let mut missing = 0;
         for (seq, (decision, (packet, now_us, at))) in
             decisions.iter().zip(&self.submitted).enumerate()
@@ -125,20 +117,13 @@ impl<'a> EpochOracle<'a> {
                 missing += 1;
                 continue;
             };
-            let last = match delivery {
-                Delivery::Exact => *at,
-                Delivery::AtOrAfter => newest,
-            };
-            let mut allowed = Vec::new();
-            let judged = (*at..=last).find(|&g| {
-                allowed.push(self.generations[g].decide(packet, *now_us));
-                allowed.last() == Some(*got)
-            });
-            let Some(g) = judged else {
-                panic!("packet {seq} (generation {at}) decided {got:?}; {delivery:?} allows only {allowed:?}");
-            };
-            let here = format!("packet {seq} at generation {g}");
-            self.generations[g].assert_interpreter_agrees(&self.spec, packet, got, &here);
+            let want = self.generations[*at].decide(packet, *now_us);
+            assert_eq!(
+                *got, &want,
+                "packet {seq} decided unlike generation {at}, current at its submission"
+            );
+            let here = format!("packet {seq} at generation {at}");
+            self.generations[*at].assert_interpreter_agrees(&self.spec, packet, got, &here);
         }
         missing
     }
@@ -255,35 +240,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Exact allows only")]
-    fn exact_refuses_a_decision_from_the_previous_generation() {
+    #[should_panic(expected = "packet 0 decided unlike generation 1")]
+    fn check_refuses_a_decision_from_an_earlier_generation() {
         let mut o = oracle();
         o.publish(&rules(1));
         o.publish(&rules(2));
         o.submit(&[0], 0);
-        o.check(&[Some(&decided_by(1, &[0]))], Delivery::Exact);
+        o.check(&[Some(&decided_by(1, &[0]))]);
     }
 
     #[test]
-    #[should_panic(expected = "AtOrAfter allows only")]
-    fn at_or_after_refuses_a_generation_before_submission() {
-        let mut o = oracle();
-        o.publish(&rules(1));
-        o.publish(&rules(2));
-        o.submit(&[0], 0);
-        o.check(&[Some(&decided_by(1, &[0]))], Delivery::AtOrAfter);
-    }
-
-    #[test]
-    fn at_or_after_accepts_a_later_generation() {
+    #[should_panic(expected = "packet 0 decided unlike generation 0")]
+    fn check_refuses_a_decision_from_a_later_generation() {
         let mut o = oracle();
         o.publish(&rules(1));
         o.submit(&[0], 0);
         o.publish(&rules(2));
-        assert_eq!(
-            o.check(&[Some(&decided_by(2, &[0]))], Delivery::AtOrAfter),
-            0
-        );
+        o.check(&[Some(&decided_by(2, &[0]))]);
     }
 
     #[test]
@@ -308,7 +281,7 @@ mod tests {
         let short = decided_by(1, &[]);
         assert!(short.malformed());
         let decisions = [None, Some(&decided_by(1, &[0])), None, Some(&short)];
-        assert_eq!(o.check(&decisions, Delivery::Exact), 2);
+        assert_eq!(o.check(&decisions), 2);
     }
 
     #[test]

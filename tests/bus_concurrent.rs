@@ -24,7 +24,7 @@ use std::time::Duration;
 use camus::compiler::{Compiler, CompilerOptions};
 use camus::daemon::{Daemon, DaemonConfig};
 use camus::lang::ast::Rule;
-use camus::workload::{bench_feed, run_bus_churn, BusChurnConfig, Delivery, EpochOracle};
+use camus::workload::{bench_feed, run_bus_churn, BusChurnConfig, EpochOracle};
 
 const CLIENTS: usize = 6;
 const SLICE: usize = 6; // pool rules per client
@@ -186,5 +186,5 @@ fn concurrent_churn_matches_fresh_recompile_of_survivors() {
     let decisions = report_d.engine.decisions_in_submit_order();
     assert_eq!(decisions.len() as u64, injected + probe.len() as u64);
     let tail = &decisions[injected as usize..];
-    assert_eq!(oracle.check(tail, Delivery::Exact), 0);
+    assert_eq!(oracle.check(tail), 0);
 }

@@ -20,7 +20,7 @@ use camus::itch::itch::{AddOrder, ItchMessage, Side};
 use camus::itch::{build_feed_packet, FeedConfig};
 use camus::lang::{parse_program, parse_spec, Rule};
 use camus::workload::itch_subs::stock_symbol;
-use camus::workload::{Delivery, EpochOracle};
+use camus::workload::EpochOracle;
 
 /// `stock == SYM(i) : fwd(port)` as a parsed rule.
 fn symbol_rule(i: usize, port: u16) -> Rule {
@@ -122,11 +122,7 @@ fn run_cached_churn(seed: u64, workers: usize, removes_per_step: usize) {
     assert!(report.error.is_none(), "seed {seed}: {:?}", report.error);
     assert!(report.quarantined.is_empty(), "seed {seed}");
     let decisions = report.decisions_in_submit_order();
-    assert_eq!(
-        oracle.check(&decisions, Delivery::Exact),
-        0,
-        "seed {seed} w{workers}"
-    );
+    assert_eq!(oracle.check(&decisions), 0, "seed {seed} w{workers}");
     let forwarded = decisions.iter().flatten().filter(|d| !d.dropped()).count();
     assert!(forwarded > 0, "seed {seed}: the trace never hit a rule");
     // The cache must have been genuinely live: the program is

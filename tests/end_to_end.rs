@@ -7,7 +7,7 @@ use camus::itch::{build_feed_packet, FeedConfig};
 use camus::lang::{parse_program, parse_spec};
 use camus::pipeline::{DecisionBuf, PortId};
 use camus::workload::{
-    generate_itch_subscriptions, itch_subs::stock_symbol, Delivery, EpochOracle, ItchSubsConfig,
+    generate_itch_subscriptions, itch_subs::stock_symbol, EpochOracle, ItchSubsConfig,
 };
 
 fn compiled(rules: &str) -> camus::compiler::CompiledProgram {
@@ -365,7 +365,7 @@ fn one_wave_over_a_batch_agrees_with_the_oracle() {
         assert!(decisions.iter().any(|d| d.malformed()));
         assert!(decisions.iter().any(|d| d.ports.len() > 1));
         let slots: Vec<_> = decisions.iter().map(Some).collect();
-        assert_eq!(oracle.check(&slots, Delivery::Exact), 0, "cache={cache}");
+        assert_eq!(oracle.check(&slots), 0, "cache={cache}");
         let cached = ctx.exec.cache_stats();
         assert_eq!(cached.is_some_and(|c| c.hits > 0), cache);
     }

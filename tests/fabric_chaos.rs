@@ -19,9 +19,9 @@
 
 use camus::compiler::{owner_of, Compiler, CompilerOptions};
 use camus::engine::EngineConfig;
-use camus::fabric::{EpochOptions, Fabric, FabricConfig, LeafHealth};
+use camus::fabric::{Fabric, FabricConfig, LeafHealth};
 use camus::workload::{
-    raw_field_extractor, ChaosConfig, ChaosPlan, Delivery, EpochOracle, NodeEventKind, SienaConfig,
+    raw_field_extractor, ChaosConfig, ChaosPlan, EpochOracle, NodeEventKind, SienaConfig,
 };
 
 /// One seeded chaos soak on a `leaves`-wide fabric with `workers`
@@ -78,11 +78,6 @@ fn run_chaos_soak(seed: u64, leaves: usize, workers: usize) {
     };
     let mut fcfg = FabricConfig::uniform(leaves, "ev.sym0", extract.clone(), ecfg);
     fcfg.probe_interval = 8;
-    fcfg.epoch = EpochOptions {
-        retry_attempts: 50,
-        retry_base_ms: 5,
-        retry_cap_ms: 40,
-    };
     let mut fabric = Fabric::start(&master, &fcfg).expect("fabric starts");
 
     let mut primary_owner: Vec<usize> = Vec::new();
@@ -156,7 +151,7 @@ fn run_chaos_soak(seed: u64, leaves: usize, workers: usize) {
     // lose nothing — and the entire post-failover tail is present.
     let decisions = report.decisions_in_submit_order();
     let lost = report.orphaned() as usize + report.total_quarantined();
-    assert_eq!(oracle.check(&decisions, Delivery::Exact), lost);
+    assert_eq!(oracle.check(&decisions), lost);
     for (i, d) in decisions.iter().enumerate() {
         assert!(
             d.is_some() || (i < events.len() && dead.contains(&primary_owner[i])),
@@ -194,9 +189,9 @@ fn seeded_chaos_soak_across_the_fabric_grid() {
 
 #[test]
 fn stall_then_kill_interleaving_does_not_confuse_the_detector() {
-    // A transient stall is NOT a death: the detector must ride out the
-    // stall (retry/backoff at the epoch barrier) and only declare the
-    // scripted kill. A 4-leaf fabric with a stall on one leaf and a
+    // A transient stall is NOT a death: the failover epoch commits
+    // straight through the stall (no drain runs inside an epoch), and
+    // the detector declares only the scripted kill. A 4-leaf fabric with a stall on one leaf and a
     // kill on another exercises both paths in one run.
     let siena = SienaConfig {
         int_attributes: 1,
@@ -223,11 +218,6 @@ fn stall_then_kill_interleaving_does_not_confuse_the_detector() {
     };
     let mut fcfg = FabricConfig::uniform(4, "ev.sym0", extract, ecfg);
     fcfg.probe_interval = 8;
-    fcfg.epoch = EpochOptions {
-        retry_attempts: 50,
-        retry_base_ms: 5,
-        retry_cap_ms: 40,
-    };
     let mut fabric = Fabric::start(&master, &fcfg).unwrap();
 
     for (i, ev) in events.iter().enumerate() {

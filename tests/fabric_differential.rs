@@ -20,9 +20,7 @@ use camus::compiler::{Compiler, CompilerOptions, IncrementalCompiler};
 use camus::engine::{EngineConfig, EngineFault, FaultInjection};
 use camus::fabric::{tables_identical, Fabric, FabricConfig, FabricFault};
 use camus::pipeline::{place_chain, AsicModel};
-use camus::workload::{
-    raw_field_extractor, siena_churn, ChurnConfig, Delivery, EpochOracle, SienaConfig,
-};
+use camus::workload::{raw_field_extractor, siena_churn, ChurnConfig, EpochOracle, SienaConfig};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -113,7 +111,7 @@ fn run_fabric_churn(seed: u64, leaves: usize, workers: usize) {
     assert_eq!(report.total_quarantined(), 0, "clean run never quarantines");
     let decisions = report.decisions_in_submit_order();
     assert_eq!(
-        oracle.check(&decisions, Delivery::Exact),
+        oracle.check(&decisions),
         0,
         "seed {seed} leaves {leaves} workers {workers}: clean run records every decision"
     );
@@ -243,16 +241,16 @@ fn admission_rejected_epoch_is_all_or_nothing_across_the_fabric() {
     }
     assert_eq!(report.leaves[1].faults.updates_rejected, 1);
     let decisions = report.decisions_in_submit_order();
-    assert_eq!(oracle.check(&decisions, Delivery::Exact), 0);
+    assert_eq!(oracle.check(&decisions), 0);
 }
 
 #[test]
 fn leaf_worker_death_reconciles_with_zero_loss() {
     // A scripted worker crash on one leaf mid-trace, followed by a
     // fabric epoch: the dead batch is quarantined (exact seqs), the
-    // worker respawns at the epoch's quiesce barrier, the epoch still
-    // commits fabric-wide, and every surviving packet is decided under
-    // the rule set of its submission epoch.
+    // epoch still commits fabric-wide, a drain respawns the worker, and
+    // every surviving packet is decided under the rule set of its
+    // submission epoch.
     let seed = 23u64;
     let siena = siena_cfg(seed);
     let churn = ChurnConfig {
@@ -304,14 +302,16 @@ fn leaf_worker_death_reconciles_with_zero_loss() {
         "sanity"
     );
 
-    // The epoch's quiesce barrier is where the death is detected and
-    // healed; the commit must still land.
+    // The commit must land despite the death.
     let step = &plan.schedule.steps[0];
     let report = session.update(&step.add, &step.remove).unwrap();
     fabric
         .apply_update(&report)
         .expect("epoch commits despite the death");
     oracle.publish(&plan.schedule.rules_after(1));
+    // The epoch drains nothing: heal the dead worker before the
+    // post-epoch traffic, so none of it is queued to a dying thread.
+    fabric.quiesce().unwrap();
     submit(&mut fabric, &mut oracle, &events);
 
     let report = fabric.finish();
@@ -325,10 +325,7 @@ fn leaf_worker_death_reconciles_with_zero_loss() {
     assert_eq!(report.epoch, 1);
 
     let decisions = report.decisions_in_submit_order();
-    assert_eq!(
-        oracle.check(&decisions, Delivery::Exact),
-        report.total_quarantined()
-    );
+    assert_eq!(oracle.check(&decisions), report.total_quarantined());
     // Post-epoch packets are never quarantined (death healed earlier).
     for d in &decisions[events.len()..] {
         assert!(d.is_some());
