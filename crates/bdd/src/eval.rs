@@ -49,6 +49,29 @@ impl Bdd {
         out
     }
 
+    /// How many internal nodes the root reaches — `reachable().len()`
+    /// without collecting them: one bit per allocated node.
+    pub fn reachable_count(&self) -> usize {
+        let mut seen = vec![0u64; self.store.node_count().div_ceil(64)];
+        let mut stack = vec![self.root];
+        let mut count = 0;
+        while let Some(r) = stack.pop() {
+            let NodeRef::Node(crate::store::NodeIdx(i)) = r else {
+                continue;
+            };
+            let (word, bit) = (i as usize / 64, 1u64 << (i % 64));
+            if seen[word] & bit != 0 {
+                continue;
+            }
+            seen[word] |= bit;
+            count += 1;
+            let n = self.store.node(r);
+            stack.push(n.lo);
+            stack.push(n.hi);
+        }
+        count
+    }
+
     /// Structural statistics.
     pub fn stats(&self) -> BddStats {
         let reachable = self.reachable();

@@ -16,6 +16,8 @@
 
 use std::collections::{HashMap, HashSet};
 
+use fxhash::FxHashSet;
+
 use crate::ctx::FieldCtx;
 use crate::pred::FieldId;
 use crate::store::NodeRef;
@@ -133,43 +135,75 @@ pub fn slice(bdd: &Bdd) -> Vec<Component> {
 /// quadratic in the component size thanks to reduction (iii) — see the
 /// paper's discussion after Algorithm 1.
 pub fn component_paths(bdd: &Bdd, comp: &Component) -> Vec<CompPath> {
-    let field_max = bdd.field_info(comp.field).max_value();
     let mut out = Vec::new();
     for &entry in &comp.in_nodes {
-        let mut rank = 0usize;
-        walk(
-            bdd,
-            comp,
-            entry,
-            entry,
-            FieldCtx::full(comp.field, field_max),
-            &mut rank,
-            &mut out,
-        );
+        walk_from(bdd, comp.field, entry, &mut out);
     }
     out
 }
 
-fn in_component(bdd: &Bdd, comp: &Component, r: NodeRef) -> bool {
+/// What one component entry contributes, found without slicing the
+/// diagram: its In→Out paths, ranked from 0 exactly as
+/// [`component_paths`] ranks them, and the vertices it holds live
+/// outside its component — every node of another field that an edge
+/// out of the entry's part of the component reaches (what makes that
+/// node an In node, whether or not a path is feasible along the
+/// edge), and every terminal a path exits to. Sorted, deduplicated.
+///
+/// A component entry's rows are a function of the entry vertex alone,
+/// which is what lets an incremental compiler emit only the entries it
+/// has not seen before.
+pub fn entry_paths(bdd: &Bdd, entry: NodeRef) -> (Vec<CompPath>, Vec<NodeRef>) {
+    let field = bdd.var_pred(bdd.node(entry).var).field;
+    let mut paths = Vec::new();
+    walk_from(bdd, field, entry, &mut paths);
+    let mut outside: Vec<NodeRef> = paths
+        .iter()
+        .map(|p| p.exit)
+        .filter(NodeRef::is_term)
+        .collect();
+    let mut seen: FxHashSet<NodeRef> = FxHashSet::default();
+    let mut stack = vec![entry];
+    while let Some(r) = stack.pop() {
+        if !seen.insert(r) {
+            continue;
+        }
+        let n = bdd.node(r);
+        for child in [n.lo, n.hi] {
+            match child {
+                NodeRef::Term(_) => {}
+                _ if in_field(bdd, field, child) => stack.push(child),
+                _ => outside.push(child),
+            }
+        }
+    }
+    outside.sort_unstable();
+    outside.dedup();
+    (paths, outside)
+}
+
+fn walk_from(bdd: &Bdd, field: FieldId, entry: NodeRef, out: &mut Vec<CompPath>) {
+    let full = FieldCtx::full(field, bdd.field_info(field).max_value());
+    walk(bdd, field, entry, entry, full, &mut 0, out);
+}
+
+fn in_field(bdd: &Bdd, field: FieldId, r: NodeRef) -> bool {
     match r {
         NodeRef::Term(_) => false,
-        NodeRef::Node(_) => {
-            let n = bdd.node(r);
-            bdd.var_pred(n.var).field == comp.field
-        }
+        NodeRef::Node(_) => bdd.var_pred(bdd.node(r).var).field == field,
     }
 }
 
 fn walk(
     bdd: &Bdd,
-    comp: &Component,
+    field: FieldId,
     entry: NodeRef,
     cur: NodeRef,
     ctx: FieldCtx,
     rank: &mut usize,
     out: &mut Vec<CompPath>,
 ) {
-    if !in_component(bdd, comp, cur) {
+    if !in_field(bdd, field, cur) {
         out.push(CompPath {
             entry,
             exit: cur,
@@ -184,11 +218,11 @@ fn walk(
     // True edge first: gives pinned entries priority over the excluding
     // wildcard/range entries below them.
     match ctx.implies(&pred) {
-        Some(true) => walk(bdd, comp, entry, n.hi, ctx, rank, out),
-        Some(false) => walk(bdd, comp, entry, n.lo, ctx, rank, out),
+        Some(true) => walk(bdd, field, entry, n.hi, ctx, rank, out),
+        Some(false) => walk(bdd, field, entry, n.lo, ctx, rank, out),
         None => {
-            walk(bdd, comp, entry, n.hi, ctx.extend(&pred, true), rank, out);
-            walk(bdd, comp, entry, n.lo, ctx.extend(&pred, false), rank, out);
+            walk(bdd, field, entry, n.hi, ctx.extend(&pred, true), rank, out);
+            walk(bdd, field, entry, n.lo, ctx.extend(&pred, false), rank, out);
         }
     }
 }
@@ -297,6 +331,33 @@ mod tests {
                 assert_eq!(ranks, (0..ranks.len()).collect::<Vec<_>>());
             }
         }
+    }
+
+    /// Entry by entry, `entry_paths` finds what slicing finds: the same
+    /// ranked paths, and — from the root down — exactly the In nodes.
+    #[test]
+    fn entry_paths_agree_with_the_sliced_components() {
+        let (bdd, ..) = figure3();
+        let comps = slice(&bdd);
+        let mut in_nodes: Vec<NodeRef> = comps.iter().flat_map(|c| c.in_nodes.clone()).collect();
+        let mut found = vec![bdd.root()];
+        for comp in &comps {
+            let sliced = component_paths(&bdd, comp);
+            for &entry in &comp.in_nodes {
+                let (paths, outside) = entry_paths(&bdd, entry);
+                let want: Vec<_> = sliced.iter().filter(|p| p.entry == entry).collect();
+                assert_eq!(paths.len(), want.len());
+                for (p, q) in paths.iter().zip(want) {
+                    assert_eq!((p.exit, p.rank, &p.ctx), (q.exit, q.rank, &q.ctx));
+                }
+                found.extend(outside.into_iter().filter(|r| !r.is_term()));
+            }
+        }
+        in_nodes.sort_unstable();
+        found.sort_unstable();
+        found.dedup();
+        assert_eq!(found, in_nodes);
+        assert_eq!(bdd.reachable_count(), bdd.reachable().len());
     }
 
     #[test]

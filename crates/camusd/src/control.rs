@@ -18,6 +18,7 @@
 //! later one. The engine publishes before the ack, and each engine
 //! batch carries the program live when its packets were submitted.
 
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -56,6 +57,10 @@ struct PendingMutation {
     remove: Vec<Rule>,
     reply: mpsc::Sender<BusReply>,
 }
+
+/// A coalescing window's validated changes so far: per rule, copies
+/// subscribed minus copies unsubscribed.
+type Pending = HashMap<Rule, isize>;
 
 /// Folds one request's `rules` into its epoch's net delta: a rule an
 /// earlier request in the batch put in `cancels` (a pending add met by
@@ -126,6 +131,15 @@ impl ControlState {
         self.session
             .as_ref()
             .map_or(&self.orphaned, |s| s.active_rules())
+    }
+
+    /// How many copies of `rule` are installed: the session's count
+    /// index, or a count over `orphaned` once the session is gone.
+    fn active_count(&self, rule: &Rule) -> usize {
+        match &self.session {
+            Some(s) => s.active_count(rule),
+            None => self.orphaned.iter().filter(|r| *r == rule).count(),
+        }
     }
 
     /// The control loop. Returns the final report after shutdown.
@@ -215,14 +229,15 @@ impl ControlState {
         first_reply: mpsc::Sender<BusReply>,
         rx: &mpsc::Receiver<Ctl>,
     ) -> bool {
-        // Validation view: installed ∪ pending batch, so intra-batch
-        // conflicts (double-subscribe of one rule) reject up front
-        // instead of poisoning the whole epoch.
-        let mut view = self.rules().to_vec();
+        // Validation view: the installed counts plus the window's
+        // pending adds and removes, so intra-batch conflicts
+        // (double-subscribe of one rule) reject up front instead of
+        // poisoning the whole epoch.
+        let mut pending = Pending::new();
         let mut batch: Vec<PendingMutation> = Vec::new();
         let mut shutdown = false;
 
-        if let Some(pm) = self.admit_to_batch(first, first_reply, &mut view) {
+        if let Some(pm) = self.admit_to_batch(first, first_reply, &mut pending) {
             batch.push(pm);
         }
         while !shutdown && !batch.is_empty() && batch.len() < self.coalesce_max {
@@ -231,7 +246,7 @@ impl ControlState {
                     req: req @ (BusRequest::Subscribe { .. } | BusRequest::Unsubscribe { .. }),
                     reply,
                 }) => {
-                    if let Some(pm) = self.admit_to_batch(req, reply, &mut view) {
+                    if let Some(pm) = self.admit_to_batch(req, reply, &mut pending) {
                         batch.push(pm);
                     }
                 }
@@ -291,15 +306,15 @@ impl ControlState {
         }
     }
 
-    /// Parses and validates one mutation against the batch view. On
-    /// failure the request is rejected immediately and `None` is
-    /// returned; on success the view advances and the caller gets the
-    /// pending entry.
+    /// Parses and validates one mutation against the installed rules
+    /// plus the window's `pending` changes. On failure the request is
+    /// rejected immediately and `None` is returned; on success its
+    /// changes join `pending` and the caller gets the pending entry.
     fn admit_to_batch(
         &mut self,
         req: BusRequest,
         reply: mpsc::Sender<BusReply>,
-        view: &mut Vec<Rule>,
+        pending: &mut Pending,
     ) -> Option<PendingMutation> {
         let (texts, is_add) = match req {
             BusRequest::Subscribe { rules } => (rules, true),
@@ -320,20 +335,22 @@ impl ControlState {
                 }
             }
         }
-        if let Some(rule) = parsed.iter().find(|r| view.contains(r) == is_add) {
+        let active = |r: &Rule| self.active_count(r) as isize + pending.get(r).unwrap_or(&0) > 0;
+        if let Some(rule) = parsed.iter().find(|r| active(r) == is_add) {
             let what = if is_add { "already" } else { "not" };
             let message = format!("{what} subscribed: {rule}");
             self.reject(&reply, RejectKind::Compile, &message);
             return None;
         }
-        let (mut add, mut remove) = (Vec::new(), Vec::new());
-        if is_add {
-            view.extend(parsed.iter().cloned());
-            add = parsed;
-        } else {
-            view.retain(|r| !parsed.contains(r));
-            remove = parsed;
+        let step = if is_add { 1 } else { -1 };
+        for rule in &parsed {
+            *pending.entry(rule.clone()).or_insert(0) += step;
         }
+        let (add, remove) = if is_add {
+            (parsed, Vec::new())
+        } else {
+            (Vec::new(), parsed)
+        };
         Some(PendingMutation { add, remove, reply })
     }
 
@@ -687,6 +704,50 @@ mod tests {
             }
         }
         assert!(told_apart, "the probe never matched the rule under test");
+    }
+
+    /// Validation inside one coalesced window reads the session's count
+    /// index plus the window's own changes: a second subscribe of a
+    /// rule, an unsubscribe of a rule that is not active and a second
+    /// unsubscribe of a rule installed once are rejected; the rest ride
+    /// the epoch.
+    #[test]
+    fn a_coalesced_window_rejects_double_subscribes_and_inactive_unsubscribes() {
+        let cfg = DaemonConfig::itch(4, 16).unwrap();
+        let mut state = control_state(&cfg);
+        let (tx, rx) = mpsc::channel();
+        let rules = |i: usize| vec![cfg.pool[i].to_string()];
+        let again = enqueue(&tx, BusRequest::Subscribe { rules: rules(4) });
+        let inactive = enqueue(&tx, BusRequest::Unsubscribe { rules: rules(5) });
+        let leaving = enqueue(&tx, BusRequest::Unsubscribe { rules: rules(0) });
+        let left = enqueue(&tx, BusRequest::Unsubscribe { rules: rules(0) });
+        let subscribe = BusRequest::Subscribe { rules: rules(4) };
+        assert_eq!(rpc(&mut state, &rx, subscribe), ack(1, 2));
+        for rejected in [again, inactive, left] {
+            let reply = rejected.recv().expect("reply");
+            assert!(
+                matches!(
+                    &reply,
+                    BusReply::Rejected {
+                        kind: RejectKind::Compile,
+                        ..
+                    }
+                ),
+                "{reply:?}"
+            );
+        }
+        assert_eq!(leaving.recv().expect("reply"), ack(1, 2));
+        let mut rules: Vec<String> = cfg.pool[1..5].iter().map(|r| r.to_string()).collect();
+        rules.sort();
+        let snapshot = rpc(&mut state, &rx, BusRequest::Snapshot);
+        assert_eq!(
+            snapshot,
+            BusReply::Snapshot {
+                generation: 1,
+                rules
+            }
+        );
+        assert!(state.shutdown(&rx).zero_loss());
     }
 
     /// A pool subscribe and a capacity bomb ride one window: the engine

@@ -26,15 +26,14 @@
 //! Table-entry translation (phase 2 of [`emit_tables`]) also fans out
 //! across field components.
 
-use std::collections::HashMap;
-
-use camus_bdd::pred::{ActionId, Pred};
-use camus_bdd::slice::{component_paths, slice};
-use camus_bdd::store::EMPTY_ACTIONS;
+use camus_bdd::pred::{ActionId, FieldId, Pred};
+use camus_bdd::slice::{component_paths, slice, CompPath};
+use camus_bdd::store::{ActionSetId, EMPTY_ACTIONS};
 use camus_bdd::{Bdd, NodeRef};
-use camus_pipeline::multicast::{MulticastTable, PortId};
+use camus_pipeline::multicast::{GroupId, MulticastTable, PortId};
 use camus_pipeline::table::{ActionOp, Entry, Key, MatchKind, MatchValue, RegOp, Table};
 use camus_telemetry::{SpanKind, SpanSet, SpanTimer};
+use fxhash::FxHashMap;
 
 use crate::error::CompileError;
 use crate::resolve::{CounterFunc, Resolved, RuleAction};
@@ -135,14 +134,14 @@ impl DynamicProgram {
 /// unchanged BDD nodes keep their state ids and unchanged port sets
 /// keep their group ids — maximizing table-entry reuse across updates
 /// (§3, "state updates can benefit from table entry re-use").
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct EmissionState {
     pub(crate) actions: Vec<RuleAction>,
-    pub(crate) action_ids: HashMap<RuleAction, ActionId>,
-    pub(crate) state_of: HashMap<NodeRef, u64>,
+    pub(crate) action_ids: FxHashMap<RuleAction, ActionId>,
+    pub(crate) state_of: FxHashMap<NodeRef, u64>,
     pub(crate) next_state: u64,
     pub(crate) mcast: MulticastTable,
-    pub(crate) group_of: HashMap<Vec<PortId>, camus_pipeline::GroupId>,
+    pub(crate) group_of: FxHashMap<Vec<PortId>, GroupId>,
 }
 
 impl EmissionState {
@@ -164,14 +163,23 @@ impl EmissionState {
 
     /// The state id of a vertex reached by the current emission: the
     /// one it `carried` over from the previous emission, else a new one.
-    fn state(&mut self, r: NodeRef, carried: &HashMap<NodeRef, u64>) -> u64 {
-        *self.state_of.entry(r).or_insert_with(|| {
-            carried.get(&r).copied().unwrap_or_else(|| {
-                let s = self.next_state;
-                self.next_state += 1;
-                s
-            })
-        })
+    fn state(&mut self, r: NodeRef, carried: &FxHashMap<NodeRef, u64>) -> u64 {
+        if let Some(&s) = self.state_of.get(&r) {
+            return s;
+        }
+        let s = carried
+            .get(&r)
+            .copied()
+            .unwrap_or_else(|| self.fresh_state());
+        self.state_of.insert(r, s);
+        s
+    }
+
+    /// A state id no vertex has held before.
+    pub(crate) fn fresh_state(&mut self) -> u64 {
+        let s = self.next_state;
+        self.next_state += 1;
+        s
     }
 
     /// Re-keys the per-vertex state after a [`Bdd::compact`], so state
@@ -184,6 +192,79 @@ impl EmissionState {
     }
 }
 
+/// The empty match-action table a field's component translates into:
+/// `(state: exact, field: exact|range)`; a miss keeps the state
+/// (pass-through for skipped components).
+pub(crate) fn field_table_shell(
+    bdd: &Bdd,
+    statics: &StaticPipeline,
+    field: FieldId,
+) -> Result<Table, CompileError> {
+    let info = bdd.field_info(field);
+    let kind = if info.exact {
+        MatchKind::Exact
+    } else {
+        MatchKind::Range
+    };
+    let keys = vec![
+        Key {
+            field: statics.state_meta,
+            kind: MatchKind::Exact,
+            bits: 32,
+        },
+        Key {
+            field: statics.field_phv[field.0 as usize],
+            kind,
+            bits: info.bits,
+        },
+    ];
+    Ok(Table::new(
+        format!("t_{}", info.name.replace('.', "_")),
+        keys,
+        vec![],
+    )?)
+}
+
+/// The field constraint of an In→Out path as its row's match value.
+pub(crate) fn path_match(bdd: &Bdd, p: &CompPath) -> MatchValue {
+    let info = bdd.field_info(p.ctx.field);
+    if let Some(v) = p.pinned() {
+        MatchValue::Exact(v)
+    } else if p.is_wildcard(info.max_value()) || info.exact {
+        // On an exact field an exclusion-only constraint is a wildcard
+        // shadowed by the higher-priority pinned entries (Figure 4's
+        // `*` rows).
+        MatchValue::Any
+    } else {
+        MatchValue::Range {
+            lo: p.ctx.lo,
+            hi: p.ctx.hi,
+        }
+    }
+}
+
+/// One In→Out path as a row of its field's table: in state `from`,
+/// the path's constraint `m` moves the packet to state `to`.
+///
+/// A pinned row outranks the rest. That is the only order the rows of
+/// one entry need: the other rows' ranges are disjoint, and a point one
+/// of them excludes is a pinned row (a false `==` edge is the only way
+/// to exclude a point, and its true edge pins it). A priority that
+/// does not count the paths before the row keeps the row as it was
+/// when an edit inserts a path ahead of it.
+pub(crate) fn path_row(
+    statics: &StaticPipeline,
+    p: &CompPath,
+    m: MatchValue,
+    (from, to): (u64, u64),
+) -> Entry {
+    Entry {
+        priority: u32::from(p.pinned().is_none()),
+        matches: vec![MatchValue::Exact(from), m],
+        ops: vec![ActionOp::SetField(statics.state_meta, to)],
+    }
+}
+
 /// Translates one field component's paths into its match-action table.
 /// Reads — but never mutates — the emission state, so components can be
 /// translated concurrently once all states are assigned.
@@ -192,55 +273,93 @@ fn field_table(
     statics: &StaticPipeline,
     es: &EmissionState,
     comp: &camus_bdd::slice::Component,
-    paths: &[camus_bdd::slice::CompPath],
+    paths: &[CompPath],
 ) -> Result<Table, CompileError> {
-    let info = bdd.field_info(comp.field);
-    let phv = statics.field_phv[comp.field.0 as usize];
-    let kind = if info.exact {
-        MatchKind::Exact
-    } else {
-        MatchKind::Range
-    };
-    let mut table = Table::new(
-        format!("t_{}", info.name.replace('.', "_")),
-        vec![
-            Key {
-                field: statics.state_meta,
-                kind: MatchKind::Exact,
-                bits: 32,
-            },
-            Key {
-                field: phv,
-                kind,
-                bits: info.bits,
-            },
-        ],
-        vec![], // miss: keep state (pass-through for skipped components)
-    )?;
-    let field_max = info.max_value();
+    let mut table = field_table_shell(bdd, statics, comp.field)?;
     for p in paths {
-        let m = if let Some(v) = p.pinned() {
-            MatchValue::Exact(v)
-        } else if p.is_wildcard(field_max) {
-            MatchValue::Any
-        } else if info.exact {
-            // Exclusion-only constraint on an exact field: express as
-            // a wildcard shadowed by the higher-priority pinned
-            // entries (Figure 4's `*` rows).
-            MatchValue::Any
-        } else {
-            MatchValue::Range {
-                lo: p.ctx.lo,
-                hi: p.ctx.hi,
-            }
-        };
-        table.add_entry(Entry {
-            priority: p.rank as u32,
-            matches: vec![MatchValue::Exact(es.state_of[&p.entry]), m],
-            ops: vec![ActionOp::SetField(statics.state_meta, es.state_of[&p.exit])],
-        })?;
+        let states = (es.state_of[&p.entry], es.state_of[&p.exit]);
+        table.add_entry(path_row(statics, p, path_match(bdd, p), states))?;
     }
     Ok(table)
+}
+
+/// The empty leaf table: terminal state → merged actions; a miss drops.
+pub(crate) fn leaf_table_shell(statics: &StaticPipeline) -> Result<Table, CompileError> {
+    let key = Key {
+        field: statics.state_meta,
+        kind: MatchKind::Exact,
+        bits: 32,
+    };
+    Ok(Table::new("t_actions", vec![key], vec![])?)
+}
+
+/// The leaf row of the terminal carrying `set`, at `state`: the merged
+/// actions — unicast, a multicast group (allocated on first use of its
+/// port set), register updates, or an explicit drop. `None` for the
+/// empty set (a miss drops) and for a set that does nothing.
+pub(crate) fn leaf_row(
+    bdd: &Bdd,
+    statics: &StaticPipeline,
+    es: &mut EmissionState,
+    set: ActionSetId,
+    state: u64,
+) -> Option<Entry> {
+    if set == EMPTY_ACTIONS {
+        return None;
+    }
+    let mut ports: Vec<PortId> = Vec::new();
+    let mut ops: Vec<ActionOp> = Vec::new();
+    let mut explicit_drop = false;
+    for &aid in bdd.actions(set) {
+        match &es.actions[aid.0 as usize] {
+            RuleAction::Fwd(ps) => ports.extend(ps.iter().map(|&p| PortId(p))),
+            RuleAction::Drop => explicit_drop = true,
+            RuleAction::ObserveAgg { agg_field } => {
+                let slot = statics.reg_slot[agg_field];
+                let op = match statics.observe_src[agg_field] {
+                    Some(src) => RegOp::Observe(src),
+                    None => RegOp::Increment,
+                };
+                ops.push(ActionOp::Register { slot, op });
+            }
+            RuleAction::CounterUpdate {
+                counter_field,
+                func,
+            } => {
+                let slot = statics.reg_slot[counter_field];
+                let op = match func {
+                    CounterFunc::Increment => RegOp::Increment,
+                    CounterFunc::AddField(f) => RegOp::Observe(statics.field_phv[f.0 as usize]),
+                    CounterFunc::SetConst(v) => RegOp::SetConst(*v),
+                    CounterFunc::SetField(f) => RegOp::SetField(statics.field_phv[f.0 as usize]),
+                };
+                ops.push(ActionOp::Register { slot, op });
+            }
+        }
+    }
+    ports.sort_unstable();
+    ports.dedup();
+    match ports.len() {
+        0 => {
+            if explicit_drop {
+                ops.push(ActionOp::Drop);
+            }
+        }
+        1 => ops.insert(0, ActionOp::Forward(ports[0])),
+        _ => {
+            let mcast = &mut es.mcast;
+            let gid = *es
+                .group_of
+                .entry(ports.clone())
+                .or_insert_with(|| mcast.allocate(ports));
+            ops.insert(0, ActionOp::Multicast(gid));
+        }
+    }
+    (!ops.is_empty()).then(|| Entry {
+        priority: 0,
+        matches: vec![MatchValue::Exact(state)],
+        ops,
+    })
 }
 
 /// Runs Algorithm 1 against the current BDD: slices it into per-field
@@ -326,87 +445,20 @@ pub(crate) fn emit_tables(
     // Phase 3 (sequential): the leaf table — terminal state → merged
     // actions. Mutates the emission state (multicast-group allocation),
     // so it stays single-threaded.
-    let mut leaf = Table::new(
-        "t_actions",
-        vec![Key {
-            field: statics.state_meta,
-            kind: MatchKind::Exact,
-            bits: 32,
-        }],
-        vec![],
-    )?;
-    let mut terminals: Vec<(NodeRef, u64)> = es
+    let mut leaf = leaf_table_shell(statics)?;
+    let mut terminals: Vec<(ActionSetId, u64)> = es
         .state_of
         .iter()
-        .filter(|(r, _)| r.is_term())
-        .map(|(&r, &s)| (r, s))
+        .filter_map(|(r, &s)| match *r {
+            NodeRef::Term(set) => Some((set, s)),
+            NodeRef::Node(_) => None,
+        })
         .collect();
     terminals.sort_by_key(|&(_, s)| s);
-    for (term, state) in terminals {
-        let NodeRef::Term(set) = term else {
-            unreachable!()
-        };
-        if set == EMPTY_ACTIONS {
-            continue; // miss = drop
+    for (set, state) in terminals {
+        if let Some(row) = leaf_row(bdd, statics, es, set, state) {
+            leaf.add_entry(row)?;
         }
-        let mut ports: Vec<PortId> = Vec::new();
-        let mut ops: Vec<ActionOp> = Vec::new();
-        let mut explicit_drop = false;
-        for &aid in bdd.actions(set) {
-            match &es.actions[aid.0 as usize] {
-                RuleAction::Fwd(ps) => ports.extend(ps.iter().map(|&p| PortId(p))),
-                RuleAction::Drop => explicit_drop = true,
-                RuleAction::ObserveAgg { agg_field } => {
-                    let slot = statics.reg_slot[agg_field];
-                    let op = match statics.observe_src[agg_field] {
-                        Some(src) => RegOp::Observe(src),
-                        None => RegOp::Increment,
-                    };
-                    ops.push(ActionOp::Register { slot, op });
-                }
-                RuleAction::CounterUpdate {
-                    counter_field,
-                    func,
-                } => {
-                    let slot = statics.reg_slot[counter_field];
-                    let op = match func {
-                        CounterFunc::Increment => RegOp::Increment,
-                        CounterFunc::AddField(f) => RegOp::Observe(statics.field_phv[f.0 as usize]),
-                        CounterFunc::SetConst(v) => RegOp::SetConst(*v),
-                        CounterFunc::SetField(f) => {
-                            RegOp::SetField(statics.field_phv[f.0 as usize])
-                        }
-                    };
-                    ops.push(ActionOp::Register { slot, op });
-                }
-            }
-        }
-        ports.sort_unstable();
-        ports.dedup();
-        match ports.len() {
-            0 => {
-                if explicit_drop {
-                    ops.push(ActionOp::Drop);
-                }
-            }
-            1 => ops.insert(0, ActionOp::Forward(ports[0])),
-            _ => {
-                let mcast = &mut es.mcast;
-                let gid = *es
-                    .group_of
-                    .entry(ports.clone())
-                    .or_insert_with(|| mcast.allocate(ports.clone()));
-                ops.insert(0, ActionOp::Multicast(gid));
-            }
-        }
-        if ops.is_empty() {
-            continue; // pure no-op terminal
-        }
-        leaf.add_entry(Entry {
-            priority: 0,
-            matches: vec![MatchValue::Exact(state)],
-            ops,
-        })?;
     }
     tables.push(leaf);
     Ok((tables, initial_state, reachable_nodes))

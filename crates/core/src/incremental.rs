@@ -23,21 +23,30 @@
 //!   idempotent union, [`Bdd::reassert_rule`]) puts it back. The
 //!   session keeps every active rule's resolved conjunctions for
 //!   exactly this;
-//! * either way unchanged BDD vertices keep their state ids and
-//!   unchanged port sets their group ids, so the regenerated tables
-//!   share most entries with the installed ones. A report is the next
-//!   program ([`UpdateReport::pipeline`]) plus its entry counts
-//!   (added/removed/kept against the installed tables) — the number of
-//!   switch writes the update costs. Every data plane here (the
-//!   engine's RCU workers, a fabric re-slicing its master, `camusd`)
-//!   installs the program whole.
+//! * either way the work is the change, not the program. The session
+//!   keeps one row group per live vertex that holds a state id (the
+//!   root, every component entry, every reached terminal — module
+//!   `rows`): an update builds rows only for the vertices it made,
+//!   finds the groups that died by reference counting, and counts the
+//!   new rows against the dead ones. Unchanged vertices keep their
+//!   state ids and unchanged port sets their group ids; the new root,
+//!   and a new vertex that took a dead one's place, take the dead
+//!   vertex's id, so a one-rule change rewrites the rows around the
+//!   edit and little else. A report is the next program
+//!   ([`UpdateReport::pipeline`]) plus its entry counts (added/removed/
+//!   kept against the previous program) — the number of switch writes
+//!   the update costs. Only the tables whose rows changed are rebuilt
+//!   and prepared; the others are shared with the previous program, so
+//!   a consumer copying the report copies pointers. Every data plane
+//!   here (the engine's RCU workers, a fabric re-slicing its master,
+//!   `camusd`) installs the program whole.
 //!
 //! The first install into an *empty* session is the one exception to
 //! rule-by-rule insertion: it runs the cold compiler's sharded build,
 //! so starting a session over N rules costs what compiling N rules
 //! costs. After an update the session compacts its diagram whenever
-//! dead nodes outnumber live ones (`COMPACT_RATIO`); state ids are
-//! re-keyed through the compaction, so no table entry moves.
+//! dead nodes outnumber live ones (`COMPACT_RATIO`); state ids and row
+//! groups are re-keyed through the compaction, so no table entry moves.
 //!
 //! The predicate alphabet and the field table are fixed when the
 //! session is created (they determine the static pipeline). A bare
@@ -64,20 +73,22 @@
 //! which no packet observes. What a taken-back rebuild added to the
 //! alphabet goes at the next rebuild.
 
-use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use camus_bdd::pred::{ActionId, Pred, PredOp};
 use camus_bdd::Bdd;
 use camus_lang::ast::Rule;
 use camus_lang::spec::Spec;
 use camus_pipeline::pipeline::Pipeline;
-use camus_pipeline::table::{Entry, Table};
+use camus_pipeline::table::Table;
 use camus_telemetry::SpanSet;
+use fxhash::{FxHashMap, FxHasher};
 
 use crate::compile::CompilerOptions;
 use crate::dynamic::{build_sharded, emit_tables, resolve_shards, EmissionState};
 use crate::error::CompileError;
 use crate::resolve::{resolve, resolve_incremental, FieldTable, ResolvedConj};
+use crate::rows::{count_rows, RowGroups};
 use crate::statics::{build_static, StaticPipeline};
 
 /// The session compacts its diagram after an update that leaves more
@@ -105,8 +116,16 @@ pub struct UpdateReport {
     /// The update required a full recompile (a widened alphabet or a
     /// new state slot): the statics may have moved.
     pub full_rebuild: bool,
-    /// A fresh executable pipeline reflecting the updated program.
+    /// The updated program, every table prepared; tables the update
+    /// did not change are shared with the previous report's.
     pub pipeline: Pipeline,
+}
+
+/// The key `IncrementalCompiler::copies` files a rule under.
+fn rule_key(rule: &Rule) -> u64 {
+    let mut h = FxHasher::default();
+    rule.hash(&mut h);
+    h.finish()
 }
 
 /// One resolved conjunction as the BDD takes it: literals and the
@@ -144,8 +163,8 @@ pub struct IncrementalCompiler {
     statics: StaticPipeline,
     bdd: Bdd,
     es: EmissionState,
-    /// Entry multisets of the currently installed tables.
-    installed: HashMap<String, HashMap<Entry, usize>>,
+    /// The current program's row groups and tables.
+    rows: RowGroups,
     /// The rules that fix the predicate alphabet: the `pool` the
     /// session was created over, then what rebuilds have added since.
     alphabet: Vec<Rule>,
@@ -155,6 +174,13 @@ pub struct IncrementalCompiler {
     /// `conjs[i]`: what `active[i]` put into the diagram — what removing
     /// it must strip, and what a neighbour's removal may re-assert.
     conjs: Vec<Vec<Conj>>,
+    /// `seqs[i]`: the install number of `active[i]`, ascending.
+    seqs: Vec<u64>,
+    /// The install numbers of the active copies of each rule, oldest
+    /// first, keyed by the rule's hash (`active` tells apart the rules
+    /// of a colliding hash): how many copies are active, and where
+    /// the oldest sits in `active`, without cloning a rule.
+    copies: FxHashMap<u64, Vec<u64>>,
 }
 
 impl IncrementalCompiler {
@@ -184,17 +210,60 @@ impl IncrementalCompiler {
             statics,
             bdd,
             es: EmissionState::new(),
-            installed: HashMap::new(),
+            rows: RowGroups::default(),
             alphabet: alphabet_rules.to_vec(),
             pool: alphabet_rules.len(),
             active: Vec::new(),
             conjs: Vec::new(),
+            seqs: Vec::new(),
+            copies: FxHashMap::default(),
         })
     }
 
     /// The cumulative active rule set, in installation order.
     pub fn active_rules(&self) -> &[Rule] {
         &self.active
+    }
+
+    /// How many copies of `rule` are active (a rule installed twice
+    /// survives one removal).
+    pub fn active_count(&self, rule: &Rule) -> usize {
+        let copies = self
+            .copies
+            .get(&rule_key(rule))
+            .map_or(&[][..], Vec::as_slice);
+        copies
+            .iter()
+            .filter(|&&seq| self.copy_at(seq) == rule)
+            .count()
+    }
+
+    /// The active rule installed as `seq`.
+    fn copy_at(&self, seq: u64) -> &Rule {
+        &self.active[self.seqs.partition_point(|&s| s < seq)]
+    }
+
+    /// The current program emitted from scratch — Algorithm 1 over the
+    /// whole diagram with the session's state ids — for checking the
+    /// row groups against: the last report's tables hold the same
+    /// entries, table by table, as multisets.
+    pub fn emit_whole_diagram(&self) -> Result<Pipeline, CompileError> {
+        let mut es = self.es.clone();
+        let (tables, initial_state, _) = emit_tables(&self.bdd, &self.statics, &mut es, 1)?;
+        Ok(self.program(tables, initial_state))
+    }
+
+    fn program(&self, tables: Vec<Table>, initial_state: u64) -> Pipeline {
+        Pipeline {
+            layout: self.statics.layout.clone(),
+            parser: self.statics.parser.clone(),
+            tables,
+            mcast: self.es.mcast.clone(),
+            registers: self.statics.registers.clone(),
+            state_bindings: self.statics.state_bindings.clone(),
+            init_fields: vec![(self.statics.state_meta, initial_state)],
+            exec: Default::default(),
+        }
     }
 
     /// Installs additional rules and regenerates the tables, reporting
@@ -259,8 +328,9 @@ impl IncrementalCompiler {
         let mut stripped: Vec<Conj> = Vec::new();
         let mut rules_removed = 0usize;
         for r in remove {
-            if let Some(i) = self.active.iter().position(|t| t == r) {
+            if let Some(i) = self.take_oldest_copy(r) {
                 self.active.remove(i);
+                self.seqs.remove(i);
                 stripped.extend(self.conjs.remove(i));
                 rules_removed += 1;
             }
@@ -290,8 +360,9 @@ impl IncrementalCompiler {
                 &mut SpanSet::new(),
             )?;
             self.bdd = built;
-            // State ids are keyed by vertices of the diagram just dropped.
-            self.es.state_of.clear();
+            // Row groups and state ids are keyed by vertices of the
+            // diagram just dropped.
+            self.rows.retire(&mut self.es);
             unsat
         } else {
             let mut unsat = 0usize;
@@ -307,49 +378,45 @@ impl IncrementalCompiler {
         for (conj, ids) in resolved.into_iter().zip(ids) {
             self.conjs[first + conj.source_rule].push((conj.literals, ids));
         }
+        for rule in add {
+            let seq = self.seqs.last().map_or(0, |s| s + 1);
+            self.seqs.push(seq);
+            self.copies.entry(rule_key(rule)).or_default().push(seq);
+        }
         self.active.extend_from_slice(add);
 
-        // Deltas are small; single-threaded translation avoids spawning
-        // workers on every update.
-        let (tables, initial_state, reachable) =
-            emit_tables(&self.bdd, &self.statics, &mut self.es, 1)?;
-        let (added, removed, kept) = diff_tables(&tables, &mut self.installed);
-        self.installed = tables
-            .iter()
-            .map(|t| {
-                let mut multiset: HashMap<Entry, usize> = HashMap::new();
-                for e in t.entries() {
-                    *multiset.entry(e.clone()).or_insert(0) += 1;
-                }
-                (t.name.clone(), multiset)
-            })
-            .collect();
-        if self.bdd.node_count() > COMPACT_RATIO * reachable {
+        let emitted = self.rows.emit(&self.bdd, &self.statics, &mut self.es)?;
+        if self.bdd.node_count() > COMPACT_RATIO * self.bdd.reachable_count() {
             self.compact();
         }
-
-        let total_entries = tables.iter().map(Table::len).sum();
-        let pipeline = Pipeline {
-            layout: self.statics.layout.clone(),
-            parser: self.statics.parser.clone(),
-            tables,
-            mcast: self.es.mcast.clone(),
-            registers: self.statics.registers.clone(),
-            state_bindings: self.statics.state_bindings.clone(),
-            init_fields: vec![(self.statics.state_meta, initial_state)],
-            exec: Default::default(),
-        };
+        let total_entries = emitted.added + emitted.kept;
+        let mut pipeline = self.program(emitted.tables, emitted.initial_state);
+        pipeline.prepare();
         Ok(UpdateReport {
             rules_added: add.len(),
             rules_removed,
             unsat_conjunctions: unsat,
             total_entries,
-            entries_added: added,
-            entries_removed: removed,
-            entries_kept: kept,
+            entries_added: emitted.added,
+            entries_removed: emitted.removed,
+            entries_kept: emitted.kept,
             full_rebuild: false,
             pipeline,
         })
+    }
+
+    /// Forgets the oldest active copy of `rule`, returning its position
+    /// in `active`; `None` when the rule is not active.
+    fn take_oldest_copy(&mut self, rule: &Rule) -> Option<usize> {
+        let key = rule_key(rule);
+        let copies = self.copies.get(&key)?;
+        let oldest = copies.iter().position(|&seq| self.copy_at(seq) == rule)?;
+        let copies = self.copies.get_mut(&key)?;
+        let seq = copies.remove(oldest);
+        if copies.is_empty() {
+            self.copies.remove(&key);
+        }
+        self.seqs.binary_search(&seq).ok()
     }
 
     /// Drops everything the diagram no longer reaches — dead nodes and
@@ -358,6 +425,7 @@ impl IncrementalCompiler {
     fn compact(&mut self) {
         let map = self.bdd.compact();
         self.es.rekey(&map);
+        self.rows.rekey(&map);
     }
 
     /// Full-recompile fallback: rebuilds a fresh session over the
@@ -383,13 +451,17 @@ impl IncrementalCompiler {
         fresh.pool = self.pool;
         let mut report = fresh.install(&target)?;
 
-        // The fresh session diffed against nothing; recount against
+        // The fresh session counted against nothing; recount against
         // the tables this session had installed, so a rebuild reports
-        // the transition like any update. (With a moved field layout
-        // entries may compare unequal even when behaviourally
-        // identical.)
-        let mut old = std::mem::take(&mut self.installed);
-        let (added, removed, kept) = diff_tables(&report.pipeline.tables, &mut old);
+        // the transition like any update — the one whole-table count,
+        // as rebuilds are rare. (With a moved field layout entries may
+        // compare unequal even when behaviourally identical.)
+        fn tagged(t: &Table) -> impl Iterator<Item = (&str, &camus_pipeline::table::Entry)> {
+            t.entries().map(move |e| (t.name.as_str(), e))
+        }
+        let before = self.rows.tables().flat_map(tagged);
+        let (added, removed, kept, _) =
+            count_rows(before, report.pipeline.tables.iter().flat_map(tagged));
         report.entries_added = added;
         report.entries_removed = removed;
         report.entries_kept = kept;
@@ -401,32 +473,6 @@ impl IncrementalCompiler {
     }
 }
 
-/// Counts freshly emitted tables against the previously installed
-/// multisets (consumed): (added, removed, kept), multiset semantics. A
-/// table that disappeared entirely (a field's last predicate went away)
-/// counts all it held as removed.
-fn diff_tables(
-    tables: &[Table],
-    installed: &mut HashMap<String, HashMap<Entry, usize>>,
-) -> (usize, usize, usize) {
-    let (mut added, mut removed, mut kept) = (0usize, 0usize, 0usize);
-    for t in tables {
-        let mut old = installed.remove(&t.name).unwrap_or_default();
-        for e in t.entries() {
-            match old.get_mut(e) {
-                Some(c) if *c > 0 => {
-                    *c -= 1;
-                    kept += 1;
-                }
-                _ => added += 1,
-            }
-        }
-        removed += old.values().sum::<usize>();
-    }
-    removed += installed.values().flat_map(HashMap::values).sum::<usize>();
-    (added, removed, kept)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,6 +481,7 @@ mod tests {
     use camus_pipeline::table::ActionOp;
     use camus_pipeline::PortId;
     use camus_workload::{entry_diff, entry_multisets, raw_add_order, EpochOracle};
+    use std::collections::HashMap;
 
     /// A one-share buy of `symbol` at `price`, as a raw add-order.
     fn order(symbol: &str, price: u32) -> Vec<u8> {
@@ -900,6 +947,90 @@ mod tests {
         }
     }
 
+    /// The row groups' program is what Algorithm 1 over the whole
+    /// diagram emits with the session's state ids: the same initial
+    /// state and, table by table, the same entries as multisets.
+    fn assert_rows_match_whole_diagram(s: &IncrementalCompiler, program: &Pipeline) {
+        let whole = s.emit_whole_diagram().unwrap();
+        assert_eq!(program.init_fields, whole.init_fields);
+        let rows = |p: &Pipeline| -> Vec<(String, HashMap<camus_pipeline::Entry, usize>)> {
+            let count = |t: &Table| {
+                let mut m = HashMap::new();
+                for e in t.entries() {
+                    *m.entry(e.clone()).or_insert(0) += 1;
+                }
+                (t.name.clone(), m)
+            };
+            p.tables.iter().map(count).collect()
+        };
+        assert_eq!(rows(program), rows(&whole));
+    }
+
+    /// Entries of `a` and `b` not matched one for one: the writes that
+    /// turn one table into the other.
+    fn table_writes(a: &Table, b: &Table) -> usize {
+        let mut left: HashMap<&camus_pipeline::Entry, usize> = HashMap::new();
+        for e in a.entries() {
+            *left.entry(e).or_insert(0) += 1;
+        }
+        let mut added = 0;
+        for e in b.entries() {
+            match left.get_mut(e) {
+                Some(n) if *n > 0 => *n -= 1,
+                _ => added += 1,
+            }
+        }
+        added + left.values().sum::<usize>()
+    }
+
+    /// Rows re-emitted and entries written (added + removed) by a
+    /// one-rule add and its removal, for each of eight rules beyond an
+    /// `n`-rule program. Along the way: the root's table — whose
+    /// vertex every update replaces — changes by at most one row, and
+    /// a table an update leaves alone is shared with the previous
+    /// program, not copied.
+    fn update_work(n: usize) -> (usize, Vec<usize>) {
+        let pool = itch_pool(n + 8);
+        let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
+        let mut s = IncrementalCompiler::new(spec, &CompilerOptions::raw(), &pool).unwrap();
+        let mut prev = s.install(&pool[..n]).unwrap().pipeline;
+        let (mut rows, mut writes) = (0, Vec::new());
+        for rule in &pool[n..] {
+            let rule = std::slice::from_ref(rule);
+            for (add, remove) in [(rule, &[][..]), (&[][..], rule)] {
+                let r = s.update(add, remove).unwrap();
+                assert!(!r.full_rebuild);
+                rows += s.rows.last_emitted;
+                writes.push(r.entries_added + r.entries_removed);
+                for (a, b) in prev.tables.iter().zip(&r.pipeline.tables) {
+                    let first = |t: &Table| t.entries().next().map(std::ptr::from_ref);
+                    if table_writes(a, b) == 0 && !a.is_empty() {
+                        assert_eq!(first(a), first(b), "{} was copied", a.name);
+                    }
+                }
+                assert!(table_writes(&prev.tables[0], &r.pipeline.tables[0]) <= 2);
+                prev = r.pipeline;
+            }
+        }
+        (rows, writes)
+    }
+
+    /// An update emits rows for the vertices it made, not for the
+    /// program: five times the rules re-emit at most twice the rows.
+    #[test]
+    fn the_work_of_an_update_does_not_grow_with_the_program() {
+        let (small, writes) = update_work(1_000);
+        let (large, large_writes) = update_work(5_000);
+        eprintln!(
+            "rows re-emitted by 8 adds + 8 removals: {small} at 1 000 rules, {large} at 5 000"
+        );
+        eprintln!("entries written per update: {writes:?} at 1 000, {large_writes:?} at 5 000");
+        assert!(
+            large <= 2 * small,
+            "{large} rows at 5 000 rules, {small} at 1 000"
+        );
+    }
+
     /// `rounds` add/remove rounds over `churn` rules on top of `base`,
     /// in two sessions: one compacting when the rule says so, one
     /// compacted by force after every update. Compaction must be
@@ -940,9 +1071,12 @@ mod tests {
                     ),
                     "round {round}"
                 );
+                assert_rows_match_whole_diagram(&natural, &a.pipeline);
+                assert_rows_match_whole_diagram(&forced, &b.pipeline);
                 forced.compact();
                 let still = forced.install(&[]).unwrap();
                 assert_eq!((still.entries_added, still.entries_removed), (0, 0));
+                assert_rows_match_whole_diagram(&forced, &still.pipeline);
 
                 let now = natural.bdd.node_count();
                 compactions += usize::from(now < allocated);
@@ -1068,11 +1202,7 @@ mod tests {
         let mut s = session(ALPHABET);
         s.install(&parse_program("stock == GOOGL : fwd(1)\nstock == MSFT : fwd(2)").unwrap())
             .unwrap();
-        let total_before: usize = s
-            .installed
-            .values()
-            .map(|m| m.values().sum::<usize>())
-            .sum();
+        let total_before: usize = s.rows.tables().map(Table::len).sum();
         assert!(total_before > 0);
         let r = s
             .update(

@@ -53,6 +53,7 @@ pub mod incremental;
 pub mod p4gen;
 pub mod partition;
 pub mod resolve;
+mod rows;
 pub mod statics;
 
 pub use compile::{CompiledProgram, Compiler, CompilerOptions, Encap};

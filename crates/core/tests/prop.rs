@@ -201,8 +201,9 @@ proptest! {
     /// driven through `IncrementalCompiler::update`, the report's
     /// program must forward identically to a fresh full compile of the
     /// cumulative rule set (and both must match the naive interpreter),
-    /// and its entry counts must be the diff from the previous report's
-    /// program. Covers delta adds, delta removals (strip + re-assert)
+    /// its entry counts must be the diff from the previous report's
+    /// program, and its tables must hold what a whole-diagram emission
+    /// with the session's state ids makes. Covers delta adds, delta removals (strip + re-assert)
     /// and the out-of-alphabet fallback — the only step allowed to be a
     /// full rebuild.
     #[test]
@@ -212,7 +213,9 @@ proptest! {
         out_of_alphabet in 0usize..2,
     ) {
         use camus_core::IncrementalCompiler;
-        use camus_workload::{entry_diff, siena_churn, ChurnConfig, EpochOracle, SienaConfig};
+        use camus_workload::{
+            entry_diff, entry_multisets, siena_churn, ChurnConfig, EpochOracle, SienaConfig,
+        };
 
         let siena = SienaConfig {
             int_attributes: 2,
@@ -246,6 +249,11 @@ proptest! {
             prop_assert!(out_of_alphabet > 0 || !report.full_rebuild, "step {}", k);
             let counts = (report.entries_added, report.entries_removed, report.entries_kept);
             prop_assert_eq!(counts, entry_diff(&prev, &report.pipeline), "step {}", k);
+            // The row groups hold what Algorithm 1 over the whole
+            // diagram emits with the same state ids.
+            let whole = session.emit_whole_diagram().unwrap();
+            prop_assert_eq!(&report.pipeline.init_fields, &whole.init_fields, "step {}", k);
+            prop_assert_eq!(entry_multisets(&report.pipeline), entry_multisets(&whole), "step {}", k);
 
             let active = plan.schedule.rules_after(k + 1);
             prop_assert_eq!(session.active_rules(), active.as_slice());

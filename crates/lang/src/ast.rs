@@ -242,7 +242,7 @@ impl fmt::Display for Atom {
 }
 
 /// A rule condition: a logical expression over atomic predicates.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Cond {
     /// Conjunction `c1 ∧ c2`.
     And(Box<Cond>, Box<Cond>),
@@ -358,7 +358,7 @@ impl fmt::Display for Action {
 }
 
 /// A full condition-action rule `c : a1; a2; ...`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Rule {
     /// Matching condition.
     pub condition: Cond,
