@@ -361,10 +361,7 @@ impl RowGroups {
         for run in &runs {
             table.add_run(run.clone())?;
         }
-        match at {
-            Ok(i) => table.prepare_from(&self.tables[i].table),
-            Err(_) => table.prepare(),
-        }
+        table.prepare();
         let rebuilt = SlotTable { slot, runs, table };
         match at {
             Ok(i) if rebuilt.runs.is_empty() && slot != LEAF => {

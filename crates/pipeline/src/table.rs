@@ -249,33 +249,6 @@ fn lowered_keys(keys: &[Key]) -> Option<(Option<usize>, Option<usize>)> {
     }
 }
 
-/// An entry's probe state (`None`: a wildcard-state row) and the value
-/// interval it covers; `None` for an empty range, which never matches.
-fn span_of(
-    (probe, value): (Option<usize>, Option<usize>),
-    e: &Entry,
-    index: usize,
-) -> Option<(Option<u64>, Span)> {
-    // Validated kinds: the probe key holds Exact or Any, the value key
-    // Exact, Range or Any.
-    let state = match probe.and_then(|k| e.matches.get(k)) {
-        Some(&MatchValue::Exact(s)) => Some(s),
-        _ => None,
-    };
-    let (lo, hi) = match value.and_then(|k| e.matches.get(k)) {
-        Some(&MatchValue::Exact(v)) => (v, v),
-        Some(&MatchValue::Range { lo, hi }) => (lo, hi),
-        _ => (0, u64::MAX),
-    };
-    let span = Span {
-        lo,
-        hi,
-        priority: e.priority,
-        index: index as u32,
-    };
-    (lo <= hi).then_some((state, span))
-}
-
 impl IntervalIndex {
     fn build(keys: &[Key], entries: &[&Entry]) -> IntervalIndex {
         // `Table::new` admits only lowerable key lists.
@@ -286,10 +259,29 @@ impl IntervalIndex {
         let mut rows: Vec<(u64, Span)> = Vec::new();
         let mut wild: Vec<Span> = Vec::new();
         for (i, e) in entries.iter().enumerate() {
-            match span_of((probe, value), e, i) {
-                Some((Some(s), span)) => rows.push((s, span)),
-                Some((None, span)) => wild.push(span),
-                None => {}
+            // Validated kinds: the probe key holds Exact or Any, the
+            // value key Exact, Range or Any.
+            let state = match probe.and_then(|k| e.matches.get(k)) {
+                Some(&MatchValue::Exact(s)) => Some(s),
+                _ => None,
+            };
+            let (lo, hi) = match value.and_then(|k| e.matches.get(k)) {
+                Some(&MatchValue::Exact(v)) => (v, v),
+                Some(&MatchValue::Range { lo, hi }) => (lo, hi),
+                _ => (0, u64::MAX),
+            };
+            if lo > hi {
+                continue; // an empty range never matches
+            }
+            let span = Span {
+                lo,
+                hi,
+                priority: e.priority,
+                index: i as u32,
+            };
+            match state {
+                Some(s) => rows.push((s, span)),
+                None => wild.push(span),
             }
         }
         rows.sort_unstable_by_key(|&(s, _)| s);
@@ -338,118 +330,6 @@ impl IntervalIndex {
             winners,
             ops,
         }
-    }
-
-    /// Lowers `rows` reusing `base`, the index of `base_rows`: a state
-    /// whose rows are one run `base_rows` also holds keeps its lowered
-    /// run, copied; only the other states are swept. `None` — build
-    /// from scratch — unless every row names its state, each run holds
-    /// one state's rows and each state has one run, in both tables.
-    fn rebuild(
-        keys: &[Key],
-        rows: &Rows,
-        base_rows: &Rows,
-        base: &IntervalIndex,
-    ) -> Option<IntervalIndex> {
-        let (probe, value) = lowered_keys(keys)?;
-        let probe_at = probe?;
-        // The one state every row of `run` names, if there is one.
-        let state_of = |run: &[Entry]| {
-            let state = |e: &Entry| match e.matches.get(probe_at) {
-                Some(&MatchValue::Exact(s)) => Some(s),
-                _ => None,
-            };
-            let s = state(run.first()?)?;
-            run.iter().all(|e| state(e) == Some(s)).then_some(s)
-        };
-        let no_wild = base.winners[base.wild.0 as usize..][..base.wild.1 as usize]
-            .iter()
-            .all(|&w| w == OpRun::MISS);
-        if !(rows.tail.is_empty() && base_rows.tail.is_empty() && no_wild) {
-            return None;
-        }
-        let mut base_run: FxHashMap<u64, *const Entry> = FxHashMap::default();
-        for run in &base_rows.runs {
-            if base_run.insert(state_of(run)?, run.as_ptr()).is_some() {
-                return None;
-            }
-        }
-        // The wildcard-state run: no rows, so one interval without a
-        // winner.
-        let mut starts = vec![0];
-        let mut winners = vec![OpRun::MISS];
-        let mut ops = Vec::new();
-        let mut by_state = Vec::with_capacity(rows.runs.len());
-        let mut sweep = Sweep::default();
-        let mut run_of = Vec::new();
-        for run in &rows.runs {
-            let state = state_of(run)?;
-            let offset = starts.len() as u32;
-            if base_run.get(&state) == Some(&run.as_ptr()) {
-                // The very run `base` lowered for this state: copy its
-                // starts, winners and the block of ops they read.
-                let (at, len) = base.runs.get(state)?;
-                let (at, len) = (at as usize, len as usize);
-                let won = &base.winners[at..at + len];
-                let hit = won.iter().filter(|w| **w != OpRun::MISS);
-                let lo = hit.clone().map(|w| w.start).min().unwrap_or(0);
-                let hi = hit.map(|w| w.start + w.len).max().unwrap_or(0);
-                let shift = ops.len() as u32;
-                ops.extend_from_slice(&base.ops[lo as usize..hi as usize]);
-                starts.extend_from_slice(&base.starts[at..at + len]);
-                winners.extend(won.iter().map(|&w| match w {
-                    OpRun::MISS => w,
-                    OpRun { start, len } => OpRun {
-                        start: start - lo + shift,
-                        len,
-                    },
-                }));
-            } else {
-                sweep.spans.clear();
-                sweep.starts.clear();
-                sweep.winners.clear();
-                let spans = run.iter().enumerate();
-                sweep
-                    .spans
-                    .extend(spans.filter_map(|(i, e)| Some(span_of((probe, value), e, i)?.1)));
-                sweep.run();
-                run_of.clear();
-                run_of.resize(run.len(), OpRun::MISS);
-                starts.extend_from_slice(&sweep.starts);
-                for &w in &sweep.winners {
-                    if w == NO_ENTRY {
-                        winners.push(OpRun::MISS);
-                        continue;
-                    }
-                    let op_run = &mut run_of[w as usize];
-                    if *op_run == OpRun::MISS {
-                        let e_ops = &run[w as usize].ops;
-                        *op_run = OpRun {
-                            start: ops.len() as u32,
-                            len: e_ops.len() as u32,
-                        };
-                        ops.extend_from_slice(e_ops);
-                    }
-                    winners.push(*op_run);
-                }
-            }
-            by_state.push((state, (offset, starts.len() as u32 - offset)));
-        }
-        by_state.sort_unstable_by_key(|&(s, _)| s);
-        if by_state.windows(2).any(|w| w[0].0 == w[1].0) {
-            return None;
-        }
-        let wild = (0, 1);
-        let field = |k: Option<usize>| k.map(|k| keys[k].field);
-        Some(IntervalIndex {
-            probe: field(probe),
-            value: field(value),
-            runs: StateRuns::build(&by_state, wild),
-            wild,
-            starts,
-            winners,
-            ops,
-        })
     }
 
     /// The winner's actions for `phv`, or `None` on a miss: one state
@@ -646,27 +526,6 @@ impl Table {
         if self.prepared.is_none() {
             let entries: Vec<&Entry> = self.entries().collect();
             self.prepared = Some(Arc::new(IntervalIndex::build(&self.keys, &entries)));
-        }
-    }
-
-    /// [`Table::prepare`], lowering only the states whose rows `base`
-    /// — typically the previous version of this table — does not hold
-    /// in the same shared run ([`Table::add_run`]): the others keep
-    /// `base`'s lowered form. Falls back to a whole lowering when the
-    /// rows are not one run per state or `base` is not prepared.
-    pub fn prepare_from(&mut self, base: &Table) {
-        if self.prepared.is_some() {
-            return;
-        }
-        let rebuilt = match &base.prepared {
-            Some(index) if base.keys == self.keys => {
-                IntervalIndex::rebuild(&self.keys, &self.rows, &base.rows, index)
-            }
-            _ => None,
-        };
-        match rebuilt {
-            Some(index) => self.prepared = Some(Arc::new(index)),
-            None => self.prepare(),
         }
     }
 
@@ -1197,89 +1056,6 @@ mod tests {
                 want,
                 "sparse state={far} v={v}"
             );
-        }
-    }
-
-    /// `prepare_from` re-lowers only the runs the base does not share,
-    /// and answers every probe as a whole lowering of the same rows
-    /// does; rows outside one-run-per-state fall back to that lowering.
-    #[test]
-    fn preparing_from_a_base_agrees_with_a_whole_lowering() {
-        let (l, state, value) = layout2();
-        let r = |lo, hi| MatchValue::Range { lo, hi };
-        let run = |s: u64, cuts: &[(u64, u64)]| -> Arc<[Entry]> {
-            let rows = cuts.iter().enumerate();
-            let rows = rows.map(|(i, &(lo, hi))| {
-                tagged(i as u32, MatchValue::Exact(s), r(lo, hi), s * 10 + i as u64)
-            });
-            rows.collect()
-        };
-        let (a, b, c) = (
-            run(1, &[(0, 9), (5, 20)]),
-            run(2, &[(3, 3)]),
-            run(3, &[(0, 50), (60, 70)]),
-        );
-        let mut base = state_range_table(state, value);
-        for x in [&a, &b, &c] {
-            base.add_run(x.clone()).unwrap();
-        }
-        base.prepare();
-        let b2 = run(2, &[(3, 4), (0, 100)]);
-        let d = run(7, &[(8, 9)]);
-        let build = |runs: &[&Arc<[Entry]>]| {
-            let mut t = state_range_table(state, value);
-            for x in runs {
-                t.add_run((*x).clone()).unwrap();
-            }
-            t
-        };
-        let mut derived = build(&[&c, &b2, &a, &d]);
-        let index = base.prepared.as_deref().unwrap();
-        assert!(IntervalIndex::rebuild(&derived.keys, &derived.rows, &base.rows, index).is_some());
-        derived.prepare_from(&base);
-        let mut whole = build(&[&c, &b2, &a, &d]);
-        whole.prepare();
-        // A tail row breaks one-run-per-state: the fallback still agrees.
-        let mut tailed = build(&[&c, &b2, &a, &d]);
-        tailed
-            .add_entry(tagged(0, MatchValue::Exact(1), r(30, 40), 99))
-            .unwrap();
-        assert!(IntervalIndex::rebuild(&tailed.keys, &tailed.rows, &base.rows, index).is_none());
-        tailed.prepare_from(&base);
-        let mut tailed_whole = tailed.clone();
-        tailed_whole.prepared = None;
-        // A shared run holding two states' rows is no state's run.
-        let two: Arc<[Entry]> = a.iter().chain(b.iter()).cloned().collect();
-        let mut mixed_base = build(&[&two, &c]);
-        mixed_base.prepare();
-        let mut mixed = build(&[&two, &d]);
-        let index = mixed_base.prepared.as_deref().unwrap();
-        assert!(
-            IntervalIndex::rebuild(&mixed.keys, &mixed.rows, &mixed_base.rows, index).is_none()
-        );
-        mixed.prepare_from(&mixed_base);
-        let mut mixed_whole = build(&[&two, &d]);
-        for s in [0, 1, 2, 3, 7, 8] {
-            for v in [
-                0, 3, 4, 5, 9, 10, 20, 21, 35, 50, 55, 60, 65, 70, 71, 100, 101,
-            ] {
-                let phv = phv_with(&l, state, value, s, v);
-                assert_eq!(
-                    tag(&mut derived, &phv),
-                    tag(&mut whole, &phv),
-                    "s={s} v={v}"
-                );
-                assert_eq!(
-                    tag(&mut tailed, &phv),
-                    tag(&mut tailed_whole, &phv),
-                    "s={s} v={v}"
-                );
-                assert_eq!(
-                    tag(&mut mixed, &phv),
-                    tag(&mut mixed_whole, &phv),
-                    "s={s} v={v}"
-                );
-            }
         }
     }
 
