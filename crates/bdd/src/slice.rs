@@ -11,8 +11,9 @@
 //! at **Out** vertices — nodes of later components or terminals (line
 //! 4). [`component_paths`] enumerates every In→Out path together with
 //! the value constraint accumulated along it (line 5-8) and a priority
-//! rank; `camus-core` turns each path into one match-action table entry
-//! (line 9).
+//! rank. [`entry_paths`] finds the same paths one In node at a time,
+//! without slicing; `camus-core` emits from it, turning each path into
+//! one match-action table entry (line 9).
 
 use std::collections::{HashMap, HashSet};
 
@@ -72,6 +73,10 @@ impl CompPath {
 
 /// Slices the reachable part of the BDD into per-field components, in
 /// field order. Fields with no reachable nodes yield no component.
+///
+/// The compiler emits from [`entry_paths`], which needs no slicing;
+/// `slice` and [`component_paths`] are the reference it is tested
+/// against.
 pub fn slice(bdd: &Bdd) -> Vec<Component> {
     let reachable = bdd.reachable();
     let node_field = |r: NodeRef| -> FieldId {
@@ -134,6 +139,8 @@ pub fn slice(bdd: &Bdd) -> Vec<Component> {
 /// `rank` is the emission index. The number of paths is at most
 /// quadratic in the component size thanks to reduction (iii) — see the
 /// paper's discussion after Algorithm 1.
+///
+/// With [`slice`], the reference [`entry_paths`] is tested against.
 pub fn component_paths(bdd: &Bdd, comp: &Component) -> Vec<CompPath> {
     let mut out = Vec::new();
     for &entry in &comp.in_nodes {

@@ -240,6 +240,40 @@ proptest! {
         }
     }
 
+    /// Entry by entry, `entry_paths` — the one path enumerator the
+    /// compiler emits from — finds what slicing finds: the same ranked
+    /// paths, and, from the root down, exactly the In nodes.
+    #[test]
+    fn entry_paths_agree_with_the_sliced_components(
+        rules in arb_rules(),
+        pruning in any::<bool>(),
+    ) {
+        use camus_bdd::slice::{component_paths, entry_paths, slice};
+        use camus_bdd::NodeRef;
+
+        let bdd = build_bdd(&rules, pruning);
+        let comps = slice(&bdd);
+        let mut in_nodes: Vec<NodeRef> = comps.iter().flat_map(|c| c.in_nodes.clone()).collect();
+        let mut found = vec![bdd.root()];
+        for comp in &comps {
+            let sliced = component_paths(&bdd, comp);
+            for &entry in &comp.in_nodes {
+                let (paths, outside) = entry_paths(&bdd, entry);
+                let want: Vec<_> = sliced.iter().filter(|p| p.entry == entry).collect();
+                prop_assert_eq!(paths.len(), want.len());
+                for (p, q) in paths.iter().zip(want) {
+                    prop_assert_eq!((p.exit, p.rank, &p.ctx), (q.exit, q.rank, &q.ctx));
+                }
+                found.extend(outside.into_iter().filter(|r| !r.is_term()));
+            }
+        }
+        in_nodes.sort_unstable();
+        found.retain(|r| !r.is_term());
+        found.sort_unstable();
+        found.dedup();
+        prop_assert_eq!(found, in_nodes);
+    }
+
     /// The component decomposition evaluated as a state machine agrees
     /// with direct evaluation — the semantic core of Algorithm 1.
     #[test]

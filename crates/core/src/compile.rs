@@ -14,9 +14,10 @@ use camus_pipeline::resources::{place_chain, AsicModel, PlacementReport};
 use camus_pipeline::table::{ActionOp, Entry, Key, MatchKind, MatchValue, Table};
 use camus_telemetry::{SpanKind, SpanSet, SpanTimer};
 
-use crate::dynamic::{compile_dynamic, CompileStats, DynamicProgram};
+use crate::dynamic::{build_program, empty_diagram, CompileStats, EmissionState};
 use crate::error::CompileError;
 use crate::resolve::resolve;
+use crate::rows::RowGroups;
 use crate::statics::build_static;
 
 pub use crate::statics::Encap;
@@ -135,45 +136,62 @@ impl Compiler {
         let compile_timer = SpanTimer::start();
         let resolved = resolve(&self.spec, rules, self.options.heuristic)?;
         let statics = build_static(&self.spec, &resolved.fields, &self.options.encap)?;
-        let mut dynp = compile_dynamic(
-            &resolved,
-            &statics,
-            rules.len(),
-            self.options.semantic_pruning,
+        let proto = empty_diagram(&resolved, self.options.semantic_pruning)?;
+        let mut es = EmissionState::new();
+        let ids = es.intern_actions(&resolved.rules);
+        let mut built = build_program(
+            proto,
+            &resolved.rules,
+            &ids,
             self.options.compile_shards,
+            &statics,
+            &mut es,
+            &mut RowGroups::default(),
         )?;
-
+        let mut tables = built.emission.tables;
         let mut layout = statics.layout.clone();
         if let Some(bits) = self.options.compress_bits {
-            compress_domains(&mut dynp, &mut layout, bits)?;
+            tables = compress_domains(tables, &mut layout, bits)?;
         }
 
         // Dependency levels and stage placement share one convention
         // with the live update plane (`place_chain`): compression
         // tables at level 0, main tables chained behind them. That
         // keeps offline `fits()` and runtime admission byte-identical.
-        let placement = place_chain(&dynp.tables, &self.options.asic);
+        let placement = place_chain(&tables, &self.options.asic);
 
-        let p4_source = crate::p4gen::render_p4(&self.spec, &statics, &dynp, &layout);
-        let p4_16_source = crate::p4gen::render_p4_16(&self.spec, &statics, &dynp, &layout);
-        let control_plane = dynp.render_control_plane();
+        let p4_source = crate::p4gen::render_p4(&self.spec, &statics, &tables, &layout);
+        let p4_16_source = crate::p4gen::render_p4_16(&self.spec, &statics, &tables, &layout);
+        let control_plane = crate::p4gen::render_control_plane(&tables);
 
-        let DynamicProgram {
-            tables,
-            mcast,
-            stats,
-            bdd,
-            mut spans,
-        } = dynp;
-        compile_timer.stop_into(&mut spans, SpanKind::Compile);
+        let table_entries: Vec<(String, usize)> =
+            tables.iter().map(|t| (t.name.clone(), t.len())).collect();
+        let bdd_stats = built.bdd.stats();
+        let (memo_hits, memo_misses) = built.bdd.memo_stats();
+        let stats = CompileStats {
+            rules_in: rules.len(),
+            conjunctions: resolved.rules.len(),
+            unsat_conjunctions: built.unsat,
+            bdd_nodes: bdd_stats.reachable_nodes,
+            bdd_terminals: bdd_stats.reachable_terminals,
+            total_entries: table_entries.iter().map(|(_, n)| n).sum(),
+            table_entries,
+            mcast_groups: es.mcast.len(),
+            states: es.next_state as usize,
+            shards: built.shards,
+            allocated_nodes: built.allocated_nodes,
+            memo_hits,
+            memo_misses,
+        };
+        compile_timer.stop_into(&mut built.spans, SpanKind::Compile);
         let pipeline = Pipeline {
             layout,
-            parser: statics.parser.clone(),
+            parser: statics.parser,
             tables,
-            mcast,
-            registers: statics.registers.clone(),
-            state_bindings: statics.state_bindings.clone(),
-            init_fields: vec![(statics.state_meta, 0)],
+            mcast: es.mcast,
+            registers: statics.registers,
+            state_bindings: statics.state_bindings,
+            init_fields: vec![(statics.state_meta, built.emission.initial_state)],
             exec: Default::default(),
         };
         Ok(CompiledProgram {
@@ -183,8 +201,8 @@ impl Compiler {
             p4_source,
             p4_16_source,
             control_plane,
-            bdd,
-            spans,
+            bdd: built.bdd,
+            spans: built.spans,
         })
     }
 }
@@ -192,14 +210,14 @@ impl Compiler {
 /// Applies the low-resolution domain mapping: for every per-field table
 /// whose value key is a range, collect the elementary intervals cut by
 /// its entries and — when few enough — route matching through a
-/// compression table onto a `⌈log₂⌉`-bit compact domain.
+/// compression table onto a `⌈log₂⌉`-bit compact domain, run before
+/// the table it feeds.
 fn compress_domains(
-    dynp: &mut DynamicProgram,
+    tables: Vec<Table>,
     layout: &mut PhvLayout,
     max_bits: u32,
-) -> Result<(), CompileError> {
-    let mut out: Vec<Table> = Vec::with_capacity(dynp.tables.len() * 2);
-    let tables = std::mem::take(&mut dynp.tables);
+) -> Result<Vec<Table>, CompileError> {
+    let mut out: Vec<Table> = Vec::with_capacity(tables.len() * 2);
     for mut table in tables {
         let is_range_value_table =
             table.keys().len() == 2 && table.keys()[1].kind == MatchKind::Range;
@@ -303,17 +321,11 @@ fn compress_domains(
                 ops: e.ops.clone(),
             })?;
         }
-        // Update stats bookkeeping: the compression table adds entries.
-        dynp.stats
-            .table_entries
-            .push((cmp_table.name.clone(), cmp_table.len()));
-        dynp.stats.total_entries += cmp_table.len();
         table = rewritten;
         out.push(cmp_table);
         out.push(table);
     }
-    dynp.tables = out;
-    Ok(())
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -375,6 +387,13 @@ mod tests {
         .unwrap();
         // Compression added one table per range field with entries.
         assert!(compressed.pipeline.tables.len() > plain.pipeline.tables.len());
+        // The statistics list the tables in pipeline order, where each
+        // compression table runs ahead of the table it feeds.
+        for program in [&plain, &compressed] {
+            let stats = program.stats.table_entries.iter().map(|(n, _)| n);
+            let piped = program.pipeline.tables.iter().map(|t| &t.name);
+            assert!(stats.eq(piped), "{:?}", program.stats.table_entries);
+        }
 
         let mut p1 = plain.pipeline;
         let mut p2 = compressed.pipeline;
@@ -439,8 +458,8 @@ mod tests {
             let tables = program.unwrap().pipeline.tables;
             let compressed = tables.iter().any(|t| t.name.starts_with("t_cmp_"));
             assert_eq!(compressed, name.ends_with("compressed"), "{name}");
-            // A cold compile numbers each component's states
-            // consecutively, so every state probe indexes a `Vec`.
+            // A cold compile numbers states densely, parents first,
+            // so every state probe indexes a `Vec`.
             for mut t in tables {
                 t.prepare();
                 let hashed = t.probe_split().map_or(0, |(_, hashed)| hashed);

@@ -7,7 +7,10 @@
 //! and every reachable terminal becomes a leaf-table entry mapping its
 //! state to the merged action set — unicast, a multicast group
 //! (allocated here, deduplicated by port set), register updates, or
-//! drop.
+//! drop. This module builds the rows ([`path_row`], [`leaf_row`]);
+//! the one emitter that assembles them into tables is the row groups
+//! of module `rows`, which a cold compile and every session update
+//! share ([`build_program`]).
 //!
 //! ## Sharded construction
 //!
@@ -23,11 +26,9 @@
 //! [`camus_bdd::Bdd::canonical_copy`], is what makes the emitted
 //! tables, multicast groups and statistics bit-identical regardless of
 //! `K` (pruned union itself is *not* confluent — see [`SHARD_CHUNK`]).
-//! Table-entry translation (phase 2 of [`emit_tables`]) also fans out
-//! across field components.
 
 use camus_bdd::pred::{ActionId, FieldId, Pred};
-use camus_bdd::slice::{component_paths, slice, CompPath};
+use camus_bdd::slice::CompPath;
 use camus_bdd::store::{ActionSetId, EMPTY_ACTIONS};
 use camus_bdd::{Bdd, NodeRef};
 use camus_pipeline::multicast::{GroupId, MulticastTable, PortId};
@@ -36,7 +37,8 @@ use camus_telemetry::{SpanKind, SpanSet, SpanTimer};
 use fxhash::FxHashMap;
 
 use crate::error::CompileError;
-use crate::resolve::{CounterFunc, Resolved, RuleAction};
+use crate::resolve::{CounterFunc, Resolved, ResolvedConj, RuleAction};
+use crate::rows::{Emission, RowGroups};
 use crate::statics::StaticPipeline;
 
 /// Summary statistics of one dynamic compilation.
@@ -77,57 +79,6 @@ pub struct CompileStats {
     pub memo_misses: u64,
 }
 
-/// The dynamic half of a compiled program.
-#[derive(Debug)]
-pub struct DynamicProgram {
-    /// Match-action tables in pipeline order (per-field tables then the
-    /// leaf table).
-    pub tables: Vec<Table>,
-    /// Multicast groups referenced by leaf entries.
-    pub mcast: MulticastTable,
-    /// Compilation statistics.
-    pub stats: CompileStats,
-    /// The BDD, kept for introspection (DOT export, ablations).
-    pub bdd: Bdd,
-    /// Wall-clock timing of the compile phases (shard build, merge,
-    /// emission). Deliberately *not* part of [`CompileStats`]: stats
-    /// are asserted bit-identical across shard counts, timings are not.
-    pub spans: SpanSet,
-}
-
-impl DynamicProgram {
-    /// Renders the control-plane rules as human-readable `table_add`
-    /// lines (the second compiler output of Fig. 6).
-    pub fn render_control_plane(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        for t in &self.tables {
-            for e in t.entries() {
-                let _ = write!(s, "table_add {} prio={}", t.name, e.priority);
-                for (k, m) in t.keys().iter().zip(&e.matches) {
-                    let _ = match m {
-                        MatchValue::Exact(v) => write!(s, " k{}={v}", k.field.0),
-                        MatchValue::Range { lo, hi } => write!(s, " k{}={lo}..{hi}", k.field.0),
-                        MatchValue::Any => write!(s, " k{}=*", k.field.0),
-                    };
-                }
-                let _ = write!(s, " =>");
-                for op in &e.ops {
-                    let _ = match op {
-                        ActionOp::SetField(f, v) => write!(s, " set f{}={v}", f.0),
-                        ActionOp::Forward(p) => write!(s, " fwd({})", p.0),
-                        ActionOp::Multicast(g) => write!(s, " mcast({})", g.0),
-                        ActionOp::Drop => write!(s, " drop"),
-                        ActionOp::Register { slot, .. } => write!(s, " reg[{slot}]"),
-                    };
-                }
-                let _ = writeln!(s);
-            }
-        }
-        s
-    }
-}
-
 /// Persistent emission state: action interning, pipeline-state
 /// numbering, and multicast-group allocation. A full compilation uses a
 /// fresh instance; the incremental compiler keeps one alive so that
@@ -150,29 +101,22 @@ impl EmissionState {
         Self::default()
     }
 
-    /// Interns a rule action, returning its stable id.
-    pub(crate) fn intern_action(&mut self, a: &RuleAction) -> ActionId {
-        if let Some(&id) = self.action_ids.get(a) {
-            return id;
-        }
-        let id = ActionId(self.actions.len() as u32);
-        self.actions.push(a.clone());
-        self.action_ids.insert(a.clone(), id);
-        id
-    }
-
-    /// The state id of a vertex reached by the current emission: the
-    /// one it `carried` over from the previous emission, else a new one.
-    fn state(&mut self, r: NodeRef, carried: &FxHashMap<NodeRef, u64>) -> u64 {
-        if let Some(&s) = self.state_of.get(&r) {
-            return s;
-        }
-        let s = carried
-            .get(&r)
-            .copied()
-            .unwrap_or_else(|| self.fresh_state());
-        self.state_of.insert(r, s);
-        s
+    /// Interns the actions of every conjunction, in order, returning
+    /// their stable ids: a function of the conjunctions' order alone.
+    pub(crate) fn intern_actions(&mut self, conjs: &[ResolvedConj]) -> Vec<Vec<ActionId>> {
+        let mut intern = |a: &RuleAction| {
+            if let Some(&id) = self.action_ids.get(a) {
+                return id;
+            }
+            let id = ActionId(self.actions.len() as u32);
+            self.actions.push(a.clone());
+            self.action_ids.insert(a.clone(), id);
+            id
+        };
+        conjs
+            .iter()
+            .map(|c| c.actions.iter().map(&mut intern).collect())
+            .collect()
     }
 
     /// A state id no vertex has held before.
@@ -265,24 +209,6 @@ pub(crate) fn path_row(
     }
 }
 
-/// Translates one field component's paths into its match-action table.
-/// Reads — but never mutates — the emission state, so components can be
-/// translated concurrently once all states are assigned.
-fn field_table(
-    bdd: &Bdd,
-    statics: &StaticPipeline,
-    es: &EmissionState,
-    comp: &camus_bdd::slice::Component,
-    paths: &[CompPath],
-) -> Result<Table, CompileError> {
-    let mut table = field_table_shell(bdd, statics, comp.field)?;
-    for p in paths {
-        let states = (es.state_of[&p.entry], es.state_of[&p.exit]);
-        table.add_entry(path_row(statics, p, path_match(bdd, p), states))?;
-    }
-    Ok(table)
-}
-
 /// The empty leaf table: terminal state → merged actions; a miss drops.
 pub(crate) fn leaf_table_shell(statics: &StaticPipeline) -> Result<Table, CompileError> {
     let key = Key {
@@ -362,111 +288,9 @@ pub(crate) fn leaf_row(
     })
 }
 
-/// Runs Algorithm 1 against the current BDD: slices it into per-field
-/// components and emits the table chain plus the leaf table. Returns
-/// the tables, the pipeline's initial state (the root's id), and the
-/// number of reachable BDD nodes.
-///
-/// `threads` bounds the worker count for phase 2 (path → entry
-/// translation); the output is identical at any value.
-pub(crate) fn emit_tables(
-    bdd: &Bdd,
-    statics: &StaticPipeline,
-    es: &mut EmissionState,
-    threads: usize,
-) -> Result<(Vec<Table>, u64, usize), CompileError> {
-    // Phase 1 (sequential): assign pipeline states — entry nodes and
-    // terminals in deterministic traversal order. A vertex that had a
-    // state in the previous emission keeps it (so its entries are
-    // reused); `state_of` is rebuilt from the vertices *this* emission
-    // reaches, so a long-lived session neither carries dead vertices
-    // nor emits leaf rows for terminals nothing leads to any more.
-    let carried = std::mem::take(&mut es.state_of);
-    let comps = slice(bdd);
-    let reachable_nodes = comps.iter().map(|c| c.nodes.len()).sum();
-    let initial_state = es.state(bdd.root(), &carried);
-    let mut comp_paths = Vec::with_capacity(comps.len());
-    for comp in &comps {
-        for &n in &comp.in_nodes {
-            es.state(n, &carried);
-        }
-        let paths = component_paths(bdd, comp);
-        for p in &paths {
-            es.state(p.exit, &carried);
-        }
-        comp_paths.push(paths);
-    }
-
-    // Phase 2: per-field tables. Every state is assigned by now, so the
-    // translation only *reads* the emission state and field components
-    // fan out across worker threads; results are scattered back by
-    // component index, keeping the table order deterministic.
-    let threads = threads.clamp(1, comps.len().max(1));
-    let mut tables: Vec<Table> = if threads <= 1 {
-        comps
-            .iter()
-            .zip(&comp_paths)
-            .map(|(c, p)| field_table(bdd, statics, es, c, p))
-            .collect::<Result<_, _>>()?
-    } else {
-        let es_ro: &EmissionState = es;
-        let comps_ref = &comps;
-        let paths_ref = &comp_paths;
-        let mut slots: Vec<Option<Result<Table, CompileError>>> =
-            (0..comps.len()).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    s.spawn(move || {
-                        (w..comps_ref.len())
-                            .step_by(threads)
-                            .map(|i| {
-                                (
-                                    i,
-                                    field_table(bdd, statics, es_ro, &comps_ref[i], &paths_ref[i]),
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, r) in h.join().expect("emission worker panicked") {
-                    slots[i] = Some(r);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every component translated"))
-            .collect::<Result<_, _>>()?
-    };
-
-    // Phase 3 (sequential): the leaf table — terminal state → merged
-    // actions. Mutates the emission state (multicast-group allocation),
-    // so it stays single-threaded.
-    let mut leaf = leaf_table_shell(statics)?;
-    let mut terminals: Vec<(ActionSetId, u64)> = es
-        .state_of
-        .iter()
-        .filter_map(|(r, &s)| match *r {
-            NodeRef::Term(set) => Some((set, s)),
-            NodeRef::Node(_) => None,
-        })
-        .collect();
-    terminals.sort_by_key(|&(_, s)| s);
-    for (set, state) in terminals {
-        if let Some(row) = leaf_row(bdd, statics, es, set, state) {
-            leaf.add_entry(row)?;
-        }
-    }
-    tables.push(leaf);
-    Ok((tables, initial_state, reachable_nodes))
-}
-
 /// Resolves a worker-thread request: 0 means one worker per available
 /// core; never more workers than rules, never fewer than one.
-pub(crate) fn resolve_shards(requested: usize, rules: usize) -> usize {
+fn resolve_shards(requested: usize, rules: usize) -> usize {
     let k = if requested == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -494,7 +318,7 @@ const SHARD_CHUNK: usize = 512;
 /// shard-local counts sum to the sequential total.
 fn build_shard(
     mut bdd: Bdd,
-    rules: &[crate::resolve::ResolvedConj],
+    rules: &[ResolvedConj],
     rule_actions: &[Vec<ActionId>],
 ) -> Result<(Bdd, usize), CompileError> {
     let mut unsat = 0usize;
@@ -522,9 +346,9 @@ type BuiltShard = (Bdd, usize);
 /// identical at any `threads`; workers merely execute DAG nodes.
 /// [`Bdd::canonical_copy`] then drops garbage from intermediate merges
 /// and renumbers vertices deterministically.
-pub(crate) fn build_sharded(
+fn build_sharded(
     proto: Bdd,
-    rules: &[crate::resolve::ResolvedConj],
+    rules: &[ResolvedConj],
     rule_actions: &[Vec<ActionId>],
     threads: usize,
     spans: &mut SpanSet,
@@ -538,51 +362,12 @@ pub(crate) fn build_sharded(
     // Phase 1: build one diagram per logical shard.
     let mut level: Vec<BuiltShard> = if bounds.is_empty() {
         vec![(proto, 0)]
-    } else if threads <= 1 || bounds.len() == 1 {
-        let mut out = Vec::with_capacity(bounds.len());
-        for &(lo, hi) in &bounds {
-            out.push(build_shard(
-                proto.clone_empty(),
-                &rules[lo..hi],
-                &rule_actions[lo..hi],
-            )?);
-        }
-        out
     } else {
-        let workers = threads.min(bounds.len());
-        std::thread::scope(|s| {
-            let bounds = &bounds;
-            let proto = &proto;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        for i in (w..bounds.len()).step_by(workers) {
-                            let (lo, hi) = bounds[i];
-                            let built = build_shard(
-                                proto.clone_empty(),
-                                &rules[lo..hi],
-                                &rule_actions[lo..hi],
-                            );
-                            out.push((i, built));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            let mut slots: Vec<Option<BuiltShard>> = bounds.iter().map(|_| None).collect();
-            for h in handles {
-                for (i, built) in h.join().expect("shard build panicked") {
-                    slots[i] = Some(built?);
-                }
-            }
-            Ok::<_, CompileError>(
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("every logical shard built"))
-                    .collect(),
-            )
-        })?
+        fan_out(bounds, threads, |(lo, hi)| {
+            build_shard(proto.clone_empty(), &rules[lo..hi], &rule_actions[lo..hi])
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?
     };
     build_timer.stop_into(spans, SpanKind::ShardBuild);
 
@@ -599,50 +384,10 @@ pub(crate) fn build_sharded(
         while let (Some(a), Some(b)) = (it.next(), it.next()) {
             pairs.push((a, b));
         }
-        level = if threads <= 1 || pairs.len() == 1 {
-            pairs
-                .into_iter()
-                .map(|((mut a, ua), (b, ub))| {
-                    a.union_with(&b);
-                    (a, ua + ub)
-                })
-                .collect()
-        } else {
-            let workers = threads.min(pairs.len());
-            let per_chunk = pairs.len().div_ceil(workers);
-            let mut slots: Vec<Option<BuiltShard>> = pairs.iter().map(|_| None).collect();
-            let mut pairs: Vec<Option<(BuiltShard, BuiltShard)>> =
-                pairs.into_iter().map(Some).collect();
-            std::thread::scope(|s| {
-                let handles: Vec<_> = pairs
-                    .chunks_mut(per_chunk)
-                    .enumerate()
-                    .map(|(c, chunk)| {
-                        s.spawn(move || {
-                            chunk
-                                .iter_mut()
-                                .enumerate()
-                                .map(|(j, slot)| {
-                                    let ((mut a, ua), (b, ub)) =
-                                        slot.take().expect("pair taken once");
-                                    a.union_with(&b);
-                                    (c, j, (a, ua + ub))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (c, j, merged) in h.join().expect("merge worker panicked") {
-                        slots[c * per_chunk + j] = Some(merged);
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("every pair merged"))
-                .collect()
-        };
+        level = fan_out(pairs, threads, |((mut a, ua), (b, ub))| {
+            a.union_with(&b);
+            (a, ua + ub)
+        });
         level.extend(odd);
     }
     let (merged, unsat) = level.pop().expect("at least one shard");
@@ -652,153 +397,180 @@ pub(crate) fn build_sharded(
     Ok((canonical, unsat, allocated))
 }
 
-/// Runs dynamic compilation against a static pipeline.
-///
-/// `shards` controls the worker-thread count of the parallel BDD build
-/// (0 = one worker per available core); the emitted program is
-/// bit-identical at any value.
-pub fn compile_dynamic(
+/// The empty diagram over every predicate of `resolved`: the variable
+/// order every shard of a build shares, the precondition for merging.
+pub(crate) fn empty_diagram(
     resolved: &Resolved,
-    statics: &StaticPipeline,
-    rules_in: usize,
     semantic_pruning: bool,
-    shards: usize,
-) -> Result<DynamicProgram, CompileError> {
-    let mut es = EmissionState::new();
-
-    // The full predicate alphabet — every shard shares one variable
-    // order, the precondition for merging.
+) -> Result<Bdd, CompileError> {
     let alphabet: Vec<Pred> = resolved
         .rules
         .iter()
         .flat_map(|r| r.literals.iter().map(|(p, _)| *p))
         .collect();
-    let mut proto = Bdd::new(resolved.fields.infos.clone(), alphabet)?;
-    proto.set_semantic_pruning(semantic_pruning);
+    let mut bdd = Bdd::new(resolved.fields.infos.clone(), alphabet)?;
+    bdd.set_semantic_pruning(semantic_pruning);
+    Ok(bdd)
+}
 
-    // Intern actions sequentially, before sharding, so action ids are a
-    // function of rule order alone.
-    let rule_actions: Vec<Vec<ActionId>> = resolved
-        .rules
-        .iter()
-        .map(|conj| conj.actions.iter().map(|a| es.intern_action(a)).collect())
-        .collect();
+/// A diagram built from scratch and its program.
+#[derive(Debug)]
+pub(crate) struct Built {
+    pub bdd: Bdd,
+    /// Conjunctions rejected as unsatisfiable.
+    pub unsat: usize,
+    /// Nodes of the build store before canonical renumbering.
+    pub allocated_nodes: usize,
+    /// Worker threads the build ran on.
+    pub shards: usize,
+    pub emission: Emission,
+    /// The `ShardBuild`, `ShardMerge` and `EmitTables` spans.
+    pub spans: SpanSet,
+}
 
-    let shards = resolve_shards(shards, resolved.rules.len());
+/// Algorithm 1 from scratch, for a cold compile and for a session's
+/// first install alike: builds the diagram of `rules` (their actions
+/// interned as `ids`) over `proto`'s alphabet on `shards` workers (0 =
+/// one per core; [`build_sharded`]), then emits its program through
+/// `rows`.
+pub(crate) fn build_program(
+    proto: Bdd,
+    rules: &[ResolvedConj],
+    ids: &[Vec<ActionId>],
+    shards: usize,
+    statics: &StaticPipeline,
+    es: &mut EmissionState,
+    rows: &mut RowGroups,
+) -> Result<Built, CompileError> {
     let mut spans = SpanSet::new();
-    let (bdd, unsat, allocated_nodes) =
-        build_sharded(proto, &resolved.rules, &rule_actions, shards, &mut spans)?;
-
+    let shards = resolve_shards(shards, rules.len());
+    let (bdd, unsat, allocated_nodes) = build_sharded(proto, rules, ids, shards, &mut spans)?;
     let emit_timer = SpanTimer::start();
-    let (tables, initial_state, _) = emit_tables(&bdd, statics, &mut es, shards)?;
+    let emission = rows.emit(&bdd, statics, es)?;
     emit_timer.stop_into(&mut spans, SpanKind::EmitTables);
-    debug_assert_eq!(initial_state, 0, "fresh emission numbers the root first");
-
-    let table_entries: Vec<(String, usize)> =
-        tables.iter().map(|t| (t.name.clone(), t.len())).collect();
-    let total_entries = table_entries.iter().map(|(_, n)| n).sum();
-    let bdd_stats = bdd.stats();
-    let (memo_hits, memo_misses) = bdd.memo_stats();
-    let stats = CompileStats {
-        rules_in,
-        conjunctions: resolved.rules.len(),
-        unsat_conjunctions: unsat,
-        bdd_nodes: bdd_stats.reachable_nodes,
-        bdd_terminals: bdd_stats.reachable_terminals,
-        table_entries,
-        total_entries,
-        mcast_groups: es.mcast.len(),
-        states: es.next_state as usize,
-        shards,
-        allocated_nodes,
-        memo_hits,
-        memo_misses,
-    };
-    Ok(DynamicProgram {
-        tables,
-        mcast: es.mcast,
-        stats,
+    Ok(Built {
         bdd,
+        unsat,
+        allocated_nodes,
+        shards,
+        emission,
         spans,
     })
 }
 
+/// `f` over `items` on up to `threads` scoped worker threads, items
+/// dealt round-robin; the results in item order. Which thread runs an
+/// item never changes what it computes.
+fn fan_out<T: Send, R: Send>(items: Vec<T>, threads: usize, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let workers = threads.clamp(1, items.len().max(1));
+    if workers == 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let mut dealt: Vec<Vec<(usize, T)>> = (0..workers).map(|_| Vec::new()).collect();
+    let n = items.len();
+    for (i, item) in items.into_iter().enumerate() {
+        dealt[i % workers].push((i, item));
+    }
+    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let f = &f;
+        let handles: Vec<_> = dealt
+            .into_iter()
+            .map(|hand| {
+                s.spawn(move || {
+                    hand.into_iter()
+                        .map(|(i, item)| (i, f(item)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for h in handles {
+            for (i, r) in h.join().expect("compile worker panicked") {
+                out[i] = Some(r);
+            }
+        }
+    });
+    out.into_iter()
+        .map(|r| r.expect("every item ran"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::resolve::resolve;
-    use crate::statics::{build_static, Encap};
+    use crate::compile::{CompiledProgram, Compiler, CompilerOptions};
     use camus_bdd::order::OrderHeuristic;
     use camus_lang::{parse_program, parse_spec};
+    use camus_pipeline::table::ActionOp;
 
-    fn compile(src: &str) -> (DynamicProgram, StaticPipeline) {
+    fn compile(src: &str) -> CompiledProgram {
         let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
-        let rules = parse_program(src).unwrap();
-        let resolved = resolve(&spec, &rules, OrderHeuristic::SpecOrder).unwrap();
-        let statics = build_static(&spec, &resolved.fields, &Encap::Raw).unwrap();
-        let dynp = compile_dynamic(&resolved, &statics, rules.len(), true, 0).unwrap();
-        (dynp, statics)
+        let options = CompilerOptions {
+            heuristic: OrderHeuristic::SpecOrder,
+            ..CompilerOptions::raw()
+        };
+        let compiler = Compiler::new(spec, options).unwrap();
+        compiler.compile(&parse_program(src).unwrap()).unwrap()
     }
 
     /// The paper's Figure 3/4 example: three rules over shares and
     /// stock compile to a Shares table, a Stock table and a Leaf table.
     #[test]
     fn figure4_tables() {
-        let (dynp, _) = compile(
+        let prog = compile(
             "shares < 60 and stock == AAPL : fwd(1)\n\
              stock == AAPL : fwd(2)\n\
              shares > 100 and stock == MSFT : fwd(3)",
         );
-        assert_eq!(dynp.tables.len(), 3);
-        assert_eq!(dynp.tables[0].name, "t_add_order_shares");
-        assert_eq!(dynp.tables[1].name, "t_add_order_stock");
-        assert_eq!(dynp.tables[2].name, "t_actions");
+        let tables = &prog.pipeline.tables;
+        assert_eq!(tables.len(), 3);
+        assert_eq!(tables[0].name, "t_add_order_shares");
+        assert_eq!(tables[1].name, "t_add_order_stock");
+        assert_eq!(tables[2].name, "t_actions");
         // Shares: 3 paths (Fig. 4 rows). Stock: AAPL/MSFT/exclusion rows.
-        assert_eq!(dynp.tables[0].len(), 3);
-        assert!(dynp.tables[1].len() >= 3);
+        assert_eq!(tables[0].len(), 3);
+        assert!(tables[1].len() >= 3);
         // fwd(1,2) merged into one multicast group.
-        assert_eq!(dynp.stats.mcast_groups, 1);
-        assert!(dynp.stats.total_entries >= 9);
+        assert_eq!(prog.stats.mcast_groups, 1);
+        assert!(prog.stats.total_entries >= 9);
     }
 
     #[test]
     fn stats_count_rules_and_states() {
-        let (dynp, _) = compile("stock == GOOGL : fwd(1)\nstock == MSFT : fwd(2)");
-        assert_eq!(dynp.stats.rules_in, 2);
-        assert_eq!(dynp.stats.conjunctions, 2);
-        assert_eq!(dynp.stats.unsat_conjunctions, 0);
-        assert!(dynp.stats.states >= 3);
-        assert_eq!(dynp.stats.mcast_groups, 0); // unicast only
+        let prog = compile("stock == GOOGL : fwd(1)\nstock == MSFT : fwd(2)");
+        assert_eq!(prog.stats.rules_in, 2);
+        assert_eq!(prog.stats.conjunctions, 2);
+        assert_eq!(prog.stats.unsat_conjunctions, 0);
+        assert!(prog.stats.states >= 3);
+        assert_eq!(prog.stats.mcast_groups, 0); // unicast only
     }
 
     #[test]
     fn unsat_conjunctions_are_counted() {
-        let (dynp, _) = compile("shares < 10 and shares > 20 : fwd(1)\nstock == A : fwd(2)");
-        assert_eq!(dynp.stats.unsat_conjunctions, 1);
+        let prog = compile("shares < 10 and shares > 20 : fwd(1)\nstock == A : fwd(2)");
+        assert_eq!(prog.stats.unsat_conjunctions, 1);
     }
 
     #[test]
     fn multicast_groups_dedupe_port_sets() {
-        let (dynp, _) = compile(
+        let prog = compile(
             "stock == GOOGL : fwd(1,2)\n\
              stock == MSFT : fwd(1,2)\n\
              stock == ORCL : fwd(3,4)",
         );
-        assert_eq!(dynp.stats.mcast_groups, 2);
+        assert_eq!(prog.stats.mcast_groups, 2);
     }
 
     #[test]
     fn empty_rule_set_compiles_to_empty_leaf() {
-        let (dynp, _) = compile("# nothing\n");
-        assert_eq!(dynp.tables.len(), 1);
-        assert_eq!(dynp.tables[0].len(), 0);
-        assert_eq!(dynp.stats.total_entries, 0);
+        let prog = compile("# nothing\n");
+        assert_eq!(prog.pipeline.tables.len(), 1);
+        assert_eq!(prog.pipeline.tables[0].len(), 0);
+        assert_eq!(prog.stats.total_entries, 0);
     }
 
     #[test]
     fn control_plane_rendering_mentions_tables() {
-        let (dynp, _) = compile("stock == GOOGL and price > 100 : fwd(1)");
-        let cp = dynp.render_control_plane();
+        let cp = compile("stock == GOOGL and price > 100 : fwd(1)").control_plane;
         assert!(cp.contains("table_add t_add_order_price"));
         assert!(cp.contains("table_add t_actions"));
         assert!(cp.contains("fwd(1)"));
@@ -806,9 +578,9 @@ mod tests {
 
     #[test]
     fn register_ops_link_to_slots() {
-        let (dynp, statics) = compile("stock == GOOGL : fwd(1); my_counter <- incr()");
-        assert_eq!(statics.registers.len(), 1);
-        let leaf = dynp.tables.last().unwrap();
+        let prog = compile("stock == GOOGL : fwd(1); my_counter <- incr()");
+        assert_eq!(prog.pipeline.registers.len(), 1);
+        let leaf = prog.pipeline.tables.last().unwrap();
         let has_reg = leaf.entries().any(|e| {
             e.ops
                 .iter()

@@ -42,11 +42,13 @@
 //!   `camusd`) installs the program whole.
 //!
 //! The first install into an *empty* session is the one exception to
-//! rule-by-rule insertion: it runs the cold compiler's sharded build,
-//! so starting a session over N rules costs what compiling N rules
-//! costs. After an update the session compacts its diagram whenever
-//! dead nodes outnumber live ones (`COMPACT_RATIO`); state ids and row
-//! groups are re-keyed through the compaction, so no table entry moves.
+//! rule-by-rule insertion: it runs the cold compiler's sharded build
+//! and emission (one function serves both), so starting a session over
+//! N rules costs what compiling N rules costs and yields the same
+//! program, state ids included. After an update the session compacts
+//! its diagram whenever dead nodes outnumber live ones
+//! (`COMPACT_RATIO`); state ids and row groups are re-keyed through the
+//! compaction, so no table entry moves.
 //!
 //! The predicate alphabet and the field table are fixed when the
 //! session is created (they determine the static pipeline). A bare
@@ -81,11 +83,10 @@ use camus_lang::ast::Rule;
 use camus_lang::spec::Spec;
 use camus_pipeline::pipeline::Pipeline;
 use camus_pipeline::table::Table;
-use camus_telemetry::SpanSet;
 use fxhash::{FxHashMap, FxHasher};
 
 use crate::compile::CompilerOptions;
-use crate::dynamic::{build_sharded, emit_tables, resolve_shards, EmissionState};
+use crate::dynamic::{build_program, empty_diagram, EmissionState};
 use crate::error::CompileError;
 use crate::resolve::{resolve, resolve_incremental, FieldTable, ResolvedConj};
 use crate::rows::{count_rows, RowGroups};
@@ -196,13 +197,7 @@ impl IncrementalCompiler {
     ) -> Result<Self, CompileError> {
         let resolved = resolve(&spec, alphabet_rules, options.heuristic)?;
         let statics = build_static(&spec, &resolved.fields, &options.encap)?;
-        let alphabet: Vec<Pred> = resolved
-            .rules
-            .iter()
-            .flat_map(|r| r.literals.iter().map(|(p, _)| *p))
-            .collect();
-        let mut bdd = Bdd::new(resolved.fields.infos.clone(), alphabet)?;
-        bdd.set_semantic_pruning(options.semantic_pruning);
+        let bdd = empty_diagram(&resolved, options.semantic_pruning)?;
         Ok(IncrementalCompiler {
             spec,
             options: options.clone(),
@@ -243,14 +238,14 @@ impl IncrementalCompiler {
         &self.active[self.seqs.partition_point(|&s| s < seq)]
     }
 
-    /// The current program emitted from scratch — Algorithm 1 over the
-    /// whole diagram with the session's state ids — for checking the
-    /// row groups against: the last report's tables hold the same
-    /// entries, table by table, as multisets.
+    /// The current program emitted from scratch — fresh row groups
+    /// over the whole diagram with the session's state ids — for
+    /// checking the live row groups against: the last report's tables
+    /// hold the same entries, table by table, as multisets.
     pub fn emit_whole_diagram(&self) -> Result<Pipeline, CompileError> {
         let mut es = self.es.clone();
-        let (tables, initial_state, _) = emit_tables(&self.bdd, &self.statics, &mut es, 1)?;
-        Ok(self.program(tables, initial_state))
+        let emitted = RowGroups::default().emit(&self.bdd, &self.statics, &mut es)?;
+        Ok(self.program(emitted.tables, emitted.initial_state))
     }
 
     fn program(&self, tables: Vec<Table>, initial_state: u64) -> Pipeline {
@@ -344,26 +339,24 @@ impl IncrementalCompiler {
             }
         }
 
-        let ids: Vec<Vec<ActionId>> = resolved
-            .iter()
-            .map(|c| c.actions.iter().map(|a| self.es.intern_action(a)).collect())
-            .collect();
-        let unsat = if self.active.is_empty() && !resolved.is_empty() {
+        let ids = self.es.intern_actions(&resolved);
+        let (unsat, emitted) = if self.active.is_empty() && !resolved.is_empty() {
             // Nothing installed: build like the cold compiler does
-            // (sharded, merged, canonical) instead of rule by rule.
-            let threads = resolve_shards(self.options.compile_shards, resolved.len());
-            let (built, unsat, _) = build_sharded(
+            // (sharded, merged, canonical) instead of rule by rule. Row
+            // groups and state ids are keyed by vertices of the diagram
+            // this drops.
+            self.rows.retire(&mut self.es);
+            let built = build_program(
                 self.bdd.clone_empty(),
                 &resolved,
                 &ids,
-                threads,
-                &mut SpanSet::new(),
+                self.options.compile_shards,
+                &self.statics,
+                &mut self.es,
+                &mut self.rows,
             )?;
-            self.bdd = built;
-            // Row groups and state ids are keyed by vertices of the
-            // diagram just dropped.
-            self.rows.retire(&mut self.es);
-            unsat
+            self.bdd = built.bdd;
+            (built.unsat, built.emission)
         } else {
             let mut unsat = 0usize;
             for (conj, ids) in resolved.iter().zip(&ids) {
@@ -371,7 +364,10 @@ impl IncrementalCompiler {
                     unsat += 1;
                 }
             }
-            unsat
+            (
+                unsat,
+                self.rows.emit(&self.bdd, &self.statics, &mut self.es)?,
+            )
         };
         let first = self.conjs.len();
         self.conjs.resize_with(first + add.len(), Vec::new);
@@ -385,7 +381,6 @@ impl IncrementalCompiler {
         }
         self.active.extend_from_slice(add);
 
-        let emitted = self.rows.emit(&self.bdd, &self.statics, &mut self.es)?;
         if self.bdd.node_count() > COMPACT_RATIO * self.bdd.reachable_count() {
             self.compact();
         }
@@ -896,6 +891,13 @@ mod tests {
             .unwrap();
         let mut s = IncrementalCompiler::new(spec, &CompilerOptions::raw(), &pool).unwrap();
         let r = s.install(&pool).unwrap();
+        // One function builds and emits both: the same rows, state ids
+        // included, and the same initial state.
+        assert_eq!(
+            entry_multisets(&r.pipeline),
+            entry_multisets(&cold.pipeline)
+        );
+        assert_eq!(r.pipeline.init_fields, cold.pipeline.init_fields);
         assert_eq!(table_sizes(&r.pipeline), cold.stats.table_entries);
         assert_eq!(r.total_entries, cold.stats.total_entries);
         // ... and later installs take the rule-by-rule path on top of it.

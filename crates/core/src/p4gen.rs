@@ -7,14 +7,15 @@
 //! prototype targeted via P4V), [`render_p4_16`] emits modern P4-16 /
 //! v1model. Both are checked structurally in tests (this reproduction
 //! does not ship a vendor P4 toolchain — see DESIGN.md §2).
+//! [`render_control_plane`] writes the tables' entries, the compiler's
+//! second output, as `table_add` lines.
 
 use std::fmt::Write as _;
 
 use camus_lang::spec::Spec;
 use camus_pipeline::parser::Transition;
-use camus_pipeline::table::MatchKind;
+use camus_pipeline::table::{ActionOp, MatchKind, MatchValue, Table};
 
-use crate::dynamic::DynamicProgram;
 use crate::statics::StaticPipeline;
 
 /// Renders the generated pipeline as P4-14 source text. `layout` is
@@ -23,7 +24,7 @@ use crate::statics::StaticPipeline;
 pub fn render_p4(
     spec: &Spec,
     statics: &StaticPipeline,
-    dynp: &DynamicProgram,
+    tables: &[Table],
     layout: &camus_pipeline::PhvLayout,
 ) -> String {
     let mut s = String::new();
@@ -160,7 +161,7 @@ pub fn render_p4(
 
     // Tables.
     let _ = writeln!(s);
-    for t in &dynp.tables {
+    for t in tables {
         let _ = writeln!(s, "table {} {{", t.name);
         let _ = writeln!(s, "    reads {{");
         for k in t.keys() {
@@ -185,7 +186,7 @@ pub fn render_p4(
 
     // Control flow.
     let _ = writeln!(s, "\ncontrol ingress {{");
-    for t in &dynp.tables {
+    for t in tables {
         let _ = writeln!(s, "    apply({});", t.name);
     }
     let _ = writeln!(s, "}}");
@@ -196,7 +197,7 @@ pub fn render_p4(
 pub fn render_p4_16(
     spec: &Spec,
     statics: &StaticPipeline,
-    dynp: &DynamicProgram,
+    tables: &[Table],
     layout: &camus_pipeline::PhvLayout,
 ) -> String {
     let mut s = String::new();
@@ -331,7 +332,7 @@ pub fn render_p4_16(
         "    action do_mcast(bit<16> group) {{ smeta.mcast_grp = group; }}"
     );
     let _ = writeln!(s, "    action do_drop() {{ mark_to_drop(smeta); }}");
-    for t in &dynp.tables {
+    for t in tables {
         let _ = writeln!(s, "\n    table {} {{", t.name);
         let _ = writeln!(s, "        key = {{");
         for k in t.keys() {
@@ -355,7 +356,7 @@ pub fn render_p4_16(
         let _ = writeln!(s, "    }}");
     }
     let _ = writeln!(s, "\n    apply {{");
-    for t in &dynp.tables {
+    for t in tables {
         let _ = writeln!(s, "        {}.apply();", t.name);
     }
     let _ = writeln!(s, "    }}");
@@ -381,6 +382,36 @@ fn field_ident(name: &str) -> String {
 
 fn sanitize(name: &str) -> String {
     format!("parse_{}", name.replace(['.', '-'], "_"))
+}
+
+/// Renders the control-plane rules as human-readable `table_add`
+/// lines (the second compiler output of Fig. 6).
+pub fn render_control_plane(tables: &[Table]) -> String {
+    let mut s = String::new();
+    for t in tables {
+        for e in t.entries() {
+            let _ = write!(s, "table_add {} prio={}", t.name, e.priority);
+            for (k, m) in t.keys().iter().zip(&e.matches) {
+                let _ = match m {
+                    MatchValue::Exact(v) => write!(s, " k{}={v}", k.field.0),
+                    MatchValue::Range { lo, hi } => write!(s, " k{}={lo}..{hi}", k.field.0),
+                    MatchValue::Any => write!(s, " k{}=*", k.field.0),
+                };
+            }
+            let _ = write!(s, " =>");
+            for op in &e.ops {
+                let _ = match op {
+                    ActionOp::SetField(f, v) => write!(s, " set f{}={v}", f.0),
+                    ActionOp::Forward(p) => write!(s, " fwd({})", p.0),
+                    ActionOp::Multicast(g) => write!(s, " mcast({})", g.0),
+                    ActionOp::Drop => write!(s, " drop"),
+                    ActionOp::Register { slot, .. } => write!(s, " reg[{slot}]"),
+                };
+            }
+            let _ = writeln!(s);
+        }
+    }
+    s
 }
 
 #[cfg(test)]

@@ -20,7 +20,9 @@ pub enum SpanKind {
     /// Phase 2: folding the pinned pairwise merge DAG (including the
     /// canonical renumbering pass).
     ShardMerge,
-    /// Phase 3: slicing + table-entry emission (`emit_tables`).
+    /// Phase 3: emitting the built diagram's table entries through
+    /// fresh row groups, tables prepared (label `emit_tables`, kept for
+    /// dashboards).
     EmitTables,
     /// `Engine::apply_update`: candidate build + admission + publish.
     ApplyUpdate,
