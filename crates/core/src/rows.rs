@@ -19,8 +19,12 @@
 //!    dead vertex's id, so the rows around an edit stay the rows they
 //!    were ("state updates can benefit from table entry re-use", §3);
 //! 4. counts the new rows against the dead ones as multisets, per
-//!    table, and rebuilds — and prepares — only the tables whose rows
-//!    changed; every other table is shared with the previous program.
+//!    table, and hands only the tables whose rows changed their dead
+//!    states and new groups ([`Table::replace_runs`]); every other
+//!    table is shared with the previous program. Preparing a changed
+//!    table then lowers just those states into one new segment of its
+//!    index, until dead starts outnumber live ones and it is lowered
+//!    whole ([`Table::prepare`]).
 
 use std::hash::Hash;
 use std::sync::Arc;
@@ -83,27 +87,20 @@ pub(crate) struct Emission {
     pub kept: usize,
 }
 
-/// One table and the groups' runs it is made of.
-#[derive(Debug, Clone)]
-struct SlotTable {
-    slot: Slot,
-    runs: Vec<Arc<[Entry]>>,
-    /// Prepared.
-    table: Table,
-}
-
 /// The live row groups of a session's diagram and the tables they make.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RowGroups {
     groups: FxHashMap<NodeRef, Group>,
     root: Option<NodeRef>,
-    /// In slot order; the leaf table always last.
-    tables: Vec<SlotTable>,
+    /// Prepared, in slot order; the leaf table always last.
+    tables: Vec<(Slot, Table)>,
     /// Groups of a diagram the session dropped ([`RowGroups::retire`]),
     /// dead at the next emission.
     retired: Vec<Dead>,
     /// Rows the last emission built.
     pub(crate) last_emitted: usize,
+    /// Rows the last emission lowered ([`Table::prepare`]).
+    pub(crate) last_lowered: usize,
 }
 
 impl RowGroups {
@@ -125,7 +122,7 @@ impl RowGroups {
 
     /// The tables of the last emission, in pipeline order.
     pub(crate) fn tables(&self) -> impl Iterator<Item = &Table> {
-        self.tables.iter().map(|t| &t.table)
+        self.tables.iter().map(|(_, t)| t)
     }
 
     /// Re-keys every group after a [`Bdd::compact`], as
@@ -165,27 +162,20 @@ impl RowGroups {
         });
         let (added, removed, _, touched) = count_rows(dead_rows, new_rows);
 
-        let dead_states: FxHashSet<u64> = dead.iter().map(|d| d.state).collect();
         let mut slots: Vec<Slot> = touched.into_iter().collect();
         slots.sort_unstable();
         for slot in slots {
-            self.rebuild(bdd, statics, slot, &dead_states, &emitted)?;
+            self.rebuild(bdd, statics, slot, &dead, &emitted)?;
         }
-        if self.tables.last().is_none_or(|t| t.slot != LEAF) {
-            self.tables.push(SlotTable {
-                slot: LEAF,
-                runs: Vec::new(),
-                table: leaf_table_shell(statics)?,
-            });
+        if self.tables.last().is_none_or(|&(slot, _)| slot != LEAF) {
+            self.tables.push((LEAF, leaf_table_shell(statics)?));
         }
         // Lowered after every table is assembled (free for the tables
         // this emission left alone). Lowering each table as it was
         // rebuilt built the same index, yet a 20 000-rule cold
         // compile's lookups ran 10–15 % slower (benchmark
         // `compile_cold`, 2 vCPU): a heap-placement effect.
-        for t in &mut self.tables {
-            t.table.prepare();
-        }
+        self.last_lowered = self.tables.iter_mut().map(|(_, t)| t.prepare()).sum();
 
         self.last_emitted = emitted.iter().map(|r| self.groups[r].rows.len()).sum();
         let tables: Vec<Table> = self.tables().cloned().collect();
@@ -337,54 +327,37 @@ impl RowGroups {
         fresh.into_iter().map(|(r, _)| r).collect()
     }
 
-    /// Rebuilds the table of `slot` from its surviving runs, then the
-    /// new groups' runs; unprepared. A field table left without rows
-    /// goes.
+    /// Replaces, in the table of `slot`, the runs of its dead states
+    /// with the new groups'; unprepared. A field table left without
+    /// rows goes.
     fn rebuild(
         &mut self,
         bdd: &Bdd,
         statics: &StaticPipeline,
         slot: Slot,
-        dead_states: &FxHashSet<u64>,
+        dead: &[Dead],
         emitted: &[NodeRef],
     ) -> Result<(), CompileError> {
-        let at = self.tables.binary_search_by_key(&slot, |t| t.slot);
-        let (mut runs, mut table) = match (at, slot) {
-            (Ok(i), _) => {
-                let old = &mut self.tables[i];
-                let shell = Table::new(old.table.name.clone(), old.table.keys().to_vec(), vec![])?;
-                (std::mem::take(&mut old.runs), shell)
+        let i = match self.tables.binary_search_by_key(&slot, |&(s, _)| s) {
+            Ok(i) => i,
+            Err(i) => {
+                let shell = match slot {
+                    LEAF => leaf_table_shell(statics)?,
+                    field => field_table_shell(bdd, statics, FieldId(field))?,
+                };
+                self.tables.insert(i, (slot, shell));
+                i
             }
-            (Err(_), LEAF) => (Vec::new(), leaf_table_shell(statics)?),
-            (Err(_), field) => (Vec::new(), field_table_shell(bdd, statics, FieldId(field))?),
         };
-        runs.retain(|run| !dead_states.contains(&state_of_run(run)));
-        for r in emitted {
-            let g = &self.groups[r];
-            if g.slot == slot && !g.rows.is_empty() {
-                runs.push(g.rows.clone());
-            }
-        }
-        for run in &runs {
-            table.add_run(run.clone())?;
-        }
-        let rebuilt = SlotTable { slot, runs, table };
-        match at {
-            Ok(i) if rebuilt.runs.is_empty() && slot != LEAF => {
-                self.tables.remove(i);
-            }
-            Ok(i) => self.tables[i] = rebuilt,
-            Err(i) => self.tables.insert(i, rebuilt),
+        let groups = emitted.iter().map(|r| &self.groups[r]);
+        let runs = groups.filter(|g| g.slot == slot).map(|g| g.rows.clone());
+        let dead = dead.iter().filter(|d| d.slot == slot).map(|d| d.state);
+        let table = &mut self.tables[i].1;
+        table.replace_runs(dead, runs.collect())?;
+        if table.is_empty() && slot != LEAF {
+            self.tables.remove(i);
         }
         Ok(())
-    }
-}
-
-/// The state a group's run is keyed by (its rows' first match value).
-fn state_of_run(run: &[Entry]) -> u64 {
-    match run[0].matches[0] {
-        MatchValue::Exact(s) => s,
-        _ => unreachable!("every compiled row names its state"),
     }
 }
 

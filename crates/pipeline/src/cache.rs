@@ -38,7 +38,7 @@
 //! ([`invalidate_all`](DecisionCache::invalidate_all) keeps the slot
 //! storage and counters, so adoption stays allocation-light), and the
 //! sequential path's [`Pipeline::prepare`] clears the cache whenever a
-//! table was mutated (`add_entry` drops its prepared form).
+//! table was mutated (`add_entry` and `replace_runs` unprepare it).
 //!
 //! [`Pipeline::prepare`]: crate::pipeline::Pipeline::prepare
 //! [`Pipeline::cacheable_on`]: crate::pipeline::Pipeline::cacheable_on

@@ -5,6 +5,8 @@
 //! maps a group id (set by a match-action action) to a set of egress
 //! ports.
 
+use std::sync::Arc;
+
 /// A switch port number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PortId(pub u16);
@@ -16,12 +18,13 @@ pub struct GroupId(pub u32);
 /// The multicast group table. Ids come only from
 /// [`MulticastTable::allocate`], so they are dense from 0 and a group
 /// is found by indexing, not hashing: `groups[id]` is the group's
-/// `(start, len)` run in one flat `ports` vector. A clone is two
-/// allocations whatever the group count.
+/// `(start, len)` run in one flat `ports` vector. Both sit behind
+/// `Arc`s: a clone shares them, and an allocation into a shared table
+/// copies them.
 #[derive(Debug, Clone, Default)]
 pub struct MulticastTable {
-    groups: Vec<(u32, u32)>,
-    ports: Vec<PortId>,
+    groups: Arc<Vec<(u32, u32)>>,
+    ports: Arc<Vec<PortId>>,
 }
 
 impl MulticastTable {
@@ -39,9 +42,8 @@ impl MulticastTable {
         ports.dedup();
         // A program's groups and their ports stay far below 2^32.
         let id = GroupId(self.groups.len() as u32);
-        self.groups
-            .push((self.ports.len() as u32, ports.len() as u32));
-        self.ports.extend_from_slice(&ports);
+        Arc::make_mut(&mut self.groups).push((self.ports.len() as u32, ports.len() as u32));
+        Arc::make_mut(&mut self.ports).extend_from_slice(&ports);
         id
     }
 

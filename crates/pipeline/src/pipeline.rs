@@ -436,18 +436,6 @@ fn ns_between(start: Instant, end: Instant) -> u64 {
     u64::try_from(end.saturating_duration_since(start).as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Whether any table action — an entry's or a default — writes a
-/// register.
-fn writes_registers(tables: &[Table]) -> bool {
-    tables.iter().any(|t| {
-        t.entries()
-            .map(|e| &e.ops)
-            .chain(std::iter::once(&t.default_ops))
-            .flatten()
-            .any(|op| matches!(op, ActionOp::Register { .. }))
-    })
-}
-
 impl Pipeline {
     /// Prepares the pipeline for execution: lowers every changed table
     /// to its prepared form ([`Table::prepare`]), sizes the per-table
@@ -463,7 +451,7 @@ impl Pipeline {
         for t in &mut self.tables {
             t.prepare();
         }
-        self.exec.serial = writes_registers(&self.tables);
+        self.exec.serial = self.tables.iter().any(Table::writes_registers);
         let n = self.tables.len();
         self.exec.stats.table_hits.resize(n, 0);
         self.exec.stats.table_misses.resize(n, 0);
@@ -492,7 +480,7 @@ impl Pipeline {
     /// is exactly the un-keyed-binding case, so pure fan-out programs
     /// stay cacheable.
     pub fn cacheable_on(&self, key_field: PhvField) -> bool {
-        if self.tables.len() > 64 || writes_registers(&self.tables) {
+        if self.tables.len() > 64 || self.tables.iter().any(Table::writes_registers) {
             return false;
         }
         let binding_dsts: std::collections::HashSet<u32> =

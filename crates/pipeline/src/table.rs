@@ -12,8 +12,13 @@
 //! [`Table::prepare`] lowers a table to a per-state interval index with
 //! each interval's winner resolved ahead of time, so a lookup is one
 //! state probe — a `Vec` index when the table's states are dense, a hash
-//! otherwise — plus one binary search, and reads the winner's actions
-//! from one flat op vector, never from the entry itself.
+//! otherwise — to a run in one of the index's segments, plus one binary
+//! search, and reads the winner's actions from the segment's flat op
+//! vector, never from the entry itself. A whole lowering makes one
+//! segment. After [`Table::replace_runs`] swaps some states' runs,
+//! `prepare` lowers only those states into one new segment and shares
+//! the older ones, until dead starts outnumber live ones and the table
+//! is lowered whole again.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -124,7 +129,7 @@ pub struct Entry {
 const NO_ENTRY: u32 = u32::MAX;
 
 /// A winner slot of the interval index: the winning entry's `(start,
-/// len)` run in the index's flat `ops`, or [`OpRun::MISS`].
+/// len)` run in its segment's flat `ops`, or [`OpRun::MISS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct OpRun {
     start: u32,
@@ -133,7 +138,7 @@ struct OpRun {
 
 impl OpRun {
     /// The slot of an interval no entry covers. Its start lies past any
-    /// table's flat `ops`, so reading its run finds nothing.
+    /// segment's flat `ops`, so reading its run finds nothing.
     const MISS: OpRun = OpRun {
         start: u32::MAX,
         len: 0,
@@ -150,14 +155,19 @@ struct Span {
     index: u32,
 }
 
-/// A run `(offset, len)` in an index's `starts`/`winners`.
-type Run = (u32, u32);
+/// A run of the interval index: `len` starts from `offset` in segment
+/// `seg`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    seg: u32,
+    offset: u32,
+    len: u32,
+}
 
 /// Probe value → run. State ids come from a session counter, so most
 /// of a table's states are nearly contiguous: the densest window of
 /// them, spanning at most `4 × count + 64` ids, indexes a `Vec`; states
-/// outside it (ids handed out by later updates, or a wide, sparse set)
-/// keep a hash.
+/// outside it (a wide, sparse set) keep a hash.
 #[derive(Debug, Clone, Default)]
 struct StateRuns {
     /// `dense[state − base]`; a hole holds the wildcard-state run.
@@ -199,6 +209,14 @@ impl StateRuns {
         }
     }
 
+    /// Every state with rows of its own and its run: the window's in
+    /// state order, then the hashed ones.
+    fn pairs(&self, wild: Run) -> impl Iterator<Item = (u64, Run)> + '_ {
+        let dense = (self.base..).zip(self.dense.iter().copied());
+        let hashed = self.outliers.iter().map(|(&s, &run)| (s, run));
+        dense.filter(move |&(_, run)| run != wild).chain(hashed)
+    }
+
     #[inline]
     fn get(&self, state: u64) -> Option<Run> {
         let slot = usize::try_from(state.wrapping_sub(self.base)).ok();
@@ -209,13 +227,110 @@ impl StateRuns {
     }
 }
 
+/// Lowered runs: their sorted interval starts, each start's winner,
+/// and every winner's ops once each, in first-win order.
+#[derive(Debug)]
+struct Segment {
+    starts: Vec<u64>,
+    /// The winner's op run from the parallel start on.
+    winners: Vec<OpRun>,
+    ops: Vec<ActionOp>,
+}
+
+/// Lowers `entries` into segment `seg`: returns it, the run of the
+/// wildcard-state rows alone, and each state's run, by state. The one
+/// lowering routine, for a whole table and for the changed states of a
+/// re-prepared one; it allocates per segment, never per state.
+fn lower(keys: &[Key], entries: &[&Entry], seg: u32) -> (Segment, Run, Vec<(u64, Run)>) {
+    // `Table::new` admits only lowerable key lists.
+    let (probe, value) = lowered_keys(keys).unwrap_or((None, None));
+    // One sort of the (state, entry) rows; the wildcard-state rows
+    // join every run. Order within a run is free: the sweep ranks by
+    // `(priority, index)`.
+    let mut rows: Vec<(u64, Span)> = Vec::new();
+    let mut wild: Vec<Span> = Vec::new();
+    for (i, e) in entries.iter().enumerate() {
+        // Validated kinds: the probe key holds Exact or Any, the value
+        // key Exact, Range or Any.
+        let state = match probe.and_then(|k| e.matches.get(k)) {
+            Some(&MatchValue::Exact(s)) => Some(s),
+            _ => None,
+        };
+        let (lo, hi) = match value.and_then(|k| e.matches.get(k)) {
+            Some(&MatchValue::Exact(v)) => (v, v),
+            Some(&MatchValue::Range { lo, hi }) => (lo, hi),
+            _ => (0, u64::MAX),
+        };
+        if lo > hi {
+            continue; // an empty range never matches
+        }
+        let span = Span {
+            lo,
+            hi,
+            priority: e.priority,
+            index: i as u32,
+        };
+        match state {
+            Some(s) => rows.push((s, span)),
+            None => wild.push(span),
+        }
+    }
+    rows.sort_unstable_by_key(|&(s, _)| s);
+
+    let at = |(offset, len)| Run { seg, offset, len };
+    let mut sweep = Sweep::default();
+    sweep.spans.extend_from_slice(&wild);
+    let wild_run = at(sweep.run());
+    let mut by_state = Vec::new();
+    for group in rows.chunk_by(|a, b| a.0 == b.0) {
+        sweep.spans.clear();
+        sweep.spans.extend(group.iter().map(|&(_, span)| span));
+        sweep.spans.extend_from_slice(&wild);
+        by_state.push((group[0].0, at(sweep.run())));
+    }
+    // Winner entry indices become op runs: a hit then reads its
+    // actions without touching the entry's own `Vec`.
+    let mut run_of = vec![OpRun::MISS; entries.len()];
+    let mut ops = Vec::new();
+    let winners = sweep
+        .winners
+        .iter()
+        .map(|&w| {
+            if w == NO_ENTRY {
+                return OpRun::MISS;
+            }
+            let e = entries[w as usize];
+            let run = &mut run_of[w as usize];
+            if *run == OpRun::MISS {
+                // A segment's ops stay far below 2^32.
+                *run = OpRun {
+                    start: ops.len() as u32,
+                    len: e.ops.len() as u32,
+                };
+                ops.extend_from_slice(&e.ops);
+            }
+            *run
+        })
+        .collect();
+    let segment = Segment {
+        starts: sweep.starts,
+        winners,
+        ops,
+    };
+    (segment, wild_run, by_state)
+}
+
 /// A per-state interval index — what [`Table::prepare`] lowers a table
 /// to, and the only thing a lookup reads. The probe key (the BDD state)
-/// selects a run: the sorted starts of the elementary intervals the
-/// run's entries cut the value key's domain into, each paired with the
-/// actions of the entry that wins there. A run holds a state's own rows
-/// plus the wildcard-state rows; every run starts at 0 and no two
-/// adjacent intervals share a winner.
+/// selects a run in one of the index's segments: the sorted starts of
+/// the elementary intervals the run's entries cut the value key's
+/// domain into, each paired with the actions of the entry that wins
+/// there. A run holds a state's own rows plus the wildcard-state rows;
+/// every run starts at 0 and no two adjacent intervals share a winner.
+///
+/// A whole lowering makes one segment; each re-preparation after a
+/// [`Table::replace_runs`] appends one, shared with older indexes
+/// through `Arc`s, until dead starts would outnumber live ones.
 #[derive(Debug, Clone)]
 pub(crate) struct IntervalIndex {
     /// Field probed through `runs`; `None` makes every row a
@@ -228,11 +343,7 @@ pub(crate) struct IntervalIndex {
     /// The run of the wildcard-state rows alone, taken by every probe
     /// value without rows of its own.
     wild: Run,
-    starts: Vec<u64>,
-    /// The winner's op run from the parallel start on.
-    winners: Vec<OpRun>,
-    /// Every winning entry's ops, once each, in first-win order.
-    ops: Vec<ActionOp>,
+    segments: Vec<Arc<Segment>>,
 }
 
 /// The positions of the probe and value keys of a key list the interval
@@ -251,108 +362,78 @@ fn lowered_keys(keys: &[Key]) -> Option<(Option<usize>, Option<usize>)> {
 
 impl IntervalIndex {
     fn build(keys: &[Key], entries: &[&Entry]) -> IntervalIndex {
-        // `Table::new` admits only lowerable key lists.
         let (probe, value) = lowered_keys(keys).unwrap_or((None, None));
-        // One sort of the (state, entry) rows; the wildcard-state rows
-        // join every run. Order within a run is free: the sweep ranks
-        // by `(priority, index)`.
-        let mut rows: Vec<(u64, Span)> = Vec::new();
-        let mut wild: Vec<Span> = Vec::new();
-        for (i, e) in entries.iter().enumerate() {
-            // Validated kinds: the probe key holds Exact or Any, the
-            // value key Exact, Range or Any.
-            let state = match probe.and_then(|k| e.matches.get(k)) {
-                Some(&MatchValue::Exact(s)) => Some(s),
-                _ => None,
-            };
-            let (lo, hi) = match value.and_then(|k| e.matches.get(k)) {
-                Some(&MatchValue::Exact(v)) => (v, v),
-                Some(&MatchValue::Range { lo, hi }) => (lo, hi),
-                _ => (0, u64::MAX),
-            };
-            if lo > hi {
-                continue; // an empty range never matches
-            }
-            let span = Span {
-                lo,
-                hi,
-                priority: e.priority,
-                index: i as u32,
-            };
-            match state {
-                Some(s) => rows.push((s, span)),
-                None => wild.push(span),
-            }
-        }
-        rows.sort_unstable_by_key(|&(s, _)| s);
-
-        let mut sweep = Sweep::default();
-        sweep.spans.extend_from_slice(&wild);
-        let wild_run = sweep.run();
-        let mut by_state = Vec::new();
-        for group in rows.chunk_by(|a, b| a.0 == b.0) {
-            sweep.spans.clear();
-            sweep.spans.extend(group.iter().map(|&(_, span)| span));
-            sweep.spans.extend_from_slice(&wild);
-            by_state.push((group[0].0, sweep.run()));
-        }
-        // Winner entry indices become op runs: a hit then reads its
-        // actions without touching the entry's own `Vec`.
-        let mut run_of = vec![OpRun::MISS; entries.len()];
-        let mut ops = Vec::new();
-        let winners = sweep
-            .winners
-            .iter()
-            .map(|&w| {
-                if w == NO_ENTRY {
-                    return OpRun::MISS;
-                }
-                let e = entries[w as usize];
-                let run = &mut run_of[w as usize];
-                if *run == OpRun::MISS {
-                    // A table's ops stay far below 2^32.
-                    *run = OpRun {
-                        start: ops.len() as u32,
-                        len: e.ops.len() as u32,
-                    };
-                    ops.extend_from_slice(&e.ops);
-                }
-                *run
-            })
-            .collect();
         let field = |k: Option<usize>| k.map(|k| keys[k].field);
+        let (segment, wild, by_state) = lower(keys, entries, 0);
         IntervalIndex {
             probe: field(probe),
             value: field(value),
-            runs: StateRuns::build(&by_state, wild_run),
-            wild: wild_run,
-            starts: sweep.starts,
-            winners,
-            ops,
+            runs: StateRuns::build(&by_state, wild),
+            wild,
+            segments: vec![Arc::new(segment)],
         }
+    }
+
+    /// This index with the `changed` states re-pointed: those `runs`
+    /// name at their rows, lowered into a new segment, the rest at the
+    /// wildcard run. `None` when only a whole lowering is sound (a
+    /// wildcard-state row) or due: held starts stay within twice the
+    /// live ones, so a change costs amortised O(change).
+    fn patch(&self, keys: &[Key], changed: &[u64], runs: &[Arc<[Entry]>]) -> Option<Self> {
+        // The wildcard run is one miss unless a row has a wildcard state.
+        let Run { seg, offset, len } = self.wild;
+        if len > 1 || self.segments[seg as usize].winners[offset as usize] != OpRun::MISS {
+            return None;
+        }
+        let entries: Vec<&Entry> = runs.iter().flat_map(|r| r.iter()).collect();
+        let (segment, _, by_state) = lower(keys, &entries, self.segments.len() as u32);
+        let kept = self.runs.pairs(self.wild);
+        let mut pairs: Vec<_> = kept
+            .filter(|(s, _)| changed.binary_search(s).is_err())
+            .collect();
+        // Sorted runs and a short sorted tail: the stable sort merges.
+        pairs.extend(by_state);
+        pairs.sort_by_key(|&(s, _)| s);
+        let mut segments = self.segments.clone();
+        segments.push(Arc::new(segment));
+        let next = IntervalIndex {
+            runs: StateRuns::build(&pairs, self.wild),
+            segments,
+            ..*self
+        };
+        let (live, held) = next.starts();
+        (held <= 2 * live).then_some(next)
+    }
+
+    /// `(live, held)` starts: those runs read, and those segments hold.
+    fn starts(&self) -> (usize, usize) {
+        let runs = self.runs.pairs(self.wild).map(|(_, run)| run);
+        let live = runs.chain([self.wild]).map(|run| run.len as usize).sum();
+        (live, self.segments.iter().map(|s| s.starts.len()).sum())
     }
 
     /// The winner's actions for `phv`, or `None` on a miss: one state
     /// probe, one binary search, one read of a contiguous op run.
     #[inline]
     pub(crate) fn lookup(&self, phv: &Phv) -> Option<&[ActionOp]> {
-        let (offset, len) = match self.probe {
+        let Run { seg, offset, len } = match self.probe {
             Some(f) => self.runs.get(phv.get_or_zero(f)).unwrap_or(self.wild),
             None => self.wild,
         };
+        let seg = &*self.segments[seg as usize];
         let (offset, len) = (offset as usize, len as usize);
         let v = self.value.map_or(0, |f| phv.get_or_zero(f));
-        let run = &self.starts[offset..offset + len];
+        let run = &seg.starts[offset..offset + len];
         // Every run starts at 0 <= v, so the partition point is at
         // least 1.
-        let OpRun { start, len } = self.winners[offset + run.partition_point(|&s| s <= v) - 1];
+        let OpRun { start, len } = seg.winners[offset + run.partition_point(|&s| s <= v) - 1];
         let start = start as usize;
-        self.ops.get(start..start + len as usize)
+        seg.ops.get(start..start + len as usize)
     }
 }
 
-/// The per-run sweep's reused scratch and its output, so building a
-/// table allocates per table, never per state.
+/// The per-run sweep's reused scratch and its output, so lowering
+/// allocates per segment, never per state.
 #[derive(Default)]
 struct Sweep {
     /// The run's entries (input; reordered by the sweep).
@@ -398,8 +479,21 @@ impl Sweep {
                 (None, None) => break,
             };
         }
-        // A table's starts stay far below 2^32.
+        // A segment's starts stay far below 2^32.
         (offset as u32, (self.starts.len() - offset) as u32)
+    }
+}
+
+/// Whether an action writes a register.
+fn writes_register(ops: &[ActionOp]) -> bool {
+    ops.iter().any(|op| matches!(op, ActionOp::Register { .. }))
+}
+
+/// The state a row names; `None` for a wildcard state.
+fn state_of(e: &Entry) -> Option<u64> {
+    match e.matches.first() {
+        Some(&MatchValue::Exact(s)) => Some(s),
+        _ => None,
     }
 }
 
@@ -409,6 +503,20 @@ struct Rows {
     runs: Vec<Arc<[Entry]>>,
     tail: Vec<Entry>,
     len: usize,
+    /// Rows whose actions write a register.
+    registers: usize,
+}
+
+/// A table's prepared form, and what changed since.
+#[derive(Debug, Clone, Default)]
+enum Prepared {
+    /// Unprepared, or changed beyond what a patch covers.
+    #[default]
+    No,
+    Yes(Arc<IntervalIndex>),
+    /// Then one [`Table::replace_runs`]: the states it cleared, the
+    /// runs it added.
+    Stale(Arc<IntervalIndex>, Vec<u64>, Vec<Arc<[Entry]>>),
 }
 
 /// A match-action table.
@@ -416,8 +524,8 @@ struct Rows {
 /// The rows and the prepared form sit behind `Arc`s: a clone shares
 /// both, so copying a program costs O(tables), and a table prepared
 /// once is never prepared again by whoever receives a copy. The first
-/// change to a shared copy takes a private one. Rows added as a run
-/// ([`Table::add_run`]) stay shared with whoever else holds the run.
+/// change to a shared copy takes a private one. Rows added as runs
+/// ([`Table::replace_runs`]) stay shared with whoever else holds them.
 #[derive(Debug, Clone)]
 pub struct Table {
     /// Diagnostic name (also used in P4 output and placement reports).
@@ -426,8 +534,7 @@ pub struct Table {
     rows: Arc<Rows>,
     /// Actions applied when no entry matches.
     pub default_ops: Vec<ActionOp>,
-    /// Built by [`Table::prepare`], dropped by every entry change.
-    prepared: Option<Arc<IntervalIndex>>,
+    prepared: Prepared,
 }
 
 impl Table {
@@ -448,7 +555,7 @@ impl Table {
             keys,
             rows: Arc::default(),
             default_ops,
-            prepared: None,
+            prepared: Prepared::No,
         })
     }
 
@@ -476,31 +583,77 @@ impl Table {
         Ok(())
     }
 
-    /// Adds an entry after validating its shape against the keys.
+    /// Adds an entry after validating its shape against the keys. The
+    /// next [`Table::prepare`] lowers the whole table.
     pub fn add_entry(&mut self, entry: Entry) -> Result<(), PipelineError> {
         self.validate_entry(&entry)?;
         let rows = Arc::make_mut(&mut self.rows);
+        rows.registers += usize::from(writes_register(&entry.ops));
         rows.tail.push(entry);
         rows.len += 1;
-        self.prepared = None;
+        self.prepared = Prepared::No;
         Ok(())
     }
 
-    /// Appends a run of entries, validated like [`Table::add_entry`]'s,
-    /// without copying them: the table shares the run with its other
-    /// holders. All or nothing on error.
-    pub fn add_run(&mut self, run: Arc<[Entry]>) -> Result<(), PipelineError> {
-        for e in run.iter() {
-            self.validate_entry(e)?;
+    /// Drops the rows of the states in `cleared` and of those `runs`
+    /// name, then appends `runs`, shared, not copied. A run's rows all
+    /// name one state in the first key, else
+    /// [`PipelineError::EntryKindMismatch`]; only they are validated
+    /// (like [`Table::add_entry`]'s). All or nothing on error; a table
+    /// without a state key is [`PipelineError::UnsupportedKeys`]. A
+    /// prepared table's next [`Table::prepare`] lowers only the changed
+    /// states.
+    pub fn replace_runs(
+        &mut self,
+        cleared: impl IntoIterator<Item = u64>,
+        runs: Vec<Arc<[Entry]>>,
+    ) -> Result<(), PipelineError> {
+        if lowered_keys(&self.keys).is_none_or(|(probe, _)| probe.is_none()) {
+            return Err(PipelineError::UnsupportedKeys {
+                table: self.name.clone(),
+            });
         }
+        let mismatch = || PipelineError::EntryKindMismatch {
+            table: self.name.clone(),
+            key: 0,
+        };
+        let mut states: Vec<u64> = cleared.into_iter().collect();
+        for run in &runs {
+            let state = run.first().and_then(state_of);
+            for e in run.iter() {
+                self.validate_entry(e)?;
+                if state.is_none() || state_of(e) != state {
+                    return Err(mismatch());
+                }
+            }
+            states.extend(state);
+        }
+        states.sort_unstable();
+        states.dedup();
+        let gone = |e: &Entry| state_of(e).is_some_and(|s| states.binary_search(&s).is_ok());
         let rows = Arc::make_mut(&mut self.rows);
-        if !rows.tail.is_empty() {
-            let tail: Arc<[Entry]> = std::mem::take(&mut rows.tail).into();
-            rows.runs.push(tail);
+        // Rows added one by one become one-row runs, in order.
+        let tail = std::mem::take(&mut rows.tail);
+        rows.runs
+            .extend(tail.into_iter().map(|e| Arc::<[Entry]>::from([e])));
+        let register_rows = |run: &[Entry]| run.iter().filter(|e| writes_register(&e.ops)).count();
+        rows.runs.retain(|run| {
+            let keep = !gone(&run[0]);
+            if !keep {
+                rows.len -= run.len();
+                rows.registers -= register_rows(run);
+            }
+            keep
+        });
+        for run in runs.iter().filter(|run| !run.is_empty()) {
+            rows.len += run.len();
+            rows.registers += register_rows(run);
+            rows.runs.push(run.clone());
         }
-        rows.len += run.len();
-        rows.runs.push(run);
-        self.prepared = None;
+        self.prepared = match std::mem::take(&mut self.prepared) {
+            Prepared::Yes(index) => Prepared::Stale(index, states, runs),
+            _ => Prepared::No,
+        };
         Ok(())
     }
 
@@ -520,28 +673,52 @@ impl Table {
         rows.runs.iter().flat_map(|r| r.iter()).chain(&rows.tail)
     }
 
+    /// Whether an entry's or the default action writes a register
+    /// (counted as rows change).
+    pub fn writes_registers(&self) -> bool {
+        self.rows.registers > 0 || writes_register(&self.default_ops)
+    }
+
     /// Lowers the table to its prepared form if an entry changed since
-    /// the last call. Idempotent and free when already prepared.
-    pub fn prepare(&mut self) {
-        if self.prepared.is_none() {
+    /// the last call, and returns how many rows it lowered: after a
+    /// [`Table::replace_runs`], those of the changed states
+    /// ([`IntervalIndex`]), else every row.
+    pub fn prepare(&mut self) -> usize {
+        let patched = match &self.prepared {
+            Prepared::Yes(_) => return 0,
+            Prepared::Stale(index, changed, runs) => index
+                .patch(&self.keys, changed, runs)
+                .map(|index| (index, runs.iter().map(|r| r.len()).sum())),
+            Prepared::No => None,
+        };
+        let (index, lowered) = patched.unwrap_or_else(|| {
             let entries: Vec<&Entry> = self.entries().collect();
-            self.prepared = Some(Arc::new(IntervalIndex::build(&self.keys, &entries)));
-        }
+            (IntervalIndex::build(&self.keys, &entries), entries.len())
+        });
+        self.prepared = Prepared::Yes(Arc::new(index));
+        lowered
     }
 
     /// Whether the table is prepared for [`Table::lookup`].
     pub fn is_prepared(&self) -> bool {
-        self.prepared.is_some()
+        self.index().is_ok()
     }
 
     /// How the prepared probe finds the table's states: `(by indexing a
     /// Vec, by hashing)`; `None` when unprepared or when the table has
     /// no state key.
     pub fn probe_split(&self) -> Option<(usize, usize)> {
-        let index = self.prepared.as_ref()?;
+        let index = self.index().ok()?;
         let runs = &index.runs;
         let indexed = runs.dense.iter().filter(|&&run| run != index.wild).count();
         index.probe.map(|_| (indexed, runs.outliers.len()))
+    }
+
+    /// The prepared index's `(live, held)` interval starts: those its
+    /// runs read, and those its segments hold (at most twice as many);
+    /// `None` when unprepared.
+    pub fn index_starts(&self) -> Option<(usize, usize)> {
+        self.index().ok().map(IntervalIndex::starts)
     }
 
     /// The prepared form, fetched once per table by a wave; a table
@@ -549,11 +726,12 @@ impl Table {
     /// [`PipelineError::TableNotPrepared`].
     #[inline]
     pub(crate) fn index(&self) -> Result<&IntervalIndex, PipelineError> {
-        self.prepared
-            .as_deref()
-            .ok_or_else(|| PipelineError::TableNotPrepared {
+        match &self.prepared {
+            Prepared::Yes(index) => Ok(index),
+            _ => Err(PipelineError::TableNotPrepared {
                 table: self.name.clone(),
-            })
+            }),
+        }
     }
 
     /// Finds the actions of the winning entry for a PHV: the matching
@@ -982,6 +1160,40 @@ mod tests {
         ] {
             assert_eq!(hit(&mut t, &at(s, v)), want, "state={s} v={v}");
         }
+    }
+
+    #[test]
+    fn replace_runs_rejects_a_run_not_of_one_state_and_keeps_the_rows() {
+        let (l, state, value) = layout2();
+        let mut t = state_range_table(state, value);
+        let row = |s| tagged(0, s, MatchValue::Any, 1);
+        t.replace_runs([], vec![Arc::from([row(MatchValue::Exact(1))])])
+            .unwrap();
+        t.prepare();
+        let mismatch = Err(PipelineError::EntryKindMismatch {
+            table: "t".into(),
+            key: 0,
+        });
+        for run in [
+            [row(MatchValue::Exact(2)), row(MatchValue::Exact(3))],
+            [row(MatchValue::Any), row(MatchValue::Any)],
+        ] {
+            assert_eq!(t.replace_runs([1], vec![Arc::from(run)]), mismatch);
+        }
+        assert!(t.is_prepared());
+        assert_eq!(tag(&mut t, &phv_with(&l, state, value, 1, 0)), Some(1));
+        let mut keyless = Table::new(
+            "k",
+            vec![Key {
+                field: value,
+                kind: MatchKind::Range,
+                bits: 64,
+            }],
+            vec![],
+        )
+        .unwrap();
+        let unsupported = Err(PipelineError::UnsupportedKeys { table: "k".into() });
+        assert_eq!(keyless.replace_runs([], vec![]), unsupported);
     }
 
     #[test]

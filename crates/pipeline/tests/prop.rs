@@ -8,6 +8,8 @@
 // and enable the `proptest` feature to run this suite.
 #![cfg(feature = "proptest")]
 
+use std::sync::Arc;
+
 use camus_pipeline::bits::{extract_bits, insert_bits};
 use camus_pipeline::parser::{Extract, ParseState, ParserSpec, StateId, Transition};
 use camus_pipeline::phv::PhvLayout;
@@ -522,5 +524,148 @@ proptest! {
         prop_assert_eq!(&wave.registers, &ones.registers);
         prop_assert_eq!(&wave.registers, &reference.registers);
         prop_assert_eq!(wave.exec.cache_stats(), ones.exec.cache_stats());
+    }
+}
+
+// -------------------------------------------------- patched index
+
+/// The state a row names; `None` for a wildcard state.
+fn named(e: &Entry) -> Option<u64> {
+    match e.matches[0] {
+        MatchValue::Exact(s) => Some(s),
+        _ => None,
+    }
+}
+
+proptest! {
+    /// A table changed only by state-run replacements, and prepared
+    /// after each one — its index patched with one segment per step
+    /// until dead starts outnumber live ones and it is lowered whole —
+    /// holds exactly the rows each state was last given, and decides
+    /// like a whole lowering of the same rows and like the linear
+    /// reference: on `[Exact, Range]`, `[Exact, Exact]` and `[Exact]`
+    /// tables, on both sides of every bound, in live, cleared,
+    /// recycled and never-used states, with ids drifting upward like a
+    /// session's and a few far ones. A table with a wildcard-state row is lowered whole at
+    /// every prepare.
+    #[test]
+    fn a_patched_index_decides_like_a_whole_lowering(
+        seed: u64,
+        shape in 0usize..3,
+        wildcard: bool,
+    ) {
+        let mut d = Draw(seed);
+        let mut layout = PhvLayout::new();
+        let state = layout.add("state", 16);
+        let value = layout.add("value", 64);
+        let tag = layout.add("tag", 32);
+        let state_key = Key { field: state, kind: MatchKind::Exact, bits: 16 };
+        let value_key = |kind| Key { field: value, kind, bits: 64 };
+        let keys = match shape {
+            0 => vec![state_key, value_key(MatchKind::Range)],
+            1 => vec![state_key, value_key(MatchKind::Exact)],
+            _ => vec![state_key],
+        };
+        let mut tags = 0;
+        let mut row = |d: &mut Draw, s: MatchValue| {
+            let mut point = || if d.chance(10) { u64::MAX - d.below(2) } else { d.below(64) };
+            let (a, b) = (point(), point());
+            let v = match (shape, d.below(3)) {
+                (0, 0) => MatchValue::Range { lo: a.min(b), hi: a.max(b) },
+                (_, 2) => MatchValue::Any,
+                _ => MatchValue::Exact(a),
+            };
+            tags += 1;
+            Entry {
+                priority: d.below(4) as u32,
+                matches: [s, v][..keys.len()].to_vec(),
+                ops: vec![ActionOp::SetField(tag, tags)],
+            }
+        };
+
+        let mut table = Table::new("t", keys.clone(), vec![]).unwrap();
+        let mut model: std::collections::BTreeMap<u64, Vec<Entry>> = Default::default();
+        if wildcard {
+            table.add_entry(row(&mut d, MatchValue::Any)).unwrap();
+        }
+        let (mut patched, mut whole_after_first) = (0, 0);
+        for step in 0..40u64 {
+            let top = 6 + step / 2;
+            let cleared: Vec<u64> = (0..d.below(3)).map(|_| d.below(top)).collect();
+            let runs: Vec<Arc<[Entry]>> = (0..1 + d.below(3))
+                .map(|_| {
+                    // Now and then a far id: a hashed state, until the
+                    // window grows over it.
+                    let s = if d.chance(10) { 40 + d.below(80) } else { d.below(top) };
+                    (0..d.below(6)).map(|_| row(&mut d, MatchValue::Exact(s))).collect()
+                })
+                .collect();
+            let given = runs.iter().filter_map(|r| named(r.first()?));
+            for s in cleared.iter().copied().chain(given) {
+                model.remove(&s);
+            }
+            for run in &runs {
+                if let Some(s) = run.first().and_then(named) {
+                    model.entry(s).or_default().extend(run.iter().cloned());
+                }
+            }
+            table.replace_runs(cleared, runs).unwrap();
+            let len = table.len();
+            let lowered = table.prepare();
+            let (live, held) = table.index_starts().unwrap();
+            prop_assert!(held <= 2 * live, "step {}: {} starts held for {} live", step, held, live);
+            if wildcard {
+                prop_assert_eq!((lowered, held), (len, live), "step {}", step);
+            }
+            patched += usize::from(lowered < len);
+            whole_after_first += usize::from(step > 0 && held == live);
+
+            // The rows: each state's as last given, in order.
+            let rows: Vec<Entry> = table.entries().cloned().collect();
+            for (&s, given) in &model {
+                let held: Vec<&Entry> = rows.iter().filter(|e| named(e) == Some(s)).collect();
+                prop_assert_eq!(held, given.iter().collect::<Vec<_>>(), "state {}", s);
+            }
+            let held = rows.iter().filter_map(named).count();
+            prop_assert_eq!(held, model.values().map(Vec::len).sum::<usize>());
+
+            let mut whole = Table::new("whole", keys.clone(), vec![]).unwrap();
+            for e in &rows {
+                whole.add_entry(e.clone()).unwrap();
+            }
+            whole.prepare();
+            let mut phv = layout.instantiate();
+            for s in 0..124 {
+                let mut values = vec![0, u64::MAX, d.below(64)];
+                for e in rows.iter().filter(|e| named(e).is_none_or(|x| x == s)) {
+                    let (lo, hi) = match e.matches.get(1) {
+                        Some(&MatchValue::Exact(v)) => (v, v),
+                        Some(&MatchValue::Range { lo, hi }) => (lo, hi),
+                        _ => continue,
+                    };
+                    values.extend([lo.wrapping_sub(1), lo, hi, hi.wrapping_add(1)]);
+                }
+                for v in values {
+                    phv.set(state, s);
+                    phv.set(value, v);
+                    let got = table.lookup(&phv).unwrap();
+                    let linear = rows
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, e)| {
+                            e.matches.iter().zip(&keys).all(|(m, k)| {
+                                matches_ref(m, if k.field == state { s } else { v })
+                            })
+                        })
+                        .min_by_key(|(i, e)| (e.priority, *i))
+                        .map(|(_, e)| &e.ops[..]);
+                    prop_assert_eq!(got, whole.lookup(&phv).unwrap(), "step {} state={} value={}", step, s, v);
+                    prop_assert_eq!(got, linear, "step {} state={} value={}", step, s, v);
+                }
+            }
+        }
+        if !wildcard {
+            prop_assert!(patched > 0 && whole_after_first > 0, "patched {} whole {}", patched, whole_after_first);
+        }
     }
 }
