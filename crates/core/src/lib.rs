@@ -60,4 +60,4 @@ pub use compile::{CompiledProgram, Compiler, CompilerOptions, Encap};
 pub use dynamic::CompileStats;
 pub use error::CompileError;
 pub use incremental::{IncrementalCompiler, UpdateReport};
-pub use partition::{full_mask, owner_in_subset, owner_of, PartitionPlan, TableAssignment};
+pub use partition::{full_mask, owner_in_subset, owner_of, PartitionPlan};

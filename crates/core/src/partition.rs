@@ -15,53 +15,45 @@
 //! plan. Slicing works by forward state reachability:
 //!
 //! * The per-field tables form a chain keyed on `(meta.state, field)`;
-//!   a table miss passes the state through unchanged, so the set of
-//!   states reachable on a leaf only ever grows front-to-back.
-//! * Entries of the **sharding table** (the one keyed on the shard
-//!   field) that pin an exact symbol live only on that symbol's owner
-//!   leaf ([`owner_of`]); wildcard/exclusion rows ([`MatchValue::Any`])
-//!   are replicated everywhere, preserving their priority shadowing —
-//!   a leaf only ever sees packets whose symbol it owns, so the
-//!   pinned row that would shadow a wildcard is always present where
-//!   it matters.
-//! * Every other state-chained entry is retained on a leaf iff its
-//!   entry state is reachable there; non-state tables (domain
-//!   compression) and the multicast groups are replicated in full.
+//!   a table miss passes the state through unchanged, so the leaves
+//!   that can reach a state only ever grow front-to-back. The plan
+//!   keeps one leaf mask per state: the initial state reaches every
+//!   live leaf, and a state set by a row reaches the leaves that hold
+//!   the row. A state's rows sit after every row that sets it (the
+//!   chain follows the diagram's field order), so its mask is final
+//!   before they are read.
+//! * Rows of the **sharding table** (the one keyed on the shard field)
+//!   that pin an exact symbol live only on that symbol's owner leaf
+//!   ([`owner_of`]); wildcard/exclusion rows ([`MatchValue::Any`]) go
+//!   wherever their state reaches, preserving their priority
+//!   shadowing — a leaf only ever sees packets whose symbol it owns,
+//!   so the pinned row that would shadow a wildcard is always present
+//!   where it matters.
+//! * Every other state-chained row lives where its state reaches;
+//!   non-state tables (domain compression) and the multicast groups
+//!   are replicated in full.
+//!
+//! [`PartitionPlan::leaves_of`] is the one place that decides where a
+//! row lives. A slice keeps each table's rows in order and shares every
+//! run it keeps whole with the master ([`Table::retain`]).
 //!
 //! Two invariants make the fabric provably equivalent to the big
 //! switch (and are property-tested in `crates/core/tests/prop.rs`):
 //! every original entry appears on at least one leaf (cover), and each
 //! slice contains only original entries in original relative order
-//! (soundness). Slices may *overlap* on replicated rows; the
-//! per-entry [`TableAssignment::masks`] record exactly which leaves
-//! hold each entry, so the union-by-provenance reassembles the
-//! original table set entry-for-entry.
+//! (soundness). Slices may *overlap* on replicated rows.
 
-use std::collections::HashSet;
-
+use camus_pipeline::cache::mix64;
 use camus_pipeline::phv::PhvField;
 use camus_pipeline::pipeline::Pipeline;
-use camus_pipeline::table::{ActionOp, MatchValue, Table};
+use camus_pipeline::table::{ActionOp, Entry, MatchValue, Table};
+
+use fxhash::FxHashMap;
 
 use crate::error::CompileError;
 
 /// Maximum leaf count: leaf membership is a `u64` bitmask.
 pub const MAX_LEAVES: usize = 64;
-
-/// SplitMix64 finalizer — the same mix the engine's shard router uses,
-/// duplicated here because `camus-core` sits below `camus-engine` in
-/// the dependency order. Symbol ownership and worker sharding agreeing
-/// on the mix is *not* required for correctness (any deterministic map
-/// works), but using one family keeps key distribution uniform.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
-}
 
 /// The leaf that owns a sharding-symbol value. Total over the whole
 /// value domain, so every packet routes somewhere even when its symbol
@@ -103,17 +95,6 @@ pub fn owner_in_subset(value: u64, total: usize, live_mask: u64) -> usize {
     }
 }
 
-/// Per-table entry→leaf assignment: `masks[i]` has bit `l` set iff
-/// entry `i` (in the original table's insertion order) is held by
-/// leaf `l`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableAssignment {
-    /// Table name, matching [`Table::name`].
-    pub table: String,
-    /// One leaf bitmask per entry, in insertion order.
-    pub masks: Vec<u64>,
-}
-
 /// A computed fabric partition of one compiled program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionPlan {
@@ -126,12 +107,16 @@ pub struct PartitionPlan {
     pub live_mask: u64,
     /// PHV-layout name of the sharding field (e.g. `"ev.sym0"`).
     pub shard_field: String,
-    /// Per-table entry assignments, in pipeline table order.
-    pub assignment: Vec<TableAssignment>,
     /// Entries whose entry state was unreachable on every leaf
     /// (cannot happen for compiler-emitted programs; such entries are
     /// replicated everywhere so the cover invariant still holds).
     pub orphan_entries: usize,
+    state_phv: PhvField,
+    shard_phv: PhvField,
+    /// The leaves each state reaches.
+    reach: FxHashMap<u64, u64>,
+    /// Entries per leaf, across every table.
+    entries: Vec<usize>,
 }
 
 impl PartitionPlan {
@@ -172,125 +157,96 @@ impl PartitionPlan {
         let shard_phv = pipeline.layout.get(shard_field).ok_or_else(|| {
             CompileError::BadSpec(format!("shard field `{shard_field}` not in PHV layout"))
         })?;
-        let state_meta = pipeline
+        let state_phv = pipeline
             .layout
             .get("meta.state")
             .ok_or_else(|| CompileError::BadSpec("pipeline has no meta.state register".into()))?;
         let init_state = pipeline
             .init_fields
             .iter()
-            .find(|(f, _)| *f == state_meta)
-            .map(|&(_, v)| v)
-            .unwrap_or(0);
+            .find(|(f, _)| *f == state_phv)
+            .map_or(0, |&(_, v)| v);
 
-        // Replicated rows land on every *live* leaf; dead slots hold
-        // nothing.
-        let all_mask = live_mask;
-        // Forward state reachability per leaf. Misses pass the state
-        // through unchanged, so sets only grow. Dead leaves start (and
-        // stay) unreachable.
-        let mut reach: Vec<HashSet<u64>> = (0..leaves)
-            .map(|l| {
-                if live_mask & (1 << l) != 0 {
-                    HashSet::from([init_state])
-                } else {
-                    HashSet::new()
-                }
-            })
-            .collect();
-        let mut assignment = Vec::with_capacity(pipeline.tables.len());
-        let mut orphan_entries = 0usize;
-
-        for table in &pipeline.tables {
-            let state_keyed = table
-                .keys()
-                .first()
-                .map(|k| k.field == state_meta)
-                .unwrap_or(false);
-            let shard_table = state_keyed
-                && table
-                    .keys()
-                    .get(1)
-                    .map(|k| k.field == shard_phv)
-                    .unwrap_or(false);
-
-            let mut masks = Vec::with_capacity(table.len());
-            if !state_keyed {
-                // Domain-compression tables (keyed on a raw field, no
-                // state) run identically everywhere.
-                masks.resize(table.len(), all_mask);
-            } else {
-                for e in table.entries() {
-                    let mut mask = 0u64;
-                    for (l, r) in reach.iter().enumerate() {
-                        if live_mask & (1 << l) == 0 {
-                            continue;
-                        }
-                        let state_ok = match e.matches[0] {
-                            MatchValue::Exact(s) => r.contains(&s),
-                            // Wildcard state rows (should not occur in
-                            // emitted programs) apply on every leaf.
-                            _ => true,
-                        };
-                        if !state_ok {
-                            continue;
-                        }
-                        let owned = if shard_table {
-                            match e.matches.get(1) {
-                                // A pinned symbol row lives only on
-                                // the symbol's (possibly failed-over)
-                                // owner.
-                                Some(MatchValue::Exact(v)) => {
-                                    owner_in_subset(*v, leaves, live_mask) == l
-                                }
-                                // Wildcard/exclusion rows replicate.
-                                _ => true,
-                            }
-                        } else {
-                            true
-                        };
-                        if owned {
-                            mask |= 1 << l;
-                        }
-                    }
-                    if mask == 0 {
-                        // Unreachable entry: replicate so the cover
-                        // invariant (union of slices == original)
-                        // survives even degenerate inputs.
-                        orphan_entries += 1;
-                        mask = all_mask;
-                    }
-                    masks.push(mask);
-                }
-                // Grow each leaf's reachable set with the out-states
-                // of the entries it retained.
-                for (e, &mask) in table.entries().zip(&masks) {
-                    for op in &e.ops {
-                        if let ActionOp::SetField(f, v) = op {
-                            if *f == state_meta {
-                                for (l, r) in reach.iter_mut().enumerate() {
-                                    if mask & (1 << l) != 0 {
-                                        r.insert(*v);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            assignment.push(TableAssignment {
-                table: table.name.clone(),
-                masks,
-            });
-        }
-
-        Ok(PartitionPlan {
+        let mut plan = PartitionPlan {
             leaves,
             live_mask,
             shard_field: shard_field.to_string(),
-            assignment,
-            orphan_entries,
-        })
+            orphan_entries: 0,
+            state_phv,
+            shard_phv,
+            reach: FxHashMap::from_iter([(init_state, live_mask)]),
+            entries: vec![0; leaves],
+        };
+        let mut exits = Vec::new();
+        for table in &pipeline.tables {
+            let state_keyed = plan.state_keyed(table);
+            for e in table.entries() {
+                let mut mask = plan.placed(table, e);
+                if mask == 0 {
+                    plan.orphan_entries += 1;
+                    mask = live_mask;
+                }
+                for (l, n) in plan.entries.iter_mut().enumerate() {
+                    *n += usize::from(mask & (1 << l) != 0);
+                }
+                if state_keyed {
+                    exits.extend(e.ops.iter().filter_map(|op| match *op {
+                        ActionOp::SetField(f, s) if f == state_phv => Some((s, mask)),
+                        _ => None,
+                    }));
+                }
+            }
+            // A table's exits reach on only after all its rows are read.
+            for (s, mask) in exits.drain(..) {
+                *plan.reach.entry(s).or_default() |= mask;
+            }
+        }
+        Ok(plan)
+    }
+
+    /// Whether `table` is chained on the state register.
+    fn state_keyed(&self, table: &Table) -> bool {
+        table
+            .keys()
+            .first()
+            .is_some_and(|k| k.field == self.state_phv)
+    }
+
+    /// The leaves that can reach row `e` of `table`; 0 for an orphan.
+    fn placed(&self, table: &Table, e: &Entry) -> u64 {
+        if !self.state_keyed(table) {
+            // Domain-compression tables (keyed on a raw field, no
+            // state) run identically everywhere.
+            return self.live_mask;
+        }
+        let mut mask = match e.matches[0] {
+            MatchValue::Exact(s) => self.reach.get(&s).copied().unwrap_or(0),
+            // Wildcard state rows (not emitted by the compiler) apply
+            // wherever the table runs.
+            _ => self.live_mask,
+        };
+        let shard_table = table
+            .keys()
+            .get(1)
+            .is_some_and(|k| k.field == self.shard_phv);
+        if let (true, Some(&MatchValue::Exact(v))) = (shard_table, e.matches.get(1)) {
+            // A pinned symbol row lives only on the symbol's (possibly
+            // failed-over) owner; wildcard/exclusion rows replicate.
+            mask &= 1 << owner_in_subset(v, self.leaves, self.live_mask);
+        }
+        mask
+    }
+
+    /// The leaves that hold row `e` of `table` (a table of the program
+    /// the plan was computed from). An orphan row — one no leaf
+    /// reaches — is replicated on every live leaf, so the cover
+    /// invariant (union of slices == original) survives even
+    /// degenerate inputs.
+    pub fn leaves_of(&self, table: &Table, e: &Entry) -> u64 {
+        match self.placed(table, e) {
+            0 => self.live_mask,
+            mask => mask,
+        }
     }
 
     /// Builds leaf `leaf`'s slice of `pipeline`: the same parser,
@@ -302,32 +258,13 @@ impl PartitionPlan {
     /// `pipeline` must be the program the plan was computed from.
     pub fn slice(&self, pipeline: &Pipeline, leaf: usize) -> Pipeline {
         assert!(leaf < self.leaves, "leaf {leaf} out of range");
-        assert_eq!(
-            pipeline.tables.len(),
-            self.assignment.len(),
-            "plan does not match this pipeline"
-        );
         let bit = 1u64 << leaf;
-        let tables = pipeline
-            .tables
-            .iter()
-            .zip(&self.assignment)
-            .map(|(t, a)| {
-                let mut out = Table::new(t.name.clone(), t.keys().to_vec(), t.default_ops.clone())
-                    .expect("keys came from a built table");
-                for (e, &mask) in t.entries().zip(&a.masks) {
-                    if mask & bit != 0 {
-                        out.add_entry(e.clone())
-                            .expect("entry came from a validated table");
-                    }
-                }
-                out
-            })
-            .collect();
         Pipeline {
             layout: pipeline.layout.clone(),
             parser: pipeline.parser.clone(),
-            tables,
+            tables: (pipeline.tables.iter())
+                .map(|t| t.retain(|e| self.leaves_of(t, e) & bit != 0))
+                .collect(),
             mcast: pipeline.mcast.clone(),
             registers: pipeline.registers.clone(),
             state_bindings: pipeline.state_bindings.clone(),
@@ -343,16 +280,7 @@ impl PartitionPlan {
 
     /// Total entries held by one leaf across every table.
     pub fn leaf_entries(&self, leaf: usize) -> usize {
-        let bit = 1u64 << leaf;
-        self.assignment
-            .iter()
-            .map(|a| a.masks.iter().filter(|&&m| m & bit != 0).count())
-            .sum()
-    }
-
-    /// The PHV slot of the sharding field in `pipeline`'s layout.
-    pub fn shard_phv(&self, pipeline: &Pipeline) -> Option<PhvField> {
-        pipeline.layout.get(&self.shard_field)
+        self.entries[leaf]
     }
 }
 
@@ -391,12 +319,16 @@ mod tests {
         for leaves in [1usize, 2, 3, 4] {
             let plan = PartitionPlan::compute(&pipeline, "ev.sym", leaves).unwrap();
             assert_eq!(plan.orphan_entries, 0);
-            for (t, a) in pipeline.tables.iter().zip(&plan.assignment) {
-                assert_eq!(t.len(), a.masks.len());
-                for &m in &a.masks {
+            for t in &pipeline.tables {
+                for e in t.entries() {
+                    let m = plan.leaves_of(t, e);
                     assert_ne!(m, 0, "entry unassigned in {}", t.name);
                     assert_eq!(m & !((1u64 << leaves) - 1), 0, "mask beyond leaf count");
                 }
+            }
+            for (l, slice) in plan.slices(&pipeline).iter().enumerate() {
+                let held: usize = slice.tables.iter().map(Table::len).sum();
+                assert_eq!(plan.leaf_entries(l), held, "leaves={leaves} leaf={l}");
             }
         }
     }
@@ -407,19 +339,14 @@ mod tests {
         let leaves = 4;
         let plan = PartitionPlan::compute(&pipeline, "ev.sym", leaves).unwrap();
         let shard_phv = pipeline.layout.get("ev.sym").unwrap();
-        for (t, a) in pipeline.tables.iter().zip(&plan.assignment) {
-            let is_shard = t
-                .keys()
-                .get(1)
-                .map(|k| k.field == shard_phv)
-                .unwrap_or(false);
-            if !is_shard {
+        for t in &pipeline.tables {
+            if t.keys().get(1).is_none_or(|k| k.field != shard_phv) {
                 continue;
             }
-            for (e, &m) in t.entries().zip(&a.masks) {
+            for e in t.entries() {
                 if let MatchValue::Exact(v) = e.matches[1] {
                     assert_eq!(
-                        m,
+                        plan.leaves_of(t, e),
                         1 << owner_of(v, leaves),
                         "pinned row for {v:#x} replicated beyond its owner"
                     );
@@ -467,8 +394,9 @@ mod tests {
         let plan = PartitionPlan::compute_subset(&pipeline, "ev.sym", leaves, live_mask).unwrap();
         assert_eq!(plan.live_mask, live_mask);
         assert_eq!(plan.leaf_entries(2), 0, "dead slot must hold nothing");
-        for a in &plan.assignment {
-            for &m in &a.masks {
+        for t in &pipeline.tables {
+            for e in t.entries() {
+                let m = plan.leaves_of(t, e);
                 assert_ne!(m, 0, "cover: entry lost in failover");
                 assert_eq!(m & !live_mask, 0, "entry placed on a dead leaf");
             }

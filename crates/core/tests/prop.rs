@@ -351,14 +351,129 @@ proptest! {
 
 // ------------------------------------------------- fabric partition
 
+/// The partition rule as first written, kept as a reference that does
+/// not share code with `PartitionPlan`: forward state reachability per
+/// leaf, entry by entry. One leaf mask per entry, per table.
+fn reference_masks(
+    master: &camus_pipeline::pipeline::Pipeline,
+    shard_field: &str,
+    leaves: usize,
+    live_mask: u64,
+) -> Vec<Vec<u64>> {
+    use camus_core::owner_in_subset;
+    use camus_pipeline::table::{ActionOp, MatchValue};
+    use std::collections::HashSet;
+
+    let state = master.layout.get("meta.state").unwrap();
+    let shard = master.layout.get(shard_field).unwrap();
+    let init = master
+        .init_fields
+        .iter()
+        .find(|(f, _)| *f == state)
+        .map_or(0, |&(_, v)| v);
+    let live = |l: usize| live_mask & (1 << l) != 0;
+    let mut reach: Vec<HashSet<u64>> = (0..leaves)
+        .map(|l| {
+            if live(l) {
+                HashSet::from([init])
+            } else {
+                HashSet::new()
+            }
+        })
+        .collect();
+    let mut out = Vec::new();
+    for t in &master.tables {
+        if t.keys().first().is_none_or(|k| k.field != state) {
+            out.push(vec![live_mask; t.len()]);
+            continue;
+        }
+        let shard_table = t.keys().get(1).is_some_and(|k| k.field == shard);
+        let mut masks = Vec::new();
+        for e in t.entries() {
+            let mut mask = 0u64;
+            for l in (0..leaves).filter(|&l| live(l)) {
+                let state_ok = match e.matches[0] {
+                    MatchValue::Exact(s) => reach[l].contains(&s),
+                    _ => true,
+                };
+                let owned = match (shard_table, e.matches.get(1)) {
+                    (true, Some(&MatchValue::Exact(v))) => {
+                        owner_in_subset(v, leaves, live_mask) == l
+                    }
+                    _ => true,
+                };
+                if state_ok && owned {
+                    mask |= 1 << l;
+                }
+            }
+            masks.push(if mask == 0 { live_mask } else { mask });
+        }
+        for (e, &mask) in t.entries().zip(&masks) {
+            for op in &e.ops {
+                if let ActionOp::SetField(f, v) = *op {
+                    if f == state {
+                        for (l, r) in reach.iter_mut().enumerate() {
+                            if mask & (1 << l) != 0 {
+                                r.insert(v);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out.push(masks);
+    }
+    out
+}
+
+/// Holds `plan`'s slices of `master` to [`reference_masks`]: each leaf
+/// holds exactly the reference's rows, row for row, in order, and
+/// `leaf_entries` counts them; no row is lost or placed beyond the live
+/// leaves.
+fn slices_match_the_reference(
+    master: &camus_pipeline::pipeline::Pipeline,
+    plan: &camus_core::PartitionPlan,
+) -> Result<(), TestCaseError> {
+    let reference = reference_masks(master, &plan.shard_field, plan.leaves, plan.live_mask);
+    for (t, masks) in master.tables.iter().zip(&reference) {
+        for (i, &m) in masks.iter().enumerate() {
+            prop_assert!(m != 0, "table {} entry {} landed on no leaf", t.name, i);
+            prop_assert_eq!(
+                m & !plan.live_mask,
+                0,
+                "table {} entry {} placed beyond the live leaves",
+                t.name,
+                i
+            );
+        }
+    }
+    let slices = plan.slices(master);
+    prop_assert_eq!(slices.len(), plan.leaves);
+    for (l, slice) in slices.iter().enumerate() {
+        prop_assert_eq!(slice.tables.len(), master.tables.len());
+        for ((t, masks), st) in master.tables.iter().zip(&reference).zip(&slice.tables) {
+            let expect: Vec<_> = t
+                .entries()
+                .zip(masks)
+                .filter(|&(_, &m)| m & (1u64 << l) != 0)
+                .map(|(e, _)| e)
+                .collect();
+            let got: Vec<_> = st.entries().collect();
+            prop_assert_eq!(got, expect, "table {} leaf {}", t.name, l);
+        }
+        let held: usize = slice.tables.iter().map(|t| t.len()).sum();
+        prop_assert_eq!(plan.leaf_entries(l), held, "leaf {}", l);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Partition-plan invariants over random Siena programs: every
-    /// compiled entry is assigned to at least one leaf (cover), no
-    /// entry is assigned beyond the leaf count, and slicing each table
-    /// by the plan's per-entry leaf masks reassembles the original
-    /// table set entry-for-entry, in order.
+    /// Partition-plan invariants over random Siena programs, with and
+    /// without domain compression: every compiled entry lands on at
+    /// least one leaf (cover), none beyond the leaf count, and every
+    /// leaf's slice is the reference's, row for row, in order.
     #[test]
     fn partition_plan_covers_and_reassembles(
         seed in 0u64..100_000,
@@ -377,48 +492,24 @@ proptest! {
             ..Default::default()
         };
         let wl = siena.generate();
-        let compiler = Compiler::new(wl.spec.clone(), CompilerOptions::raw()).unwrap();
-        let master = compiler.compile(&wl.rules).unwrap().pipeline;
-        let plan = PartitionPlan::compute(&master, "ev.sym0", leaves).unwrap();
-
-        prop_assert_eq!(plan.assignment.len(), master.tables.len());
-        for (t, ta) in master.tables.iter().zip(&plan.assignment) {
-            prop_assert_eq!(&ta.table, &t.name);
-            prop_assert_eq!(ta.masks.len(), t.len());
-            for (i, &m) in ta.masks.iter().enumerate() {
-                prop_assert!(m != 0, "table {} entry {} landed on no leaf", t.name, i);
-                prop_assert_eq!(
-                    m >> leaves, 0,
-                    "table {} entry {} assigned beyond leaf {}", t.name, i, leaves
-                );
-            }
-        }
-
-        let slices = plan.slices(&master);
-        prop_assert_eq!(slices.len(), leaves);
-        for (l, slice) in slices.iter().enumerate() {
-            prop_assert_eq!(slice.tables.len(), master.tables.len());
-            for (ti, t) in master.tables.iter().enumerate() {
-                let expect: Vec<_> = t
-                    .entries()
-                    .enumerate()
-                    .filter(|(i, _)| plan.assignment[ti].masks[*i] & (1u64 << l) != 0)
-                    .map(|(_, e)| e.clone())
-                    .collect();
-                let got: Vec<_> = slice.tables[ti].entries().cloned().collect();
-                prop_assert_eq!(got, expect, "table {} leaf {}", t.name, l);
-            }
+        let compressed = CompilerOptions { compress_bits: Some(4), ..CompilerOptions::raw() };
+        for opts in [CompilerOptions::raw(), compressed] {
+            let compiler = Compiler::new(wl.spec.clone(), opts).unwrap();
+            let master = compiler.compile(&wl.rules).unwrap().pipeline;
+            let plan = PartitionPlan::compute(&master, "ev.sym0", leaves).unwrap();
+            prop_assert_eq!(plan.orphan_entries, 0);
+            slices_match_the_reference(&master, &plan)?;
         }
     }
 
     /// Failover-plan invariants over any non-empty survivor subset:
-    /// the subset plan never assigns an entry to a dead leaf, never
-    /// loses an entry (cover within the live mask), reassembles each
-    /// table entry-for-entry from the live slices, keeps every
-    /// surviving owner's symbols in place (only dead owners' symbols
-    /// rehash — the "zero loss for shards that never left a healthy
-    /// leaf" guarantee), and degenerates to the full plan when every
-    /// leaf is alive.
+    /// the subset plan never places an entry on a dead leaf, never
+    /// loses an entry (cover within the live mask), slices every live
+    /// leaf row for row as the reference does and leaves dead ones
+    /// empty, keeps every surviving owner's symbols in place (only dead
+    /// owners' symbols rehash — the "zero loss for shards that never
+    /// left a healthy leaf" guarantee), and degenerates to the full
+    /// plan when every leaf is alive.
     #[test]
     fn failover_subset_plan_covers_and_keeps_survivors_stable(
         seed in 0u64..100_000,
@@ -447,37 +538,9 @@ proptest! {
         let plan = PartitionPlan::compute_subset(&master, "ev.sym0", leaves, live_mask).unwrap();
 
         prop_assert_eq!(plan.live_mask, live_mask);
-        prop_assert_eq!(plan.assignment.len(), master.tables.len());
-        for (t, ta) in master.tables.iter().zip(&plan.assignment) {
-            prop_assert_eq!(ta.masks.len(), t.len());
-            for (i, &m) in ta.masks.iter().enumerate() {
-                prop_assert!(m != 0, "table {} entry {} lost in failover", t.name, i);
-                prop_assert_eq!(
-                    m & !live_mask, 0,
-                    "table {} entry {} assigned to a dead leaf", t.name, i
-                );
-            }
-        }
-
-        // Live slices reassemble every table; dead leaves hold nothing.
-        let slices = plan.slices(&master);
-        for (l, slice) in slices.iter().enumerate() {
-            if live_mask & (1 << l) == 0 {
-                for st in &slice.tables {
-                    prop_assert_eq!(st.len(), 0, "dead leaf {} holds entries", l);
-                }
-                continue;
-            }
-            for (ti, t) in master.tables.iter().enumerate() {
-                let expect: Vec<_> = t
-                    .entries()
-                    .enumerate()
-                    .filter(|(i, _)| plan.assignment[ti].masks[*i] & (1u64 << l) != 0)
-                    .map(|(_, e)| e.clone())
-                    .collect();
-                let got: Vec<_> = slice.tables[ti].entries().cloned().collect();
-                prop_assert_eq!(got, expect, "table {} live leaf {}", t.name, l);
-            }
+        slices_match_the_reference(&master, &plan)?;
+        for l in (0..leaves).filter(|l| live_mask & (1 << l) == 0) {
+            prop_assert_eq!(plan.leaf_entries(l), 0, "dead leaf {} holds entries", l);
         }
 
         // Survivor stability: a value whose primary owner is alive is

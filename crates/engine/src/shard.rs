@@ -29,11 +29,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// SplitMix64 finalizer: decorrelates low bits before `% workers`, so
 /// structured keys (ASCII symbols) still spread evenly.
-pub fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+pub use camus_pipeline::cache::mix64;
 
 const ETH_LEN: usize = 14;
 const UDP_LEN: usize = 8;

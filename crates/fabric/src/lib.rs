@@ -212,7 +212,6 @@ enum Route {
 pub struct Fabric {
     engines: Vec<Engine>,
     extract: ShardFn,
-    shard_field: String,
     master: Pipeline,
     plan: PartitionPlan,
     epoch: u64,
@@ -253,9 +252,11 @@ pub struct Fabric {
 impl Fabric {
     /// Plans the partition of `master`, admission-checks every slice
     /// against its leaf's configured ASIC model, and starts one engine
-    /// per leaf. Nothing starts if any leaf cannot hold its slice.
+    /// per leaf. Nothing starts if there is no leaf (or more than
+    /// [`camus_core::partition::MAX_LEAVES`]) or any leaf cannot hold
+    /// its slice.
     pub fn start(master: &Pipeline, cfg: &FabricConfig) -> Result<Fabric, FabricFault> {
-        let leaves = cfg.leaf_engines.len().max(1);
+        let leaves = cfg.leaf_engines.len();
         let plan =
             PartitionPlan::compute(master, &cfg.shard_field, leaves).map_err(FabricFault::Plan)?;
         let slices = plan.slices(master);
@@ -275,7 +276,6 @@ impl Fabric {
         Ok(Fabric {
             engines,
             extract: cfg.extract.clone(),
-            shard_field: cfg.shard_field.clone(),
             master: master.clone(),
             plan,
             epoch: 0,
@@ -548,7 +548,7 @@ impl Fabric {
     fn try_epoch(&mut self, master: &Pipeline) -> Result<PartitionPlan, FabricFault> {
         let live = self.live_mask();
         let plan =
-            PartitionPlan::compute_subset(master, &self.shard_field, self.engines.len(), live)
+            PartitionPlan::compute_subset(master, &self.plan.shard_field, self.engines.len(), live)
                 .map_err(FabricFault::Plan)?;
         let is_live = |leaf: usize| live & (1 << leaf.min(63)) != 0;
         for (leaf, slice) in plan.slices(master).into_iter().enumerate() {
@@ -917,6 +917,15 @@ mod tests {
                 "leaf {l} changed"
             );
         }
+    }
+
+    #[test]
+    fn a_fabric_without_leaves_is_refused_before_anything_starts() {
+        let fcfg = FabricConfig::new("ev.sym", extractor(), vec![]);
+        assert!(matches!(
+            Fabric::start(&compile(RULES), &fcfg),
+            Err(FabricFault::Plan(CompileError::BadSpec(_)))
+        ));
     }
 
     #[test]

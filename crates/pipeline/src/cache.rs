@@ -52,9 +52,11 @@ use crate::phv::PhvField;
 pub const DEFAULT_CACHE_SHIFT: u32 = 10;
 
 /// SplitMix64 finalizer — decorrelates structured keys (ASCII stock
-/// symbols) before the power-of-two index mask.
+/// symbols) before a power-of-two mask or a modulus. The decision
+/// cache, the engine's worker sharding and the fabric's symbol
+/// ownership all mix with it.
 #[inline]
-fn mix64(mut x: u64) -> u64 {
+pub fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)

@@ -657,6 +657,37 @@ impl Table {
         Ok(())
     }
 
+    /// An unprepared copy holding the rows `keep` accepts, in order. A
+    /// run kept whole is shared, not copied; of any other run only the
+    /// kept rows are copied.
+    pub fn retain(&self, mut keep: impl FnMut(&Entry) -> bool) -> Table {
+        let mut rows = Rows::default();
+        for run in &self.rows.runs {
+            match run.iter().position(|e| !keep(e)) {
+                None => rows.runs.push(run.clone()),
+                Some(dropped) => {
+                    let rest = run[dropped + 1..].iter().filter(|e| keep(e));
+                    let part: Vec<Entry> = run[..dropped].iter().chain(rest).cloned().collect();
+                    if !part.is_empty() {
+                        rows.runs.push(part.into());
+                    }
+                }
+            }
+        }
+        rows.tail = self.rows.tail.iter().filter(|e| keep(e)).cloned().collect();
+        for e in rows.runs.iter().flat_map(|r| r.iter()).chain(&rows.tail) {
+            rows.len += 1;
+            rows.registers += usize::from(writes_register(&e.ops));
+        }
+        Table {
+            name: self.name.clone(),
+            keys: self.keys.clone(),
+            rows: Arc::new(rows),
+            default_ops: self.default_ops.clone(),
+            prepared: Prepared::No,
+        }
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.rows.len
@@ -1194,6 +1225,50 @@ mod tests {
         .unwrap();
         let unsupported = Err(PipelineError::UnsupportedKeys { table: "k".into() });
         assert_eq!(keyless.replace_runs([], vec![]), unsupported);
+    }
+
+    #[test]
+    fn retain_keeps_order_shares_whole_runs_and_recounts_registers() {
+        let (_, state, value) = layout2();
+        let mut t = state_range_table(state, value);
+        let run = |s, tags: [u64; 2]| -> Arc<[Entry]> {
+            Arc::from(tags.map(|tag| tagged(0, MatchValue::Exact(s), MatchValue::Any, tag)))
+        };
+        let counted = Entry {
+            ops: vec![ActionOp::Register {
+                slot: 0,
+                op: RegOp::Increment,
+            }],
+            ..tagged(0, MatchValue::Exact(3), MatchValue::Any, 5)
+        };
+        t.replace_runs([], vec![run(1, [1, 2]), run(2, [3, 4])])
+            .unwrap();
+        t.add_entry(counted).unwrap();
+        t.add_entry(tagged(0, MatchValue::Exact(3), MatchValue::Any, 6))
+            .unwrap();
+        t.prepare();
+        assert!(t.writes_registers());
+        let tag_of = |e: &Entry| match e.ops[..] {
+            [ActionOp::SetField(_, tag)] => tag,
+            _ => 5,
+        };
+
+        let kept = t.retain(|e| tag_of(e) != 3 && tag_of(e) != 5);
+        let tags: Vec<u64> = kept.entries().map(tag_of).collect();
+        assert_eq!(tags, [1, 2, 4, 6]);
+        assert_eq!(kept.len(), 4);
+        assert!(!kept.is_prepared());
+        assert!(!kept.writes_registers());
+        assert!(Arc::ptr_eq(&kept.rows.runs[0], &t.rows.runs[0]));
+        assert!(!Arc::ptr_eq(&kept.rows.runs[1], &t.rows.runs[1]));
+
+        let all = t.retain(|_| true);
+        assert!(all.writes_registers());
+        assert_eq!(
+            all.entries().collect::<Vec<_>>(),
+            t.entries().collect::<Vec<_>>()
+        );
+        assert_eq!(t.retain(|_| false).len(), 0);
     }
 
     #[test]
