@@ -420,7 +420,10 @@ impl ControlState {
             .update(adds, removes)
             .map_err(|e| (RejectKind::Compile, e.to_string()))?;
         match self.engine.apply_update(&report) {
-            Ok(()) => Ok(self.engine.generation()),
+            Ok(()) => {
+                self.bus.rebuilds += u64::from(report.full_rebuild);
+                Ok(self.engine.generation())
+            }
             Err(fault) => {
                 if session.update(removes, adds).is_err() {
                     // Stuck one update ahead of the engine: undo it on
@@ -504,9 +507,9 @@ impl ControlState {
         self.bus.rpcs = self.shared.rpcs.load(Ordering::Relaxed);
         let submitted = self.engine.submitted();
         let active_rules = self.printed_rules();
-        let (engine, drained) = self.engine.shutdown();
+        let drained = self.engine.quiesce();
         DaemonReport {
-            engine,
+            engine: self.engine.finish(),
             clean_quiesce: drained.is_ok(),
             submitted,
             active_rules,

@@ -165,6 +165,9 @@ pub struct BusCounters {
     pub rpcs: u64,
     /// `apply_update` epochs published on behalf of bus mutations.
     pub epochs: u64,
+    /// Those epochs whose compiler report was a `full_rebuild` (an
+    /// add outside the session's alphabet) rather than a delta.
+    pub rebuilds: u64,
     /// Rules applied by accepted mutations.
     pub mutations_applied: u64,
     /// Mutation RPCs rejected.

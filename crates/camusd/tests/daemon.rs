@@ -143,6 +143,9 @@ fn rpc_surface_end_to_end() {
     assert!(report.zero_loss());
     assert_eq!(report.active_rules.len(), 8);
     assert_eq!(report.bus.epochs, 2);
+    // The out-of-pool subscribe rebuilt; its unsubscribe, inside the
+    // rebuilt alphabet, did not.
+    assert_eq!(report.bus.rebuilds, 1);
 }
 
 /// The standard setup under a model with almost no TCAM: the initial 4
@@ -252,8 +255,9 @@ fn updates_after_a_rejection_forward_like_a_fresh_compile() {
     daemon.inject(probe).expect("inject probe");
     let report = daemon.join();
     assert!(report.zero_loss());
-    assert_eq!(report.engine.updates.full_swaps, 0);
-    assert_eq!(report.engine.updates.delta_updates, 4);
+    assert_eq!(report.bus.epochs, 4);
+    assert_eq!(report.engine.updates.published, 4);
+    assert_eq!(report.bus.rebuilds, 0);
 
     let decisions = report.engine.decisions_in_submit_order();
     assert_eq!(oracle.check(&decisions), 0);

@@ -195,11 +195,21 @@ impl IncrementalCompiler {
     /// `install` may only use predicates that appear here. Typically
     /// the initial subscription set, optionally padded with the
     /// predicates expected to arrive later.
+    ///
+    /// [`CompilerOptions::compress_bits`] is refused with
+    /// [`CompileError::BadSpec`]: domain compression rewrites whole
+    /// tables, which would undo the row-group patching that makes an
+    /// update cost the change.
     pub fn new(
         spec: Spec,
         options: &CompilerOptions,
         alphabet_rules: &[Rule],
     ) -> Result<Self, CompileError> {
+        if options.compress_bits.is_some() {
+            return Err(CompileError::BadSpec(
+                "compress_bits is not supported by an incremental compiler session".into(),
+            ));
+        }
         let resolved = resolve(&spec, alphabet_rules, options.heuristic)?;
         let statics = build_static(&spec, &resolved.fields, &options.encap)?;
         let bdd = empty_diagram(&resolved, options.semantic_pruning)?;
@@ -513,6 +523,20 @@ mod tests {
     const ALPHABET: &str = "stock == GOOGL : fwd(1)\n\
                             stock == MSFT : fwd(2)\n\
                             price > 100 : fwd(3)";
+
+    #[test]
+    fn a_session_refuses_compress_bits() {
+        let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
+        let options = CompilerOptions {
+            compress_bits: Some(8),
+            ..CompilerOptions::raw()
+        };
+        let alphabet = parse_program(ALPHABET).unwrap();
+        match IncrementalCompiler::new(spec, &options, &alphabet) {
+            Err(CompileError::BadSpec(msg)) => assert!(msg.contains("compress_bits"), "{msg}"),
+            other => panic!("expected BadSpec, got {other:?}"),
+        }
+    }
 
     #[test]
     fn staged_installs_accumulate_behaviour() {

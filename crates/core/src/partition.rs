@@ -333,6 +333,20 @@ mod tests {
         }
     }
 
+    /// One leaf holds every row, so each of its tables is the master's
+    /// own, prepared index included: the slice lowers nothing again.
+    #[test]
+    fn a_one_leaf_slice_of_a_prepared_master_is_prepared() {
+        let pipeline = compile(RULES);
+        assert!(pipeline.tables.iter().all(Table::is_prepared));
+        let plan = PartitionPlan::compute(&pipeline, "ev.sym", 1).unwrap();
+        let slice = plan.slice(&pipeline, 0);
+        for (t, master) in slice.tables.iter().zip(&pipeline.tables) {
+            assert!(t.is_prepared(), "{} lowered again", t.name);
+            assert_eq!(t.len(), master.len());
+        }
+    }
+
     #[test]
     fn pinned_symbol_entries_live_only_on_their_owner() {
         let pipeline = compile(RULES);

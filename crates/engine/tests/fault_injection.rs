@@ -305,7 +305,7 @@ fn respawned_worker_keeps_the_decision_cache_after_a_full_swap() {
     }
     let out = engine.finish();
     assert!(out.error.is_none(), "{:?}", out.error);
-    assert_eq!(out.updates.full_swaps, 1);
+    assert_eq!(out.updates.published, 1);
     assert_eq!(out.faults.respawns, 1);
     assert_eq!(out.quarantined.len(), 8);
     assert_eq!(out.stats.packets, 400);

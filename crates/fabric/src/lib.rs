@@ -180,14 +180,16 @@ impl FabricConfig {
         }
     }
 
-    /// A homogeneous fabric: `leaves` copies of one engine config.
+    /// A homogeneous fabric: `leaves` copies of one engine config (0
+    /// leaves is refused at [`Fabric::start`], like an empty
+    /// [`FabricConfig::new`]).
     pub fn uniform(
         leaves: usize,
         shard_field: &str,
         extract: ShardFn,
         engine: EngineConfig,
     ) -> Self {
-        Self::new(shard_field, extract, vec![engine; leaves.max(1)])
+        Self::new(shard_field, extract, vec![engine; leaves])
     }
 }
 
@@ -921,11 +923,15 @@ mod tests {
 
     #[test]
     fn a_fabric_without_leaves_is_refused_before_anything_starts() {
-        let fcfg = FabricConfig::new("ev.sym", extractor(), vec![]);
-        assert!(matches!(
-            Fabric::start(&compile(RULES), &fcfg),
-            Err(FabricFault::Plan(CompileError::BadSpec(_)))
-        ));
+        for fcfg in [
+            FabricConfig::new("ev.sym", extractor(), vec![]),
+            FabricConfig::uniform(0, "ev.sym", extractor(), cfg(1)),
+        ] {
+            assert!(matches!(
+                Fabric::start(&compile(RULES), &fcfg),
+                Err(FabricFault::Plan(CompileError::BadSpec(_)))
+            ));
+        }
     }
 
     #[test]

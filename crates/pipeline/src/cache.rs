@@ -15,7 +15,10 @@
 //! chain's decision is a pure function of the key field for the
 //! *installed* program:
 //!
-//! * no state bindings (register reads vary with time and traffic);
+//! * no table keys on a state binding's destination, and no binding
+//!   writes the key field itself (a binding is a register read, which
+//!   varies with time and traffic); bindings no table keys on are
+//!   admitted;
 //! * no `ActionOp::Register` anywhere (register writes are per-message
 //!   side effects that must not be skipped);
 //! * at most 64 tables (the per-table hit/miss replay mask is a u64);

@@ -657,15 +657,19 @@ impl Table {
         Ok(())
     }
 
-    /// An unprepared copy holding the rows `keep` accepts, in order. A
-    /// run kept whole is shared, not copied; of any other run only the
-    /// kept rows are copied.
+    /// A copy holding the rows `keep` accepts, in order. A table kept
+    /// whole is `self` again — a clone sharing its rows and prepared
+    /// index, so it is not lowered twice. Otherwise the copy is
+    /// unprepared: a run kept whole is shared, not copied; of any other
+    /// run only the kept rows are copied.
     pub fn retain(&self, mut keep: impl FnMut(&Entry) -> bool) -> Table {
         let mut rows = Rows::default();
+        let mut whole = true;
         for run in &self.rows.runs {
             match run.iter().position(|e| !keep(e)) {
                 None => rows.runs.push(run.clone()),
                 Some(dropped) => {
+                    whole = false;
                     let rest = run[dropped + 1..].iter().filter(|e| keep(e));
                     let part: Vec<Entry> = run[..dropped].iter().chain(rest).cloned().collect();
                     if !part.is_empty() {
@@ -675,6 +679,9 @@ impl Table {
             }
         }
         rows.tail = self.rows.tail.iter().filter(|e| keep(e)).cloned().collect();
+        if whole && rows.tail.len() == self.rows.tail.len() {
+            return self.clone();
+        }
         for e in rows.runs.iter().flat_map(|r| r.iter()).chain(&rows.tail) {
             rows.len += 1;
             rows.registers += usize::from(writes_register(&e.ops));
@@ -1263,6 +1270,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&kept.rows.runs[1], &t.rows.runs[1]));
 
         let all = t.retain(|_| true);
+        assert!(all.is_prepared());
         assert!(all.writes_registers());
         assert_eq!(
             all.entries().collect::<Vec<_>>(),

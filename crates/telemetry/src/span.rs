@@ -24,10 +24,11 @@ pub enum SpanKind {
     /// fresh row groups, tables prepared (label `emit_tables`, kept for
     /// dashboards).
     EmitTables,
-    /// `Engine::apply_update`: candidate build + admission + publish.
+    /// `Engine::apply_update`: stage (admission) + commit.
     ApplyUpdate,
-    /// `Engine::commit`: full-swap publication of a staged candidate
-    /// (label `install_pipeline`, kept for dashboards).
+    /// `Engine::commit`: publication of a staged candidate, an
+    /// `apply_update`'s included (label `install_pipeline`, kept for
+    /// dashboards).
     InstallPipeline,
     /// `Engine::quiesce`: draining every in-flight batch.
     Quiesce,

@@ -175,7 +175,7 @@ fn concurrent_churn_matches_fresh_recompile_of_survivors() {
     assert_eq!(report_d.engine.updates.published, report.max_generation);
     // Every mutation stayed inside the pool's alphabet, so subscribes
     // and unsubscribes alike were deltas: no full rebuild.
-    assert_eq!(report_d.engine.updates.full_swaps, 0);
+    assert_eq!(report_d.bus.rebuilds, 0);
     if coalesced_epochs > 0 {
         assert!(
             report_d.bus.requests_coalesced > 0,
