@@ -484,10 +484,7 @@ impl ControlState {
             ops.generation = self.engine.generation();
             ops.packets = self.engine.submitted();
             ops.active_rules = self.rules().len() as u64;
-            ops.epochs = self.bus.epochs;
-            ops.mutations_applied = self.bus.mutations_applied;
-            ops.mutations_rejected = self.bus.mutations_rejected;
-            ops.requests_coalesced = self.bus.requests_coalesced;
+            ops.bus = self.bus;
             ops.feed_packets = self.feed_submitted;
             ops.spans = self.engine.control_spans();
         }

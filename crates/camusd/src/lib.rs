@@ -149,10 +149,7 @@ pub(crate) struct OpsView {
     pub generation: u64,
     pub packets: u64,
     pub active_rules: u64,
-    pub epochs: u64,
-    pub mutations_applied: u64,
-    pub mutations_rejected: u64,
-    pub requests_coalesced: u64,
+    pub bus: BusCounters,
     pub workers: u64,
     pub feed_packets: u64,
     pub spans: SpanSet,

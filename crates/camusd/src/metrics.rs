@@ -108,25 +108,25 @@ fn render(shared: &Shared) -> String {
         &mut body,
         "camusd_epochs_total",
         "apply_update epochs published for bus mutations.",
-        ops.epochs,
+        ops.bus.epochs,
     );
     counter(
         &mut body,
         "camusd_mutations_applied_total",
         "Rules applied by accepted subscribe/unsubscribe RPCs.",
-        ops.mutations_applied,
+        ops.bus.mutations_applied,
     );
     counter(
         &mut body,
         "camusd_mutations_rejected_total",
         "Subscribe/unsubscribe RPCs rejected (parse, compile, admission, update).",
-        ops.mutations_rejected,
+        ops.bus.mutations_rejected,
     );
     counter(
         &mut body,
         "camusd_mutations_coalesced_total",
         "Mutation RPCs that shared their epoch with at least one other request.",
-        ops.requests_coalesced,
+        ops.bus.requests_coalesced,
     );
     counter(
         &mut body,

@@ -27,9 +27,15 @@
 //! One optional hot-path accelerator rides on top: per-worker [decision
 //! caching](camus_pipeline::DecisionCache) keyed on the sharding field
 //! ([`EngineConfig::decision_cache`] — hits skip the match chain
-//! entirely, RCU generation bumps invalidate for free). Cache and
-//! ring counters surface in [`EngineReport::hotpath`] and, when
-//! telemetry is on, in the merged [`TelemetrySnapshot`].
+//! entirely). Every program the engine installs is armed or not once,
+//! when it is staged, and a worker's cache follows the generation it
+//! runs: emptied at each adoption, dropped for a generation that is not
+//! cacheable, re-armed by the next one that is. The cache and ring
+//! counters live in one [`HotPathStats`] record per worker context —
+//! the executor counts cache outcomes into it, the engine adds the
+//! worker's ring waits when it harvests the worker — and the merged
+//! record is [`EngineReport::hotpath`] and, when telemetry is on,
+//! [`TelemetrySnapshot::hotpath`].
 //!
 //! ## Update plane
 //!
@@ -115,7 +121,7 @@ use camus_pipeline::{
 };
 use camus_telemetry::{DataPlaneTelemetry, SpanKind, SpanSet, SpanTimer, TableCounters};
 
-pub use camus_telemetry::TelemetrySnapshot;
+pub use camus_telemetry::{HotPathStats, TelemetrySnapshot};
 pub use shard::ShardFn;
 
 /// Update-plane counters, aggregated into the [`EngineReport`].
@@ -217,10 +223,11 @@ pub struct EngineConfig {
     /// function keys on (e.g. `"add_order.stock"`). A cache hit skips
     /// the whole match chain; every published generation invalidates
     /// all caches at the adoption boundary, so cached decisions are
-    /// always from the live rule set. Silently disabled when the field
-    /// is unknown or the installed program is not provably cacheable
-    /// (stateful bindings, register ops, non-parser-sourced keys — see
-    /// [`Pipeline::cacheable_on`]). `None` (default) = off.
+    /// always from the live rule set. Off for any generation whose
+    /// program lacks the field or is not provably cacheable (stateful
+    /// bindings, register ops, non-parser-sourced keys — see
+    /// [`Pipeline::cacheable_on`]), and re-armed by any later cacheable
+    /// generation. `None` (default) = off.
     pub decision_cache: Option<String>,
 }
 
@@ -379,35 +386,6 @@ impl std::fmt::Display for EngineFault {
 
 impl std::error::Error for EngineFault {}
 
-/// Hot-path counters, aggregated into the [`EngineReport`] regardless
-/// of whether full telemetry is on (they are plain adds, not clock
-/// reads, so they ride the uninstrumented path for free).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HotPathStats {
-    /// Decision-cache hits — packets whose match chain was skipped.
-    pub cache_hits: u64,
-    /// Decision-cache misses (full chain ran, result memoized).
-    pub cache_misses: u64,
-    /// Decision-cache slots overwritten by a conflicting key.
-    pub cache_evictions: u64,
-    /// Producer wait iterations on full rings (engine blocked on a
-    /// lagging worker, plus workers blocked returning batches).
-    pub ring_full_spins: u64,
-    /// Consumer wait iterations on empty rings (workers starved for
-    /// input, plus the engine draining recycle rings).
-    pub ring_empty_spins: u64,
-}
-
-impl HotPathStats {
-    fn merge(&mut self, other: &HotPathStats) {
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
-        self.ring_full_spins += other.ring_full_spins;
-        self.ring_empty_spins += other.ring_empty_spins;
-    }
-}
-
 struct WorkerOutput {
     index: usize,
     stats: ExecStats,
@@ -527,9 +505,9 @@ pub struct Engine {
     /// Control-plane span timings (updates, quiesce, respawns).
     spans: SpanSet,
     /// Engine-side ring waits harvested from retired handles (every
-    /// handle is retired at [`Engine::finish`]).
-    ring_full_spins: u64,
-    ring_empty_spins: u64,
+    /// handle is retired at [`Engine::finish`]); the cache fields stay
+    /// zero.
+    hotpath: HotPathStats,
     /// Node-crash flag ([`Engine::simulate_crash`]): workers check it
     /// once per batch and abandon ship; the control plane refuses
     /// every operation with [`EngineFault::Killed`].
@@ -591,8 +569,9 @@ fn worker_loop(
         // generation is not the one `ctx` is shaped for. No pipeline
         // clone on the worker; `ShardCtx::adopt` carries
         // `@query_counter` windows and execution counters over (never
-        // reset) and invalidates the decision cache, which is what
-        // makes cached decisions always come from the batch's program.
+        // reset) and makes the decision cache follow the program's own
+        // (emptied, taken, or dropped), which is what makes cached
+        // decisions always come from the batch's program.
         // A batch re-dispatched to a respawned worker may carry an
         // older generation than the one it was cloned from: adopt it
         // all the same, and count nothing as coalesced.
@@ -661,24 +640,8 @@ fn worker_loop(
         // finishing, in which case the recycle side is simply gone.
         let _ = recycle_tx.push_blocking(batch);
     }
-    let cache = ctx.exec.cache_stats();
-    let hotpath = HotPathStats {
-        cache_hits: cache.as_ref().map_or(0, |c| c.hits),
-        cache_misses: cache.as_ref().map_or(0, |c| c.misses),
-        cache_evictions: cache.as_ref().map_or(0, |c| c.evictions),
-        ring_full_spins: recycle_tx.full_spins(),
-        ring_empty_spins: rx.empty_spins(),
-    };
-    let mut telemetry = ctx.exec.take_telemetry();
-    if let Some(t) = telemetry.as_deref_mut() {
-        t.add_hotpath(
-            hotpath.cache_hits,
-            hotpath.cache_misses,
-            hotpath.cache_evictions,
-            hotpath.ring_full_spins,
-            hotpath.ring_empty_spins,
-        );
-    }
+    ctx.exec.hotpath.ring_full_spins += recycle_tx.full_spins();
+    ctx.exec.hotpath.ring_empty_spins += rx.empty_spins();
     WorkerOutput {
         index,
         stats: ctx.exec.stats.clone(),
@@ -689,8 +652,8 @@ fn worker_loop(
         faults,
         quarantined,
         died,
-        telemetry,
-        hotpath,
+        telemetry: ctx.exec.take_telemetry(),
+        hotpath: ctx.exec.hotpath,
     }
 }
 
@@ -726,8 +689,7 @@ impl Engine {
             lost_batches: 0,
             retired: Vec::new(),
             spans: SpanSet::new(),
-            ring_full_spins: 0,
-            ring_empty_spins: 0,
+            hotpath: HotPathStats::default(),
             killed: Arc::new(AtomicBool::new(false)),
             stall_signal: Arc::new(AtomicU64::new(0)),
         };
@@ -929,8 +891,8 @@ impl Engine {
             handle,
             ..
         } = w;
-        self.ring_full_spins += tx.full_spins();
-        self.ring_empty_spins += recycle_rx.empty_spins();
+        self.hotpath.ring_full_spins += tx.full_spins();
+        self.hotpath.ring_empty_spins += recycle_rx.empty_spins();
         // Dropping the producer half ends the worker's pop loop once it
         // drains what remains.
         drop(tx);
@@ -1183,11 +1145,7 @@ impl Engine {
         };
         let mut quarantined: Vec<u64> = Vec::new();
         let mut snapshot = self.cfg.telemetry.then(|| TelemetrySnapshot::new(workers));
-        let mut hotpath = HotPathStats {
-            ring_full_spins: self.ring_full_spins,
-            ring_empty_spins: self.ring_empty_spins,
-            ..HotPathStats::default()
-        };
+        let mut hotpath = self.hotpath;
         for out in std::mem::take(&mut self.retired) {
             per_worker[out.index].merge(&out.stats);
             if let (Some(snap), Some(t)) = (snapshot.as_mut(), out.telemetry.as_deref()) {
@@ -1222,11 +1180,7 @@ impl Engine {
         if let Some(snap) = snapshot.as_mut() {
             snap.packets = stats.packets;
             snap.spans = self.spans.clone();
-            // Worker-side hot-path counters were folded into each
-            // worker's record before absorption; only the engine
-            // thread's own ring waits remain to be added.
-            snap.data
-                .add_hotpath(0, 0, 0, self.ring_full_spins, self.ring_empty_spins);
+            snap.hotpath = hotpath;
             // Per-table counters resolve to the installed program's
             // table names (the aggregated ExecStats vectors are indexed
             // in pipeline table order).
@@ -1267,6 +1221,7 @@ impl Engine {
 /// the empty cache; otherwise the program quietly runs without one).
 fn normalise(cfg: &EngineConfig, program: &mut Pipeline) {
     program.exec.stats.reset();
+    program.exec.hotpath = HotPathStats::default();
     program.exec.set_telemetry(None);
     program.prepare();
     if let Some(field) = cfg
@@ -1311,6 +1266,7 @@ mod tests {
     use super::*;
     use camus_pipeline::parser::{Extract, ParseState, ParserSpec, StateId, Transition};
     use camus_pipeline::register::RegisterFile;
+    use camus_pipeline::table::RegOp;
     use camus_pipeline::{
         ActionOp, Entry, ExecState, Key, MatchKind, MatchValue, MulticastTable, ParseDrop,
         PhvLayout, PortId, Table,
@@ -1948,6 +1904,82 @@ mod tests {
         assert!(report.hotpath.cache_hits >= 30, "{:?}", report.hotpath);
     }
 
+    /// [`byte_pipeline`] plus a row that counts byte 9 in a register:
+    /// a generation the decision cache must not arm on.
+    fn counting_pipeline() -> Pipeline {
+        let mut p = byte_pipeline();
+        let slot = p.registers.allocate(0);
+        p.tables[0]
+            .add_entry(Entry {
+                priority: 0,
+                matches: vec![MatchValue::Exact(9)],
+                ops: vec![ActionOp::Register {
+                    slot,
+                    op: RegOp::Increment,
+                }],
+            })
+            .unwrap();
+        p
+    }
+
+    /// One worker with the cache on `sym` runs `packets` packets of
+    /// byte 1 under each program of `generations` in turn, installed one
+    /// after the other; returns the report.
+    fn run_generations(generations: &[Pipeline], packets: usize) -> EngineReport {
+        let cfg = EngineConfig {
+            workers: 1,
+            batch_packets: 4,
+            record_decisions: true,
+            decision_cache: Some("sym".into()),
+            ..Default::default()
+        };
+        let mut engine = Engine::start(&generations[0], &cfg, first_byte_shard());
+        for (i, program) in generations.iter().enumerate() {
+            if i > 0 {
+                install(&mut engine, program).unwrap();
+            }
+            for _ in 0..packets {
+                engine.submit(&[1], 0);
+            }
+        }
+        let report = engine.finish();
+        assert!(report.error.is_none(), "{:?}", report.error);
+        report
+    }
+
+    #[test]
+    fn cache_rearms_after_a_stateful_generation() {
+        // Cacheable → register-writing → cacheable: the worker's cache
+        // is dropped for the middle generation and re-armed for the
+        // third, whose hits count beside the first one's — one miss
+        // and 19 hits per cacheable generation, none in between.
+        let programs = [
+            byte_pipeline(),
+            counting_pipeline(),
+            byte_pipeline_sending_1_to(9),
+        ];
+        let report = run_generations(&programs, 20);
+        assert_eq!(report.updates.adoptions, 2);
+        let ports: Vec<u16> = report.decisions.iter().map(|d| d.ports[0].0).collect();
+        assert_eq!(ports, [vec![1; 40], vec![9; 20]].concat());
+        assert_eq!(
+            (report.hotpath.cache_hits, report.hotpath.cache_misses),
+            (38, 2)
+        );
+    }
+
+    #[test]
+    fn cache_counts_survive_a_disarming_generation() {
+        // The counts of a cache the worker drops at adoption stay in
+        // the worker's record and reach the report.
+        let report = run_generations(&[byte_pipeline(), counting_pipeline()], 20);
+        assert_eq!(report.stats.packets, 40);
+        assert_eq!(
+            (report.hotpath.cache_hits, report.hotpath.cache_misses),
+            (19, 1)
+        );
+    }
+
     #[test]
     fn telemetry_snapshot_carries_hotpath_counters() {
         let pipeline = byte_pipeline();
@@ -1966,10 +1998,13 @@ mod tests {
             packets.iter().map(|p| (p.as_slice(), 0u64)),
         );
         let snap = report.telemetry.expect("telemetry requested");
-        assert_eq!(snap.data.decision_cache_hits, report.hotpath.cache_hits);
-        assert_eq!(snap.data.decision_cache_misses, report.hotpath.cache_misses);
-        assert_eq!(snap.data.ring_full_spins, report.hotpath.ring_full_spins);
-        assert_eq!(snap.data.ring_empty_spins, report.hotpath.ring_empty_spins);
+        assert_eq!(snap.hotpath.cache_hits, report.hotpath.cache_hits);
+        assert_eq!(snap.hotpath.cache_misses, report.hotpath.cache_misses);
+        assert_eq!(snap.hotpath.ring_full_spins, report.hotpath.ring_full_spins);
+        assert_eq!(
+            snap.hotpath.ring_empty_spins,
+            report.hotpath.ring_empty_spins
+        );
         assert!(report.hotpath.cache_hits > 0);
     }
 

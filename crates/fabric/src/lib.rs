@@ -243,7 +243,6 @@ pub struct Fabric {
     /// windows existed nowhere else).
     state_lost_per_leaf: Vec<u64>,
     failovers: Vec<FailoverRecord>,
-    robustness: RobustnessCounters,
     /// Route per submitted packet, in global submission order;
     /// populated only when every leaf records decisions (otherwise the
     /// memory would buy nothing).
@@ -293,7 +292,6 @@ impl Fabric {
             void_per_leaf: vec![0; leaves],
             state_lost_per_leaf: vec![0; leaves],
             failovers: Vec::new(),
-            robustness: RobustnessCounters::default(),
             route_log: Vec::new(),
             record_routes,
         })
@@ -330,9 +328,22 @@ impl Fabric {
         self.health.contains(&LeafHealth::Dead)
     }
 
-    /// Fabric-global robustness counters so far.
-    pub fn robustness(&self) -> &RobustnessCounters {
-        &self.robustness
+    /// Fabric-global robustness counters so far, derived from the
+    /// per-leaf ledgers: the leaves not healthy, the epochs that
+    /// repaired one, and the per-leaf orphan and state-loss sums.
+    pub fn robustness(&self) -> RobustnessCounters {
+        let mut epochs: Vec<u64> = self.failovers.iter().map(|f| f.epoch).collect();
+        epochs.dedup();
+        RobustnessCounters {
+            leaf_deaths: self
+                .health
+                .iter()
+                .filter(|&&h| h != LeafHealth::Healthy)
+                .count() as u64,
+            failover_epochs: epochs.len() as u64,
+            orphaned_packets: self.orphaned_per_leaf.iter().sum(),
+            state_loss_entries: self.state_lost_per_leaf.iter().sum(),
+        }
     }
 
     /// Completed failovers so far.
@@ -431,7 +442,6 @@ impl Fabric {
                 // failover epoch hasn't committed. An honest counted
                 // drop — never a silent one, never a mis-route.
                 self.orphaned_per_leaf[leaf] += 1;
-                self.robustness.orphaned_packets += 1;
                 if self.record_routes {
                     self.route_log.push(Route::Orphaned);
                 }
@@ -479,16 +489,13 @@ impl Fabric {
         // Organic death (no scripted fault observed): measure repair
         // from detection — the earliest instant the fabric can know.
         self.fault_at[leaf].get_or_insert(now);
-        self.robustness.leaf_deaths += 1;
         let voided = std::mem::take(&mut self.void_per_leaf[leaf]);
         self.orphaned_per_leaf[leaf] += voided;
-        self.robustness.orphaned_packets += voided;
         // Survivor register state carries across epochs automatically
         // (`ShardCtx::adopt`); the dead leaf's does not exist anywhere
         // else — count every slot that died with it.
         let slots = self.master.registers.len() as u64;
         self.state_lost_per_leaf[leaf] += slots;
-        self.robustness.state_loss_entries += slots;
     }
 
     /// Live-leaf bitmask (bit `l` set ⇔ leaf `l` is healthy).
@@ -588,13 +595,11 @@ impl Fabric {
         self.master = master;
         self.plan = plan;
         self.epoch += 1;
-        let mut failed_over = false;
         for leaf in 0..self.health.len() {
             if self.health[leaf] != LeafHealth::Dead {
                 continue;
             }
             self.health[leaf] = LeafHealth::Evicted;
-            failed_over = true;
             let detect_ns = match (self.fault_at[leaf], self.detected_at[leaf]) {
                 (Some(fault), Some(detected)) => detected.duration_since(fault).as_nanos() as u64,
                 _ => 0,
@@ -607,9 +612,6 @@ impl Fabric {
                 mttr_ns,
                 orphaned: self.orphaned_per_leaf[leaf],
             });
-        }
-        if failed_over {
-            self.robustness.failover_epochs += 1;
         }
     }
 
@@ -642,8 +644,8 @@ impl Fabric {
         for leaf in 0..self.engines.len() {
             let voided = std::mem::take(&mut self.void_per_leaf[leaf]);
             self.orphaned_per_leaf[leaf] += voided;
-            self.robustness.orphaned_packets += voided;
         }
+        let robustness = self.robustness();
         let mut leaves: Vec<EngineReport> = self.engines.into_iter().map(Engine::finish).collect();
         // Stamp per-node robustness into each leaf's snapshot, and the
         // fabric-global counters into a synthetic spine node — the
@@ -658,7 +660,7 @@ impl Fabric {
         }
         let spine = leaves.iter().any(|r| r.telemetry.is_some()).then(|| {
             let mut snap = TelemetrySnapshot::new(0);
-            snap.robustness = self.robustness;
+            snap.robustness = robustness;
             snap
         });
         FabricReport {
@@ -668,7 +670,7 @@ impl Fabric {
             orphaned_per_leaf: self.orphaned_per_leaf,
             health: self.health,
             failovers: self.failovers,
-            robustness: self.robustness,
+            robustness,
             route_log: self.route_log,
             spine,
             leaves,

@@ -367,6 +367,85 @@ pub fn lex(input: &str) -> Result<Vec<SpannedTok>, ParseError> {
     Ok(toks)
 }
 
+/// A position in a lexed token stream, and the lookahead, expectation
+/// and error helpers the rule parser and the spec parser are both
+/// written against (each adds its grammar as an `impl Cursor` block).
+/// The last token is always [`Tok::Eof`], which the cursor never moves
+/// past.
+pub(crate) struct Cursor {
+    toks: Vec<SpannedTok>,
+    pos: usize,
+}
+
+impl Cursor {
+    /// Lexes `input` into a cursor at its first token.
+    pub(crate) fn lex(input: &str) -> Result<Cursor, ParseError> {
+        Ok(Cursor {
+            toks: lex(input)?,
+            pos: 0,
+        })
+    }
+
+    pub(crate) fn peek(&self) -> &Tok {
+        &self.toks[self.pos].tok
+    }
+
+    pub(crate) fn bump(&mut self) -> Tok {
+        let t = self.toks[self.pos].tok.clone();
+        if self.pos + 1 < self.toks.len() {
+            self.pos += 1;
+        }
+        t
+    }
+
+    /// An error at the current token.
+    pub(crate) fn err(&self, msg: impl Into<String>) -> ParseError {
+        let t = &self.toks[self.pos];
+        ParseError::at(msg, t.line, t.col)
+    }
+
+    pub(crate) fn expect(&mut self, want: &Tok) -> Result<(), ParseError> {
+        if self.peek() == want {
+            self.bump();
+            Ok(())
+        } else {
+            Err(self.err(format!(
+                "expected {}, found {}",
+                want.describe(),
+                self.peek().describe()
+            )))
+        }
+    }
+
+    pub(crate) fn expect_eof(&self) -> Result<(), ParseError> {
+        if matches!(self.peek(), Tok::Eof) {
+            Ok(())
+        } else {
+            Err(self.err(format!("trailing input: {}", self.peek().describe())))
+        }
+    }
+
+    pub(crate) fn ident(&mut self) -> Result<String, ParseError> {
+        match self.peek().clone() {
+            Tok::Ident(s) => {
+                self.bump();
+                Ok(s)
+            }
+            t => Err(self.err(format!("expected identifier, found {}", t.describe()))),
+        }
+    }
+
+    pub(crate) fn int(&mut self) -> Result<u64, ParseError> {
+        match self.peek().clone() {
+            Tok::Int(n) => {
+                self.bump();
+                Ok(n)
+            }
+            t => Err(self.err(format!("expected integer, found {}", t.describe()))),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,12 +19,11 @@
 
 use crate::ast::{Action, AggFn, Atom, Cond, FieldRef, Operand, RelOp, Rule, UpdateFn, Value};
 use crate::error::ParseError;
-use crate::lexer::{lex, SpannedTok, Tok};
+use crate::lexer::{Cursor, Tok};
 
 /// Parses a single rule, e.g. `stock == GOOGL : fwd(1)`.
 pub fn parse_rule(input: &str) -> Result<Rule, ParseError> {
-    let toks = lex(input)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Cursor::lex(input)?;
     let rule = p.rule()?;
     p.expect_eof()?;
     Ok(rule)
@@ -47,65 +46,7 @@ pub fn parse_program(input: &str) -> Result<Vec<Rule>, ParseError> {
     Ok(rules)
 }
 
-struct Parser {
-    toks: Vec<SpannedTok>,
-    pos: usize,
-}
-
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
-    }
-
-    fn here(&self) -> (u32, u32) {
-        let t = &self.toks[self.pos];
-        (t.line, t.col)
-    }
-
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        let (l, c) = self.here();
-        ParseError::at(msg, l, c)
-    }
-
-    fn expect(&mut self, want: &Tok) -> Result<(), ParseError> {
-        if self.peek() == want {
-            self.bump();
-            Ok(())
-        } else {
-            Err(self.err(format!(
-                "expected {}, found {}",
-                want.describe(),
-                self.peek().describe()
-            )))
-        }
-    }
-
-    fn expect_eof(&self) -> Result<(), ParseError> {
-        if matches!(self.peek(), Tok::Eof) {
-            Ok(())
-        } else {
-            Err(self.err(format!("trailing input: {}", self.peek().describe())))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
-            t => Err(self.err(format!("expected identifier, found {}", t.describe()))),
-        }
-    }
-
+impl Cursor {
     fn rule(&mut self) -> Result<Rule, ParseError> {
         let condition = self.cond()?;
         self.expect(&Tok::Colon)?;

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 
 use crate::ast::FieldRef;
 use crate::error::ParseError;
-use crate::lexer::{lex, SpannedTok, Tok};
+use crate::lexer::{Cursor, Tok};
 
 /// A field inside a `header_type` declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,72 +163,10 @@ impl Spec {
 
 /// Parses a message-format specification (Fig. 2 syntax).
 pub fn parse_spec(input: &str) -> Result<Spec, ParseError> {
-    let toks = lex(input)?;
-    let mut p = SpecParser { toks, pos: 0 };
-    p.spec()
+    Cursor::lex(input)?.spec()
 }
 
-struct SpecParser {
-    toks: Vec<SpannedTok>,
-    pos: usize,
-}
-
-impl SpecParser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
-    }
-
-    fn here(&self) -> (u32, u32) {
-        let t = &self.toks[self.pos];
-        (t.line, t.col)
-    }
-
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        let (l, c) = self.here();
-        ParseError::at(msg, l, c)
-    }
-
-    fn expect(&mut self, want: &Tok) -> Result<(), ParseError> {
-        if self.peek() == want {
-            self.bump();
-            Ok(())
-        } else {
-            Err(self.err(format!(
-                "expected {}, found {}",
-                want.describe(),
-                self.peek().describe()
-            )))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
-            t => Err(self.err(format!("expected identifier, found {}", t.describe()))),
-        }
-    }
-
-    fn int(&mut self) -> Result<u64, ParseError> {
-        match self.peek().clone() {
-            Tok::Int(n) => {
-                self.bump();
-                Ok(n)
-            }
-            t => Err(self.err(format!("expected integer, found {}", t.describe()))),
-        }
-    }
-
+impl Cursor {
     fn spec(&mut self) -> Result<Spec, ParseError> {
         let mut spec = Spec::default();
         loop {

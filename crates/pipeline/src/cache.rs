@@ -35,16 +35,29 @@
 //!
 //! ## Invalidation
 //!
-//! A cache is valid for exactly one compiled generation. The two
-//! mutation paths both invalidate for free: the engine's RCU
-//! generation bump rebuilds the worker context against the new program
+//! A cache is valid for exactly one compiled generation, and a worker's
+//! cache follows the generation it runs. A program decides once
+//! whether it is cacheable — [`Pipeline::enable_decision_cache`] arms
+//! it or not, and the engine arms every program it installs — and
+//! [`ShardCtx::adopt`] mirrors that verdict at the generation bump: an
+//! armed program finds the context's cache emptied in place
 //! ([`invalidate_all`](DecisionCache::invalidate_all) keeps the slot
-//! storage and counters, so adoption stays allocation-light), and the
-//! sequential path's [`Pipeline::prepare`] clears the cache whenever a
-//! table was mutated (`add_entry` and `replace_runs` unprepare it).
+//! storage, so adoption stays allocation-light) or given an empty one;
+//! an unarmed program drops it. The sequential path's
+//! [`Pipeline::prepare`] re-checks the program whenever a table was
+//! mutated (`add_entry` and `replace_runs` unprepare it) and empties
+//! or drops the cache the same way.
+//!
+//! The cache keeps no counters. [`lookup`](DecisionCache::lookup) says
+//! hit or miss, [`insert`](DecisionCache::insert) whether it evicted,
+//! and the executor counts both into the worker context's
+//! [`HotPathStats`](camus_telemetry::HotPathStats), which outlives any
+//! cache the context drops or replaces.
 //!
 //! [`Pipeline::prepare`]: crate::pipeline::Pipeline::prepare
 //! [`Pipeline::cacheable_on`]: crate::pipeline::Pipeline::cacheable_on
+//! [`Pipeline::enable_decision_cache`]: crate::pipeline::Pipeline::enable_decision_cache
+//! [`ShardCtx::adopt`]: crate::pipeline::ShardCtx::adopt
 
 use crate::multicast::PortId;
 use crate::phv::PhvField;
@@ -63,28 +76,6 @@ pub fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// Aggregated cache counters (exported through telemetry and the
-/// engine report).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Messages answered from the cache (table chain skipped).
-    pub hits: u64,
-    /// Messages that evaluated the full chain (and filled a slot).
-    pub misses: u64,
-    /// Valid slots overwritten by a different key (direct-mapped
-    /// conflict).
-    pub evictions: u64,
-}
-
-impl CacheStats {
-    /// Adds `other` into `self`.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-    }
 }
 
 /// One direct-mapped slot: the key tag plus the memoized per-message
@@ -107,8 +98,6 @@ pub struct DecisionCache {
     key_field: PhvField,
     mask: usize,
     slots: Vec<Slot>,
-    /// Hit/miss/eviction counters, carried across RCU adoptions.
-    pub stats: CacheStats,
 }
 
 impl DecisionCache {
@@ -119,7 +108,6 @@ impl DecisionCache {
             key_field,
             mask: n - 1,
             slots: vec![Slot::default(); n],
-            stats: CacheStats::default(),
         }
     }
 
@@ -138,8 +126,8 @@ impl DecisionCache {
         self.slots.is_empty()
     }
 
-    /// Drops every memoized decision but keeps the slot storage and
-    /// the counters — the generation-bump invalidation path.
+    /// Drops every memoized decision but keeps the slot storage — the
+    /// generation-bump invalidation path.
     pub fn invalidate_all(&mut self) {
         for s in &mut self.slots {
             s.valid = false;
@@ -152,32 +140,27 @@ impl DecisionCache {
     }
 
     /// Looks `key` up; on a hit appends the memoized ports to `ports`
-    /// and returns the stored table hit mask. Counters are updated
-    /// either way.
+    /// and returns the stored table hit mask, `None` on a miss.
     #[inline]
-    pub fn lookup(&mut self, key: u64, ports: &mut Vec<PortId>) -> Option<u64> {
-        let i = self.index(key);
-        let s = &self.slots[i];
+    pub fn lookup(&self, key: u64, ports: &mut Vec<PortId>) -> Option<u64> {
+        let s = &self.slots[self.index(key)];
         if s.valid && s.key == key {
-            self.stats.hits += 1;
             ports.extend_from_slice(&s.ports);
             Some(s.hit_mask)
         } else {
-            self.stats.misses += 1;
             None
         }
     }
 
     /// Memoizes a freshly evaluated decision: the ports the message
     /// appended (`appended`) and the table hit mask the evaluation
-    /// produced. Replaces whatever occupied the slot.
+    /// produced. Replaces whatever occupied the slot; returns whether
+    /// that was a valid decision for a different key (an eviction).
     #[inline]
-    pub fn insert(&mut self, key: u64, appended: &[PortId], hit_mask: u64) {
+    pub fn insert(&mut self, key: u64, appended: &[PortId], hit_mask: u64) -> bool {
         let i = self.index(key);
         let s = &mut self.slots[i];
-        if s.valid && s.key != key {
-            self.stats.evictions += 1;
-        }
+        let evicted = s.valid && s.key != key;
         s.key = key;
         s.valid = true;
         s.hit_mask = hit_mask;
@@ -185,6 +168,7 @@ impl DecisionCache {
         s.ports.extend_from_slice(appended);
         s.ports.sort_unstable();
         s.ports.dedup();
+        evicted
     }
 }
 
@@ -197,21 +181,19 @@ mod tests {
         let mut c = DecisionCache::new(PhvField(0), 4);
         let mut ports = Vec::new();
         assert_eq!(c.lookup(42, &mut ports), None);
-        c.insert(42, &[PortId(3), PortId(1), PortId(3)], 0b101);
+        assert!(!c.insert(42, &[PortId(3), PortId(1), PortId(3)], 0b101));
         assert_eq!(c.lookup(42, &mut ports), Some(0b101));
         // Stored ports are sorted and deduplicated.
         assert_eq!(ports, vec![PortId(1), PortId(3)]);
-        assert_eq!(c.stats.hits, 1);
-        assert_eq!(c.stats.misses, 1);
-        assert_eq!(c.stats.evictions, 0);
+        // Re-filling a key's own slot is no eviction.
+        assert!(!c.insert(42, &[PortId(1)], 0b1));
     }
 
     #[test]
     fn conflicting_key_evicts() {
         let mut c = DecisionCache::new(PhvField(0), 0); // one slot
-        c.insert(1, &[PortId(1)], 1);
-        c.insert(2, &[PortId(2)], 0);
-        assert_eq!(c.stats.evictions, 1);
+        assert!(!c.insert(1, &[PortId(1)], 1));
+        assert!(c.insert(2, &[PortId(2)], 0));
         let mut ports = Vec::new();
         assert_eq!(c.lookup(1, &mut ports), None);
         assert_eq!(c.lookup(2, &mut ports), Some(0));
@@ -219,16 +201,16 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_keeps_counters_and_storage() {
+    fn invalidate_keeps_storage() {
         let mut c = DecisionCache::new(PhvField(0), 2);
         c.insert(7, &[PortId(9)], 1);
         let mut ports = Vec::new();
-        c.lookup(7, &mut ports).unwrap();
+        assert_eq!(c.lookup(7, &mut ports), Some(1));
         c.invalidate_all();
         assert_eq!(c.lookup(7, &mut ports), None);
-        assert_eq!(c.stats.hits, 1);
-        assert_eq!(c.stats.misses, 1);
         assert_eq!(c.len(), 4);
+        // An invalidated slot is refilled, not evicted.
+        assert!(!c.insert(8, &[], 0));
     }
 
     #[test]

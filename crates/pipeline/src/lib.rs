@@ -40,7 +40,7 @@ pub mod register;
 pub mod resources;
 pub mod table;
 
-pub use cache::{CacheStats, DecisionCache, DEFAULT_CACHE_SHIFT};
+pub use cache::{DecisionCache, DEFAULT_CACHE_SHIFT};
 pub use camus_telemetry::{DataPlaneTelemetry, Histogram, TelemetrySnapshot};
 pub use error::PipelineError;
 pub use multicast::{GroupId, MulticastTable, PortId};

@@ -24,9 +24,9 @@
 use std::fmt;
 use std::time::Instant;
 
-use camus_telemetry::DataPlaneTelemetry;
+use camus_telemetry::{DataPlaneTelemetry, HotPathStats};
 
-use crate::cache::{CacheStats, DecisionCache};
+use crate::cache::DecisionCache;
 use crate::error::PipelineError;
 use crate::multicast::{MulticastTable, PortId};
 use crate::parser::ParserSpec;
@@ -279,6 +279,10 @@ impl ExecStats {
 pub struct ExecState {
     /// Execution counters.
     pub stats: ExecStats,
+    /// Decision-cache outcomes (and, once the engine harvests the
+    /// worker, its ring waits). Kept beside the cache, not in it, so
+    /// they survive every cache the context drops or replaces.
+    pub hotpath: HotPathStats,
     /// The batch's parsed messages, in arrival order (reused across
     /// batches).
     msgs: PhvBuf,
@@ -301,7 +305,8 @@ pub struct ExecState {
     /// Optional per-shard decision cache (see [`crate::cache`]). Boxed
     /// for the same reason as `telemetry`; only ever `Some` after
     /// [`Pipeline::enable_decision_cache`] proved the program
-    /// cacheable on the key field.
+    /// cacheable on the key field, or mirrored from such a program by
+    /// [`ShardCtx::adopt`].
     cache: Option<Box<DecisionCache>>,
 }
 
@@ -328,30 +333,11 @@ impl ExecState {
         self.telemetry = t;
     }
 
-    /// The decision-cache counters, if a cache is armed.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_deref().map(|c| c.stats)
-    }
-
     /// Whether message order is observable, so the chain runs one
     /// message at a time: some table action writes a register, or the
     /// decision cache is armed.
     fn wave_of_one(&self) -> bool {
         self.serial || self.cache.is_some()
-    }
-
-    /// Drops every memoized decision, or the whole cache when `program`
-    /// is no longer a pure function of the key field (e.g. an added
-    /// entry or a new generation brought a stateful rule): caching it
-    /// would be unsound.
-    fn revalidate_cache(&mut self, program: &Pipeline) {
-        if let Some(c) = self.cache.as_deref_mut() {
-            if program.cacheable_on(c.key_field()) {
-                c.invalidate_all();
-            } else {
-                self.cache = None;
-            }
-        }
     }
 }
 
@@ -411,11 +397,14 @@ impl ShardCtx {
     /// (the RCU adoption path): registers are re-shaped to the new
     /// program's layout with windowed state carried over, the per-table
     /// counter vectors are resized, the wave-of-one rule is copied, and
-    /// every memoized decision is invalidated — the generation bump is
-    /// the cache's invalidation signal. Telemetry and cumulative
-    /// counters (including cache hit/miss totals) survive adoption, and
-    /// the cache's slot storage is reused, so adopting allocates only
-    /// for the register clone.
+    /// the decision cache follows the program's own: emptied in place
+    /// when both are armed on the same key (the generation bump is the
+    /// cache's invalidation signal), an empty copy of the program's
+    /// when only the program is armed, dropped when the program is not.
+    /// Telemetry and cumulative counters (the hot-path record included)
+    /// survive adoption, and a kept cache's slot storage is reused, so
+    /// adopting a program armed like the last allocates only for the
+    /// register clone.
     ///
     /// `program` must be prepared (the engine prepares before every
     /// publish).
@@ -426,7 +415,20 @@ impl ShardCtx {
         self.exec.stats.table_hits.resize(n, 0);
         self.exec.stats.table_misses.resize(n, 0);
         self.exec.serial = program.exec.serial;
-        self.exec.revalidate_cache(program);
+        self.exec.cache = match (program.exec.cache.as_deref(), self.exec.cache.take()) {
+            (None, _) => None,
+            (Some(armed), Some(mut c))
+                if c.key_field() == armed.key_field() && c.len() == armed.len() =>
+            {
+                c.invalidate_all();
+                Some(c)
+            }
+            (Some(armed), _) => {
+                let mut c = Box::new(armed.clone());
+                c.invalidate_all();
+                Some(c)
+            }
+        };
     }
 }
 
@@ -456,10 +458,15 @@ impl Pipeline {
         self.exec.stats.table_hits.resize(n, 0);
         self.exec.stats.table_misses.resize(n, 0);
         // Something changed (a table was mutated, or the chain was
-        // re-shaped): memoized decisions are stale.
-        let mut exec = std::mem::take(&mut self.exec);
-        exec.revalidate_cache(self);
-        self.exec = exec;
+        // re-shaped): memoized decisions are stale, and the whole cache
+        // goes when the program is no longer a pure function of the key
+        // field (e.g. an added entry writes a register).
+        if let Some(mut c) = self.exec.cache.take() {
+            if self.cacheable_on(c.key_field()) {
+                c.invalidate_all();
+                self.exec.cache = Some(c);
+            }
+        }
     }
 
     /// Whether the table chain's per-message decision is a pure
@@ -676,6 +683,7 @@ impl Pipeline {
         let wave_of_one = exec.wave_of_one();
         let ExecState {
             stats,
+            hotpath,
             msgs,
             owner,
             matched,
@@ -713,6 +721,7 @@ impl Pipeline {
                 // Replay the per-table hit/miss counters so the cached
                 // path is counter-identical to evaluation.
                 Some(mask) => {
+                    hotpath.cache_hits += 1;
                     let counters = stats.table_hits.iter_mut().zip(&mut stats.table_misses);
                     for (ti, (hits, misses)) in counters.enumerate() {
                         *if (mask >> ti) & 1 == 1 { hits } else { misses } += 1;
@@ -720,8 +729,11 @@ impl Pipeline {
                     one.2[0] = batch[packet].ports.len() > before;
                 }
                 None => {
+                    hotpath.cache_misses += 1;
                     let mask = self.tables(registers, stats, one, now, batch)?;
-                    c.insert(key, &batch[packet].ports[before..], mask);
+                    if c.insert(key, &batch[packet].ports[before..], mask) {
+                        hotpath.cache_evictions += 1;
+                    }
                 }
             }
         }
@@ -1185,9 +1197,13 @@ mod tests {
         let mut p = tiny_pipeline();
         let sym = p.layout.get("sym").unwrap();
         assert!(!p.enable_decision_cache(sym, 4));
-        assert!(p.exec.cache_stats().is_none());
-        // Decisions still correct, just uncached.
+        // Decisions still correct, just uncached: no cache lookup ran.
         assert_eq!(p.process(&[1], 0).unwrap().ports, vec![PortId(1)]);
+        assert_eq!(p.process(&[1], 1).unwrap().ports, vec![PortId(1)]);
+        assert_eq!(
+            (p.exec.hotpath.cache_hits, p.exec.hotpath.cache_misses),
+            (0, 0)
+        );
     }
 
     #[test]
@@ -1251,9 +1267,9 @@ mod tests {
             assert_eq!(a, b, "packet {i}");
         }
         assert_eq!(cached.exec.stats, plain.exec.stats);
-        let cs = cached.exec.cache_stats().unwrap();
-        assert!(cs.hits > 0, "repeated symbols must hit: {cs:?}");
-        assert_eq!(cs.hits + cs.misses, cached.exec.stats.messages);
+        let cs = cached.exec.hotpath;
+        assert!(cs.cache_hits > 0, "repeated symbols must hit: {cs:?}");
+        assert_eq!(cs.cache_hits + cs.cache_misses, cached.exec.stats.messages);
     }
 
     #[test]
@@ -1264,7 +1280,7 @@ mod tests {
         // sym==9 misses: the cache memoizes the empty decision.
         assert!(p.process(&[9], 0).unwrap().dropped());
         assert!(p.process(&[9], 1).unwrap().dropped());
-        assert_eq!(p.exec.cache_stats().unwrap().hits, 1);
+        assert_eq!(p.exec.hotpath.cache_hits, 1);
         // Mutate the table: sym==9 now forwards to port 7. The
         // dirty-table prepare() must invalidate the memoized miss.
         p.tables[0]
@@ -1367,7 +1383,7 @@ mod tests {
         v1.prepare();
         v1.process_batch_shared(&mut ctx, vec![(&[1][..], 0), (&[1][..], 1)], &mut out)
             .unwrap();
-        assert_eq!(ctx.exec.cache_stats().unwrap().hits, 1);
+        assert_eq!(ctx.exec.hotpath.cache_hits, 1);
 
         // New generation: sym==1 rerouted to port 5, and an extra table.
         let mut v2 = cacheable_pipeline();
@@ -1390,7 +1406,8 @@ mod tests {
             })
             .unwrap();
         v2.tables.push(extra);
-        v2.prepare();
+        // Armed like every program the engine installs.
+        assert!(v2.enable_decision_cache(sym2, 4));
         ctx.adopt(&v2);
 
         out.clear();
@@ -1398,8 +1415,8 @@ mod tests {
             .unwrap();
         assert_eq!(out.as_slice()[0].ports, vec![PortId(1), PortId(5)]);
         // Counters survived adoption; the memoized v1 decision did not.
-        let cs = ctx.exec.cache_stats().unwrap();
-        assert_eq!((cs.hits, cs.misses), (1, 2));
+        let cs = ctx.exec.hotpath;
+        assert_eq!((cs.cache_hits, cs.cache_misses), (1, 2));
         assert_eq!(ctx.exec.stats.table_hits.len(), 2);
     }
 

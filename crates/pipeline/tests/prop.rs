@@ -523,7 +523,7 @@ proptest! {
         prop_assert_eq!(&wave.exec.stats, &ones.exec.stats);
         prop_assert_eq!(&wave.registers, &ones.registers);
         prop_assert_eq!(&wave.registers, &reference.registers);
-        prop_assert_eq!(wave.exec.cache_stats(), ones.exec.cache_stats());
+        prop_assert_eq!(wave.exec.hotpath, ones.exec.hotpath);
     }
 }
 

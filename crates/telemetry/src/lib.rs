@@ -33,7 +33,8 @@
 //!   percentile estimation and lossless merge;
 //! * [`span`] — scoped control-plane span timers ([`SpanKind`]:
 //!   compile phases, `apply_update`, `quiesce`, worker respawn);
-//! * [`snapshot`] — [`DataPlaneTelemetry`] (the per-shard record) and
+//! * [`snapshot`] — [`DataPlaneTelemetry`] (the per-shard record),
+//!   [`HotPathStats`] (the cache and ring counters) and
 //!   [`TelemetrySnapshot`] (the merged, versioned export the engine
 //!   attaches to its report);
 //! * [`prom`] — a Prometheus text-format renderer for future scrape
@@ -48,6 +49,7 @@ pub mod span;
 pub use hist::{Histogram, BUCKETS};
 pub use prom::{render_prometheus, render_prometheus_fabric};
 pub use snapshot::{
-    DataPlaneTelemetry, RobustnessCounters, TableCounters, TelemetrySnapshot, SNAPSHOT_VERSION,
+    DataPlaneTelemetry, HotPathStats, RobustnessCounters, TableCounters, TelemetrySnapshot,
+    SNAPSHOT_VERSION,
 };
 pub use span::{SpanKind, SpanSet, SpanStats, SpanTimer};

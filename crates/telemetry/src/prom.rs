@@ -82,35 +82,35 @@ fn render_nodes(nodes: &[(&str, &TelemetrySnapshot)]) -> String {
         &labels,
         "camus_decision_cache_hits_total",
         "Messages answered from the decision cache",
-        &series(|s| s.data.decision_cache_hits),
+        &series(|s| s.hotpath.cache_hits),
     );
     counter_family(
         &mut out,
         &labels,
         "camus_decision_cache_misses_total",
         "Messages that evaluated the full table chain",
-        &series(|s| s.data.decision_cache_misses),
+        &series(|s| s.hotpath.cache_misses),
     );
     counter_family(
         &mut out,
         &labels,
         "camus_decision_cache_evictions_total",
         "Decision-cache slots overwritten by a conflicting key",
-        &series(|s| s.data.decision_cache_evictions),
+        &series(|s| s.hotpath.cache_evictions),
     );
     counter_family(
         &mut out,
         &labels,
         "camus_ring_full_spins_total",
         "Producer spins while an ingress ring was full",
-        &series(|s| s.data.ring_full_spins),
+        &series(|s| s.hotpath.ring_full_spins),
     );
     counter_family(
         &mut out,
         &labels,
         "camus_ring_empty_spins_total",
         "Consumer spins while an ingress ring was empty",
-        &series(|s| s.data.ring_empty_spins),
+        &series(|s| s.hotpath.ring_empty_spins),
     );
     counter_family(
         &mut out,
@@ -308,7 +308,7 @@ fn histogram_family<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{TableCounters, TelemetrySnapshot};
+    use crate::snapshot::{HotPathStats, TableCounters, TelemetrySnapshot};
     use crate::span::SpanKind;
 
     fn sample_snapshot() -> TelemetrySnapshot {
@@ -329,7 +329,13 @@ mod tests {
     #[test]
     fn renders_counters_histograms_tables_and_spans() {
         let mut snap = sample_snapshot();
-        snap.data.add_hotpath(40, 2, 1, 3, 4);
+        snap.hotpath = HotPathStats {
+            cache_hits: 40,
+            cache_misses: 2,
+            cache_evictions: 1,
+            ring_full_spins: 3,
+            ring_empty_spins: 4,
+        };
         let text = render_prometheus(&snap);
         assert!(text.contains("camus_packets_total 1000"));
         assert!(text.contains("camus_decision_cache_hits_total 40"));

@@ -23,7 +23,7 @@ use crate::span::SpanSet;
 
 /// Schema version stamped into every snapshot. Bump on any breaking
 /// change to the layout so readers can reject a stale one.
-pub const SNAPSHOT_VERSION: u64 = 1;
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// Unit shift for the batch histogram: batches take µs–ms, so bucket
 /// in 32 ns units to extend range (precise to ~3.7 ms, caps ~137 s).
@@ -46,20 +46,6 @@ pub struct DataPlaneTelemetry {
     /// Per-batch mean multicast port-union time per packet (1 ns
     /// buckets).
     pub mcast_ns: Histogram,
-    /// Decision-cache hits (messages answered without running the
-    /// table chain). Folded in from the worker's cache at harvest
-    /// time, not on the packet path.
-    pub decision_cache_hits: u64,
-    /// Decision-cache misses (messages that evaluated the full chain).
-    pub decision_cache_misses: u64,
-    /// Decision-cache evictions (direct-mapped conflicts).
-    pub decision_cache_evictions: u64,
-    /// Producer-side spins while a worker's ingress ring was full
-    /// (backpressure on submit).
-    pub ring_full_spins: u64,
-    /// Consumer-side spins while a worker's ingress ring was empty
-    /// (worker waiting for batches).
-    pub ring_empty_spins: u64,
 }
 
 impl DataPlaneTelemetry {
@@ -72,30 +58,7 @@ impl DataPlaneTelemetry {
             parse_ns: Histogram::new(),
             match_ns: Histogram::new(),
             mcast_ns: Histogram::new(),
-            decision_cache_hits: 0,
-            decision_cache_misses: 0,
-            decision_cache_evictions: 0,
-            ring_full_spins: 0,
-            ring_empty_spins: 0,
         }
-    }
-
-    /// Folds hot-path counters (decision cache, ring spins) into the
-    /// record. Called once per worker at harvest time — the cache and
-    /// ring keep their own local counters on the packet path.
-    pub fn add_hotpath(
-        &mut self,
-        cache_hits: u64,
-        cache_misses: u64,
-        cache_evictions: u64,
-        full_spins: u64,
-        empty_spins: u64,
-    ) {
-        self.decision_cache_hits += cache_hits;
-        self.decision_cache_misses += cache_misses;
-        self.decision_cache_evictions += cache_evictions;
-        self.ring_full_spins += full_spins;
-        self.ring_empty_spins += empty_spins;
     }
 
     /// Records one whole-batch duration.
@@ -127,11 +90,6 @@ impl DataPlaneTelemetry {
         self.parse_ns.merge(&other.parse_ns);
         self.match_ns.merge(&other.match_ns);
         self.mcast_ns.merge(&other.mcast_ns);
-        self.decision_cache_hits += other.decision_cache_hits;
-        self.decision_cache_misses += other.decision_cache_misses;
-        self.decision_cache_evictions += other.decision_cache_evictions;
-        self.ring_full_spins += other.ring_full_spins;
-        self.ring_empty_spins += other.ring_empty_spins;
     }
 
     /// Resets all counters and histograms in place. Used when a bench
@@ -156,6 +114,39 @@ pub struct TableCounters {
     pub hits: u64,
     /// Messages that fell through to the default action.
     pub misses: u64,
+}
+
+/// The hot-path counters: decision-cache outcomes and ring waits.
+/// Plain adds, not clock reads, so they are always collected. One
+/// record per worker context: the executor counts cache outcomes into
+/// it, the engine adds the worker's ring waits when it harvests the
+/// worker, and `EngineReport::hotpath` and [`TelemetrySnapshot`] carry
+/// the merged record.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HotPathStats {
+    /// Decision-cache hits — messages whose match chain was skipped.
+    pub cache_hits: u64,
+    /// Decision-cache misses (full chain ran, result memoized).
+    pub cache_misses: u64,
+    /// Decision-cache slots overwritten by a conflicting key.
+    pub cache_evictions: u64,
+    /// Producer wait iterations on full rings (engine blocked on a
+    /// lagging worker, plus workers blocked returning batches).
+    pub ring_full_spins: u64,
+    /// Consumer wait iterations on empty rings (workers starved for
+    /// input, plus the engine draining recycle rings).
+    pub ring_empty_spins: u64,
+}
+
+impl HotPathStats {
+    /// Counter addition, for merging workers and snapshots.
+    pub fn merge(&mut self, other: &HotPathStats) {
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.cache_evictions += other.cache_evictions;
+        self.ring_full_spins += other.ring_full_spins;
+        self.ring_empty_spins += other.ring_empty_spins;
+    }
 }
 
 /// Fabric-survivability counters: leaf deaths, failover epochs, the
@@ -200,6 +191,9 @@ pub struct TelemetrySnapshot {
     pub packets: u64,
     /// Merged data-plane counters and histograms.
     pub data: DataPlaneTelemetry,
+    /// Decision-cache and ring counters, summed across workers and the
+    /// engine thread (the engine report's record).
+    pub hotpath: HotPathStats,
     /// Merged control-plane spans.
     pub spans: SpanSet,
     /// Per-table hit/miss counters, in pipeline table order.
@@ -217,6 +211,7 @@ impl TelemetrySnapshot {
             workers,
             packets: 0,
             data: DataPlaneTelemetry::default(),
+            hotpath: HotPathStats::default(),
             spans: SpanSet::new(),
             tables: Vec::new(),
             robustness: RobustnessCounters::default(),
@@ -234,6 +229,7 @@ impl TelemetrySnapshot {
         self.workers = self.workers.max(other.workers);
         self.packets += other.packets;
         self.data.merge(&other.data);
+        self.hotpath.merge(&other.hotpath);
         self.spans.merge(&other.spans);
         self.robustness.merge(&other.robustness);
         if self.tables.is_empty() {
@@ -305,20 +301,35 @@ mod tests {
     }
 
     #[test]
-    fn hotpath_counters_merge_and_reset() {
-        let mut a = DataPlaneTelemetry::new();
-        a.add_hotpath(10, 4, 1, 100, 200);
-        let mut b = DataPlaneTelemetry::new();
-        b.add_hotpath(5, 5, 0, 7, 9);
+    fn hotpath_counters_merge() {
+        let mut a = HotPathStats {
+            cache_hits: 10,
+            cache_misses: 4,
+            cache_evictions: 1,
+            ring_full_spins: 100,
+            ring_empty_spins: 200,
+        };
+        let b = HotPathStats {
+            cache_hits: 5,
+            cache_misses: 5,
+            cache_evictions: 0,
+            ring_full_spins: 7,
+            ring_empty_spins: 9,
+        };
         a.merge(&b);
-        assert_eq!(a.decision_cache_hits, 15);
-        assert_eq!(a.decision_cache_misses, 9);
-        assert_eq!(a.decision_cache_evictions, 1);
+        assert_eq!(a.cache_hits, 15);
+        assert_eq!(a.cache_misses, 9);
+        assert_eq!(a.cache_evictions, 1);
         assert_eq!(a.ring_full_spins, 107);
         assert_eq!(a.ring_empty_spins, 209);
-        a.reset();
-        assert_eq!(a.decision_cache_hits, 0);
-        assert_eq!(a.ring_empty_spins, 0);
+        // A snapshot merge sums the records too.
+        let mut s = TelemetrySnapshot::new(1);
+        s.hotpath = a;
+        let mut t = TelemetrySnapshot::new(1);
+        t.hotpath = b;
+        s.merge(&t);
+        assert_eq!(s.hotpath.cache_hits, 20);
+        assert_eq!(s.hotpath.ring_empty_spins, 218);
     }
 
     #[test]
