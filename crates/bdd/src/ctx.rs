@@ -38,7 +38,7 @@ pub struct FieldCtx {
     /// Inclusive upper bound.
     pub hi: u64,
     /// Excluded points within `[lo, hi]`, sorted. Saturates at
-    /// [`MAX_EXCLUSIONS`] (tracked by `saturated`).
+    /// `MAX_EXCLUSIONS` (tracked by `saturated`).
     pub excluded: Vec<u64>,
     /// Set when exclusions overflowed; the set is then an
     /// under-approximation.

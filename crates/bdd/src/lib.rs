@@ -20,7 +20,7 @@
 //!   ([`build`], [`ctx`]);
 //! * evaluation, structural validation and statistics ([`eval`]);
 //! * field-component slicing — the decomposition Algorithm 1 consumes
-//!   ([`slice`]);
+//!   ([`mod@slice`]);
 //! * variable-ordering heuristics ([`order`]) and DOT export ([`dot`]).
 //!
 //! The variable order is *field-major*: all predicates on a field form a

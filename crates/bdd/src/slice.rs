@@ -140,7 +140,7 @@ pub fn slice(bdd: &Bdd) -> Vec<Component> {
 /// quadratic in the component size thanks to reduction (iii) — see the
 /// paper's discussion after Algorithm 1.
 ///
-/// With [`slice`], the reference [`entry_paths`] is tested against.
+/// With [`slice()`], the reference [`entry_paths`] is tested against.
 pub fn component_paths(bdd: &Bdd, comp: &Component) -> Vec<CompPath> {
     let mut out = Vec::new();
     for &entry in &comp.in_nodes {

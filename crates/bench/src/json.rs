@@ -4,7 +4,7 @@
 //! need is *writing* flat rows of numbers/strings under `results/`, so
 //! this module hand-rolls exactly that: a [`ToJson`] trait with impls
 //! for the primitive types the row structs use, plus the
-//! [`impl_to_json!`] macro that derives a struct impl from its field
+//! [`impl_to_json!`](crate::impl_to_json) macro that derives a struct impl from its field
 //! list. Output is pretty-printed (two-space indent) so result files
 //! diff cleanly across runs.
 

@@ -502,13 +502,13 @@ impl ControlState {
             }
         }
         self.bus.rpcs = self.shared.rpcs.load(Ordering::Relaxed);
-        let submitted = self.engine.submitted();
         let active_rules = self.printed_rules();
         let drained = self.engine.quiesce();
+        let engine = self.engine.finish();
         DaemonReport {
-            engine: self.engine.finish(),
+            submitted: engine.submitted,
+            engine,
             clean_quiesce: drained.is_ok(),
-            submitted,
             active_rules,
             bus: self.bus,
         }

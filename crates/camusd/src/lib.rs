@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use camus_bus::{BusAddr, BusListener, WireError};
 use camus_core::{CompilerOptions, IncrementalCompiler};
-use camus_engine::{shard, Engine, EngineConfig, EngineReport};
+use camus_engine::{admit, shard, Engine, EngineConfig, EngineFault, EngineReport};
 use camus_lang::{ast::Rule, parse_spec, Spec};
 use camus_telemetry::SpanSet;
 use camus_workload::{bench_feed, generate_itch_subscriptions, ItchSubsConfig};
@@ -111,6 +111,8 @@ pub enum DaemonError {
     Spec(String),
     /// The initial pool/install failed to compile.
     Compile(String),
+    /// The initial program does not fit the engine's admission model.
+    Admission(EngineFault),
     /// A bus or metrics listener failed to bind.
     Bind(String),
     /// No bus listener address was configured.
@@ -122,6 +124,7 @@ impl fmt::Display for DaemonError {
         match self {
             DaemonError::Spec(e) => write!(f, "spec error: {e}"),
             DaemonError::Compile(e) => write!(f, "initial compile failed: {e}"),
+            DaemonError::Admission(e) => write!(f, "initial program refused: {e}"),
             DaemonError::Bind(e) => write!(f, "listener bind failed: {e}"),
             DaemonError::NoBusAddr => write!(f, "no bus listener address configured"),
         }
@@ -180,7 +183,8 @@ pub struct DaemonReport {
     pub engine: EngineReport,
     /// Whether the final quiesce drained cleanly.
     pub clean_quiesce: bool,
-    /// Packets submitted over the daemon's lifetime.
+    /// Packets submitted over the daemon's lifetime (the engine
+    /// report's `submitted`).
     pub submitted: u64,
     /// The installed rule set at shutdown, printed form, sorted.
     pub active_rules: Vec<String>,
@@ -189,12 +193,10 @@ pub struct DaemonReport {
 }
 
 impl DaemonReport {
-    /// The zero-loss ledger: every submitted packet either got a
-    /// decision or is accounted quarantined, and the drain was clean.
+    /// The zero-loss ledger ([`EngineReport::reconciles`]) on a clean
+    /// drain with no engine error.
     pub fn zero_loss(&self) -> bool {
-        self.clean_quiesce
-            && self.engine.error.is_none()
-            && self.submitted == self.engine.stats.packets + self.engine.quarantined.len() as u64
+        self.clean_quiesce && self.engine.error.is_none() && self.engine.reconciles()
     }
 }
 
@@ -209,8 +211,9 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Compiles the initial rule set, binds every listener, starts the
-    /// engine and all service threads.
+    /// Compiles the initial rule set, charges it against the engine's
+    /// admission model, binds every listener, starts the engine and all
+    /// service threads.
     pub fn start(cfg: DaemonConfig) -> Result<Daemon, DaemonError> {
         if cfg.bus.is_empty() {
             return Err(DaemonError::NoBusAddr);
@@ -223,6 +226,10 @@ impl Daemon {
         let install = session
             .install(initial)
             .map_err(|e| DaemonError::Compile(e.to_string()))?;
+        // `Engine::start` trusts its seed (admission guards installs),
+        // so the seed is charged here, before anything binds or spawns.
+        admit(cfg.engine.admission.as_ref(), &install.pipeline.tables)
+            .map_err(DaemonError::Admission)?;
 
         // Bind all listeners before starting the engine, so a bad
         // address fails fast with nothing to unwind.

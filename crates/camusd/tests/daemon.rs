@@ -6,9 +6,10 @@
 use std::io::{Read, Write};
 
 use camus_bus::{BusClient, BusReply, BusRequest, RejectKind};
+use camus_engine::EngineFault;
 use camus_pipeline::AsicModel;
 use camus_workload::EpochOracle;
-use camusd::{Daemon, DaemonConfig};
+use camusd::{Daemon, DaemonConfig, DaemonError};
 
 fn start_daemon(mut cfg: DaemonConfig) -> Daemon {
     cfg.metrics = Some("127.0.0.1:0".into());
@@ -165,6 +166,22 @@ fn bomb() -> Vec<String> {
     (0..200)
         .map(|i| format!("stock == SYM{i:03} and price > {} : fwd(1)", 10 + i))
         .collect()
+}
+
+/// The seed is charged like every later install: 200 initial rules
+/// against 48 TCAM entries per stage never start serving.
+#[test]
+fn an_over_budget_seed_is_refused_before_anything_binds() {
+    let mut cfg = DaemonConfig::itch(200, 200).unwrap();
+    cfg.engine.admission = Some(AsicModel {
+        tcam_entries_per_stage: 48,
+        ..AsicModel::tofino32()
+    });
+    match Daemon::start(cfg) {
+        Err(DaemonError::Admission(EngineFault::Admission(_))) => {}
+        Err(other) => panic!("expected an admission refusal, got {other}"),
+        Ok(_) => panic!("an over-budget seed started serving"),
+    }
 }
 
 #[test]

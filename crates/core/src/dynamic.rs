@@ -7,16 +7,16 @@
 //! and every reachable terminal becomes a leaf-table entry mapping its
 //! state to the merged action set — unicast, a multicast group
 //! (allocated here, deduplicated by port set), register updates, or
-//! drop. This module builds the rows ([`path_row`], [`leaf_row`]);
+//! drop. This module builds the rows (`path_row`, `leaf_row`);
 //! the one emitter that assembles them into tables is the row groups
 //! of module `rows`, which a cold compile and every session update
-//! share ([`build_program`]).
+//! share (`build_program`).
 //!
 //! ## Sharded construction
 //!
 //! BDD construction dominates compile time at large rule counts, so it
 //! is parallelized: the normalized conjunctions are partitioned into
-//! fixed-size *logical shards* ([`SHARD_CHUNK`] conjunctions each),
+//! fixed-size *logical shards* (`SHARD_CHUNK` conjunctions each),
 //! each shard builds its own diagram, and the shards are folded
 //! together with [`camus_bdd::Bdd::union_with`] along a fixed pairwise
 //! merge tree. Both the partition and the merge tree depend only on
@@ -25,7 +25,7 @@
 //! of a pinned DAG. That, plus the deterministic renumbering of
 //! [`camus_bdd::Bdd::canonical_copy`], is what makes the emitted
 //! tables, multicast groups and statistics bit-identical regardless of
-//! `K` (pruned union itself is *not* confluent — see [`SHARD_CHUNK`]).
+//! `K` (pruned union itself is *not* confluent — see `SHARD_CHUNK`).
 
 use camus_bdd::pred::{ActionId, FieldId, Pred};
 use camus_bdd::slice::CompPath;

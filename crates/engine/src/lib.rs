@@ -1,6 +1,6 @@
 //! # camus-engine — a multi-core sharded forwarding engine
 //!
-//! Wraps the [`Pipeline`](camus_pipeline::Pipeline) executor with N
+//! Wraps the [`Pipeline`] executor with N
 //! worker threads (std-only: `std::thread` plus lock-free
 //! bounded [SPSC rings](ring)), and shards packets RSS-style on a flow
 //! key — by default the ITCH stock symbol
@@ -15,7 +15,7 @@
 //! (verified by the determinism test). Workers share one
 //! immutable compiled program behind an `Arc` and keep their mutable
 //! state (registers, counters, decision cache) in a per-worker
-//! [`ShardCtx`](camus_pipeline::ShardCtx); each processes its packets
+//! [`ShardCtx`]; each processes its packets
 //! in submission order through
 //! [`Pipeline::process_batch_shared`](camus_pipeline::Pipeline::process_batch_shared),
 //! the allocation-free batch hot path. Batches and their byte arenas
@@ -45,7 +45,7 @@
 //! `Arc<Pipeline>` and bumps the generation ([`Engine::abort`] drops it
 //! instead). That pair is the only publish path. [`Engine::apply_update`]
 //! is `stage` then `commit` of the program an
-//! [`UpdateReport`](camus_core::UpdateReport) carries, for the
+//! [`UpdateReport`] carries, for the
 //! incremental compiler (§3's "highly dynamic queries"): that program
 //! *is* the next generation, installed as emitted, whether the report
 //! came from the compiler's delta path or a full rebuild. Every commit
@@ -70,7 +70,7 @@
 //! invariant rather than an offline observation. Every candidate
 //! [`Engine::stage`] takes — and so every [`Engine::apply_update`] —
 //! is charged against the configured [`AsicModel`] ([`admit`]: the
-//! same [`place_chain`](camus_pipeline::place_chain) arithmetic the
+//! same [`place_chain`] arithmetic the
 //! offline compiler reports) *before* publication: an over-committing
 //! update is rejected with a typed [`EngineFault::Admission`] and **zero
 //! observable state change** — no generation bump, entry-for-entry
@@ -86,8 +86,18 @@
 //! [`Engine::quiesce`] waits on a bounded watchdog and returns a typed
 //! [`EngineFault::QuiesceTimeout`] instead of spinning forever on a
 //! wedged worker. All of it surfaces in the report as [`FaultStats`]
-//! plus the exact quarantined sequence numbers, so zero-loss
-//! accounting (`submitted == decided + quarantined`) is checkable.
+//! plus the exact quarantined sequence numbers.
+//!
+//! ## One ledger
+//!
+//! Every count is kept once, where its event happens: the engine's
+//! sequence counter is [`EngineReport::submitted`], the workers'
+//! executors count decided packets ([`EngineReport::stats`]), and a
+//! quarantined packet is one entry of [`EngineReport::quarantined`] —
+//! a list, not a counter beside one, so a packet quarantined twice
+//! shows up twice. [`EngineReport::reconciles`] checks
+//! `submitted == decided + quarantined`; it is the one ledger formula,
+//! and a fabric's and a daemon's zero-loss checks call it.
 //!
 //! ```no_run
 //! use camus_engine::{shard, Engine, EngineConfig};
@@ -148,11 +158,9 @@ pub struct FaultStats {
     /// threads that unwound entirely (a panic outside the guard).
     pub panics_caught: u64,
     /// Batches quarantined (panicked, scripted to die, or lost inside
-    /// a dead worker).
+    /// a dead worker). Their packets get no forwarding decision and are
+    /// listed in [`EngineReport::quarantined`].
     pub batches_quarantined: u64,
-    /// Packets inside quarantined batches — these get no forwarding
-    /// decision and are listed in [`EngineReport::quarantined`].
-    pub packets_quarantined: u64,
     /// Worker threads that stopped serving their shard (scripted
     /// deaths + threads that unwound).
     pub worker_deaths: u64,
@@ -166,7 +174,6 @@ impl FaultStats {
     fn merge(&mut self, other: &FaultStats) {
         self.panics_caught += other.panics_caught;
         self.batches_quarantined += other.batches_quarantined;
-        self.packets_quarantined += other.packets_quarantined;
         self.worker_deaths += other.worker_deaths;
         self.respawns += other.respawns;
         self.updates_rejected += other.updates_rejected;
@@ -176,7 +183,7 @@ impl FaultStats {
 /// Deterministic fault-injection hooks, consulted by workers on the
 /// batch path. Empty sets (the default) cost one branch per batch.
 /// Sequence numbers refer to [`Engine::submit`] order, matching the
-/// seqs a [`FaultPlan`](camus_workload) produces. A transient stall is
+/// seqs a `camus_workload::FaultPlan` produces. A transient stall is
 /// not planned by seq: arm it at runtime with [`Engine::inject_stall`].
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjection {
@@ -386,16 +393,18 @@ impl std::fmt::Display for EngineFault {
 
 impl std::error::Error for EngineFault {}
 
+/// What one worker leaves behind: the worker loop counts into it as
+/// events happen, and [`Engine::finish`] merges every worker's.
+#[derive(Default)]
 struct WorkerOutput {
     index: usize,
     stats: ExecStats,
     decisions: Vec<(u64, ForwardDecision)>,
     error: Option<EngineError>,
-    adoptions: u64,
-    coalesced: u64,
+    /// Adoptions and coalesced generations (`published` stays 0).
+    updates: UpdateStats,
     faults: FaultStats,
     quarantined: Vec<u64>,
-    died: bool,
     telemetry: Option<Box<DataPlaneTelemetry>>,
     hotpath: HotPathStats,
 }
@@ -404,15 +413,14 @@ struct WorkerHandle {
     tx: ring::Producer<Batch>,
     recycle_rx: ring::Consumer<Batch>,
     pending: Batch,
-    /// Batches sent but not yet returned through the recycle channel —
-    /// i.e. not yet fully processed by the worker.
-    outstanding: usize,
-    /// Sequence numbers of each outstanding batch, FIFO (batches come
-    /// back in send order). This is what lets the engine account for
-    /// every packet inside a worker that died mid-stream.
+    /// Sequence numbers of each batch sent but not yet returned through
+    /// the recycle channel, FIFO (batches come back in send order).
+    /// Its length is the worker's backlog; its contents are what lets
+    /// the engine account for every packet inside a worker that died
+    /// mid-stream.
     in_flight: VecDeque<Vec<u64>>,
-    /// Recycled seq vectors for `in_flight` (allocation-free steady
-    /// state, like the batch pool).
+    /// Recycled seq vectors for `in_flight`, cleared when reused
+    /// (allocation-free steady state, like the batch pool).
     seq_pool: Vec<Vec<u64>>,
     /// Drained batches ready for reuse.
     pool: Vec<Batch>,
@@ -423,11 +431,11 @@ struct WorkerHandle {
 /// (optionally) every forwarding decision in submission order.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
-    /// Worker threads that ran.
-    pub workers: usize,
+    /// Packets handed to [`Engine::submit`] ([`Engine::submitted`]).
+    pub submitted: u64,
     /// Aggregated execution counters across all workers.
     pub stats: ExecStats,
-    /// Per-worker execution counters (index = worker slot; a respawned
+    /// Per-worker execution counters, one per worker slot (a respawned
     /// worker's counters merge into its slot).
     pub per_worker: Vec<ExecStats>,
     /// Per-packet decisions in submission order; empty unless
@@ -445,10 +453,9 @@ pub struct EngineReport {
     /// Fault-plane counters: panics, quarantines, deaths, respawns,
     /// admission rejections.
     pub faults: FaultStats,
-    /// Submission seqs of every quarantined packet, sorted. Zero-loss
-    /// invariant: `submitted == stats.packets + quarantined.len()`
-    /// (exact unless a worker thread unwound outside the per-batch guard
-    /// and took its counters with it).
+    /// Submission seqs of every quarantined packet, sorted and never
+    /// deduplicated, so a packet counted twice shows up twice. See
+    /// [`EngineReport::reconciles`].
     pub quarantined: Vec<u64>,
     /// Merged cross-shard telemetry (histograms, spans, per-table
     /// counters); `Some` iff [`EngineConfig::telemetry`] was set.
@@ -459,13 +466,21 @@ pub struct EngineReport {
 }
 
 impl EngineReport {
+    /// The zero-loss ledger, and the one place it is written: every
+    /// submitted packet was decided or quarantined, exactly once —
+    /// `submitted == stats.packets + quarantined.len()`. It fails when
+    /// a worker thread unwound outside the per-batch guard and took its
+    /// counters with it.
+    pub fn reconciles(&self) -> bool {
+        self.submitted == self.stats.packets + self.quarantined.len() as u64
+    }
+
     /// One slot per submitted packet, in submission order: its decision,
     /// or `None` if it was quarantined (or decisions went unrecorded).
     pub fn decisions_in_submit_order(&self) -> Vec<Option<&ForwardDecision>> {
-        let submitted = self.stats.packets + self.quarantined.len() as u64;
         let mut decisions = self.decisions.iter();
         let mut quarantined = self.quarantined.iter().peekable();
-        (0..submitted)
+        (0..self.submitted)
             .map(|seq| match quarantined.next_if_eq(&&seq) {
                 Some(_) => None,
                 None => decisions.next(),
@@ -491,14 +506,12 @@ pub struct Engine {
     /// fabric's two-phase epoch holds the new program here across
     /// every leaf before committing any of them.
     staged: Option<Pipeline>,
-    updates_rejected: u64,
-    respawns: u64,
-    /// Panics that unwound a whole worker thread (no output survived).
-    unwound_workers: u64,
+    /// Fault counts of the engine thread's own events (rejected stages,
+    /// respawns, unwound workers and the batches they lost); the
+    /// workers' records merge in at [`Engine::finish`].
+    faults: FaultStats,
     /// Seqs of packets that went down with a dead worker.
     lost: Vec<u64>,
-    /// Batches those seqs arrived in (for quarantine accounting).
-    lost_batches: u64,
     /// Outputs harvested from retired workers (replaced ones, and every
     /// worker at [`Engine::finish`]).
     retired: Vec<WorkerOutput>,
@@ -536,14 +549,11 @@ fn worker_loop(
     killed: Arc<AtomicBool>,
     stall_signal: Arc<AtomicU64>,
 ) -> WorkerOutput {
+    let mut report = WorkerOutput {
+        index,
+        ..WorkerOutput::default()
+    };
     let mut out = DecisionBuf::default();
-    let mut decisions: Vec<(u64, ForwardDecision)> = Vec::new();
-    let mut error: Option<EngineError> = None;
-    let mut adoptions = 0u64;
-    let mut coalesced = 0u64;
-    let mut faults = FaultStats::default();
-    let mut quarantined: Vec<u64> = Vec::new();
-    let mut died = false;
     // Counter snapshot for panic rollback; reused every batch.
     let mut stats_backup = ExecStats::default();
     let has_panics = !injection.panic_seqs.is_empty();
@@ -555,7 +565,7 @@ fn worker_loop(
         // every packet the crash took down, and detection rides the
         // same recycle-ring hangup path.
         if killed.load(Ordering::Acquire) {
-            died = true;
+            report.faults.worker_deaths += 1;
             break;
         }
         // Scripted runtime stall: one worker consumes the pending
@@ -577,8 +587,8 @@ fn worker_loop(
         // all the same, and count nothing as coalesced.
         if batch.generation != seen_gen {
             ctx.adopt(&batch.program);
-            adoptions += 1;
-            coalesced += batch.generation.saturating_sub(seen_gen + 1);
+            report.updates.adoptions += 1;
+            report.updates.coalesced += batch.generation.saturating_sub(seen_gen + 1);
             seen_gen = batch.generation;
         }
         if has_deaths && batch.seqs.iter().any(|s| injection.die_seqs.contains(s)) {
@@ -588,10 +598,10 @@ fn worker_loop(
             // is what makes detection deterministic — the engine's
             // next wait on the recycle ring sees the hangup, and its
             // in-flight ledger quarantines the batch.
-            died = true;
+            report.faults.worker_deaths += 1;
             break;
         }
-        if error.is_none() {
+        if report.error.is_none() {
             stats_backup.copy_from(&ctx.exec.stats);
             out.clear();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -606,14 +616,14 @@ fn worker_loop(
                 Ok(Ok(())) => {
                     if record {
                         for (i, d) in out.iter().enumerate() {
-                            decisions.push((batch.seqs[i], d.clone()));
+                            report.decisions.push((batch.seqs[i], d.clone()));
                         }
                     }
                 }
                 Ok(Err(e)) => {
                     // The failing packet's slot is the last one claimed.
                     let seq = batch.seqs[out.len().saturating_sub(1)];
-                    error = Some(EngineError {
+                    report.error = Some(EngineError {
                         worker: index,
                         packet_seq: seq,
                         error: e,
@@ -628,10 +638,9 @@ fn worker_loop(
                     // whose stage was reset mid-burst); the soak
                     // harness uses stateless rules to keep the oracle
                     // exact.
-                    faults.panics_caught += 1;
-                    faults.batches_quarantined += 1;
-                    faults.packets_quarantined += batch.len() as u64;
-                    quarantined.extend_from_slice(&batch.seqs);
+                    report.faults.panics_caught += 1;
+                    report.faults.batches_quarantined += 1;
+                    report.quarantined.extend_from_slice(&batch.seqs);
                     ctx.exec.stats.copy_from(&stats_backup);
                 }
             }
@@ -642,19 +651,10 @@ fn worker_loop(
     }
     ctx.exec.hotpath.ring_full_spins += recycle_tx.full_spins();
     ctx.exec.hotpath.ring_empty_spins += rx.empty_spins();
-    WorkerOutput {
-        index,
-        stats: ctx.exec.stats.clone(),
-        decisions,
-        error,
-        adoptions,
-        coalesced,
-        faults,
-        quarantined,
-        died,
-        telemetry: ctx.exec.take_telemetry(),
-        hotpath: ctx.exec.hotpath,
-    }
+    report.telemetry = ctx.exec.take_telemetry();
+    report.hotpath = ctx.exec.hotpath;
+    report.stats = ctx.exec.stats;
+    report
 }
 
 impl Engine {
@@ -682,11 +682,8 @@ impl Engine {
             installed: Arc::new(seed),
             generation: 0,
             staged: None,
-            updates_rejected: 0,
-            respawns: 0,
-            unwound_workers: 0,
+            faults: FaultStats::default(),
             lost: Vec::new(),
-            lost_batches: 0,
             retired: Vec::new(),
             spans: SpanSet::new(),
             hotpath: HotPathStats::default(),
@@ -749,7 +746,6 @@ impl Engine {
             tx,
             recycle_rx,
             pending: Batch::new(&self.installed, self.generation),
-            outstanding: 0,
             in_flight: VecDeque::new(),
             seq_pool: Vec::new(),
             pool: Vec::new(),
@@ -761,8 +757,7 @@ impl Engine {
     /// shard keys are processed in submission order on one worker.
     /// Blocks (backpressure) when that worker's queue is full.
     pub fn submit(&mut self, packet: &[u8], now_us: u64) {
-        let key = (self.shard)(packet);
-        let wi = (shard::mix64(key) % self.workers.len() as u64) as usize;
+        let wi = shard::worker_of((self.shard)(packet), self.workers.len());
         let seq = self.next_seq;
         self.next_seq += 1;
         let w = &mut self.workers[wi];
@@ -781,11 +776,7 @@ impl Engine {
     /// record (the seq vector goes back to its pool) and pools the
     /// batch, re-stamped so an idle batch never pins a retired program.
     fn take_back(w: &mut WorkerHandle, mut batch: Batch, installed: &Arc<Pipeline>, gen: u64) {
-        w.outstanding -= 1;
-        if let Some(mut seqs) = w.in_flight.pop_front() {
-            seqs.clear();
-            w.seq_pool.push(seqs);
-        }
+        w.seq_pool.extend(w.in_flight.pop_front());
         batch.stamp(installed, gen);
         w.pool.push(batch);
     }
@@ -834,18 +825,12 @@ impl Engine {
         let mut seqs = w.seq_pool.pop().unwrap_or_default();
         seqs.clear();
         seqs.extend_from_slice(&batch.seqs);
-        w.in_flight.push_back(seqs);
-        w.outstanding += 1;
         // Blocks (backpressure) while the ring is full; hands the
         // batch back only when the worker is gone.
         match w.tx.push_blocking(batch) {
-            Ok(()) => {}
+            Ok(()) => w.in_flight.push_back(seqs),
             Err(batch) => {
-                if let Some(mut seqs) = w.in_flight.pop_back() {
-                    seqs.clear();
-                    w.seq_pool.push(seqs);
-                }
-                w.outstanding -= 1;
+                w.seq_pool.push(seqs);
                 if respawn {
                     self.respawn_worker(wi);
                     // The replacement gets the batch; a second failure
@@ -854,7 +839,7 @@ impl Engine {
                     self.dispatch(wi, batch, false);
                 } else {
                     self.lost.extend_from_slice(&batch.seqs);
-                    self.lost_batches += 1;
+                    self.faults.batches_quarantined += 1;
                 }
             }
         }
@@ -871,7 +856,7 @@ impl Engine {
         let w = &mut self.workers[wi];
         w.pool.append(&mut pool);
         w.seq_pool.append(&mut seq_pool);
-        self.respawns += 1;
+        self.faults.respawns += 1;
         timer.stop_into(&mut self.spans, SpanKind::WorkerRespawn);
     }
 
@@ -900,22 +885,22 @@ impl Engine {
             Ok(out) => self.retired.push(out),
             // The thread unwound: its counters and recorded decisions
             // are unrecoverable. Counted so reports can flag the gap.
-            Err(_) => self.unwound_workers += 1,
+            Err(_) => {
+                self.faults.panics_caught += 1;
+                self.faults.worker_deaths += 1;
+            }
         }
         // Everything the worker processed came back through the recycle
         // ring (batches come back in send order); whatever didn't went
         // down with it.
         while let Some(mut b) = recycle_rx.try_pop() {
-            if let Some(mut seqs) = in_flight.pop_front() {
-                seqs.clear();
-                seq_pool.push(seqs);
-            }
+            seq_pool.extend(in_flight.pop_front());
             b.stamp(&self.installed, self.generation);
             pool.push(b);
         }
         for seqs in in_flight.drain(..) {
             self.lost.extend_from_slice(&seqs);
-            self.lost_batches += 1;
+            self.faults.batches_quarantined += 1;
         }
         (pool, seq_pool)
     }
@@ -942,7 +927,7 @@ impl Engine {
             loop {
                 let watchdog = Duration::from_millis(self.cfg.watchdog_ms.max(1));
                 let w = &mut self.workers[wi];
-                if w.outstanding == 0 {
+                if w.in_flight.is_empty() {
                     break;
                 }
                 match w.recycle_rx.pop_deadline(watchdog) {
@@ -952,7 +937,7 @@ impl Engine {
                     ring::PopDeadline::Timeout => {
                         return Err(EngineFault::QuiesceTimeout {
                             worker: wi,
-                            outstanding: w.outstanding,
+                            outstanding: w.in_flight.len(),
                             waited_ms: self.cfg.watchdog_ms,
                         });
                     }
@@ -986,7 +971,7 @@ impl Engine {
         }
         normalise(&self.cfg, &mut candidate);
         if let Err(fault) = admit(self.cfg.admission.as_ref(), &candidate.tables) {
-            self.updates_rejected += 1;
+            self.faults.updates_rejected += 1;
             return Err(fault);
         }
         self.staged = Some(candidate);
@@ -1138,12 +1123,9 @@ impl Engine {
             published: self.generation,
             ..UpdateStats::default()
         };
-        let mut faults = FaultStats {
-            updates_rejected: self.updates_rejected,
-            respawns: self.respawns,
-            ..FaultStats::default()
-        };
-        let mut quarantined: Vec<u64> = Vec::new();
+        let mut faults = std::mem::take(&mut self.faults);
+        // Batches lost inside dead workers are quarantined too.
+        let mut quarantined = std::mem::take(&mut self.lost);
         let mut snapshot = self.cfg.telemetry.then(|| TelemetrySnapshot::new(workers));
         let mut hotpath = self.hotpath;
         for out in std::mem::take(&mut self.retired) {
@@ -1153,25 +1135,15 @@ impl Engine {
             }
             hotpath.merge(&out.hotpath);
             all_decisions.extend(out.decisions);
-            updates.adoptions += out.adoptions;
-            updates.coalesced += out.coalesced;
+            updates.adoptions += out.updates.adoptions;
+            updates.coalesced += out.updates.coalesced;
             faults.merge(&out.faults);
-            if out.died {
-                faults.worker_deaths += 1;
-            }
             quarantined.extend(out.quarantined);
             if error.is_none() {
                 error = out.error;
             }
         }
-        // Batches lost inside dead workers are quarantined too.
-        faults.panics_caught += self.unwound_workers;
-        faults.worker_deaths += self.unwound_workers;
-        faults.batches_quarantined += self.lost_batches;
-        faults.packets_quarantined += self.lost.len() as u64;
-        quarantined.append(&mut self.lost);
         quarantined.sort_unstable();
-        quarantined.dedup();
 
         let mut stats = ExecStats::default();
         for s in &per_worker {
@@ -1199,7 +1171,7 @@ impl Engine {
         all_decisions.sort_unstable_by_key(|(seq, _)| *seq);
         let decisions = all_decisions.into_iter().map(|(_, d)| d).collect();
         EngineReport {
-            workers,
+            submitted: self.next_seq,
             stats,
             per_worker,
             decisions,
@@ -1268,8 +1240,8 @@ mod tests {
     use camus_pipeline::register::RegisterFile;
     use camus_pipeline::table::RegOp;
     use camus_pipeline::{
-        ActionOp, Entry, ExecState, Key, MatchKind, MatchValue, MulticastTable, ParseDrop,
-        PhvLayout, PortId, Table,
+        ActionOp, DecisionCache, Entry, ExecState, Key, MatchKind, MatchValue, MulticastTable,
+        ParseDrop, PhvLayout, PortId, Table,
     };
     use std::sync::Arc;
 
@@ -1638,7 +1610,30 @@ mod tests {
         );
         assert_eq!(report.stats.packets, 0);
         assert!(report.error.is_none());
-        assert_eq!(report.workers, 3);
+        assert_eq!(report.per_worker.len(), 3);
+    }
+
+    /// The spine, the worker choice and the cache slot each mix a key
+    /// their own way: the keys one of two leaves, or one of two
+    /// workers, receives still reach odd and even cache slots alike.
+    #[test]
+    fn a_shards_keys_reach_both_halves_of_its_cache() {
+        let cache = DecisionCache::new(PhvLayout::new().add("sym", 64), DEFAULT_CACHE_SHIFT);
+        let keys: Vec<u64> = (0..512u32)
+            .map(|i| u64::from_be_bytes(*format!("S{i:07}").as_bytes().first_chunk().unwrap()))
+            .collect();
+        let parities = |shard: &dyn Fn(u64) -> bool| -> HashSet<usize> {
+            keys.iter()
+                .filter(|&&k| shard(k))
+                .map(|&k| cache.slot(k) % 2)
+                .collect()
+        };
+        for w in 0..2 {
+            let halves = parities(&|k| shard::worker_of(k, 2) == w);
+            assert_eq!(halves.len(), 2, "worker {w} of 2 reaches {halves:?}");
+            let halves = parities(&|k| camus_core::partition::owner_of(k, 2) == w);
+            assert_eq!(halves.len(), 2, "leaf {w} of 2 reaches {halves:?}");
+        }
     }
 
     #[test]
@@ -1723,7 +1718,7 @@ mod tests {
         assert!(report.error.is_none(), "{:?}", report.error);
         assert_eq!(report.faults.panics_caught, 1);
         assert_eq!(report.faults.batches_quarantined, 1);
-        assert_eq!(report.faults.packets_quarantined, 2);
+        assert_eq!(report.quarantined.len(), 2);
         assert_eq!(report.faults.worker_deaths, 0);
         assert_eq!(report.quarantined, vec![2, 3]);
         // The other six packets were all decided; counters reconcile.

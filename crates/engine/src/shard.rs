@@ -27,9 +27,21 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// SplitMix64 finalizer: decorrelates low bits before `% workers`, so
+/// SplitMix64 finalizer: decorrelates low bits before a modulus, so
 /// structured keys (ASCII symbols) still spread evenly.
 pub use camus_pipeline::cache::mix64;
+
+/// Salt of the worker choice. The spine picks a key's leaf from
+/// `mix64(key)` and the decision cache its slot from another salted
+/// mix; reading the same bits here would hand all of a leaf's keys to
+/// a fraction of its workers.
+const WORKER_SALT: u64 = 0xd1b5_4a32_d192_ed03;
+
+/// The worker, of `workers`, that serves shard key `key`.
+#[inline]
+pub fn worker_of(key: u64, workers: usize) -> usize {
+    (mix64(key ^ WORKER_SALT) % workers.max(1) as u64) as usize
+}
 
 const ETH_LEN: usize = 14;
 const UDP_LEN: usize = 8;

@@ -158,7 +158,6 @@ fn run_fault_soak(seed: u64) {
         // `finish`, which harvests (exact quarantine) without
         // respawning — so respawns is bounded by deaths, not equal.
         assert!(report.faults.respawns <= report.faults.worker_deaths);
-        assert_eq!(report.faults.packets_quarantined, quarantined.len() as u64);
 
         // Oracle identity for every surviving packet.
         let decisions = report.decisions_in_submit_order();

@@ -203,6 +203,60 @@ enum Route {
     Orphaned,
 }
 
+/// One leaf as the spine sees it: its engine (which counts every
+/// packet delivered to it), its place in the failure detector, and the
+/// packets routed to it that never arrived.
+struct Leaf {
+    engine: Engine,
+    health: LeafHealth,
+    /// `false` once a scripted partition cut the spine's link to the
+    /// leaf. The engine may still be running; the fabric can no longer
+    /// tell (fail-stop model).
+    reachable: bool,
+    /// When the scripted kill/partition fired (None = no fault, or an
+    /// organic one the fabric never saw the start of).
+    fault_at: Option<Instant>,
+    detected_at: Option<Instant>,
+    /// Degraded-mode drops: packets routed here after the leaf was
+    /// declared dead.
+    orphaned: u64,
+    /// Packets black-holed on a partitioned link *before* detection —
+    /// lost on the wire, but not yet control-plane knowledge. They
+    /// convert to `orphaned` the moment the leaf is declared dead (or
+    /// at `finish`, so the ledger is always exact).
+    void: u64,
+    /// Register slots lost with the leaf (its `@query_counter` windows
+    /// existed nowhere else).
+    state_lost: u64,
+}
+
+impl Leaf {
+    /// Folds the wire losses into the orphan count.
+    fn void_to_orphans(&mut self) {
+        self.orphaned += std::mem::take(&mut self.void);
+    }
+
+    /// Declares a healthy leaf dead: converts its wire-lost packets to
+    /// orphans, and counts the `slots` register slots that lived only
+    /// there as lost.
+    fn declare_dead(&mut self, slots: u64) {
+        if self.health != LeafHealth::Healthy {
+            return;
+        }
+        self.health = LeafHealth::Dead;
+        let now = Instant::now();
+        self.detected_at = Some(now);
+        // Organic death (no scripted fault observed): measure repair
+        // from detection — the earliest instant the fabric can know.
+        self.fault_at.get_or_insert(now);
+        self.void_to_orphans();
+        // Survivor register state carries across epochs automatically
+        // (`ShardCtx::adopt`); the dead leaf's does not exist anywhere
+        // else — count every slot that died with it.
+        self.state_lost += slots;
+    }
+}
+
 /// A running fabric: one engine per leaf plus the spine's routing
 /// state and the master (big-switch) program the slices derive from.
 ///
@@ -212,36 +266,15 @@ enum Route {
 /// Failover supports fabrics of up to 64 leaves (the live mask is one
 /// machine word, like the partition plan's).
 pub struct Fabric {
-    engines: Vec<Engine>,
+    leaves: Vec<Leaf>,
     extract: ShardFn,
     master: Pipeline,
     plan: PartitionPlan,
     epoch: u64,
     epochs_rejected: u64,
     probe_interval: u64,
-    /// Global submission counter — drives the probe ticks.
+    /// The probe clock: submissions so far.
     next_seq: u64,
-    health: Vec<LeafHealth>,
-    /// `false` once a scripted partition cut the spine's link to the
-    /// leaf. The engine may still be running; the fabric can no longer
-    /// tell (fail-stop model).
-    reachable: Vec<bool>,
-    /// When the scripted kill/partition fired (None = no fault, or an
-    /// organic one the fabric never saw the start of).
-    fault_at: Vec<Option<Instant>>,
-    detected_at: Vec<Option<Instant>>,
-    submitted_per_leaf: Vec<u64>,
-    /// Degraded-mode drops: packets whose shard owner was declared
-    /// dead, counted per dead owner.
-    orphaned_per_leaf: Vec<u64>,
-    /// Packets black-holed on a partitioned link *before* detection —
-    /// lost on the wire, but not yet control-plane knowledge. They
-    /// convert to `orphaned_per_leaf` the moment the leaf is declared
-    /// dead (or at `finish`, so the ledger is always exact).
-    void_per_leaf: Vec<u64>,
-    /// Register slots lost with each dead leaf (its `@query_counter`
-    /// windows existed nowhere else).
-    state_lost_per_leaf: Vec<u64>,
     failovers: Vec<FailoverRecord>,
     /// Route per submitted packet, in global submission order;
     /// populated only when every leaf records decisions (otherwise the
@@ -257,9 +290,8 @@ impl Fabric {
     /// [`camus_core::partition::MAX_LEAVES`]) or any leaf cannot hold
     /// its slice.
     pub fn start(master: &Pipeline, cfg: &FabricConfig) -> Result<Fabric, FabricFault> {
-        let leaves = cfg.leaf_engines.len();
-        let plan =
-            PartitionPlan::compute(master, &cfg.shard_field, leaves).map_err(FabricFault::Plan)?;
+        let plan = PartitionPlan::compute(master, &cfg.shard_field, cfg.leaf_engines.len())
+            .map_err(FabricFault::Plan)?;
         let slices = plan.slices(master);
         // `Engine::start` trusts its seed pipeline (admission guards
         // *installs*), so the fabric applies the per-leaf budget check
@@ -269,13 +301,22 @@ impl Fabric {
                 .map_err(|fault| FabricFault::Prepare { leaf, fault })?;
         }
         let record_routes = cfg.leaf_engines.iter().all(|e| e.record_decisions);
-        let engines: Vec<Engine> = slices
+        let leaves = slices
             .iter()
             .zip(&cfg.leaf_engines)
-            .map(|(slice, ecfg)| Engine::start(slice, ecfg, cfg.extract.clone()))
+            .map(|(slice, ecfg)| Leaf {
+                engine: Engine::start(slice, ecfg, cfg.extract.clone()),
+                health: LeafHealth::Healthy,
+                reachable: true,
+                fault_at: None,
+                detected_at: None,
+                orphaned: 0,
+                void: 0,
+                state_lost: 0,
+            })
             .collect();
         Ok(Fabric {
-            engines,
+            leaves,
             extract: cfg.extract.clone(),
             master: master.clone(),
             plan,
@@ -283,14 +324,6 @@ impl Fabric {
             epochs_rejected: 0,
             probe_interval: cfg.probe_interval,
             next_seq: 0,
-            health: vec![LeafHealth::Healthy; leaves],
-            reachable: vec![true; leaves],
-            fault_at: vec![None; leaves],
-            detected_at: vec![None; leaves],
-            submitted_per_leaf: vec![0; leaves],
-            orphaned_per_leaf: vec![0; leaves],
-            void_per_leaf: vec![0; leaves],
-            state_lost_per_leaf: vec![0; leaves],
             failovers: Vec::new(),
             route_log: Vec::new(),
             record_routes,
@@ -299,7 +332,7 @@ impl Fabric {
 
     /// Number of leaves.
     pub fn leaves(&self) -> usize {
-        self.engines.len()
+        self.leaves.len()
     }
 
     /// Committed fabric epochs so far (0 = the seed program).
@@ -319,30 +352,30 @@ impl Fabric {
 
     /// One leaf's place in the failure detector's state machine.
     pub fn leaf_health(&self, leaf: usize) -> LeafHealth {
-        self.health[leaf]
+        self.leaves[leaf].health
     }
 
     /// Whether any leaf is declared dead but not yet failed over —
     /// the window in which its shards' packets are drop-counted.
     pub fn degraded(&self) -> bool {
-        self.health.contains(&LeafHealth::Dead)
+        self.leaves.iter().any(|l| l.health == LeafHealth::Dead)
     }
 
     /// Fabric-global robustness counters so far, derived from the
-    /// per-leaf ledgers: the leaves not healthy, the epochs that
-    /// repaired one, and the per-leaf orphan and state-loss sums.
+    /// leaves' records: the leaves not healthy, the epochs that
+    /// repaired one, and the leaves' orphan and state-loss sums.
     pub fn robustness(&self) -> RobustnessCounters {
         let mut epochs: Vec<u64> = self.failovers.iter().map(|f| f.epoch).collect();
         epochs.dedup();
         RobustnessCounters {
             leaf_deaths: self
-                .health
+                .leaves
                 .iter()
-                .filter(|&&h| h != LeafHealth::Healthy)
+                .filter(|l| l.health != LeafHealth::Healthy)
                 .count() as u64,
             failover_epochs: epochs.len() as u64,
-            orphaned_packets: self.orphaned_per_leaf.iter().sum(),
-            state_loss_entries: self.state_lost_per_leaf.iter().sum(),
+            orphaned_packets: self.leaves.iter().map(|l| l.orphaned).sum(),
+            state_loss_entries: self.leaves.iter().map(|l| l.state_lost).sum(),
         }
     }
 
@@ -360,7 +393,7 @@ impl Fabric {
     pub fn route(&self, packet: &[u8]) -> usize {
         owner_in_subset(
             (self.extract)(packet),
-            self.engines.len(),
+            self.leaves.len(),
             self.plan.live_mask,
         )
     }
@@ -368,20 +401,21 @@ impl Fabric {
     /// Installed (control-plane master) tables of one leaf — for
     /// asserting bit-identical pre-state after an aborted epoch.
     pub fn leaf_tables(&self, leaf: usize) -> &[Table] {
-        self.engines[leaf].installed_tables()
+        self.leaves[leaf].engine.installed_tables()
     }
 
     /// Published RCU generation of one leaf.
     pub fn leaf_generation(&self, leaf: usize) -> u64 {
-        self.engines[leaf].generation()
+        self.leaves[leaf].engine.generation()
     }
 
-    /// Total packets submitted to the fabric (delivered, black-holed
-    /// or drop-counted).
+    /// Total packets submitted to the fabric: delivered (each leaf
+    /// engine's [`Engine::submitted`]), black-holed or drop-counted.
     pub fn submitted(&self) -> u64 {
-        self.submitted_per_leaf.iter().sum::<u64>()
-            + self.orphaned_per_leaf.iter().sum::<u64>()
-            + self.void_per_leaf.iter().sum::<u64>()
+        self.leaves
+            .iter()
+            .map(|l| l.engine.submitted() + l.orphaned + l.void)
+            .sum()
     }
 
     /// Crashes a leaf (the chaos harness's kill event, also callable
@@ -389,23 +423,25 @@ impl Fabric {
     /// flight and the fabric's detector will declare it dead at the
     /// next probe tick, epoch or [`Fabric::quiesce`].
     pub fn kill_leaf(&mut self, leaf: usize) {
-        self.engines[leaf].simulate_crash();
-        self.fault_at[leaf].get_or_insert_with(Instant::now);
+        let leaf = &mut self.leaves[leaf];
+        leaf.engine.simulate_crash();
+        leaf.fault_at.get_or_insert_with(Instant::now);
     }
 
     /// Cuts the spine's link to a leaf (chaos partition event): the
     /// engine keeps running but nothing reaches it; packets routed
     /// there black-hole until the detector declares the leaf dead.
     pub fn partition_leaf(&mut self, leaf: usize) {
-        self.reachable[leaf] = false;
-        self.fault_at[leaf].get_or_insert_with(Instant::now);
+        let leaf = &mut self.leaves[leaf];
+        leaf.reachable = false;
+        leaf.fault_at.get_or_insert_with(Instant::now);
     }
 
     /// Arms a transient whole-leaf stall (chaos stall event): the
     /// leaf's next batch sleeps `ms` ms. Epochs commit through it;
     /// only [`Fabric::quiesce`] times out on it.
     pub fn stall_leaf(&mut self, leaf: usize, ms: u64) {
-        self.engines[leaf].inject_stall(ms);
+        self.leaves[leaf].engine.inject_stall(ms);
     }
 
     /// Routes one packet to its owning leaf and submits it there (or
@@ -418,47 +454,43 @@ impl Fabric {
         if self.probe_interval > 0 && seq.is_multiple_of(self.probe_interval) {
             self.probe_and_repair();
         }
-        let leaf = self.route(packet);
-        match self.health[leaf] {
-            LeafHealth::Healthy if self.reachable[leaf] => {
-                self.engines[leaf].submit(packet, now_us);
-                self.submitted_per_leaf[leaf] += 1;
-                if self.record_routes {
-                    self.route_log.push(Route::Delivered(leaf));
-                }
+        let owner = self.route(packet);
+        let leaf = &mut self.leaves[owner];
+        let route = match leaf.health {
+            LeafHealth::Healthy if leaf.reachable => {
+                leaf.engine.submit(packet, now_us);
+                Route::Delivered(owner)
             }
             LeafHealth::Healthy => {
                 // Partitioned but not yet detected: the copy dies on a
                 // cut wire. The spine doesn't know yet; the run's
                 // bookkeeping does — it converts to an orphan the
                 // moment the detector catches up.
-                self.void_per_leaf[leaf] += 1;
-                if self.record_routes {
-                    self.route_log.push(Route::Orphaned);
-                }
+                leaf.void += 1;
+                Route::Orphaned
             }
             _ => {
                 // Degraded mode: the owner is declared dead and the
                 // failover epoch hasn't committed. An honest counted
                 // drop — never a silent one, never a mis-route.
-                self.orphaned_per_leaf[leaf] += 1;
-                if self.record_routes {
-                    self.route_log.push(Route::Orphaned);
-                }
+                leaf.orphaned += 1;
+                Route::Orphaned
             }
+        };
+        if self.record_routes {
+            self.route_log.push(route);
         }
-        leaf
+        owner
     }
 
     /// One failure-detector sweep: any healthy leaf that stopped
     /// answering its liveness probe (crashed) or sits behind a cut
     /// link (partitioned) is declared dead, fail-stop.
     fn detect_failures(&mut self) {
-        for leaf in 0..self.engines.len() {
-            if self.health[leaf] == LeafHealth::Healthy
-                && (!self.reachable[leaf] || !self.engines[leaf].is_alive())
-            {
-                self.declare_dead(leaf);
+        let slots = self.master.registers.len() as u64;
+        for leaf in &mut self.leaves {
+            if leaf.health == LeafHealth::Healthy && (!leaf.reachable || !leaf.engine.is_alive()) {
+                leaf.declare_dead(slots);
             }
         }
     }
@@ -476,34 +508,12 @@ impl Fabric {
         }
     }
 
-    /// Declares a leaf dead: converts its wire-lost packets to
-    /// orphans, and counts the register state that lived only there
-    /// as lost.
-    fn declare_dead(&mut self, leaf: usize) {
-        if self.health[leaf] != LeafHealth::Healthy {
-            return;
-        }
-        self.health[leaf] = LeafHealth::Dead;
-        let now = Instant::now();
-        self.detected_at[leaf] = Some(now);
-        // Organic death (no scripted fault observed): measure repair
-        // from detection — the earliest instant the fabric can know.
-        self.fault_at[leaf].get_or_insert(now);
-        let voided = std::mem::take(&mut self.void_per_leaf[leaf]);
-        self.orphaned_per_leaf[leaf] += voided;
-        // Survivor register state carries across epochs automatically
-        // (`ShardCtx::adopt`); the dead leaf's does not exist anywhere
-        // else — count every slot that died with it.
-        let slots = self.master.registers.len() as u64;
-        self.state_lost_per_leaf[leaf] += slots;
-    }
-
     /// Live-leaf bitmask (bit `l` set ⇔ leaf `l` is healthy).
     fn live_mask(&self) -> u64 {
         let mut mask = 0u64;
-        for (leaf, health) in self.health.iter().enumerate().take(64) {
-            if *health == LeafHealth::Healthy {
-                mask |= 1 << leaf;
+        for (i, leaf) in self.leaves.iter().enumerate().take(64) {
+            if leaf.health == LeafHealth::Healthy {
+                mask |= 1 << i;
             }
         }
         mask
@@ -546,7 +556,10 @@ impl Fabric {
                 Err(FabricFault::Prepare {
                     leaf,
                     fault: EngineFault::Killed,
-                }) => self.declare_dead(leaf),
+                }) => {
+                    let slots = self.master.registers.len() as u64;
+                    self.leaves[leaf].declare_dead(slots);
+                }
                 Err(fault) => return Err(fault),
             }
         }
@@ -557,14 +570,14 @@ impl Fabric {
     fn try_epoch(&mut self, master: &Pipeline) -> Result<PartitionPlan, FabricFault> {
         let live = self.live_mask();
         let plan =
-            PartitionPlan::compute_subset(master, &self.plan.shard_field, self.engines.len(), live)
+            PartitionPlan::compute_subset(master, &self.plan.shard_field, self.leaves.len(), live)
                 .map_err(FabricFault::Plan)?;
         let is_live = |leaf: usize| live & (1 << leaf.min(63)) != 0;
         for (leaf, slice) in plan.slices(master).into_iter().enumerate() {
             if !is_live(leaf) {
                 continue;
             }
-            if let Err(fault) = self.engines[leaf].stage(slice) {
+            if let Err(fault) = self.leaves[leaf].engine.stage(slice) {
                 self.abort_all();
                 if fault != EngineFault::Killed {
                     self.epochs_rejected += 1;
@@ -572,9 +585,9 @@ impl Fabric {
                 return Err(FabricFault::Prepare { leaf, fault });
             }
         }
-        for (leaf, e) in self.engines.iter_mut().enumerate() {
-            if is_live(leaf) {
-                let committed = e.commit();
+        for (i, leaf) in self.leaves.iter_mut().enumerate() {
+            if is_live(i) {
+                let committed = leaf.engine.commit();
                 debug_assert!(committed, "every live leaf staged in phase one");
             }
         }
@@ -584,8 +597,8 @@ impl Fabric {
     /// Drops every staged candidate (epoch abort). Harmless on leaves
     /// that never staged (dead ones included).
     fn abort_all(&mut self) {
-        for e in &mut self.engines {
-            e.abort();
+        for leaf in &mut self.leaves {
+            leaf.engine.abort();
         }
     }
 
@@ -595,22 +608,22 @@ impl Fabric {
         self.master = master;
         self.plan = plan;
         self.epoch += 1;
-        for leaf in 0..self.health.len() {
-            if self.health[leaf] != LeafHealth::Dead {
+        for (i, leaf) in self.leaves.iter_mut().enumerate() {
+            if leaf.health != LeafHealth::Dead {
                 continue;
             }
-            self.health[leaf] = LeafHealth::Evicted;
-            let detect_ns = match (self.fault_at[leaf], self.detected_at[leaf]) {
+            leaf.health = LeafHealth::Evicted;
+            let detect_ns = match (leaf.fault_at, leaf.detected_at) {
                 (Some(fault), Some(detected)) => detected.duration_since(fault).as_nanos() as u64,
                 _ => 0,
             };
-            let mttr_ns = self.fault_at[leaf].map_or(0, |t| t.elapsed().as_nanos() as u64);
+            let mttr_ns = leaf.fault_at.map_or(0, |t| t.elapsed().as_nanos() as u64);
             self.failovers.push(FailoverRecord {
-                leaf,
+                leaf: i,
                 epoch: self.epoch,
                 detect_ns,
                 mttr_ns,
-                orphaned: self.orphaned_per_leaf[leaf],
+                orphaned: leaf.orphaned,
             });
         }
     }
@@ -623,14 +636,15 @@ impl Fabric {
     /// [`FabricFault::Quiesce`].
     pub fn quiesce(&mut self) -> Result<(), FabricFault> {
         self.detect_failures();
-        for leaf in 0..self.engines.len() {
-            if self.health[leaf] != LeafHealth::Healthy {
+        let slots = self.master.registers.len() as u64;
+        for (i, leaf) in self.leaves.iter_mut().enumerate() {
+            if leaf.health != LeafHealth::Healthy {
                 continue;
             }
-            match self.engines[leaf].quiesce() {
+            match leaf.engine.quiesce() {
                 Ok(()) => {}
-                Err(EngineFault::Killed) => self.declare_dead(leaf),
-                Err(fault) => return Err(FabricFault::Quiesce { leaf, fault }),
+                Err(EngineFault::Killed) => leaf.declare_dead(slots),
+                Err(fault) => return Err(FabricFault::Quiesce { leaf: i, fault }),
             }
         }
         Ok(())
@@ -641,23 +655,29 @@ impl Fabric {
         // Partitions never detected by run's end: the packets are gone
         // on the wire either way — fold them into the orphan ledger so
         // reconciliation stays exact.
-        for leaf in 0..self.engines.len() {
-            let voided = std::mem::take(&mut self.void_per_leaf[leaf]);
-            self.orphaned_per_leaf[leaf] += voided;
+        for leaf in &mut self.leaves {
+            leaf.void_to_orphans();
         }
         let robustness = self.robustness();
-        let mut leaves: Vec<EngineReport> = self.engines.into_iter().map(Engine::finish).collect();
+        let health = self.leaves.iter().map(|l| l.health).collect();
+        let orphaned_per_leaf = self.leaves.iter().map(|l| l.orphaned).collect();
         // Stamp per-node robustness into each leaf's snapshot, and the
         // fabric-global counters into a synthetic spine node — the
         // spine is where deaths are detected and orphans are dropped,
         // so that's where a scrape should see them.
-        for (leaf, report) in leaves.iter_mut().enumerate() {
-            if let Some(t) = report.telemetry.as_mut() {
-                t.robustness.leaf_deaths = u64::from(self.health[leaf] != LeafHealth::Healthy);
-                t.robustness.orphaned_packets = self.orphaned_per_leaf[leaf];
-                t.robustness.state_loss_entries = self.state_lost_per_leaf[leaf];
-            }
-        }
+        let leaves: Vec<EngineReport> = self
+            .leaves
+            .into_iter()
+            .map(|leaf| {
+                let mut report = leaf.engine.finish();
+                if let Some(t) = report.telemetry.as_mut() {
+                    t.robustness.leaf_deaths = u64::from(leaf.health != LeafHealth::Healthy);
+                    t.robustness.orphaned_packets = leaf.orphaned;
+                    t.robustness.state_loss_entries = leaf.state_lost;
+                }
+                report
+            })
+            .collect();
         let spine = leaves.iter().any(|r| r.telemetry.is_some()).then(|| {
             let mut snap = TelemetrySnapshot::new(0);
             snap.robustness = robustness;
@@ -666,9 +686,8 @@ impl Fabric {
         FabricReport {
             epoch: self.epoch,
             epochs_rejected: self.epochs_rejected,
-            submitted_per_leaf: self.submitted_per_leaf,
-            orphaned_per_leaf: self.orphaned_per_leaf,
-            health: self.health,
+            orphaned_per_leaf,
+            health,
             failovers: self.failovers,
             robustness,
             route_log: self.route_log,
@@ -685,8 +704,6 @@ pub struct FabricReport {
     pub epoch: u64,
     /// Epochs rejected all-or-nothing in phase one.
     pub epochs_rejected: u64,
-    /// Packets delivered into each leaf's engine.
-    pub submitted_per_leaf: Vec<u64>,
     /// Packets drop-counted per dead owner (degraded windows plus
     /// partition black-holes).
     pub orphaned_per_leaf: Vec<u64>,
@@ -705,9 +722,10 @@ pub struct FabricReport {
 }
 
 impl FabricReport {
-    /// Total packets submitted to the fabric (delivered + orphaned).
+    /// Total packets submitted to the fabric: delivered (each leaf
+    /// report's `submitted`) plus orphaned.
     pub fn submitted(&self) -> u64 {
-        self.submitted_per_leaf.iter().sum::<u64>() + self.orphaned()
+        self.leaves.iter().map(|r| r.submitted).sum::<u64>() + self.orphaned()
     }
 
     /// Packets drop-counted at the spine for dead owners.
@@ -715,19 +733,14 @@ impl FabricReport {
         self.orphaned_per_leaf.iter().sum()
     }
 
-    /// Exact loss reconciliation, per leaf and fabric-wide: every
-    /// packet submitted to the fabric is decided, quarantined (died
-    /// inside a leaf), or orphaned (dropped at the spine for a dead
-    /// owner) — `submitted == decided + quarantined + orphaned`,
-    /// with the per-leaf engine ledgers exact as well.
+    /// Exact loss reconciliation: every packet submitted to the fabric
+    /// is decided, quarantined (died inside a leaf), or orphaned
+    /// (dropped at the spine for a dead owner) —
+    /// `submitted == decided + quarantined + orphaned`. Orphans never
+    /// enter a leaf, so this holds exactly when every leaf's
+    /// [`EngineReport::reconciles`] does.
     pub fn reconciles(&self) -> bool {
-        let per_leaf = self
-            .submitted_per_leaf
-            .iter()
-            .zip(&self.leaves)
-            .all(|(&submitted, r)| submitted == r.stats.packets + r.quarantined.len() as u64);
-        let decided: u64 = self.leaves.iter().map(|r| r.stats.packets).sum();
-        per_leaf && self.submitted() == decided + self.total_quarantined() as u64 + self.orphaned()
+        self.leaves.iter().all(EngineReport::reconciles)
     }
 
     /// Packets lost to quarantine across the fabric.
@@ -944,6 +957,23 @@ mod tests {
             .flat_map(|s| (0..8u32).map(move |v| event(s, v * 10)))
             .collect();
         assert_forwards_like_the_big_switch(&fcfg, &events);
+    }
+
+    /// Each leaf spreads the symbols the spine gives it over all of its
+    /// workers: the worker choice does not reread the spine's bits.
+    #[test]
+    fn every_leaf_uses_every_worker() {
+        let fcfg = FabricConfig::uniform(2, "ev.sym", extractor(), cfg(2));
+        let mut fabric = Fabric::start(&compile(RULES), &fcfg).unwrap();
+        for i in 0..256u32 {
+            fabric.submit(&event(&format!("S{i}"), i), 0);
+        }
+        let report = fabric.finish();
+        assert!(report.reconciles());
+        for (l, leaf) in report.leaves.iter().enumerate() {
+            let per_worker: Vec<u64> = leaf.per_worker.iter().map(|w| w.packets).collect();
+            assert!(!per_worker.contains(&0), "leaf {l}: {per_worker:?}");
+        }
     }
 
     #[test]

@@ -70,13 +70,19 @@ pub const DEFAULT_CACHE_SHIFT: u32 = 10;
 /// SplitMix64 finalizer — decorrelates structured keys (ASCII stock
 /// symbols) before a power-of-two mask or a modulus. The decision
 /// cache, the engine's worker sharding and the fabric's symbol
-/// ownership all mix with it.
+/// ownership all mix with it, each under its own salt (the fabric's
+/// is none), so no level reads the bits another level chose on.
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
+
+/// Salt of [`DecisionCache::slot`]. The keys one worker sees share the
+/// low bits of the spine's leaf choice, so an unsalted slot would leave
+/// most of the worker's slots unreachable.
+const SLOT_SALT: u64 = 0x8cb9_2ba7_2f3d_8dd7;
 
 /// One direct-mapped slot: the key tag plus the memoized per-message
 /// outcome. `ports` is recycled in place on eviction, so a warmed
@@ -134,16 +140,17 @@ impl DecisionCache {
         }
     }
 
+    /// The slot `key` maps to.
     #[inline]
-    fn index(&self, key: u64) -> usize {
-        (mix64(key) as usize) & self.mask
+    pub fn slot(&self, key: u64) -> usize {
+        (mix64(key ^ SLOT_SALT) as usize) & self.mask
     }
 
     /// Looks `key` up; on a hit appends the memoized ports to `ports`
     /// and returns the stored table hit mask, `None` on a miss.
     #[inline]
     pub fn lookup(&self, key: u64, ports: &mut Vec<PortId>) -> Option<u64> {
-        let s = &self.slots[self.index(key)];
+        let s = &self.slots[self.slot(key)];
         if s.valid && s.key == key {
             ports.extend_from_slice(&s.ports);
             Some(s.hit_mask)
@@ -158,7 +165,7 @@ impl DecisionCache {
     /// that was a valid decision for a different key (an eviction).
     #[inline]
     pub fn insert(&mut self, key: u64, appended: &[PortId], hit_mask: u64) -> bool {
-        let i = self.index(key);
+        let i = self.slot(key);
         let s = &mut self.slots[i];
         let evicted = s.valid && s.key != key;
         s.key = key;

@@ -9,7 +9,7 @@
 //! per-stage memory budgets, bounded stage counts).
 //!
 //! Components, mirroring the architecture of Bosshart et al.'s RMT
-//! ("Forwarding Metamorphosis", SIGCOMM'13 — reference [6] of the
+//! ("Forwarding Metamorphosis", SIGCOMM'13 — reference \[6\] of the
 //! paper):
 //!
 //! * [`phv`] — the Packet Header Vector: the typed field bus carried

@@ -190,7 +190,7 @@ pub struct ExecStats {
     /// Loop-bound frames dropped ([`ParseDrop::LoopBound`]).
     pub drop_loop_bound: u64,
     /// Per-table (stage) entry-hit counts, indexed like
-    /// [`Pipeline::tables`].
+    /// [`Pipeline::tables`](Pipeline#structfield.tables).
     pub table_hits: Vec<u64>,
     /// Per-table default-action (miss) counts.
     pub table_misses: Vec<u64>,

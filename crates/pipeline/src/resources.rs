@@ -1,7 +1,7 @@
 //! ASIC resource model: SRAM/TCAM accounting, TCAM range expansion and
 //! stage placement.
 //!
-//! §3.2 "Resource Optimizations": TCAM "consume[s] large area of die and
+//! §3.2 "Resource Optimizations": TCAM "consume\[s\] large area of die and
 //! high power", and "matching on a range in TCAM is not scalable … as
 //! each range-match requires multiple TCAM entries (O(#bits))". This
 //! module makes those costs concrete: ranges are expanded into prefix

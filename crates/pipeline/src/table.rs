@@ -720,7 +720,7 @@ impl Table {
     /// Lowers the table to its prepared form if an entry changed since
     /// the last call, and returns how many rows it lowered: after a
     /// [`Table::replace_runs`], those of the changed states
-    /// ([`IntervalIndex`]), else every row.
+    /// (`IntervalIndex`), else every row.
     pub fn prepare(&mut self) -> usize {
         let patched = match &self.prepared {
             Prepared::Yes(_) => return 0,

@@ -273,7 +273,7 @@ pub mod collection {
 
     use crate::strategy::Strategy;
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,
