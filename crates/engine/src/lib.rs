@@ -26,16 +26,19 @@
 //!
 //! One optional hot-path accelerator rides on top: per-worker [decision
 //! caching](camus_pipeline::DecisionCache) keyed on the sharding field
-//! ([`EngineConfig::decision_cache`] — hits skip the match chain
-//! entirely). Every program the engine installs is armed or not once,
-//! when it is staged, and a worker's cache follows the generation it
-//! runs: emptied at each adoption, dropped for a generation that is not
-//! cacheable, re-armed by the next one that is. The cache and ring
-//! counters live in one [`HotPathStats`] record per worker context —
-//! the executor counts cache outcomes into it, the engine adds the
-//! worker's ring waits when it harvests the worker — and the merged
-//! record is [`EngineReport::hotpath`] and, when telemetry is on,
-//! [`TelemetrySnapshot::hotpath`].
+//! ([`EngineConfig::decision_cache`] — probed per message in the
+//! batch wave's parse phase; hits skip the match chain, misses run the
+//! same whole-batch wave as an uncached program). Every program the
+//! engine installs is armed or not once, when it is started on or
+//! staged, by the config alone — a cache the caller armed on the
+//! program is dropped first — and a worker's cache follows the
+//! generation it runs: emptied at each adoption, dropped for a
+//! generation that is not cacheable, re-armed by the next one that
+//! is. The cache and ring counters live in one [`HotPathStats`] record
+//! per worker context — the executor counts cache outcomes into it,
+//! the engine adds the worker's ring waits when it harvests the worker
+//! — and the merged record is [`EngineReport::hotpath`] and, when
+//! telemetry is on, [`TelemetrySnapshot::hotpath`].
 //!
 //! ## Update plane
 //!
@@ -126,8 +129,8 @@ use std::time::Duration;
 use camus_core::UpdateReport;
 use camus_pipeline::resources::place_chain;
 use camus_pipeline::{
-    AdmissionError, AsicModel, DecisionBuf, ExecStats, ForwardDecision, Pipeline, PipelineError,
-    ShardCtx, Table, DEFAULT_CACHE_SHIFT,
+    AdmissionError, AsicModel, DecisionBuf, ExecState, ExecStats, ForwardDecision, Pipeline,
+    PipelineError, ShardCtx, Table, DEFAULT_CACHE_SHIFT,
 };
 use camus_telemetry::{DataPlaneTelemetry, SpanKind, SpanSet, SpanTimer, TableCounters};
 
@@ -234,7 +237,10 @@ pub struct EngineConfig {
     /// program lacks the field or is not provably cacheable (stateful
     /// bindings, register ops, non-parser-sourced keys — see
     /// [`Pipeline::cacheable_on`]), and re-armed by any later cacheable
-    /// generation. `None` (default) = off.
+    /// generation. `None` (default) = off, whatever the program brings:
+    /// a cache the caller armed on the program itself is dropped when
+    /// the engine starts on or stages the program, and so it is when
+    /// the named field is absent.
     pub decision_cache: Option<String>,
 }
 
@@ -1185,16 +1191,16 @@ impl Engine {
     }
 }
 
-/// Brings a program into the form the engine installs: counters
-/// zeroed, no telemetry record (that is per-worker, attached in
-/// `spawn_worker` — a caller's own must not leak into workers), tables
+/// Brings a program into the form the engine installs: a fresh
+/// execution state — counters zeroed, no telemetry record (that is
+/// per-worker, attached in `spawn_worker` — a caller's own must not
+/// leak into workers) and no decision cache of the caller's — tables
 /// prepared, and [`EngineConfig::decision_cache`] armed when the field
 /// exists and the program is provably cacheable on it (workers clone
 /// the empty cache; otherwise the program quietly runs without one).
+/// The cache follows the config alone.
 fn normalise(cfg: &EngineConfig, program: &mut Pipeline) {
-    program.exec.stats.reset();
-    program.exec.hotpath = HotPathStats::default();
-    program.exec.set_telemetry(None);
+    program.exec = ExecState::default();
     program.prepare();
     if let Some(field) = cfg
         .decision_cache
@@ -1831,8 +1837,11 @@ mod tests {
         assert_eq!(on.decisions, off.decisions);
         assert_eq!(on.stats, off.stats);
         assert_eq!(off.hotpath.cache_hits + off.hotpath.cache_misses, 0);
-        // 7 distinct keys; everything after the first sighting hits.
-        assert!(on.hotpath.cache_hits >= 350, "{:?}", on.hotpath);
+        // 7 distinct keys, each on one worker and no two in one slot:
+        // each key's first sighting misses and every later one hits,
+        // repeats inside one 16-packet batch included — exactly as a
+        // cache consulted one message at a time counts them.
+        assert_eq!((on.hotpath.cache_hits, on.hotpath.cache_misses), (393, 7));
         assert_eq!(
             on.hotpath.cache_hits + on.hotpath.cache_misses,
             on.stats.messages
@@ -1841,24 +1850,35 @@ mod tests {
 
     #[test]
     fn unknown_cache_field_is_silently_disabled() {
-        let pipeline = byte_pipeline();
-        let cfg = EngineConfig {
-            workers: 1,
-            batch_packets: 4,
-            record_decisions: true,
-            decision_cache: Some("no.such.field".into()),
-            ..Default::default()
-        };
+        // An absent field and `None` both run without a cache, also for
+        // a program that arrives armed by its caller: the config alone
+        // decides.
+        let mut armed = byte_pipeline();
+        let sym = armed.layout.get("sym").unwrap();
+        assert!(armed.enable_decision_cache(sym, 4));
         let packets: Vec<Vec<u8>> = (0..16u32).map(|i| vec![(i % 5) as u8]).collect();
-        let report = run_trace(
-            &pipeline,
-            &cfg,
-            first_byte_shard(),
-            packets.iter().map(|p| (p.as_slice(), 0u64)),
-        );
-        assert!(report.error.is_none());
-        assert_eq!(report.hotpath.cache_hits + report.hotpath.cache_misses, 0);
-        assert_eq!(report.decisions.len(), 16);
+        for pipeline in [byte_pipeline(), armed] {
+            for decision_cache in [Some("no.such.field".to_string()), None] {
+                let cfg = EngineConfig {
+                    workers: 1,
+                    batch_packets: 4,
+                    record_decisions: true,
+                    decision_cache,
+                    ..Default::default()
+                };
+                let report = run_trace(
+                    &pipeline,
+                    &cfg,
+                    first_byte_shard(),
+                    packets.iter().map(|p| (p.as_slice(), 0u64)),
+                );
+                assert!(report.error.is_none());
+                let h = report.hotpath;
+                let counts = (h.cache_hits, h.cache_misses, h.cache_evictions);
+                assert_eq!(counts, (0, 0, 0), "{cfg:?}");
+                assert_eq!(report.decisions.len(), 16);
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,27 @@
 //! table chain for every message. This module memoizes the chain's
 //! *outcome* per key value of one designated field (the sharding
 //! field, e.g. `add_order.stock`): on a hit the executor replays the
-//! stored port set and per-table hit/miss counters and skips table
-//! evaluation entirely.
+//! stored port set and per-table hit/miss counters and the message
+//! never reaches the table chain.
+//!
+//! ## In the wave
+//!
+//! The cache rides the executor's one wave ([`crate::pipeline`]). The
+//! parse phase [`probe`](DecisionCache::probe)s each message's key: a
+//! hit replays into the packet's decision and the message never enters
+//! the message pool; a miss *claims* the slot (its tag becomes the key,
+//! with no decision yet) and joins the pool. The chain runs over the
+//! pool as for an uncached program, and the union phase
+//! [`fill`](DecisionCache::fill)s each pooled message's own ports and
+//! hit mask, in arrival order. A later message of the same batch whose
+//! key already claimed its slot counts a hit, as deciding one message
+//! at a time would, and is evaluated in the wave — a cacheable chain
+//! is a pure function of the key, so the decision is the same. Hits,
+//! misses and evictions are therefore exactly those of a cache
+//! consulted one message at a time. A slot replays only what it was
+//! filled with: a batch that fails or unwinds between claim and fill
+//! leaves claimed slots, never a decision they lack, and the next
+//! message of such a key counts a hit, is evaluated and fills it.
 //!
 //! ## Soundness
 //!
@@ -48,16 +67,17 @@
 //! mutated (`add_entry` and `replace_runs` unprepare it) and empties
 //! or drops the cache the same way.
 //!
-//! The cache keeps no counters. [`lookup`](DecisionCache::lookup) says
-//! hit or miss, [`insert`](DecisionCache::insert) whether it evicted,
-//! and the executor counts both into the worker context's
-//! [`HotPathStats`](camus_telemetry::HotPathStats), which outlives any
+//! The cache keeps no counters: [`probe`](DecisionCache::probe) counts
+//! each hit, miss and eviction into the worker context's
+//! [`HotPathStats`], which outlives any
 //! cache the context drops or replaces.
 //!
 //! [`Pipeline::prepare`]: crate::pipeline::Pipeline::prepare
 //! [`Pipeline::cacheable_on`]: crate::pipeline::Pipeline::cacheable_on
 //! [`Pipeline::enable_decision_cache`]: crate::pipeline::Pipeline::enable_decision_cache
 //! [`ShardCtx::adopt`]: crate::pipeline::ShardCtx::adopt
+
+use camus_telemetry::HotPathStats;
 
 use crate::multicast::PortId;
 use crate::phv::PhvField;
@@ -89,8 +109,11 @@ const SLOT_SALT: u64 = 0x8cb9_2ba7_2f3d_8dd7;
 /// cache refills without allocating.
 #[derive(Debug, Clone, Default)]
 struct Slot {
-    key: u64,
-    valid: bool,
+    /// The key the slot is claimed or filled for; `None` when empty.
+    key: Option<u64>,
+    /// Whether `hit_mask` and `ports` are `key`'s decision; a claimed
+    /// slot is not filled until its batch's union phase.
+    filled: bool,
     /// Bit `i` set ⇔ table `i` hit a non-default entry for this key.
     hit_mask: u64,
     /// The ports this key's message contributes (sorted, deduplicated —
@@ -132,11 +155,11 @@ impl DecisionCache {
         self.slots.is_empty()
     }
 
-    /// Drops every memoized decision but keeps the slot storage — the
-    /// generation-bump invalidation path.
+    /// Drops every memoized decision and claim but keeps the slot
+    /// storage — the generation-bump invalidation path.
     pub fn invalidate_all(&mut self) {
         for s in &mut self.slots {
-            s.valid = false;
+            s.key = None;
         }
     }
 
@@ -146,36 +169,48 @@ impl DecisionCache {
         (mix64(key ^ SLOT_SALT) as usize) & self.mask
     }
 
-    /// Looks `key` up; on a hit appends the memoized ports to `ports`
-    /// and returns the stored table hit mask, `None` on a miss.
+    /// Looks `key` up and counts the outcome into `counts`. Returns the
+    /// table hit mask when the slot holds `key`'s decision, whose ports
+    /// it appends to `ports`; `None` when the message must be evaluated:
+    /// its slot is claimed for `key` already (a hit — an earlier message
+    /// of the batch claimed it) or is claimed for it now (a miss, and an
+    /// eviction when the slot was tagged with another key).
     #[inline]
-    pub fn lookup(&self, key: u64, ports: &mut Vec<PortId>) -> Option<u64> {
-        let s = &self.slots[self.slot(key)];
-        if s.valid && s.key == key {
-            ports.extend_from_slice(&s.ports);
-            Some(s.hit_mask)
-        } else {
-            None
-        }
-    }
-
-    /// Memoizes a freshly evaluated decision: the ports the message
-    /// appended (`appended`) and the table hit mask the evaluation
-    /// produced. Replaces whatever occupied the slot; returns whether
-    /// that was a valid decision for a different key (an eviction).
-    #[inline]
-    pub fn insert(&mut self, key: u64, appended: &[PortId], hit_mask: u64) -> bool {
+    pub fn probe(
+        &mut self,
+        key: u64,
+        ports: &mut Vec<PortId>,
+        counts: &mut HotPathStats,
+    ) -> Option<u64> {
         let i = self.slot(key);
         let s = &mut self.slots[i];
-        let evicted = s.valid && s.key != key;
-        s.key = key;
-        s.valid = true;
-        s.hit_mask = hit_mask;
+        if s.key == Some(key) {
+            counts.cache_hits += 1;
+            if !s.filled {
+                return None;
+            }
+            ports.extend_from_slice(&s.ports);
+            return Some(s.hit_mask);
+        }
+        counts.cache_misses += 1;
+        counts.cache_evictions += u64::from(s.key.is_some());
+        (s.key, s.filled) = (Some(key), false);
+        None
+    }
+
+    /// Memoizes `key`'s evaluated decision: the ports its message
+    /// appended and the table hit mask it produced. Takes the slot
+    /// whatever it holds; the executor fills in arrival order, so the
+    /// last claim of a slot is what it keeps.
+    #[inline]
+    pub fn fill(&mut self, key: u64, ports: &[PortId], hit_mask: u64) {
+        let i = self.slot(key);
+        let s = &mut self.slots[i];
+        (s.key, s.filled, s.hit_mask) = (Some(key), true, hit_mask);
         s.ports.clear();
-        s.ports.extend_from_slice(appended);
+        s.ports.extend_from_slice(ports);
         s.ports.sort_unstable();
         s.ports.dedup();
-        evicted
     }
 }
 
@@ -183,41 +218,63 @@ impl DecisionCache {
 mod tests {
     use super::*;
 
-    #[test]
-    fn miss_then_hit_replays_ports_and_mask() {
-        let mut c = DecisionCache::new(PhvField(0), 4);
-        let mut ports = Vec::new();
-        assert_eq!(c.lookup(42, &mut ports), None);
-        assert!(!c.insert(42, &[PortId(3), PortId(1), PortId(3)], 0b101));
-        assert_eq!(c.lookup(42, &mut ports), Some(0b101));
-        // Stored ports are sorted and deduplicated.
-        assert_eq!(ports, vec![PortId(1), PortId(3)]);
-        // Re-filling a key's own slot is no eviction.
-        assert!(!c.insert(42, &[PortId(1)], 0b1));
+    /// Probes `key`: the replayed mask and ports, and the counts.
+    fn probe(c: &mut DecisionCache, key: u64) -> (Option<u64>, Vec<PortId>, HotPathStats) {
+        let (mut ports, mut counts) = (Vec::new(), HotPathStats::default());
+        let mask = c.probe(key, &mut ports, &mut counts);
+        (mask, ports, counts)
+    }
+
+    /// (hits, misses, evictions) of one probe.
+    fn counts(h: HotPathStats) -> (u64, u64, u64) {
+        (h.cache_hits, h.cache_misses, h.cache_evictions)
     }
 
     #[test]
-    fn conflicting_key_evicts() {
+    fn miss_claims_then_fill_replays_ports_and_mask() {
+        let mut c = DecisionCache::new(PhvField(0), 4);
+        let (mask, _, n) = probe(&mut c, 42);
+        assert_eq!((mask, counts(n)), (None, (0, 1, 0)));
+        // Claimed, not filled: a hit that replays nothing.
+        let (mask, ports, n) = probe(&mut c, 42);
+        assert_eq!((mask, ports, counts(n)), (None, vec![], (1, 0, 0)));
+        c.fill(42, &[PortId(3), PortId(1), PortId(3)], 0b101);
+        let (mask, ports, n) = probe(&mut c, 42);
+        assert_eq!(mask, Some(0b101));
+        assert_eq!(counts(n), (1, 0, 0));
+        // Stored ports are sorted and deduplicated.
+        assert_eq!(ports, vec![PortId(1), PortId(3)]);
+    }
+
+    #[test]
+    fn conflicting_key_evicts_claims_and_decisions() {
         let mut c = DecisionCache::new(PhvField(0), 0); // one slot
-        assert!(!c.insert(1, &[PortId(1)], 1));
-        assert!(c.insert(2, &[PortId(2)], 0));
-        let mut ports = Vec::new();
-        assert_eq!(c.lookup(1, &mut ports), None);
-        assert_eq!(c.lookup(2, &mut ports), Some(0));
-        assert_eq!(ports, vec![PortId(2)]);
+        probe(&mut c, 1);
+        c.fill(1, &[PortId(1)], 1);
+        // A filled decision for another key is evicted…
+        assert_eq!(counts(probe(&mut c, 2).2), (0, 1, 1));
+        // …and so is an unfilled claim.
+        assert_eq!(counts(probe(&mut c, 1).2), (0, 1, 1));
+        c.fill(2, &[PortId(2)], 0);
+        c.fill(1, &[PortId(1)], 1);
+        // The last fill keeps the slot.
+        let (mask, ports, _) = probe(&mut c, 1);
+        assert_eq!((mask, ports), (Some(1), vec![PortId(1)]));
+        assert_eq!(probe(&mut c, 2).0, None);
     }
 
     #[test]
     fn invalidate_keeps_storage() {
         let mut c = DecisionCache::new(PhvField(0), 2);
-        c.insert(7, &[PortId(9)], 1);
-        let mut ports = Vec::new();
-        assert_eq!(c.lookup(7, &mut ports), Some(1));
+        c.fill(7, &[PortId(9)], 1);
+        assert_eq!(probe(&mut c, 7).0, Some(1));
         c.invalidate_all();
-        assert_eq!(c.lookup(7, &mut ports), None);
         assert_eq!(c.len(), 4);
-        // An invalidated slot is refilled, not evicted.
-        assert!(!c.insert(8, &[], 0));
+        // An invalidated slot is a miss and no eviction.
+        assert_eq!(
+            (probe(&mut c, 7).0, counts(probe(&mut c, 8).2)),
+            (None, (0, 1, 0))
+        );
     }
 
     #[test]
@@ -225,9 +282,8 @@ mod tests {
         // A key whose message forwards nowhere is still worth caching:
         // the chain is skipped and zero ports are appended.
         let mut c = DecisionCache::new(PhvField(0), 2);
-        c.insert(5, &[], 0);
-        let mut ports = Vec::new();
-        assert_eq!(c.lookup(5, &mut ports), Some(0));
-        assert!(ports.is_empty());
+        c.fill(5, &[], 0);
+        let (mask, ports, n) = probe(&mut c, 5);
+        assert_eq!((mask, ports, counts(n)), (Some(0), vec![], (1, 0, 0)));
     }
 }

@@ -9,17 +9,25 @@
 //! rules). It runs a batch as a *wave*, the way an RMT pipeline keeps
 //! every stage busy with a different packet:
 //!
-//! 1. **parse** every packet of the batch into one pool of message PHVs;
-//! 2. **chain**: apply table 0 to every message, then table 1 to every
-//!    message, and so on, so one table's lookups for many messages are
-//!    in flight together;
-//! 3. **union** each packet's ports and count the packet.
+//! 1. **parse** every packet of the batch into one pool of message
+//!    PHVs — with the decision cache armed, probing it per message: a
+//!    hit replays its stored ports and per-table hit/miss mask into the
+//!    packet's decision and never enters the pool;
+//! 2. **chain**: apply table 0 to every pooled message, then table 1 to
+//!    every message, and so on, so one table's lookups for many
+//!    messages are in flight together — each message into its own
+//!    record (its ports and hit mask);
+//! 3. **union**: fill the cache from each pooled message's record in
+//!    arrival order, append the records' ports to their packets'
+//!    decisions, and form each packet's port union and count the packet.
 //!
 //! Where message order is observable — some table action writes a
-//! register, or the decision cache is armed — phase 2 is a *wave of
-//! one*: the chain runs message by message in arrival order, so
-//! register state and cache hits are exactly those of deciding one
-//! packet after another. [`Pipeline::process`] is a batch of one.
+//! register — phase 2 runs message by message in arrival order, so
+//! register state is exactly that of deciding one packet after
+//! another. That is the only reason it does: the cache's hit, miss and
+//! eviction counts equal a one-message-at-a-time cache's in either
+//! mode (see [`crate::cache`]). [`Pipeline::process`] is a batch of
+//! one.
 
 use std::fmt;
 use std::time::Instant;
@@ -271,10 +279,29 @@ impl ExecStats {
     }
 }
 
+/// One pooled message's record: its packet, the cache key it was
+/// probed with (0 when no cache is armed) and, once the chain ran, its
+/// own outcome — the ports it appended and its table hit mask (bit `i`
+/// set ⇔ table `i` hit; tables from 64 on are not recorded — the
+/// decision cache, the only mask consumer, refuses such chains).
+#[derive(Debug, Clone, Default)]
+struct Pooled {
+    /// The batch index of its packet.
+    packet: u32,
+    /// Its packet's arrival time.
+    now: u64,
+    /// The cache key it was probed with.
+    key: u64,
+    /// The ports it appended.
+    ports: Vec<PortId>,
+    /// Its table hit mask.
+    hit_mask: u64,
+}
+
 /// Reusable per-pipeline execution state: the wave's scratch buffers
 /// for the allocation-free hot path, counters, and the prepared
-/// wave-of-one rule. Cloned with the pipeline (each engine worker gets
-/// its own).
+/// message-by-message rule. Cloned with the pipeline (each engine
+/// worker gets its own).
 #[derive(Debug, Clone, Default)]
 pub struct ExecState {
     /// Execution counters.
@@ -283,20 +310,18 @@ pub struct ExecState {
     /// worker, its ring waits). Kept beside the cache, not in it, so
     /// they survive every cache the context drops or replaces.
     pub hotpath: HotPathStats,
-    /// The batch's parsed messages, in arrival order (reused across
+    /// The batch's messages the chain evaluates — every parsed message
+    /// but those the cache replayed — in arrival order (reused across
     /// batches).
     msgs: PhvBuf,
-    /// Per message: the batch index of its packet.
-    owner: Vec<u32>,
-    /// Per message: whether it added a port.
-    matched: Vec<bool>,
-    /// Per packet: its arrival time.
-    now: Vec<u64>,
+    /// Per pooled message, its record (storage kept across batches, so
+    /// it may be longer than the pool).
+    pooled: Vec<Pooled>,
     /// The parser's working PHV.
     work: Phv,
     /// Whether some table action writes a register, making message
-    /// order observable: the chain then runs a wave of one. Derived by
-    /// [`Pipeline::prepare`], copied by [`ShardCtx::adopt`].
+    /// order observable: the chain then runs message by message.
+    /// Derived by [`Pipeline::prepare`], copied by [`ShardCtx::adopt`].
     serial: bool,
     /// Optional per-shard telemetry (counters + latency histograms).
     /// Boxed so the disabled case costs one pointer; `None` (the
@@ -331,13 +356,6 @@ impl ExecState {
     /// Re-attaches a telemetry record.
     pub fn set_telemetry(&mut self, t: Option<Box<DataPlaneTelemetry>>) {
         self.telemetry = t;
-    }
-
-    /// Whether message order is observable, so the chain runs one
-    /// message at a time: some table action writes a register, or the
-    /// decision cache is armed.
-    fn wave_of_one(&self) -> bool {
-        self.serial || self.cache.is_some()
     }
 }
 
@@ -374,7 +392,8 @@ pub struct Pipeline {
     /// table chain (e.g. the BDD entry state, which is nonzero after
     /// incremental recompilations).
     pub init_fields: Vec<(crate::phv::PhvField, u64)>,
-    /// Scratch buffers, counters and the prepared wave-of-one rule.
+    /// Scratch buffers, counters and the prepared message-by-message
+    /// rule.
     pub exec: ExecState,
 }
 
@@ -396,11 +415,12 @@ impl ShardCtx {
     /// Re-targets this context at a newly published program generation
     /// (the RCU adoption path): registers are re-shaped to the new
     /// program's layout with windowed state carried over, the per-table
-    /// counter vectors are resized, the wave-of-one rule is copied, and
-    /// the decision cache follows the program's own: emptied in place
-    /// when both are armed on the same key (the generation bump is the
-    /// cache's invalidation signal), an empty copy of the program's
-    /// when only the program is armed, dropped when the program is not.
+    /// counter vectors are resized, the message-by-message rule is
+    /// copied, and the decision cache follows the program's own:
+    /// emptied in place when both are armed on the same key (the
+    /// generation bump is the cache's invalidation signal), an empty
+    /// copy of the program's when only the program is armed, dropped
+    /// when the program is not.
     /// Telemetry and cumulative counters (the hot-path record included)
     /// survive adoption, and a kept cache's slot storage is reused, so
     /// adopting a program armed like the last allocates only for the
@@ -415,20 +435,14 @@ impl ShardCtx {
         self.exec.stats.table_hits.resize(n, 0);
         self.exec.stats.table_misses.resize(n, 0);
         self.exec.serial = program.exec.serial;
-        self.exec.cache = match (program.exec.cache.as_deref(), self.exec.cache.take()) {
-            (None, _) => None,
-            (Some(armed), Some(mut c))
-                if c.key_field() == armed.key_field() && c.len() == armed.len() =>
-            {
-                c.invalidate_all();
-                Some(c)
-            }
-            (Some(armed), _) => {
-                let mut c = Box::new(armed.clone());
-                c.invalidate_all();
-                Some(c)
-            }
-        };
+        let kept = self.exec.cache.take();
+        self.exec.cache = program.exec.cache.as_deref().map(|armed| {
+            let mut c = kept
+                .filter(|c| c.key_field() == armed.key_field() && c.len() == armed.len())
+                .unwrap_or_else(|| Box::new(armed.clone()));
+            c.invalidate_all();
+            c
+        });
     }
 }
 
@@ -441,9 +455,9 @@ fn ns_between(start: Instant, end: Instant) -> u64 {
 impl Pipeline {
     /// Prepares the pipeline for execution: lowers every changed table
     /// to its prepared form ([`Table::prepare`]), sizes the per-table
-    /// counters, and derives the wave-of-one rule (some table action
-    /// writes a register). Idempotent and cheap when nothing changed;
-    /// called automatically by [`Pipeline::process`].
+    /// counters, and derives the message-by-message rule (some table
+    /// action writes a register). Idempotent and cheap when nothing
+    /// changed; called automatically by [`Pipeline::process`].
     pub fn prepare(&mut self) {
         let up_to_date = self.tables.iter().all(Table::is_prepared)
             && self.exec.stats.table_hits.len() == self.tables.len();
@@ -539,9 +553,10 @@ impl Pipeline {
     /// Builds a fresh per-worker execution context for running *this*
     /// program via [`Pipeline::process_batch_shared`]. The pipeline
     /// must be prepared (this method prepares it); the context clones
-    /// the register file, the sized counter vectors, the wave-of-one
-    /// rule and — when armed — an empty decision cache, so the first
-    /// batch through the context already runs the allocation-free path.
+    /// the register file, the sized counter vectors, the
+    /// message-by-message rule and — when armed — an empty decision
+    /// cache, so the first batch through the context already runs the
+    /// allocation-free path.
     pub fn new_shard_ctx(&mut self) -> ShardCtx {
         self.prepare();
         ShardCtx {
@@ -563,8 +578,9 @@ impl Pipeline {
     /// The batch runs as one wave (module docs). Decisions, counters,
     /// register state and cache counters equal those of deciding the
     /// packets one batch of one at a time. It is the allocation-free hot
-    /// path: after a warmup batch has sized the context's message pool
-    /// and `out`'s port vectors, it performs zero heap allocations.
+    /// path: after a warmup batch has sized the context's message pool,
+    /// its outcome slots and `out`'s port vectors, it performs zero
+    /// heap allocations.
     ///
     /// On a config-class error (`TableNotPrepared`, `UnknownGroup`,
     /// `RegisterOutOfRange`), `out` ends at the failing packet's slot,
@@ -587,11 +603,11 @@ impl Pipeline {
         let base = out.len();
         self.parse_wave(registers, exec, packets, out)?;
         let t_parsed = t_start.map(|_| Instant::now());
-        let batch = &mut out.slots[base..out.len];
-        if let Err((packet, e)) = self.chain_wave(registers, exec, batch) {
+        if let Err((packet, e)) = self.chain_wave(registers, exec) {
             out.len = base + packet + 1;
             return Err(e);
         }
+        let batch = &mut out.slots[base..out.len];
         let t_matched = t_start.map(|_| Instant::now());
         union_wave(exec, batch);
         if let (Some(start), Some(parsed), Some(matched), Some(t)) =
@@ -607,14 +623,17 @@ impl Pipeline {
         Ok(())
     }
 
-    /// Phase 1: parses every packet into the message pool, claiming its
-    /// decision slot. A parse-class failure is the packet's typed drop
-    /// decision, never an `Err`: one garbage frame cannot abort a batch
-    /// or wedge a worker. `init_fields` are written into every message;
-    /// outside a wave of one, so are the state bindings, read once per
-    /// packet — no table writes a register then, and reads are
-    /// idempotent at a fixed `now_us` (the window roll is aligned to
-    /// the timestamp).
+    /// Phase 1: parses every packet, claiming its decision slot, and
+    /// pools its messages. A parse-class failure is the packet's typed
+    /// drop decision, never an `Err`: one garbage frame cannot abort a
+    /// batch or wedge a worker. `init_fields` are written into every
+    /// message; unless the chain runs message by message, so are the
+    /// state bindings, read once per packet — no table writes a
+    /// register then, and reads are idempotent at a fixed `now_us` (the
+    /// window roll is aligned to the timestamp). With the cache armed,
+    /// each message then probes it: a hit replays its ports into the
+    /// decision and its hit mask into the table counters and leaves the
+    /// pool; the rest are pooled, each with a fresh record.
     fn parse_wave<'a, I>(
         &self,
         registers: &mut RegisterFile,
@@ -625,21 +644,19 @@ impl Pipeline {
     where
         I: IntoIterator<Item = (&'a [u8], u64)>,
     {
-        let bindings_now = !exec.wave_of_one();
         let ExecState {
+            stats,
+            hotpath,
             msgs,
-            owner,
-            now,
+            pooled,
             work,
+            serial,
+            cache,
             ..
         } = exec;
         msgs.clear();
-        owner.clear();
-        now.clear();
-        for (bytes, now_us) in packets {
-            // A batch stays far below 2^32 packets.
-            let packet = now.len() as u32;
-            now.push(now_us);
+        // A batch stays far below 2^32 packets.
+        for (packet, (bytes, now_us)) in (0u32..).zip(packets) {
             let decision = out.next_slot();
             let first = msgs.len();
             if let Err(e) = self.parser.parse_into(&self.layout, bytes, work, msgs) {
@@ -648,14 +665,13 @@ impl Pipeline {
                 continue;
             }
             decision.messages = msgs.len() - first;
-            owner.resize(msgs.len(), packet);
             let fresh = &mut msgs.as_mut_slice()[first..];
             for phv in fresh.iter_mut() {
                 for &(f, v) in &self.init_fields {
                     phv.set(f, v);
                 }
             }
-            if bindings_now {
+            if !*serial {
                 for b in &self.state_bindings {
                     let v = registers
                         .read(b.slot, b.agg, now_us)
@@ -665,121 +681,108 @@ impl Pipeline {
                     }
                 }
             }
-        }
-        Ok(())
-    }
-
-    /// Phase 2: the table chain over every message — as one wave, or
-    /// message by message in a wave of one (bindings, then the cache
-    /// lookup or the chain and the insert, exactly as deciding each
-    /// message alone). `Err` names the batch index of the packet the
-    /// wave failed on.
-    fn chain_wave(
-        &self,
-        registers: &mut RegisterFile,
-        exec: &mut ExecState,
-        batch: &mut [ForwardDecision],
-    ) -> Result<(), (usize, PipelineError)> {
-        let wave_of_one = exec.wave_of_one();
-        let ExecState {
-            stats,
-            hotpath,
-            msgs,
-            owner,
-            matched,
-            now,
-            cache,
-            ..
-        } = exec;
-        let msgs = msgs.as_mut_slice();
-        matched.clear();
-        matched.resize(msgs.len(), false);
-        if !wave_of_one {
-            let wave = (msgs, &owner[..], &mut matched[..]);
-            return self.tables(registers, stats, wave, now, batch).map(drop);
-        }
-        for mi in 0..msgs.len() {
-            let packet = owner[mi] as usize;
-            let phv = &mut msgs[mi];
-            for b in &self.state_bindings {
-                let v = registers
-                    .read(b.slot, b.agg, now[packet])
-                    .map_err(|s| (packet, PipelineError::RegisterOutOfRange(s)))?;
-                phv.set(b.dst, v);
-            }
-            let one = (&mut msgs[mi..=mi], &owner[mi..=mi], &mut matched[mi..=mi]);
-            let Some(c) = cache.as_deref_mut() else {
-                self.tables(registers, stats, one, now, batch)?;
-                continue;
-            };
-            // The key is read before the chain runs: a mid-chain
-            // `SetField` may overwrite the key field, but the memoized
-            // decision is keyed on the *initial* value.
-            let key = one.0[0].get_or_zero(c.key_field());
-            let before = batch[packet].ports.len();
-            match c.lookup(key, &mut batch[packet].ports) {
-                // Replay the per-table hit/miss counters so the cached
-                // path is counter-identical to evaluation.
-                Some(mask) => {
-                    hotpath.cache_hits += 1;
+            let mut kept = 0;
+            for mi in 0..fresh.len() {
+                // The key is read before the chain runs: a mid-chain
+                // `SetField` may overwrite the key field, but a decision
+                // is keyed on its *initial* value.
+                let before = decision.ports.len();
+                let (key, replayed) = match cache.as_deref_mut() {
+                    Some(c) => {
+                        let key = fresh[mi].get_or_zero(c.key_field());
+                        (key, c.probe(key, &mut decision.ports, hotpath))
+                    }
+                    None => (0, None),
+                };
+                if let Some(mask) = replayed {
+                    // Replay the per-table hit/miss counters too, so a
+                    // hit is counter-identical to evaluation.
                     let counters = stats.table_hits.iter_mut().zip(&mut stats.table_misses);
                     for (ti, (hits, misses)) in counters.enumerate() {
                         *if (mask >> ti) & 1 == 1 { hits } else { misses } += 1;
                     }
-                    one.2[0] = batch[packet].ports.len() > before;
+                    decision.matched_messages += usize::from(decision.ports.len() > before);
+                    continue;
                 }
-                None => {
-                    hotpath.cache_misses += 1;
-                    let mask = self.tables(registers, stats, one, now, batch)?;
-                    if c.insert(key, &batch[packet].ports[before..], mask) {
-                        hotpath.cache_evictions += 1;
-                    }
+                fresh.swap(mi, kept);
+                if pooled.len() == first + kept {
+                    pooled.push(Pooled::default());
                 }
+                let p = &mut pooled[first + kept];
+                (p.packet, p.now, p.key, p.hit_mask) = (packet, now_us, key, 0);
+                p.ports.clear();
+                kept += 1;
             }
+            msgs.truncate(first + kept);
         }
         Ok(())
     }
 
-    /// Applies table 0 to every message of `wave` — `(messages, their
-    /// packets' batch indices, whether each added a port)` — then table
-    /// 1, and so on, with each table's prepared index fetched once and
-    /// its hit/miss counters added once. Returns a mask with bit `i` set
-    /// when every message hit table `i` (a one-message wave's hit mask;
-    /// tables ≥ 64 are not recorded — the decision cache, the only mask
-    /// consumer, refuses such chains).
+    /// Phase 2: the table chain over every pooled message, each into its
+    /// own record — as one wave, or message by message when some
+    /// table writes a register (bindings, then the chain, exactly as
+    /// deciding each message alone). `Err` names the batch index of the
+    /// packet the wave failed on.
+    fn chain_wave(
+        &self,
+        registers: &mut RegisterFile,
+        exec: &mut ExecState,
+    ) -> Result<(), (usize, PipelineError)> {
+        let ExecState {
+            stats,
+            msgs,
+            pooled,
+            serial,
+            ..
+        } = exec;
+        let msgs = msgs.as_mut_slice();
+        let pooled = &mut pooled[..msgs.len()];
+        if !*serial {
+            return self.tables(registers, stats, msgs, pooled);
+        }
+        for mi in 0..msgs.len() {
+            let (packet, now_us) = (pooled[mi].packet as usize, pooled[mi].now);
+            for b in &self.state_bindings {
+                let v = registers
+                    .read(b.slot, b.agg, now_us)
+                    .map_err(|s| (packet, PipelineError::RegisterOutOfRange(s)))?;
+                msgs[mi].set(b.dst, v);
+            }
+            self.tables(registers, stats, &mut msgs[mi..=mi], &mut pooled[mi..=mi])?;
+        }
+        Ok(())
+    }
+
+    /// Applies table 0 to every message of `msgs`, then table 1, and so
+    /// on, each message's ports and hits into its own record, with each
+    /// table's prepared index fetched once and its hit/miss counters
+    /// added once.
     fn tables(
         &self,
         registers: &mut RegisterFile,
         stats: &mut ExecStats,
-        (msgs, owner, matched): (&mut [Phv], &[u32], &mut [bool]),
-        now: &[u64],
-        batch: &mut [ForwardDecision],
-    ) -> Result<u64, (usize, PipelineError)> {
-        let Some(&first) = owner.first() else {
-            return Ok(0);
+        msgs: &mut [Phv],
+        pooled: &mut [Pooled],
+    ) -> Result<(), (usize, PipelineError)> {
+        let Some(first) = pooled.first().map(|p| p.packet as usize) else {
+            return Ok(());
         };
-        let mut all_hit = 0u64;
         for (ti, t) in self.tables.iter().enumerate() {
-            let index = t.index().map_err(|e| (first as usize, e))?;
+            let index = t.index().map_err(|e| (first, e))?;
+            let bit = if ti < 64 { 1 << ti } else { 0 };
             let mut hits = 0u64;
-            for ((phv, &packet), matched) in msgs.iter_mut().zip(owner).zip(matched.iter_mut()) {
+            for (phv, p) in msgs.iter_mut().zip(pooled.iter_mut()) {
                 let hit = index.lookup(phv);
                 hits += u64::from(hit.is_some());
+                p.hit_mask |= if hit.is_some() { bit } else { 0 };
                 let ops = hit.unwrap_or(&t.default_ops);
-                let packet = packet as usize;
-                let ports = &mut batch[packet].ports;
-                let before = ports.len();
-                self.apply(ops, registers, phv, now[packet], ports)
-                    .map_err(|e| (packet, e))?;
-                *matched |= ports.len() > before;
+                self.apply(ops, registers, phv, p.now, &mut p.ports)
+                    .map_err(|e| (p.packet as usize, e))?;
             }
             stats.table_hits[ti] += hits;
             stats.table_misses[ti] += msgs.len() as u64 - hits;
-            if ti < 64 && hits == msgs.len() as u64 {
-                all_hit |= 1 << ti;
-            }
         }
-        Ok(all_hit)
+        Ok(())
     }
 
     /// Runs one table's winning (or default) actions on a message.
@@ -846,17 +849,25 @@ impl Pipeline {
     }
 }
 
-/// Phase 3: counts each message that added a port, then forms each
+/// Phase 3: fills the cache from each pooled message's record in
+/// arrival order, appends its ports to its packet's decision
+/// (counting the message when it added a port), then forms each
 /// packet's port union and counts the packet.
 fn union_wave(exec: &mut ExecState, batch: &mut [ForwardDecision]) {
     let ExecState {
         stats,
-        owner,
-        matched,
+        msgs,
+        pooled,
+        cache,
         ..
     } = exec;
-    for (&packet, _) in owner.iter().zip(matched.iter()).filter(|(_, &m)| m) {
-        batch[packet as usize].matched_messages += 1;
+    for p in &pooled[..msgs.len()] {
+        if let Some(c) = cache.as_deref_mut() {
+            c.fill(p.key, &p.ports, p.hit_mask);
+        }
+        let d = &mut batch[p.packet as usize];
+        d.matched_messages += usize::from(!p.ports.is_empty());
+        d.ports.extend_from_slice(&p.ports);
     }
     for d in batch {
         stats.packets += 1;
@@ -1273,6 +1284,30 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_batch_leaves_no_decision_to_replay() {
+        // Key 7 multicasts to a group that does not exist, so its batch
+        // fails after its probe claimed the slot and before any fill:
+        // the retry must fail the same way, not replay an empty
+        // decision from the claimed slot.
+        let mut p = cacheable_pipeline();
+        p.tables[0]
+            .add_entry(Entry {
+                priority: 0,
+                matches: vec![MatchValue::Exact(7)],
+                ops: vec![ActionOp::Multicast(GroupId(99))],
+            })
+            .unwrap();
+        let sym = p.layout.get("sym").unwrap();
+        assert!(p.enable_decision_cache(sym, 4));
+        for now_us in 0..2 {
+            assert_eq!(
+                p.process(&[7], now_us),
+                Err(PipelineError::UnknownGroup(99))
+            );
+        }
+    }
+
+    #[test]
     fn table_mutation_invalidates_cache() {
         let mut p = cacheable_pipeline();
         let sym = p.layout.get("sym").unwrap();
@@ -1308,7 +1343,7 @@ mod tests {
 
     #[test]
     fn config_error_ends_the_batch_at_the_failing_packet() {
-        // `tiny_pipeline` writes a register (a wave of one);
+        // `tiny_pipeline` writes a register (message by message);
         // `cacheable_pipeline` runs the whole-batch wave. In both, the
         // third packet hits an unallocated group: `out` ends at its slot.
         for serial in [true, false] {

@@ -12,14 +12,16 @@ use std::sync::Arc;
 
 use camus_pipeline::bits::{extract_bits, insert_bits};
 use camus_pipeline::parser::{Extract, ParseState, ParserSpec, StateId, Transition};
-use camus_pipeline::phv::PhvLayout;
+use camus_pipeline::phv::{Phv, PhvField, PhvLayout};
 use camus_pipeline::pipeline::StateBinding;
 use camus_pipeline::register::{AggKind, RegisterFile};
 use camus_pipeline::resources::range_to_prefixes;
 use camus_pipeline::table::{ActionOp, Entry, Key, MatchKind, MatchValue, RegOp, Table};
 use camus_pipeline::{
-    DecisionBuf, ExecState, ForwardDecision, GroupId, MulticastTable, ParseDrop, Pipeline, PortId,
+    DecisionBuf, DecisionCache, ExecState, ForwardDecision, GroupId, MulticastTable, ParseDrop,
+    Pipeline, PortId,
 };
+use camus_telemetry::HotPathStats;
 use proptest::prelude::*;
 
 // ----------------------------------------------------------- bits
@@ -424,9 +426,48 @@ fn random_frames(d: &mut Draw) -> Vec<(Vec<u8>, u64)> {
         .collect()
 }
 
+/// A decision cache consulted one message at a time, as tags only:
+/// the key each slot last held (slots from [`DecisionCache::slot`]),
+/// and the hits, misses and evictions such a cache counts.
+struct SlotModel {
+    cache: DecisionCache,
+    tags: Vec<Option<u64>>,
+    counts: HotPathStats,
+}
+
+impl SlotModel {
+    fn new(key_field: PhvField, shift: u32) -> Self {
+        SlotModel {
+            cache: DecisionCache::new(key_field, shift),
+            tags: vec![None; 1 << shift],
+            counts: HotPathStats::default(),
+        }
+    }
+
+    /// A hit when the key's slot holds the key; else a miss, and an
+    /// eviction when it held another key.
+    fn consult(&mut self, phv: &Phv) {
+        let key = phv.get_or_zero(self.cache.key_field());
+        let tag = &mut self.tags[self.cache.slot(key)];
+        if *tag == Some(key) {
+            self.counts.cache_hits += 1;
+        } else {
+            self.counts.cache_misses += 1;
+            self.counts.cache_evictions += u64::from(tag.is_some());
+            *tag = Some(key);
+        }
+    }
+}
+
 /// Deciding one message at a time, every table in turn, as a switch
 /// with one message in flight would: the semantics the wave must keep.
-fn message_at_a_time(p: &mut Pipeline, frame: &[u8], now_us: u64) -> ForwardDecision {
+/// With a `model`, each message consults it before the chain runs.
+fn message_at_a_time(
+    p: &mut Pipeline,
+    frame: &[u8],
+    now_us: u64,
+    mut model: Option<&mut SlotModel>,
+) -> ForwardDecision {
     let msgs = match p.parser.parse(&p.layout, frame) {
         Ok(msgs) => msgs,
         Err(e) => {
@@ -446,6 +487,9 @@ fn message_at_a_time(p: &mut Pipeline, frame: &[u8], now_us: u64) -> ForwardDeci
         }
         for b in &p.state_bindings {
             phv.set(b.dst, p.registers.read(b.slot, b.agg, now_us).unwrap());
+        }
+        if let Some(m) = model.as_deref_mut() {
+            m.consult(&phv);
         }
         let before = d.ports.len();
         for t in &p.tables {
@@ -487,19 +531,20 @@ proptest! {
     /// One batch of N frames equals N batches of one — decisions,
     /// `ExecStats`, the register file after the batch and the cache
     /// counters — and every decision and the final registers equal
-    /// deciding one message at a time. Programs with and without
-    /// register writes, with the decision cache armed where the program
-    /// allows it and not, so both the whole-batch wave and the wave of
-    /// one run.
+    /// deciding one message at a time, and the cache counters those of
+    /// a tag-only model consulted one message at a time. Programs with
+    /// and without register writes, with the decision cache armed where
+    /// the program allows it and not, on 1, 2 or 4 slots so that keys
+    /// conflict within a batch and within a packet; so both the
+    /// whole-batch wave and the message-by-message chain run.
     #[test]
-    fn one_wave_equals_batches_of_one(seed: u64, stateful: bool, cache: bool) {
+    fn one_wave_equals_batches_of_one(seed: u64, stateful: bool, cache: bool, shift in 0u32..3) {
         let mut d = Draw(seed);
         let mut program = random_program(&mut d, stateful);
         let frames = random_frames(&mut d);
-        if cache {
-            let sym = program.layout.get("sym").unwrap();
-            program.enable_decision_cache(sym, 2);
-        }
+        let sym = program.layout.get("sym").unwrap();
+        let armed = cache && program.enable_decision_cache(sym, shift);
+        let mut model = armed.then(|| SlotModel::new(sym, shift));
         program.prepare();
         let mut reference = program.clone();
         let mut wave = program.new_shard_ctx();
@@ -515,7 +560,7 @@ proptest! {
             program
                 .process_batch_shared(&mut ones, [(frame.as_slice(), *now_us)], &mut one)
                 .unwrap();
-            let want = message_at_a_time(&mut reference, frame, *now_us);
+            let want = message_at_a_time(&mut reference, frame, *now_us, model.as_mut());
             prop_assert_eq!(&one.as_slice()[0], &out.as_slice()[i], "frame {} {:?}", i, frame);
             prop_assert_eq!(&want, &out.as_slice()[i], "frame {} {:?}", i, frame);
         }
@@ -524,6 +569,13 @@ proptest! {
         prop_assert_eq!(&wave.registers, &ones.registers);
         prop_assert_eq!(&wave.registers, &reference.registers);
         prop_assert_eq!(wave.exec.hotpath, ones.exec.hotpath);
+        let m = model.map_or_else(HotPathStats::default, |m| m.counts);
+        for h in [wave.exec.hotpath, ones.exec.hotpath] {
+            prop_assert_eq!(
+                (h.cache_hits, h.cache_misses, h.cache_evictions),
+                (m.cache_hits, m.cache_misses, m.cache_evictions)
+            );
+        }
     }
 }
 

@@ -295,8 +295,9 @@ fn netcache_example_routes_on_keys_and_actually_hits_the_decision_cache() {
 /// decision against a fresh compile deciding the packet alone and
 /// against the naive AST interpreter: 1–4-message frames, noise
 /// messages, truncated and garbage frames, in batches of 64 — price
-/// subscriptions with the decision cache off (the whole-batch wave),
-/// symbol-only ones with it armed on `stock` (the wave of one).
+/// subscriptions with the decision cache off, symbol-only ones with it
+/// armed on `stock` (probed in the parse phase, its misses evaluated in
+/// the same whole-batch wave).
 #[test]
 fn one_wave_over_a_batch_agrees_with_the_oracle() {
     let spec = parse_spec(camus::lang::spec::ITCH_SPEC).unwrap();
