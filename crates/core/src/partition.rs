@@ -34,8 +34,13 @@
 //!   are replicated in full.
 //!
 //! [`PartitionPlan::leaves_of`] is the one place that decides where a
-//! row lives. A slice keeps each table's rows in order and shares every
-//! run it keeps whole with the master ([`Table::retain`]).
+//! row lives; a slice asks it once per run of rows naming one state, and
+//! row by row only for the sharding table's pinned rows. A slice keeps
+//! each table's rows in order, shares every run it keeps whole with the
+//! master, and comes out on the master's prepared index
+//! ([`Table::retain_runs`]): a leaf's prepare re-points the states the
+//! leaf drops at the miss run and lowers only the runs the partition
+//! splits — the sharding table's, divided by owner.
 //!
 //! Two invariants make the fabric provably equivalent to the big
 //! switch (and are property-tested in `crates/core/tests/prop.rs`):
@@ -212,6 +217,14 @@ impl PartitionPlan {
             .is_some_and(|k| k.field == self.state_phv)
     }
 
+    /// Whether `table` is the sharding table, whose rows pin symbols.
+    fn sharding(&self, table: &Table) -> bool {
+        table
+            .keys()
+            .get(1)
+            .is_some_and(|k| k.field == self.shard_phv)
+    }
+
     /// The leaves that can reach row `e` of `table`; 0 for an orphan.
     fn placed(&self, table: &Table, e: &Entry) -> u64 {
         if !self.state_keyed(table) {
@@ -225,11 +238,7 @@ impl PartitionPlan {
             // wherever the table runs.
             _ => self.live_mask,
         };
-        let shard_table = table
-            .keys()
-            .get(1)
-            .is_some_and(|k| k.field == self.shard_phv);
-        if let (true, Some(&MatchValue::Exact(v))) = (shard_table, e.matches.get(1)) {
+        if let (true, Some(&MatchValue::Exact(v))) = (self.sharding(table), e.matches.get(1)) {
             // A pinned symbol row lives only on the symbol's (possibly
             // failed-over) owner; wildcard/exclusion rows replicate.
             mask &= 1 << owner_in_subset(v, self.leaves, self.live_mask);
@@ -262,8 +271,10 @@ impl PartitionPlan {
         Pipeline {
             layout: pipeline.layout.clone(),
             parser: pipeline.parser.clone(),
+            // The rows of a run name one state, so they share their
+            // leaves, unless they pin symbols: one decision per run.
             tables: (pipeline.tables.iter())
-                .map(|t| t.retain(|e| self.leaves_of(t, e) & bit != 0))
+                .map(|t| t.retain_runs(!self.sharding(t), |e| self.leaves_of(t, e) & bit != 0))
                 .collect(),
             mcast: pipeline.mcast.clone(),
             registers: pipeline.registers.clone(),
@@ -345,6 +356,96 @@ mod tests {
             assert!(t.is_prepared(), "{} lowered again", t.name);
             assert_eq!(t.len(), master.len());
         }
+    }
+
+    /// Per live leaf of `master` cut `leaves` ways: `(rows its slice's
+    /// tables lower when prepared, rows of the sharding table whose state
+    /// lost a row to another leaf)`.
+    fn lowered_and_split(master: &Pipeline, leaves: usize) -> Vec<(usize, usize)> {
+        let plan = PartitionPlan::compute(master, "add_order.stock", leaves).unwrap();
+        let shard = master.layout.get("add_order.stock").unwrap();
+        let shard_table = (master.tables.iter())
+            .find(|t| t.keys().get(1).is_some_and(|k| k.field == shard))
+            .unwrap();
+        (0..leaves)
+            .map(|l| {
+                let mut slice = plan.slice(master, l);
+                let lowered = slice.tables.iter_mut().map(Table::prepare).sum();
+                let held = |e: &Entry| plan.leaves_of(shard_table, e) & (1 << l) != 0;
+                let lost: Vec<_> = shard_table.entries().filter(|e| !held(e)).collect();
+                let split = (shard_table.entries().filter(|e| held(e)))
+                    .filter(|e| lost.iter().any(|d| d.matches[0] == e.matches[0]))
+                    .count();
+                (lowered, split)
+            })
+            .collect()
+    }
+
+    /// The ITCH price rules: `stock == S ∧ price > P`, 100 symbols.
+    fn itch_rules(n: usize) -> Vec<camus_lang::ast::Rule> {
+        let cfg = camus_workload::ItchSubsConfig {
+            subscriptions: n,
+            ..Default::default()
+        };
+        camus_workload::generate_itch_subscriptions(&cfg)
+    }
+
+    fn itch_spec() -> camus_lang::spec::Spec {
+        parse_spec(camus_lang::spec::ITCH_SPEC).unwrap()
+    }
+
+    /// A leaf's slice comes out on the master's prepared index: a leaf
+    /// lowers only the sharding table's runs the partition splits among
+    /// leaves (at most its 100 pinned symbols and the wildcard row), and
+    /// nothing at one leaf.
+    #[test]
+    fn an_epoch_lowers_only_the_runs_the_partition_split() {
+        let compiler = Compiler::new(itch_spec(), CompilerOptions::default()).unwrap();
+        let master = compiler.compile(&itch_rules(1000)).unwrap().pipeline;
+        for leaves in [1, 2, 4] {
+            let per_leaf = lowered_and_split(&master, leaves);
+            eprintln!("1 000 rules, {leaves} leaves: (lowered, split) per leaf {per_leaf:?}");
+            for (l, (lowered, split)) in per_leaf.into_iter().enumerate() {
+                assert_eq!(lowered, split, "leaves={leaves} leaf={l}");
+                assert!(
+                    split <= 101 && (leaves > 1 || split == 0),
+                    "{split} split rows"
+                );
+            }
+        }
+    }
+
+    /// What a leaf lowers per epoch does not grow with the program: over
+    /// eight session updates (one rule in and out again) on 2 leaves, at
+    /// most twice as many rows at 5 000 rules as at 1 000.
+    #[test]
+    fn an_epoch_lowers_as_many_rows_at_5_000_rules_as_at_1_000() {
+        let per_leaf_epoch = |n: usize| {
+            let pool = itch_rules(n + 4);
+            let opts = CompilerOptions::default();
+            let mut session = crate::IncrementalCompiler::new(itch_spec(), &opts, &pool).unwrap();
+            session.install(&pool[..n]).unwrap();
+            let mut lowered = 0;
+            for i in 0..8 {
+                let rule = std::slice::from_ref(&pool[n + i / 2]);
+                let (add, remove) = if i % 2 == 0 {
+                    (rule, &[][..])
+                } else {
+                    (&[][..], rule)
+                };
+                let master = session.update(add, remove).unwrap().pipeline;
+                lowered += (lowered_and_split(&master, 2).iter())
+                    .map(|&(rows, _)| rows)
+                    .sum::<usize>();
+            }
+            lowered as f64 / 16.0
+        };
+        let (small, large) = (per_leaf_epoch(1000), per_leaf_epoch(5000));
+        eprintln!("rows lowered per leaf per epoch: {small} at 1 000 rules, {large} at 5 000");
+        assert!(
+            large <= 2.0 * small,
+            "{large} rows at 5 000 rules, {small} at 1 000"
+        );
     }
 
     #[test]

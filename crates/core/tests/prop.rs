@@ -593,3 +593,128 @@ proptest! {
         prop_assert_eq!(plan_at(1), plan_at(8));
     }
 }
+
+/// Holds every live leaf's slice of `master` under `plan`, prepared on
+/// the master's index, to the same slice lowered anew: each table
+/// built anew from the slice's rows (`Table::new` + `add_entry`, then
+/// `prepare`) must decide every probe the same, for every state of the
+/// master — those the leaf dropped included — at every interval start
+/// and one below it. Only the sharding table lowers rows again.
+fn repointed_slices_decide_like_fresh_ones(
+    master: &camus_pipeline::pipeline::Pipeline,
+    plan: &camus_core::PartitionPlan,
+) -> Result<(), TestCaseError> {
+    use camus_pipeline::table::{MatchValue, Table};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    let shard = master.layout.get(&plan.shard_field).unwrap();
+    let bounds = |m: &MatchValue| match *m {
+        MatchValue::Exact(v) => vec![v, v.wrapping_add(1)],
+        MatchValue::Range { lo, hi } => vec![lo, hi.wrapping_add(1)],
+        MatchValue::Any => vec![],
+    };
+    for leaf in (0..plan.leaves).filter(|l| plan.live_mask & (1 << l) != 0) {
+        let slice = plan.slice(master, leaf);
+        for (t, cut) in master.tables.iter().zip(&slice.tables) {
+            let mut repointed = cut.clone();
+            let lowered = repointed.prepare();
+            let keys = t.keys().to_vec();
+            let mut fresh =
+                Table::new(t.name.clone(), keys.clone(), t.default_ops.clone()).unwrap();
+            for e in cut.entries() {
+                fresh.add_entry(e.clone()).unwrap();
+            }
+            fresh.prepare();
+            let sharded = keys.get(1).is_some_and(|k| k.field == shard);
+            if !sharded {
+                prop_assert_eq!(lowered, 0, "table {} leaf {} lowered again", t.name, leaf);
+            }
+            // Interval starts by the first key's value (every state of
+            // the master's table when there are two keys), each start
+            // with the value one below it.
+            let mut starts: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+            for e in t.entries() {
+                let (first, rest) = e.matches.split_first().unwrap();
+                let firsts = match (first, rest.is_empty()) {
+                    (&MatchValue::Exact(s), false) => vec![s],
+                    (_, false) => vec![],
+                    (m, true) => bounds(m),
+                };
+                let seconds = rest.first().map_or(vec![0], bounds);
+                for f in firsts {
+                    let at = starts.entry(f).or_default();
+                    for v in seconds.iter().chain(&[0]) {
+                        at.extend([*v, v.wrapping_sub(1)]);
+                    }
+                }
+            }
+            let mut phv = master.layout.instantiate();
+            for (&first, values) in &starts {
+                for &v in values {
+                    phv.set(keys[0].field, if keys.len() == 2 { first } else { v });
+                    if let Some(k) = keys.get(1) {
+                        phv.set(k.field, v);
+                    }
+                    prop_assert_eq!(
+                        repointed.lookup(&phv).unwrap(),
+                        fresh.lookup(&phv).unwrap(),
+                        "table {} leaf {} key {} value {}",
+                        t.name,
+                        leaf,
+                        first,
+                        v
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A slice of a prepared master comes out on the master's own index
+    /// (the states a leaf drops re-pointed at the miss run, the runs the
+    /// partition splits lowered again) and decides like the same slice
+    /// lowered whole: for 1–4 leaves, every non-empty live mask,
+    /// and masters both cold-compiled and patched by `k` session
+    /// updates.
+    #[test]
+    fn a_repointed_slice_decides_like_a_fresh_lowering(
+        seed in 0u64..100_000,
+        leaves in 1usize..=4,
+        updates in 0usize..4,
+    ) {
+        use camus_core::{IncrementalCompiler, PartitionPlan};
+        use camus_workload::SienaConfig;
+
+        let siena = SienaConfig {
+            subscriptions: 20,
+            int_attributes: 2,
+            symbol_attributes: 1,
+            symbol_alphabet: 8,
+            int_range: 60,
+            predicates_per_subscription: 2,
+            seed,
+            ..Default::default()
+        };
+        let wl = siena.generate();
+        let (base, churn) = wl.rules.split_at(14);
+        let opts = CompilerOptions::raw();
+        let cold = Compiler::new(wl.spec.clone(), opts.clone()).unwrap();
+        let mut masters = vec![cold.compile(base).unwrap().pipeline];
+        let mut session = IncrementalCompiler::new(wl.spec.clone(), &opts, &wl.rules).unwrap();
+        session.install(base).unwrap();
+        for k in 0..updates {
+            let (add, remove) = (&churn[2 * k..2 * k + 2], &base[k..k + 1]);
+            masters.push(session.update(add, remove).unwrap().pipeline);
+        }
+        for master in &masters {
+            for live_mask in 1..1u64 << leaves {
+                let plan = PartitionPlan::compute_subset(master, "ev.sym0", leaves, live_mask).unwrap();
+                repointed_slices_decide_like_fresh_ones(master, &plan)?;
+            }
+        }
+    }
+}

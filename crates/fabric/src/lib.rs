@@ -573,11 +573,8 @@ impl Fabric {
             PartitionPlan::compute_subset(master, &self.plan.shard_field, self.leaves.len(), live)
                 .map_err(FabricFault::Plan)?;
         let is_live = |leaf: usize| live & (1 << leaf.min(63)) != 0;
-        for (leaf, slice) in plan.slices(master).into_iter().enumerate() {
-            if !is_live(leaf) {
-                continue;
-            }
-            if let Err(fault) = self.leaves[leaf].engine.stage(slice) {
+        for leaf in (0..self.leaves.len()).filter(|&l| is_live(l)) {
+            if let Err(fault) = self.leaves[leaf].engine.stage(plan.slice(master, leaf)) {
                 self.abort_all();
                 if fault != EngineFault::Killed {
                     self.epochs_rejected += 1;

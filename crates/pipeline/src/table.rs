@@ -18,7 +18,9 @@
 //! segment. After [`Table::replace_runs`] swaps some states' runs,
 //! `prepare` lowers only those states into one new segment and shares
 //! the older ones, until dead starts outnumber live ones and the table
-//! is lowered whole again.
+//! is lowered whole again. A slice of a prepared table
+//! ([`Table::retain`]) shares every segment of its master's index and
+//! lowers only the runs it splits.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -329,8 +331,9 @@ fn lower(keys: &[Key], entries: &[&Entry], seg: u32) -> (Segment, Run, Vec<(u64,
 /// every run starts at 0 and no two adjacent intervals share a winner.
 ///
 /// A whole lowering makes one segment; each re-preparation after a
-/// [`Table::replace_runs`] appends one, shared with older indexes
-/// through `Arc`s, until dead starts would outnumber live ones.
+/// [`Table::replace_runs`] or a [`Table::retain`] appends one, shared
+/// with older indexes through `Arc`s, until dead starts would outnumber
+/// live ones; in a slice they may, as its master holds them anyway.
 #[derive(Debug, Clone)]
 pub(crate) struct IntervalIndex {
     /// Field probed through `runs`; `None` makes every row a
@@ -377,8 +380,7 @@ impl IntervalIndex {
     /// This index with the `changed` states re-pointed: those `runs`
     /// name at their rows, lowered into a new segment, the rest at the
     /// wildcard run. `None` when only a whole lowering is sound (a
-    /// wildcard-state row) or due: held starts stay within twice the
-    /// live ones, so a change costs amortised O(change).
+    /// wildcard-state row).
     fn patch(&self, keys: &[Key], changed: &[u64], runs: &[Arc<[Entry]>]) -> Option<Self> {
         // The wildcard run is one miss unless a row has a wildcard state.
         let Run { seg, offset, len } = self.wild;
@@ -387,22 +389,26 @@ impl IntervalIndex {
         }
         let entries: Vec<&Entry> = runs.iter().flat_map(|r| r.iter()).collect();
         let (segment, _, by_state) = lower(keys, &entries, self.segments.len() as u32);
-        let kept = self.runs.pairs(self.wild);
-        let mut pairs: Vec<_> = kept
-            .filter(|(s, _)| changed.binary_search(s).is_err())
-            .collect();
-        // Sorted runs and a short sorted tail: the stable sort merges.
+        let mut segments = self.segments.clone();
+        if !by_state.is_empty() {
+            segments.push(Arc::new(segment));
+        }
+        // Sorted runs and a short tail: the stable sort merges. The
+        // changed states are then dropped in one merge.
+        let mut pairs: Vec<_> = self.runs.pairs(self.wild).collect();
+        pairs.sort_by_key(|&(s, _)| s);
+        let mut gone = changed.iter().peekable();
+        pairs.retain(|(s, _)| {
+            while gone.next_if(|&c| c < s).is_some() {}
+            gone.peek() != Some(&s)
+        });
         pairs.extend(by_state);
         pairs.sort_by_key(|&(s, _)| s);
-        let mut segments = self.segments.clone();
-        segments.push(Arc::new(segment));
-        let next = IntervalIndex {
+        Some(IntervalIndex {
             runs: StateRuns::build(&pairs, self.wild),
             segments,
             ..*self
-        };
-        let (live, held) = next.starts();
-        (held <= 2 * live).then_some(next)
+        })
     }
 
     /// `(live, held)` starts: those runs read, and those segments hold.
@@ -514,9 +520,10 @@ enum Prepared {
     #[default]
     No,
     Yes(Arc<IntervalIndex>),
-    /// Then one [`Table::replace_runs`]: the states it cleared, the
-    /// runs it added.
-    Stale(Arc<IntervalIndex>, Vec<u64>, Vec<Arc<[Entry]>>),
+    /// Then one [`Table::replace_runs`], or a [`Table::retain`] that
+    /// dropped rows (a slice, `true`): the states it changed, their
+    /// runs now.
+    Stale(Arc<IntervalIndex>, Vec<u64>, Vec<Arc<[Entry]>>, bool),
 }
 
 /// A match-action table.
@@ -651,7 +658,7 @@ impl Table {
             rows.runs.push(run.clone());
         }
         self.prepared = match std::mem::take(&mut self.prepared) {
-            Prepared::Yes(index) => Prepared::Stale(index, states, runs),
+            Prepared::Yes(index) => Prepared::Stale(index, states, runs, false),
             _ => Prepared::No,
         };
         Ok(())
@@ -659,39 +666,82 @@ impl Table {
 
     /// A copy holding the rows `keep` accepts, in order. A table kept
     /// whole is `self` again — a clone sharing its rows and prepared
-    /// index, so it is not lowered twice. Otherwise the copy is
-    /// unprepared: a run kept whole is shared, not copied; of any other
-    /// run only the kept rows are copied.
-    pub fn retain(&self, mut keep: impl FnMut(&Entry) -> bool) -> Table {
+    /// index, so it is not lowered twice. Otherwise a run kept whole is
+    /// shared, not copied; of any other run only the kept rows are
+    /// copied. A prepared table whose rows are all runs comes out on
+    /// its own index: the next [`Table::prepare`] re-points the states
+    /// that lost rows, dropped ones at the miss run, and lowers only the
+    /// rows they keep.
+    pub fn retain(&self, keep: impl FnMut(&Entry) -> bool) -> Table {
+        self.retain_runs(false, keep)
+    }
+
+    /// [`Table::retain`], where `by_run` says every row of a run shares
+    /// the fate of its first (the rows of a run name one state): `keep`
+    /// then sees one row per run, and each row added one by one.
+    pub fn retain_runs(&self, by_run: bool, mut keep: impl FnMut(&Entry) -> bool) -> Table {
         let mut rows = Rows::default();
-        let mut whole = true;
+        // The kept runs' `(state, position)`; the states that lost rows.
+        let (mut states, mut changed, mut whole) = (Vec::new(), Vec::new(), true);
         for run in &self.rows.runs {
-            match run.iter().position(|e| !keep(e)) {
-                None => rows.runs.push(run.clone()),
+            let dropped = match by_run {
+                true => (!keep(&run[0])).then_some(0),
+                false => run.iter().position(|e| !keep(e)),
+            };
+            let kept = match dropped {
+                None => Some(run.clone()),
+                Some(_) if by_run => None,
                 Some(dropped) => {
-                    whole = false;
                     let rest = run[dropped + 1..].iter().filter(|e| keep(e));
                     let part: Vec<Entry> = run[..dropped].iter().chain(rest).cloned().collect();
-                    if !part.is_empty() {
-                        rows.runs.push(part.into());
-                    }
+                    (!part.is_empty()).then(|| part.into())
                 }
+            };
+            let state = state_of(&run[0]);
+            if dropped.is_some() {
+                whole = false;
+                changed.extend(state);
+            }
+            if let Some(kept) = kept {
+                states.extend(state.map(|s| (s, rows.runs.len())));
+                rows.runs.push(kept);
             }
         }
         rows.tail = self.rows.tail.iter().filter(|e| keep(e)).cloned().collect();
         if whole && rows.tail.len() == self.rows.tail.len() {
             return self.clone();
         }
-        for e in rows.runs.iter().flat_map(|r| r.iter()).chain(&rows.tail) {
-            rows.len += 1;
-            rows.registers += usize::from(writes_register(&e.ops));
+        let kept = rows.runs.iter().flat_map(|r| r.iter()).chain(&rows.tail);
+        rows.len = rows.runs.iter().map(|r| r.len()).sum::<usize>() + rows.tail.len();
+        if self.rows.registers > 0 {
+            rows.registers = kept.filter(|e| writes_register(&e.ops)).count();
         }
+        let prepared = match &self.prepared {
+            Prepared::Yes(index) if self.rows.tail.is_empty() => {
+                // The changed states' kept runs, found in one merge.
+                changed.sort_unstable();
+                changed.dedup();
+                states.sort_unstable();
+                let mut gone = changed.iter().peekable();
+                states.retain(|(s, _)| {
+                    while gone.next_if(|&c| c < s).is_some() {}
+                    gone.peek() == Some(&s)
+                });
+                states.sort_unstable_by_key(|&(_, at)| at);
+                let runs = states
+                    .iter()
+                    .map(|&(_, at)| rows.runs[at].clone())
+                    .collect();
+                Prepared::Stale(index.clone(), changed, runs, true)
+            }
+            _ => Prepared::No,
+        };
         Table {
             name: self.name.clone(),
             keys: self.keys.clone(),
             rows: Arc::new(rows),
             default_ops: self.default_ops.clone(),
-            prepared: Prepared::No,
+            prepared,
         }
     }
 
@@ -719,13 +769,17 @@ impl Table {
 
     /// Lowers the table to its prepared form if an entry changed since
     /// the last call, and returns how many rows it lowered: after a
-    /// [`Table::replace_runs`], those of the changed states
-    /// (`IntervalIndex`), else every row.
+    /// [`Table::replace_runs`] or a [`Table::retain`], those of the
+    /// changed states (`IntervalIndex`), else every row. A session's
+    /// held starts stay within twice the live ones, or it is lowered
+    /// whole, so a change costs amortised O(change); a slice holds only
+    /// segments its master holds, plus the one for the runs it split.
     pub fn prepare(&mut self) -> usize {
         let patched = match &self.prepared {
             Prepared::Yes(_) => return 0,
-            Prepared::Stale(index, changed, runs) => index
+            Prepared::Stale(index, changed, runs, slice) => index
                 .patch(&self.keys, changed, runs)
+                .filter(|next| *slice || matches!(next.starts(), (live, held) if held <= 2 * live))
                 .map(|index| (index, runs.iter().map(|r| r.len()).sum())),
             Prepared::No => None,
         };
@@ -753,8 +807,9 @@ impl Table {
     }
 
     /// The prepared index's `(live, held)` interval starts: those its
-    /// runs read, and those its segments hold (at most twice as many);
-    /// `None` when unprepared.
+    /// runs read, and those its segments hold — at most twice as many
+    /// after [`Table::replace_runs`]; a slice ([`Table::retain`]) holds
+    /// its master's segments plus one — `None` when unprepared.
     pub fn index_starts(&self) -> Option<(usize, usize)> {
         self.index().ok().map(IntervalIndex::starts)
     }
@@ -1277,6 +1332,56 @@ mod tests {
             t.entries().collect::<Vec<_>>()
         );
         assert_eq!(t.retain(|_| false).len(), 0);
+    }
+
+    #[test]
+    fn a_slice_of_a_prepared_table_lowers_only_the_runs_it_splits() {
+        // States 1, 2 and 3, two rows each: the slice drops state 1,
+        // keeps one row of state 2 and all of state 3.
+        let (l, state, value) = layout2();
+        let at = |s, v| phv_with(&l, state, value, s, v);
+        let r = |lo, hi| MatchValue::Range { lo, hi };
+        let run = |s: u64| -> Arc<[Entry]> {
+            Arc::from([
+                tagged(0, MatchValue::Exact(s), r(0, 9), 10 * s),
+                tagged(1, MatchValue::Exact(s), r(5, 20), 10 * s + 1),
+            ])
+        };
+        let mut t = state_range_table(state, value);
+        t.replace_runs([], vec![run(1), run(2), run(3)]).unwrap();
+        assert_eq!(t.prepare(), 6);
+        let (_, master_held) = t.index_starts().unwrap();
+        let kept = |e: &Entry| match e.matches[0] {
+            MatchValue::Exact(1) => false,
+            MatchValue::Exact(2) => e.priority == 0,
+            _ => true,
+        };
+        let mut slice = t.retain(kept);
+        assert!(!slice.is_prepared());
+        assert_eq!(slice.prepare(), 1, "only state 2's kept row is lowered");
+        for (s, v, want) in [
+            (1, 3, None),
+            (1, 15, None),
+            (2, 3, Some(20)),
+            (2, 15, None),
+            (3, 3, Some(30)),
+            (3, 7, Some(30)),
+            (3, 15, Some(31)),
+            (3, 21, None),
+        ] {
+            assert_eq!(tag(&mut slice, &at(s, v)), want, "state={s} v={v}");
+        }
+        // The slice holds its master's segments and one new one.
+        let (live, held) = slice.index_starts().unwrap();
+        assert!(held > master_held && live < held, "live={live} held={held}");
+        // Decided by run, a slice that only drops states lowers nothing
+        // and holds no new segment.
+        let mut by_run = t.retain_runs(true, |e| e.matches[0] != MatchValue::Exact(2));
+        assert_eq!(by_run.len(), 4);
+        assert_eq!(by_run.prepare(), 0);
+        assert_eq!(by_run.index_starts().unwrap().1, master_held);
+        assert_eq!(tag(&mut by_run, &at(2, 3)), None);
+        assert_eq!(tag(&mut by_run, &at(1, 3)), Some(10));
     }
 
     #[test]
