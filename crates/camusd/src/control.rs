@@ -1,13 +1,21 @@
-//! The control thread: owns the engine and the compiler session,
-//! pumps the internal feed, and drains bus RPCs — coalescing pending
-//! mutations into batched epochs, each the batch's *net* rule delta
-//! published by the daemon's one install call, `Engine::apply_update`.
+//! The control thread: owns the engine and the compiler session and
+//! runs the daemon's one control loop over its queue. Every message
+//! takes effect in queue order. Mutations queued back to back join one
+//! coalescing window, published as one epoch: the window's *net* rule
+//! delta through the daemon's one install call, `Engine::apply_update`.
+//! Any other message — an injected packet chunk, `Ping`, `Snapshot`,
+//! `Stats`, a `/metrics` scrape, `Shutdown` — first closes the open
+//! window, then is handled. So an epoch never waits behind packets, and
+//! a read queued after a mutation sees it. The internal feed gets one
+//! burst between control turns, never inside an open window.
 //!
 //! The session is the single owner of the rule set (validation,
 //! `Snapshot`, `Stats` and `/metrics` read its `active_rules`), and the
 //! engine installs the program each report carries, so the two can only
 //! disagree inside `try_update` — where an engine rejection is undone
-//! by the inverse delta before anything else runs.
+//! by the inverse delta before anything else runs. `Stats` and
+//! `/metrics` read one record, built on this thread when asked:
+//! `stats_frame`, the engine's control spans and the feed count.
 //!
 //! Ordering contract: each connection sends one request at a time and
 //! blocks on its reply, so per-client FIFO holds trivially; across
@@ -31,10 +39,11 @@ use camus_engine::{Engine, EngineFault};
 use camus_lang::{ast::Rule, parse_rule};
 use camus_telemetry::SpanKind;
 
+use crate::metrics::Scrape;
 use crate::{BusCounters, DaemonReport, Shared};
 
 /// Messages into the control thread.
-pub enum Ctl {
+pub(crate) enum Ctl {
     /// One decoded RPC plus its reply channel.
     Rpc {
         /// The request.
@@ -46,6 +55,11 @@ pub enum Ctl {
     Inject {
         /// `(frame bytes, now_us)` pairs.
         packets: Vec<(Vec<u8>, u64)>,
+    },
+    /// A `/metrics` scrape: the reply carries the record it renders.
+    Metrics {
+        /// Where the metrics thread waits for the record.
+        reply: mpsc::Sender<Scrape>,
     },
     /// Quiesce and exit.
     Shutdown,
@@ -62,6 +76,14 @@ struct PendingMutation {
 /// subscribed minus copies unsubscribed.
 type Pending = HashMap<Rule, isize>;
 
+/// The open coalescing window: mutations queued back to back, waiting
+/// for their shared epoch. Empty when no window is open.
+#[derive(Default)]
+struct Window {
+    pending: Pending,
+    batch: Vec<PendingMutation>,
+}
+
 /// Folds one request's `rules` into its epoch's net delta: a rule an
 /// earlier request in the batch put in `cancels` (a pending add met by
 /// this removal, or the mirror case) is taken back out of it; anything
@@ -77,10 +99,13 @@ fn fold_net(rules: &[Rule], into: &mut Vec<Rule>, cancels: &mut Vec<Rule>) {
     }
 }
 
-/// Packets submitted per control-loop tick while feeding. Small
-/// enough that a pending RPC waits at most one burst (~10 µs of
-/// submit work), large enough to amortize the channel poll.
+/// Packets submitted per control turn while feeding. Small enough
+/// that a queued message waits at most one burst (~10 µs of submit
+/// work), large enough to amortize the channel poll.
 const FEED_BURST: usize = 256;
+
+/// How long the loop blocks on an empty queue with nothing to feed.
+const IDLE_POLL: Duration = Duration::from_millis(5);
 
 pub(crate) struct ControlState {
     engine: Engine,
@@ -142,37 +167,74 @@ impl ControlState {
         }
     }
 
-    /// The control loop. Returns the final report after shutdown.
+    /// The control loop: one message per turn, in queue order. Returns
+    /// the final report after shutdown.
     pub(crate) fn run(mut self, rx: mpsc::Receiver<Ctl>) -> DaemonReport {
+        let mut window = Window::default();
         loop {
-            let feeding = self.pump_feed();
-            let msg = if feeding {
-                match rx.try_recv() {
-                    Ok(m) => Some(m),
-                    Err(mpsc::TryRecvError::Empty) => None,
-                    Err(mpsc::TryRecvError::Disconnected) => break,
-                }
+            // No feed burst while a window is open: the epoch waits
+            // behind no packets.
+            let busy = !window.batch.is_empty() || self.pump_feed();
+            let polled = if busy {
+                rx.try_recv()
+                    .map_err(|e| e == mpsc::TryRecvError::Disconnected)
             } else {
-                match rx.recv_timeout(Duration::from_millis(5)) {
-                    Ok(m) => Some(m),
-                    Err(mpsc::RecvTimeoutError::Timeout) => None,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
+                rx.recv_timeout(IDLE_POLL)
+                    .map_err(|e| e == mpsc::RecvTimeoutError::Disconnected)
             };
+            let msg = match polled {
+                Ok(msg) => msg,
+                // The queue ran empty: the open window, if any, closes.
+                Err(false) => {
+                    self.close(&mut window);
+                    continue;
+                }
+                Err(true) => Ctl::Shutdown,
+            };
+            let mutation = matches!(
+                &msg,
+                Ctl::Rpc {
+                    req: BusRequest::Subscribe { .. } | BusRequest::Unsubscribe { .. },
+                    ..
+                }
+            );
+            // Anything but a mutation closes the open window first.
+            if !mutation {
+                self.close(&mut window);
+            }
             match msg {
-                None => continue,
-                Some(Ctl::Shutdown) => break,
-                Some(Ctl::Inject { packets }) => {
+                Ctl::Inject { packets } => {
                     for (bytes, now_us) in &packets {
                         self.engine.submit(bytes, *now_us);
                     }
-                    self.publish_ops();
                 }
-                Some(Ctl::Rpc { req, reply }) => {
-                    if self.handle_rpc(req, reply, &rx) {
-                        break; // a Shutdown arrived mid-drain
-                    }
-                    self.publish_ops();
+                Ctl::Metrics { reply } => {
+                    let _ = reply.send(self.scrape());
+                }
+                Ctl::Shutdown => break,
+                Ctl::Rpc { req, reply } => {
+                    let answer = match req {
+                        BusRequest::Subscribe { .. } | BusRequest::Unsubscribe { .. } => {
+                            if let Some(pm) = self.admit_to_batch(req, reply, &mut window.pending) {
+                                window.batch.push(pm);
+                            }
+                            if window.batch.len() >= self.coalesce_max {
+                                self.close(&mut window);
+                            }
+                            continue;
+                        }
+                        BusRequest::Ping => BusReply::Pong,
+                        BusRequest::Snapshot => BusReply::Snapshot {
+                            generation: self.engine.generation(),
+                            rules: self.printed_rules(),
+                        },
+                        BusRequest::Stats => BusReply::Stats(self.stats_frame()),
+                        BusRequest::Shutdown => {
+                            let _ = reply.send(BusReply::ShuttingDown);
+                            break;
+                        }
+                    };
+                    let _ = reply.send(answer);
                 }
             }
         }
@@ -180,7 +242,7 @@ impl ControlState {
     }
 
     /// Submits one feed burst; `true` while the feed has more to give
-    /// (so the RPC poll stays non-blocking).
+    /// (so the queue poll stays non-blocking).
     fn pump_feed(&mut self) -> bool {
         if self.feed.is_empty() {
             return false;
@@ -198,111 +260,14 @@ impl ControlState {
             self.feed_submitted += 1;
         }
         self.feed_pos = end;
-        self.publish_ops();
         self.feed_loop || self.feed_pos < self.feed.len()
     }
 
-    /// Handles one RPC; mutations open a coalescing window over the
-    /// queue. Returns `true` if a `Shutdown` was drained mid-batch.
-    fn handle_rpc(
-        &mut self,
-        req: BusRequest,
-        reply: mpsc::Sender<BusReply>,
-        rx: &mpsc::Receiver<Ctl>,
-    ) -> bool {
-        match req {
-            BusRequest::Subscribe { .. } | BusRequest::Unsubscribe { .. } => {
-                self.coalesce_and_apply(req, reply, rx)
-            }
-            _ => self.handle_simple(req, reply),
-        }
-    }
-
-    /// Opens the coalescing window: the triggering mutation plus up to
-    /// `coalesce_max - 1` more already-queued mutations become one
-    /// epoch. Non-mutation RPCs drained along the way are answered
-    /// inline (their connections have nothing else in flight, so no
-    /// ordering is violated). Returns `true` on a drained `Shutdown`.
-    fn coalesce_and_apply(
-        &mut self,
-        first: BusRequest,
-        first_reply: mpsc::Sender<BusReply>,
-        rx: &mpsc::Receiver<Ctl>,
-    ) -> bool {
-        // Validation view: the installed counts plus the window's
-        // pending adds and removes, so intra-batch conflicts
-        // (double-subscribe of one rule) reject up front instead of
-        // poisoning the whole epoch.
-        let mut pending = Pending::new();
-        let mut batch: Vec<PendingMutation> = Vec::new();
-        let mut shutdown = false;
-
-        if let Some(pm) = self.admit_to_batch(first, first_reply, &mut pending) {
-            batch.push(pm);
-        }
-        while !shutdown && !batch.is_empty() && batch.len() < self.coalesce_max {
-            match rx.try_recv() {
-                Ok(Ctl::Rpc {
-                    req: req @ (BusRequest::Subscribe { .. } | BusRequest::Unsubscribe { .. }),
-                    reply,
-                }) => {
-                    if let Some(pm) = self.admit_to_batch(req, reply, &mut pending) {
-                        batch.push(pm);
-                    }
-                }
-                Ok(Ctl::Rpc { req, reply }) => {
-                    // Inline: Ping/Snapshot/Stats answered against the
-                    // pre-epoch state; Shutdown ends the drain.
-                    if self.handle_simple(req, reply) {
-                        shutdown = true;
-                    }
-                }
-                Ok(Ctl::Inject { packets }) => {
-                    for (bytes, now_us) in &packets {
-                        self.engine.submit(bytes, *now_us);
-                    }
-                }
-                Ok(Ctl::Shutdown) => shutdown = true,
-                Err(_) => break,
-            }
-        }
-
+    /// Closes the open window, if any: its batch becomes one epoch.
+    fn close(&mut self, window: &mut Window) {
+        let Window { batch, .. } = std::mem::take(window);
         if !batch.is_empty() {
             self.apply_epoch(batch);
-        }
-        shutdown
-    }
-
-    /// Answers a non-mutation RPC — the one place, whether it arrived
-    /// on its own or was drained mid-batch. Returns `true` for
-    /// `Shutdown`.
-    fn handle_simple(&mut self, req: BusRequest, reply: mpsc::Sender<BusReply>) -> bool {
-        match req {
-            BusRequest::Ping => {
-                let _ = reply.send(BusReply::Pong);
-                false
-            }
-            BusRequest::Snapshot => {
-                let (generation, rules) = (self.engine.generation(), self.printed_rules());
-                let _ = reply.send(BusReply::Snapshot { generation, rules });
-                false
-            }
-            BusRequest::Stats => {
-                let _ = reply.send(BusReply::Stats(self.stats_frame()));
-                false
-            }
-            BusRequest::Shutdown => {
-                let _ = reply.send(BusReply::ShuttingDown);
-                true
-            }
-            // Unreachable: callers route mutations to the batch path.
-            BusRequest::Subscribe { .. } | BusRequest::Unsubscribe { .. } => {
-                let _ = reply.send(BusReply::Rejected {
-                    kind: RejectKind::Internal,
-                    message: "mutation routed past the batch path".into(),
-                });
-                false
-            }
         }
     }
 
@@ -386,10 +351,9 @@ impl ControlState {
         }
     }
 
-    /// Success bookkeeping for one published epoch: counts it and acks
-    /// every request it carried with the shared generation.
+    /// Success bookkeeping for one published epoch: acks every request
+    /// it carried with the shared generation.
     fn ack_epoch(&mut self, batch: Vec<PendingMutation>, generation: u64) {
-        self.bus.epochs += 1;
         if batch.len() > 1 {
             self.bus.requests_coalesced += batch.len() as u64;
         }
@@ -463,9 +427,10 @@ impl ControlState {
         camus_bus::StatsFrame {
             generation: self.engine.generation(),
             active_rules: self.rules().len() as u64,
-            workers: self.shared.ops.lock().map(|o| o.workers).unwrap_or(0),
+            workers: self.engine.workers() as u64,
             packets: self.engine.submitted(),
-            epochs: self.bus.epochs,
+            // Bus epochs are the daemon's only publishes.
+            epochs: self.engine.generation(),
             mutations_applied: self.bus.mutations_applied,
             mutations_rejected: self.bus.mutations_rejected,
             requests_coalesced: self.bus.requests_coalesced,
@@ -477,22 +442,17 @@ impl ControlState {
         }
     }
 
-    /// Publishes the metrics view (cheap: one mutex write, off the
-    /// packet path).
-    fn publish_ops(&self) {
-        if let Ok(mut ops) = self.shared.ops.lock() {
-            ops.generation = self.engine.generation();
-            ops.packets = self.engine.submitted();
-            ops.active_rules = self.rules().len() as u64;
-            ops.bus = self.bus;
-            ops.feed_packets = self.feed_submitted;
-            ops.spans = self.engine.control_spans();
+    /// The record a `/metrics` scrape renders.
+    fn scrape(&self) -> Scrape {
+        Scrape {
+            stats: self.stats_frame(),
+            spans: self.engine.control_spans(),
+            feed_packets: self.feed_submitted,
         }
     }
 
     /// Drain-and-exit: refuse queued RPCs, quiesce, report.
     fn shutdown(mut self, rx: &mpsc::Receiver<Ctl>) -> DaemonReport {
-        self.publish_ops();
         // Stop the accept loops and the metrics server first so no new
         // work arrives while draining.
         self.shared.running.store(false, Ordering::Release);
@@ -583,16 +543,15 @@ fn handle_connection(mut conn: camus_bus::BusStream, tx: mpsc::Sender<Ctl>, shar
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DaemonConfig, OpsView};
+    use crate::DaemonConfig;
     use camus_engine::shard;
     use camus_pipeline::AsicModel;
     use std::sync::atomic::{AtomicBool, AtomicU64};
-    use std::sync::Mutex;
 
-    /// A control state over `cfg` with its initial pool rules
-    /// installed and no feed, for driving the loop body from the test
-    /// thread: whatever sits in the control queue when a mutation is
-    /// handled is exactly what its coalescing window drains.
+    /// A control state over `cfg` with its initial pool rules installed
+    /// and no feed. A test queues its whole script, then runs the loop
+    /// on its own thread: what the queue holds is the order the loop
+    /// sees.
     fn control_state(cfg: &DaemonConfig) -> ControlState {
         let mut session =
             IncrementalCompiler::new(cfg.spec.clone(), &cfg.options, &cfg.pool).expect("session");
@@ -603,24 +562,26 @@ mod tests {
             clients: AtomicU64::new(0),
             rpcs: AtomicU64::new(0),
             started: std::time::Instant::now(),
-            ops: Mutex::new(OpsView::default()),
         });
         ControlState::new(engine, session, cfg.coalesce_max, Vec::new(), false, shared)
     }
 
-    /// Handles `req` on this thread and returns its reply.
-    fn rpc(state: &mut ControlState, rx: &mpsc::Receiver<Ctl>, req: BusRequest) -> BusReply {
-        let (reply, got) = mpsc::channel();
-        state.handle_rpc(req, reply, rx);
-        got.recv().expect("reply")
-    }
-
-    /// Queues `req` behind whatever is handled next; the reply arrives
-    /// on the returned channel.
+    /// Queues `req`; its reply arrives on the returned channel once the
+    /// loop has run.
     fn enqueue(tx: &mpsc::Sender<Ctl>, req: BusRequest) -> mpsc::Receiver<BusReply> {
         let (reply, queued) = mpsc::channel();
         tx.send(Ctl::Rpc { req, reply }).expect("control queue");
         queued
+    }
+
+    /// Queues `Shutdown` behind the script and runs the loop over it.
+    fn run(state: ControlState, tx: &mpsc::Sender<Ctl>, rx: mpsc::Receiver<Ctl>) -> DaemonReport {
+        tx.send(Ctl::Shutdown).expect("control queue");
+        state.run(rx)
+    }
+
+    fn reply(queued: mpsc::Receiver<BusReply>) -> BusReply {
+        queued.recv().expect("reply")
     }
 
     fn ack(generation: u64, coalesced_with: u32) -> BusReply {
@@ -631,16 +592,17 @@ mod tests {
     }
 
     /// `Subscribe R` then `Unsubscribe R` of a not-yet-active rule,
-    /// the second queued before the first is handled, ride one epoch and
-    /// cancel out: `R` never forwards, the snapshot agrees, and the
-    /// same pair in separate epochs afterwards still leaves `R` silent.
+    /// queued back to back, ride one epoch and cancel out: `R` never
+    /// forwards, the snapshot agrees, and the same pair in separate
+    /// epochs afterwards (a snapshot between them closes the first
+    /// window, and sees `R`) still leaves `R` silent.
     #[test]
     fn a_coalesced_subscribe_then_unsubscribe_leaves_the_rule_silent() {
         let mut cfg = DaemonConfig::itch(4, 16).unwrap();
         cfg.engine.record_decisions = true;
         let initial = cfg.pool[..4].to_vec();
         let rule = cfg.pool[4].to_string();
-        let mut state = control_state(&cfg);
+        let state = control_state(&cfg);
         let (tx, rx) = mpsc::channel();
         let subscribe = || BusRequest::Subscribe {
             rules: vec![rule.clone()],
@@ -653,30 +615,36 @@ mod tests {
             .enumerate()
             .map(|(i, p)| (p.bytes.clone(), 25 * (i as u64 + 1)))
             .collect();
-        let run_probe = |state: &mut ControlState| {
-            for (bytes, now_us) in &probe {
-                state.engine.submit(bytes, *now_us);
-            }
-            state.engine.quiesce().expect("quiesce");
+        let run_probe = || {
+            let packets = probe.clone();
+            tx.send(Ctl::Inject { packets }).expect("control queue");
         };
 
-        // The unsubscribe is already queued when the subscribe opens
-        // its window: one epoch carries both.
-        let queued = enqueue(&tx, unsubscribe());
-        assert_eq!(rpc(&mut state, &rx, subscribe()), ack(1, 2));
-        assert_eq!(queued.recv().expect("reply"), ack(1, 2));
-        let BusReply::Snapshot { rules, .. } = rpc(&mut state, &rx, BusRequest::Snapshot) else {
+        // One window carries both; the snapshot behind them closes it.
+        let (first, second) = (enqueue(&tx, subscribe()), enqueue(&tx, unsubscribe()));
+        let snapshot = enqueue(&tx, BusRequest::Snapshot);
+        run_probe();
+        // The same pair, one epoch each.
+        let again = enqueue(&tx, subscribe());
+        let between = enqueue(&tx, BusRequest::Snapshot);
+        let gone = enqueue(&tx, unsubscribe());
+        run_probe();
+        let report = run(state, &tx, rx);
+
+        assert_eq!(reply(first), ack(1, 2));
+        assert_eq!(reply(second), ack(1, 2));
+        let BusReply::Snapshot { rules, .. } = reply(snapshot) else {
             panic!("expected a snapshot");
         };
         assert_eq!(rules.len(), 4);
         assert!(!rules.contains(&rule), "{rules:?}");
-        run_probe(&mut state);
-        // The same pair, one epoch each.
-        for (req, generation) in [(subscribe(), 2), (unsubscribe(), 3)] {
-            assert_eq!(rpc(&mut state, &rx, req), ack(generation, 1));
-        }
-        run_probe(&mut state);
-        let report = state.shutdown(&rx);
+        assert_eq!(reply(again), ack(2, 1));
+        let BusReply::Snapshot { generation, rules } = reply(between) else {
+            panic!("expected a snapshot");
+        };
+        assert_eq!((generation, rules.len()), (2, 5));
+        assert!(rules.contains(&rule), "{rules:?}");
+        assert_eq!(reply(gone), ack(3, 1));
         assert!(report.zero_loss());
         assert_eq!(report.active_rules.len(), 4);
 
@@ -714,17 +682,20 @@ mod tests {
     #[test]
     fn a_coalesced_window_rejects_double_subscribes_and_inactive_unsubscribes() {
         let cfg = DaemonConfig::itch(4, 16).unwrap();
-        let mut state = control_state(&cfg);
+        let state = control_state(&cfg);
         let (tx, rx) = mpsc::channel();
         let rules = |i: usize| vec![cfg.pool[i].to_string()];
+        let subscribed = enqueue(&tx, BusRequest::Subscribe { rules: rules(4) });
         let again = enqueue(&tx, BusRequest::Subscribe { rules: rules(4) });
         let inactive = enqueue(&tx, BusRequest::Unsubscribe { rules: rules(5) });
         let leaving = enqueue(&tx, BusRequest::Unsubscribe { rules: rules(0) });
         let left = enqueue(&tx, BusRequest::Unsubscribe { rules: rules(0) });
-        let subscribe = BusRequest::Subscribe { rules: rules(4) };
-        assert_eq!(rpc(&mut state, &rx, subscribe), ack(1, 2));
+        let snapshot = enqueue(&tx, BusRequest::Snapshot);
+        let report = run(state, &tx, rx);
+
+        assert_eq!(reply(subscribed), ack(1, 2));
         for rejected in [again, inactive, left] {
-            let reply = rejected.recv().expect("reply");
+            let reply = reply(rejected);
             assert!(
                 matches!(
                     &reply,
@@ -736,18 +707,17 @@ mod tests {
                 "{reply:?}"
             );
         }
-        assert_eq!(leaving.recv().expect("reply"), ack(1, 2));
+        assert_eq!(reply(leaving), ack(1, 2));
         let mut rules: Vec<String> = cfg.pool[1..5].iter().map(|r| r.to_string()).collect();
         rules.sort();
-        let snapshot = rpc(&mut state, &rx, BusRequest::Snapshot);
         assert_eq!(
-            snapshot,
+            reply(snapshot),
             BusReply::Snapshot {
                 generation: 1,
                 rules
             }
         );
-        assert!(state.shutdown(&rx).zero_loss());
+        assert!(report.zero_loss());
     }
 
     /// A pool subscribe and a capacity bomb ride one window: the engine
@@ -762,31 +732,32 @@ mod tests {
             tcam_entries_per_stage: 48,
             ..AsicModel::tofino32()
         });
-        let mut state = control_state(&cfg);
+        let state = control_state(&cfg);
         let (tx, rx) = mpsc::channel();
 
+        let rules = vec![cfg.pool[4].to_string()];
+        let first = enqueue(&tx, BusRequest::Subscribe { rules });
         let bomb = (0..200).map(|i| format!("stock == SYM{i:03} and price > {i} : fwd(1)"));
         let rules = bomb.collect();
         let queued = enqueue(&tx, BusRequest::Subscribe { rules });
-        let rules = vec![cfg.pool[4].to_string()];
-        let first = rpc(&mut state, &rx, BusRequest::Subscribe { rules });
-        assert_eq!(first, ack(1, 1));
-        let rejected = queued.recv().expect("reply");
+        let snapshot = enqueue(&tx, BusRequest::Snapshot);
+        let rules = vec![cfg.pool[0].to_string()];
+        let unsubscribed = enqueue(&tx, BusRequest::Unsubscribe { rules });
+        let report = run(state, &tx, rx);
+
+        assert_eq!(reply(first), ack(1, 1));
+        let rejected = reply(queued);
         let kind = RejectKind::Admission;
         assert!(
             matches!(&rejected, BusReply::Rejected { kind: k, .. } if *k == kind),
             "{rejected:?}"
         );
-
         let mut rules: Vec<String> = cfg.pool[..5].iter().map(|r| r.to_string()).collect();
         rules.sort();
         let generation = 1;
-        let snapshot = rpc(&mut state, &rx, BusRequest::Snapshot);
-        assert_eq!(snapshot, BusReply::Snapshot { generation, rules });
-        let rules = vec![cfg.pool[0].to_string()];
-        let unsubscribed = rpc(&mut state, &rx, BusRequest::Unsubscribe { rules });
-        assert_eq!(unsubscribed, ack(2, 1));
+        assert_eq!(reply(snapshot), BusReply::Snapshot { generation, rules });
+        assert_eq!(reply(unsubscribed), ack(2, 1));
         // The batch, then the bomb on its own.
-        assert_eq!(state.shutdown(&rx).engine.faults.updates_rejected, 2);
+        assert_eq!(report.engine.faults.updates_rejected, 2);
     }
 }

@@ -14,16 +14,18 @@
 //! binary is a thin flag-parsing shell over it.
 //!
 //! Concurrency model (DESIGN.md §17): one *control thread* owns the
-//! engine and the compiler session. Per-connection handler threads
-//! decode frames and forward requests over an mpsc channel; the
-//! control thread alternates between pumping the (optional) internal
-//! ITCH feed into the engine and draining RPCs. Pending `Subscribe`/
-//! `Unsubscribe` requests are **coalesced**: up to
-//! [`DaemonConfig::coalesce_max`] of them compile into a single
-//! `apply_update` epoch, and every request in the batch is acked with
-//! the shared generation plus how many requests rode it. Rejections
-//! (parse, compile, ASIC admission, update plane) are per-request and
-//! leave the running pipeline untouched.
+//! engine and the compiler session and runs one loop over one queue.
+//! Per-connection handler threads decode frames, the `/metrics` thread
+//! asks for its scrape, and [`Daemon::inject`] hands over packet
+//! chunks, all over that queue; every message takes effect in queue
+//! order, and the (optional) internal ITCH feed gets one burst between
+//! messages. `Subscribe`/`Unsubscribe` requests queued back to back are
+//! **coalesced**: up to [`DaemonConfig::coalesce_max`] of them compile
+//! into a single `apply_update` epoch, and every request in the batch
+//! is acked with the shared generation plus how many requests rode it.
+//! Any other message closes the batch first, so an epoch never waits
+//! behind packets. Rejections (parse, compile, ASIC admission, update
+//! plane) are per-request and leave the running pipeline untouched.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -33,17 +35,16 @@ mod metrics;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use camus_bus::{BusAddr, BusListener, WireError};
 use camus_core::{CompilerOptions, IncrementalCompiler};
 use camus_engine::{admit, shard, Engine, EngineConfig, EngineFault, EngineReport};
 use camus_lang::{ast::Rule, parse_spec, Spec};
-use camus_telemetry::SpanSet;
 use camus_workload::{bench_feed, generate_itch_subscriptions, ItchSubsConfig};
 
-pub use control::Ctl;
+use control::Ctl;
 
 /// Everything needed to start a daemon. The compiler spec/options and
 /// the subscription pool are explicit so tests can run non-ITCH specs;
@@ -133,29 +134,14 @@ impl fmt::Display for DaemonError {
 
 impl std::error::Error for DaemonError {}
 
-/// Live counters shared between the control thread (writer), the
-/// connection handlers (rpcs/clients) and the metrics renderer
-/// (reader). One coherent copy behind a mutex — the packet hot path
-/// never touches this.
+/// What the service threads share: the running flag, the start time,
+/// and the two counters the connection handlers keep (the control
+/// thread reads them into `Stats`).
 pub(crate) struct Shared {
     pub running: AtomicBool,
     pub clients: AtomicU64,
     pub rpcs: AtomicU64,
     pub started: Instant,
-    pub ops: Mutex<OpsView>,
-}
-
-/// The control thread's published view of the engine, refreshed after
-/// every epoch and feed burst.
-#[derive(Clone, Default)]
-pub(crate) struct OpsView {
-    pub generation: u64,
-    pub packets: u64,
-    pub active_rules: u64,
-    pub bus: BusCounters,
-    pub workers: u64,
-    pub feed_packets: u64,
-    pub spans: SpanSet,
 }
 
 /// Bus-side counters carried into the final report.
@@ -163,8 +149,6 @@ pub(crate) struct OpsView {
 pub struct BusCounters {
     /// Total RPCs served.
     pub rpcs: u64,
-    /// `apply_update` epochs published on behalf of bus mutations.
-    pub epochs: u64,
     /// Those epochs whose compiler report was a `full_rebuild` (an
     /// add outside the session's alphabet) rather than a delta.
     pub rebuilds: u64,
@@ -269,11 +253,6 @@ impl Daemon {
             clients: AtomicU64::new(0),
             rpcs: AtomicU64::new(0),
             started: Instant::now(),
-            ops: Mutex::new(OpsView {
-                active_rules: initial.len() as u64,
-                workers: cfg.engine.workers as u64,
-                ..Default::default()
-            }),
         });
 
         let engine = Engine::start(&install.pipeline, &cfg.engine, shard::itch_symbol_shard());
@@ -296,8 +275,8 @@ impl Daemon {
             std::thread::spawn(move || control::accept_loop(listener, tx, sh));
         }
         if let Some(l) = metrics_listener {
-            let sh = Arc::clone(&shared);
-            std::thread::spawn(move || metrics::serve(l, sh));
+            let (tx, sh) = (ctl_tx.clone(), Arc::clone(&shared));
+            std::thread::spawn(move || metrics::serve(l, tx, sh));
         }
 
         let ctl = control::ControlState::new(

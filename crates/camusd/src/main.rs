@@ -195,7 +195,7 @@ fn main() -> ExitCode {
         report.submitted,
         report.engine.stats.packets,
         report.engine.quarantined.len(),
-        report.bus.epochs,
+        report.engine.updates.published,
         report.bus.mutations_applied,
         report.bus.mutations_rejected,
         report.bus.requests_coalesced,

@@ -162,7 +162,7 @@ impl Compiler {
 
         let p4_source = crate::p4gen::render_p4(&self.spec, &statics, &tables, &layout);
         let p4_16_source = crate::p4gen::render_p4_16(&self.spec, &statics, &tables, &layout);
-        let control_plane = crate::p4gen::render_control_plane(&tables);
+        let control_plane = crate::p4gen::render_control_plane(&tables, &es.mcast);
 
         let table_entries: Vec<(String, usize)> =
             tables.iter().map(|t| (t.name.clone(), t.len())).collect();

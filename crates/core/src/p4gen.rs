@@ -13,8 +13,9 @@
 use std::fmt::Write as _;
 
 use camus_lang::spec::Spec;
+use camus_pipeline::multicast::{GroupId, MulticastTable};
 use camus_pipeline::parser::Transition;
-use camus_pipeline::table::{ActionOp, MatchKind, MatchValue, Table};
+use camus_pipeline::table::{ActionOp, MatchKind, MatchValue, RegOp, Table};
 
 use crate::statics::StaticPipeline;
 
@@ -385,8 +386,10 @@ fn sanitize(name: &str) -> String {
 }
 
 /// Renders the control-plane rules as human-readable `table_add`
-/// lines (the second compiler output of Fig. 6).
-pub fn render_control_plane(tables: &[Table]) -> String {
+/// lines (the second compiler output of Fig. 6), each register write
+/// with its op, then one `mc_group` line per multicast group listing
+/// its ports.
+pub fn render_control_plane(tables: &[Table], mcast: &MulticastTable) -> String {
     let mut s = String::new();
     for t in tables {
         for e in t.entries() {
@@ -405,11 +408,21 @@ pub fn render_control_plane(tables: &[Table]) -> String {
                     ActionOp::Forward(p) => write!(s, " fwd({})", p.0),
                     ActionOp::Multicast(g) => write!(s, " mcast({})", g.0),
                     ActionOp::Drop => write!(s, " drop"),
-                    ActionOp::Register { slot, .. } => write!(s, " reg[{slot}]"),
+                    ActionOp::Register { slot, op } => match op {
+                        RegOp::Increment => write!(s, " reg[{slot}].incr"),
+                        RegOp::Observe(f) => write!(s, " reg[{slot}].observe(f{})", f.0),
+                        RegOp::SetConst(v) => write!(s, " reg[{slot}].set({v})"),
+                        RegOp::SetField(f) => write!(s, " reg[{slot}].set(f{})", f.0),
+                    },
                 };
             }
             let _ = writeln!(s);
         }
+    }
+    for id in 0..mcast.len() as u32 {
+        let ports = mcast.ports(GroupId(id)).unwrap_or_default();
+        let ports: Vec<String> = ports.iter().map(|p| p.0.to_string()).collect();
+        let _ = writeln!(s, "mc_group {id} ports={}", ports.join(","));
     }
     s
 }
@@ -482,6 +495,28 @@ mod tests {
         assert!(p4.contains("t_actions.apply();"));
         // Braces balance.
         assert_eq!(p4.matches('{').count(), p4.matches('}').count());
+    }
+
+    /// The control-plane file names each register write's op and every
+    /// multicast group's ports.
+    #[test]
+    fn control_plane_writes_register_ops_and_group_ports() {
+        let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
+        let compiler = Compiler::new(spec, CompilerOptions::raw()).unwrap();
+        let rules = "stock == GOOGL : my_counter <- incr()\nstock == MSFT : fwd(3,1)";
+        let cp = compiler
+            .compile(&parse_program(rules).unwrap())
+            .unwrap()
+            .control_plane;
+        let lines: Vec<&str> = cp.lines().collect();
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.starts_with("table_add t_actions") && l.ends_with(".incr")),
+            "{cp}"
+        );
+        assert!(!cp.contains("] "), "a register write without its op: {cp}");
+        assert!(lines.contains(&"mc_group 0 ports=1,3"), "{cp}");
     }
 
     #[test]

@@ -6,13 +6,19 @@
 //! key — by default the ITCH stock symbol
 //! ([`shard::itch_symbol_shard`]).
 //!
-//! Camus's stateful rules (`@query_counter`) are keyed on the stock
-//! symbol, so symbol sharding keeps every register slot's updates on
-//! exactly one worker and the engine's forwarding decisions are
-//! **bit-identical** to deciding the same trace one packet at a time —
-//! a batch of one through the same executor, which is what
-//! [`Pipeline::process`](camus_pipeline::Pipeline::process) runs
-//! (verified by the determinism test). Workers share one
+//! The engine's forwarding decisions are **bit-identical** to deciding
+//! the same trace one packet at a time — a batch of one through the
+//! same executor, which is what
+//! [`Pipeline::process`](camus_pipeline::Pipeline::process) runs — for
+//! every stateless program, and for a stateful one only when every
+//! register is written and read under one symbol and each packet
+//! carries one symbol: each worker owns its registers, and symbol
+//! sharding then keeps each register's updates on one worker (the
+//! determinism test checks single-symbol packets). Otherwise it does
+//! not hold: a counter that one symbol's rule writes and another's
+//! reads, or an increment inside a packet routed by a different
+//! symbol's add-order, splits the register across workers; ROADMAP
+//! item 1 reproduces both shapes. Workers share one
 //! immutable compiled program behind an `Arc` and keep their mutable
 //! state (registers, counters, decision cache) in a per-worker
 //! [`ShardCtx`]; each processes its packets
@@ -1093,6 +1099,11 @@ impl Engine {
     /// bit-identical pre-state after an aborted epoch.
     pub fn installed_tables(&self) -> &[Table] {
         &self.installed.tables
+    }
+
+    /// Worker slots the engine shards packets over.
+    pub fn workers(&self) -> usize {
+        self.workers.len()
     }
 
     /// The installed generation (bumps once per successful publish;

@@ -1,11 +1,14 @@
 //! Flow sharding for the multi-core engine.
 //!
 //! The shard key decides which worker — and therefore which register
-//! file — a packet's messages update. Camus's stateful rules
-//! (`@query_counter`) are keyed on the ITCH stock symbol, so sharding
-//! on the symbol keeps every counter's updates on a single worker and
-//! makes the multi-core engine's decisions identical to the sequential
-//! executor's (see DESIGN.md, "Engine architecture").
+//! file — a packet's messages update. Sharding on the ITCH stock symbol
+//! keeps a counter's updates on a single worker, and the multi-core
+//! engine's decisions identical to the sequential executor's, only when
+//! every register is written and read under one symbol and each packet
+//! carries one symbol. A counter one symbol writes and another reads,
+//! or a packet whose add-orders name several symbols (it goes to its
+//! first symbol's worker), splits a register across workers; ROADMAP
+//! item 1 reproduces both (see DESIGN.md, "Engine architecture").
 //!
 //! [`itch_symbol_key`] walks the raw frame (Ethernet → IPv4 → UDP →
 //! MoldUDP64 → ITCH) without allocating and returns the first

@@ -162,7 +162,11 @@ impl TableCost {
     }
 }
 
-/// Computes the cost of a table under a model.
+/// Computes the cost of a table under a model. A row expands into
+/// several physical entries only in TCAM under
+/// [`RangeMode::PrefixExpansion`], so only then are the rows walked;
+/// otherwise every row is one physical entry and the charge is the
+/// table's length.
 pub fn table_cost(table: &Table, model: &AsicModel) -> TableCost {
     let memory = if table.keys().iter().all(|k| k.kind == MatchKind::Exact) {
         Memory::Sram
@@ -187,25 +191,27 @@ pub fn table_cost(table: &Table, model: &AsicModel) -> TableCost {
         Memory::Sram => 1,
         Memory::Tcam => key_bits.div_ceil(model.tcam_slice_bits) as usize,
     };
-    let mut physical = 0usize;
-    let mut logical = 0usize;
-    for e in table.entries() {
-        logical += 1;
-        physical += entry_expansion(table.keys(), &e.matches, memory, model.range_mode);
-    }
+    let physical_entries =
+        if memory == Memory::Tcam && model.range_mode == RangeMode::PrefixExpansion {
+            table
+                .entries()
+                .map(|e| prefix_expansion(table.keys(), &e.matches))
+                .sum()
+        } else {
+            table.len()
+        };
     TableCost {
         name: table.name.clone(),
         memory,
-        logical_entries: logical,
-        physical_entries: physical,
+        logical_entries: table.len(),
+        physical_entries,
         slices_per_entry,
     }
 }
 
-fn entry_expansion(keys: &[Key], matches: &[MatchValue], memory: Memory, mode: RangeMode) -> usize {
-    if memory == Memory::Sram || mode == RangeMode::DirtCam {
-        return 1;
-    }
+/// TCAM entries one row takes under prefix expansion: the product of
+/// its range keys' prefix counts.
+fn prefix_expansion(keys: &[Key], matches: &[MatchValue]) -> usize {
     let mut n = 1usize;
     for (k, m) in keys.iter().zip(matches) {
         if let MatchValue::Range { lo, hi } = *m {
@@ -547,6 +553,46 @@ mod tests {
         let c = table_cost(&t, &dirt);
         assert_eq!(c.physical_entries, 1);
         assert_eq!(c.slices_per_entry, 4);
+    }
+
+    /// SRAM tables, and TCAM tables under DirtCAM, charge one physical
+    /// entry per row (the table's length, no walk); only prefix
+    /// expansion adds up each row's prefixes.
+    #[test]
+    fn only_prefix_expansion_charges_more_than_one_entry_per_row() {
+        let range = |lo, hi| Entry {
+            priority: 0,
+            matches: vec![MatchValue::Exact(1), MatchValue::Range { lo, hi }],
+            ops: vec![],
+        };
+        let mut t = mk_table("t", &[(MatchKind::Exact, 16), (MatchKind::Range, 8)]);
+        // 2 + 1 + 14 prefixes.
+        for row in [range(1, 2), range(0, 255), range(1, 254)] {
+            t.add_entry(row).unwrap();
+        }
+        let dirt = table_cost(&t, &AsicModel::tofino32());
+        assert_eq!((dirt.logical_entries, dirt.physical_entries), (3, 3));
+        let prefix = table_cost(&t, &AsicModel::tofino32().with_prefix_expansion());
+        assert_eq!((prefix.logical_entries, prefix.physical_entries), (3, 17));
+
+        let mut sram = mk_table("s", &[(MatchKind::Exact, 16)]);
+        for i in 0..5 {
+            let matches = vec![MatchValue::Exact(i)];
+            let ops = vec![];
+            sram.add_entry(Entry {
+                priority: 0,
+                matches,
+                ops,
+            })
+            .unwrap();
+        }
+        for model in [
+            AsicModel::tofino32(),
+            AsicModel::tofino32().with_prefix_expansion(),
+        ] {
+            let c = table_cost(&sram, &model);
+            assert_eq!((c.logical_entries, c.physical_entries), (5, 5));
+        }
     }
 
     #[test]
