@@ -12,6 +12,12 @@
 //! materialized, which removes unsatisfiable paths and keeps at most one
 //! satisfiable path between any pair of component boundary nodes —
 //! the property Algorithm 1's path enumeration relies on.
+//!
+//! The contexts are the states of an automaton over interned ids. Its
+//! transition on a variable — forced one way, or split into the two
+//! refined contexts — is a pure function of (context, variable), so it
+//! is computed once, kept in a step table beside the memos, and every
+//! later visit is one integer-keyed lookup (`Bdd::step`).
 
 use std::fmt;
 
@@ -63,6 +69,17 @@ const REASSERT: u8 = 2;
 
 /// Sentinel context id meaning "no same-field constraints yet".
 pub(crate) const CTX_NONE: u32 = 0;
+
+/// One transition of the context automaton: what testing a variable
+/// does to an interned constraint context.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// The context decides the test: only this branch is satisfiable.
+    Forced(bool),
+    /// Both branches are satisfiable; the contexts past the true and
+    /// the false edge.
+    Split { hi: u32, lo: u32 },
+}
 
 impl Bdd {
     /// Creates a BDD over the given field table and predicate alphabet.
@@ -120,14 +137,31 @@ impl Bdd {
             .enumerate()
             .map(|(i, &p)| (p, VarId(i as u32)))
             .collect();
+        Ok(Bdd::empty(fields, vars, var_index, true))
+    }
 
-        // Context id 0 is the "no constraints" sentinel; its field id is
-        // out of range so it never compares equal to a real field.
-        let sentinel = FieldCtx::full(FieldId(u32::MAX), 0);
-        let mut ctx_index = FxHashMap::default();
-        ctx_index.insert(sentinel.clone(), CTX_NONE);
-
-        Ok(Bdd {
+    /// An empty diagram over a validated alphabet. Its context
+    /// automaton starts with the sentinel and one unconstrained context
+    /// per field (where `enter` starts a field's block); its
+    /// transitions and every memo start empty.
+    pub(crate) fn empty(
+        fields: Vec<FieldInfo>,
+        vars: Vec<Pred>,
+        var_index: FxHashMap<Pred, VarId>,
+        semantic_pruning: bool,
+    ) -> Bdd {
+        // The sentinel's field id is out of range, so it never compares
+        // equal to a real field.
+        let ctxs: Vec<FieldCtx> = std::iter::once(FieldCtx::full(FieldId(u32::MAX), 0))
+            .chain(
+                fields
+                    .iter()
+                    .enumerate()
+                    .map(|(f, info)| FieldCtx::full(FieldId(f as u32), info.max_value())),
+            )
+            .collect();
+        let ctx_index = ctxs.iter().cloned().zip(0..).collect();
+        Bdd {
             fields,
             vars,
             var_index,
@@ -136,11 +170,12 @@ impl Bdd {
             memo: FxHashMap::default(),
             memo_hits: 0,
             memo_misses: 0,
-            semantic_pruning: true,
-            ctxs: vec![sentinel],
+            semantic_pruning,
+            ctxs,
             ctx_index,
+            steps: FxHashMap::default(),
             prune_memo: FxHashMap::default(),
-        })
+        }
     }
 
     /// Disables/enables reduction (iii) (same-field implication
@@ -303,24 +338,21 @@ impl Bdd {
         // Per-field semantic pass: drop literals forced by earlier
         // same-field literals; reject unsatisfiable conjunctions.
         let mut chainlits: Vec<(VarId, Pred, bool)> = Vec::with_capacity(deduped.len());
-        let mut cur: Option<FieldCtx> = None;
+        let mut cur = CTX_NONE;
         for (v, p, pol) in deduped {
-            let ctx = match cur.take() {
-                Some(c) if c.field == p.field => c,
-                _ => FieldCtx::full(p.field, self.fields[p.field.0 as usize].max_value()),
-            };
-            match ctx.implies(&p) {
-                Some(forced) => {
-                    if forced != pol {
-                        return Ok(None);
-                    }
-                    cur = Some(ctx); // redundant literal: drop it
-                }
-                None => {
-                    cur = Some(ctx.extend(&p, pol));
+            let ctx = self.enter(cur, p.field);
+            cur = match self.step(ctx, v) {
+                Step::Forced(forced) if forced != pol => return Ok(None),
+                Step::Forced(_) => ctx, // redundant literal: drop it
+                Step::Split { hi, lo } => {
                     chainlits.push((v, p, pol));
+                    if pol {
+                        hi
+                    } else {
+                        lo
+                    }
                 }
-            }
+            };
         }
 
         // Build the rule chain bottom-up.
@@ -348,6 +380,51 @@ impl Bdd {
         self.ctxs.push(c.clone());
         self.ctx_index.insert(c, id);
         id
+    }
+
+    /// The context a test on `field` runs under: `ctx_id` inside its
+    /// own field's block, the field's unconstrained context where a
+    /// new block starts.
+    fn enter(&self, ctx_id: u32, field: FieldId) -> u32 {
+        if self.ctxs[ctx_id as usize].field == field {
+            ctx_id
+        } else {
+            1 + field.0
+        }
+    }
+
+    /// The automaton's transition from context `cid` on variable `v`
+    /// (a variable of the context's field). Filled on first use — the
+    /// only place [`FieldCtx::implies`] and [`FieldCtx::extend`] run
+    /// during construction — so a visit costs one integer-keyed lookup.
+    ///
+    /// A context that pins its field to one value (an `==` true edge)
+    /// decides every test by evaluating it, so its transitions are not
+    /// stored: below each symbol of an `==` chain the rest of the chain
+    /// is forced, and storing those would grow the table with the
+    /// square of the chain.
+    pub(crate) fn step(&mut self, cid: u32, v: VarId) -> Step {
+        let pred = self.vars[v.0 as usize];
+        let ctx = &self.ctxs[cid as usize];
+        if ctx.lo == ctx.hi {
+            return Step::Forced(pred.eval(ctx.lo));
+        }
+        let key = (u64::from(cid) << 32) | u64::from(v.0);
+        if let Some(&s) = self.steps.get(&key) {
+            return s;
+        }
+        let s = match ctx.implies(&pred) {
+            Some(val) => Step::Forced(val),
+            None => {
+                let (hi, lo) = (ctx.extend(&pred, true), ctx.extend(&pred, false));
+                Step::Split {
+                    hi: self.intern_ctx(hi),
+                    lo: self.intern_ctx(lo),
+                }
+            }
+        };
+        self.steps.insert(key, s);
+        s
     }
 
     fn var_of(&self, r: NodeRef) -> Option<VarId> {
@@ -423,18 +500,7 @@ impl Bdd {
             (None, Some(vb)) => vb,
             (None, None) => unreachable!("terminal/terminal handled above"),
         };
-        let pred = self.vars[v.0 as usize];
-
-        // Effective context: reset at field-block boundaries.
-        let cur: FieldCtx = {
-            let c = &self.ctxs[ctx_id as usize];
-            if c.field == pred.field {
-                c.clone()
-            } else {
-                FieldCtx::full(pred.field, self.fields[pred.field.0 as usize].max_value())
-            }
-        };
-        let cid = self.intern_ctx(cur.clone());
+        let cid = self.enter(ctx_id, self.vars[v.0 as usize].field);
 
         let key = if OP == STRIP {
             // Difference is not symmetric: keep the operand order.
@@ -450,39 +516,32 @@ impl Bdd {
 
         // Reduction (iii): skip variables forced by same-field ancestors.
         let result = if self.semantic_pruning {
-            match cur.implies(&pred) {
-                Some(val) => {
+            match self.step(cid, v) {
+                Step::Forced(val) => {
                     let ra = self.restrict(a, v, val);
                     let rb = self.restrict(b, v, val);
                     self.apply::<OP>(ra, rb, cid)
                 }
-                None => self.split::<OP>(a, b, v, &cur, cid),
+                Step::Split { hi, lo } => self.split::<OP>(a, b, v, (hi, lo), cid),
             }
         } else {
-            self.split::<OP>(a, b, v, &cur, cid)
+            self.split::<OP>(a, b, v, (cid, cid), cid)
         };
 
         self.memo.insert(key, result);
         result
     }
 
+    /// Splits on `v`: each branch applies under its own context
+    /// (`(hi_ctx, lo_ctx)`, both `cid` without reduction (iii)).
     fn split<const OP: u8>(
         &mut self,
         a: NodeRef,
         b: NodeRef,
         v: VarId,
-        cur: &FieldCtx,
+        (hi_ctx, lo_ctx): (u32, u32),
         cid: u32,
     ) -> NodeRef {
-        let pred = self.vars[v.0 as usize];
-        let (hi_ctx, lo_ctx) = if self.semantic_pruning {
-            (
-                self.intern_ctx(cur.extend(&pred, true)),
-                self.intern_ctx(cur.extend(&pred, false)),
-            )
-        } else {
-            (cid, cid)
-        };
         let ah = self.restrict(a, v, true);
         let bh = self.restrict(b, v, true);
         let hi = self.apply::<OP>(ah, bh, hi_ctx);
@@ -544,15 +603,15 @@ impl Bdd {
         if let Some(&res) = self.prune_memo.get(&pkey) {
             return res;
         }
-        let cur = self.ctxs[ctx_id as usize].clone();
-        let res = match cur.implies(&pred) {
+        let res = match self.step(ctx_id, n.var) {
             // Following a forced branch adds no information to the
             // context (the predicate's outcome was already implied).
-            Some(true) => self.prune(n.hi, ctx_id),
-            Some(false) => self.prune(n.lo, ctx_id),
-            None => {
-                let hi_ctx = self.intern_ctx(cur.extend(&pred, true));
-                let lo_ctx = self.intern_ctx(cur.extend(&pred, false));
+            Step::Forced(true) => self.prune(n.hi, ctx_id),
+            Step::Forced(false) => self.prune(n.lo, ctx_id),
+            Step::Split {
+                hi: hi_ctx,
+                lo: lo_ctx,
+            } => {
                 let hi = self.prune(n.hi, hi_ctx);
                 let lo = self.prune(n.lo, lo_ctx);
                 self.store.make_node(n.var, lo, hi)

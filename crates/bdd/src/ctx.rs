@@ -10,7 +10,9 @@
 //! context therefore tracks the constraint accumulated on a single field
 //! — an inclusive interval plus a set of excluded points — and resets at
 //! field-block boundaries. This keeps contexts small and lets the
-//! `apply` memo key on a hash-consed context id.
+//! `apply` memo key on a hash-consed context id; construction walks
+//! those ids through a step table and asks [`FieldCtx::implies`] and
+//! [`FieldCtx::extend`] only to fill it (module [`crate::build`]).
 
 use crate::pred::{FieldId, Pred, PredOp};
 
@@ -296,13 +298,20 @@ mod tests {
     }
 
     /// Differential check: `implies` agrees with brute-force evaluation
-    /// over every value of a small domain, for random constraint chains.
+    /// over every value of a small domain, for random constraint chains,
+    /// and the diagram's context automaton agrees with `FieldCtx`: for
+    /// every context a walk reaches and every declared predicate, the
+    /// step is `Forced(implies(p))` or the interned ids of
+    /// `extend(p, true)` and `extend(p, false)`. The second walk takes
+    /// only false `==` edges on an exact field, as the 100-symbol ITCH
+    /// chain does, so its exclusion sets pass the `MAX_EXCLUSIONS`
+    /// saturation.
     #[test]
     fn implies_agrees_with_brute_force() {
-        let max = 31u64;
-        let preds: Vec<Pred> = (0..=max)
-            .flat_map(|v| [Pred::eq(F, v), Pred::lt(F, v.max(1)), Pred::gt(F, v)])
-            .collect();
+        use crate::build::Step;
+        use crate::pred::FieldInfo;
+        use crate::Bdd;
+
         // Deterministic pseudo-random walk.
         let mut seed = 0x9e3779b97f4a7c15u64;
         let mut next = || {
@@ -311,30 +320,82 @@ mod tests {
             seed ^= seed << 17;
             seed
         };
-        for _ in 0..200 {
-            let mut c = FieldCtx::full(F, max);
-            for _ in 0..6 {
-                let p = preds[(next() % preds.len() as u64) as usize];
-                if c.implies(&p).is_none() {
-                    c = c.extend(&p, next() % 2 == 0);
-                }
-                // Check every predicate against brute force.
-                let values: Vec<u64> = (0..=max).filter(|&v| c.contains(v)).collect();
-                assert!(!values.is_empty(), "context became empty: {c:?}");
-                for q in &preds {
-                    let all_true = values.iter().all(|&v| q.eval(v));
-                    let all_false = values.iter().all(|&v| !q.eval(v));
-                    match c.implies(q) {
-                        Some(true) => assert!(all_true, "ctx={c:?} q={q}"),
-                        Some(false) => assert!(all_false, "ctx={c:?} q={q}"),
-                        None => {
-                            // None is sound (a missed implication is
-                            // allowed only when exclusions saturated or the
-                            // window heuristic skipped the check).
+        let mut saturated = 0;
+        // (field, walks, steps per walk, only false `==` edges)
+        let walks = [
+            (FieldInfo::range("x", 5), 200, 6, false),
+            (FieldInfo::exact("s", 7), 8, 150, true),
+        ];
+        for (info, walks, steps, eq_false) in walks {
+            let max = info.max_value();
+            let preds: Vec<Pred> = (0..=max)
+                .flat_map(|v| [Pred::eq(F, v), Pred::lt(F, v.max(1)), Pred::gt(F, v)])
+                .filter(|p| !info.exact || p.op == PredOp::Eq)
+                .collect();
+            // The diagram's alphabet: every predicate `Bdd::new` admits.
+            let declared: Vec<Pred> = preds
+                .iter()
+                .copied()
+                .filter(|p| Bdd::new(vec![info.clone()], [*p]).is_ok())
+                .collect();
+            let mut bdd = Bdd::new(vec![info.clone()], declared.iter().copied()).unwrap();
+            let eqs: Vec<Pred> = preds
+                .iter()
+                .copied()
+                .filter(|p| p.op == PredOp::Eq)
+                .collect();
+            for _ in 0..walks {
+                let mut c = FieldCtx::full(F, max);
+                let mut cid = 1; // the field's unconstrained context
+                for _ in 0..steps {
+                    let (p, pol) = if eq_false {
+                        (eqs[(next() % eqs.len() as u64) as usize], false)
+                    } else {
+                        (
+                            declared[(next() % declared.len() as u64) as usize],
+                            next() % 2 == 0,
+                        )
+                    };
+                    if c.implies(&p).is_none() {
+                        cid = match bdd.step(cid, bdd.var_index[&p]) {
+                            Step::Split { hi, lo } => [lo, hi][usize::from(pol)],
+                            forced => panic!("ctx={c:?} p={p}: {forced:?}"),
+                        };
+                        c = c.extend(&p, pol);
+                    }
+                    assert_eq!(bdd.ctxs[cid as usize], c);
+                    // Check every predicate against brute force.
+                    let values: Vec<u64> = (0..=max).filter(|&v| c.contains(v)).collect();
+                    assert!(!values.is_empty(), "context became empty: {c:?}");
+                    for q in &preds {
+                        let all_true = values.iter().all(|&v| q.eval(v));
+                        let all_false = values.iter().all(|&v| !q.eval(v));
+                        match c.implies(q) {
+                            Some(true) => assert!(all_true, "ctx={c:?} q={q}"),
+                            Some(false) => assert!(all_false, "ctx={c:?} q={q}"),
+                            None => {
+                                // None is sound (a missed implication is
+                                // allowed only when exclusions saturated or
+                                // the window heuristic skipped the check).
+                            }
                         }
                     }
+                    // ... and the automaton against `FieldCtx`.
+                    for q in &declared {
+                        let got = bdd.step(cid, bdd.var_index[q]);
+                        let want = match c.implies(q) {
+                            Some(forced) => Step::Forced(forced),
+                            None => Step::Split {
+                                hi: bdd.ctx_index[&c.extend(q, true)],
+                                lo: bdd.ctx_index[&c.extend(q, false)],
+                            },
+                        };
+                        assert_eq!(got, want, "ctx={c:?} q={q}");
+                    }
                 }
+                saturated += usize::from(c.saturated);
             }
         }
+        assert!(saturated > 0, "no walk passed the exclusion saturation");
     }
 }

@@ -103,10 +103,16 @@ pub struct Bdd {
     /// Whether reduction (iii) — same-field implication pruning — is
     /// enabled. On by default; the ablation benches switch it off.
     pub(crate) semantic_pruning: bool,
-    /// Hash-consed constraint contexts; index 0 is the "no constraints"
-    /// sentinel.
+    /// Hash-consed constraint contexts — the states of the context
+    /// automaton. Index 0 is the "no constraints" sentinel; index
+    /// `1 + f` is field `f`'s unconstrained context, where its block
+    /// starts.
     pub(crate) ctxs: Vec<ctx::FieldCtx>,
     pub(crate) ctx_index: FxHashMap<ctx::FieldCtx, u32>,
+    /// The automaton's transitions: what testing a variable does to a
+    /// context, keyed on `ctx << 32 | var` and filled on first use
+    /// ([`build::Step`]). A pinned context's are computed, not stored.
+    pub(crate) steps: FxHashMap<u64, build::Step>,
     /// Persistent memo for `prune` — a pure function of (node, ctx),
     /// keyed on `packed(node) << 32 | ctx`.
     pub(crate) prune_memo: FxHashMap<u64, NodeRef>,

@@ -122,10 +122,10 @@ impl Bdd {
     }
 
     /// Replaces this BDD by its [`Bdd::canonical_copy`] — dropping
-    /// unreachable nodes and action sets, the prune memo and the
-    /// interned contexts, all of which only grow otherwise — and
-    /// returns where every reachable vertex went, so a long-lived
-    /// session can re-key what it holds per vertex.
+    /// unreachable nodes and action sets, the prune memo, the interned
+    /// contexts and their transitions, all of which only grow
+    /// otherwise — and returns where every reachable vertex went, so a
+    /// long-lived session can re-key what it holds per vertex.
     pub fn compact(&mut self) -> Remap {
         let (copy, map) = self.canonical_copy_mapped();
         *self = copy;
@@ -152,25 +152,31 @@ impl Bdd {
     /// An empty BDD sharing `src`'s alphabet and settings (the analogue
     /// of `Bdd::new` without re-validating predicates).
     pub(crate) fn like(src: &Bdd) -> Bdd {
-        use crate::ctx::FieldCtx;
-        use crate::pred::FieldId;
-        let sentinel = FieldCtx::full(FieldId(u32::MAX), 0);
-        let mut ctx_index = FxHashMap::default();
-        ctx_index.insert(sentinel.clone(), CTX_NONE);
-        Bdd {
-            fields: src.fields.clone(),
-            vars: src.vars.clone(),
-            var_index: src.var_index.clone(),
-            store: Store::new(),
-            root: NodeRef::Term(EMPTY_ACTIONS),
-            memo: FxHashMap::default(),
-            memo_hits: 0,
-            memo_misses: 0,
-            semantic_pruning: src.semantic_pruning,
-            ctxs: vec![sentinel],
-            ctx_index,
-            prune_memo: FxHashMap::default(),
-        }
+        Bdd::empty(
+            src.fields.clone(),
+            src.vars.clone(),
+            src.var_index.clone(),
+            src.semantic_pruning,
+        )
+    }
+
+    /// Drops every construction cache — the interned contexts, the
+    /// automaton's transitions, the prune memo and the apply memo's
+    /// table — and keeps the diagram: store, root and memo statistics.
+    /// A finished shard waiting for its merge needs nothing else
+    /// ([`Bdd::union_with`] reads only the other operand's store and
+    /// root), and further construction refills the caches as it goes.
+    /// Each holds a pure function of its key, so refilling one
+    /// allocates nothing new: the diagram and its store stay exactly
+    /// what they would have been.
+    pub fn release_caches(&mut self) {
+        *self = Bdd {
+            store: std::mem::replace(&mut self.store, Store::new()),
+            root: self.root,
+            memo_hits: self.memo_hits,
+            memo_misses: self.memo_misses,
+            ..Bdd::like(self)
+        };
     }
 
     fn canon_rec(&mut self, src: &Bdd, r: NodeRef, map: &mut FxHashMap<u32, NodeRef>) -> NodeRef {

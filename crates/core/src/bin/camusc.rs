@@ -222,7 +222,7 @@ fn main() {
     };
     write("pipeline.p4", &prog.p4_source);
     write("pipeline16.p4", &prog.p4_16_source);
-    write("control_plane.txt", &prog.control_plane);
+    write("control_plane.txt", &prog.control_plane());
     write("bdd.dot", &prog.bdd.to_dot("camus"));
     write("report.txt", &report);
 }

@@ -88,14 +88,23 @@ pub struct CompiledProgram {
     pub p4_source: String,
     /// Generated P4-16 (v1model) source for the static pipeline.
     pub p4_16_source: String,
-    /// Generated control-plane rules (one `table_add` per line).
-    pub control_plane: String,
     /// The rule BDD, for introspection and DOT export.
     pub bdd: camus_bdd::Bdd,
     /// Wall-clock phase timings: the dynamic compiler's shard
     /// build/merge/emit spans plus the end-to-end compile span. Kept
     /// out of [`CompileStats`], which must stay shard-count-invariant.
     pub spans: SpanSet,
+}
+
+impl CompiledProgram {
+    /// The generated control-plane rules: a key header per table, one
+    /// `table_add` per entry, one `mc_group` per multicast group
+    /// ([`crate::p4gen::render_control_plane`]). Rendered from the
+    /// pipeline on each call; the compile itself writes no text.
+    pub fn control_plane(&self) -> String {
+        let p = &self.pipeline;
+        crate::p4gen::render_control_plane(&p.tables, &p.mcast, &p.layout)
+    }
 }
 
 /// The Camus compiler (Fig. 6's "Camus compiler" box).
@@ -162,7 +171,6 @@ impl Compiler {
 
         let p4_source = crate::p4gen::render_p4(&self.spec, &statics, &tables, &layout);
         let p4_16_source = crate::p4gen::render_p4_16(&self.spec, &statics, &tables, &layout);
-        let control_plane = crate::p4gen::render_control_plane(&tables, &es.mcast);
 
         let table_entries: Vec<(String, usize)> =
             tables.iter().map(|t| (t.name.clone(), t.len())).collect();
@@ -200,7 +208,6 @@ impl Compiler {
             placement,
             p4_source,
             p4_16_source,
-            control_plane,
             bdd: built.bdd,
             spans: built.spans,
         })
@@ -483,7 +490,7 @@ mod tests {
         let rules = parse_program("stock == GOOGL : fwd(1)").unwrap();
         let prog = c.compile(&rules).unwrap();
         assert!(prog.p4_source.contains("header_type"));
-        assert!(prog.control_plane.contains("table_add"));
+        assert!(prog.control_plane().contains("table_add"));
         assert!(prog.placement.fits());
     }
 

@@ -316,6 +316,10 @@ const SHARD_CHUNK: usize = 512;
 /// Inserts a slice of conjunctions into a (shard) BDD, counting
 /// unsatisfiable ones. Satisfiability is a per-conjunction property, so
 /// shard-local counts sum to the sequential total.
+///
+/// The built shard keeps only its diagram: every shard of the level
+/// waits for the merge tree to reach it, and its construction caches
+/// (interned contexts, transitions, memos) would wait with it.
 fn build_shard(
     mut bdd: Bdd,
     rules: &[ResolvedConj],
@@ -327,6 +331,7 @@ fn build_shard(
             unsat += 1;
         }
     }
+    bdd.release_caches();
     Ok((bdd, unsat))
 }
 
@@ -386,6 +391,7 @@ fn build_sharded(
         }
         level = fan_out(pairs, threads, |((mut a, ua), (b, ub))| {
             a.union_with(&b);
+            a.release_caches(); // it waits for the next level
             (a, ua + ub)
         });
         level.extend(odd);
@@ -570,7 +576,7 @@ mod tests {
 
     #[test]
     fn control_plane_rendering_mentions_tables() {
-        let cp = compile("stock == GOOGL and price > 100 : fwd(1)").control_plane;
+        let cp = compile("stock == GOOGL and price > 100 : fwd(1)").control_plane();
         assert!(cp.contains("table_add t_add_order_price"));
         assert!(cp.contains("table_add t_actions"));
         assert!(cp.contains("fwd(1)"));

@@ -8,13 +8,14 @@
 //! v1model. Both are checked structurally in tests (this reproduction
 //! does not ship a vendor P4 toolchain — see DESIGN.md §2).
 //! [`render_control_plane`] writes the tables' entries, the compiler's
-//! second output, as `table_add` lines.
+//! second output, as `table_add` lines under one key header per table.
 
 use std::fmt::Write as _;
 
 use camus_lang::spec::Spec;
 use camus_pipeline::multicast::{GroupId, MulticastTable};
 use camus_pipeline::parser::Transition;
+use camus_pipeline::phv::PhvLayout;
 use camus_pipeline::table::{ActionOp, MatchKind, MatchValue, RegOp, Table};
 
 use crate::statics::StaticPipeline;
@@ -388,10 +389,25 @@ fn sanitize(name: &str) -> String {
 /// Renders the control-plane rules as human-readable `table_add`
 /// lines (the second compiler output of Fig. 6), each register write
 /// with its op, then one `mc_group` line per multicast group listing
-/// its ports.
-pub fn render_control_plane(tables: &[Table], mcast: &MulticastTable) -> String {
+/// its ports. Each table's rows follow one `table` line that names
+/// every key `k<id>` of its rows: the PHV field from `layout` and the
+/// match kind (`table t_x k0=meta.state:exact k8=h.price:range`).
+pub fn render_control_plane(
+    tables: &[Table],
+    mcast: &MulticastTable,
+    layout: &PhvLayout,
+) -> String {
     let mut s = String::new();
     for t in tables {
+        let _ = write!(s, "table {}", t.name);
+        for k in t.keys() {
+            let kind = match k.kind {
+                MatchKind::Exact => "exact",
+                MatchKind::Range => "range",
+            };
+            let _ = write!(s, " k{}={}:{kind}", k.field.0, layout.name(k.field));
+        }
+        let _ = writeln!(s);
         for e in t.entries() {
             let _ = write!(s, "table_add {} prio={}", t.name, e.priority);
             for (k, m) in t.keys().iter().zip(&e.matches) {
@@ -497,18 +513,29 @@ mod tests {
         assert_eq!(p4.matches('{').count(), p4.matches('}').count());
     }
 
-    /// The control-plane file names each register write's op and every
-    /// multicast group's ports.
+    /// The control-plane file names each register write's op, every
+    /// multicast group's ports, and each table's key fields.
     #[test]
     fn control_plane_writes_register_ops_and_group_ports() {
         let spec = parse_spec(camus_lang::spec::ITCH_SPEC).unwrap();
         let compiler = Compiler::new(spec, CompilerOptions::raw()).unwrap();
-        let rules = "stock == GOOGL : my_counter <- incr()\nstock == MSFT : fwd(3,1)";
-        let cp = compiler
-            .compile(&parse_program(rules).unwrap())
-            .unwrap()
-            .control_plane;
+        let rules = "stock == GOOGL : my_counter <- incr()\n\
+                     stock == MSFT : fwd(3,1)\n\
+                     price > 100 : fwd(3)";
+        let prog = compiler.compile(&parse_program(rules).unwrap()).unwrap();
+        let cp = prog.control_plane();
         let lines: Vec<&str> = cp.lines().collect();
+        // Each table's rows follow one header that names its keys.
+        for header in [
+            "table t_add_order_stock k0=meta.state:exact k8=add_order.stock:exact",
+            "table t_add_order_price k0=meta.state:exact k9=add_order.price:range",
+            "table t_actions k0=meta.state:exact",
+        ] {
+            let at = lines.iter().position(|l| *l == header);
+            let name = header.split(' ').nth(1).unwrap();
+            let first_row = at.map(|i| lines[i + 1]).unwrap_or_default();
+            assert!(first_row.starts_with(&format!("table_add {name} ")), "{cp}");
+        }
         assert!(
             lines
                 .iter()

@@ -188,7 +188,7 @@ proptest! {
         let a = compiler.compile(&rules).unwrap();
         let b = compiler.compile(&rules).unwrap();
         prop_assert_eq!(a.stats.clone(), b.stats);
-        prop_assert_eq!(a.control_plane, b.control_plane);
+        prop_assert_eq!(a.control_plane(), b.control_plane());
     }
 }
 

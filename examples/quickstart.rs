@@ -49,7 +49,7 @@ fn main() {
     }
 
     println!("\n== control-plane rules (first 10) ==");
-    for line in program.control_plane.lines().take(10) {
+    for line in program.control_plane().lines().take(10) {
         println!("  {line}");
     }
 

@@ -192,7 +192,7 @@ fn placement_and_artifacts_ship_with_the_program() {
     let prog = compiled("stock == GOOGL and price > 100 : fwd(1)");
     assert!(prog.placement.fits());
     assert!(prog.p4_source.contains("table t_add_order_stock"));
-    assert!(prog.control_plane.lines().count() >= prog.stats.total_entries);
+    assert!(prog.control_plane().lines().count() >= prog.stats.total_entries);
     assert!(prog.bdd.validate().is_ok());
     // DOT export for docs/debugging.
     let dot = prog.bdd.to_dot("e2e");

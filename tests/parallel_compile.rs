@@ -54,7 +54,7 @@ fn assert_identical(a: &camus::compiler::CompiledProgram, b: &camus::compiler::C
             "multicast group {g}"
         );
     }
-    assert_eq!(a.control_plane, b.control_plane);
+    assert_eq!(a.control_plane(), b.control_plane());
 
     // Statistics, minus the fields that record the schedule itself
     // (shards, memo counters, pre-canonical allocation).
