@@ -70,6 +70,54 @@ const REASSERT: u8 = 2;
 /// Sentinel context id meaning "no same-field constraints yet".
 pub(crate) const CTX_NONE: u32 = 0;
 
+/// What one visit of [`Bdd::apply`] leaves to do.
+enum Visit {
+    /// A terminal case or the memo decided it.
+    Done(NodeRef),
+    /// The context decides the test: continue with the taken branch
+    /// and memoize its result under `key` too.
+    Forced {
+        key: (u64, u32),
+        a: NodeRef,
+        b: NodeRef,
+        ctx: u32,
+    },
+    /// Both branches are satisfiable: apply each (high first), then
+    /// join them.
+    Split {
+        join: Join,
+        ah: NodeRef,
+        al: NodeRef,
+    },
+}
+
+/// A visit waiting on [`Bdd::apply`]'s stack for what it continued
+/// with.
+pub(crate) enum Frame {
+    /// A forced test: memoize the branch's result.
+    Forced((u64, u32)),
+    /// A split whose high branch is running; `al` is the low branch's
+    /// diagram side.
+    High { join: Join, al: NodeRef },
+    /// A split whose low branch is running, with the high result.
+    Low { join: Join, hi: NodeRef },
+}
+
+/// What a split keeps for its join: the memo key, the tested variable,
+/// the rule side's branches and the contexts, which the removal
+/// operations' reduction reads.
+pub(crate) struct Join {
+    key: (u64, u32),
+    v: VarId,
+    /// Whether the rule side tests `v` itself.
+    own: bool,
+    bh: NodeRef,
+    bl: NodeRef,
+    hi_ctx: u32,
+    lo_ctx: u32,
+    cid: u32,
+}
+
 /// One transition of the context automaton: what testing a variable
 /// does to an interned constraint context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,6 +223,7 @@ impl Bdd {
             ctx_index,
             steps: FxHashMap::default(),
             prune_memo: FxHashMap::default(),
+            frames: Vec::new(),
         }
     }
 
@@ -457,18 +506,73 @@ impl Bdd {
     /// cases swap (`a \ a = ∅`, `∅ \ b = ∅`, `a \ ∅ = a`, set
     /// difference on terminal pairs) and the memo key is ordered. The
     /// recursion is the same. Both removal operations additionally let
-    /// [`Bdd::split`] drop tests that stopped deciding anything.
+    /// [`Bdd::join`] drop tests that stopped deciding anything.
+    ///
+    /// The recursion runs on an explicit stack: a rule grafted below
+    /// the end of a 200-way `==` chain is one visit per level, and as
+    /// native calls that nesting made the build's speed depend on how
+    /// the host treats deep call stacks. The visits, memo lookups and
+    /// store operations are the recursion's, in its order: a split's
+    /// high branch finishes before its low branch starts.
     pub(crate) fn apply<const OP: u8>(&mut self, a: NodeRef, b: NodeRef, ctx_id: u32) -> NodeRef {
+        let mut frames = std::mem::take(&mut self.frames);
+        let (mut a, mut b, mut ctx_id) = (a, b, ctx_id);
+        loop {
+            let mut r = match self.visit::<OP>(a, b, ctx_id) {
+                Visit::Done(r) => r,
+                Visit::Forced {
+                    key,
+                    a: ra,
+                    b: rb,
+                    ctx,
+                } => {
+                    frames.push(Frame::Forced(key));
+                    (a, b, ctx_id) = (ra, rb, ctx);
+                    continue;
+                }
+                Visit::Split { join, ah, al } => {
+                    (a, b, ctx_id) = (ah, join.bh, join.hi_ctx);
+                    frames.push(Frame::High { join, al });
+                    continue;
+                }
+            };
+            // Pass `r` up until a split's low branch is still to do.
+            loop {
+                match frames.pop() {
+                    None => {
+                        self.frames = frames;
+                        return r;
+                    }
+                    Some(Frame::Forced(key)) => {
+                        self.memo.insert(key, r);
+                    }
+                    Some(Frame::High { join, al }) => {
+                        (a, b, ctx_id) = (al, join.bl, join.lo_ctx);
+                        frames.push(Frame::Low { join, hi: r });
+                        break;
+                    }
+                    Some(Frame::Low { join, hi }) => {
+                        r = self.join::<OP>(&join, hi, r);
+                        self.memo.insert(join.key, r);
+                    }
+                }
+            }
+        }
+    }
+
+    /// One visit of [`Bdd::apply`]: its result when a terminal case or
+    /// the memo decides it, else the visit it continues with.
+    fn visit<const OP: u8>(&mut self, a: NodeRef, b: NodeRef, ctx_id: u32) -> Visit {
         let empty = NodeRef::Term(EMPTY_ACTIONS);
         if OP == STRIP {
             if a == b || a == empty {
-                return empty; // a \ a = ∅ \ b = ∅
+                return Visit::Done(empty); // a \ a = ∅ \ b = ∅
             }
         } else if a == b {
             // Idempotent union — but the shared subtree may still hold
             // predicates forced by the context (same argument as the
             // empty-terminal case below).
-            return self.prune(a, ctx_id);
+            return Visit::Done(self.prune(a, ctx_id));
         }
         // Union with (difference by) the empty terminal is the identity
         // — except that the surviving side may contain predicates
@@ -480,17 +584,17 @@ impl Bdd {
         // deeper node tests it), so the amortized cost stays linear in
         // the nodes actually affected.
         if b == empty {
-            return self.prune(a, ctx_id);
+            return Visit::Done(self.prune(a, ctx_id));
         }
         if OP != STRIP && a == empty {
-            return self.prune(b, ctx_id);
+            return Visit::Done(self.prune(b, ctx_id));
         }
         if let (NodeRef::Term(sa), NodeRef::Term(sb)) = (a, b) {
-            return NodeRef::Term(if OP == STRIP {
+            return Visit::Done(NodeRef::Term(if OP == STRIP {
                 self.store.diff_actions(sa, sb)
             } else {
                 self.store.union_actions(sa, sb)
-            });
+            }));
         }
 
         // Split on the smallest variable present.
@@ -510,44 +614,55 @@ impl Bdd {
         };
         if let Some(&r) = self.memo.get(&key) {
             self.memo_hits += 1;
-            return r;
+            return Visit::Done(r);
         }
         self.memo_misses += 1;
 
         // Reduction (iii): skip variables forced by same-field ancestors.
-        let result = if self.semantic_pruning {
+        let (hi_ctx, lo_ctx) = if self.semantic_pruning {
             match self.step(cid, v) {
                 Step::Forced(val) => {
-                    let ra = self.restrict(a, v, val);
-                    let rb = self.restrict(b, v, val);
-                    self.apply::<OP>(ra, rb, cid)
+                    return Visit::Forced {
+                        key,
+                        a: self.restrict(a, v, val),
+                        b: self.restrict(b, v, val),
+                        ctx: cid,
+                    };
                 }
-                Step::Split { hi, lo } => self.split::<OP>(a, b, v, (hi, lo), cid),
+                Step::Split { hi, lo } => (hi, lo),
             }
         } else {
-            self.split::<OP>(a, b, v, (cid, cid), cid)
+            (cid, cid)
         };
-
-        self.memo.insert(key, result);
-        result
+        // Split on `v`: each branch applies under its own context.
+        Visit::Split {
+            join: Join {
+                key,
+                v,
+                own: self.var_of(b) == Some(v),
+                bh: self.restrict(b, v, true),
+                bl: self.restrict(b, v, false),
+                hi_ctx,
+                lo_ctx,
+                cid,
+            },
+            ah: self.restrict(a, v, true),
+            al: self.restrict(a, v, false),
+        }
     }
 
-    /// Splits on `v`: each branch applies under its own context
-    /// (`(hi_ctx, lo_ctx)`, both `cid` without reduction (iii)).
-    fn split<const OP: u8>(
-        &mut self,
-        a: NodeRef,
-        b: NodeRef,
-        v: VarId,
-        (hi_ctx, lo_ctx): (u32, u32),
-        cid: u32,
-    ) -> NodeRef {
-        let ah = self.restrict(a, v, true);
-        let bh = self.restrict(b, v, true);
-        let hi = self.apply::<OP>(ah, bh, hi_ctx);
-        let al = self.restrict(a, v, false);
-        let bl = self.restrict(b, v, false);
-        let lo = self.apply::<OP>(al, bl, lo_ctx);
+    /// A split's test over its two applied branches.
+    fn join<const OP: u8>(&mut self, j: &Join, hi: NodeRef, lo: NodeRef) -> NodeRef {
+        let Join {
+            v,
+            own,
+            bh,
+            bl,
+            hi_ctx,
+            lo_ctx,
+            cid,
+            ..
+        } = *j;
         if OP != ADD && self.semantic_pruning && hi != lo {
             // Reduction (ii) *under the context*: a removal can leave a
             // test whose branches are different diagrams but the same
@@ -568,7 +683,6 @@ impl Bdd {
             // this, every level of a 200-way `==` chain above the
             // rule's symbol would walk the rest of the chain.)
             let empty = NodeRef::Term(EMPTY_ACTIONS);
-            let own = self.var_of(b) == Some(v);
             if (own || self.prune(bh, hi_ctx) != empty) && self.prune(lo, hi_ctx) == hi {
                 return self.prune(lo, cid);
             }

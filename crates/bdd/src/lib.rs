@@ -116,6 +116,9 @@ pub struct Bdd {
     /// Persistent memo for `prune` — a pure function of (node, ctx),
     /// keyed on `packed(node) << 32 | ctx`.
     pub(crate) prune_memo: FxHashMap<u64, NodeRef>,
+    /// `apply`'s explicit stack, empty between calls and kept for its
+    /// capacity.
+    pub(crate) frames: Vec<build::Frame>,
 }
 
 /// Packs an apply-memo key: the symmetric `(a, b)` pair in one `u64`
